@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the octagon tight-closure kernels: compiled vs pure numpy.
 
-    python benchmarks/bench_closure.py [--sizes 4,8,16,32] [--repeat 200]
+    python benchmarks/bench_closure.py [--sizes 4,8,16,32] [--repeat 50]
 
 The closure is the hot inner loop of the octagon domain (it runs before
-every restriction, join, comparison and unlift), so this is the one kernel
-worth compiling.  Also times one end-to-end analysis under each kernel.
+every restriction, join, comparison and unlift).  Per size, the table gives
+the full closure under each kernel and the incremental closure that
+``octagon.py`` runs after a transfer touched two variables of a closed
+matrix (4 pivots, numpy).  Also times one end-to-end analysis under each
+available kernel, labelled with the kernel that ran.
 """
 
 import argparse
@@ -29,15 +32,29 @@ def random_dbm(rng: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
-def bench_kernel(close, matrices, repeat: int) -> float:
+def bench_kernel(close, inputs, repeat: int) -> float:
+    """Best-of-3 mean time of ``close(copy of m, *args)`` over ``inputs``."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(repeat):
-            for m in matrices:
-                close(np.array(m))
+            for m, *args in inputs:
+                close(np.array(m), *args)
         best = min(best, time.perf_counter() - t0)
-    return best / (repeat * len(matrices))
+    return best / (repeat * len(inputs))
+
+
+def two_variable_update(rng: np.random.Generator, n: int, close) -> tuple:
+    """A closed DBM plus one new bound between two variables, and its pivots."""
+    while True:
+        m = random_dbm(rng, n)
+        if close(m) == 0:
+            break
+    x, y = (0, 0) if n == 1 else rng.choice(n, size=2, replace=False)
+    i, j = 2 * x, 2 * y + int(rng.integers(0, 2))
+    m[i, j] = min(m[i, j], float(rng.integers(-2, 4)))
+    m[j ^ 1, i ^ 1] = m[i, j]
+    return m, sorted({2 * x, 2 * x + 1, 2 * y, 2 * y + 1})
 
 
 def main() -> int:
@@ -47,6 +64,7 @@ def main() -> int:
     args = ap.parse_args()
 
     from concurrel.domains._closure_py import tight_close_inplace as pure
+    from concurrel.domains._closure_py import tight_close_pivots
 
     try:
         from concurrel.domains._closure import tight_close_inplace as compiled
@@ -55,34 +73,40 @@ def main() -> int:
         print("compiled kernel not built; showing the pure kernel only")
 
     rng = np.random.default_rng(7)
-    print(f"{'n vars':>7} {'pure numpy':>12} {'compiled':>12} {'speedup':>8}")
+    print(f"{'n vars':>7} {'pure full':>12} {'compiled full':>14} {'speedup':>8} "
+          f"{'2-var pivots':>13}")
     for n in (int(s) for s in args.sizes.split(",")):
-        mats = [random_dbm(rng, n) for _ in range(10)]
+        mats = [(random_dbm(rng, n),) for _ in range(10)]
+        updates = [two_variable_update(rng, n, pure) for _ in range(10)]
         t_pure = bench_kernel(pure, mats, args.repeat)
+        t_inc = bench_kernel(tight_close_pivots, updates, args.repeat)
         if compiled is None:
-            print(f"{n:>7} {t_pure * 1e6:>10.1f}µs {'—':>12} {'—':>8}")
+            fast, speedup = "—", "—"
         else:
             t_fast = bench_kernel(compiled, mats, args.repeat)
-            print(f"{n:>7} {t_pure * 1e6:>10.1f}µs {t_fast * 1e6:>10.1f}µs "
-                  f"{t_pure / t_fast:>7.1f}x")
+            fast, speedup = f"{t_fast * 1e6:.1f}µs", f"{t_pure / t_fast:.1f}x"
+        print(f"{n:>7} {t_pure * 1e6:>10.1f}µs {fast:>14} {speedup:>8} {t_inc * 1e6:>11.1f}µs")
 
-    # end-to-end: one clustered analysis under each kernel selection
+    # end-to-end: one clustered analysis under each available kernel
     corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "intro_cluster.conc")
     code = (
         "import time; from concurrel.frontend import parse_program;"
         "from concurrel.analysis import run_analysis, preset;"
+        "from concurrel.domains import KERNEL;"
         f"p = parse_program(open({corpus!r}).read());"
         "t0 = time.perf_counter();"
         "[run_analysis(p, preset('clusters')) for _ in range(5)];"
-        "print((time.perf_counter() - t0) / 5)"
+        "print(KERNEL, (time.perf_counter() - t0) / 5)"
     )
-    for label, env in (("compiled", {}), ("pure", {"CONCURREL_PURE": "1"})):
+    envs = [{}] if compiled is None else [{}, {"CONCURREL_PURE": "1"}]
+    for env in envs:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True,
                              env={**os.environ, **env})
         if out.returncode == 0:
-            print(f"end-to-end clusters analysis ({label} kernel): "
-                  f"{float(out.stdout.strip()) * 1000:.1f} ms")
+            kernel, secs = out.stdout.split()
+            print(f"end-to-end clusters analysis ({kernel} kernel): "
+                  f"{float(secs) * 1000:.1f} ms")
     return 0
 
 

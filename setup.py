@@ -1,27 +1,21 @@
 """Build script: compiles the optional octagon-closure extension.
 
-The package works without the extension (a numpy fallback is selected at
-import time), so a missing compiler or Cython must not fail the install.
+The extension is built from ``_closure.pyx`` when Cython is installed and
+from the shipped, generated ``_closure.c`` otherwise.  The package works
+without it (a numpy fallback is selected at import time), so a missing
+compiler must not fail the install.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
 try:
     from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "concurrel.domains._closure",
-                ["src/concurrel/domains/_closure.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
 except ImportError:
-    pass
+    cythonize = None
+
+source = "src/concurrel/domains/_closure" + (".pyx" if cythonize else ".c")
+ext_modules = [Extension("concurrel.domains._closure", [source], optional=True)]
+if cythonize:
+    ext_modules = cythonize(ext_modules, language_level=3)
 
 setup(ext_modules=ext_modules)

@@ -1,8 +1,9 @@
 """Pure-numpy tight closure for integer octagon DBMs.
 
 Fallback for the compiled kernel in ``_closure.pyx``; selected at import in
-``octagon.py``.  Entries are float64 with +inf for "no bound"; -inf never
-appears (all entries are upper bounds).
+``octagon.py``, which also uses ``tight_close_pivots``, the incremental
+closure, when this is the active kernel.  Entries are float64 with +inf for
+"no bound"; -inf never appears (all entries are upper bounds).
 """
 
 from __future__ import annotations
@@ -16,10 +17,22 @@ def tight_close_inplace(m: np.ndarray) -> int:
     Returns 0 and leaves ``m`` tightly closed, or 1 when the constraints are
     unsatisfiable (matrix contents are then unspecified).
     """
+    return tight_close_pivots(m, range(m.shape[0]))
+
+
+def tight_close_pivots(m: np.ndarray, pivots) -> int:
+    """Tight closure running Floyd-Warshall steps only over ``pivots``.
+
+    Exact (equal to ``tight_close_inplace``) when ``m`` differs from a closed
+    matrix only in entries whose row and column both lie in ``pivots``: a
+    shortest path leaves and re-enters the pivots through old, closed
+    entries, and a new negative cycle passes through a pivot.  Same return
+    contract as ``tight_close_inplace``.
+    """
     n2 = m.shape[0]
     if n2 == 0:
         return 0
-    for k in range(n2):
+    for k in pivots:
         np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
     if (np.diagonal(m) < 0).any():
         return 1

@@ -372,6 +372,115 @@ def test_compiled_and_pure_kernels_agree():
             assert np.array_equal(m1, m2)
 
 
+# -- incremental closure ------------------------------------------------------------
+
+def _oct_constraint(data, n):
+    """Random octagonal constraint over one or two variables: (coeffs, bound)."""
+    from hypothesis import strategies as st
+
+    xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    coeffs = {x: data.draw(st.sampled_from((1, -1))) for x in xs}
+    return coeffs, data.draw(st.integers(-6, 8))
+
+
+def test_pivot_closure_equals_full_closure():
+    from hypothesis import given, settings, strategies as st
+    from concurrel.domains._closure_py import tight_close_inplace, tight_close_pivots
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6))
+        back = OctBackend(n)
+        m = np.full((2 * n, 2 * n), np.inf)
+        np.fill_diagonal(m, 0.0)
+        for _ in range(data.draw(st.integers(0, 3 * n))):
+            coeffs, bound = _oct_constraint(data, n)
+            back._add_oct_constraint(m, coeffs, bound)
+        if tight_close_inplace(m) != 0:
+            return
+        touched = set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            coeffs, bound = _oct_constraint(data, n)
+            back._add_oct_constraint(m, coeffs, bound)
+            touched |= set(coeffs)
+        full, inc = np.array(m), np.array(m)
+        status = tight_close_inplace(full)
+        pivots = [i for x in sorted(touched) for i in (2 * x, 2 * x + 1)]
+        assert tight_close_pivots(inc, pivots) == status
+        if status == 0:
+            assert np.array_equal(full, inc)
+
+    check()
+
+
+@pytest.mark.parametrize("intervalize", [False, True])
+def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
+    """Each transfer that records its variables closes, through the pivot
+    closure, to the matrix a full closure of its raw matrix gives."""
+    import concurrel.domains.octagon as octagon
+    from concurrel.domains.octagon import OctRel
+
+    rng = Random(48)
+    dom = make_domain("interval" if intervalize else "octagon", ("x", "y", "z"))
+    back = dom.nb
+    n = back.n
+    pivot_calls = []
+
+    def run_transfers(r, r2):
+        c = back.close(r)
+        c2 = back.close(r2)
+        x, y = rng.sample(range(n), 2)
+        k, lo = rng.randint(-3, 3), rng.randint(-2, 2)
+        sign = rng.choice((1, -1))
+        raw = np.array(c2.m)  # c2 plus one bound, not closed
+        back._add_oct_constraint(raw, {x: sign, y: rng.choice((1, -1))}, k)
+        outs = [
+            back.set_interval(c, x, lo, lo + rng.randint(0, 3)),
+            back.assign_linear(c, x, {y: sign}, k),
+            back.guard_leq0(c, {x: sign}, k),
+            back.guard_leq0(c, {x: sign, y: rng.choice((1, -1))}, k),
+            back.meet(c, c2),
+            back.meet(c, OctRel(n, raw)),
+            back.meet(OctRel(n, raw), c),
+        ]
+        return [back.close(o) for o in outs]
+
+    monkeypatch.setattr(octagon, "KERNEL", "python")  # pivots run under numpy only
+    full = octagon.tight_close_inplace
+    for _ in range(150):
+        r, r2 = random_relation(dom, rng).num, random_relation(dom, rng).num
+        if back.is_bot(r) or back.is_bot(r2):
+            continue
+        state = rng.getstate()
+        with monkeypatch.context() as mp:
+            mp.setattr(octagon, "tight_close_pivots",
+                       lambda m, ks: pivot_calls.append(ks) or full(m))
+            expected = run_transfers(r, r2)
+        rng.setstate(state)
+        for got, want in zip(run_transfers(r, r2), expected):
+            assert got.is_bot == want.is_bot
+            if not got.is_bot:
+                assert np.array_equal(got.m, want.m)
+    assert pivot_calls  # the pivot closure ran
+
+
+def test_widen_returns_left_operand_when_stable():
+    dom = make_domain("octagon", ("x", "y"))
+    back = dom.nb
+    rng = Random(49)
+    for _ in range(50):
+        a = random_relation(dom, rng).num
+        b = back.meet(a, random_relation(dom, rng).num)
+        if back.is_bot(a):
+            continue
+        assert back.widen(a, b) is a
+        assert back.widen(a, a) is a
+    a = back.set_interval(back.top(), 0, 0, 0)
+    w = back.widen(a, back.set_interval(back.top(), 0, 0, 1))
+    assert w is not a and back.bounds(w, 0) == (0, float("inf"))
+
+
 def test_octagon_assign_negation_of_other():
     dom = make_domain("octagon", ("x", "y"))
     r = dom.assign_value(dom.top(), "y", IntAbs(1, 2))

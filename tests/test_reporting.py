@@ -86,3 +86,31 @@ def test_lock_invariant_weaker_before_stronger_lock(programs):
     t2_b = next(iv for iv in invs if iv.point.startswith("t2") and iv.mutex == "b")
     assert "g-h<=0" in t2_b.invariant
     assert "h-g<=0" not in t2_b.invariant  # g = h only after the second lock
+
+
+def test_dump_solution_independent_of_hash_seed():
+    # fig_ex0's base-mode return keys hold sets of several thread ids, whose
+    # iteration order follows the string-hash seed (seeds 0 and 1 differ)
+    import os
+    import subprocess
+    import sys
+
+    from conftest import corpus_path
+
+    code = (
+        "import sys; from concurrel.frontend import parse_program;"
+        "from concurrel.analysis import preset, run_analysis;"
+        "from concurrel.analysis.reporting import dump_solution;"
+        "p = parse_program(open(sys.argv[1]).read());"
+        "sys.stdout.write(dump_solution(run_analysis(p, preset('octagon'))))"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    texts = [
+        subprocess.run([sys.executable, "-c", code, corpus_path("fig_ex0")],
+                       env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                       text=True, check=True).stdout
+        for seed in ("0", "1")
+    ]
+    assert "[ret (frozenset({" in texts[0]
+    assert texts[0] == texts[1]
