@@ -1,8 +1,8 @@
-from .config import AnalysisConfig, ClusterConfig, PRESETS, preset  # noqa: F401
+from .config import AnalysisConfig, ClusterConfig, ConfigError, PRESETS, preset  # noqa: F401
 from .driver import AnalysisResult, ProgramError, run_analysis  # noqa: F401
 from .improved_system import ImprovedState, ImprovedSystem, RetVal  # noqa: F401
-from .base_system import BaseAnalysis, wrap_with_digests  # noqa: F401
-from .keys import MutexKey, PointKey, RetKey, Start, render_key  # noqa: F401
+from .base_system import BaseAnalysis, WrappedBaseSystem  # noqa: F401
+from .keys import MutexKey, PointKey, RetKey, render_key  # noqa: F401
 from .protections import (  # noqa: F401
     compute_protections, declared_protections, infer_protections, protected_by,
 )

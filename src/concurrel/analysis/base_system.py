@@ -3,11 +3,18 @@
 The base right-hand sides (init, lock, unlock, read, write, create, return,
 join, local steps) are written against abstract "base keys" — (mutex,
 cluster), thread-return ids, thread start points — exactly as in the
-unrefined system.  ``wrap_with_digests`` then builds the solver-facing
-constraint generator: it re-keys every consulted or side-effected unknown
-with digests, instantiates observing actions once per feasible incoming
-digest, and redirects create side-effects through the digest's new-thread
-function.  The base right-hand sides are used as black boxes.
+unrefined system.  ``WrappedBaseSystem`` is the solver-facing constraint
+generator: it re-keys every consulted or side-effected unknown with digests,
+instantiates observing actions once per feasible incoming digest, and
+redirects create side-effects through the digest's new-thread function.  The
+base right-hand sides are used as black boxes.
+
+The thread-id system (``improved_system.ImprovedSystem``) subclasses
+``BaseAnalysis`` and takes from it the initial values, the local steps
+(read, write, assign, guard, havoc, assert), the relation kept at an unlock,
+the child's start relation and the returned value; both systems share the
+solver plumbing of ``EdgeConstraints``: key namespaces, which outgoing edges
+spawn a constraint, and the enumeration of published mutex digests.
 """
 
 from __future__ import annotations
@@ -17,14 +24,15 @@ from typing import Any, Callable
 
 from ..digests import DigestSpec, MAIN_TID, tid_new
 from ..frontend.ast import (
-    Assert, AssignLocal, Create, Guard, Havoc, Join, Lock, Program,
+    Assert, AssignLocal, Create, Guard, Havoc, IntLit, Join, Lock, Program,
     ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
 )
 from ..frontend.cfg import Cfg, Edge, Point
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
-from ..domains.values import BOT, TID_TOP, tid_meet
-from .keys import MutexKey, PointKey, RetKey
+from ..domains.values import BOT, TID_TOP, int_join, tid_meet
+from .keys import MutexKey, PointKey, RetKey, render_key
+from .protections import protected_by
 
 
 def freeze_tid_value(v) -> Any:
@@ -44,6 +52,9 @@ class BaseEnv:
     ret_candidates: Callable[[], list[tuple[Any, Relation]]]
 
 
+NO_ENV = BaseEnv(mutex_value=lambda a, q: None, ret_candidates=lambda: [])
+
+
 class BaseAnalysis:
     """Right-hand sides of the unrefined analysis (lockset splitting only)."""
 
@@ -59,21 +70,36 @@ class BaseAnalysis:
         self.locals = frozenset(locals_) | {"self"}
         self.mutexes = sorted(clusters)
 
-    def globals_of(self, mutex: str) -> frozenset[str]:
-        return frozenset(g for g, ms in self.protections.items() if mutex in ms)
-
     # -- init --
 
     def init(self) -> tuple[list[tuple[Any, Relation]], Relation]:
+        """Every cluster value with its globals at 0, and main's start relation."""
         effects = []
         for a in self.mutexes:
             for q in self.clusters[a]:
                 r = self.dom.top()
                 for g in sorted(q):
-                    r = self.dom.assign_expr(r, g, _zero())
+                    r = self.dom.assign_expr(r, g, IntLit(0))
                 effects.append((("mutex", a, q), r))
         start = self.dom.assign_value(self.dom.top(), "self", frozenset({MAIN_TID}))
         return effects, start
+
+    # -- pieces of the transfer shared with the thread-id system --
+
+    def unlock_keep(self, lockset: frozenset[str], a: str) -> set[str]:
+        """What the ego keeps at unlock(a): its locals and 𝒢 of the other held mutexes."""
+        keep = set(self.locals)
+        for a2 in lockset - {a}:
+            keep |= protected_by(self.protections, a2)
+        return keep
+
+    def start_relation(self, r: Relation, child_tid) -> Relation:
+        """A created thread starts with its creator's locals and its own id."""
+        return self.dom.restrict(self.dom.assign_value(r, "self", child_tid), self.locals)
+
+    def returned(self, r: Relation, x: str) -> Relation:
+        """The value of ``return x`` as a relation over ``ret`` alone."""
+        return self.dom.restrict(self.dom.assign_expr(r, "ret", Var(x)), {"ret"})
 
     # -- per-edge transfer: returns (base side-effects, successor value) --
 
@@ -91,10 +117,7 @@ class BaseAnalysis:
                 return [], dom.meet_all([r] + vals)
             case Unlock(a):
                 effects = [(("mutex", a, q), dom.restrict(r, q)) for q in self.clusters[a]]
-                keep = set(self.locals)
-                for a2 in lockset - {a}:
-                    keep |= self.globals_of(a2)
-                return effects, dom.restrict(r, keep)
+                return effects, dom.restrict(r, self.unlock_keep(lockset, a))
             case ReadGlobal(x, g):
                 return [], dom.assign_expr(r, x, Var(g))
             case WriteGlobal(g, x):
@@ -109,14 +132,12 @@ class BaseAnalysis:
                 return [], dom.havoc(r, x)
             case Create(x, template):
                 child_tid = self._new_tid(edge.src, template, r)
-                r_child = dom.assign_value(r, "self", child_tid)
-                r_child = dom.restrict(r_child, self.locals)
                 start = self.cfgs[template].start
-                return [(("start", start), r_child)], dom.assign_value(r, x, child_tid)
+                return ([(("start", start), self.start_relation(r, child_tid))],
+                        dom.assign_value(r, x, child_tid))
             case Return(x):
                 key = freeze_tid_value(dom.unlift_tid(r, "self"))
-                v = dom.restrict(dom.assign_expr(r, "ret", Var(x)), {"ret"})
-                return [(("ret", key), v)], r
+                return [(("ret", key), self.returned(r, x))], r
             case Join(x1, x):
                 tid_val = dom.unlift_tid(r, x)
                 if tid_val is BOT:
@@ -124,7 +145,7 @@ class BaseAnalysis:
                 acc = BOT
                 for key, stored in env.ret_candidates():
                     if tid_meet(thaw_tid_value(key), tid_val):
-                        acc = _int_join(acc, dom.unlift_var(stored, "ret"))
+                        acc = int_join(acc, dom.unlift_var(stored, "ret"))
                 if acc is BOT:
                     return [], dom.bot()  # no thread to join: execution blocks
                 return [], dom.assign_value(r, x1, acc)
@@ -143,28 +164,67 @@ class BaseAnalysis:
         return frozenset(out)
 
 
-def _zero():
-    from ..frontend.ast import IntLit
-
-    return IntLit(0)
+# -- solver plumbing shared by both constraint systems -------------------------
 
 
-def _int_join(a, b):
-    from ..domains.values import int_join
+_RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
+                Create: "_create_rhs", Return: "_return_rhs"}
 
-    return int_join(a, b)
+
+class EdgeConstraints:
+    """Key namespaces and one constraint per outgoing edge of a point unknown.
+
+    Subclasses provide ``cfgs`` and one right-hand-side factory per action
+    kind (``_lock_rhs``, ``_unlock_rhs``, ``_join_rhs``, ``_create_rhs``,
+    ``_return_rhs``, and ``_plain_rhs`` for local steps); each factory closes
+    over (edge, source key) and reads through the view.
+    """
+
+    cfgs: dict[str, Cfg]
+
+    def namespace(self, key):
+        if isinstance(key, MutexKey):
+            return ("mutex", key.mutex)
+        if isinstance(key, RetKey):
+            return ("ret",)
+        return None
+
+    def constraints_for(self, key) -> list[Constraint]:
+        if not isinstance(key, PointKey):
+            return []
+        out = []
+        for edge in self.cfgs[key.point.template].out_edges(key.point):
+            act = edge.action
+            if isinstance(act, Lock) and act.mutex in key.lockset:
+                continue  # non-reentrant mutex: locking again deadlocks
+            if isinstance(act, Unlock) and act.mutex not in key.lockset:
+                continue
+            factory = getattr(self, _RHS_FACTORY.get(type(act), "_plain_rhs"))
+            out.append(Constraint(f"{render_key(key)} {action_str(act)}", factory(edge, key)))
+        return out
+
+    @staticmethod
+    def mutex_digests(view: View, a: str) -> list:
+        """Digests of the known unknowns of mutex ``a``, in discovery order
+        (reading the namespace records the dependency)."""
+        return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
+
+
+def accumulate(effects: dict, key, value, join) -> None:
+    effects[key] = join(effects[key], value) if key in effects else value
 
 
 # -- the digest wrapper ---------------------------------------------------------
 
 
-class WrappedBaseSystem:
+class WrappedBaseSystem(EdgeConstraints):
     """Solver-facing constraint system: base analysis × digest spec."""
 
     def __init__(self, base: BaseAnalysis, spec: DigestSpec):
         self.base = base
         self.spec = spec
         self.dom = base.dom
+        self.cfgs = base.cfgs
 
     # lattice plumbing: every value is a Relation
     def join(self, key, a, b):
@@ -176,126 +236,56 @@ class WrappedBaseSystem:
     def leq(self, key, a, b):
         return self.dom.leq(a, b)
 
-    def namespace(self, key):
-        if isinstance(key, MutexKey):
-            return ("mutex", key.mutex)
-        if isinstance(key, RetKey):
-            return ("ret",)
-        return None
-
     # -- constraints --
 
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
             effects: dict[Any, Relation] = {}
             base_effects, start = self.base.init()
-            entry = self.base.cfgs[self.base.program.entry].start
+            entry = self.cfgs[self.base.program.entry].start
             for d in self.spec.init():
-                for (kind, a, q), v in base_effects:
-                    assert kind == "mutex"
-                    _acc(effects, MutexKey(a, q, d), v, self.dom)
-                _acc(effects, PointKey(entry, frozenset(), d), start, self.dom)
+                for (_kind, a, q), v in base_effects:
+                    accumulate(effects, MutexKey(a, q, d), v, self.dom.join)
+                accumulate(effects, PointKey(entry, frozenset(), d), start, self.dom.join)
             return effects
 
         return [Constraint("init", rhs)]
 
-    def constraints_for(self, key) -> list[Constraint]:
-        if not isinstance(key, PointKey):
-            return []
-        cfg = self.base.cfgs[key.point.template]
-        out = []
-        for edge in cfg.out_edges(key.point):
-            c = self._edge_constraint(edge, key)
-            if c is not None:
-                out.append(c)
-        return out
-
-    def _edge_constraint(self, edge: Edge, src: PointKey) -> Constraint | None:
+    def _unary_rhs(self, edge: Edge, src: PointKey):
+        """Non-observing actions: the base side-effects and the successor are
+        keyed with the digest after ``spec.unary`` (a created thread's start
+        with the digest of ``spec.new_thread``)."""
         act = edge.action
-        S, d0 = src.lockset, src.digest
-        name = f"{render(src)} {action_str(act)}"
-        if isinstance(act, Lock):
-            if act.mutex in S:
-                return None  # non-reentrant mutex: locking again deadlocks
-            return Constraint(name, self._lock_rhs(edge, src))
-        if isinstance(act, Unlock):
-            if act.mutex not in S:
-                return None
-            return Constraint(name, self._unlock_rhs(edge, src))
-        if isinstance(act, Join):
-            return Constraint(name, self._join_rhs(edge, src))
-        if isinstance(act, Create):
-            return Constraint(name, self._create_rhs(edge, src))
-        if isinstance(act, Return):
-            return Constraint(name, self._observable_rhs(edge, src))
-        return Constraint(name, self._plain_rhs(edge, src))
-
-    # each rhs closes over (edge, source key) and reads through the view
-
-    def _plain_rhs(self, edge: Edge, src: PointKey):
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
-            _fx, v = self.base.transfer(edge, src.lockset, r, _NO_ENV)
-            effects: dict[Any, Relation] = {}
-            if not self.dom.is_bot(v):
-                for d1 in self.spec.unary(edge.src, edge.action, src.digest):
-                    _acc(effects, PointKey(edge.dst, src.lockset, d1), v, self.dom)
-            return effects
-
-        return rhs
-
-    def _unlock_rhs(self, edge: Edge, src: PointKey):
-        a = edge.action.mutex
+        lockset = src.lockset - {act.mutex} if isinstance(act, Unlock) else src.lockset
 
         def rhs(view: View):
             r = view.get(src)
             if r is None:
                 return {}
-            base_effects, v = self.base.transfer(edge, src.lockset, r, _NO_ENV)
+            base_effects, v = self.base.transfer(edge, src.lockset, r, NO_ENV)
             effects: dict[Any, Relation] = {}
-            for d1 in self.spec.unary(edge.src, edge.action, src.digest):
-                for (kind, a2, q), val in base_effects:
-                    _acc(effects, MutexKey(a2, q, d1), val, self.dom)
+            for d1 in self.spec.unary(edge.src, act, src.digest):
+                for base_key, val in base_effects:
+                    for key in self._lift(base_key, d1, edge.src, src.digest):
+                        accumulate(effects, key, val, self.dom.join)
                 if not self.dom.is_bot(v):
-                    _acc(effects, PointKey(edge.dst, src.lockset - {a}, d1), v, self.dom)
+                    accumulate(effects, PointKey(edge.dst, lockset, d1), v, self.dom.join)
             return effects
 
         return rhs
 
-    def _observable_rhs(self, edge: Edge, src: PointKey):  # return x
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
-            base_effects, v = self.base.transfer(edge, src.lockset, r, _NO_ENV)
-            effects: dict[Any, Relation] = {}
-            for d1 in self.spec.unary(edge.src, edge.action, src.digest):
-                for (kind, tidkey), val in base_effects:
-                    _acc(effects, RetKey((tidkey, d1)), val, self.dom)
-                if not self.dom.is_bot(v):
-                    _acc(effects, PointKey(edge.dst, src.lockset, d1), v, self.dom)
-            return effects
+    _plain_rhs = _unlock_rhs = _return_rhs = _create_rhs = _unary_rhs
 
-        return rhs
-
-    def _create_rhs(self, edge: Edge, src: PointKey):
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
-            base_effects, v = self.base.transfer(edge, src.lockset, r, _NO_ENV)
-            effects: dict[Any, Relation] = {}
-            for (kind, start), val in base_effects:
-                for dchild in self.spec.new_thread(edge.src, start, src.digest):
-                    _acc(effects, PointKey(start, frozenset(), dchild), val, self.dom)
-            if not self.dom.is_bot(v):
-                for d1 in self.spec.unary(edge.src, edge.action, src.digest):
-                    _acc(effects, PointKey(edge.dst, src.lockset, d1), v, self.dom)
-            return effects
-
-        return rhs
+    def _lift(self, base_key, d, u: Point, creator_digest) -> list:
+        match base_key:
+            case ("mutex", a, q):
+                return [MutexKey(a, q, d)]
+            case ("ret", tidkey):
+                return [RetKey((tidkey, d))]
+            case ("start", start):
+                return [PointKey(start, frozenset(), dchild)
+                        for dchild in self.spec.new_thread(u, start, creator_digest)]
+        raise ValueError(base_key)
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         a = edge.action.mutex
@@ -305,7 +295,7 @@ class WrappedBaseSystem:
             if r is None:
                 return {}
             effects: dict[Any, Relation] = {}
-            for d1 in self._mutex_digests(view, a):
+            for d1 in self.mutex_digests(view, a):
                 succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
                 if not succ:
                     continue  # infeasible trace combination
@@ -315,7 +305,8 @@ class WrappedBaseSystem:
                 )
                 _fx, v = self.base.transfer(edge, src.lockset, r, env)
                 if not self.dom.is_bot(v):
-                    _acc(effects, PointKey(edge.dst, src.lockset | {a}, succ[0]), v, self.dom)
+                    accumulate(effects, PointKey(edge.dst, src.lockset | {a}, succ[0]), v,
+                               self.dom.join)
             return effects
 
         return rhs
@@ -336,29 +327,16 @@ class WrappedBaseSystem:
                 )
                 _fx, v = self.base.transfer(edge, src.lockset, r, env)
                 if not self.dom.is_bot(v):
-                    _acc(effects, PointKey(edge.dst, src.lockset, succ[0]), v, self.dom)
+                    accumulate(effects, PointKey(edge.dst, src.lockset, succ[0]), v,
+                               self.dom.join)
             return effects
 
         return rhs
 
-    # -- digest enumeration through the view (records namespace deps) --
-
-    def _mutex_digests(self, view: View, a: str) -> list:
-        seen, out = set(), []
-        for k in view.keys_in(("mutex", a)):
-            if k.digest not in seen:
-                seen.add(k.digest)
-                out.append(k.digest)
-        return out
+    # -- thread-return digests through the view (records namespace deps) --
 
     def _ret_digests(self, view: View) -> list:
-        seen, out = set(), []
-        for k in view.keys_in(("ret",)):
-            (_tidkey, d1) = k.digest
-            if d1 not in seen:
-                seen.add(d1)
-                out.append(d1)
-        return out
+        return list(dict.fromkeys(k.digest[1] for k in view.keys_in(("ret",))))
 
     def _ret_values(self, view: View, d1) -> list:
         out = []
@@ -369,23 +347,3 @@ class WrappedBaseSystem:
                 if v is not None:
                     out.append((tidkey, v))
         return out
-
-
-_NO_ENV = BaseEnv(mutex_value=lambda a, q: None, ret_candidates=lambda: [])
-
-
-def _acc(effects: dict, key, value, dom) -> None:
-    if key in effects:
-        effects[key] = dom.join(effects[key], value)
-    else:
-        effects[key] = value
-
-
-def render(key) -> str:
-    from .keys import render_key
-
-    return render_key(key)
-
-
-def wrap_with_digests(base: BaseAnalysis, spec: DigestSpec) -> WrappedBaseSystem:
-    return WrappedBaseSystem(base, spec)

@@ -6,22 +6,20 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 
+class ConfigError(ValueError):
+    """An analysis configuration that cannot run: conflicting or unknown settings."""
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     mode: str = "monolithic"  # 'monolithic' | 'le_k' | 'all'
     k: int = 2
-    # explicit per-mutex overrides: ((mutex, (cluster, ...)), ...)
-    explicit: tuple[tuple[str, tuple[frozenset, ...]], ...] = ()
 
     def clusters_for(self, mutex: str, protected: frozenset[str]) -> tuple[frozenset[str], ...]:
         """The cluster family 𝒬_a for a mutex protecting ``protected``.
 
         At least one cluster is always returned (the empty cluster when the
         mutex protects nothing)."""
-        for name, qs in self.explicit:
-            if name == mutex:
-                assert all(q <= protected for q in qs)
-                return qs
         if not protected:
             return (frozenset(),)
         names = sorted(protected)
@@ -50,11 +48,11 @@ class AnalysisConfig:
 
     def __post_init__(self):
         if self.mode not in ("base", "tids", "clusters"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.lock_once and self.mode != "base":
-            raise ValueError("the lock-once digest is only supported in base mode")
+            raise ConfigError("the lock-once digest is only supported in base mode")
         if self.exclude_ancestor_writes and self.mode == "base":
-            raise ValueError("--exclude-ancestor-writes needs thread ids (tids/clusters)")
+            raise ConfigError("--exclude-ancestor-writes needs thread ids (tids/clusters)")
 
 
 PRESETS = {

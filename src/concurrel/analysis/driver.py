@@ -13,8 +13,8 @@ from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
 from ..frontend.validate import Diagnostic, validate
 from ..solver import Solver
 from ..domains.relation import RelDomain, Relation, Universe
-from .base_system import BaseAnalysis, wrap_with_digests
-from .config import AnalysisConfig
+from .base_system import BaseAnalysis, WrappedBaseSystem
+from .config import AnalysisConfig, ConfigError
 from .improved_system import ImprovedState, ImprovedSystem
 from .keys import MutexKey, PointKey
 from .protections import compute_protections, protected_by
@@ -84,6 +84,11 @@ def build_universe(cfgs: dict[str, Cfg], program: Program) -> Universe:
     return Universe(tuple(ints), tuple(sorted(tids)))
 
 
+def local_vars(universe: Universe, program: Program) -> tuple[str, ...]:
+    """Every variable of the universe that is neither a global nor ``ret``."""
+    return tuple(v for v in universe.all_vars if v not in program.globals and v != "ret")
+
+
 def run_analysis(program: Program, config: AnalysisConfig,
                  check_diagnostics: bool = True) -> AnalysisResult:
     cfgs = build_cfg(program)
@@ -98,12 +103,12 @@ def run_analysis(program: Program, config: AnalysisConfig,
     }
     universe = build_universe(cfgs, program)
     dom = RelDomain(universe, config.domain)
-    locals_ = tuple(v for v in universe.all_vars if v not in program.globals and v != "ret")
+    locals_ = local_vars(universe, program)
 
     if config.mode == "base":
         spec = lock_once_digest() if config.lock_once else trivial_digest()
         base = BaseAnalysis(program, cfgs, dom, protections, clusters, locals_)
-        system = wrap_with_digests(base, spec)
+        system = WrappedBaseSystem(base, spec)
     else:
         system = ImprovedSystem(
             program, cfgs, dom, protections, clusters, locals_,
@@ -112,7 +117,12 @@ def run_analysis(program: Program, config: AnalysisConfig,
         )
         spec = system.spec
 
-    budget = int(os.environ.get("CONCURREL_STEP_BUDGET", config.budget))
+    raw_budget = os.environ.get("CONCURREL_STEP_BUDGET")
+    try:
+        budget = config.budget if raw_budget is None else int(raw_budget)
+    except ValueError:
+        raise ConfigError(
+            f"CONCURREL_STEP_BUDGET must be an integer, not {raw_budget!r}") from None
     solver = Solver(system, widen_delay=config.widen_delay,
                     narrow_iters=config.narrow_iters, budget=budget)
     t0 = time.perf_counter()

@@ -12,25 +12,28 @@ Side effects to mutex unknowns happen only when a protected global may have
 been written; in clustered mode only the clusters that intersect W are
 published, and locking combines, per cluster, the join-local information
 with the joined contributions of all admitted, non-accounted thread ids.
+
+``ImprovedSystem`` subclasses ``BaseAnalysis`` and takes from it what the
+thread ids leave unchanged: the initial cluster values (which seed L) and
+main's start relation, the local steps on r, the relation kept at an unlock,
+the child's start relation and the returned value.  Key namespaces, which
+outgoing edges spawn a constraint and the enumeration of published mutex
+digests come from ``EdgeConstraints``, as in the base system.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..digests import (
-    MAIN_TID, TidDigestSpec, lcu_anc, may_create, may_run, tid_compose,
-    tid_new,
-)
-from ..frontend.ast import (
-    Assert, AssignLocal, Create, Guard, Havoc, IntLit, Join, Lock, Program,
-    Return, ReadGlobal, Unlock, Var, WriteGlobal, action_str,
-)
+from ..digests import TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new
+from ..frontend.ast import Program, WriteGlobal
 from ..frontend.cfg import Cfg, Edge
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
 from ..domains.values import BOT, tid_meet
-from .keys import MutexKey, PointKey, RetKey, render_key
+from .base_system import NO_ENV, BaseAnalysis, EdgeConstraints, accumulate
+from .keys import MutexKey, PointKey, RetKey
+from .protections import protected_by
 
 
 class ImprovedState:
@@ -52,7 +55,7 @@ class RetVal:
         self.v = v
 
 
-class ImprovedSystem:
+class ImprovedSystem(BaseAnalysis, EdgeConstraints):
     """Constraint generator for the tids and clusters modes."""
 
     def __init__(self, program: Program, cfgs: dict[str, Cfg], dom: RelDomain,
@@ -60,16 +63,10 @@ class ImprovedSystem:
                  clusters: dict[str, tuple[frozenset[str], ...]],
                  locals_: tuple[str, ...], clustered: bool,
                  exclude_ancestor_writes: bool = False):
-        self.program = program
-        self.cfgs = cfgs
-        self.dom = dom
-        self.protections = protections
-        self.clusters = clusters
-        self.locals = frozenset(locals_) | {"self"}
+        super().__init__(program, cfgs, dom, protections, clusters, locals_)
         self.clustered = clustered
         self.exclude_ancestors = exclude_ancestor_writes
         self.spec = TidDigestSpec()
-        self.mutexes = sorted(clusters)
 
     # -- digest keys at mutex/thread-return unknowns --
 
@@ -81,9 +78,6 @@ class ImprovedSystem:
         return dk if self.exclude_ancestors else (dk, frozenset())
 
     # -- state lattice --
-
-    def globals_of(self, mutex: str) -> frozenset[str]:
-        return frozenset(g for g, ms in self.protections.items() if mutex in ms)
 
     def _l_join(self, l1: dict, l2: dict, widen: bool = False) -> dict:
         op = self.dom.widen if widen else self.dom.join
@@ -126,13 +120,6 @@ class ImprovedSystem:
             )
         return self.dom.leq(a, b)
 
-    def namespace(self, key):
-        if isinstance(key, MutexKey):
-            return ("mutex", key.mutex)
-        if isinstance(key, RetKey):
-            return ("ret",)
-        return None
-
     # -- accounted-for check (I2 + I3, optionally ancestor writes) --
 
     def acc(self, ego: tuple, state: ImprovedState, cand: tuple) -> bool:
@@ -150,78 +137,29 @@ class ImprovedSystem:
 
     # -- constraints --
 
-    def _init_state(self) -> ImprovedState:
-        l = {}
-        for a in self.mutexes:
-            for q in self.clusters[a]:
-                r = self.dom.top()
-                for g in sorted(q):
-                    r = self.dom.assign_expr(r, g, IntLit(0))
-                l[(a, q)] = r
-        r0 = self.dom.assign_value(self.dom.top(), "self", frozenset({MAIN_TID}))
-        return ImprovedState(frozenset(), l, frozenset(), r0)
-
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
             entry = self.cfgs[self.program.entry].start
             d0 = self.spec.init()[0]
-            return {PointKey(entry, frozenset(), d0): self._init_state()}
+            cluster_values, start = self.init()
+            l = {(a, q): r for (_kind, a, q), r in cluster_values}
+            state = ImprovedState(frozenset(), l, frozenset(), start)
+            return {PointKey(entry, frozenset(), d0): state}
 
         return [Constraint("init", rhs)]
 
-    def constraints_for(self, key) -> list[Constraint]:
-        if not isinstance(key, PointKey):
-            return []
-        cfg = self.cfgs[key.point.template]
-        out = []
-        for edge in cfg.out_edges(key.point):
-            act = edge.action
-            name = f"{render_key(key)} {action_str(act)}"
-            if isinstance(act, Lock):
-                if act.mutex in key.lockset:
-                    continue
-                out.append(Constraint(name, self._lock_rhs(edge, key)))
-            elif isinstance(act, Unlock):
-                if act.mutex not in key.lockset:
-                    continue
-                out.append(Constraint(name, self._unlock_rhs(edge, key)))
-            elif isinstance(act, Join):
-                out.append(Constraint(name, self._join_rhs(edge, key)))
-            elif isinstance(act, Create):
-                out.append(Constraint(name, self._create_rhs(edge, key)))
-            elif isinstance(act, Return):
-                out.append(Constraint(name, self._return_rhs(edge, key)))
-            else:
-                out.append(Constraint(name, self._plain_rhs(edge, key)))
-        return out
-
     def _plain_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
+        act = edge.action
 
         def rhs(view: View):
             s = view.get(src)
             if s is None or dom.is_bot(s.r):
                 return {}
-            act = edge.action
-            w = s.w
-            match act:
-                case ReadGlobal(x, g):
-                    r = dom.assign_expr(s.r, x, Var(g))
-                case WriteGlobal(g, x):
-                    r = dom.assign_expr(s.r, g, Var(x))
-                    w = w | {g}
-                case AssignLocal(x, e):
-                    r = dom.assign_expr(s.r, x, e)
-                case Guard(c):
-                    r = dom.guard(s.r, c)
-                case Havoc(x):
-                    r = dom.havoc(s.r, x)
-                case Assert(_, _, _):
-                    r = s.r
-                case _:
-                    raise TypeError(act)
+            _fx, r = self.transfer(edge, src.lockset, s.r, NO_ENV)
             if dom.is_bot(r):
                 return {}
+            w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
             d1 = self.spec.unary(edge.src, act, src.digest)[0]
             return {PointKey(edge.dst, src.lockset, d1): ImprovedState(s.j, s.l, w, r)}
 
@@ -237,14 +175,12 @@ class ImprovedSystem:
                 return {}
             start = self.cfgs[act.template].start
             child_digest = tid_new(edge.src, start, src.digest)[0]
-            (child_id, _) = child_digest
-            r_child = dom.assign_value(s.r, "self", frozenset({child_id}))
-            r_child = dom.restrict(r_child, self.locals)
+            child_tid = frozenset({child_digest[0]})
             ego_digest = self.spec.unary(edge.src, act, src.digest)[0]
-            r_ego = dom.assign_value(s.r, act.local, frozenset({child_id}))
+            r_ego = dom.assign_value(s.r, act.local, child_tid)
             return {
                 PointKey(start, frozenset(), child_digest): ImprovedState(
-                    s.j, s.l, frozenset(), r_child
+                    s.j, s.l, frozenset(), self.start_relation(s.r, child_tid)
                 ),
                 PointKey(edge.dst, src.lockset, ego_digest): ImprovedState(s.j, s.l, s.w, r_ego),
             }
@@ -259,9 +195,8 @@ class ImprovedSystem:
             s = view.get(src)
             if s is None or dom.is_bot(s.r):
                 return {}
-            v = dom.restrict(dom.assign_expr(s.r, "ret", Var(act.local)), {"ret"})
             return {
-                RetKey(self.dkey(src.digest)): RetVal(s.j, s.l, v),
+                RetKey(self.dkey(src.digest)): RetVal(s.j, s.l, self.returned(s.r, act.local)),
                 PointKey(edge.dst, src.lockset, src.digest): s,
             }
 
@@ -278,17 +213,16 @@ class ImprovedSystem:
             effects: dict[Any, Any] = {}
             if self.clustered:
                 published = [q for q in self.clusters[a] if q & s.w]
+            elif protected_by(self.protections, a) & s.w:
+                published = list(self.clusters[a])
             else:
-                published = list(self.clusters[a]) if self.globals_of(a) & s.w else []
+                published = []
             l1 = dict(s.l)
             for q in published:
                 v = dom.restrict(s.r, q)
                 l1[(a, q)] = v  # destructive join-local update
                 effects[MutexKey(a, q, self.dkey(src.digest))] = v
-            keep = set(self.locals)
-            for a2 in src.lockset - {a}:
-                keep |= self.globals_of(a2)
-            r1 = dom.restrict(s.r, keep)
+            r1 = dom.restrict(s.r, self.unlock_keep(src.lockset, a))
             w1 = frozenset(
                 g for g in s.w if self.protections[g] & (src.lockset - {a})
             )
@@ -299,14 +233,6 @@ class ImprovedSystem:
 
         return rhs
 
-    def _mutex_dkeys(self, view: View, a: str) -> list:
-        seen, out = set(), []
-        for k in view.keys_in(("mutex", a)):
-            if k.digest not in seen:
-                seen.add(k.digest)
-                out.append(k.digest)
-        return out
-
     def _lock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         a = edge.action.mutex
@@ -316,19 +242,20 @@ class ImprovedSystem:
             s = view.get(src)
             if s is None or dom.is_bot(s.r):
                 return {}
-            l_meet = dom.meet_all(s.l[(a, q)] for q in qs)
             target = PointKey(edge.dst, src.lockset | {a}, src.digest)
             effects: dict[Any, Any] = {}
+            admitted = [
+                dk for dk in self.mutex_digests(view, a)
+                if may_run(src.digest, self.dkey_digest(dk))
+                and not self.acc(src.digest, s, self.dkey_digest(dk))
+            ]
 
             if self.clustered:
                 # one combined constraint over all admitted digests
                 r_acc = dom.top()
                 for q in qs:
                     jq = dom.bot()
-                    for dk in self._mutex_dkeys(view, a):
-                        cand = self.dkey_digest(dk)
-                        if not may_run(src.digest, cand) or self.acc(src.digest, s, cand):
-                            continue
+                    for dk in admitted:
                         v = view.get(MutexKey(a, q, dk))
                         if v is not None:
                             jq = dom.join(jq, v)
@@ -341,22 +268,17 @@ class ImprovedSystem:
             # per-digest constraints, plus the always-sound join-local floor
             # (the incoming trace may be the initial one or the ego's own past,
             # both of which L accounts for)
+            l_meet = dom.meet_all(s.l[(a, q)] for q in qs)
             floor = dom.meet(s.r, l_meet)
             if not dom.is_bot(floor):
                 effects[target] = ImprovedState(s.j, s.l, s.w, floor)
-            for dk in self._mutex_dkeys(view, a):
-                cand = self.dkey_digest(dk)
-                if not may_run(src.digest, cand) or self.acc(src.digest, s, cand):
-                    continue
+            for dk in admitted:
                 vals = [view.get(MutexKey(a, q, dk)) for q in qs]
                 if any(v is None for v in vals):
                     continue
                 r1 = dom.meet(s.r, dom.join(dom.meet_all(vals), l_meet))
                 if not dom.is_bot(r1):
-                    st = ImprovedState(s.j, s.l, s.w, r1)
-                    effects[target] = (
-                        self.state_join(effects[target], st) if target in effects else st
-                    )
+                    accumulate(effects, target, ImprovedState(s.j, s.l, s.w, r1), self.state_join)
             return effects
 
         return rhs
@@ -391,9 +313,7 @@ class ImprovedSystem:
                 if dom.is_bot(r1):
                     continue
                 st = ImprovedState(s.j | rv.j | {i1}, self._l_join(s.l, rv.l), s.w, r1)
-                effects[target] = (
-                    self.state_join(effects[target], st) if target in effects else st
-                )
+                accumulate(effects, target, st, self.state_join)
             return effects
 
         return rhs

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from ..frontend.ast import Lock, negate
 from ..frontend.cfg import assert_sites
 from ..domains.relation import Relation
-from .driver import AnalysisResult
+from .driver import AnalysisResult, local_vars
 from .improved_system import ImprovedState, RetVal
 from .keys import PointKey, render_key
+from .protections import protected_by
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ def derive_lock_invariants(result: AnalysisResult) -> list[LockInvariant]:
     """Relation after each lock edge, restricted to the mutex's globals and
     the locals, joined over locksets and digests."""
     out = []
-    locals_ = [v for v in result.universe.all_vars
-               if v not in result.program.globals and v != "ret"]
+    locals_ = set(local_vars(result.universe, result.program))
     for name in sorted(result.cfgs):
         cfg = result.cfgs[name]
         for e in cfg.edges:
@@ -61,9 +61,7 @@ def derive_lock_invariants(result: AnalysisResult) -> list[LockInvariant]:
             if result.dom.is_bot(v):
                 out.append(LockInvariant(str(e.src), e.action.mutex, "unreachable"))
                 continue
-            keep = set(locals_) | set(
-                g for g, ms in result.protections.items() if e.action.mutex in ms
-            )
+            keep = locals_ | protected_by(result.protections, e.action.mutex)
             v = result.dom.restrict(v, keep)
             out.append(LockInvariant(str(e.src), e.action.mutex, result.dom.render(v)))
     return out

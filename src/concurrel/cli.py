@@ -3,9 +3,11 @@
     concurrel run FILE [--preset ...] [flags]     analyze one source file
     concurrel compare FILE --presets a,b[,c...]   compare configurations
 
-Exit codes of ``run``: 0 all asserts proven, 1 some unknown, 2 usage/parse
-error, 3 the oracle found a soundness bug (a violated PROVEN assert or a
-reachable state outside the abstraction).
+Exit codes of ``run``: 0 all asserts proven, 1 some unknown, 2 bad input
+(usage, an unreadable or non-UTF-8 file, a parse or validation error,
+conflicting flags, an exhausted step budget), reported with a diagnostic,
+3 the oracle found a soundness bug (a violated PROVEN assert or a reachable
+state outside the abstraction).  ``compare`` exits 0, or 2 on bad input.
 """
 
 from __future__ import annotations
@@ -13,16 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from typing import NoReturn
 
 from .analysis import (
-    AnalysisConfig, ClusterConfig, PRESETS, check_asserts, derive_lock_invariants,
-    dump_solution, preset, run_analysis,
+    AnalysisConfig, AnalysisResult, ClusterConfig, ConfigError, PRESETS, check_asserts,
+    derive_lock_invariants, dump_solution, run_analysis,
 )
 from .analysis.driver import ProgramError
 from .differential import check_soundness
 from .frontend import ParseError, parse_program
 from .oracle import ExploreBounds, explore
 from .solver import BudgetExceeded
+
+
+def _fail(message: str) -> NoReturn:
+    """Bad input: print a diagnostic and exit with code 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -46,44 +56,44 @@ def _config_from_args(args) -> AnalysisConfig:
         kw["exclude_ancestor_writes"] = True
     if args.protections:
         kw["protections"] = args.protections
-    from dataclasses import replace
+    try:
+        return replace(cfg, **kw)
+    except ConfigError as e:
+        _fail(f"concurrel: {e}")
 
-    return replace(cfg, **kw)
 
-
-def _load(path: str):
+def _load_and_analyze(path: str, configs: list[AnalysisConfig]) -> list[AnalysisResult]:
+    """Parse the source file and analyze it under each configuration; bad
+    input of any kind ends the command through ``_fail``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
-        print(f"concurrel: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"concurrel: {e}")
+    except UnicodeDecodeError as e:
+        _fail(f"concurrel: {path}: not valid UTF-8 ({e})")
     try:
-        return parse_program(text, path)
+        program = parse_program(text, path)
     except ParseError as e:
-        print(e, file=sys.stderr)
-        raise SystemExit(2)
+        _fail(str(e))
+    try:
+        return [run_analysis(program, config) for config in configs]
+    except ProgramError as e:
+        _fail("\n".join(str(d) for d in e.diagnostics))
+    except (BudgetExceeded, ConfigError) as e:
+        _fail(f"concurrel: {e}")
 
 
 def _run(args) -> int:
-    program = _load(args.file)
-    config = _config_from_args(args)
-    try:
-        result = run_analysis(program, config)
-    except ProgramError as e:
-        for d in e.diagnostics:
-            print(d, file=sys.stderr)
-        return 2
-    except BudgetExceeded as e:
-        print(f"concurrel: {e}", file=sys.stderr)
-        return 2
+    (result,) = _load_and_analyze(args.file, [_config_from_args(args)])
+    program = result.program
     for d in result.diagnostics:
         print(d, file=sys.stderr)
     verdicts = check_asserts(result)
     invariants = derive_lock_invariants(result) if args.dump_invariants else []
 
     exit_code = 0 if all(v.verdict == "PROVEN" for v in verdicts) else 1
-    oracle_report = None
+    oracle_report = ex = None
     if args.oracle:
         ex = explore(program, ExploreBounds(), cfgs=result.cfgs)
         oracle_report = check_soundness(result, ex, verdicts)
@@ -107,6 +117,9 @@ def _run(args) -> int:
                 "checked_states": oracle_report.checked_states,
                 "witnesses": oracle_report.witnesses,
                 "proven_violated": oracle_report.proven_violated,
+                "truncated": ex.truncated,
+                "states": ex.states,
+                "schedules": ex.schedules,
             }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -121,6 +134,9 @@ def _run(args) -> int:
             print(f"oracle: checked {oracle_report.checked_states} states, "
                   f"{len(oracle_report.witnesses)} witnesses, "
                   f"{len(oracle_report.proven_violated)} proven-violated")
+            if ex.truncated:
+                print(f"oracle: exploration truncated after {ex.states} states and "
+                      f"{ex.schedules} schedules; the check is incomplete")
             for w in oracle_report.witnesses + oracle_report.proven_violated:
                 print(f"  {w}", file=sys.stderr)
     if args.dump_solution:
@@ -129,17 +145,15 @@ def _run(args) -> int:
 
 
 def _compare(args) -> int:
-    program = _load(args.file)
     names = args.presets.split(",")
     if len(names) < 2:
         print("compare needs at least two presets", file=sys.stderr)
         return 2
-    results = {}
     for name in names:
         if name not in PRESETS:
             print(f"unknown preset {name!r}", file=sys.stderr)
             return 2
-        results[name] = run_analysis(program, PRESETS[name])
+    results = dict(zip(names, _load_and_analyze(args.file, [PRESETS[n] for n in names])))
     base_name = names[0]
     base = results[base_name]
     points = [p for cfg in base.cfgs.values() for p in cfg.points]

@@ -15,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .frontend.ast import Action, Create, Join, Lock, Return, Unlock
+from .frontend.ast import Action, Create, Join, Lock, Unlock
 from .frontend.cfg import Point
-
-
-def is_observing(a: Action) -> bool:
-    return isinstance(a, (Lock, Join))
-
-
-def is_observable(a: Action) -> bool:
-    return isinstance(a, (Unlock, Return))
 
 
 # -- abstract thread ids (creation histories with spill sets) -----------------
@@ -79,10 +71,6 @@ def tid_compose(i: AbstractTid, e: CreateEdge) -> AbstractTid:
     if not i.spill:
         return AbstractTid(i.prefix + (e,), frozenset())
     return AbstractTid(i.prefix, i.spill | {e})
-
-
-def unique(i: AbstractTid) -> bool:
-    return i.unique
 
 
 def lcu_anc(i: AbstractTid, j: AbstractTid) -> AbstractTid:

@@ -81,13 +81,6 @@ class IntAbs:
         return f"[{lo},{hi}]"
 
 
-def int_meet(a, b):
-    if a is BOT or b is BOT:
-        return BOT
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    return IntAbs(lo, hi) if lo <= hi else BOT
-
-
 def int_join(a, b):
     if a is BOT:
         return b

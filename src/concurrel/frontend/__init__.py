@@ -5,7 +5,7 @@ from .ast import (  # noqa: F401
 )
 from .cfg import (  # noqa: F401
     AssertSite, Cfg, Edge, Point, assert_sites, build_cfg, cfg_dump,
-    collect_locals, reachable_points, tid_vars,
+    collect_locals, tid_vars,
 )
 from .parser import ParseError, parse_program  # noqa: F401
 from .pretty import pretty_print  # noqa: F401

@@ -255,18 +255,6 @@ def assert_sites(cfgs: dict[str, Cfg]) -> list[AssertSite]:
     return sites
 
 
-def reachable_points(cfg: Cfg) -> set[Point]:
-    seen = {cfg.start}
-    work = [cfg.start]
-    while work:
-        u = work.pop()
-        for e in cfg.edges:
-            if e.src == u and e.dst not in seen:
-                seen.add(e.dst)
-                work.append(e.dst)
-    return seen
-
-
 def cfg_dump(cfgs: dict[str, Cfg]) -> str:
     """Stable text rendering used by golden/determinism tests."""
     lines = []

@@ -20,7 +20,7 @@ wrapper-external points).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from .digests import CreateEdge, MAIN_TID, may_run, tid_compose, tid_new
 from .frontend.ast import (
@@ -52,9 +52,6 @@ class Exploration:
     tid_abstractions: dict[str, tuple] = field(default_factory=dict)
     return_values: dict[Point, set] = field(default_factory=dict)
     global_values: dict[str, set] = field(default_factory=dict)
-
-    def local_store(self, rs: tuple) -> dict[str, Any]:
-        return dict(zip(self.lvars, rs[3]))
 
     def global_store(self, rs: tuple) -> dict[str, int]:
         return dict(zip(self.gvars, rs[4]))

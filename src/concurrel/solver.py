@@ -207,9 +207,3 @@ class Solver:
         for cid in self.affected_by.get(key, ()):
             out |= self.last_reads.get(cid, set())
         return out
-
-
-def solve(system: System, seeds=(), **kw) -> Solver:
-    s = Solver(system, **kw)
-    s.solve(list(seeds))
-    return s

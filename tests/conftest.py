@@ -1,8 +1,10 @@
 import glob
 import os
+from dataclasses import dataclass
 
 import pytest
 
+from concurrel.analysis import ClusterConfig
 from concurrel.frontend import parse_program
 from concurrel.oracle import ExploreBounds, explore
 
@@ -14,6 +16,17 @@ assert len(CORPUS) >= 12, "corpus incomplete"
 
 def corpus_path(name: str) -> str:
     return os.path.join(CORPUS_DIR, name + ".conc")
+
+
+@dataclass(frozen=True)
+class FixedClusters(ClusterConfig):
+    """Cluster families given per mutex, ((mutex, (cluster, ...)), ...);
+    every other mutex gets the families of ``mode``."""
+
+    families: tuple[tuple[str, tuple[frozenset, ...]], ...] = ()
+
+    def clusters_for(self, mutex, protected):
+        return dict(self.families).get(mutex) or super().clusters_for(mutex, protected)
 
 
 def load(name: str):

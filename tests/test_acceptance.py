@@ -35,6 +35,7 @@ from concurrel.domains import IntAbs
 from concurrel.frontend.ast import Lock, Unlock
 from concurrel.oracle import ExploreBounds, explore
 
+from conftest import FixedClusters
 from domain_utils import gamma, make_domain, random_relation, eval_expr, eval_cmp
 
 
@@ -127,10 +128,10 @@ def test_criterion_5_joins(programs):
 def test_criterion_6_one_element_clusters(programs):
     p = programs["one_element"]
     gh = frozenset({"g", "h"})
-    just_pair = preset("clusters", clusters=ClusterConfig(
-        "monolithic", explicit=(("a", (gh,)),)))
-    with_h = preset("clusters", clusters=ClusterConfig(
-        "monolithic", explicit=(("a", (gh, frozenset({"h"}))),)))
+    just_pair = preset("clusters", clusters=FixedClusters(
+        "monolithic", families=(("a", (gh,)),)))
+    with_h = preset("clusters", clusters=FixedClusters(
+        "monolithic", families=(("a", (gh, frozenset({"h"}))),)))
     v1 = verdicts(p, just_pair)
     v2 = verdicts(p, with_h)
     ok = v1 == ["PROVEN", "UNKNOWN", "PROVEN"] and v2[1] == "PROVEN"

@@ -1,8 +1,8 @@
 """Unit tests for the right-hand sides, protections, and system invariants."""
 
 from concurrel.analysis import (
-    ClusterConfig, MutexKey, PointKey, RetKey, check_asserts, dump_solution,
-    infer_protections, preset, run_analysis, wrap_with_digests,
+    ClusterConfig, MutexKey, PointKey, RetKey, WrappedBaseSystem, check_asserts,
+    dump_solution, infer_protections, preset, run_analysis,
 )
 from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.driver import build_universe
@@ -232,7 +232,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
     the built-in lockset splitting up to key renaming."""
     for name in ("four_asserts", "lockonce", "example8", "synth_relock"):
         res = run_analysis(programs[name], preset("octagon"))
-        system = wrap_with_digests(res.system.base, lockset_digest())
+        system = WrappedBaseSystem(res.system.base, lockset_digest())
         solver = Solver(system, widen_delay=res.config.widen_delay,
                         narrow_iters=res.config.narrow_iters)
         solver.solve()

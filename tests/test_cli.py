@@ -46,6 +46,41 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_utf8_source_exit_2(tmp_path, capsys):
+    f = tmp_path / "latin1.conc"
+    f.write_bytes("global g; // café\nthread main { g = 1; }\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "run", str(f))
+    assert code == 2
+    assert "not valid UTF-8" in err and "Traceback" not in err
+
+
+def test_non_integer_step_budget_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("CONCURREL_STEP_BUDGET", "abc")
+    code, _, err = run_cli(capsys, "run", corpus_path("joins"))
+    assert code == 2
+    assert "CONCURREL_STEP_BUDGET must be an integer" in err
+
+
+def test_compare_bad_program_exit_2(tmp_path, capsys, monkeypatch):
+    # a program that fails validation, then a valid one that exhausts the budget
+    f = tmp_path / "unprotected.conc"
+    f.write_text("global g; mutex a; protect g with a;\nthread main { x = 1; g = x; }\n")
+    code, _, err = run_cli(capsys, "compare", str(f), "--presets", "octagon,tids")
+    assert code == 2
+    assert "without declared protecting mutex(es) a" in err
+    monkeypatch.setenv("CONCURREL_STEP_BUDGET", "5")
+    code, _, err = run_cli(capsys, "compare", corpus_path("joins"), "--presets", "octagon,tids")
+    assert code == 2
+    assert "solver aborted after 6 constraint evaluations" in err
+
+
+def test_conflicting_flags_exit_2(capsys):
+    code, _, err = run_cli(capsys, "run", corpus_path("joins"), "--preset", "tids",
+                           "--lock-once")
+    assert code == 2
+    assert "lock-once digest is only supported in base mode" in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["run", "x.conc", "--preset", "bogus"])
@@ -89,6 +124,20 @@ def test_oracle_flag_clean_program(capsys):
                            "--oracle")
     assert code == 0
     assert "oracle: checked" in out
+
+
+def test_oracle_reports_truncation(capsys):
+    # tid_loop's exploration stops at the state cap; joins' is complete
+    for prog, truncated in (("tid_loop", True), ("joins", False)):
+        code, out, _ = run_cli(capsys, "run", corpus_path(prog), "--preset", "tids",
+                               "--oracle", "--format", "json")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["truncated"] is truncated, prog
+        assert oracle["states"] >= oracle["checked_states"] > 0
+        assert oracle["schedules"] > 0
+        _, out, _ = run_cli(capsys, "run", corpus_path(prog), "--preset", "tids", "--oracle")
+        assert ("exploration truncated after" in out) is truncated, prog
 
 
 def test_oracle_soundness_bug_exit_3(capsys, monkeypatch):

@@ -68,11 +68,12 @@ def test_mutation_acc_always_true(monkeypatch, programs, explorations):
 
 def test_flagged_and_custom_configs_sound(programs, explorations):
     from concurrel.analysis import AnalysisConfig, ClusterConfig
+    from conftest import FixedClusters
 
     cases = [
         ("ancestor", preset("tids", exclude_ancestor_writes=True)),
-        ("one_element", preset("clusters", clusters=ClusterConfig(
-            "monolithic", explicit=(("a", (frozenset({"g", "h"}), frozenset({"h"}))),)))),
+        ("one_element", preset("clusters", clusters=FixedClusters(
+            "monolithic", families=(("a", (frozenset({"g", "h"}), frozenset({"h"}))),)))),
         ("intro_cluster", AnalysisConfig(domain="eqconst", mode="clusters",
                                          clusters=ClusterConfig("all"))),
         ("example8", AnalysisConfig(domain="interval", mode="base")),

@@ -1,8 +1,8 @@
 """Lock-point invariants, solver dependencies, and cross-config monotonicity."""
 
 from concurrel.analysis import (
-    MutexKey, PointKey, check_asserts, derive_lock_invariants, preset,
-    run_analysis, wrap_with_digests,
+    MutexKey, PointKey, WrappedBaseSystem, check_asserts, derive_lock_invariants,
+    preset, run_analysis,
 )
 from concurrel.digests import DigestSpec
 from concurrel.frontend import parse_program
@@ -72,7 +72,7 @@ class _RejectingSpec(DigestSpec):
 
 def test_degenerate_spec_blocks_observing_actions(programs):
     res = run_analysis(programs["lockonce"], preset("octagon"))
-    system = wrap_with_digests(res.system.base, _RejectingSpec())
+    system = WrappedBaseSystem(res.system.base, _RejectingSpec())
     solver = Solver(system)
     solver.solve()
     # nothing flows past any lock: no point key with a non-empty lockset
@@ -89,8 +89,12 @@ def test_lock_invariant_weaker_before_stronger_lock(programs):
 
 
 def test_dump_solution_independent_of_hash_seed():
-    # fig_ex0's base-mode return keys hold sets of several thread ids, whose
-    # iteration order follows the string-hash seed (seeds 0 and 1 differ)
+    # Key digests holding frozensets of several elements, whose iteration
+    # order follows the string-hash seed; each pair of seeds differed before
+    # every such frozenset was rendered sorted.  fig_ex0: base-mode return
+    # keys (sets of thread ids); four_asserts with lock-once: mutex keys
+    # (sets of mutexes); example8 with ancestor writes excluded: thread-id
+    # digests (sets of create edges).
     import os
     import subprocess
     import sys
@@ -102,15 +106,44 @@ def test_dump_solution_independent_of_hash_seed():
         "from concurrel.analysis import preset, run_analysis;"
         "from concurrel.analysis.reporting import dump_solution;"
         "p = parse_program(open(sys.argv[1]).read());"
-        "sys.stdout.write(dump_solution(run_analysis(p, preset('octagon'))))"
+        "config = preset(sys.argv[2], **{k: True for k in sys.argv[3:]});"
+        "sys.stdout.write(dump_solution(run_analysis(p, config)))"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    texts = [
-        subprocess.run([sys.executable, "-c", code, corpus_path("fig_ex0")],
-                       env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
-                       text=True, check=True).stdout
-        for seed in ("0", "1")
+    cases = [
+        ("fig_ex0", ["octagon"], ("0", "1"), "[ret (frozenset({"),
+        ("four_asserts", ["octagon", "lock_once"], ("1", "2"), "}, frozenset({'a', 'b'"),
+        ("example8", ["tids", "exclude_ancestor_writes"], ("0", "1"),
+         "frozenset({CreateEdge(point=Point(template='main', idx=0), template='t1'), "),
     ]
-    assert "[ret (frozenset({" in texts[0]
-    assert texts[0] == texts[1]
+    for prog, args, seeds, shown in cases:
+        texts = [
+            subprocess.run([sys.executable, "-c", code, corpus_path(prog), *args],
+                           env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                           text=True, check=True).stdout
+            for seed in seeds
+        ]
+        assert shown in texts[0], prog
+        assert texts[0] == texts[1], prog
+
+
+def test_dump_solution_matches_reference_dumps(monkeypatch):
+    """The corpus rows of the benchmark's reference dumps (14 programs × 5
+    configurations): a refactor must leave ``dump_solution`` byte-identical,
+    compared through its recorded sha256."""
+    import os
+
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import workloads
+
+    sources = workloads.load_corpus(os.path.dirname(perfbench))
+    rows = {k: want for k, want in workloads.load_dumps().items() if k[0] == "corpus"}
+    assert len(rows) == 70
+    bad = []
+    for (_, _, prog, cfg), want in sorted(rows.items()):
+        _, result, _ = workloads.analyze(sources[prog], prog, workloads.CORPUS_CONFIGS[cfg])
+        if workloads.dump_digest(result) not in want:
+            bad.append((prog, cfg))
+    assert not bad
