@@ -4,11 +4,12 @@
     python benchmarks/bench_closure.py [--sizes 4,8,16,32] [--repeat 50]
 
 The closure is the hot inner loop of the octagon domain (it runs before
-every restriction, join, comparison and unlift).  Per size, the table gives
-the full closure under each kernel and the incremental closure that
-``octagon.py`` runs after a transfer touched two variables of a closed
-matrix (4 pivots, numpy).  Also times one end-to-end analysis under each
-available kernel, labelled with the kernel that ran.
+every restriction, join, comparison and unlift).  Both kernels offer
+``tight_close_pivots(m, pivots)``.  Per size, the table gives under each
+kernel the full closure (every index a pivot) and the incremental closure
+that ``octagon.py`` runs after a transfer touched two variables of a closed
+matrix (4 pivots).  Also times one end-to-end analysis under each available
+kernel, labelled with the kernel that ran.
 """
 
 import argparse
@@ -33,13 +34,13 @@ def random_dbm(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def bench_kernel(close, inputs, repeat: int) -> float:
-    """Best-of-3 mean time of ``close(copy of m, *args)`` over ``inputs``."""
+    """Best-of-3 mean time of ``close(copy of m, pivots)`` over ``inputs``."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(repeat):
-            for m, *args in inputs:
-                close(np.array(m), *args)
+            for m, pivots in inputs:
+                close(np.array(m), pivots)
         best = min(best, time.perf_counter() - t0)
     return best / (repeat * len(inputs))
 
@@ -48,7 +49,7 @@ def two_variable_update(rng: np.random.Generator, n: int, close) -> tuple:
     """A closed DBM plus one new bound between two variables, and its pivots."""
     while True:
         m = random_dbm(rng, n)
-        if close(m) == 0:
+        if close(m, range(2 * n)) == 0:
             break
     x, y = (0, 0) if n == 1 else rng.choice(n, size=2, replace=False)
     i, j = 2 * x, 2 * y + int(rng.integers(0, 2))
@@ -63,29 +64,28 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
 
-    from concurrel.domains._closure_py import tight_close_inplace as pure
-    from concurrel.domains._closure_py import tight_close_pivots
+    from concurrel.domains._closure_py import tight_close_pivots as pure
 
     try:
-        from concurrel.domains._closure import tight_close_inplace as compiled
+        from concurrel.domains._closure import tight_close_pivots as compiled
     except ImportError:
         compiled = None
         print("compiled kernel not built; showing the pure kernel only")
 
     rng = np.random.default_rng(7)
-    print(f"{'n vars':>7} {'pure full':>12} {'compiled full':>14} {'speedup':>8} "
-          f"{'2-var pivots':>13}")
+    kernels = [("pure", pure)] + ([("compiled", compiled)] if compiled else [])
+    print(f"{'n vars':>7}" + "".join(f" {name + ' full':>14} {name + ' pivots':>16}"
+                                     for name, _ in kernels))
     for n in (int(s) for s in args.sizes.split(",")):
-        mats = [(random_dbm(rng, n),) for _ in range(10)]
-        updates = [two_variable_update(rng, n, pure) for _ in range(10)]
-        t_pure = bench_kernel(pure, mats, args.repeat)
-        t_inc = bench_kernel(tight_close_pivots, updates, args.repeat)
-        if compiled is None:
-            fast, speedup = "—", "—"
-        else:
-            t_fast = bench_kernel(compiled, mats, args.repeat)
-            fast, speedup = f"{t_fast * 1e6:.1f}µs", f"{t_pure / t_fast:.1f}x"
-        print(f"{n:>7} {t_pure * 1e6:>10.1f}µs {fast:>14} {speedup:>8} {t_inc * 1e6:>11.1f}µs")
+        workloads = (
+            [(random_dbm(rng, n), range(2 * n)) for _ in range(10)],
+            [two_variable_update(rng, n, pure) for _ in range(10)],
+        )
+        row = f"{n:>7}"
+        for _, close in kernels:
+            full, pivots = (bench_kernel(close, w, args.repeat) * 1e6 for w in workloads)
+            row += f" {full:>12.1f}µs {pivots:>14.1f}µs"
+        print(row)
 
     # end-to-end: one clustered analysis under each available kernel
     corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "intro_cluster.conc")

@@ -42,9 +42,6 @@ class AnalysisConfig:
     lock_once: bool = False  # extra lock-once digest (base mode only)
     exclude_ancestor_writes: bool = False  # ancestor-write acc + uncollapsed keys
     protections: str = "declared"  # 'declared' | 'inferred'
-    widen_delay: int = 6
-    narrow_iters: int = 1
-    budget: int = 1_000_000
 
     def __post_init__(self):
         if self.mode not in ("base", "tids", "clusters"):

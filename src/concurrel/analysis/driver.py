@@ -11,7 +11,7 @@ from ..digests import DigestSpec, lock_once_digest, trivial_digest
 from ..frontend.ast import Program
 from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
 from ..frontend.validate import Diagnostic, validate
-from ..solver import Solver
+from ..solver import DEFAULT_BUDGET, Solver
 from ..domains.relation import RelDomain, Relation, Universe
 from .base_system import BaseAnalysis, WrappedBaseSystem
 from .config import AnalysisConfig, ConfigError
@@ -89,11 +89,10 @@ def local_vars(universe: Universe, program: Program) -> tuple[str, ...]:
     return tuple(v for v in universe.all_vars if v not in program.globals and v != "ret")
 
 
-def run_analysis(program: Program, config: AnalysisConfig,
-                 check_diagnostics: bool = True) -> AnalysisResult:
+def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
     cfgs = build_cfg(program)
     diags = validate(program, cfgs)
-    if check_diagnostics and any(d.severity == "error" for d in diags):
+    if any(d.severity == "error" for d in diags):
         raise ProgramError([d for d in diags if d.severity == "error"])
 
     protections = compute_protections(program, cfgs, config.protections)
@@ -119,12 +118,11 @@ def run_analysis(program: Program, config: AnalysisConfig,
 
     raw_budget = os.environ.get("CONCURREL_STEP_BUDGET")
     try:
-        budget = config.budget if raw_budget is None else int(raw_budget)
+        budget = DEFAULT_BUDGET if raw_budget is None else int(raw_budget)
     except ValueError:
         raise ConfigError(
             f"CONCURREL_STEP_BUDGET must be an integer, not {raw_budget!r}") from None
-    solver = Solver(system, widen_delay=config.widen_delay,
-                    narrow_iters=config.narrow_iters, budget=budget)
+    solver = Solver(system, budget=budget)
     t0 = time.perf_counter()
     solver.solve()
     wall = (time.perf_counter() - t0) * 1000.0

@@ -3,8 +3,9 @@
     concurrel run FILE [--preset ...] [flags]     analyze one source file
     concurrel compare FILE --presets a,b[,c...]   compare configurations
 
-Exit codes of ``run``: 0 all asserts proven, 1 some unknown, 2 bad input
-(usage, an unreadable or non-UTF-8 file, a parse or validation error,
+Exit codes of ``run``: 0 all asserts proven, 1 some unknown, or with
+``--oracle`` an exploration truncated at its bounds without a witness, 2 bad
+input (usage, an unreadable or non-UTF-8 file, a parse or validation error,
 conflicting flags, an exhausted step budget), reported with a diagnostic,
 3 the oracle found a soundness bug (a violated PROVEN assert or a reachable
 state outside the abstraction).  ``compare`` exits 0, or 2 on bad input.
@@ -99,6 +100,8 @@ def _run(args) -> int:
         oracle_report = check_soundness(result, ex, verdicts)
         if not oracle_report.ok:
             exit_code = 3
+        elif ex.truncated:  # an incomplete check must not pass as a clean one
+            exit_code = 1
 
     if args.format == "json":
         doc = {

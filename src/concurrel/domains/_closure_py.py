@@ -1,9 +1,9 @@
 """Pure-numpy tight closure for integer octagon DBMs.
 
-Fallback for the compiled kernel in ``_closure.pyx``; selected at import in
-``octagon.py``, which also uses ``tight_close_pivots``, the incremental
-closure, when this is the active kernel.  Entries are float64 with +inf for
-"no bound"; -inf never appears (all entries are upper bounds).
+The fallback for the compiled kernel in ``_closure.c``, with the same
+contract; selected at import in ``octagon.py``, and the reference the tests
+compare the compiled kernel against.  Entries are float64 with +inf for "no
+bound"; -inf never appears (all entries are upper bounds).
 """
 
 from __future__ import annotations
@@ -11,23 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def tight_close_inplace(m: np.ndarray) -> int:
-    """Floyd-Warshall closure + integer tightening + strengthening.
-
-    Returns 0 and leaves ``m`` tightly closed, or 1 when the constraints are
-    unsatisfiable (matrix contents are then unspecified).
-    """
-    return tight_close_pivots(m, range(m.shape[0]))
-
-
 def tight_close_pivots(m: np.ndarray, pivots) -> int:
-    """Tight closure running Floyd-Warshall steps only over ``pivots``.
+    """Floyd-Warshall steps over ``pivots``, then integer tightening and
+    strengthening, in place.
 
-    Exact (equal to ``tight_close_inplace``) when ``m`` differs from a closed
-    matrix only in entries whose row and column both lie in ``pivots``: a
-    shortest path leaves and re-enters the pivots through old, closed
-    entries, and a new negative cycle passes through a pivot.  Same return
-    contract as ``tight_close_inplace``.
+    Returns 0, or 1 when the constraints are unsatisfiable (matrix contents
+    are then unspecified).  With every index as a pivot this is the full
+    tight closure.  With fewer it is still exact when ``m`` differs from a
+    closed matrix only in entries whose row and column both lie in
+    ``pivots``: a shortest path leaves and re-enters the pivots through old,
+    closed entries, and a new negative cycle passes through a pivot.
     """
     n2 = m.shape[0]
     if n2 == 0:

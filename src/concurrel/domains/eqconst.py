@@ -96,9 +96,6 @@ class EqBackend:
     def is_bot(self, r: EqRel) -> bool:
         return r.bot
 
-    def eq(self, a: EqRel, b: EqRel) -> bool:
-        return a == b
-
     # -- views --
 
     def _pairs(self, r: EqRel) -> set[tuple[int, int]]:

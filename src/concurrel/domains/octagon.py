@@ -14,12 +14,15 @@ tuple of variables with the invariant: ``m`` equals a closed matrix except
 for entries whose row and column both lie in the indices ``2x, 2x+1`` of
 these variables.  Transfers that tighten a closed input (``set_interval``,
 ``assign_linear`` of ``x := ±y + c``, ``guard_leq0``, ``meet`` with a closed
-operand) record it, and under the numpy kernel ``close`` then runs
-Floyd-Warshall pivots over those indices only, which yields the same matrix
-as the full closure.  Without that provenance (``dirty`` is None: widened
-values, meets of two unclosed operands) ``close`` runs the full closure, and
-so does the compiled kernel, whose full closure is faster than the numpy
-pivots on matrices of up to 42 rows (every corpus and generated program).
+operand) record it, and ``close`` then runs Floyd-Warshall pivots over
+those indices only, which yields the same matrix as the full closure.
+Without that provenance (``dirty`` is None: widened values, meets of two
+unclosed operands) ``close`` runs the full closure, ``tight_close_inplace``.
+
+Both closure kernels offer the one function ``tight_close_pivots(m,
+pivots)``: the hand-written C extension ``_closure.c`` when it is built, and
+the numpy kernel ``_closure_py`` otherwise or when ``CONCURREL_PURE`` is set.
+``KERNEL`` names the one in use.
 """
 
 from __future__ import annotations
@@ -28,22 +31,28 @@ import os
 
 import numpy as np
 
-from ._closure_py import tight_close_pivots
 from .values import BOT, INF, IntAbs
 
 if os.environ.get("CONCURREL_PURE"):
-    from ._closure_py import tight_close_inplace
+    from ._closure_py import tight_close_pivots
 
     KERNEL = "python"
 else:
     try:
-        from ._closure import tight_close_inplace  # type: ignore[no-redef]
+        from ._closure import tight_close_pivots  # type: ignore[no-redef]
 
         KERNEL = "compiled"
     except ImportError:
-        from ._closure_py import tight_close_inplace
+        from ._closure_py import tight_close_pivots
 
         KERNEL = "python"
+
+
+def tight_close_inplace(m: np.ndarray) -> int:
+    """Full tight closure of ``m`` in place: pivots over every index.
+
+    Returns 0, or 1 when the constraints are unsatisfiable."""
+    return tight_close_pivots(m, range(m.shape[0]))
 
 
 class OctRel:
@@ -61,7 +70,7 @@ class OctRel:
         self.m = m
         self.closed = closed
         self.dirty = dirty
-        self._closed_cache: OctRel | None = self if closed else None
+        self._closed_cache: OctRel | None = None
         if m is not None:
             m.setflags(write=False)
 
@@ -102,8 +111,7 @@ class OctBackend:
         if r._closed_cache is not None:
             return r._closed_cache
         m = np.array(r.m)
-        # the compiled full closure beats numpy pivots at this repo's DBM sizes
-        if r.dirty is None or KERNEL == "compiled":
+        if r.dirty is None:
             status = tight_close_inplace(m)
         else:
             status = tight_close_pivots(m, [i for x in r.dirty for i in (2 * x, 2 * x + 1)])
@@ -124,12 +132,6 @@ class OctBackend:
         or raw matrices would transiently denote a smaller γ than their
         canonical form."""
         return self.close(r) if self.intervalize else r
-
-    def eq(self, a: OctRel, b: OctRel) -> bool:
-        ca, cb = self.close(a), self.close(b)
-        if ca.is_bot or cb.is_bot:
-            return ca.is_bot and cb.is_bot
-        return bool(np.array_equal(ca.m, cb.m))
 
     def leq(self, a: OctRel, b: OctRel) -> bool:
         ca = self.close(a)

@@ -50,7 +50,6 @@ class Exploration:
     states: int = 0
     truncated: bool = False
     tid_abstractions: dict[str, tuple] = field(default_factory=dict)
-    return_values: dict[Point, set] = field(default_factory=dict)
     global_values: dict[str, set] = field(default_factory=dict)
 
     def global_store(self, rs: tuple) -> dict[str, int]:
@@ -165,7 +164,7 @@ class _Explorer:
                 return ("create", e.dst, label, self.lidx[x], template,
                         self.cfgs[template].start, e.src)
             case Return(x):
-                return ("return", e.dst, label, self.lidx[x], cfg.start)
+                return ("return", e.dst, label, self.lidx[x])
             case Join(x1, x):
                 return ("join", e.dst, label, self.lidx[x1], self.lidx[x])
             case ReadGlobal(x, g):  # only reachable if wrappers were stripped
@@ -334,11 +333,9 @@ class _Explorer:
             push(locals_=ls[:i] + (child_tid,) + ls[i + 1:], tdig=(ii, c | {e}),
                  others=tuple(threads) + (child,))
         elif kind == "return":
-            i, start = step[3], step[4]
-            v = ls[i]
+            v = ls[step[3]]
             if not isinstance(v, int):
                 return out
-            self.ex.return_values.setdefault(start, set()).add(v)
             push(point=None, status=RETURNED, retval=v)
         elif kind == "join":
             i1, i = step[3], step[4]

@@ -10,8 +10,8 @@ dependencies, and return a dict of effects {key: value}; contributions and
 side-effects are treated alike and accumulate by join.  Widening escalates
 per key after a fixed number of strict increases, which terminates even for
 growth cycles that pass through mutex unknowns rather than CFG back edges.
-An optional narrowing sweep (a full monotone re-evaluation) recovers most of
-the overshoot afterwards.
+One narrowing sweep (a full monotone re-evaluation) recovers most of the
+overshoot afterwards.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
+
+
+DEFAULT_BUDGET = 1_000_000  # constraint evaluations before a solve is aborted
 
 
 class BudgetExceeded(RuntimeError):
@@ -71,11 +74,9 @@ class SolveStats:
 
 
 class Solver:
-    def __init__(self, system: System, widen_delay: int = 6, narrow_iters: int = 1,
-                 budget: int = 1_000_000):
+    def __init__(self, system: System, widen_delay: int = 6, budget: int = DEFAULT_BUDGET):
         self.system = system
         self.widen_delay = widen_delay
-        self.narrow_iters = narrow_iters
         self.budget = budget
         self.values: dict[Any, Any] = {}
         self.by_namespace: dict[Any, list[Any]] = {}
@@ -164,8 +165,7 @@ class Solver:
             cid = queue.popleft()
             self._queued.discard(cid)
             self._evaluate(cid, queue, widen_ok=True)
-        for _ in range(self.narrow_iters):
-            self._narrow()
+        self._narrow()
         return self.values
 
     def _narrow(self) -> None:

@@ -233,8 +233,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
     for name in ("four_asserts", "lockonce", "example8", "synth_relock"):
         res = run_analysis(programs[name], preset("octagon"))
         system = WrappedBaseSystem(res.system.base, lockset_digest())
-        solver = Solver(system, widen_delay=res.config.widen_delay,
-                        narrow_iters=res.config.narrow_iters)
+        solver = Solver(system)
         solver.solve()
         dom = res.dom
 

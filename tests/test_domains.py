@@ -347,16 +347,46 @@ def box(n, lo=-2, hi=4):
     return product(range(lo, hi + 1), repeat=n)
 
 
-def test_compiled_and_pure_kernels_agree():
-    from concurrel.domains._closure_py import tight_close_inplace as pure
+def _compile_c_kernel(directory):
+    """Compile ``_closure.c`` into ``directory`` with the compiler and flags
+    Python was built with and load it from there, not as
+    ``concurrel.domains._closure``, so ``KERNEL`` stays as it is."""
+    import importlib.util
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+    from pathlib import Path
 
-    try:
-        from concurrel.domains._closure import tight_close_inplace as fast
-    except ImportError:
-        pytest.skip("compiled kernel not built")
+    import concurrel.domains.octagon as octagon
+
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    include = sysconfig.get_paths()["include"]
+    if not ldshared or shutil.which(ldshared[0]) is None:
+        pytest.skip("no C compiler")
+    if not Path(include, "Python.h").exists():
+        pytest.skip("no Python headers")
+    source = Path(octagon.__file__).with_name("_closure.c")
+    target = directory / ("_closure" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([*ldshared, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+                    "-O2", f"-I{include}", str(source), "-o", str(target)],
+                   check=True, capture_output=True)
+    spec = importlib.util.spec_from_file_location("_closure", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compiled_kernel_matches_numpy_kernel(tmp_path):
+    """The C kernel equals the numpy kernel bit for bit, on the full closure
+    and on pivot closures, and rejects input that breaks its contract."""
+    from concurrel.domains._closure_py import tight_close_pivots as pure
+
+    fast = _compile_c_kernel(tmp_path).tight_close_pivots
     rng = Random(47)
-    for _ in range(200):
-        n = rng.randint(1, 4)
+    unsat = 0
+    for trial in range(400):
+        n = rng.randint(1, 5)
         m = np.full((2 * n, 2 * n), np.inf)
         np.fill_diagonal(m, 0.0)
         for _ in range(rng.randint(0, 3 * n)):
@@ -365,11 +395,68 @@ def test_compiled_and_pure_kernels_agree():
                 c = float(rng.randint(-4, 6))
                 m[i, j] = min(m[i, j], c)
                 m[j ^ 1, i ^ 1] = m[i, j]
+        if trial % 2:  # a closed matrix plus one new bound: the incremental closure
+            if pure(m, range(2 * n)) != 0:
+                continue
+            x, y = rng.randrange(n), rng.randrange(n)
+            i, j = 2 * x + rng.randrange(2), 2 * y + rng.randrange(2)
+            m[i, j] = min(m[i, j], float(rng.randint(-4, 2)))
+            m[j ^ 1, i ^ 1] = m[i, j]
+            pivots = sorted({2 * x, 2 * x + 1, 2 * y, 2 * y + 1})
+        else:
+            pivots = range(2 * n)
         m1, m2 = np.array(m), np.array(m)
-        r1, r2 = pure(m1), fast(m2)
+        r1, r2 = pure(m1, pivots), fast(m2, pivots)
         assert r1 == r2
+        unsat += r1
         if r1 == 0:
             assert np.array_equal(m1, m2)
+    assert unsat > 0
+
+    read_only = np.zeros((2, 2))
+    read_only.setflags(write=False)
+    for bad in (read_only, np.zeros((4, 4))[::2, ::2], np.zeros((2, 2), np.float32),
+                np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3)), [[0.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            fast(bad, [0])
+    m = np.zeros((2, 2))
+    for bad in ([2], [-1], [0.5], ["0"], [0, 2]):
+        with pytest.raises(IndexError):
+            fast(m, bad)
+    # the buffer is released on every path: a memoryview with exports cannot be released
+    for shape, pivots, error in (((2, 2), [0, 1], None), ((1, 4), [0], ValueError),
+                                 ((2, 2), [5], IndexError), ((2, 2), None, TypeError)):
+        view = memoryview(bytearray(32)).cast("d", shape)
+        if error is None:
+            assert fast(view, pivots) == 0
+        else:
+            with pytest.raises(error):
+                fast(view, pivots)
+        view.release()
+
+
+def test_closed_octagons_are_freed_without_the_cycle_collector(programs):
+    """No octagon takes part in a reference cycle, so reference counting
+    frees every matrix as soon as the analysis drops it."""
+    import gc
+
+    from concurrel.analysis import preset, run_analysis
+    from concurrel.domains.octagon import OctRel
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds in gc.garbage
+    try:
+        run_analysis(programs["joins"], preset("octagon"))
+        gc.collect()
+        cyclic = sum(isinstance(o, OctRel) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == 0
 
 
 # -- incremental closure ------------------------------------------------------------
@@ -385,7 +472,10 @@ def _oct_constraint(data, n):
 
 def test_pivot_closure_equals_full_closure():
     from hypothesis import given, settings, strategies as st
-    from concurrel.domains._closure_py import tight_close_inplace, tight_close_pivots
+    from concurrel.domains._closure_py import tight_close_pivots
+
+    def tight_close_inplace(m):
+        return tight_close_pivots(m, range(m.shape[0]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -446,8 +536,11 @@ def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
         ]
         return [back.close(o) for o in outs]
 
-    monkeypatch.setattr(octagon, "KERNEL", "python")  # pivots run under numpy only
-    full = octagon.tight_close_inplace
+    pivot_closure = octagon.tight_close_pivots
+
+    def full(m):
+        return pivot_closure(m, range(m.shape[0]))
+
     for _ in range(150):
         r, r2 = random_relation(dom, rng).num, random_relation(dom, rng).num
         if back.is_bot(r) or back.is_bot(r2):
@@ -462,7 +555,7 @@ def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
             assert got.is_bot == want.is_bot
             if not got.is_bot:
                 assert np.array_equal(got.m, want.m)
-    assert pivot_calls  # the pivot closure ran
+    assert any(len(ks) < 2 * n for ks in pivot_calls)  # the pivot closure ran
 
 
 def test_widen_returns_left_operand_when_stable():
