@@ -14,7 +14,10 @@ The thread-id system (``improved_system.ImprovedSystem``) subclasses
 (read, write, assign, guard, havoc, assert), the relation kept at an unlock,
 the child's start relation and the returned value; both systems share the
 solver plumbing of ``EdgeConstraints``: key namespaces, which outgoing edges
-spawn a constraint, and the enumeration of published mutex digests.
+spawn a constraint, the reading of the source value (a right-hand side runs
+only when it is present and not ⊥), and the enumeration of published mutex
+digests.  The wrapper's two observing actions, lock and join, share one
+loop over the digests they may observe (``_observing_rhs``).
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ def thaw_tid_value(k):
 class BaseEnv:
     """What a base right-hand side may consult besides its own state."""
 
-    mutex_value: Callable[[str, frozenset], Relation | None]
-    ret_candidates: Callable[[], list[tuple[Any, Relation]]]
+    mutex_value: Callable[[str, frozenset], Relation | None] = lambda a, q: None
+    ret_candidates: Callable[[], list[tuple[Any, Relation]]] = lambda: []
 
 
-NO_ENV = BaseEnv(mutex_value=lambda a, q: None, ret_candidates=lambda: [])
+NO_ENV = BaseEnv()
 
 
 class BaseAnalysis:
@@ -174,13 +177,17 @@ _RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
 class EdgeConstraints:
     """Key namespaces and one constraint per outgoing edge of a point unknown.
 
-    Subclasses provide ``cfgs`` and one right-hand-side factory per action
-    kind (``_lock_rhs``, ``_unlock_rhs``, ``_join_rhs``, ``_create_rhs``,
-    ``_return_rhs``, and ``_plain_rhs`` for local steps); each factory closes
-    over (edge, source key) and reads through the view.
+    Subclasses provide ``cfgs``, ``dom``, ``relation`` (the relation of a
+    point value) and one factory per action kind (``_lock_rhs``,
+    ``_unlock_rhs``, ``_join_rhs``, ``_create_rhs``, ``_return_rhs``, and
+    ``_plain_rhs`` for local steps).  A factory closes over (edge, source
+    key) and returns ``body(view, value)``; the right-hand side reads the
+    source unknown and calls the body only when its value is present and
+    not ⊥.
     """
 
     cfgs: dict[str, Cfg]
+    dom: RelDomain
 
     def namespace(self, key):
         if isinstance(key, MutexKey):
@@ -200,8 +207,18 @@ class EdgeConstraints:
             if isinstance(act, Unlock) and act.mutex not in key.lockset:
                 continue
             factory = getattr(self, _RHS_FACTORY.get(type(act), "_plain_rhs"))
-            out.append(Constraint(f"{render_key(key)} {action_str(act)}", factory(edge, key)))
+            out.append(Constraint(f"{render_key(key)} {action_str(act)}",
+                                  self._from_source(key, factory(edge, key))))
         return out
+
+    def _from_source(self, src: PointKey, body):
+        def rhs(view: View):
+            value = view.get(src)
+            if value is None or self.dom.is_bot(self.relation(value)):
+                return {}
+            return body(view, value)
+
+        return rhs
 
     @staticmethod
     def mutex_digests(view: View, a: str) -> list:
@@ -227,6 +244,9 @@ class WrappedBaseSystem(EdgeConstraints):
         self.cfgs = base.cfgs
 
     # lattice plumbing: every value is a Relation
+    def relation(self, value) -> Relation:
+        return value
+
     def join(self, key, a, b):
         return self.dom.join(a, b)
 
@@ -258,10 +278,7 @@ class WrappedBaseSystem(EdgeConstraints):
         act = edge.action
         lockset = src.lockset - {act.mutex} if isinstance(act, Unlock) else src.lockset
 
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
+        def body(view: View, r: Relation):
             base_effects, v = self.base.transfer(edge, src.lockset, r, NO_ENV)
             effects: dict[Any, Relation] = {}
             for d1 in self.spec.unary(edge.src, act, src.digest):
@@ -272,7 +289,7 @@ class WrappedBaseSystem(EdgeConstraints):
                     accumulate(effects, PointKey(edge.dst, lockset, d1), v, self.dom.join)
             return effects
 
-        return rhs
+        return body
 
     _plain_rhs = _unlock_rhs = _return_rhs = _create_rhs = _unary_rhs
 
@@ -287,51 +304,37 @@ class WrappedBaseSystem(EdgeConstraints):
                         for dchild in self.spec.new_thread(u, start, creator_digest)]
         raise ValueError(base_key)
 
-    def _lock_rhs(self, edge: Edge, src: PointKey):
-        a = edge.action.mutex
+    def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str],
+                       digests: Callable[[View], list],
+                       env: Callable[[View, Any], BaseEnv]):
+        """Observing actions (lock, join): one successor per digest ``d1``
+        that ``digests`` lists and ``spec.binary`` admits, computed in the
+        base environment ``env(view, d1)`` and keyed with ``lockset``."""
 
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
+        def body(view: View, r: Relation):
             effects: dict[Any, Relation] = {}
-            for d1 in self.mutex_digests(view, a):
+            for d1 in digests(view):
                 succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
                 if not succ:
                     continue  # infeasible trace combination
-                env = BaseEnv(
-                    mutex_value=lambda a2, q, d1=d1: view.get(MutexKey(a2, q, d1)),
-                    ret_candidates=lambda: [],
-                )
-                _fx, v = self.base.transfer(edge, src.lockset, r, env)
+                _fx, v = self.base.transfer(edge, src.lockset, r, env(view, d1))
                 if not self.dom.is_bot(v):
-                    accumulate(effects, PointKey(edge.dst, src.lockset | {a}, succ[0]), v,
-                               self.dom.join)
+                    accumulate(effects, PointKey(edge.dst, lockset, succ[0]), v, self.dom.join)
             return effects
 
-        return rhs
+        return body
+
+    def _lock_rhs(self, edge: Edge, src: PointKey):
+        a = edge.action.mutex
+        return self._observing_rhs(
+            edge, src, src.lockset | {a}, lambda view: self.mutex_digests(view, a),
+            lambda view, d1: BaseEnv(
+                mutex_value=lambda a2, q: view.get(MutexKey(a2, q, d1))))
 
     def _join_rhs(self, edge: Edge, src: PointKey):
-        def rhs(view: View):
-            r = view.get(src)
-            if r is None:
-                return {}
-            effects: dict[Any, Relation] = {}
-            for d1 in self._ret_digests(view):
-                succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
-                if not succ:
-                    continue
-                env = BaseEnv(
-                    mutex_value=lambda a2, q: None,
-                    ret_candidates=lambda d1=d1: self._ret_values(view, d1),
-                )
-                _fx, v = self.base.transfer(edge, src.lockset, r, env)
-                if not self.dom.is_bot(v):
-                    accumulate(effects, PointKey(edge.dst, src.lockset, succ[0]), v,
-                               self.dom.join)
-            return effects
-
-        return rhs
+        return self._observing_rhs(
+            edge, src, src.lockset, self._ret_digests,
+            lambda view, d1: BaseEnv(ret_candidates=lambda: self._ret_values(view, d1)))
 
     # -- thread-return digests through the view (records namespace deps) --
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..digests import DigestSpec, lock_once_digest, trivial_digest
@@ -15,7 +16,7 @@ from ..solver import DEFAULT_BUDGET, Solver
 from ..domains.relation import RelDomain, Relation, Universe
 from .base_system import BaseAnalysis, WrappedBaseSystem
 from .config import AnalysisConfig, ConfigError
-from .improved_system import ImprovedState, ImprovedSystem
+from .improved_system import ImprovedSystem
 from .keys import MutexKey, PointKey
 from .protections import compute_protections, protected_by
 
@@ -44,19 +45,25 @@ class AnalysisResult:
     # -- uniform views over the assignment --
 
     def local_relation(self, value) -> Relation:
-        return value.r if isinstance(value, ImprovedState) else value
+        return self.system.relation(value)
 
-    def point_keys(self, point: Point) -> list[PointKey]:
-        return [k for k in self.solver.values if isinstance(k, PointKey) and k.point == point]
+    @cached_property
+    def _point_index(self) -> dict[Point, list[PointKey]]:
+        out: dict[Point, list[PointKey]] = {}
+        for k in self.solver.values:
+            if isinstance(k, PointKey):
+                out.setdefault(k.point, []).append(k)
+        return out
+
+    def point_keys(self, point: Point, lockset: frozenset[str] | None = None) -> list[PointKey]:
+        """The unknowns of a point (of one lockset), in discovery order."""
+        keys = self._point_index.get(point, [])
+        return keys if lockset is None else [k for k in keys if k.lockset == lockset]
 
     def point_value(self, point: Point, lockset: frozenset[str] | None = None) -> Relation:
         """Abstract value at a point, joined over digests (and locksets)."""
-        out = self.dom.bot()
-        for k in self.point_keys(point):
-            if lockset is not None and k.lockset != lockset:
-                continue
-            out = self.dom.join(out, self.local_relation(self.solver.values[k]))
-        return out
+        return self.dom.join_all(
+            self.local_relation(self.solver.values[k]) for k in self.point_keys(point, lockset))
 
     def published_values(self, g: str) -> Relation:
         """Join of everything published for clusters containing g, plus the

@@ -8,6 +8,10 @@ Local states carry, besides the relation r:
       at publishing unlocks (join componentwise),
   W — globals possibly written since a protecting mutex was locked (join = ∪).
 
+A thread-return unknown holds the same kind of state, with ``r`` over
+``ret`` alone and W empty, so one lattice (``state_join``/``state_leq``)
+serves both; mutex unknowns hold plain relations.
+
 Side effects to mutex unknowns happen only when a protected global may have
 been written; in clustered mode only the clusters that intersect W are
 published, and locking combines, per cluster, the join-local information
@@ -17,8 +21,10 @@ with the joined contributions of all admitted, non-accounted thread ids.
 thread ids leave unchanged: the initial cluster values (which seed L) and
 main's start relation, the local steps on r, the relation kept at an unlock,
 the child's start relation and the returned value.  Key namespaces, which
-outgoing edges spawn a constraint and the enumeration of published mutex
-digests come from ``EdgeConstraints``, as in the base system.
+outgoing edges spawn a constraint, the reading of the source state (a
+right-hand side runs only when it is present and not ⊥) and the enumeration
+of published mutex digests come from ``EdgeConstraints``, as in the base
+system.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from .protections import protected_by
 
 
 class ImprovedState:
+    """The value of a point unknown, and of a thread-return unknown, where
+    ``r`` relates ``ret`` alone and ``w`` is empty."""
+
     __slots__ = ("j", "l", "w", "r")
 
     def __init__(self, j: frozenset, l: dict, w: frozenset, r: Relation):
@@ -44,15 +53,6 @@ class ImprovedState:
         self.l = l
         self.w = w
         self.r = r
-
-
-class RetVal:
-    __slots__ = ("j", "l", "v")
-
-    def __init__(self, j: frozenset, l: dict, v: Relation):
-        self.j = j
-        self.l = l
-        self.v = v
 
 
 class ImprovedSystem(BaseAnalysis, EdgeConstraints):
@@ -95,30 +95,24 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             and all(self.dom.leq(a.l[k], b.l[k]) for k in a.l)
         )
 
+    # mutex unknowns hold relations, point and thread-return unknowns states
+    def relation(self, value: ImprovedState) -> Relation:
+        return value.r
+
     def join(self, key, a, b):
-        if isinstance(key, PointKey):
-            return self.state_join(a, b)
-        if isinstance(key, RetKey):
-            return RetVal(a.j & b.j, self._l_join(a.l, b.l), self.dom.join(a.v, b.v))
-        return self.dom.join(a, b)
+        if isinstance(key, MutexKey):
+            return self.dom.join(a, b)
+        return self.state_join(a, b)
 
     def widen(self, key, a, b):
-        if isinstance(key, PointKey):
-            return self.state_join(a, b, widen=True)
-        if isinstance(key, RetKey):
-            return RetVal(a.j & b.j, self._l_join(a.l, b.l, widen=True), self.dom.widen(a.v, b.v))
-        return self.dom.widen(a, b)
+        if isinstance(key, MutexKey):
+            return self.dom.widen(a, b)
+        return self.state_join(a, b, widen=True)
 
     def leq(self, key, a, b):
-        if isinstance(key, PointKey):
-            return self.state_leq(a, b)
-        if isinstance(key, RetKey):
-            return (
-                a.j >= b.j
-                and self.dom.leq(a.v, b.v)
-                and all(self.dom.leq(a.l[k], b.l[k]) for k in a.l)
-            )
-        return self.dom.leq(a, b)
+        if isinstance(key, MutexKey):
+            return self.dom.leq(a, b)
+        return self.state_leq(a, b)
 
     # -- accounted-for check (I2 + I3, optionally ancestor writes) --
 
@@ -152,10 +146,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
         dom = self.dom
         act = edge.action
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             _fx, r = self.transfer(edge, src.lockset, s.r, NO_ENV)
             if dom.is_bot(r):
                 return {}
@@ -163,16 +154,13 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             d1 = self.spec.unary(edge.src, act, src.digest)[0]
             return {PointKey(edge.dst, src.lockset, d1): ImprovedState(s.j, s.l, w, r)}
 
-        return rhs
+        return body
 
     def _create_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         act = edge.action
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             start = self.cfgs[act.template].start
             child_digest = tid_new(edge.src, start, src.digest)[0]
             child_tid = frozenset({child_digest[0]})
@@ -185,31 +173,25 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                 PointKey(edge.dst, src.lockset, ego_digest): ImprovedState(s.j, s.l, s.w, r_ego),
             }
 
-        return rhs
+        return body
 
     def _return_rhs(self, edge: Edge, src: PointKey):
-        dom = self.dom
         act = edge.action
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             return {
-                RetKey(self.dkey(src.digest)): RetVal(s.j, s.l, self.returned(s.r, act.local)),
+                RetKey(self.dkey(src.digest)): ImprovedState(
+                    s.j, s.l, frozenset(), self.returned(s.r, act.local)),
                 PointKey(edge.dst, src.lockset, src.digest): s,
             }
 
-        return rhs
+        return body
 
     def _unlock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         a = edge.action.mutex
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             effects: dict[Any, Any] = {}
             if self.clustered:
                 published = [q for q in self.clusters[a] if q & s.w]
@@ -231,17 +213,14 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             )
             return effects
 
-        return rhs
+        return body
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         a = edge.action.mutex
         qs = self.clusters[a]
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             target = PointKey(edge.dst, src.lockset | {a}, src.digest)
             effects: dict[Any, Any] = {}
             admitted = [
@@ -281,16 +260,13 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                     accumulate(effects, target, ImprovedState(s.j, s.l, s.w, r1), self.state_join)
             return effects
 
-        return rhs
+        return body
 
     def _join_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         act = edge.action
 
-        def rhs(view: View):
-            s = view.get(src)
-            if s is None or dom.is_bot(s.r):
-                return {}
+        def body(view: View, s: ImprovedState):
             tid_val = dom.unlift_tid(s.r, act.tidvar)
             if tid_val is BOT:
                 return {}
@@ -308,7 +284,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                 rv = view.get(k)
                 if rv is None:
                     continue
-                ret = dom.unlift_var(rv.v, "ret")
+                ret = dom.unlift_var(rv.r, "ret")
                 r1 = dom.assign_value(s.r, act.target, ret)
                 if dom.is_bot(r1):
                     continue
@@ -316,4 +292,4 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                 accumulate(effects, target, st, self.state_join)
             return effects
 
-        return rhs
+        return body

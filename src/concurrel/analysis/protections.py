@@ -1,41 +1,18 @@
 """Protecting-mutex sets 𝓜[g], declared or inferred.
 
-Inference is a lockset-only pre-pass: a must-held-lockset fixpoint per
-template (intersection at merge points, CFG-reachable points only), then
-𝓜[g] = intersection over all reachable write edges of the lockset at the
-write.  The implicit atomicity mutex m_g is always included.  A global
-nobody writes is vacuously protected by every mutex.
+Inference reuses validation's lockset walk (``validate.held_locksets``):
+𝓜[g] is the intersection of the mutexes held at every write of g along
+every path the walk follows.  Like the analysis, the walk does not go past
+a re-lock of a held mutex or an unlock of a free one, so writes behind such
+a step do not shrink 𝓜[g].  The implicit atomicity mutex m_g is always
+included.  A global nobody writes is vacuously protected by every mutex.
 """
 
 from __future__ import annotations
 
-from ..frontend.ast import Lock, Program, Unlock, WriteGlobal
-from ..frontend.cfg import Cfg, Point
-
-
-def _must_locksets(cfg: Cfg, all_mutexes: frozenset[str]) -> dict[Point, frozenset[str]]:
-    held: dict[Point, frozenset[str]] = {cfg.start: frozenset()}
-    changed = True
-    while changed:
-        changed = False
-        for e in cfg.edges:
-            if e.src not in held:
-                continue
-            h = held[e.src]
-            match e.action:
-                case Lock(m):
-                    h = h | {m}
-                case Unlock(m):
-                    h = h - {m}
-                case _:
-                    pass
-            if e.dst not in held:
-                held[e.dst] = h
-                changed = True
-            elif not held[e.dst] <= h:
-                held[e.dst] = held[e.dst] & h
-                changed = True
-    return held
+from ..frontend.ast import Program
+from ..frontend.cfg import Cfg
+from ..frontend.validate import held_locksets
 
 
 def infer_protections(program: Program, cfgs: dict[str, Cfg]) -> dict[str, frozenset[str]]:
@@ -43,14 +20,10 @@ def infer_protections(program: Program, cfgs: dict[str, Cfg]) -> dict[str, froze
         program.protecting_mutex(g) for g in program.globals
     }
     prot = {g: all_mutexes for g in program.globals}
-    written: set[str] = set()
     for cfg in cfgs.values():
-        held = _must_locksets(cfg, all_mutexes)
-        for e in cfg.edges:
-            if isinstance(e.action, WriteGlobal) and e.src in held:
-                g = e.action.glob
-                written.add(g)
-                prot[g] = prot[g] & held[e.src]
+        write_held, _problems = held_locksets(cfg)
+        for e, helds in write_held.items():
+            prot[e.action.glob] = prot[e.action.glob].intersection(*helds)
     for g in program.globals:
         prot[g] |= {program.protecting_mutex(g)}
     return prot

@@ -8,8 +8,8 @@ from ..frontend.ast import Lock, negate
 from ..frontend.cfg import assert_sites
 from ..domains.relation import Relation
 from .driver import AnalysisResult, local_vars
-from .improved_system import ImprovedState, RetVal
-from .keys import PointKey, render_key
+from .improved_system import ImprovedState
+from .keys import PointKey, RetKey, render_key
 from .protections import protected_by
 
 
@@ -67,9 +67,11 @@ def derive_lock_invariants(result: AnalysisResult) -> list[LockInvariant]:
     return out
 
 
-def _render_value(result: AnalysisResult, v) -> str:
+def _render_value(result: AnalysisResult, key, v) -> str:
     dom = result.dom
     if isinstance(v, ImprovedState):
+        if isinstance(key, RetKey):
+            return f"v=({dom.render(v.r)})"
         parts = [f"r=({dom.render(v.r)})"]
         if v.j:
             parts.append("J={" + ", ".join(str(i) for i in sorted(v.j)) + "}")
@@ -81,8 +83,6 @@ def _render_value(result: AnalysisResult, v) -> str:
             if dom.render(lv) != "⊤"
         ]
         return "; ".join(parts + ls)
-    if isinstance(v, RetVal):
-        return f"v=({dom.render(v.v)})"
     return dom.render(v)
 
 
@@ -93,5 +93,5 @@ def dump_solution(result: AnalysisResult) -> str:
             key_s = render_key(k, result.spec.render)
         else:
             key_s = render_key(k)
-        lines.append(f"{key_s} := {_render_value(result, result.solver.values[k])}")
+        lines.append(f"{key_s} := {_render_value(result, k, result.solver.values[k])}")
     return "\n".join(sorted(lines)) + "\n"

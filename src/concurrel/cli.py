@@ -4,7 +4,8 @@
     concurrel compare FILE --presets a,b[,c...]   compare configurations
 
 Exit codes of ``run``: 0 all asserts proven, 1 some unknown, or with
-``--oracle`` an exploration truncated at its bounds without a witness, 2 bad
+``--oracle`` an exploration truncated at its bounds without a witness (the
+report names the bounds that cut it off), 2 bad
 input (usage, an unreadable or non-UTF-8 file, a parse or validation error,
 conflicting flags, an exhausted step budget), reported with a diagnostic,
 3 the oracle found a soundness bug (a violated PROVEN assert or a reachable
@@ -96,11 +97,12 @@ def _run(args) -> int:
     exit_code = 0 if all(v.verdict == "PROVEN" for v in verdicts) else 1
     oracle_report = ex = None
     if args.oracle:
-        ex = explore(program, ExploreBounds(), cfgs=result.cfgs)
+        bounds = ExploreBounds()
+        ex = explore(program, bounds, cfgs=result.cfgs)
         oracle_report = check_soundness(result, ex, verdicts)
         if not oracle_report.ok:
             exit_code = 3
-        elif ex.truncated:  # an incomplete check must not pass as a clean one
+        elif not oracle_report.clean:  # an incomplete check must not pass as a clean one
             exit_code = 1
 
     if args.format == "json":
@@ -120,7 +122,8 @@ def _run(args) -> int:
                 "checked_states": oracle_report.checked_states,
                 "witnesses": oracle_report.witnesses,
                 "proven_violated": oracle_report.proven_violated,
-                "truncated": ex.truncated,
+                "truncated": oracle_report.truncated,
+                "truncated_by": sorted(ex.truncated_by),
                 "states": ex.states,
                 "schedules": ex.schedules,
             }
@@ -137,9 +140,10 @@ def _run(args) -> int:
             print(f"oracle: checked {oracle_report.checked_states} states, "
                   f"{len(oracle_report.witnesses)} witnesses, "
                   f"{len(oracle_report.proven_violated)} proven-violated")
-            if ex.truncated:
+            if oracle_report.truncated:
+                cut = ", ".join(f"{b}={getattr(bounds, b)}" for b in sorted(ex.truncated_by))
                 print(f"oracle: exploration truncated after {ex.states} states and "
-                      f"{ex.schedules} schedules; the check is incomplete")
+                      f"{ex.schedules} schedules by {cut}; the check is incomplete")
             for w in oracle_report.witnesses + oracle_report.proven_violated:
                 print(f"  {w}", file=sys.stderr)
     if args.dump_solution:

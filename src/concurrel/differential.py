@@ -10,6 +10,9 @@ For every reachable concrete state (thread, point, lockset, locals, globals):
   values joined over digests (plus the initial 0, which the improved analyses
   keep join-locally instead of publishing);
 * no assert reported PROVEN may be violated in any explored interleaving.
+
+A report is ``ok`` when none of this fails on the explored states, and
+``clean`` when it is ok and the exploration was not truncated at a bound.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis.driver import AnalysisResult
-from .analysis.keys import PointKey
 from .analysis.reporting import AssertVerdict
 from .oracle import Exploration
 
@@ -31,16 +33,23 @@ class SoundnessReport:
     witnesses: list[str] = field(default_factory=list)
     digest_misses: list[str] = field(default_factory=list)
     proven_violated: list[str] = field(default_factory=list)
+    truncated: bool = False  # the exploration stopped at a bound
 
     @property
     def ok(self) -> bool:
+        """No soundness bug among the explored states."""
         return not (self.witnesses or self.proven_violated)
+
+    @property
+    def clean(self) -> bool:
+        """No soundness bug, and every state within the bounds was explored."""
+        return self.ok and not self.truncated
 
 
 def check_soundness(result: AnalysisResult, exploration: Exploration,
                     verdicts: list[AssertVerdict] | None = None,
                     max_witnesses: int = 10) -> SoundnessReport:
-    report = SoundnessReport()
+    report = SoundnessReport(truncated=exploration.truncated)
     dom = result.dom
     improved = result.config.mode in ("tids", "clusters")
     tid_abs = {
@@ -59,11 +68,6 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
     for rs in exploration.reachable:
         groups.setdefault((rs[R_POINT], rs[R_LOCKSET]), []).append(rs)
 
-    point_keys: dict[tuple, list[PointKey]] = {}
-    for k in result.solver.values:
-        if isinstance(k, PointKey):
-            point_keys.setdefault((k.point, k.lockset), []).append(k)
-
     universe_globals = set(result.program.globals)
     lvars = exploration.lvars
     gvars = exploration.gvars
@@ -72,7 +76,7 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
         groups.items(), key=lambda kv: (str(kv[0][0]), sorted(kv[0][1]))
     ):
         report.checked_states += len(states)
-        keys = point_keys.get((point, lockset), [])
+        keys = result.point_keys(point, lockset)
         if not keys:
             report.witnesses.append(
                 f"{point} lockset={{{','.join(sorted(lockset))}}}: reachable "

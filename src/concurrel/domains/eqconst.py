@@ -7,7 +7,7 @@ per class.  False is the least element; the empty conjunction is Top.
 
 from __future__ import annotations
 
-from .values import BOT, INF, IntAbs
+from .values import BOT, IntAbs
 
 
 class EqRel:
@@ -25,14 +25,6 @@ class EqRel:
     @property
     def is_bot(self) -> bool:
         return self.bot
-
-    def __eq__(self, other):
-        if self.bot or other.bot:
-            return self.bot == other.bot
-        return self.classes == other.classes and self.consts == other.consts
-
-    def __hash__(self):
-        return hash((self.bot, self.classes, tuple(sorted(self.consts.items(), key=str))))
 
 
 def _canon(n: int, pairs: set[tuple[int, int]], consts: dict[int, int]) -> EqRel:
@@ -110,6 +102,16 @@ class EqBackend:
             if i in cls:
                 return c
         return None
+
+    def _eval(self, r: EqRel, coeffs: dict[int, int], const: int) -> int | None:
+        """Value of ``sum(coeffs) + const``; None unless every variable is a constant."""
+        total = const
+        for y, cy in coeffs.items():
+            c = self._const_of(r, y)
+            if c is None:
+                return None
+            total += cy * c
+        return total
 
     def implies_eq(self, r: EqRel, i: int, j: int) -> bool:
         if r.bot:
@@ -207,26 +209,17 @@ class EqBackend:
                 f = self.forget(r, [x])
                 return self.meet(f, _canon(self.n, {(min(x, y), max(x, y))}, {}))
         # known-constant right-hand side still yields a constant
-        val = const
-        for y, cy in coeffs.items():
-            cv = self._const_of(r, y)
-            if cv is None:
-                return self.forget(r, [x])
-            val += cy * cv
+        val = self._eval(r, coeffs, const)
+        if val is None:
+            return self.forget(r, [x])
         return self.set_interval(r, x, val, val)
 
     def guard_leq0(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
         """Refine by sum+const ≤ 0; exact only when enough is known."""
         if r.bot:
             return r
-        # evaluate when all variables carry constants
-        total = const
-        for y, cy in coeffs.items():
-            c = self._const_of(r, y)
-            if c is None:
-                return r
-            total += cy * c
-        return self._bot if total > 0 else r
+        total = self._eval(r, coeffs, const)
+        return self._bot if total is not None and total > 0 else r
 
     def guard_eq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
         """Refine by sum(coeffs) + const == 0."""
@@ -241,13 +234,8 @@ class EqBackend:
             (y, cy), (z, cz) = items
             if {cy, cz} == {1, -1}:
                 return self.meet(r, _canon(self.n, {(y, z)}, {}))
-        total = const
-        for y, cy in coeffs.items():
-            c = self._const_of(r, y)
-            if c is None:
-                return r
-            total += cy * c
-        return self._bot if total != 0 else r
+        total = self._eval(r, coeffs, const)
+        return self._bot if total is not None and total != 0 else r
 
     def guard_neq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
         """Refine by sum(coeffs) + const != 0 (⊥ when equality is implied)."""
@@ -258,21 +246,9 @@ class EqBackend:
             (y, cy), (z, cz) = items
             if {cy, cz} == {1, -1} and self.implies_eq(r, y, z):
                 return self._bot
-        total = const
-        for y, cy in coeffs.items():
-            c = self._const_of(r, y)
-            if c is None:
-                return r
-            total += cy * c
-        return self._bot if total == 0 else r
+        return self._bot if self._eval(r, coeffs, const) == 0 else r
 
     # -- queries --
-
-    def bounds(self, r: EqRel, x: int) -> tuple[float, float]:
-        if r.bot:
-            raise ValueError("bounds of ⊥")
-        c = self._const_of(r, x)
-        return (-INF, INF) if c is None else (float(c), float(c))
 
     def unlift1(self, r: EqRel, x: int):
         if r.bot:

@@ -306,6 +306,24 @@ class OctBackend:
         lo, _hi = self._eval_linear(c, work, const)
         return self._bot if lo > 0 else c
 
+    def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
+        """Refine by ``sum + const == 0``: the meet of ``≤ 0`` and ``≥ 0``."""
+        lo = self.guard_leq0(r, coeffs, const)
+        hi = self.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const)
+        if self.is_bot(lo) or self.is_bot(hi):
+            return self._bot
+        return self.meet(lo, hi)
+
+    def guard_neq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
+        """Refine by ``sum + const != 0``: the join of ``< 0`` and ``> 0``."""
+        lo = self.guard_leq0(r, coeffs, const + 1)
+        hi = self.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const + 1)
+        if self.is_bot(lo):
+            return hi
+        if self.is_bot(hi):
+            return lo
+        return self.join(lo, hi)
+
     def contains(self, r: OctRel, vals: list[int]) -> bool:
         if r.is_bot:
             return False

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Protocol, runtime_checkable
 
 from ..frontend.ast import Cmp, Expr, linear_form
 from .eqconst import EqBackend
@@ -61,11 +62,36 @@ class Relation:
         self.bot = bot
 
 
+@runtime_checkable
+class NumericBackend(Protocol):
+    """What ``RelDomain`` uses of a numeric component over the variables
+    0..n-1, whose immutable values it never inspects.  ``guard_*`` refine by
+    ``sum(coeffs[i]·x_i) + const ⋈ 0``, over-approximating where inexact."""
+
+    def top(self): ...
+    def bot(self): ...
+    def is_bot(self, r) -> bool: ...
+    def leq(self, a, b) -> bool: ...
+    def meet(self, a, b): ...
+    def join(self, a, b): ...
+    def widen(self, a, b): ...
+    def restrict(self, r, keep: set[int]): ...
+    def set_interval(self, r, x: int, lo: float, hi: float): ...
+    def assign_linear(self, r, x: int, coeffs: dict[int, int], const: int): ...
+    def guard_leq0(self, r, coeffs: dict[int, int], const: int): ...
+    def guard_eq(self, r, coeffs: dict[int, int], const: int): ...
+    def guard_neq(self, r, coeffs: dict[int, int], const: int): ...
+    def unlift1(self, r, x: int): ...
+    def contains(self, r, vals: list[int]) -> bool: ...
+    def render(self, r, names: list[str]) -> list[str]: ...
+
+
 class RelDomain:
     def __init__(self, universe: Universe, numeric: str = "octagon"):
         self.universe = universe
         self.numeric = numeric
         n = len(universe.int_vars)
+        self.nb: NumericBackend
         if numeric == "octagon":
             self.nb = OctBackend(n)
         elif numeric == "interval":
@@ -116,26 +142,19 @@ class RelDomain:
         return self._mk(self.nb.meet(a.num, b.num), tids)
 
     def join(self, a: Relation, b: Relation) -> Relation:
-        if a.bot:
-            return b
-        if b.bot:
-            return a
-        tids = {
-            v: tid_join(a.tids.get(v, TID_TOP), b.tids.get(v, TID_TOP))
-            for v in set(a.tids) & set(b.tids)
-        }
-        return self._mk(self.nb.join(a.num, b.num), tids)
+        return self._upper(a, b, self.nb.join)
 
     def widen(self, a: Relation, b: Relation) -> Relation:
+        return self._upper(a, b, self.nb.widen)
+
+    def _upper(self, a: Relation, b: Relation, num_op) -> Relation:
+        """``num_op`` (join or widen) on the numbers, join on the thread ids."""
         if a.bot:
             return b
         if b.bot:
             return a
-        tids = {
-            v: tid_join(a.tids.get(v, TID_TOP), b.tids.get(v, TID_TOP))
-            for v in set(a.tids) & set(b.tids)
-        }
-        return self._mk(self.nb.widen(a.num, b.num), tids)
+        tids = {v: tid_join(a.tids[v], b.tids[v]) for v in set(a.tids) & set(b.tids)}
+        return self._mk(num_op(a.num, b.num), tids)
 
     def join_all(self, rs) -> Relation:
         out = self._bot
@@ -260,28 +279,23 @@ class RelDomain:
         idx = {self.universe.index[v]: k for v, k in coeffs.items()}
 
         # left − right  ⋈  0, with const folded into the left side
-        def leq0(cf, cst):
-            return self._mk(self.nb.guard_leq0(r.num, cf, cst), dict(r.tids))
-
         neg = {v: -k for v, k in idx.items()}
         match c.op:
             case "<=":
-                return leq0(idx, const)
+                num = self.nb.guard_leq0(r.num, idx, const)
             case "<":
-                return leq0(idx, const + 1)
+                num = self.nb.guard_leq0(r.num, idx, const + 1)
             case ">=":
-                return leq0(neg, -const)
+                num = self.nb.guard_leq0(r.num, neg, -const)
             case ">":
-                return leq0(neg, -const + 1)
+                num = self.nb.guard_leq0(r.num, neg, -const + 1)
             case "==":
-                if hasattr(self.nb, "guard_eq"):
-                    return self._mk(self.nb.guard_eq(r.num, idx, const), dict(r.tids))
-                return self.meet(leq0(idx, const), leq0(neg, -const))
+                num = self.nb.guard_eq(r.num, idx, const)
             case "!=":
-                if hasattr(self.nb, "guard_neq"):
-                    return self._mk(self.nb.guard_neq(r.num, idx, const), dict(r.tids))
-                return self.join(leq0(idx, const + 1), leq0(neg, -const + 1))
-        raise ValueError(c.op)
+                num = self.nb.guard_neq(r.num, idx, const)
+            case _:
+                raise ValueError(c.op)
+        return self._mk(num, dict(r.tids))
 
     # -- queries --
 

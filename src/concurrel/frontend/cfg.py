@@ -33,6 +33,7 @@ class Edge:
     src: Point
     action: Action
     dst: Point
+    pos: Pos = field(default=Pos(0, 0), compare=False)  # the statement lowered here
 
 
 @dataclass
@@ -57,6 +58,7 @@ class _Lowerer:
         self.n = 1
         self.tmp_counter = tmp_counter
         self.aid_counter = aid_counter
+        self.pos = Pos(0, 0)  # position of the statement being lowered
 
     def fresh(self) -> Point:
         p = Point(self.cfg.template, self.n)
@@ -70,11 +72,11 @@ class _Lowerer:
 
     def edge(self, src: Point, act: Action) -> Point:
         dst = self.fresh()
-        self.cfg.edges.append(Edge(src, act, dst))
+        self.edge_to(src, act, dst)
         return dst
 
     def edge_to(self, src: Point, act: Action, dst: Point) -> None:
-        self.cfg.edges.append(Edge(src, act, dst))
+        self.cfg.edges.append(Edge(src, act, dst, self.pos))
 
     # -- global access wrappers --
 
@@ -105,6 +107,7 @@ class _Lowerer:
         return cur
 
     def stmt(self, s: Stmt, cur: Point) -> Point:
+        self.pos = s.pos
         match s:
             case SLock(m, _):
                 return self.edge(cur, Lock(m))
@@ -146,6 +149,7 @@ class _Lowerer:
                 e_in = self.edge(cur, Guard(negate(c)))
                 t_out = self.block(then, t_in)
                 e_out = self.block(orelse, e_in)
+                self.pos = s.pos
                 merge = self.fresh()
                 self.edge_to(t_out, Guard(TRUE_GUARD), merge)
                 self.edge_to(e_out, Guard(TRUE_GUARD), merge)
@@ -157,6 +161,7 @@ class _Lowerer:
                     head = self.edge(cur, Guard(TRUE_GUARD))
                 body_in = self.edge(head, Guard(c))
                 body_out = self.block(body, body_in)
+                self.pos = s.pos
                 self.edge_to(body_out, Guard(TRUE_GUARD), head)
                 return self.edge(head, Guard(negate(c)))
         raise TypeError(s)

@@ -1,7 +1,12 @@
 """Post-parse validation: diagnostics, never aborts.
 
-The checks are best-effort and syntactic; the analysis itself tracks locksets
-precisely.  Diagnostics render as ``file:line:col: severity: message``.
+One walk per template, ``held_locksets``, follows the mutexes held along
+every CFG path.  It finds re-entrant locks and unlocks of un-held mutexes,
+and gives the held sets at each global write, from which ``validate``
+checks declared protections and ``analysis.protections`` infers them.
+Diagnostics render as ``file:line:col: severity: message``; the ones about
+a statement carry the statement's position, the declaration-level warnings
+(uncovered global, no protecting mutex) point at 1:1.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import Lock, Program, Unlock, WriteGlobal
-from .cfg import Cfg, Point, build_cfg
+from .cfg import Cfg, Edge, Point, build_cfg
 
 
 @dataclass(frozen=True)
@@ -24,12 +29,19 @@ class Diagnostic:
         return f"{self.filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-def _held_sets(cfg: Cfg) -> tuple[dict, list[tuple[Point, str, str]]]:
-    """DFS over (point, held-set) states; returns held-at-edge info and
-    lock-discipline problems ('re-entrant lock' / 'unlock of un-held mutex')."""
-    problems: list[tuple[Point, str, str]] = []
-    held_at: dict[tuple[Point, frozenset], None] = {}
-    write_held: dict[int, list[frozenset]] = {}
+def held_locksets(cfg: Cfg) -> tuple[dict[Edge, list[frozenset[str]]], list[tuple[Edge, str]]]:
+    """DFS over the (point, held-set) states of one template.
+
+    Returns the held sets at each global-write edge, one per state that
+    reaches it, and the lock-discipline problems as (edge, 're-entrant lock'
+    | 'unlock of un-held mutex').  Like the analysis and the oracle, the
+    walk does not follow such a step: re-locking deadlocks and unlocking a
+    free mutex is an error."""
+    out: dict[Point, list[Edge]] = {}
+    for e in cfg.edges:
+        out.setdefault(e.src, []).append(e)
+    problems: list[tuple[Edge, str]] = []
+    write_held: dict[Edge, list[frozenset[str]]] = {}
     stack = [(cfg.start, frozenset())]
     seen = set()
     while stack:
@@ -37,23 +49,21 @@ def _held_sets(cfg: Cfg) -> tuple[dict, list[tuple[Point, str, str]]]:
         if (u, held) in seen:
             continue
         seen.add((u, held))
-        for idx, e in enumerate(cfg.edges):
-            if e.src != u:
-                continue
+        for e in out.get(u, ()):
             nxt = held
             match e.action:
                 case Lock(m):
                     if m in held:
-                        problems.append((u, m, "re-entrant lock"))
+                        problems.append((e, "re-entrant lock"))
                         continue
                     nxt = held | {m}
                 case Unlock(m):
                     if m not in held:
-                        problems.append((u, m, "unlock of un-held mutex"))
+                        problems.append((e, "unlock of un-held mutex"))
                         continue
                     nxt = held - {m}
                 case WriteGlobal(_, _):
-                    write_held.setdefault(idx, []).append(held)
+                    write_held.setdefault(e, []).append(held)
                 case _:
                     pass
             stack.append((e.dst, nxt))
@@ -74,24 +84,27 @@ def validate(program: Program, cfgs: dict[str, Cfg] | None = None) -> list[Diagn
     unprotected_writes: set[str] = set()
     for name in program.threads:
         cfg = cfgs[name]
-        write_held, problems = _held_sets(cfg)
-        for u, m, what in sorted(problems, key=lambda t: (t[0], t[1], t[2])):
-            diags.append(Diagnostic(1, 1, "warning", f"{what} '{m}' at {u}", fn))
-        for idx, held_list in sorted(write_held.items()):
-            g = cfg.edges[idx].action.glob
+        write_held, problems = held_locksets(cfg)
+        for e, what in sorted(problems, key=lambda t: (t[0].src, t[0].action.mutex, t[1])):
+            diags.append(Diagnostic(e.pos.line, e.pos.col, "warning",
+                                    f"{what} '{e.action.mutex}' at {e.src}", fn))
+        for e in cfg.edges:  # in edge order, for a stable diagnostic order
+            if e not in write_held:
+                continue
+            g = e.action.glob
             declared = (program.protections or {}).get(g)
-            for held in held_list:
+            for held in write_held[e]:
                 user_held = {m for m in held if not m.startswith("m_")}
                 if declared is not None and not declared <= held | {program.protecting_mutex(g)} | user_held:
                     missing = sorted(declared - user_held - {program.protecting_mutex(g)})
                     if missing:
                         diags.append(Diagnostic(
-                            1, 1, "error",
-                            f"write to '{g}' at {cfg.edges[idx].src} without declared protecting "
+                            e.pos.line, e.pos.col, "error",
+                            f"write to '{g}' at {e.src} without declared protecting "
                             f"mutex(es) {', '.join(missing)}", fn))
                 if declared is None and not user_held:
                     unprotected_writes.add(g)
 
     for g in sorted(unprotected_writes):
         diags.append(Diagnostic(1, 1, "warning", f"no protecting mutex for {g}", fn))
-    return diags
+    return list(dict.fromkeys(diags))  # a step reached with several held sets reports once

@@ -48,9 +48,13 @@ class Exploration:
     digest_infeasibilities: list[str] = field(default_factory=list)
     schedules: int = 0
     states: int = 0
-    truncated: bool = False
+    truncated_by: set[str] = field(default_factory=set)  # ExploreBounds fields hit
     tid_abstractions: dict[str, tuple] = field(default_factory=dict)
     global_values: dict[str, set] = field(default_factory=dict)
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     def global_store(self, rs: tuple) -> dict[str, int]:
         return dict(zip(self.gvars, rs[4]))
@@ -209,7 +213,7 @@ class _Explorer:
                 self.seen.add(key)
             self.ex.states += 1
             if self.ex.states > bound_states:
-                self.ex.truncated = True
+                self.ex.truncated_by.add("max_total_states")
                 break
             succs = []
             for ti, t in enumerate(threads):
@@ -230,7 +234,7 @@ class _Explorer:
             visits = dict(t[VISITS])
             n = visits.get(dst, 0)
             if n >= self.bounds.max_steps_per_thread:
-                self.ex.truncated = True
+                self.ex.truncated_by.add("max_steps_per_thread")
                 return []
             visits[dst] = n + 1
             visits_f = tuple(sorted(visits.items()))
@@ -315,7 +319,7 @@ class _Explorer:
             push(h2=held[:mi] + (None,) + held[mi + 1:], lu2=lu2)
         elif kind == "create":
             if len(threads) >= self.bounds.max_threads:
-                self.ex.truncated = True
+                self.ex.truncated_by.add("max_threads")
                 return out
             i, template, start, src = step[3], step[4], step[5], step[6]
             child_digest = tid_new(src, start, t[TDIG])[0]

@@ -12,6 +12,10 @@ per key after a fixed number of strict increases, which terminates even for
 growth cycles that pass through mutex unknowns rather than CFG back edges.
 One narrowing sweep (a full monotone re-evaluation) recovers most of the
 overshoot afterwards.
+
+``values`` is the one record of discovered unknowns, and one pass,
+``_reevaluate``, evaluates every constraint on the current assignment for
+both the narrowing sweep and ``check_post_solution``.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ class View:
 @dataclass
 class SolveStats:
     evaluations: int = 0
-    unknowns: int = 0
     widened: int = 0
 
 
@@ -81,7 +84,6 @@ class Solver:
         self.values: dict[Any, Any] = {}
         self.by_namespace: dict[Any, list[Any]] = {}
         self.constraints: list[Constraint] = []
-        self.spawned: set[Any] = set()
         self.deps: dict[Any, set[int]] = {}  # key -> constraint ids reading it
         self.ns_deps: dict[Any, set[int]] = {}
         self.last_reads: dict[int, set[Any]] = {}
@@ -96,17 +98,16 @@ class Solver:
         self.constraints.append(c)
 
     def _register_key(self, key, queue) -> None:
-        self.stats.unknowns += 1
+        """A key's first value: wake its namespace's readers and spawn its
+        constraints.  ``values`` is the one record of registered keys."""
         ns = self.system.namespace(key)
         if ns is not None:
             self.by_namespace.setdefault(ns, []).append(key)
             for cid in sorted(self.ns_deps.get(ns, ())):
                 self._schedule(cid, queue)
-        if key not in self.spawned:
-            self.spawned.add(key)
-            for c in self.system.constraints_for(key):
-                self._add_constraint(c)
-                self._schedule(c.cid, queue)
+        for c in self.system.constraints_for(key):
+            self._add_constraint(c)
+            self._schedule(c.cid, queue)
 
     def _schedule(self, cid: int, queue) -> None:
         if cid not in self._queued:
@@ -118,7 +119,6 @@ class Solver:
         if old is None:
             self.values[key] = value
             self._register_key(key, queue)
-            changed = True
         else:
             if self.system.leq(key, value, old):
                 return
@@ -128,10 +128,8 @@ class Solver:
                 joined = self.system.widen(key, old, joined)
                 self.stats.widened += 1
             self.values[key] = joined
-            changed = True
-        if changed:
-            for cid in sorted(self.deps.get(key, ())):
-                self._schedule(cid, queue)
+        for cid in sorted(self.deps.get(key, ())):
+            self._schedule(cid, queue)
 
     def _evaluate(self, cid: int, queue, widen_ok: bool = True) -> None:
         self.stats.evaluations += 1
@@ -168,15 +166,19 @@ class Solver:
         self._narrow()
         return self.values
 
+    def _reevaluate(self):
+        """Every constraint with the effects it has on the current assignment."""
+        for c in self.constraints:
+            yield c, c.rhs(View(self))
+
     def _narrow(self) -> None:
         """One monotone re-accumulation sweep: recompute every key as the join
         of all effects evaluated on the current (post-)solution.  For monotone
         right-hand sides the result is a smaller post-solution."""
         acc: dict[Any, Any] = {}
-        for c in self.constraints:
+        for _c, effects in self._reevaluate():
             self.stats.evaluations += 1
-            view = View(self)
-            for key, value in c.rhs(view).items():
+            for key, value in effects.items():
                 if key in acc:
                     acc[key] = self.system.join(key, acc[key], value)
                 else:
@@ -192,9 +194,8 @@ class Solver:
     def check_post_solution(self) -> list[str]:
         """Re-evaluate everything; report any effect not below the solution."""
         bad = []
-        for c in self.constraints:
-            view = View(self)
-            for key, value in c.rhs(view).items():
+        for c, effects in self._reevaluate():
+            for key, value in effects.items():
                 cur = self.values.get(key)
                 if cur is None or not self.system.leq(key, value, cur):
                     bad.append(f"{c.name} -> {key}")

@@ -29,7 +29,7 @@ from concurrel.analysis import (
     preset, run_analysis,
 )
 from concurrel.analysis.base_system import BaseAnalysis
-from concurrel.analysis.improved_system import ImprovedState, ImprovedSystem, RetVal
+from concurrel.analysis.improved_system import ImprovedState, ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.domains import IntAbs
 from concurrel.frontend.ast import Lock, Unlock
@@ -150,9 +150,6 @@ def test_criterion_7_ancestor_writes(programs):
 def _state_projected_equal(dom, small, full) -> bool:
     if isinstance(small, ImprovedState):
         return (small.j == full.j and small.w == full.w and dom.eq(small.r, full.r)
-                and all(dom.eq(small.l[k], full.l[k]) for k in small.l))
-    if isinstance(small, RetVal):
-        return (small.j == full.j and dom.eq(small.v, full.v)
                 and all(dom.eq(small.l[k], full.l[k]) for k in small.l))
     return dom.eq(small, full)
 

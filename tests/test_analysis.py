@@ -9,7 +9,7 @@ from concurrel.analysis.driver import build_universe
 from concurrel.analysis.protections import compute_protections, protected_by
 from concurrel.digests import MAIN_TID, lockset_digest
 from concurrel.domains import IntAbs, RelDomain
-from concurrel.frontend import build_cfg, parse_program
+from concurrel.frontend import build_cfg, parse_program, validate
 from concurrel.frontend.ast import Cmp, IntLit, Var
 from concurrel.frontend.cfg import Edge, Point
 from concurrel.frontend.ast import Create, Havoc, Lock, ReadGlobal, Unlock
@@ -171,6 +171,25 @@ def test_infer_protections_ignores_dead_write(programs, explorations):
     assert prot["h"] == frozenset({"a", "b", "m_h"})
     # the oracle confirms the dead write never executes: g is never 99
     assert 99 not in explorations["synth_infer"].global_values["g"]
+
+
+def test_infer_protections_stops_at_unlock_of_free_mutex():
+    """The lockset walk, like the analysis and the oracle, does not go past
+    an unlock of a free mutex, so main's write behind it does not shrink
+    𝓜[g]; with {a, m_g} the octagon analysis proves t1's assert."""
+    from concurrel.differential import check_soundness
+    from concurrel.oracle import ExploreBounds, explore
+
+    p = parse_program("global g; mutex a; thread main { x = create(t1); unlock(a); g = 1; } "
+                      "thread t1 { lock(a); g = 2; y = g; assert(y == 2); unlock(a); }")
+    assert infer_protections(p, build_cfg(p))["g"] == frozenset({"a", "m_g"})
+    assert any("unlock of un-held mutex 'a'" in d.message for d in validate(p))
+    ex = explore(p, ExploreBounds())
+    for pname in ("octagon", "tids", "clusters"):
+        res = run_analysis(p, preset(pname))
+        verdicts = check_asserts(res)
+        assert [v.verdict for v in verdicts] == ["PROVEN"], pname
+        assert check_soundness(res, ex, verdicts).clean, pname
 
 
 def test_stored_mutex_values_satisfy_restrict_invariant(programs):

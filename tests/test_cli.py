@@ -127,7 +127,7 @@ def test_oracle_flag_clean_program(capsys):
 
 
 def test_oracle_reports_truncation(capsys):
-    # tid_loop's exploration stops at the state cap, so its check exits 1
+    # tid_loop's exploration stops at the thread cap, so its check exits 1
     # although every assert is proven; joins' is complete
     for prog, truncated in (("tid_loop", True), ("joins", False)):
         code, out, _ = run_cli(capsys, "run", corpus_path(prog), "--preset", "tids",
@@ -135,10 +135,12 @@ def test_oracle_reports_truncation(capsys):
         assert code == (1 if truncated else 0), prog
         oracle = json.loads(out)["oracle"]
         assert oracle["truncated"] is truncated, prog
+        assert oracle["truncated_by"] == (["max_threads"] if truncated else []), prog
         assert oracle["states"] >= oracle["checked_states"] > 0
         assert oracle["schedules"] > 0
         _, out, _ = run_cli(capsys, "run", corpus_path(prog), "--preset", "tids", "--oracle")
         assert ("exploration truncated after" in out) is truncated, prog
+        assert ("by max_threads=6; the check is incomplete" in out) is truncated, prog
 
 
 def test_oracle_soundness_bug_exit_3(capsys, monkeypatch):

@@ -29,6 +29,16 @@ def test_lock_once_digest_replay(programs, explorations):
         assert report.ok and report.digest_misses == [], (name, report.digest_misses[:3])
 
 
+def test_truncated_report_is_not_clean(programs, explorations):
+    """``ok`` speaks of the explored states; ``clean`` also needs the
+    exploration to be complete."""
+    for name, truncated in (("tid_loop", True), ("joins", False)):
+        res = run_analysis(programs[name], preset("tids"))
+        report = check_soundness(res, explorations[name], check_asserts(res))
+        assert report.ok and report.truncated is truncated, name
+        assert report.clean is not truncated, name
+
+
 # -- mutation sensitivity: each broken right-hand side must produce a witness --
 
 def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations):

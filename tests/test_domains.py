@@ -101,6 +101,15 @@ def test_guard_examples(dom):
         assert dom.is_bot(dom.guard(r, Cmp("!=", Var("x"), Var("y"))))
 
 
+def test_backends_implement_the_numeric_backend_protocol():
+    from concurrel.domains.eqconst import EqBackend
+    from concurrel.domains.relation import NumericBackend
+
+    for nb in (OctBackend(3), OctBackend(3, intervalize=True), EqBackend(3)):
+        assert isinstance(nb, NumericBackend), nb
+    assert not isinstance(object(), NumericBackend)
+
+
 def test_guard_leq_octagon():
     dom = make_domain("octagon", ("x", "y"))
     r = dom.guard(dom.top(), Cmp("<=", Var("x"), Var("y")))

@@ -117,6 +117,23 @@ def test_validate_diagnostic_format():
     assert str(d).startswith("file.conc:") and ": warning: " in str(d)
 
 
+def test_validate_diagnostics_point_at_the_statement():
+    src = "global g;\nmutex a;\nprotect g with a;\nthread main {\n  x = 1;\n  g = x;\n}\n"
+    (err,) = validate(parse_program(src, "w.conc"))
+    assert (err.severity, err.line, err.col) == ("error", 6, 3)
+    assert str(err).startswith("w.conc:6:3: error: write to 'g' at main.2")
+    src = "global g;\nmutex a;\nthread main {\n  lock(a);\n  lock(a);\n}\nthread t {\n  unlock(a);\n}\n"
+    diags = {d.message.split(" '")[0]: (d.line, d.col) for d in validate(parse_program(src))}
+    assert diags == {"re-entrant lock": (5, 3), "unlock of un-held mutex": (8, 3)}
+    # a step reached with two different held sets is reported once
+    src = "mutex a, b;\nthread main {\n  x = 0;\n  if (x == 0) { lock(b); }\n  lock(a);\n  lock(a);\n}\n"
+    assert [(d.line, d.message) for d in validate(parse_program(src))] == [
+        (6, "re-entrant lock 'a' at main.6")]
+    # declaration-level warnings have no statement
+    src = "global g, h;\nmutex a;\nprotect h with a;\nthread main {\n  g = 1;\n}\n"
+    assert [(d.line, d.col) for d in validate(parse_program(src))] == [(1, 1), (1, 1)]
+
+
 def test_validate_protection_violation_is_error():
     src = """
     global g; mutex a;

@@ -94,4 +94,12 @@ def test_havoc_branches_over_value_set():
 def test_bound_truncation_is_flagged():
     src = "thread main { x = 0; while (x < 100) { x = x + 1; } }"
     ex = explore(parse_program(src), ExploreBounds(max_steps_per_thread=5))
-    assert ex.truncated
+    assert ex.truncated and ex.truncated_by == {"max_steps_per_thread"}
+    ex = explore(parse_program(src), ExploreBounds(max_steps_per_thread=200, max_total_states=50))
+    assert ex.truncated_by == {"max_total_states"}
+
+
+def test_tid_loop_stops_only_at_the_thread_cap(explorations):
+    """t1 creates t1 again, so thread creation is unbounded."""
+    ex = explorations["tid_loop"]
+    assert ex.truncated_by == {"max_threads"} and ex.states == 14_651

@@ -130,19 +130,27 @@ def test_dump_solution_independent_of_hash_seed():
 
 def test_dump_solution_matches_reference_dumps(monkeypatch):
     """The corpus rows of the benchmark's reference dumps (14 programs × 5
-    configurations): a refactor must leave ``dump_solution`` byte-identical,
-    compared through its recorded sha256."""
+    configurations) and the rows of one scaled program (15 int variables ×
+    octagon, tids, clusters): a refactor must leave ``dump_solution``
+    byte-identical, compared through its recorded sha256."""
     import os
 
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     monkeypatch.syspath_prepend(perfbench)
+    import gen
     import workloads
 
     sources = workloads.load_corpus(os.path.dirname(perfbench))
-    rows = {k: want for k, want in workloads.load_dumps().items() if k[0] == "corpus"}
+    scaled = gen.generate_set(0)[0]
+    sources[scaled.name] = scaled.source
+    refs = workloads.load_dumps()
+    rows = {k: want for k, want in refs.items() if k[0] == "corpus"}
     assert len(rows) == 70
+    for cfg in workloads.SCALED_CONFIGS:
+        rows[("scaled", "0", scaled.name, cfg)] = refs[("scaled", "0", scaled.name, cfg)]
     bad = []
     for (_, _, prog, cfg), want in sorted(rows.items()):
+        # the scaled presets are corpus configurations of the same name
         _, result, _ = workloads.analyze(sources[prog], prog, workloads.CORPUS_CONFIGS[cfg])
         if workloads.dump_digest(result) not in want:
             bad.append((prog, cfg))
