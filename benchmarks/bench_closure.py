@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark the octagon tight-closure kernels: compiled vs pure numpy.
 
-    python benchmarks/bench_closure.py [--sizes 4,8,16,32] [--repeat 50]
+    python benchmarks/bench_closure.py [--sizes 1,2,3,4,5] [--repeat 50]
 
 The closure is the hot inner loop of the octagon domain (it runs before
 every restriction, join, comparison and unlift).  Both kernels offer
 ``tight_close_pivots(m, pivots)``.  Per size, the table gives under each
 kernel the full closure (every index a pivot) and the incremental closure
 that ``octagon.py`` runs after a transfer touched two variables of a closed
-matrix (4 pivots).  Also times one end-to-end analysis under each available
-kernel, labelled with the kernel that ran.
+matrix (4 pivots).  Octagons are packed to the variables they constrain, so
+the default sizes are the pack sizes the analyses close (1 to 5 variables on
+the generated benchmark programs); pass larger ones to time full-universe
+matrices.  Also times one end-to-end analysis under each available kernel,
+labelled with the kernel that ran.
 """
 
 import argparse
@@ -60,7 +63,7 @@ def two_variable_update(rng: np.random.Generator, n: int, close) -> tuple:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", default="4,8,16,32")
+    ap.add_argument("--sizes", default="1,2,3,4,5")
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
 

@@ -79,9 +79,11 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
 
     # -- state lattice --
 
+    # L entries often reach a join or comparison as the same object (they
+    # pass unchanged along the CFG); such an entry is its own join and ⊑
     def _l_join(self, l1: dict, l2: dict, widen: bool = False) -> dict:
         op = self.dom.widen if widen else self.dom.join
-        return {k: op(l1[k], l2[k]) for k in l1}
+        return {k: a if a is (b := l2[k]) else op(a, b) for k, a in l1.items()}
 
     def state_join(self, a: ImprovedState, b: ImprovedState, widen=False) -> ImprovedState:
         op = self.dom.widen if widen else self.dom.join
@@ -92,7 +94,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             a.j >= b.j
             and a.w <= b.w
             and self.dom.leq(a.r, b.r)
-            and all(self.dom.leq(a.l[k], b.l[k]) for k in a.l)
+            and all(x is (y := b.l[k]) or self.dom.leq(x, y) for k, x in a.l.items())
         )
 
     # mutex unknowns hold relations, point and thread-return unknowns states

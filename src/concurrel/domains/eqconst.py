@@ -73,6 +73,12 @@ def _canon(n: int, pairs: set[tuple[int, int]], consts: dict[int, int]) -> EqRel
     return EqRel(n, frozenset(out_classes), tuple(out_consts))
 
 
+def _class_of(r: EqRel) -> dict[int, frozenset[int]]:
+    """The class of each variable that is not alone and unconstrained in r;
+    in canonical form, i and j are equal in r iff they share a class."""
+    return {i: cls for cls in (*r.classes, *r.consts) for i in cls}
+
+
 class EqBackend:
     def __init__(self, n: int):
         self.n = n
@@ -136,20 +142,21 @@ class EqBackend:
         return _canon(self.n, self._pairs(a) | self._pairs(b), consts)
 
     def join(self, a: EqRel, b: EqRel) -> EqRel:
+        """Variables stay equal where they share a class in both a and b, and
+        keep the constants a and b agree on."""
         if a.bot:
             return b
         if b.bot:
             return a
+        ka, kb = _class_of(a), _class_of(b)
+        first: dict[tuple, int] = {}
         pairs = set()
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.implies_eq(a, i, j) and self.implies_eq(b, i, j):
-                    pairs.add((i, j))
-        consts = {}
-        for i in range(self.n):
-            ca, cb = self._const_of(a, i), self._const_of(b, i)
-            if ca is not None and ca == cb:
-                consts[i] = ca
+            j = first.setdefault((ka.get(i, i), kb.get(i, i)), i)
+            if j != i:
+                pairs.add((j, i))
+        b_consts = {i: c for cls, c in b.consts.items() for i in cls}
+        consts = {i: c for cls, c in a.consts.items() for i in cls if b_consts.get(i) == c}
         return _canon(self.n, pairs, consts)
 
     def widen(self, a: EqRel, b: EqRel) -> EqRel:

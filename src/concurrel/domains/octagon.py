@@ -1,23 +1,39 @@
-"""Octagon relations as difference-bound matrices over ±x variables.
+"""Octagon relations as difference-bound matrices packed to their own variables.
 
-Encoding (Miné): variable k owns matrix indices 2k (+x_k) and 2k+1 (−x_k);
-entry m[i][j] is an upper bound on v_j − v_i.  Matrices are kept *coherent*
+Encoding (Miné): an ``OctRel`` carries ``vars``, a sorted tuple of universe
+indices, and a 2k×2k matrix over them; pack variable k (universe variable
+``vars[k]``) owns matrix indices 2k (+x) and 2k+1 (−x), and entry m[i][j] is
+an upper bound on v_j − v_i.  A variable outside ``vars`` is unconstrained,
+so ⊤ is ``vars=()`` with a 0×0 matrix.  Matrices are kept *coherent*
 (m[i][j] == m[j^1][i^1]); the canonical form is the tight closure for integer
 octagons.
 
+A pack is the full-universe matrix with the rows and columns of its
+unconstrained variables left out: those rows are +∞ off the diagonal, and
+closure never changes them, so the closure of a pack is the pack of the
+full-universe closure, bit for bit.  ``forget`` and ``restrict`` drop rows
+and columns; ``set_interval``, ``assign_linear`` and the guards add the
+variables they bound.  Binary operations align environments as Apron does:
+``meet`` works over the union of the two, ``join`` and ``widen`` keep the
+shared variables (a variable missing from one operand is ⊤ there), and
+a ⊑ b needs b unconstrained on the variables outside a's environment.
+
 Restriction, unlift, join, comparison and decomposition are performed on
 closed matrices only; widened values are deliberately left unclosed so that
-ascending chains terminate.
+ascending chains terminate.  ``join`` returns its closed left operand, and
+``meet`` and ``widen`` their closed or left operand, when the other operand
+adds nothing, so callers can skip values that are the same object.
 
 Closure can be incremental.  An unclosed ``OctRel`` may carry ``dirty``, a
-tuple of variables with the invariant: ``m`` equals a closed matrix except
-for entries whose row and column both lie in the indices ``2x, 2x+1`` of
+tuple of pack indices with the invariant: ``m`` equals a closed matrix except
+for entries whose row and column both lie in the indices ``2k, 2k+1`` of
 these variables.  Transfers that tighten a closed input (``set_interval``,
-``assign_linear`` of ``x := ±y + c``, ``guard_leq0``, ``meet`` with a closed
-operand) record it, and ``close`` then runs Floyd-Warshall pivots over
-those indices only, which yields the same matrix as the full closure.
-Without that provenance (``dirty`` is None: widened values, meets of two
-unclosed operands) ``close`` runs the full closure, ``tight_close_inplace``.
+``assign_linear`` of ``x := ±y + c``, ``guard_leq0``, ``guard_eq``, ``meet``
+with a closed operand) record it, and ``close`` then runs Floyd-Warshall
+pivots over those indices only, which yields the same matrix as the full
+closure.  Without that provenance (``dirty`` is None: widened values, meets
+of two unclosed operands) ``close`` runs the full closure,
+``tight_close_inplace``.
 
 Both closure kernels offer the one function ``tight_close_pivots(m,
 pivots)``: the hand-written C extension ``_closure.c`` when it is built, and
@@ -28,6 +44,7 @@ the numpy kernel ``_closure_py`` otherwise or when ``CONCURREL_PURE`` is set.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,17 +73,19 @@ def tight_close_inplace(m: np.ndarray) -> int:
 
 
 class OctRel:
-    """Immutable octagon over n integer variables; None matrix means ⊥.
+    """Immutable octagon over the universe variables ``vars``; None matrix
+    means ⊥.
 
-    ``dirty`` (unclosed values only) names the variables whose entries may
-    differ from a closed matrix; None means unknown provenance.
+    ``dirty`` (unclosed values only) names the pack indices of the variables
+    whose entries may differ from a closed matrix; None means unknown
+    provenance.
     """
 
-    __slots__ = ("n", "m", "closed", "dirty", "_closed_cache")
+    __slots__ = ("vars", "m", "closed", "dirty", "_closed_cache")
 
-    def __init__(self, n: int, m: np.ndarray | None, closed: bool = False,
+    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None, closed: bool = False,
                  dirty: tuple[int, ...] | None = None):
-        self.n = n
+        self.vars = vars
         self.m = m
         self.closed = closed
         self.dirty = dirty
@@ -79,8 +98,63 @@ class OctRel:
         return self.m is None
 
 
+# -- environments --
+
+def _union(xs, ys) -> tuple[int, ...]:
+    return tuple(sorted({*xs, *ys}))
+
+
+def _shared(xs, ys) -> tuple[int, ...]:
+    return tuple(x for x in xs if x in ys)
+
+
+def _indices(vars: tuple[int, ...], sub) -> np.ndarray:
+    """Matrix indices, in a pack over ``vars``, of the variables ``sub``."""
+    out = []
+    for x in sub:
+        k = vars.index(x)
+        out += (2 * k, 2 * k + 1)
+    return np.array(out, dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _top_matrix(k: int) -> np.ndarray:
+    """⊤ over k variables: +∞ off the diagonal (read-only, shared)."""
+    m = np.full((2 * k, 2 * k), INF)
+    np.fill_diagonal(m, 0.0)
+    m.setflags(write=False)
+    return m
+
+
+def _embed(r: OctRel, vars: tuple[int, ...]) -> np.ndarray:
+    """A fresh matrix of ``r`` over ``vars`` ⊇ ``r.vars``."""
+    if r.vars == vars:
+        return np.array(r.m)
+    m = np.array(_top_matrix(len(vars)))
+    idx = _indices(vars, r.vars)
+    m[idx[:, None], idx] = r.m
+    return m
+
+
+def _project(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows and columns ``idx`` of ``m``."""
+    return m.take(idx, 0).take(idx, 1)
+
+
+def _octagonal(coeffs: dict[int, int]) -> bool:
+    """Is ``sum(coeffs) ≤ c`` an octagonal constraint (±x or ±x ± y)?"""
+    return 0 < len(coeffs) <= 2 and all(cf in (1, -1) for cf in coeffs.values())
+
+
+@lru_cache(maxsize=None)
+def _cross_variable(k: int) -> np.ndarray:
+    """Mask of the entries of a 2k×2k pack that relate two variables."""
+    var = np.arange(2 * k) // 2
+    return var[:, None] != var[None, :]
+
+
 class OctBackend:
-    """Factory/operations for octagons over a fixed number of variables.
+    """Factory/operations for octagons over the universe variables 0..n-1.
 
     ``intervalize=True`` degrades the domain to plain intervals by dropping
     every cross-variable bound during canonicalization (the interval
@@ -90,12 +164,8 @@ class OctBackend:
     def __init__(self, n: int, intervalize: bool = False):
         self.n = n
         self.intervalize = intervalize
-        var = np.arange(2 * n) // 2
-        self._relational = var[:, None] != var[None, :]  # cross-variable entries
-        self._bot = OctRel(n, None, True)
-        top = np.full((2 * n, 2 * n), INF)
-        np.fill_diagonal(top, 0.0)
-        self._top = OctRel(n, top, True)
+        self._bot = OctRel((), None, True)
+        self._top = OctRel((), np.zeros((0, 0)), True)
 
     # -- basics --
 
@@ -114,13 +184,13 @@ class OctBackend:
         if r.dirty is None:
             status = tight_close_inplace(m)
         else:
-            status = tight_close_pivots(m, [i for x in r.dirty for i in (2 * x, 2 * x + 1)])
+            status = tight_close_pivots(m, [i for k in r.dirty for i in (2 * k, 2 * k + 1)])
         if status != 0:
             c = self._bot
         else:
             if self.intervalize:
-                m[self._relational] = INF
-            c = OctRel(self.n, m, True)
+                m[_cross_variable(len(r.vars))] = INF
+            c = OctRel(r.vars, m, True)
         r._closed_cache = c
         return c
 
@@ -139,28 +209,48 @@ class OctBackend:
             return True
         if b.is_bot:
             return False
-        return bool((ca.m <= b.m).all())
+        if ca.vars == b.vars:
+            return bool((ca.m <= b.m).all())
+        vars = _union(ca.vars, b.vars)
+        return bool((_embed(ca, vars) <= _embed(b, vars)).all())
 
     def meet(self, a: OctRel, b: OctRel) -> OctRel:
         if a.is_bot or b.is_bot:
             return self._bot
-        m = np.minimum(a.m, b.m)
-        base = a if a.closed else b if b.closed else None
+        if not b.vars:  # ⊤
+            return a
+        if not a.vars:
+            return b
+        vars = a.vars if a.vars == b.vars else _union(a.vars, b.vars)
+        am = a.m if a.vars == vars else _embed(a, vars)
+        bm = b.m if b.vars == vars else _embed(b, vars)
+        m = np.minimum(am, bm)
+        base, base_m = (a, am) if a.closed else (b, bm) if b.closed else (None, None)
         if base is None:
-            return OctRel(self.n, m)
-        lt = m < base.m
-        touched = (lt.any(axis=0) | lt.any(axis=1)).reshape(self.n, 2).any(axis=1)
+            return OctRel(vars, m)
+        lt = m < base_m
+        touched = (lt.any(axis=0) | lt.any(axis=1)).reshape(len(vars), 2).any(axis=1)
         if not touched.any():
             return base
-        return OctRel(self.n, m, dirty=tuple(np.flatnonzero(touched).tolist()))
+        return OctRel(vars, m, dirty=tuple(np.flatnonzero(touched).tolist()))
 
     def join(self, a: OctRel, b: OctRel) -> OctRel:
+        """Entrywise maximum over the shared variables; the closed ``a``
+        itself when ``b`` ⊑ ``a``."""
         ca, cb = self.close(a), self.close(b)
         if ca.is_bot:
             return cb
         if cb.is_bot:
             return ca
-        return OctRel(self.n, np.maximum(ca.m, cb.m), True)
+        if ca.vars == cb.vars:
+            if (cb.m <= ca.m).all():
+                return ca
+            return OctRel(ca.vars, np.maximum(ca.m, cb.m), True)
+        if self.leq(cb, ca):
+            return ca
+        vars = _shared(ca.vars, cb.vars)
+        return OctRel(vars, np.maximum(_project(ca.m, _indices(ca.vars, vars)),
+                                       _project(cb.m, _indices(cb.vars, vars))), True)
 
     def widen(self, a: OctRel, b: OctRel) -> OctRel:
         """Keep stable bounds, drop grown ones; result stays unclosed.
@@ -171,11 +261,19 @@ class OctBackend:
         cb = self.close(b)
         if cb.is_bot:
             return a
-        stable = cb.m <= a.m
+        if a.vars == cb.vars:
+            stable = cb.m <= a.m
+            if stable.all():
+                return a
+            return OctRel(a.vars, np.where(stable, a.m, INF))
+        # a variable of one operand only is unconstrained in the result
+        vars = _union(a.vars, cb.vars)
+        am = _embed(a, vars)
+        stable = _embed(cb, vars) <= am
         if stable.all():
             return a
-        m = np.where(stable, a.m, INF)
-        return OctRel(self.n, m)
+        keep = _shared(a.vars, cb.vars)
+        return OctRel(keep, _project(np.where(stable, am, INF), _indices(vars, keep)))
 
     # -- constraint plumbing --
 
@@ -184,40 +282,47 @@ class OctBackend:
         m[i, j] = v
         m[j ^ 1, i ^ 1] = v
 
-    def _add_oct_constraint(self, m, coeffs: dict[int, int], bound: float) -> bool:
-        """Record sum(coeffs) ≤ bound when octagonal; False if unsupported."""
+    def _add_oct_constraint(self, m, coeffs: dict[int, int], bound: float) -> None:
+        """Record sum(coeffs) ≤ bound, an octagonal constraint (see
+        ``_octagonal``) over the pack indices of ``m``."""
         items = sorted(coeffs.items())
         if len(items) == 1:
             (x, cx) = items[0]
             if cx == 1:  # x ≤ bound
                 self._set(m, 2 * x + 1, 2 * x, 2 * bound)
-            elif cx == -1:  # −x ≤ bound
+            else:  # −x ≤ bound
                 self._set(m, 2 * x, 2 * x + 1, 2 * bound)
-            else:
-                return False
-            return True
-        if len(items) == 2:
-            (x, cx), (y, cy) = items
-            if abs(cx) != 1 or abs(cy) != 1:
-                return False
-            # v_j − v_i ≤ bound with v_j the positive occurrence of x
-            if cx == 1 and cy == -1:  # x − y
-                self._set(m, 2 * y, 2 * x, bound)
-            elif cx == -1 and cy == 1:  # y − x
-                self._set(m, 2 * x, 2 * y, bound)
-            elif cx == 1 and cy == 1:  # x + y
-                self._set(m, 2 * y + 1, 2 * x, bound)
-            else:  # −x − y
-                self._set(m, 2 * y, 2 * x + 1, bound)
-            return True
-        return False
+            return
+        (x, cx), (y, cy) = items
+        # v_j − v_i ≤ bound with v_j the positive occurrence of x
+        if cx == 1 and cy == -1:  # x − y
+            self._set(m, 2 * y, 2 * x, bound)
+        elif cx == -1 and cy == 1:  # y − x
+            self._set(m, 2 * x, 2 * y, bound)
+        elif cx == 1 and cy == 1:  # x + y
+            self._set(m, 2 * y + 1, 2 * x, bound)
+        else:  # −x − y
+            self._set(m, 2 * y, 2 * x + 1, bound)
+
+    def _bounded(self, c: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
+        """The closed ``c`` plus each octagonal ``sum(coeffs) ≤ bound``, over
+        the universe variables of the first; unclosed, dirty on them."""
+        xs = constraints[0][0]
+        vars = _union(c.vars, xs)
+        m = _embed(c, vars)
+        for coeffs, bound in constraints:
+            self._add_oct_constraint(m, {vars.index(x): cf for x, cf in coeffs.items()}, bound)
+        return self._norm(OctRel(vars, m, dirty=tuple(vars.index(x) for x in xs)))
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
         c = self.close(r)
         if c.is_bot:
             raise ValueError("bounds of ⊥")
-        hi = c.m[2 * x + 1, 2 * x] / 2.0
-        lo = -c.m[2 * x, 2 * x + 1] / 2.0
+        if x not in c.vars:
+            return -INF, INF
+        k = c.vars.index(x)
+        hi = c.m[2 * k + 1, 2 * k] / 2.0
+        lo = -c.m[2 * k, 2 * k + 1] / 2.0
         return lo, hi
 
     def _eval_linear(self, r: OctRel, coeffs: dict[int, int], const: int) -> tuple[float, float]:
@@ -232,65 +337,79 @@ class OctBackend:
 
     # -- transfer functions --
 
+    def _pack(self, c: OctRel, vars: tuple[int, ...]) -> OctRel:
+        """The closed ``c`` over its variables ``vars``, the others forgotten."""
+        if len(vars) == len(c.vars):
+            return c
+        return OctRel(vars, _project(c.m, _indices(c.vars, vars)), True)
+
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
         c = self.close(r)
-        if c.is_bot or not xs:
+        if c.is_bot:
             return c
-        m = np.array(c.m)
-        for x in xs:
-            m[2 * x : 2 * x + 2, :] = INF
-            m[:, 2 * x : 2 * x + 2] = INF
-            m[2 * x, 2 * x] = m[2 * x + 1, 2 * x + 1] = 0.0
-        return OctRel(self.n, m, True)
+        return self._pack(c, tuple(x for x in c.vars if x not in xs))
 
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
-        return self.forget(r, [x for x in range(self.n) if x not in keep])
+        c = self.close(r)
+        if c.is_bot:
+            return c
+        return self._pack(c, tuple(x for x in c.vars if x in keep))
 
     def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel:
         """Assign the abstract value [lo, hi] to x (forget, then bound)."""
         if lo > hi:
             return self._bot
         f = self.forget(r, [x])
-        if f.is_bot:
+        if f.is_bot or (lo == -INF and hi == INF):
             return f
-        m = np.array(f.m)
+        vars = _union(f.vars, (x,))
+        m = _embed(f, vars)
+        k = vars.index(x)
         if hi < INF:
-            self._set(m, 2 * x + 1, 2 * x, 2 * hi)
+            self._set(m, 2 * k + 1, 2 * k, 2 * hi)
         if lo > -INF:
-            self._set(m, 2 * x, 2 * x + 1, -2 * lo)
-        return OctRel(self.n, m, dirty=(x,))
+            self._set(m, 2 * k, 2 * k + 1, -2 * lo)
+        return OctRel(vars, m, dirty=(k,))
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
         c = self.close(r)
         if c.is_bot:
             return c
         if coeffs == {x: 1}:  # x := x + const, an exact shift
+            if x not in c.vars:
+                return c
+            k = c.vars.index(x)
             m = np.array(c.m)
-            m[:, 2 * x] += const
-            m[2 * x, :] -= const
-            m[:, 2 * x + 1] -= const
-            m[2 * x + 1, :] += const
-            m[2 * x, 2 * x] = m[2 * x + 1, 2 * x + 1] = 0.0
-            return OctRel(self.n, m, True)
+            m[:, 2 * k] += const
+            m[2 * k, :] -= const
+            m[:, 2 * k + 1] -= const
+            m[2 * k + 1, :] += const
+            m[2 * k, 2 * k] = m[2 * k + 1, 2 * k + 1] = 0.0
+            return OctRel(c.vars, m, True)
         if not coeffs:
             return self.set_interval(c, x, const, const)
         if len(coeffs) == 1:
             (y, cy) = next(iter(coeffs.items()))
             if y != x and cy in (1, -1):
                 f = self.forget(c, [x])
-                m = np.array(f.m)
+                vars = _union(f.vars, (x, y))
+                m = _embed(f, vars)
+                kx, ky = vars.index(x), vars.index(y)
                 if cy == 1:  # x − y = const
-                    self._set(m, 2 * y, 2 * x, const)
-                    self._set(m, 2 * x, 2 * y, -const)
+                    self._set(m, 2 * ky, 2 * kx, const)
+                    self._set(m, 2 * kx, 2 * ky, -const)
                 else:  # x + y = const
-                    self._set(m, 2 * y + 1, 2 * x, const)
-                    self._set(m, 2 * y, 2 * x + 1, -const)
-                return self._norm(OctRel(self.n, m, dirty=(x, y)))
+                    self._set(m, 2 * ky + 1, 2 * kx, const)
+                    self._set(m, 2 * ky, 2 * kx + 1, -const)
+                return self._norm(OctRel(vars, m, dirty=(kx, ky)))
             if y == x and cy == -1:  # x := −x + const
+                if x not in c.vars:
+                    return c
+                k = c.vars.index(x)
                 m = np.array(c.m)
-                m[[2 * x, 2 * x + 1], :] = m[[2 * x + 1, 2 * x], :]
-                m[:, [2 * x, 2 * x + 1]] = m[:, [2 * x + 1, 2 * x]]
-                return self.assign_linear(OctRel(self.n, m, True), x, {x: 1}, const)
+                m[[2 * k, 2 * k + 1], :] = m[[2 * k + 1, 2 * k], :]
+                m[:, [2 * k, 2 * k + 1]] = m[:, [2 * k + 1, 2 * k]]
+                return self.assign_linear(OctRel(c.vars, m, True), x, {x: 1}, const)
         lo, hi = self._eval_linear(c, coeffs, const)
         return self.set_interval(c, x, lo, hi)
 
@@ -300,19 +419,22 @@ class OctBackend:
         if c.is_bot:
             return c
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
-        m = np.array(c.m)
-        if self._add_oct_constraint(m, work, -const):
-            return self._norm(OctRel(self.n, m, dirty=tuple(work)))
+        if _octagonal(work):
+            return self._bounded(c, [(work, -const)])
         lo, _hi = self._eval_linear(c, work, const)
         return self._bot if lo > 0 else c
 
     def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
-        """Refine by ``sum + const == 0``: the meet of ``≤ 0`` and ``≥ 0``."""
-        lo = self.guard_leq0(r, coeffs, const)
-        hi = self.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const)
-        if self.is_bot(lo) or self.is_bot(hi):
-            return self._bot
-        return self.meet(lo, hi)
+        """Refine by ``sum + const == 0``: both bounds on one copy, then one
+        pivot closure over the guard's variables."""
+        c = self.close(r)
+        if c.is_bot:
+            return c
+        work = {x: cf for x, cf in coeffs.items() if cf != 0}
+        if _octagonal(work):
+            return self._bounded(c, [(work, -const), ({x: -cf for x, cf in work.items()}, const)])
+        lo, hi = self._eval_linear(c, work, const)
+        return self._bot if lo > 0 or hi < 0 else c
 
     def guard_neq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum + const != 0``: the join of ``< 0`` and ``> 0``."""
@@ -327,9 +449,9 @@ class OctBackend:
     def contains(self, r: OctRel, vals: list[int]) -> bool:
         if r.is_bot:
             return False
-        v = np.empty(2 * self.n)
-        v[0::2] = vals
-        v[1::2] = [-x for x in vals]
+        v = np.empty(2 * len(r.vars))
+        v[0::2] = [vals[x] for x in r.vars]
+        v[1::2] = [-vals[x] for x in r.vars]
         diff = v[None, :] - v[:, None]
         return bool((diff <= r.m).all())
 
@@ -340,7 +462,8 @@ class OctBackend:
         if c.is_bot:
             return ["⊥"]
         out = []
-        box = [self.bounds(c, k) for k in range(self.n)]
+        names = [names[x] for x in c.vars]  # by pack index
+        box = [self.bounds(c, x) for x in c.vars]
         for k, (lo, hi) in enumerate(box):
             if lo == hi:
                 out.append(f"{names[k]}={int(lo)}")
@@ -349,9 +472,9 @@ class OctBackend:
                     out.append(f"{names[k]}<={int(hi)}")
                 if lo > -INF:
                     out.append(f"{names[k]}>={int(lo)}")
-        for i in range(self.n):
+        for i in range(len(box)):
             (ilo, ihi) = box[i]
-            for j in range(i + 1, self.n):
+            for j in range(i + 1, len(box)):
                 (jlo, jhi) = box[j]
                 # bounds not already implied by the unary ones
                 b = c.m[2 * i, 2 * j]  # x_j − x_i ≤ b
@@ -376,3 +499,4 @@ class OctBackend:
         if lo == -INF and hi == INF:
             return IntAbs.top()
         return IntAbs(lo, hi)
+

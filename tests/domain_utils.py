@@ -61,3 +61,22 @@ def eval_cmp(c: Cmp, store) -> bool:
     l, r = eval_expr(c.left, store), eval_expr(c.right, store)
     return {"==": l == r, "!=": l != r, "<": l < r, "<=": l <= r,
             ">": l > r, ">=": l >= r}[c.op]
+
+
+def pairwise_eq_join(nb, a, b):
+    """The eqconst join by its definition: keep each pair i, j that both a
+    and b make equal, and each constant both give a variable (O(n²) pairs)."""
+    from concurrel.domains.eqconst import _canon
+
+    if a.bot:
+        return b
+    if b.bot:
+        return a
+    pairs = {(i, j) for i in range(nb.n) for j in range(i + 1, nb.n)
+             if nb.implies_eq(a, i, j) and nb.implies_eq(b, i, j)}
+    consts = {}
+    for i in range(nb.n):
+        ca, cb = nb._const_of(a, i), nb._const_of(b, i)
+        if ca is not None and ca == cb:
+            consts[i] = ca
+    return _canon(nb.n, pairs, consts)

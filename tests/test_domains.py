@@ -324,7 +324,7 @@ def _random_dbm(rng: Random, n: int):
             m[j ^ 1, i ^ 1] = m[i, j]
     from concurrel.domains.octagon import OctRel
 
-    return back, OctRel(n, m)
+    return back, OctRel(tuple(range(n)), m)
 
 
 def test_closure_idempotent_and_exact():
@@ -347,7 +347,7 @@ def test_closure_idempotent_and_exact():
 def OctRel_copy(c):
     from concurrel.domains.octagon import OctRel
 
-    return OctRel(c.n, np.array(c.m))
+    return OctRel(c.vars, np.array(c.m))
 
 
 def box(n, lo=-2, hi=4):
@@ -532,7 +532,8 @@ def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
         x, y = rng.sample(range(n), 2)
         k, lo = rng.randint(-3, 3), rng.randint(-2, 2)
         sign = rng.choice((1, -1))
-        raw = np.array(c2.m)  # c2 plus one bound, not closed
+        full = tuple(range(n))
+        raw = octagon._embed(c2, full)  # c2 plus one bound, not closed
         back._add_oct_constraint(raw, {x: sign, y: rng.choice((1, -1))}, k)
         outs = [
             back.set_interval(c, x, lo, lo + rng.randint(0, 3)),
@@ -540,8 +541,8 @@ def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
             back.guard_leq0(c, {x: sign}, k),
             back.guard_leq0(c, {x: sign, y: rng.choice((1, -1))}, k),
             back.meet(c, c2),
-            back.meet(c, OctRel(n, raw)),
-            back.meet(OctRel(n, raw), c),
+            back.meet(c, OctRel(full, raw)),
+            back.meet(OctRel(full, raw), c),
         ]
         return [back.close(o) for o in outs]
 
@@ -658,3 +659,165 @@ def test_meet_of_disjoint_tid_sets_is_bot():
     b = dom.assign_value(dom.top(), "self", frozenset({AbstractTid((e2,), frozenset())}))
     assert dom.is_bot(dom.meet(a, b))
     assert not dom.is_bot(dom.join(a, b))
+
+
+def test_guard_eq_closes_like_the_meet_of_both_halves():
+    """``guard_eq`` adds both bounds and closes over the guard's variables;
+    that is the meet of the two ``guard_leq0`` halves, octagons and
+    intervals alike."""
+    rng = Random(50)
+    for numeric in ("octagon", "interval"):
+        dom = make_domain(numeric, ("x", "y", "z"))
+        back = dom.nb
+        for _ in range(200):
+            r = random_relation(dom, rng).num
+            xs = rng.sample(range(3), rng.choice((1, 2, 2, 3)))
+            coeffs = {x: rng.choice((1, -1, 1, 2)) for x in xs}
+            const = rng.randint(-4, 4)
+            lo = back.guard_leq0(r, coeffs, const)
+            hi = back.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const)
+            want = (back.bot() if back.is_bot(lo) or back.is_bot(hi)
+                    else back.close(back.meet(lo, hi)))
+            got = back.close(back.guard_eq(r, coeffs, const))
+            assert got.is_bot == want.is_bot
+            if not got.is_bot:
+                assert got.vars == want.vars and np.array_equal(got.m, want.m)
+
+
+# -- packed octagons ----------------------------------------------------------------
+
+def _packed(data, back, n):
+    """A random octagon over a random subset of the n variables: raw,
+    closed, or closed plus one bound recorded as dirty."""
+    from hypothesis import strategies as st
+    from concurrel.domains.octagon import OctRel
+
+    vars = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))))
+    k = len(vars)
+    m = np.full((2 * k, 2 * k), np.inf)
+    np.fill_diagonal(m, 0.0)
+    for _ in range(data.draw(st.integers(0, 2 * k)) if k else 0):
+        back._add_oct_constraint(m, *_oct_constraint(data, k))
+    r = OctRel(vars, m)
+    kind = data.draw(st.sampled_from(("raw", "closed", "dirty")))
+    if kind == "raw":
+        return r
+    c = back.close(r)
+    if kind == "closed" or c.is_bot or not k:
+        return c
+    m = np.array(c.m)
+    coeffs, bound = _oct_constraint(data, k)
+    back._add_oct_constraint(m, coeffs, bound)
+    return OctRel(vars, m, dirty=tuple(coeffs))
+
+
+def _full(r, n):
+    """The full-universe matrix of a packed octagon; None for ⊥."""
+    if r.is_bot:
+        return None
+    m = np.full((2 * n, 2 * n), np.inf)
+    np.fill_diagonal(m, 0.0)
+    idx = [i for x in r.vars for i in (2 * x, 2 * x + 1)]
+    m[np.ix_(idx, idx)] = r.m
+    return m
+
+
+def _full_close(m):
+    from concurrel.domains._closure_py import tight_close_pivots
+
+    if m is None:
+        return None
+    c = np.array(m)
+    return None if tight_close_pivots(c, range(c.shape[0])) else c
+
+
+def _same(got, want) -> bool:
+    return got is None and want is None or (
+        got is not None and want is not None and np.array_equal(got, want))
+
+
+def test_packed_operations_equal_full_universe_ones():
+    """On octagons over different variables, the packed join, meet, widen,
+    ⊑, forget and closure give, embedded into the full universe, the
+    matrices and ⊥ verdicts of the full-universe definitions."""
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 5))
+        back = OctBackend(n)
+        a, b = _packed(data, back, n), _packed(data, back, n)
+        fa, fb = _full(a, n), _full(b, n)
+        ca, cb = _full_close(fa), _full_close(fb)
+
+        assert _same(_full(back.close(a), n), ca)
+        assert back.is_bot(a) == (ca is None)
+        if ca is None:
+            want = cb
+        elif cb is None:
+            want = ca
+        else:
+            want = np.maximum(ca, cb)
+        assert _same(_full(back.join(a, b), n), want)
+        met = back.meet(a, b)
+        want = None if fa is None or fb is None else np.minimum(fa, fb)
+        assert _same(_full(met, n), want)
+        assert _same(_full(back.close(met), n), _full_close(want))
+        assert back.is_bot(met) == (_full_close(want) is None)
+        if fa is None:
+            want = fb
+        elif cb is None:
+            want = fa
+        else:
+            want = np.where(cb <= fa, fa, np.inf)
+        assert _same(_full(back.widen(a, b), n), want)
+        want = ca is None or fb is not None and bool((ca <= fb).all())
+        assert back.leq(a, b) == want
+        xs = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+        want = None if ca is None else np.array(ca)
+        for x in xs if want is not None else ():
+            want[2 * x : 2 * x + 2, :] = want[:, 2 * x : 2 * x + 2] = np.inf
+            want[2 * x, 2 * x] = want[2 * x + 1, 2 * x + 1] = 0.0
+        assert _same(_full(back.forget(a, xs), n), want)
+
+    check()
+
+
+def test_join_returns_the_left_operand_when_the_right_adds_nothing():
+    dom = make_domain("octagon")
+    back = dom.nb
+    rng = Random(51)
+    shared = 0
+    for _ in range(200):
+        a = random_relation(dom, rng).num
+        b = back.meet(a, random_relation(dom, rng).num)  # b ⊑ a
+        if back.is_bot(a) or back.is_bot(b):
+            continue
+        assert back.join(a, b) is back.close(a)
+        assert back.join(b, b) is back.close(b)
+        shared += back.close(b).vars != back.close(a).vars
+    assert shared > 0  # some b had more variables than a
+
+
+def test_cluster_relations_are_packed_to_their_cluster(programs):
+    """Under the clusters preset every join-local relation in L relates the
+    variables of one cluster of at most 2, not the whole universe."""
+    from concurrel.analysis import preset, run_analysis
+    from concurrel.analysis.improved_system import ImprovedState
+
+    result = run_analysis(programs["intro_cluster"], preset("clusters"))
+    dims = [rel.num.m.shape[0] for v in result.solver.values.values()
+            if isinstance(v, ImprovedState) for rel in v.l.values() if not rel.bot]
+    assert dims and max(dims) <= 4
+
+
+def test_eqconst_join_equals_the_pairwise_definition():
+    from domain_utils import pairwise_eq_join
+
+    rng = Random(52)
+    dom = make_domain("eqconst")
+    for _ in range(300):
+        a, b = random_relation(dom, rng).num, random_relation(dom, rng).num
+        got, want = dom.nb.join(a, b), pairwise_eq_join(dom.nb, a, b)
+        assert (got.bot, got.classes, got.consts) == (want.bot, want.classes, want.consts)
