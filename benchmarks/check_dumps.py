@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Recompute every recorded ``dump_solution`` digest and compare.
 
-    PYTHONPATH=src python benchmarks/check_dumps.py [--jobs N] [--seeds A-B]
+    PYTHONPATH=src python benchmarks/check_dumps.py
 
 Reads ``perfbench/reference/dumps.tsv`` (the corpus under 5 configurations
 and the scaled programs of every generator seed under 3 presets) and
 re-analyzes each row under the closure kernel in use (``KERNEL``; set
 ``CONCURREL_PURE=1`` for the numpy kernel).  Prints each mismatching row
 and the solver counts summed over the corpus rows and over the scaled
-rows, and exits 1 on any mismatch.  The references are only read, never written; re-record them
-with ``perfbench/record.py``.
+rows, and exits 1 on any mismatch.  Runs one worker process per available CPU.
+The references are only read, never written; re-record them with
+``perfbench/record.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import os
 import sys
@@ -47,24 +47,17 @@ def check_rows(rows: list[tuple[str, str, str, str]]) -> list[tuple]:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    ap.add_argument("--seeds", help="only these scaled seeds, e.g. 0-9 (default: all)")
-    args = ap.parse_args(argv)
+def main() -> int:
     from concurrel.domains import KERNEL
 
     want = load_dumps()
     rows = sorted(want, key=lambda r: (r[0], int(r[1]) if r[1] != "-" else -1, r[2], r[3]))
-    if args.seeds:
-        lo, _, hi = args.seeds.partition("-")
-        seeds = {str(s) for s in range(int(lo), int(hi or lo) + 1)}
-        rows = [r for r in rows if r[0] == "corpus" or r[1] in seeds]
     # one chunk per scaled seed keeps each worker generating its programs once
     chunks: dict[tuple[str, str], list] = {}
     for r in rows:
         chunks.setdefault((r[0], r[1]), []).append(r)
-    with ProcessPoolExecutor(max(1, args.jobs), multiprocessing.get_context("spawn")) as pool:
+    jobs = min(len(os.sched_getaffinity(0)), len(chunks))
+    with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn")) as pool:
         results = [x for part in pool.map(check_rows, chunks.values()) for x in part]
 
     bad = 0
