@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..digests import DigestSpec, MAIN_TID, tid_new
+from ..digests import CreateEdge, DigestSpec, MAIN_TID, tid_compose
 from ..frontend.ast import (
     Assert, AssignLocal, Create, Guard, Havoc, IntLit, Join, Lock, Program,
     ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
@@ -157,14 +157,9 @@ class BaseAnalysis:
     def _new_tid(self, u: Point, template: str, r: Relation):
         """ν#: compose every creator id with the create edge (no C tracking)."""
         creator = self.dom.unlift_tid(r, "self")
-        start = self.cfgs[template].start
         if creator is TID_TOP:
             return TID_TOP
-        out = set()
-        for t in creator:
-            (child, _c) = tid_new(u, start, (t, frozenset()))[0]
-            out.add(child)
-        return frozenset(out)
+        return frozenset(tid_compose(t, CreateEdge(u, template)) for t in creator)
 
 
 # -- solver plumbing shared by both constraint systems -------------------------
@@ -263,10 +258,10 @@ class WrappedBaseSystem(EdgeConstraints):
             effects: dict[Any, Relation] = {}
             base_effects, start = self.base.init()
             entry = self.cfgs[self.base.program.entry].start
-            for d in self.spec.init():
-                for (_kind, a, q), v in base_effects:
-                    accumulate(effects, MutexKey(a, q, d), v, self.dom.join)
-                accumulate(effects, PointKey(entry, frozenset(), d), start, self.dom.join)
+            d = self.spec.init()
+            for (_kind, a, q), v in base_effects:
+                accumulate(effects, MutexKey(a, q, d), v, self.dom.join)
+            accumulate(effects, PointKey(entry, frozenset(), d), start, self.dom.join)
             return effects
 
         return [Constraint("init", rhs)]
@@ -280,28 +275,27 @@ class WrappedBaseSystem(EdgeConstraints):
 
         def body(view: View, r: Relation):
             base_effects, v = self.base.transfer(edge, src.lockset, r, NO_ENV)
+            d1 = self.spec.unary(edge.src, act, src.digest)
             effects: dict[Any, Relation] = {}
-            for d1 in self.spec.unary(edge.src, act, src.digest):
-                for base_key, val in base_effects:
-                    for key in self._lift(base_key, d1, edge.src, src.digest):
-                        accumulate(effects, key, val, self.dom.join)
-                if not self.dom.is_bot(v):
-                    accumulate(effects, PointKey(edge.dst, lockset, d1), v, self.dom.join)
+            for base_key, val in base_effects:
+                accumulate(effects, self._lift(base_key, d1, edge.src, src.digest), val,
+                           self.dom.join)
+            if not self.dom.is_bot(v):
+                accumulate(effects, PointKey(edge.dst, lockset, d1), v, self.dom.join)
             return effects
 
         return body
 
     _plain_rhs = _unlock_rhs = _return_rhs = _create_rhs = _unary_rhs
 
-    def _lift(self, base_key, d, u: Point, creator_digest) -> list:
+    def _lift(self, base_key, d, u: Point, creator_digest):
         match base_key:
             case ("mutex", a, q):
-                return [MutexKey(a, q, d)]
+                return MutexKey(a, q, d)
             case ("ret", tidkey):
-                return [RetKey((tidkey, d))]
+                return RetKey((tidkey, d))
             case ("start", start):
-                return [PointKey(start, frozenset(), dchild)
-                        for dchild in self.spec.new_thread(u, start, creator_digest)]
+                return PointKey(start, frozenset(), self.spec.new_thread(u, start, creator_digest))
         raise ValueError(base_key)
 
     def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str],
@@ -315,11 +309,11 @@ class WrappedBaseSystem(EdgeConstraints):
             effects: dict[Any, Relation] = {}
             for d1 in digests(view):
                 succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
-                if not succ:
+                if succ is None:
                     continue  # infeasible trace combination
                 _fx, v = self.base.transfer(edge, src.lockset, r, env(view, d1))
                 if not self.dom.is_bot(v):
-                    accumulate(effects, PointKey(edge.dst, lockset, succ[0]), v, self.dom.join)
+                    accumulate(effects, PointKey(edge.dst, lockset, succ), v, self.dom.join)
             return effects
 
         return body

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from ..digests import DigestSpec, lock_once_digest, trivial_digest
+from ..digests import DigestSpec, LockOnceDigest
 from ..frontend.ast import Program
 from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
 from ..frontend.validate import Diagnostic, validate
@@ -112,7 +112,7 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
     locals_ = local_vars(universe, program)
 
     if config.mode == "base":
-        spec = lock_once_digest() if config.lock_once else trivial_digest()
+        spec = LockOnceDigest() if config.lock_once else DigestSpec()
         base = BaseAnalysis(program, cfgs, dom, protections, clusters, locals_)
         system = WrappedBaseSystem(base, spec)
     else:

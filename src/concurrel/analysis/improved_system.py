@@ -136,7 +136,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
             entry = self.cfgs[self.program.entry].start
-            d0 = self.spec.init()[0]
+            d0 = self.spec.init()
             cluster_values, start = self.init()
             l = {(a, q): r for (_kind, a, q), r in cluster_values}
             state = ImprovedState(frozenset(), l, frozenset(), start)
@@ -153,7 +153,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             if dom.is_bot(r):
                 return {}
             w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
-            d1 = self.spec.unary(edge.src, act, src.digest)[0]
+            d1 = self.spec.unary(edge.src, act, src.digest)
             return {PointKey(edge.dst, src.lockset, d1): ImprovedState(s.j, s.l, w, r)}
 
         return body
@@ -164,9 +164,9 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
 
         def body(view: View, s: ImprovedState):
             start = self.cfgs[act.template].start
-            child_digest = tid_new(edge.src, start, src.digest)[0]
+            child_digest = tid_new(edge.src, start, src.digest)
             child_tid = frozenset({child_digest[0]})
-            ego_digest = self.spec.unary(edge.src, act, src.digest)[0]
+            ego_digest = self.spec.unary(edge.src, act, src.digest)
             r_ego = dom.assign_value(s.r, act.local, child_tid)
             return {
                 PointKey(start, frozenset(), child_digest): ImprovedState(

@@ -1,10 +1,10 @@
 """Finite local-trace abstractions ("digests") and their effect functions.
 
-A digest spec provides the initial digests, a unary effect for ordinary and
+A digest spec provides the initial digest, a unary effect for ordinary and
 observable actions, a binary effect for observing actions (lock, join) that
 also sees the digest of the incorporated trace, and the digest of a newly
-created thread.  Every effect returns at most one digest; the empty result
-means the combination of local traces is infeasible.
+created thread.  Each returns one digest, except that ``binary`` returns
+``None`` when the two local traces cannot be combined.
 
 Instances: locksets, lock-once sets (which mutexes were ever locked), and
 abstract thread ids with creation histories.
@@ -103,7 +103,7 @@ def may_run(d: "TidDigest", d1: "TidDigest") -> bool:
     )
 
 
-def tid_new(u: Point, u1: Point, d: "TidDigest") -> tuple["TidDigest", ...]:
+def tid_new(u: Point, u1: Point, d: "TidDigest") -> "TidDigest":
     """Digest of a thread created at ⟨u,u1⟩ by a thread with digest ``d``."""
     (i, c) = d
     e = CreateEdge(u, u1.template)
@@ -112,7 +112,7 @@ def tid_new(u: Point, u1: Point, d: "TidDigest") -> tuple["TidDigest", ...]:
         child = AbstractTid(i.prefix, frozenset({e}))
     else:
         child = composed
-    return ((child, frozenset()),)
+    return (child, frozenset())
 
 
 TidDigest = tuple  # (AbstractTid, frozenset[CreateEdge])
@@ -126,23 +126,19 @@ class DigestSpec:
     name = "trivial"
 
     def init(self):
-        return ((),)
+        return ()
 
     def unary(self, u: Point, act: Action, d):
-        return (d,)
+        return d
 
     def binary(self, u: Point, act: Action, d, d1):
-        return (d,)
+        return d
 
     def new_thread(self, u: Point, u1: Point, d):
-        return (d,)
+        return d
 
     def render(self, d) -> str:
         return "·" if d == () else str(d)
-
-
-def trivial_digest() -> DigestSpec:
-    return DigestSpec()
 
 
 class LocksetDigest(DigestSpec):
@@ -151,27 +147,19 @@ class LocksetDigest(DigestSpec):
     name = "lockset"
 
     def init(self):
-        return (frozenset(),)
+        return frozenset()
 
     def unary(self, u, act, d):
-        if isinstance(act, Unlock):
-            return (d - {act.mutex},)
-        return (d,)
+        return d - {act.mutex} if isinstance(act, Unlock) else d
 
     def binary(self, u, act, d, d1):
-        if isinstance(act, Lock):
-            return (d | {act.mutex},)
-        return (d,)
+        return d | {act.mutex} if isinstance(act, Lock) else d
 
     def new_thread(self, u, u1, d):
-        return (frozenset(),)
+        return frozenset()
 
     def render(self, d) -> str:
         return "{" + ",".join(sorted(d)) + "}"
-
-
-def lockset_digest() -> DigestSpec:
-    return LocksetDigest()
 
 
 class LockOnceDigest(DigestSpec):
@@ -180,25 +168,18 @@ class LockOnceDigest(DigestSpec):
     name = "lockonce"
 
     def init(self):
-        return (frozenset(),)
+        return frozenset()
 
     def binary(self, u, act, d, d1):
         if isinstance(act, Lock):
             a = act.mutex
             if a in d and a not in d1:
-                return ()  # ego already locked a; incoming trace never did
-            return (d | d1 | {a},)
-        return (d | d1,)  # other observing actions
-
-    def new_thread(self, u, u1, d):
-        return (d,)
+                return None  # ego already locked a; incoming trace never did
+            return d | d1 | {a}
+        return d | d1  # other observing actions
 
     def render(self, d) -> str:
         return "L{" + ",".join(sorted(d)) + "}"
-
-
-def lock_once_digest() -> DigestSpec:
-    return LockOnceDigest()
 
 
 class TidDigestSpec(DigestSpec):
@@ -207,20 +188,19 @@ class TidDigestSpec(DigestSpec):
     name = "tid"
 
     def init(self):
-        return ((MAIN_TID, frozenset()),)
+        return (MAIN_TID, frozenset())
 
     def unary(self, u, act, d):
         if isinstance(act, Create):
             (i, c) = d
             # the started template's start point is template.0 by construction
-            e = CreateEdge(u, act.template)
-            return ((i, c | {e}),)
-        return (d,)
+            return (i, c | {CreateEdge(u, act.template)})
+        return d
 
     def binary(self, u, act, d, d1):
-        if isinstance(act, (Lock, Join)):
-            return (d,) if may_run(d, d1) else ()
-        return (d,)
+        if isinstance(act, (Lock, Join)) and not may_run(d, d1):
+            return None
+        return d
 
     def new_thread(self, u, u1, d):
         return tid_new(u, u1, d)
@@ -229,44 +209,3 @@ class TidDigestSpec(DigestSpec):
         (i, c) = d
         cs = "{" + ", ".join(str(e) for e in sorted(c)) + "}"
         return f"tid={i}, C={cs}"
-
-
-def tid_digest() -> DigestSpec:
-    return TidDigestSpec()
-
-
-class ProductDigest(DigestSpec):
-    """Componentwise product; infeasible as soon as one component is."""
-
-    def __init__(self, *specs: DigestSpec):
-        self.specs = specs
-        self.name = "×".join(s.name for s in specs)
-
-    def init(self):
-        out = [()]
-        for s in self.specs:
-            out = [d + (x,) for d in out for x in s.init()]
-        return tuple(out)
-
-    def _zip(self, results):
-        if any(len(r) == 0 for r in results):
-            return ()
-        return (tuple(r[0] for r in results),)
-
-    def unary(self, u, act, d):
-        return self._zip([s.unary(u, act, d[k]) for k, s in enumerate(self.specs)])
-
-    def binary(self, u, act, d, d1):
-        return self._zip(
-            [s.binary(u, act, d[k], d1[k]) for k, s in enumerate(self.specs)]
-        )
-
-    def new_thread(self, u, u1, d):
-        return self._zip([s.new_thread(u, u1, d[k]) for k, s in enumerate(self.specs)])
-
-    def render(self, d) -> str:
-        return ", ".join(s.render(d[k]) for k, s in enumerate(self.specs))
-
-
-def product_digest(a: DigestSpec, b: DigestSpec) -> DigestSpec:
-    return ProductDigest(a, b)

@@ -213,8 +213,7 @@ class EqBackend:
         if len(coeffs) == 1 and const == 0:
             (y, cy) = next(iter(coeffs.items()))
             if cy == 1 and y != x:
-                f = self.forget(r, [x])
-                return self.meet(f, _canon(self.n, {(min(x, y), max(x, y))}, {}))
+                return self.guard_eq(self.forget(r, [x]), {x: 1, y: -1}, 0)
         # known-constant right-hand side still yields a constant
         val = self._eval(r, coeffs, const)
         if val is None:

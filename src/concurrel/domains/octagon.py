@@ -387,18 +387,8 @@ class OctBackend:
             return self.set_interval(c, x, const, const)
         if len(coeffs) == 1:
             (y, cy) = next(iter(coeffs.items()))
-            if y != x and cy in (1, -1):
-                f = self.forget(c, [x])
-                vars = _union(f.vars, (x, y))
-                m = _embed(f, vars)
-                kx, ky = vars.index(x), vars.index(y)
-                if cy == 1:  # x − y = const
-                    self._set(m, 2 * ky, 2 * kx, const)
-                    self._set(m, 2 * kx, 2 * ky, -const)
-                else:  # x + y = const
-                    self._set(m, 2 * ky + 1, 2 * kx, const)
-                    self._set(m, 2 * ky, 2 * kx + 1, -const)
-                return self._norm(OctRel(vars, m, dirty=(kx, ky)))
+            if y != x and cy in (1, -1):  # x := ±y + const, i.e. x ∓ y − const == 0
+                return self.guard_eq(self.forget(c, [x]), {x: 1, y: -cy}, -const)
             if y == x and cy == -1:  # x := −x + const
                 if x not in c.vars:
                     return c

@@ -119,8 +119,6 @@ class _Lowerer:
                         t = self.tmp()
                         cur = self.edge(cur, Havoc(t))
                         return self.write(cur, x, t)
-                    if create or join:
-                        raise ValueError(f"thread id cannot be stored in global {x!r}")
                     assert e is not None
                     cur, t = self.to_local(cur, e)
                     return self.write(cur, x, t)

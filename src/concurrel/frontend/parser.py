@@ -13,8 +13,8 @@ Grammar sketch::
                | NAME "=" ("?" | "create" "(" NAME ")" | "join" "(" NAME ")"
                            | expr) ";"
 
-Expressions are linear integer arithmetic; conditions are single comparisons.
-`//` starts a line comment.
+Expressions are linear integer arithmetic, nested at most ``MAX_NESTING``
+levels deep; conditions are single comparisons.  `//` starts a line comment.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .ast import (
     BinOp, Cmp, Expr, IntLit, Pos, Program, SAssert, SAssign, SIf, SLock,
     SReturn, SUnlock, SWhile, Stmt, Var, expr_vars,
 )
+
+# Each operator, parenthesis and unary minus is one level.  Later passes walk
+# expressions recursively, so the parser bounds the depth they meet.
+MAX_NESTING = 100
 
 KEYWORDS = {
     "thread", "global", "mutex", "protect", "with", "lock", "unlock",
@@ -116,6 +120,11 @@ class _Parser:
     def pos(self) -> Pos:
         return Pos(self.cur.line, self.cur.col)
 
+    def _nest(self, level: int) -> int:
+        if level > MAX_NESTING:
+            raise self._error(f"expression nested deeper than {MAX_NESTING} levels")
+        return level
+
     # -- grammar --
 
     def program(self) -> Program:
@@ -182,7 +191,7 @@ class _Parser:
             self.expect(";")
             return SUnlock(m, p)
         if self.accept("return"):
-            e = self.expr()
+            e, _ = self.expr(0)
             self.expect(";")
             return SReturn(e, p)
         if self.accept("assert"):
@@ -222,44 +231,42 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return SAssign(target, None, join=x, pos=p)
-        e = self.expr()
+        e, _ = self.expr(0)
         self.expect(";")
         return SAssign(target, e, pos=p)
 
     def cond(self) -> Cmp:
-        left = self.expr()
+        left, _ = self.expr(0)
         for op in ("==", "!=", "<=", ">=", "<", ">"):
             if self.accept(op):
-                return Cmp(op, left, self.expr())
+                right, _ = self.expr(0)
+                return Cmp(op, left, right)
         raise self._error("expected comparison operator")
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            if self.accept("+"):
-                e = BinOp("+", e, self.term())
-            elif self.accept("-"):
-                e = BinOp("-", e, self.term())
-            else:
-                return e
+    # ``expr`` and ``term`` parse at nesting ``level`` and also return the
+    # deepest level the parsed expression reaches.
 
-    def term(self) -> Expr:
+    def expr(self, level: int) -> tuple[Expr, int]:
+        e, deepest = self.term(level)
+        while tok := self.accept("+") or self.accept("-"):
+            right, d = self.term(level)
+            e, deepest = BinOp(tok.kind, e, right), self._nest(max(deepest, d) + 1)
+        return e, deepest
+
+    def term(self, level: int) -> tuple[Expr, int]:
         if self.accept("-"):
-            return BinOp("-", IntLit(0), self.term())
-        if tok := self.accept("num"):
-            value = IntLit(int(tok.text))
+            t, deepest = self.term(self._nest(level + 1))
+            return BinOp("-", IntLit(0), t), deepest
+        if tok := self.accept("num") or self.accept("name"):
+            atom = IntLit(int(tok.text)) if tok.kind == "num" else Var(tok.text)
             if self.accept("*"):
-                return BinOp("*", value, self.term())
-            return value
-        if tok := self.accept("name"):
-            v: Expr = Var(tok.text)
-            if self.accept("*"):
-                return BinOp("*", v, self.term())
-            return v
+                t, deepest = self.term(self._nest(level + 1))
+                return BinOp("*", atom, t), deepest
+            return atom, level
         if self.accept("("):
-            e = self.expr()
+            e, deepest = self.expr(self._nest(level + 1))
             self.expect(")")
-            return e
+            return e, deepest
         raise self._error(f"expected expression, found {self.cur.text!r}")
 
 
@@ -271,7 +278,8 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 
 
 def _resolve(prog: Program) -> None:
-    """Name checks that do not need the CFG (undeclared names, entry point)."""
+    """Checks that do not need the CFG: undeclared names, the entry point and
+    misused thread ids."""
     if prog.entry not in prog.threads:
         raise ParseError("no 'main' thread template", 1, 1, prog.filename)
     gset = set(prog.globals)
@@ -291,10 +299,14 @@ def _resolve(prog: Program) -> None:
 
     def check_expr(e: Expr | Cmp, p: Pos, what: str, bare_global_ok: bool = False) -> None:
         # Guards and compound right-hand sides may contain only locals; a
-        # bare global is fine where it denotes an atomic copy.
+        # bare global is fine where it denotes an atomic copy.  A thread id
+        # is no integer: ``self`` may only be joined.
+        names = expr_vars(e)
+        if "self" in names:
+            raise ParseError(f"'self' cannot be used in {what}", p.line, p.col, prog.filename)
         if bare_global_ok and isinstance(e, Var):
             return
-        bad = expr_vars(e) & gset
+        bad = names & gset
         if bad:
             raise ParseError(
                 f"globals forbidden in {what}: {', '.join(sorted(bad))}", p.line, p.col, prog.filename
@@ -306,13 +318,17 @@ def _resolve(prog: Program) -> None:
                 case SLock(m, p) | SUnlock(m, p):
                     if m not in mset:
                         raise ParseError(f"undeclared mutex {m!r}", p.line, p.col, prog.filename)
-                case SAssign(target, expr, _, create, _, p):
+                case SAssign(target, expr, _, create, join, p):
                     if create is not None and create not in prog.threads:
                         raise ParseError(
                             f"undeclared thread template {create!r}", p.line, p.col, prog.filename
                         )
                     if target in ("self", "ret"):
                         raise ParseError(f"{target!r} is reserved", p.line, p.col, prog.filename)
+                    if target in gset and (create or join):
+                        raise ParseError(
+                            f"create and join assign only locals, not global {target!r}",
+                            p.line, p.col, prog.filename)
                     if expr is not None:
                         check_expr(expr, p, "expressions", bare_global_ok=True)
                 case SReturn(expr, p):
@@ -324,8 +340,11 @@ def _resolve(prog: Program) -> None:
                 case SWhile(cond, body, p):
                     check_expr(cond, p, "guards")
                     check_block(body)
-                case SAssert():
-                    pass  # assert conditions may mention globals (reads are hoisted)
+                case SAssert(cond, p):
+                    # assert conditions may mention globals (reads are hoisted)
+                    if "self" in expr_vars(cond):
+                        raise ParseError("'self' cannot be used in assertions",
+                                         p.line, p.col, prog.filename)
                 case _:
                     pass
 

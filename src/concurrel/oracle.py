@@ -98,12 +98,10 @@ RUNNING, RETURNED, JOINED = 0, 1, 2
 
 
 class _Explorer:
-    def __init__(self, program: Program, cfgs: dict[str, Cfg], bounds: ExploreBounds,
-                 dedup: bool = True):
+    def __init__(self, program: Program, cfgs: dict[str, Cfg], bounds: ExploreBounds):
         self.program = program
         self.cfgs = cfgs
         self.bounds = bounds
-        self.dedup = dedup
         self.ex = Exploration()
         self.ex.lvars = tuple(sorted(set(collect_locals(cfgs)) | {"self"}))
         self.ex.gvars = tuple(sorted(program.globals))
@@ -207,10 +205,9 @@ class _Explorer:
             state = stack.pop()
             threads, globals_, held, lu, sched = state
             key = (threads, globals_, held, lu)
-            if self.dedup:
-                if key in self.seen:
-                    continue
-                self.seen.add(key)
+            if key in self.seen:
+                continue
+            self.seen.add(key)
             self.ex.states += 1
             if self.ex.states > bound_states:
                 self.ex.truncated_by.add("max_total_states")
@@ -322,7 +319,7 @@ class _Explorer:
                 self.ex.truncated_by.add("max_threads")
                 return out
             i, template, start, src = step[3], step[4], step[5], step[6]
-            child_digest = tid_new(src, start, t[TDIG])[0]
+            child_digest = tid_new(src, start, t[TDIG])
             e = CreateEdge(src, template)
             (ii, c) = t[TDIG]
             child_base = tid_compose(self.ex.tid_abstractions[t[TID]][1], e)
@@ -380,7 +377,7 @@ def _sched(cons) -> list[str]:
 
 
 def explore(program: Program, bounds: ExploreBounds = ExploreBounds(),
-            cfgs: dict[str, Cfg] | None = None, dedup: bool = True) -> Exploration:
+            cfgs: dict[str, Cfg] | None = None) -> Exploration:
     if cfgs is None:
         cfgs = build_cfg(program)
-    return _Explorer(program, cfgs, bounds, dedup).run()
+    return _Explorer(program, cfgs, bounds).run()

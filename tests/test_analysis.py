@@ -7,7 +7,7 @@ from concurrel.analysis import (
 from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.driver import build_universe
 from concurrel.analysis.protections import compute_protections, protected_by
-from concurrel.digests import MAIN_TID, lockset_digest
+from concurrel.digests import LocksetDigest, MAIN_TID
 from concurrel.domains import IntAbs, RelDomain
 from concurrel.frontend import build_cfg, parse_program, validate
 from concurrel.frontend.ast import Cmp, IntLit, Var
@@ -251,7 +251,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
     the built-in lockset splitting up to key renaming."""
     for name in ("four_asserts", "lockonce", "example8", "synth_relock"):
         res = run_analysis(programs[name], preset("octagon"))
-        system = WrappedBaseSystem(res.system.base, lockset_digest())
+        system = WrappedBaseSystem(res.system.base, LocksetDigest())
         solver = Solver(system)
         solver.solve()
         dom = res.dom

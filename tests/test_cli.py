@@ -54,6 +54,37 @@ def test_non_utf8_source_exit_2(tmp_path, capsys):
     assert "not valid UTF-8" in err and "Traceback" not in err
 
 
+_SUM_400 = "+".join(["1"] * 400)
+_SUM_3000 = "+".join(["1"] * 3000)
+_PARENS_1500 = "(" * 1500 + "1" + ")" * 1500
+_TOO_DEEP = "expression nested deeper than 100 levels"
+
+
+@pytest.mark.parametrize("src, position, message", [
+    ("global g; thread main { g = create(t1); } thread t1 { }",
+     "1:25", "create and join assign only locals, not global 'g'"),
+    ("global g; thread main { x = create(t1); g = join(x); } thread t1 { return 0; }",
+     "1:41", "create and join assign only locals, not global 'g'"),
+    ("thread main {\n  x = self + 1; }", "2:3", "'self' cannot be used in expressions"),
+    ("thread main { x = self; }", "1:15", "'self' cannot be used in expressions"),
+    ("thread main { while (self < 3) { } }", "1:15", "'self' cannot be used in guards"),
+    ("thread main { assert(self == 1); }", "1:15", "'self' cannot be used in assertions"),
+    ("thread main { x = create(t1); } thread t1 { return self; }",
+     "1:45", "'self' cannot be used in expressions"),
+    (f"thread main {{ x = {_SUM_400}; }}", "1:222", _TOO_DEEP),
+    (f"thread main {{ x = {_SUM_3000}; }}", "1:222", _TOO_DEEP),
+    (f"thread main {{ x = {_PARENS_1500}; }}", "1:120", _TOO_DEEP),
+], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
+        "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500"])
+def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
+    f = tmp_path / "bad.conc"
+    f.write_text(src)
+    code, _, err = run_cli(capsys, "run", str(f), "--oracle")
+    assert code == 2
+    assert f"{f}:{position}: error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_non_integer_step_budget_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("CONCURREL_STEP_BUDGET", "abc")
     code, _, err = run_cli(capsys, "run", corpus_path("joins"))

@@ -1,11 +1,10 @@
-"""Digest effect functions: locksets, lock-once, thread ids, products."""
+"""Digest effect functions: locksets, lock-once, thread ids."""
 
 from hypothesis import given, settings, strategies as st
 
 from concurrel.digests import (
-    AbstractTid, CreateEdge, MAIN_TID, lcu_anc, lock_once_digest,
-    lockset_digest, may_create, may_run, product_digest, tid_compose,
-    tid_digest, tid_new, trivial_digest,
+    AbstractTid, CreateEdge, DigestSpec, LockOnceDigest, LocksetDigest, MAIN_TID,
+    TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new,
 )
 from concurrel.frontend.ast import AssignLocal, Create, IntLit, Join, Lock, Unlock
 from concurrel.frontend.cfg import Point
@@ -20,23 +19,23 @@ E3 = CreateEdge(U3, "t1")
 
 
 def test_lockset_digest_rows():
-    s = lockset_digest()
-    assert s.init() == (frozenset(),)
-    assert s.binary(U, Lock("a"), frozenset(), frozenset({"a"})) == (frozenset({"a"}),)
-    assert s.unary(U, Unlock("a"), frozenset({"a", "b"})) == (frozenset({"b"}),)
-    assert s.unary(U, AssignLocal("x", IntLit(1)), frozenset({"a"})) == (frozenset({"a"}),)
+    s = LocksetDigest()
+    assert s.init() == frozenset()
+    assert s.binary(U, Lock("a"), frozenset(), frozenset({"a"})) == frozenset({"a"})
+    assert s.unary(U, Unlock("a"), frozenset({"a", "b"})) == frozenset({"b"})
+    assert s.unary(U, AssignLocal("x", IntLit(1)), frozenset({"a"})) == frozenset({"a"})
     # binary actions keep the ego component
-    assert s.binary(U, Join("x", "y"), frozenset({"a"}), frozenset({"b"})) == (frozenset({"a"}),)
+    assert s.binary(U, Join("x", "y"), frozenset({"a"}), frozenset({"b"})) == frozenset({"a"})
 
 
 def test_lock_once_digest_rows():
-    s = lock_once_digest()
+    s = LockOnceDigest()
     a, b = frozenset({"a"}), frozenset({"b"})
-    assert s.binary(U, Lock("a"), a, frozenset()) == ()  # ego locked a, incoming never did
-    assert s.binary(U, Lock("a"), frozenset(), frozenset()) == (frozenset({"a"}),)
-    assert s.binary(U, Join("x", "y"), a, b) == (frozenset({"a", "b"}),)
-    assert s.new_thread(U, T1, a) == (a,)
-    assert s.unary(U, Unlock("a"), a) == (a,)  # lock-once never forgets
+    assert s.binary(U, Lock("a"), a, frozenset()) is None  # ego locked a, incoming never did
+    assert s.binary(U, Lock("a"), frozenset(), frozenset()) == frozenset({"a"})
+    assert s.binary(U, Join("x", "y"), a, b) == frozenset({"a", "b"})
+    assert s.new_thread(U, T1, a) == a
+    assert s.unary(U, Unlock("a"), a) == a  # lock-once never forgets
 
 
 def test_tid_compose_paper_examples():
@@ -68,15 +67,15 @@ def test_tid_compose_never_duplicates_edges():
 def test_tid_new_uniqueness():
     # first creation at u2: unique
     d = (MAIN_TID, frozenset({E1}))
-    ((child, c),) = [tid_new(U2, T1, d)[0]]
+    (child, c) = tid_new(U2, T1, d)
     assert child == AbstractTid((E2,), frozenset()) and child.unique and c == frozenset()
     # creation at an edge already encountered: non-unique
     d2 = (MAIN_TID, frozenset({E1, E2}))
-    (child2, _) = tid_new(U2, T1, d2)[0]
+    (child2, _) = tid_new(U2, T1, d2)
     assert child2 == AbstractTid((), frozenset({E2})) and not child2.unique
     # creator already non-unique
     d3 = (AbstractTid((), frozenset({E2})), frozenset())
-    (child3, _) = tid_new(U3, T1, d3)[0]
+    (child3, _) = tid_new(U3, T1, d3)
     assert child3 == AbstractTid((), frozenset({E2, E3}))
 
 
@@ -107,41 +106,25 @@ def test_may_run():
 
 
 def test_tid_digest_rows():
-    s = tid_digest()
-    assert s.init() == ((MAIN_TID, frozenset()),)
-    ((i, c),) = s.unary(U, Create("x", "t1"), (MAIN_TID, frozenset()))
+    s = TidDigestSpec()
+    assert s.init() == (MAIN_TID, frozenset())
+    (i, c) = s.unary(U, Create("x", "t1"), (MAIN_TID, frozenset()))
     assert i == MAIN_TID and c == frozenset({E1})
     # infeasible lock: incoming unlock by a thread that is not started yet
     ego = (MAIN_TID, frozenset())
     other = (AbstractTid((E2,), frozenset()), frozenset())
-    assert s.binary(U, Lock("a"), ego, other) == ()
+    assert s.binary(U, Lock("a"), ego, other) is None
     assert s.binary(U, Lock("a"), (MAIN_TID, frozenset({E2})), other) == (
-        (MAIN_TID, frozenset({E2})),
-    )
-
-
-def test_product_digest():
-    s = product_digest(lockset_digest(), tid_digest())
-    (d0,) = s.init()
-    assert d0 == (frozenset(), (MAIN_TID, frozenset()))
-    ego = (frozenset(), (MAIN_TID, frozenset()))
-    other = (frozenset({"a"}), (AbstractTid((E2,), frozenset()), frozenset()))
-    # both components advance on lock
-    (d1,) = s.binary(U, Lock("a"), (frozenset(), (MAIN_TID, frozenset({E2}))),
-                     other)
-    assert d1[0] == frozenset({"a"})
-    # either component empty -> product empty
-    assert s.binary(U, Lock("a"), ego, other) == ()
-    # identity action -> identity pair
-    assert s.unary(U, AssignLocal("x", IntLit(1)), ego) == (ego,)
+        MAIN_TID, frozenset({E2}))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_effect_determinism_fuzz(data):
-    """Every effect and new_thread result has cardinality ≤ 1."""
+    """``unary`` and ``new_thread`` return one digest of the spec's shape;
+    ``binary`` returns one or ``None`` (infeasible)."""
     edges = [E1, E2, E3]
-    specs = [trivial_digest(), lockset_digest(), lock_once_digest(), tid_digest()]
+    specs = [DigestSpec(), LocksetDigest(), LockOnceDigest(), TidDigestSpec()]
     spec = data.draw(st.sampled_from(specs))
 
     def draw_digest():
@@ -159,9 +142,21 @@ def test_effect_determinism_fuzz(data):
     actions = [Lock("a"), Unlock("a"), Join("x", "y"), Create("x", "t1"),
                AssignLocal("x", IntLit(0))]
     act = data.draw(st.sampled_from(actions))
-    assert len(spec.unary(U, act, d0)) <= 1
-    assert len(spec.binary(U, act, d0, d1)) <= 1
-    assert len(spec.new_thread(U, T1, d0)) <= 1
+
+    def is_digest(d):
+        if spec.name == "trivial":
+            return d == ()
+        if spec.name in ("lockset", "lockonce"):
+            return isinstance(d, frozenset) and all(isinstance(a, str) for a in d)
+        return (isinstance(d, tuple) and len(d) == 2 and isinstance(d[0], AbstractTid)
+                and isinstance(d[1], frozenset)
+                and all(isinstance(e, CreateEdge) for e in d[1]))
+
+    assert is_digest(spec.init())
+    assert is_digest(spec.unary(U, act, d0))
+    assert is_digest(spec.new_thread(U, T1, d0))
+    d2 = spec.binary(U, act, d0, d1)
+    assert d2 is None or is_digest(d2)
 
 
 def test_discovered_thread_ids_match_worked_example():

@@ -30,6 +30,23 @@ def test_globals_forbidden_in_expressions():
         parse_program("global g; thread main { while (g < 2) { x = 1; } }")
 
 
+def test_nesting_limit_is_100_levels():
+    def parse_expr(e):
+        return parse_program(f"thread main {{ x = {e}; }}")
+
+    parse_expr("+".join(["1"] * 101))  # 100 operators
+    parse_expr("(" * 100 + "1" + ")" * 100)
+    parse_expr("-" * 99 + "(1)")
+    for too_deep in ("+".join(["1"] * 102), "(" * 101 + "1" + ")" * 101, "-" * 100 + "(1)",
+                     "(" * 60 + "+".join(["1"] * 42) + ")" * 60):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_expr(too_deep)
+
+
+def test_joining_self_stays_legal():
+    parse_program("thread main { x = create(t1); } thread t1 { y = join(self); }")
+
+
 def test_missing_main():
     with pytest.raises(ParseError, match="main"):
         parse_program("thread t1 { x = 1; }")

@@ -23,9 +23,14 @@ def test_violated_assert_reports_schedule():
 
 
 def test_two_independent_one_step_threads_two_interleavings():
-    p = parse_program("thread main { a = create(t1); z = 1; }\nthread t1 { w = 2; }")
-    ex = explore(p, dedup=False)
-    assert ex.schedules == 2
+    # the two writes race; joining t1 makes main's exit see the final value
+    p = parse_program("global g;\n"
+                      "thread main { a = create(t1); g = 1; b = join(a); }\n"
+                      "thread t1 { g = 2; return 0; }")
+    ex = explore(p)
+    assert ex.schedules == 2 and not ex.truncated
+    exit_point = max(rs[R_POINT] for rs in ex.reachable if rs[R_POINT].template == "main")
+    assert {ex.global_store(rs)["g"] for rs in ex.reachable if rs[R_POINT] == exit_point} == {1, 2}
 
 
 def test_fig_ex0_reaches_both_write_orders():

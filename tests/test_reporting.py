@@ -67,7 +67,7 @@ class _RejectingSpec(DigestSpec):
     name = "reject"
 
     def binary(self, u, act, d, d1):
-        return ()
+        return None
 
 
 def test_degenerate_spec_blocks_observing_actions(programs):
