@@ -8,17 +8,26 @@ elements sorted, so the text does not depend on ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any
 
 from ..frontend.cfg import Point
 
+
+# Point and mutex keys index the solver's tables; each hashes its fields once.
 
 @dataclass(frozen=True)
 class PointKey:
     point: Point
     lockset: frozenset[str]
     digest: Any
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.point, self.lockset, self.digest)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -26,6 +35,13 @@ class MutexKey:
     mutex: str
     cluster: frozenset[str]
     digest: Any
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.mutex, self.cluster, self.digest)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ abstract thread ids with creation histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 from .frontend.ast import Action, Create, Join, Lock, Unlock
@@ -25,6 +25,13 @@ from .frontend.cfg import Point
 class CreateEdge:
     point: Point  # source point of the create edge
     template: str  # template the created thread starts in
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.point, self.template)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"⟨{self.point},{self.template}⟩"
@@ -41,6 +48,13 @@ class AbstractTid:
 
     prefix: tuple[CreateEdge, ...] = ()
     spill: frozenset[CreateEdge] = frozenset()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.prefix, self.spill)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def unique(self) -> bool:

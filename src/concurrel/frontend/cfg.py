@@ -23,6 +23,14 @@ from .ast import (
 class Point:
     template: str
     idx: int
+    # points key every dict of the analysis and the oracle: hash them once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.template, self.idx)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.template}.{self.idx}"

@@ -297,13 +297,19 @@ def _resolve(prog: Program) -> None:
                 if m not in mset:
                     raise ParseError(f"protect: unknown mutex {m!r}", 1, 1, prog.filename)
 
+    def check_reserved(e: Expr | Cmp, p: Pos, what: str) -> None:
+        # A thread id is no integer: ``self`` may only be joined.  ``ret``
+        # names a thread's returned value and is never a readable local.
+        names = expr_vars(e)
+        for name in ("self", "ret"):
+            if name in names:
+                raise ParseError(f"{name!r} cannot be used in {what}", p.line, p.col, prog.filename)
+
     def check_expr(e: Expr | Cmp, p: Pos, what: str, bare_global_ok: bool = False) -> None:
         # Guards and compound right-hand sides may contain only locals; a
-        # bare global is fine where it denotes an atomic copy.  A thread id
-        # is no integer: ``self`` may only be joined.
+        # bare global is fine where it denotes an atomic copy.
+        check_reserved(e, p, what)
         names = expr_vars(e)
-        if "self" in names:
-            raise ParseError(f"'self' cannot be used in {what}", p.line, p.col, prog.filename)
         if bare_global_ok and isinstance(e, Var):
             return
         bad = names & gset
@@ -312,7 +318,19 @@ def _resolve(prog: Program) -> None:
                 f"globals forbidden in {what}: {', '.join(sorted(bad))}", p.line, p.col, prog.filename
             )
 
-    def check_block(stmts) -> None:
+    def create_targets(stmts) -> set[str]:
+        out = set()
+        for s in stmts:
+            match s:
+                case SAssign(target, create=str()):
+                    out.add(target)
+                case SIf(_, then, orelse, _):
+                    out |= create_targets(then) | create_targets(orelse)
+                case SWhile(_, body, _):
+                    out |= create_targets(body)
+        return out
+
+    def check_block(stmts, tids: set[str]) -> None:
         for s in stmts:
             match s:
                 case SLock(m, p) | SUnlock(m, p):
@@ -329,24 +347,26 @@ def _resolve(prog: Program) -> None:
                         raise ParseError(
                             f"create and join assign only locals, not global {target!r}",
                             p.line, p.col, prog.filename)
+                    if join is not None and join not in tids:
+                        raise ParseError(
+                            f"join({join}): only 'self' and the targets of create can be joined",
+                            p.line, p.col, prog.filename)
                     if expr is not None:
                         check_expr(expr, p, "expressions", bare_global_ok=True)
                 case SReturn(expr, p):
                     check_expr(expr, p, "expressions", bare_global_ok=True)
                 case SIf(cond, then, orelse, p):
                     check_expr(cond, p, "guards")
-                    check_block(then)
-                    check_block(orelse)
+                    check_block(then, tids)
+                    check_block(orelse, tids)
                 case SWhile(cond, body, p):
                     check_expr(cond, p, "guards")
-                    check_block(body)
+                    check_block(body, tids)
                 case SAssert(cond, p):
                     # assert conditions may mention globals (reads are hoisted)
-                    if "self" in expr_vars(cond):
-                        raise ParseError("'self' cannot be used in assertions",
-                                         p.line, p.col, prog.filename)
+                    check_reserved(cond, p, "assertions")
                 case _:
                     pass
 
     for body in prog.threads.values():
-        check_block(body)
+        check_block(body, (create_targets(body) - gset) | {"self"})

@@ -92,7 +92,11 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
     return lambda ls: op(fl(ls), fr(ls))
 
 
-# thread tuple layout
+# thread tuple layout.  POINT is a point id (None once returned), TDIG and
+# LOCKONCE are ids into the exploration's tables of interned tid digests and
+# lock-once sets, and VISITS is a sorted tuple of (point id, visits).  A state
+# is thus built of ints, strings and tuples only: it hashes without Python
+# code, and the garbage collector stops tracking it.
 TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
 RUNNING, RETURNED, JOINED = 0, 1, 2
 
@@ -111,15 +115,23 @@ class _Explorer:
             program.protecting_mutex(g) for g in program.globals
         }))
         self.midx = {m: i for i, m in enumerate(self.mutexes)}
-        self.steps: dict[Point, list] = {}
-        for cfg in cfgs.values():
-            for p in cfg.points:
-                self.steps[p] = [self._compile_edge(cfg, e) for e in cfg.out_edges(p)]
+        self.points: list[Point] = [p for cfg in cfgs.values() for p in cfg.points]
+        self.pid = {p: i for i, p in enumerate(self.points)}
+        self.steps: list[list] = [
+            [self._compile_edge(cfg, e) for e in cfg.out_edges(p)]
+            for cfg in cfgs.values() for p in cfg.points
+        ]
         self.ex.tid_abstractions["main"] = (MAIN_TID, MAIN_TID)
-        self.seen: set = set()
+        # (tid, point id, lockset, locals, globals, tdig id, lockonce)
+        self.reachable: set[tuple] = set()
         self._lockset_memo: dict = {}
+        self.digs: list[tuple] = []  # interned tid digests, indexed by id
+        self._dig_ids: dict[tuple, int] = {}
+        self.lockonces: list[frozenset] = []  # interned lock-once sets
+        self._lockonce_ids: dict[frozenset, int] = {}
+        self._may_run_memo: dict[tuple[int, int], bool] = {}
         # visit counters are only kept for points that lie on a CFG cycle
-        self.revisitable: set[Point] = set()
+        self.revisitable: set[int] = set()
         for cfg in cfgs.values():
             reach: dict[Point, set[Point]] = {p: set() for p in cfg.points}
             for e in cfg.edges:
@@ -132,50 +144,72 @@ class _Explorer:
                     if len(new_r) != len(reach[p]):
                         reach[p] = new_r
                         changed = True
-            self.revisitable |= {p for p in cfg.points if p in reach[p]}
+            self.revisitable |= {self.pid[p] for p in cfg.points if p in reach[p]}
 
     # -- edge compilation --
 
     def _compile_edge(self, cfg: Cfg, e: Edge):
         act = e.action
         label = f"{action_str(act)} @ {e.src}"
+        dst = self.pid[e.dst]
         match act:
             case AssignLocal(x, expr):
-                return ("assign", e.dst, label, self.lidx[x], _compile_expr(expr, self.lidx))
+                return ("assign", dst, label, self.lidx[x], _compile_expr(expr, self.lidx))
             case Havoc(x):
-                return ("havoc", e.dst, label, self.lidx[x])
+                return ("havoc", dst, label, self.lidx[x])
             case Guard(c):
-                return ("guard", e.dst, label, _compile_cmp(c, self.lidx))
+                return ("guard", dst, label, _compile_cmp(c, self.lidx))
             case Assert(c, aid, _):
-                return ("assert", e.dst, label, _compile_cmp(c, self.lidx), aid)
+                return ("assert", dst, label, _compile_cmp(c, self.lidx), aid)
             case Lock(m) if m.startswith("m_"):
                 # fold the atomic copy wrapper lock(m_g); access; unlock(m_g)
                 (mid,) = cfg.out_edges(e.dst)
                 (after,) = cfg.out_edges(mid.dst)
                 assert isinstance(after.action, Unlock)
                 if isinstance(mid.action, ReadGlobal):
-                    return ("copyr", after.dst, label, self.lidx[mid.action.local],
+                    return ("copyr", self.pid[after.dst], label, self.lidx[mid.action.local],
                             self.gidx[mid.action.glob], self.midx[m])
-                return ("copyw", after.dst, label, self.gidx[mid.action.glob],
+                return ("copyw", self.pid[after.dst], label, self.gidx[mid.action.glob],
                         self.lidx[mid.action.local], self.midx[m])
             case Lock(m):
-                return ("lock", e.dst, label, self.midx[m], m)
+                return ("lock", dst, label, self.midx[m], m)
             case Unlock(m):
-                return ("unlock", e.dst, label, self.midx[m])
+                return ("unlock", dst, label, self.midx[m])
             case Create(x, template):
-                return ("create", e.dst, label, self.lidx[x], template,
-                        self.cfgs[template].start, e.src)
+                start = self.cfgs[template].start
+                return ("create", dst, label, self.lidx[x], CreateEdge(e.src, template),
+                        start, self.pid[start])
             case Return(x):
-                return ("return", e.dst, label, self.lidx[x])
+                return ("return", dst, label, self.lidx[x])
             case Join(x1, x):
-                return ("join", e.dst, label, self.lidx[x1], self.lidx[x])
+                return ("join", dst, label, self.lidx[x1], self.lidx[x])
             case ReadGlobal(x, g):  # only reachable if wrappers were stripped
-                return ("copyr", e.dst, label, self.lidx[x], self.gidx[g], -1)
+                return ("copyr", dst, label, self.lidx[x], self.gidx[g], -1)
             case WriteGlobal(g, x):
-                return ("copyw", e.dst, label, self.gidx[g], self.lidx[x], -1)
+                return ("copyw", dst, label, self.gidx[g], self.lidx[x], -1)
         raise TypeError(act)
 
     # -- state helpers --
+
+    @staticmethod
+    def _intern(table: list, ids: dict, v) -> int:
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(table)
+            table.append(v)
+        return i
+
+    def _dig(self, d: tuple) -> int:
+        return self._intern(self.digs, self._dig_ids, d)
+
+    def _lockonce(self, s: frozenset) -> int:
+        return self._intern(self.lockonces, self._lockonce_ids, s)
+
+    def _may_run(self, i: int, j: int) -> bool:
+        r = self._may_run_memo.get((i, j))
+        if r is None:
+            r = self._may_run_memo[(i, j)] = may_run(self.digs[i], self.digs[j])
+        return r
 
     def _record(self, t: tuple, globals_: tuple, held: tuple) -> None:
         if t[STATUS] != RUNNING:
@@ -185,29 +219,31 @@ class _Explorer:
         if lockset is None:
             lockset = frozenset(m for m, h in zip(self.mutexes, held) if h == t[TID])
             self._lockset_memo[key] = lockset
-        self.ex.reachable.add((t[TID], t[POINT], lockset, t[LOCALS], globals_,
-                               t[TDIG], self.ex.tid_abstractions[t[TID]][1], t[LOCKONCE]))
+        self.reachable.add((t[TID], t[POINT], lockset, t[LOCALS], globals_,
+                            t[TDIG], t[LOCKONCE]))
 
     def run(self) -> Exploration:
         locals0 = [0] * len(self.ex.lvars)
         locals0[self.lidx["self"]] = "main"
-        main = ("main", self.cfgs[self.program.entry].start, tuple(locals0),
-                RUNNING, 0, (MAIN_TID, frozenset()), frozenset(), ())
+        main_dig, no_locks = self._dig((MAIN_TID, frozenset())), self._lockonce(frozenset())
+        main = ("main", self.pid[self.cfgs[self.program.entry].start], tuple(locals0),
+                RUNNING, 0, main_dig, no_locks, ())
         globals0 = (0,) * len(self.ex.gvars)
         held0 = (None,) * len(self.mutexes)
-        lu0 = (((MAIN_TID, frozenset()), frozenset()),) * len(self.mutexes)
+        lu0 = ((main_dig, no_locks),) * len(self.mutexes)
         for g, v in zip(self.ex.gvars, globals0):
             self.ex.global_values.setdefault(g, set()).add(v)
         self._record(main, globals0, held0)
         stack = [((main,), globals0, held0, lu0, None)]
         bound_states = self.bounds.max_total_states
+        seen: set = set()
         while stack:
             state = stack.pop()
             threads, globals_, held, lu, sched = state
-            key = (threads, globals_, held, lu)
-            if key in self.seen:
+            n_seen = len(seen)
+            seen.add((threads, globals_, held, lu))
+            if len(seen) == n_seen:
                 continue
-            self.seen.add(key)
             self.ex.states += 1
             if self.ex.states > bound_states:
                 self.ex.truncated_by.add("max_total_states")
@@ -220,13 +256,18 @@ class _Explorer:
             if not succs:
                 self.ex.schedules += 1
             stack.extend(reversed(succs))
+        points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
+        self.ex.reachable = {
+            (tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], self.lockonces[lo])
+            for tid, p, lockset, ls, gs, d, lo in self.reachable
+        }
         return self.ex
 
     def _step(self, state, ti: int, step):
         threads, globals_, held, lu, sched = state
         t = threads[ti]
         kind = step[0]
-        dst: Point = step[1]
+        dst: int = step[1]
         if dst in self.revisitable:
             visits = dict(t[VISITS])
             n = visits.get(dst, 0)
@@ -237,7 +278,8 @@ class _Explorer:
             visits_f = tuple(sorted(visits.items()))
         else:
             visits_f = t[VISITS]
-        label = (f"{t[TID]}: {step[2]}", sched)
+        # schedules are cons lists of (tid, step label), formatted by _sched
+        label = (t[TID], step[2], sched)
         ls = t[LOCALS]
         out = []
 
@@ -318,20 +360,19 @@ class _Explorer:
             if len(threads) >= self.bounds.max_threads:
                 self.ex.truncated_by.add("max_threads")
                 return out
-            i, template, start, src = step[3], step[4], step[5], step[6]
-            child_digest = tid_new(src, start, t[TDIG])
-            e = CreateEdge(src, template)
-            (ii, c) = t[TDIG]
+            i, e, start, start_id = step[3], step[4], step[5], step[6]
+            (ii, c) = tdig = self.digs[t[TDIG]]
+            child_digest = tid_new(e.point, start, tdig)
             child_base = tid_compose(self.ex.tid_abstractions[t[TID]][1], e)
-            prefix = f"{t[TID]}/{src}#"
+            prefix = f"{t[TID]}/{e.point}#"
             n2 = sum(1 for th in threads if th[TID].startswith(prefix))
             child_tid = f"{prefix}{n2}"
             self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
             child_ls = ls[:self.lidx["self"]] + (child_tid,) + ls[self.lidx["self"] + 1:]
-            child = (child_tid, start, child_ls, RUNNING, 0, child_digest,
+            child = (child_tid, start_id, child_ls, RUNNING, 0, self._dig(child_digest),
                      t[LOCKONCE], ())
             self._record(child, globals_, held)
-            push(locals_=ls[:i] + (child_tid,) + ls[i + 1:], tdig=(ii, c | {e}),
+            push(locals_=ls[:i] + (child_tid,) + ls[i + 1:], tdig=self._dig((ii, c | {e})),
                  others=tuple(threads) + (child,))
         elif kind == "return":
             v = ls[step[3]]
@@ -345,35 +386,43 @@ class _Explorer:
             if tj_i is None or threads[tj_i][STATUS] != RETURNED:
                 return out
             tj = threads[tj_i]
-            if not may_run(t[TDIG], tj[TDIG]):
+            if not self._may_run(t[TDIG], tj[TDIG]):
                 self.ex.digest_infeasibilities.append(
-                    f"tid digest rejects feasible join: {label[0]}")
+                    f"tid digest rejects feasible join: {_entry(label)}")
             ts2 = list(threads)
             ts2[tj_i] = tj[:STATUS] + (JOINED,) + tj[STATUS + 1:]
+            lockonce2 = self.lockonces[t[LOCKONCE]] | self.lockonces[tj[LOCKONCE]]
             push(locals_=ls[:i1] + (tj[RETVAL],) + ls[i1 + 1:],
-                 lockonce=t[LOCKONCE] | tj[LOCKONCE], others=ts2)
+                 lockonce=self._lockonce(lockonce2), others=ts2)
         else:
             raise ValueError(kind)
         return out
 
-    def _lock_digests(self, t, lu, mi: int, label) -> frozenset:
+    def _lock_digests(self, t, lu, mi: int, label) -> int:
+        """The lock-once id after locking mutex ``mi``."""
         (lu_tdig, lu_lockonce) = lu[mi]
-        if not may_run(t[TDIG], lu_tdig):
+        if not self._may_run(t[TDIG], lu_tdig):
             self.ex.digest_infeasibilities.append(
-                f"tid digest rejects feasible lock: {label[0]}")
+                f"tid digest rejects feasible lock: {_entry(label)}")
         m = self.mutexes[mi]
-        if m in t[LOCKONCE] and m not in lu_lockonce:
+        mine, theirs = self.lockonces[t[LOCKONCE]], self.lockonces[lu_lockonce]
+        if m in mine and m not in theirs:
             self.ex.digest_infeasibilities.append(
-                f"lock-once digest rejects feasible lock: {label[0]}")
-        return t[LOCKONCE] | lu_lockonce | {m}
+                f"lock-once digest rejects feasible lock: {_entry(label)}")
+        return self._lockonce(mine | theirs | {m})
+
+
+def _entry(cons) -> str:
+    """The last step of a schedule, as text."""
+    return f"{cons[0]}: {cons[1]}"
 
 
 def _sched(cons) -> list[str]:
     out = []
     while cons is not None:
-        out.append(cons[0])
-        cons = cons[1]
-    return list(reversed(out))
+        out.append(_entry(cons))
+        cons = cons[2]
+    return out[::-1]
 
 
 def explore(program: Program, bounds: ExploreBounds = ExploreBounds(),

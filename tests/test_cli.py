@@ -74,8 +74,21 @@ _TOO_DEEP = "expression nested deeper than 100 levels"
     (f"thread main {{ x = {_SUM_400}; }}", "1:222", _TOO_DEEP),
     (f"thread main {{ x = {_SUM_3000}; }}", "1:222", _TOO_DEEP),
     (f"thread main {{ x = {_PARENS_1500}; }}", "1:120", _TOO_DEEP),
+    ("thread main { y = 3; x = join(y); assert(0 == 1); }",
+     "1:22", "join(y): only 'self' and the targets of create can be joined"),
+    ("global g; thread main { x = join(g); assert(0 == 1); }",
+     "1:25", "join(g): only 'self' and the targets of create can be joined"),
+    ("thread main { x = join(z); assert(0 == 1); }",
+     "1:15", "join(z): only 'self' and the targets of create can be joined"),
+    ("thread main { x = ret; assert(x == 5); }", "1:15", "'ret' cannot be used in expressions"),
+    ("thread main { while (ret < 3) { } }", "1:15", "'ret' cannot be used in guards"),
+    ("thread main { assert(ret == 5); }", "1:15", "'ret' cannot be used in assertions"),
+    ("thread main { x = create(t1); } thread t1 { return ret + 1; }",
+     "1:45", "'ret' cannot be used in expressions"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
-        "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500"])
+        "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500",
+        "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
+        "ret-assert", "ret-return"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"
     f.write_text(src)

@@ -1,7 +1,10 @@
 """Digest effect functions: locksets, lock-once, thread ids."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
+from concurrel.analysis.keys import MutexKey, PointKey
 from concurrel.digests import (
     AbstractTid, CreateEdge, DigestSpec, LockOnceDigest, LocksetDigest, MAIN_TID,
     TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new,
@@ -186,3 +189,30 @@ def test_discovered_thread_ids_match_worked_example():
         AbstractTid((u2,), frozenset({u3})),        # its grandchildren
     }
     assert got == expected
+
+
+def test_key_dataclasses_hash_once_and_print_as_before():
+    """Point, CreateEdge, AbstractTid, PointKey and MutexKey cache their hash
+    in a field that is not compared, printed or matched."""
+    def make():
+        p = Point("t1", 3)
+        e = CreateEdge(p, "t2")
+        i = AbstractTid((e,), frozenset({CreateEdge(Point("main", 0), "t1")}))
+        return [p, e, i, PointKey(p, frozenset({"a"}), (i, frozenset({e}))),
+                MutexKey("a", frozenset({"g", "h"}), (i, frozenset()))]
+
+    reprs = [
+        "Point(template='t1', idx=3)",
+        "CreateEdge(point=Point(template='t1', idx=3), template='t2')",
+        "AbstractTid(prefix=(CreateEdge(point=Point(template='t1', idx=3), template='t2'),), "
+        "spill=frozenset({CreateEdge(point=Point(template='main', idx=0), template='t1')}))",
+    ]
+    for x, y, r in zip(make(), make(), reprs + [None, None]):
+        assert x == y and x is not y and hash(x) == hash(y)
+        assert r is None or repr(x) == r
+        shown = [f.name for f in dataclasses.fields(x) if f.repr]
+        assert shown == list(type(x).__match_args__)
+        assert "_hash" not in repr(x)
+    assert [f.name for f in dataclasses.fields(PointKey) if f.repr] == ["point", "lockset", "digest"]
+    assert [f.name for f in dataclasses.fields(MutexKey) if f.repr] == ["mutex", "cluster", "digest"]
+    assert Point("a", 2) < Point("b", 1) and CreateEdge(Point("a", 2), "z") < CreateEdge(Point("b", 0), "a")

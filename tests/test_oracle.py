@@ -1,5 +1,9 @@
 """Bounded exploration: semantics, determinism, and sanity counts."""
 
+import hashlib
+import os
+
+from concurrel.analysis.keys import digest_text
 from concurrel.frontend import parse_program
 from concurrel.oracle import ExploreBounds, explore
 
@@ -108,3 +112,65 @@ def test_tid_loop_stops_only_at_the_thread_cap(explorations):
     """t1 creates t1 again, so thread creation is unbounded."""
     ex = explorations["tid_loop"]
     assert ex.truncated_by == {"max_threads"} and ex.states == 14_651
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fingerprint(ex) -> tuple:
+    """Counts plus two hash-seed-independent hashes: one of the reachable
+    tuples, one of the violations (with their schedules), the digest
+    infeasibilities, the thread-id abstractions and the global values."""
+    others = [f"{aid}: {' | '.join(s)}" for aid, s in sorted(ex.violations.items())]
+    others += ex.digest_infeasibilities
+    others += [f"{t}: {digest_text(a)}" for t, a in sorted(ex.tid_abstractions.items())]
+    others += [f"{g}: {sorted(vs)}" for g, vs in sorted(ex.global_values.items())]
+    return (ex.states, ex.schedules, len(ex.reachable), sorted(ex.truncated_by),
+            _sha("\n".join(sorted(digest_text(rs) for rs in ex.reachable))),
+            _sha("\n".join(others)))
+
+
+# (states, schedules, reachable, truncated_by, reachable hash, other fields' hash)
+_CORPUS_FINGERPRINTS = {
+    "ancestor": (62, 2, 40, [], '613bebd5d15166a5', '40ba0212f5e2f585'),
+    "example8": (2964, 40, 613, [], 'e6bd5baa67a18b63', 'b4fe30d03c6f5ba1'),
+    "fig_ex0": (60, 2, 25, [], '4fa6a6b3dd5109fa', '3964358df5119bb0'),
+    "four_asserts": (911, 32, 266, [], '36c9779f3152d2c0', '328e901b23a97753'),
+    "intro_cluster": (257552, 5265, 5542, [], '47643aae24c24e01', '465770c605d05438'),
+    "joins": (233, 6, 127, [], '8a771182bdd9cb07', 'd4967164768bc8a8'),
+    "lockonce": (31, 2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+    "lockonce_strict": (31, 2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+    "one_element": (3907, 33, 168, [], '86afcf5f81df436a', 'c7a099e1ce12bfd5'),
+    "synth_counter": (78, 6, 45, [], 'cbaa76959dc042e7', '21cc93d6bf01a6f9'),
+    "synth_infer": (78, 3, 33, [], 'c6a0a70714bb25ec', 'c31d1410fd92d338'),
+    "synth_mix": (47, 3, 45, [], '30135f55b95acd2b', '06bde853bdec22c8'),
+    "synth_relock": (17, 1, 18, [], '85fafc0178e1ae89', 'b9bf33e7d6fbb55d'),
+    "tid_loop": (14651, 142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+}
+
+# at ExploreBounds(max_total_states=5_000); intro_cluster and tid_loop stop at
+# that cap, so they also pin the order in which states are explored
+_CAPPED_FINGERPRINTS = {
+    "intro_cluster": (5001, 111, 366, ['max_total_states'], 'cee1922ab46a7dda', '465770c605d05438'),
+    "tid_loop": (5001, 31, 78, ['max_threads', 'max_total_states'], '5b6b4bbd5b1488ea', '8f525e8b579ab860'),
+    "scaled_s0_p0": (3453, 6, 767, [], '6f0e69c27d874048', 'a0f9edc520cba721'),
+    "scaled_s0_p1": (2408, 1, 675, [], '811822978a789164', '2993b2636ca30ced'),
+    "scaled_s0_p2": (2408, 1, 675, [], '527538e1d9a65985', '699e76644b195b8e'),
+    "scaled_s0_p3": (2408, 1, 675, [], '2b5d6880570bfebc', 'a20465c4bb70af48'),
+}
+
+
+def test_oracle_output_is_pinned(explorations, monkeypatch):
+    """A change inside the oracle must not change a single explored state,
+    schedule or reachable tuple."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    import gen
+
+    assert {n: _fingerprint(ex) for n, ex in explorations.items()} == _CORPUS_FINGERPRINTS
+    programs = {n: load(n) for n in ("intro_cluster", "tid_loop")}
+    programs.update((g.name, parse_program(g.source, g.name)) for g in gen.generate_set(0))
+    capped = ExploreBounds(max_total_states=5_000)
+    got = {n: _fingerprint(explore(p, capped)) for n, p in programs.items()}
+    assert got == _CAPPED_FINGERPRINTS
