@@ -5,14 +5,12 @@
 
 The closure is the hot inner loop of the octagon domain (it runs before
 every restriction, join, comparison and unlift).  Both kernels offer
-``tight_close_pivots(m, pivots)``.  Per size, the table gives under each
-kernel the full closure (every index a pivot) and the incremental closure
-that ``octagon.py`` runs after a transfer touched two variables of a closed
-matrix (4 pivots).  Octagons are packed to the variables they constrain, so
-the default sizes are the pack sizes the analyses close (1 to 5 variables on
-the generated benchmark programs); pass larger ones to time full-universe
-matrices.  Also times one end-to-end analysis under each available kernel,
-labelled with the kernel that ran.
+``tight_close_inplace(m)``, the full tight closure.  Per size, the table
+gives its time under each kernel.  Octagons are packed to the variables
+they constrain, so the default sizes are the pack sizes the analyses close
+(1 to 5 variables on the generated benchmark programs); pass larger ones to
+time full-universe matrices.  Also times one end-to-end analysis under each
+available kernel, labelled with the kernel that ran.
 """
 
 import argparse
@@ -37,28 +35,15 @@ def random_dbm(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def bench_kernel(close, inputs, repeat: int) -> float:
-    """Best-of-3 mean time of ``close(copy of m, pivots)`` over ``inputs``."""
+    """Best-of-3 mean time of ``close(copy of m)`` over ``inputs``."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(repeat):
-            for m, pivots in inputs:
-                close(np.array(m), pivots)
+            for m in inputs:
+                close(np.array(m))
         best = min(best, time.perf_counter() - t0)
     return best / (repeat * len(inputs))
-
-
-def two_variable_update(rng: np.random.Generator, n: int, close) -> tuple:
-    """A closed DBM plus one new bound between two variables, and its pivots."""
-    while True:
-        m = random_dbm(rng, n)
-        if close(m, range(2 * n)) == 0:
-            break
-    x, y = (0, 0) if n == 1 else rng.choice(n, size=2, replace=False)
-    i, j = 2 * x, 2 * y + int(rng.integers(0, 2))
-    m[i, j] = min(m[i, j], float(rng.integers(-2, 4)))
-    m[j ^ 1, i ^ 1] = m[i, j]
-    return m, sorted({2 * x, 2 * x + 1, 2 * y, 2 * y + 1})
 
 
 def main() -> int:
@@ -67,27 +52,22 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
 
-    from concurrel.domains._closure_py import tight_close_pivots as pure
+    from concurrel.domains._closure_py import tight_close_inplace as pure
 
     try:
-        from concurrel.domains._closure import tight_close_pivots as compiled
+        from concurrel.domains._closure import tight_close_inplace as compiled
     except ImportError:
         compiled = None
         print("compiled kernel not built; showing the pure kernel only")
 
     rng = np.random.default_rng(7)
     kernels = [("pure", pure)] + ([("compiled", compiled)] if compiled else [])
-    print(f"{'n vars':>7}" + "".join(f" {name + ' full':>14} {name + ' pivots':>16}"
-                                     for name, _ in kernels))
+    print(f"{'n vars':>7}" + "".join(f" {name:>10}" for name, _ in kernels))
     for n in (int(s) for s in args.sizes.split(",")):
-        workloads = (
-            [(random_dbm(rng, n), range(2 * n)) for _ in range(10)],
-            [two_variable_update(rng, n, pure) for _ in range(10)],
-        )
+        inputs = [random_dbm(rng, n) for _ in range(10)]
         row = f"{n:>7}"
         for _, close in kernels:
-            full, pivots = (bench_kernel(close, w, args.repeat) * 1e6 for w in workloads)
-            row += f" {full:>12.1f}µs {pivots:>14.1f}µs"
+            row += f" {bench_kernel(close, inputs, args.repeat) * 1e6:>8.1f}µs"
         print(row)
 
     # end-to-end: one clustered analysis under each available kernel

@@ -1,12 +1,11 @@
 /* Compiled tight closure for integer octagon DBMs (the analyzer's hot kernel).
  *
- * Same contract as ``_closure_py.tight_close_pivots``: Floyd-Warshall steps
- * over the given pivot indices, then integer tightening and strengthening, in
- * place on a square float64 matrix of even size whose entry m[i][j] bounds
- * v_j - v_i (+inf for "no bound"; -inf never appears).  Returns 0, or 1 when
- * the constraints are unsatisfiable (the matrix contents are then
- * unspecified).  Input that breaks the contract raises instead: ValueError for
- * the matrix, IndexError for a pivot.
+ * Same contract as ``_closure_py.tight_close_inplace``: Floyd-Warshall over
+ * every index, then integer tightening and strengthening, in place on a
+ * square float64 matrix of even size whose entry m[i][j] bounds v_j - v_i
+ * (+inf for "no bound"; -inf never appears).  Returns 0, or 1 when the
+ * constraints are unsatisfiable (the matrix contents are then unspecified).
+ * Any other matrix raises ValueError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -15,10 +14,9 @@
 #include <string.h>
 
 static int
-close_pivots(double *m, Py_ssize_t n2, const Py_ssize_t *pivots, Py_ssize_t npivots)
+tight_close(double *m, Py_ssize_t n2)
 {
-    for (Py_ssize_t p = 0; p < npivots; p++) {
-        Py_ssize_t k = pivots[p];
+    for (Py_ssize_t k = 0; k < n2; k++) {
         const double *mk = m + k * n2;
         for (Py_ssize_t i = 0; i < n2; i++) {
             double mik = m[i * n2 + k];
@@ -59,56 +57,27 @@ close_pivots(double *m, Py_ssize_t n2, const Py_ssize_t *pivots, Py_ssize_t npiv
 }
 
 static PyObject *
-tight_close_pivots(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+tight_close_inplace(PyObject *module, PyObject *arg)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "tight_close_pivots(m, pivots) takes 2 arguments");
-        return NULL;
-    }
     Py_buffer view;
-    if (PyObject_GetBuffer(args[0], &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+    if (PyObject_GetBuffer(arg, &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
         PyErr_Clear();
         PyErr_SetString(PyExc_ValueError, "m must be a writable, C-contiguous float64 matrix");
         return NULL;
     }
-    PyObject *result = NULL, *seq = NULL;
-    Py_ssize_t *pivots = NULL, npivots;
+    PyObject *result = NULL;
     Py_ssize_t n2 = view.ndim == 2 ? view.shape[0] : -1;
-    if (strcmp(view.format, "d") != 0 || n2 < 0 || view.shape[1] != n2 || n2 % 2 != 0) {
+    if (strcmp(view.format, "d") != 0 || n2 < 0 || view.shape[1] != n2 || n2 % 2 != 0)
         PyErr_SetString(PyExc_ValueError, "m must be a square float64 matrix of even size");
-        goto done;
-    }
-    seq = PySequence_Fast(args[1], "pivots must be a sequence of indices");
-    if (seq == NULL)
-        goto done;
-    npivots = PySequence_Fast_GET_SIZE(seq);
-    pivots = PyMem_New(Py_ssize_t, npivots);
-    if (pivots == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t p = 0; p < npivots; p++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, p);
-        Py_ssize_t k = PyIndex_Check(item) ? PyNumber_AsSsize_t(item, PyExc_IndexError) : -1;
-        if (k == -1 && PyErr_Occurred())
-            goto done;
-        if (k < 0 || k >= n2) {
-            PyErr_Format(PyExc_IndexError, "pivots[%zd] is not an index of a %zd-row matrix", p, n2);
-            goto done;
-        }
-        pivots[p] = k;
-    }
-    result = PyLong_FromLong(close_pivots(view.buf, n2, pivots, npivots));
-done:
-    PyMem_Free(pivots);
-    Py_XDECREF(seq);
+    else
+        result = PyLong_FromLong(tight_close(view.buf, n2));
     PyBuffer_Release(&view);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"tight_close_pivots", (PyCFunction)(void (*)(void))tight_close_pivots, METH_FASTCALL,
-     "tight_close_pivots(m, pivots) -> 0, or 1 when m is unsatisfiable"},
+    {"tight_close_inplace", tight_close_inplace, METH_O,
+     "tight_close_inplace(m) -> 0, or 1 when m is unsatisfiable"},
     {NULL, NULL, 0, NULL},
 };
 

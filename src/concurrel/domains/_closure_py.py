@@ -11,21 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def tight_close_pivots(m: np.ndarray, pivots) -> int:
-    """Floyd-Warshall steps over ``pivots``, then integer tightening and
+def tight_close_inplace(m: np.ndarray) -> int:
+    """Floyd-Warshall over every index, then integer tightening and
     strengthening, in place.
 
     Returns 0, or 1 when the constraints are unsatisfiable (matrix contents
-    are then unspecified).  With every index as a pivot this is the full
-    tight closure.  With fewer it is still exact when ``m`` differs from a
-    closed matrix only in entries whose row and column both lie in
-    ``pivots``: a shortest path leaves and re-enters the pivots through old,
-    closed entries, and a new negative cycle passes through a pivot.
+    are then unspecified).
     """
     n2 = m.shape[0]
     if n2 == 0:
         return 0
-    for k in pivots:
+    for k in range(n2):
         np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
     if (np.diagonal(m) < 0).any():
         return 1

@@ -24,21 +24,10 @@ ascending chains terminate.  ``join`` returns its closed left operand, and
 ``meet`` and ``widen`` their closed or left operand, when the other operand
 adds nothing, so callers can skip values that are the same object.
 
-Closure can be incremental.  An unclosed ``OctRel`` may carry ``dirty``, a
-tuple of pack indices with the invariant: ``m`` equals a closed matrix except
-for entries whose row and column both lie in the indices ``2k, 2k+1`` of
-these variables.  Transfers that tighten a closed input (``set_interval``,
-``assign_linear`` of ``x := ±y + c``, ``guard_leq0``, ``guard_eq``, ``meet``
-with a closed operand) record it, and ``close`` then runs Floyd-Warshall
-pivots over those indices only, which yields the same matrix as the full
-closure.  Without that provenance (``dirty`` is None: widened values, meets
-of two unclosed operands) ``close`` runs the full closure,
-``tight_close_inplace``.
-
-Both closure kernels offer the one function ``tight_close_pivots(m,
-pivots)``: the hand-written C extension ``_closure.c`` when it is built, and
-the numpy kernel ``_closure_py`` otherwise or when ``CONCURREL_PURE`` is set.
-``KERNEL`` names the one in use.
+Every closure is the full tight closure, ``tight_close_inplace(m)``.  Both
+kernels offer that one function: the hand-written C extension ``_closure.c``
+when it is built, and the numpy kernel ``_closure_py`` otherwise or when
+``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in use.
 """
 
 from __future__ import annotations
@@ -51,44 +40,30 @@ import numpy as np
 from .values import BOT, INF, IntAbs
 
 if os.environ.get("CONCURREL_PURE"):
-    from ._closure_py import tight_close_pivots
+    from ._closure_py import tight_close_inplace
 
     KERNEL = "python"
 else:
     try:
-        from ._closure import tight_close_pivots  # type: ignore[no-redef]
+        from ._closure import tight_close_inplace  # type: ignore[no-redef]
 
         KERNEL = "compiled"
     except ImportError:
-        from ._closure_py import tight_close_pivots
+        from ._closure_py import tight_close_inplace
 
         KERNEL = "python"
 
 
-def tight_close_inplace(m: np.ndarray) -> int:
-    """Full tight closure of ``m`` in place: pivots over every index.
-
-    Returns 0, or 1 when the constraints are unsatisfiable."""
-    return tight_close_pivots(m, range(m.shape[0]))
-
-
 class OctRel:
     """Immutable octagon over the universe variables ``vars``; None matrix
-    means ⊥.
+    means ⊥."""
 
-    ``dirty`` (unclosed values only) names the pack indices of the variables
-    whose entries may differ from a closed matrix; None means unknown
-    provenance.
-    """
+    __slots__ = ("vars", "m", "closed", "_closed_cache")
 
-    __slots__ = ("vars", "m", "closed", "dirty", "_closed_cache")
-
-    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None, closed: bool = False,
-                 dirty: tuple[int, ...] | None = None):
+    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None, closed: bool = False):
         self.vars = vars
         self.m = m
         self.closed = closed
-        self.dirty = dirty
         self._closed_cache: OctRel | None = None
         if m is not None:
             m.setflags(write=False)
@@ -181,11 +156,7 @@ class OctBackend:
         if r._closed_cache is not None:
             return r._closed_cache
         m = np.array(r.m)
-        if r.dirty is None:
-            status = tight_close_inplace(m)
-        else:
-            status = tight_close_pivots(m, [i for k in r.dirty for i in (2 * k, 2 * k + 1)])
-        if status != 0:
+        if tight_close_inplace(m) != 0:
             c = self._bot
         else:
             if self.intervalize:
@@ -226,13 +197,9 @@ class OctBackend:
         bm = b.m if b.vars == vars else _embed(b, vars)
         m = np.minimum(am, bm)
         base, base_m = (a, am) if a.closed else (b, bm) if b.closed else (None, None)
-        if base is None:
-            return OctRel(vars, m)
-        lt = m < base_m
-        touched = (lt.any(axis=0) | lt.any(axis=1)).reshape(len(vars), 2).any(axis=1)
-        if not touched.any():
+        if base is not None and (m == base_m).all():
             return base
-        return OctRel(vars, m, dirty=tuple(np.flatnonzero(touched).tolist()))
+        return OctRel(vars, m)
 
     def join(self, a: OctRel, b: OctRel) -> OctRel:
         """Entrywise maximum over the shared variables; the closed ``a``
@@ -303,13 +270,12 @@ class OctBackend:
 
     def _bounded(self, c: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
         """The closed ``c`` plus each octagonal ``sum(coeffs) ≤ bound``, over
-        the universe variables of the first; unclosed, dirty on them."""
-        xs = constraints[0][0]
-        vars = _union(c.vars, xs)
+        the universe variables of the first; unclosed."""
+        vars = _union(c.vars, constraints[0][0])
         m = _embed(c, vars)
         for coeffs, bound in constraints:
             self._add_oct_constraint(m, {vars.index(x): cf for x, cf in coeffs.items()}, bound)
-        return self._norm(OctRel(vars, m, dirty=tuple(vars.index(x) for x in xs)))
+        return self._norm(OctRel(vars, m))
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
         c = self.close(r)
@@ -366,7 +332,7 @@ class OctBackend:
             self._set(m, 2 * k + 1, 2 * k, 2 * hi)
         if lo > -INF:
             self._set(m, 2 * k, 2 * k + 1, -2 * lo)
-        return OctRel(vars, m, dirty=(k,))
+        return OctRel(vars, m)
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
         c = self.close(r)
@@ -413,7 +379,7 @@ class OctBackend:
 
     def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum + const == 0``: both bounds on one copy, then one
-        pivot closure over the guard's variables."""
+        closure."""
         c = self.close(r)
         if c.is_bot:
             return c

@@ -35,6 +35,9 @@ KEYWORDS = {
     "return", "assert", "if", "else", "while", "create", "join",
 }
 
+# A thread's own id and its returned value: no program variable may be named so.
+RESERVED = ("self", "ret")
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>//[^\n]*)
@@ -101,8 +104,9 @@ class _Parser:
     def cur(self) -> _Token:
         return self.toks[self.i]
 
-    def _error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.cur.line, self.cur.col, self.filename)
+    def _error(self, msg: str, tok: _Token | None = None) -> ParseError:
+        tok = tok or self.cur
+        return ParseError(msg, tok.line, tok.col, self.filename)
 
     def accept(self, kind: str) -> _Token | None:
         if self.cur.kind == kind:
@@ -134,20 +138,22 @@ class _Parser:
         threads: dict[str, tuple[Stmt, ...]] = {}
         while self.cur.kind != "eof":
             if self.accept("global"):
-                globs.extend(self._names())
+                for tok in self._names():
+                    if tok.text in RESERVED:
+                        raise self._error(f"{tok.text!r} is reserved", tok)
+                    globs.append(self._unique(tok, globs, "global"))
                 self.expect(";")
             elif self.accept("mutex"):
-                muts.extend(self._names())
+                for tok in self._names():
+                    muts.append(self._unique(tok, muts, "mutex"))
                 self.expect(";")
             elif self.accept("protect"):
-                g = self.expect("name").text
+                g = self._unique(self.expect("name"), protections, "protect declaration for")
                 self.expect("with")
-                protections[g] = frozenset(self._names())
+                protections[g] = frozenset(tok.text for tok in self._names())
                 self.expect(";")
             elif self.accept("thread"):
-                name = self.expect("name").text
-                if name in threads:
-                    raise self._error(f"duplicate thread template {name!r}")
+                name = self._unique(self.expect("name"), threads, "thread template")
                 self.expect("{")
                 body = []
                 while not self.accept("}"):
@@ -163,11 +169,17 @@ class _Parser:
             filename=self.filename,
         )
 
-    def _names(self) -> list[str]:
-        names = [self.expect("name").text]
+    def _names(self) -> list[_Token]:
+        toks = [self.expect("name")]
         while self.accept(","):
-            names.append(self.expect("name").text)
-        return names
+            toks.append(self.expect("name"))
+        return toks
+
+    def _unique(self, tok: _Token, declared, what: str) -> str:
+        """The name of ``tok``, unless ``declared`` already holds it."""
+        if tok.text in declared:
+            raise self._error(f"duplicate {what} {tok.text!r}", tok)
+        return tok.text
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
@@ -301,7 +313,7 @@ def _resolve(prog: Program) -> None:
         # A thread id is no integer: ``self`` may only be joined.  ``ret``
         # names a thread's returned value and is never a readable local.
         names = expr_vars(e)
-        for name in ("self", "ret"):
+        for name in RESERVED:
             if name in names:
                 raise ParseError(f"{name!r} cannot be used in {what}", p.line, p.col, prog.filename)
 
@@ -341,7 +353,7 @@ def _resolve(prog: Program) -> None:
                         raise ParseError(
                             f"undeclared thread template {create!r}", p.line, p.col, prog.filename
                         )
-                    if target in ("self", "ret"):
+                    if target in RESERVED:
                         raise ParseError(f"{target!r} is reserved", p.line, p.col, prog.filename)
                     if target in gset and (create or join):
                         raise ParseError(

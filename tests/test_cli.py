@@ -85,10 +85,18 @@ _TOO_DEEP = "expression nested deeper than 100 levels"
     ("thread main { assert(ret == 5); }", "1:15", "'ret' cannot be used in assertions"),
     ("thread main { x = create(t1); } thread t1 { return ret + 1; }",
      "1:45", "'ret' cannot be used in expressions"),
+    ("global self; thread main { x = 1; }", "1:8", "'self' is reserved"),
+    ("global ret; thread main { x = 1; }", "1:8", "'ret' is reserved"),
+    ("global g, g; thread main { g = 1; }", "1:11", "duplicate global 'g'"),
+    ("global g;\nglobal g; thread main { g = 1; }", "2:8", "duplicate global 'g'"),
+    ("mutex a, a; thread main { }", "1:10", "duplicate mutex 'a'"),
+    ("global g; mutex a, b; protect g with a; protect g with b; thread main { }",
+     "1:49", "duplicate protect declaration for 'g'"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
         "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500",
         "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
-        "ret-assert", "ret-return"])
+        "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
+        "global-twice", "mutex-twice", "protect-twice"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"
     f.write_text(src)

@@ -356,6 +356,31 @@ def box(n, lo=-2, hi=4):
     return product(range(lo, hi + 1), repeat=n)
 
 
+def test_every_computed_closure_calls_tight_close_inplace(programs, monkeypatch):
+    """``close`` computes each closure through ``octagon.tight_close_inplace``,
+    the one name a tracer wraps, so counting its calls counts closures."""
+    import concurrel.domains.octagon as octagon
+    from concurrel.analysis import preset, run_analysis
+
+    computed, kernel_calls = [0], [0]
+    close, kernel = OctBackend.close, octagon.tight_close_inplace
+
+    def counting_close(self, r):
+        if not (r.is_bot or r.closed or r._closed_cache is not None):
+            computed[0] += 1
+        return close(self, r)
+
+    def counting_kernel(m):
+        kernel_calls[0] += 1
+        return kernel(m)
+
+    monkeypatch.setattr(OctBackend, "close", counting_close)
+    monkeypatch.setattr(octagon, "tight_close_inplace", counting_kernel)
+    run_analysis(programs["intro_cluster"], preset("clusters"))
+    assert computed[0] > 0
+    assert kernel_calls[0] == computed[0]
+
+
 def _compile_c_kernel(directory):
     """Compile ``_closure.c`` into ``directory`` with the compiler and flags
     Python was built with and load it from there, not as
@@ -387,11 +412,11 @@ def _compile_c_kernel(directory):
 
 
 def test_compiled_kernel_matches_numpy_kernel(tmp_path):
-    """The C kernel equals the numpy kernel bit for bit, on the full closure
-    and on pivot closures, and rejects input that breaks its contract."""
-    from concurrel.domains._closure_py import tight_close_pivots as pure
+    """The C kernel equals the numpy kernel bit for bit and rejects input
+    that breaks its contract."""
+    from concurrel.domains._closure_py import tight_close_inplace as pure
 
-    fast = _compile_c_kernel(tmp_path).tight_close_pivots
+    fast = _compile_c_kernel(tmp_path).tight_close_inplace
     rng = Random(47)
     unsat = 0
     for trial in range(400):
@@ -404,18 +429,15 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
                 c = float(rng.randint(-4, 6))
                 m[i, j] = min(m[i, j], c)
                 m[j ^ 1, i ^ 1] = m[i, j]
-        if trial % 2:  # a closed matrix plus one new bound: the incremental closure
-            if pure(m, range(2 * n)) != 0:
+        if trial % 2:  # a closed matrix plus one new bound, as transfers leave it
+            if pure(m) != 0:
                 continue
             x, y = rng.randrange(n), rng.randrange(n)
             i, j = 2 * x + rng.randrange(2), 2 * y + rng.randrange(2)
             m[i, j] = min(m[i, j], float(rng.randint(-4, 2)))
             m[j ^ 1, i ^ 1] = m[i, j]
-            pivots = sorted({2 * x, 2 * x + 1, 2 * y, 2 * y + 1})
-        else:
-            pivots = range(2 * n)
         m1, m2 = np.array(m), np.array(m)
-        r1, r2 = pure(m1, pivots), fast(m2, pivots)
+        r1, r2 = pure(m1), fast(m2)
         assert r1 == r2
         unsat += r1
         if r1 == 0:
@@ -427,20 +449,15 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
     for bad in (read_only, np.zeros((4, 4))[::2, ::2], np.zeros((2, 2), np.float32),
                 np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3)), [[0.0, 0.0], [0.0, 0.0]]):
         with pytest.raises(ValueError):
-            fast(bad, [0])
-    m = np.zeros((2, 2))
-    for bad in ([2], [-1], [0.5], ["0"], [0, 2]):
-        with pytest.raises(IndexError):
-            fast(m, bad)
+            fast(bad)
     # the buffer is released on every path: a memoryview with exports cannot be released
-    for shape, pivots, error in (((2, 2), [0, 1], None), ((1, 4), [0], ValueError),
-                                 ((2, 2), [5], IndexError), ((2, 2), None, TypeError)):
+    for shape, error in (((2, 2), None), ((1, 4), ValueError)):
         view = memoryview(bytearray(32)).cast("d", shape)
         if error is None:
-            assert fast(view, pivots) == 0
+            assert fast(view) == 0
         else:
             with pytest.raises(error):
-                fast(view, pivots)
+                fast(view)
         view.release()
 
 
@@ -468,7 +485,7 @@ def test_closed_octagons_are_freed_without_the_cycle_collector(programs):
     assert cyclic == 0
 
 
-# -- incremental closure ------------------------------------------------------------
+# -- octagon transfers ------------------------------------------------------------
 
 def _oct_constraint(data, n):
     """Random octagonal constraint over one or two variables: (coeffs, bound)."""
@@ -477,95 +494,6 @@ def _oct_constraint(data, n):
     xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
     coeffs = {x: data.draw(st.sampled_from((1, -1))) for x in xs}
     return coeffs, data.draw(st.integers(-6, 8))
-
-
-def test_pivot_closure_equals_full_closure():
-    from hypothesis import given, settings, strategies as st
-    from concurrel.domains._closure_py import tight_close_pivots
-
-    def tight_close_inplace(m):
-        return tight_close_pivots(m, range(m.shape[0]))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def check(data):
-        n = data.draw(st.integers(1, 6))
-        back = OctBackend(n)
-        m = np.full((2 * n, 2 * n), np.inf)
-        np.fill_diagonal(m, 0.0)
-        for _ in range(data.draw(st.integers(0, 3 * n))):
-            coeffs, bound = _oct_constraint(data, n)
-            back._add_oct_constraint(m, coeffs, bound)
-        if tight_close_inplace(m) != 0:
-            return
-        touched = set()
-        for _ in range(data.draw(st.integers(1, 3))):
-            coeffs, bound = _oct_constraint(data, n)
-            back._add_oct_constraint(m, coeffs, bound)
-            touched |= set(coeffs)
-        full, inc = np.array(m), np.array(m)
-        status = tight_close_inplace(full)
-        pivots = [i for x in sorted(touched) for i in (2 * x, 2 * x + 1)]
-        assert tight_close_pivots(inc, pivots) == status
-        if status == 0:
-            assert np.array_equal(full, inc)
-
-    check()
-
-
-@pytest.mark.parametrize("intervalize", [False, True])
-def test_recording_transfers_close_like_full_closure(intervalize, monkeypatch):
-    """Each transfer that records its variables closes, through the pivot
-    closure, to the matrix a full closure of its raw matrix gives."""
-    import concurrel.domains.octagon as octagon
-    from concurrel.domains.octagon import OctRel
-
-    rng = Random(48)
-    dom = make_domain("interval" if intervalize else "octagon", ("x", "y", "z"))
-    back = dom.nb
-    n = back.n
-    pivot_calls = []
-
-    def run_transfers(r, r2):
-        c = back.close(r)
-        c2 = back.close(r2)
-        x, y = rng.sample(range(n), 2)
-        k, lo = rng.randint(-3, 3), rng.randint(-2, 2)
-        sign = rng.choice((1, -1))
-        full = tuple(range(n))
-        raw = octagon._embed(c2, full)  # c2 plus one bound, not closed
-        back._add_oct_constraint(raw, {x: sign, y: rng.choice((1, -1))}, k)
-        outs = [
-            back.set_interval(c, x, lo, lo + rng.randint(0, 3)),
-            back.assign_linear(c, x, {y: sign}, k),
-            back.guard_leq0(c, {x: sign}, k),
-            back.guard_leq0(c, {x: sign, y: rng.choice((1, -1))}, k),
-            back.meet(c, c2),
-            back.meet(c, OctRel(full, raw)),
-            back.meet(OctRel(full, raw), c),
-        ]
-        return [back.close(o) for o in outs]
-
-    pivot_closure = octagon.tight_close_pivots
-
-    def full(m):
-        return pivot_closure(m, range(m.shape[0]))
-
-    for _ in range(150):
-        r, r2 = random_relation(dom, rng).num, random_relation(dom, rng).num
-        if back.is_bot(r) or back.is_bot(r2):
-            continue
-        state = rng.getstate()
-        with monkeypatch.context() as mp:
-            mp.setattr(octagon, "tight_close_pivots",
-                       lambda m, ks: pivot_calls.append((m.shape[0], len(ks))) or full(m))
-            expected = run_transfers(r, r2)
-        rng.setstate(state)
-        for got, want in zip(run_transfers(r, r2), expected):
-            assert got.is_bot == want.is_bot
-            if not got.is_bot:
-                assert np.array_equal(got.m, want.m)
-    assert any(k < dim for dim, k in pivot_calls)  # an incremental closure ran
 
 
 def test_widen_returns_left_operand_when_stable():
@@ -688,7 +616,7 @@ def test_guard_eq_closes_like_the_meet_of_both_halves():
 
 def _packed(data, back, n):
     """A random octagon over a random subset of the n variables: raw,
-    closed, or closed plus one bound recorded as dirty."""
+    closed, or closed plus one bound, left unclosed."""
     from hypothesis import strategies as st
     from concurrel.domains.octagon import OctRel
 
@@ -699,16 +627,15 @@ def _packed(data, back, n):
     for _ in range(data.draw(st.integers(0, 2 * k)) if k else 0):
         back._add_oct_constraint(m, *_oct_constraint(data, k))
     r = OctRel(vars, m)
-    kind = data.draw(st.sampled_from(("raw", "closed", "dirty")))
+    kind = data.draw(st.sampled_from(("raw", "closed", "bounded")))
     if kind == "raw":
         return r
     c = back.close(r)
     if kind == "closed" or c.is_bot or not k:
         return c
     m = np.array(c.m)
-    coeffs, bound = _oct_constraint(data, k)
-    back._add_oct_constraint(m, coeffs, bound)
-    return OctRel(vars, m, dirty=tuple(coeffs))
+    back._add_oct_constraint(m, *_oct_constraint(data, k))
+    return OctRel(vars, m)
 
 
 def _full(r, n):
@@ -723,12 +650,12 @@ def _full(r, n):
 
 
 def _full_close(m):
-    from concurrel.domains._closure_py import tight_close_pivots
+    from concurrel.domains._closure_py import tight_close_inplace
 
     if m is None:
         return None
     c = np.array(m)
-    return None if tight_close_pivots(c, range(c.shape[0])) else c
+    return None if tight_close_inplace(c) else c
 
 
 def _same(got, want) -> bool:
