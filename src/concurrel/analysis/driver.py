@@ -103,10 +103,8 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
         raise ProgramError([d for d in diags if d.severity == "error"])
 
     protections = compute_protections(program, cfgs, config.protections)
-    mutex_names = sorted(set(program.mutexes) | {program.protecting_mutex(g) for g in program.globals})
-    clusters = {
-        a: config.clusters.clusters_for(a, protected_by(protections, a)) for a in mutex_names
-    }
+    clusters = {a: config.clusters.clusters_for(a, protected_by(protections, a))
+                for a in program.all_mutexes}
     universe = build_universe(cfgs, program)
     dom = RelDomain(universe, config.domain)
     locals_ = local_vars(universe, program)

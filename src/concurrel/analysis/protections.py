@@ -16,9 +16,7 @@ from ..frontend.validate import held_locksets
 
 
 def infer_protections(program: Program, cfgs: dict[str, Cfg]) -> dict[str, frozenset[str]]:
-    all_mutexes = frozenset(program.mutexes) | {
-        program.protecting_mutex(g) for g in program.globals
-    }
+    all_mutexes = frozenset(program.all_mutexes)
     prot = {g: all_mutexes for g in program.globals}
     for cfg in cfgs.values():
         write_held, _problems = held_locksets(cfg)

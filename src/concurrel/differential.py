@@ -19,12 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis.driver import AnalysisResult
+from .analysis.driver import AnalysisResult, local_vars
 from .analysis.reporting import AssertVerdict
-from .oracle import Exploration
-
-# reachable-tuple layout
-R_TID, R_POINT, R_LOCKSET, R_LOCALS, R_GLOBALS, R_TDIG, R_TBASE, R_LOCKONCE = range(8)
+from .oracle import Exploration, Reachable
 
 
 @dataclass
@@ -57,18 +54,19 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
         for tid, (full, base) in exploration.tid_abstractions.items()
     }
 
-    def expected_digest(rs):
+    def expected_digest(rs: Reachable):
         if improved:
-            return rs[R_TDIG]
+            return rs.tdig
         if result.config.lock_once:
-            return rs[R_LOCKONCE]
+            return rs.lockonce
         return ()
 
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list[Reachable]] = {}
     for rs in exploration.reachable:
-        groups.setdefault((rs[R_POINT], rs[R_LOCKSET]), []).append(rs)
+        groups.setdefault((rs.point, rs.lockset), []).append(rs)
 
     universe_globals = set(result.program.globals)
+    locals_ = local_vars(result.universe, result.program)
     lvars = exploration.lvars
     gvars = exploration.gvars
 
@@ -83,28 +81,24 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
                 f"concretely but no unknown instantiated")
             continue
         digests = {k.digest for k in keys}
-        joined = dom.join_all(
-            result.local_relation(result.solver.values[k]) for k in keys
-        )
         held_globals = {g for g in universe_globals if result.protections[g] & lockset}
-        keep = (set(result.universe.all_vars) - universe_globals - {"ret"}) | held_globals
-        v = dom.restrict(joined, keep)
+        v = dom.restrict(result.point_value(point, lockset), {*locals_, *held_globals})
         seen_digest_miss = set()
-        for rs in sorted(states, key=lambda r: (r[R_TID], str(r[R_LOCALS]))):
+        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals))):
             d = expected_digest(rs)
             if d not in digests and d not in seen_digest_miss:
                 seen_digest_miss.add(d)
                 report.digest_misses.append(
                     f"{point}: replayed digest {result.spec.render(d)} not instantiated")
             store: dict[str, object] = {}
-            for var, val in zip(lvars, rs[R_LOCALS]):
+            for var, val in zip(lvars, rs.locals):
                 store[var] = tid_abs.get(val, val) if isinstance(val, str) else val
-            for g, val in zip(gvars, rs[R_GLOBALS]):
+            for g, val in zip(gvars, rs.globals):
                 if g in held_globals:
                     store[g] = val
             if not dom.contains(v, store) and len(report.witnesses) < max_witnesses:
                 report.witnesses.append(
-                    f"{rs[R_TID]} at {point} lockset={{{','.join(sorted(lockset))}}}: "
+                    f"{rs.tid} at {point} lockset={{{','.join(sorted(lockset))}}}: "
                     f"store {store} outside {dom.render(v)}")
 
     for g in sorted(exploration.global_values):

@@ -18,7 +18,6 @@ unlift(r|Y) x = ⊤ for x ∉ Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Protocol, runtime_checkable
 
 from ..frontend.ast import Cmp, Expr, linear_form
@@ -129,9 +128,6 @@ class RelDomain:
         if not self.nb.leq(a.num, b.num):
             return False
         return all(tid_leq(a.tids.get(v, TID_TOP), t) for v, t in b.tids.items())
-
-    def eq(self, a: Relation, b: Relation) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
 
     def meet(self, a: Relation, b: Relation) -> Relation:
         if a.bot or b.bot:
@@ -328,15 +324,3 @@ class RelDomain:
         for v in sorted(r.tids):
             parts.append(f"{v}∈{tid_render(r.tids[v])}")
         return ", ".join(parts) if parts else "⊤"
-
-    # -- clustering --
-
-    def decompose(self, r: Relation, k: int) -> dict[frozenset, Relation]:
-        out = {}
-        for size in range(1, k + 1):
-            for q in combinations(self.universe.all_vars, size):
-                out[frozenset(q)] = self.restrict(r, set(q))
-        return out
-
-    def recompose(self, d: dict[frozenset, Relation]) -> Relation:
-        return self.meet_all(d.values())

@@ -173,6 +173,16 @@ class Program:
         """Name of the implicit atomicity mutex of global ``g``."""
         return "m_" + g
 
+    @property
+    def all_mutexes(self) -> tuple[str, ...]:
+        """The declared mutexes and the atomicity mutex of every global, sorted."""
+        return tuple(sorted({*self.mutexes, *map(self.protecting_mutex, self.globals)}))
+
+    @staticmethod
+    def is_atomicity_mutex(m: str) -> bool:
+        """Whether ``m`` has the form of a ``protecting_mutex`` name."""
+        return m.startswith("m_")
+
 
 # --- actions (CFG edge labels) -----------------------------------------------
 

@@ -297,7 +297,7 @@ def _resolve(prog: Program) -> None:
     gset = set(prog.globals)
     mset = set(prog.mutexes)
     for m in prog.mutexes:
-        if m.startswith("m_"):
+        if prog.is_atomicity_mutex(m):
             raise ParseError(
                 f"mutex name {m!r} is reserved for implicit atomicity mutexes", 1, 1, prog.filename
             )

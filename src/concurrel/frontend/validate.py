@@ -94,7 +94,7 @@ def validate(program: Program, cfgs: dict[str, Cfg] | None = None) -> list[Diagn
             g = e.action.glob
             declared = (program.protections or {}).get(g)
             for held in write_held[e]:
-                user_held = {m for m in held if not m.startswith("m_")}
+                user_held = {m for m in held if not program.is_atomicity_mutex(m)}
                 if declared is not None and not declared <= held | {program.protecting_mutex(g)} | user_held:
                     missing = sorted(declared - user_held - {program.protecting_mutex(g)})
                     if missing:

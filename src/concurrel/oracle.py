@@ -7,22 +7,31 @@ each thread carries its replayed digests (thread-id history with and without
 the encountered-creates refinement, and the lock-once set) so one exploration
 can be checked against any analysis configuration.
 
+The digests are replayed through the analyzer's own specs,
+``TidDigestSpec`` and ``LockOnceDigest``: ``new_thread`` and ``unary`` at a
+create, ``binary`` at a lock (against the digests of the mutex's last
+unlock) and at a join (against the joined thread's digests).  Both specs
+keep their digest at every other action.  A ``binary`` that returns ``None``
+on a step the oracle just took rejects a feasible combination of traces: it
+is reported in ``digest_infeasibilities``, and the thread keeps its digest.
+
 Globals start at 0; locals start at 0 (the concrete semantics allows any
 initial local values, so this is one admissible choice for an
 under-approximate oracle).  Mutexes are non-reentrant; join blocks until the
 joined thread returned and each thread is joined at most once; reads see the
 last write (sequentially consistent store).  Copies between globals and
-locals are atomic: the implicit lock(m_g)/copy/unlock(m_g) wrapper executes
-as one oracle step (no user code can hold m_g, so no interleaving is lost at
-wrapper-external points).
+locals are atomic: the lock/copy/unlock wrapper that lowering puts around
+each access, on the mutex for which ``Program.is_atomicity_mutex`` holds,
+executes as one oracle step (no user code can hold that mutex, so no
+interleaving is lost at wrapper-external points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .digests import CreateEdge, MAIN_TID, may_run, tid_compose, tid_new
+from .digests import MAIN_TID, AbstractTid, CreateEdge, LockOnceDigest, TidDigestSpec, tid_compose
 from .frontend.ast import (
     Assert, AssignLocal, BinOp, Cmp, Create, Guard, Havoc, IntLit, Join,
     Lock, Program, ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
@@ -38,12 +47,24 @@ class ExploreBounds:
     max_total_states: int = 300_000
 
 
+class Reachable(NamedTuple):
+    """What one thread sees in one reachable state."""
+
+    tid: str
+    point: Point
+    lockset: frozenset[str]  # the mutexes the thread holds
+    locals: tuple  # values of Exploration.lvars
+    globals: tuple  # values of Exploration.gvars
+    tdig: tuple  # TidDigestSpec digest
+    tbase: AbstractTid  # thread id without the encountered-creates refinement
+    lockonce: frozenset[str]  # LockOnceDigest digest
+
+
 @dataclass
 class Exploration:
     lvars: tuple[str, ...] = ()
     gvars: tuple[str, ...] = ()
-    # (tid, point, lockset, locals, globals, tdig, tdig_base, lockonce)
-    reachable: set[tuple] = field(default_factory=set)
+    reachable: set[Reachable] = field(default_factory=set)
     violations: dict[int, list[str]] = field(default_factory=dict)
     digest_infeasibilities: list[str] = field(default_factory=list)
     schedules: int = 0
@@ -55,9 +76,6 @@ class Exploration:
     @property
     def truncated(self) -> bool:
         return bool(self.truncated_by)
-
-    def global_store(self, rs: tuple) -> dict[str, int]:
-        return dict(zip(self.gvars, rs[4]))
 
 
 def _compile_expr(e, lidx: dict[str, int]) -> Callable:
@@ -111,12 +129,13 @@ class _Explorer:
         self.ex.gvars = tuple(sorted(program.globals))
         self.lidx = {v: i for i, v in enumerate(self.ex.lvars)}
         self.gidx = {g: i for i, g in enumerate(self.ex.gvars)}
-        self.mutexes = tuple(sorted(set(program.mutexes) | {
-            program.protecting_mutex(g) for g in program.globals
-        }))
+        self.mutexes = program.all_mutexes
         self.midx = {m: i for i, m in enumerate(self.mutexes)}
         self.points: list[Point] = [p for cfg in cfgs.values() for p in cfg.points]
         self.pid = {p: i for i, p in enumerate(self.points)}
+        self.tid_spec, self.lockonce_spec = TidDigestSpec(), LockOnceDigest()
+        self.observing: list[Edge] = []  # lock and join edges, indexed by observation id
+        self._observe_memo: dict[tuple[int, ...], tuple[tuple[int, int], list[str]]] = {}
         self.steps: list[list] = [
             [self._compile_edge(cfg, e) for e in cfg.out_edges(p)]
             for cfg in cfgs.values() for p in cfg.points
@@ -129,7 +148,6 @@ class _Explorer:
         self._dig_ids: dict[tuple, int] = {}
         self.lockonces: list[frozenset] = []  # interned lock-once sets
         self._lockonce_ids: dict[frozenset, int] = {}
-        self._may_run_memo: dict[tuple[int, int], bool] = {}
         # visit counters are only kept for points that lie on a CFG cycle
         self.revisitable: set[int] = set()
         for cfg in cfgs.values():
@@ -161,33 +179,34 @@ class _Explorer:
                 return ("guard", dst, label, _compile_cmp(c, self.lidx))
             case Assert(c, aid, _):
                 return ("assert", dst, label, _compile_cmp(c, self.lidx), aid)
-            case Lock(m) if m.startswith("m_"):
+            case Lock(m) if self.program.is_atomicity_mutex(m):
                 # fold the atomic copy wrapper lock(m_g); access; unlock(m_g)
                 (mid,) = cfg.out_edges(e.dst)
                 (after,) = cfg.out_edges(mid.dst)
                 assert isinstance(after.action, Unlock)
                 if isinstance(mid.action, ReadGlobal):
                     return ("copyr", self.pid[after.dst], label, self.lidx[mid.action.local],
-                            self.gidx[mid.action.glob], self.midx[m])
+                            self.gidx[mid.action.glob], self.midx[m], self._observation(e))
                 return ("copyw", self.pid[after.dst], label, self.gidx[mid.action.glob],
-                        self.lidx[mid.action.local], self.midx[m])
+                        self.lidx[mid.action.local], self.midx[m], self._observation(e))
             case Lock(m):
-                return ("lock", dst, label, self.midx[m], m)
+                return ("lock", dst, label, self.midx[m], self._observation(e))
             case Unlock(m):
                 return ("unlock", dst, label, self.midx[m])
             case Create(x, template):
                 start = self.cfgs[template].start
-                return ("create", dst, label, self.lidx[x], CreateEdge(e.src, template),
-                        start, self.pid[start])
+                return ("create", dst, label, self.lidx[x], e, start, self.pid[start])
             case Return(x):
                 return ("return", dst, label, self.lidx[x])
             case Join(x1, x):
-                return ("join", dst, label, self.lidx[x1], self.lidx[x])
-            case ReadGlobal(x, g):  # only reachable if wrappers were stripped
-                return ("copyr", dst, label, self.lidx[x], self.gidx[g], -1)
-            case WriteGlobal(g, x):
-                return ("copyw", dst, label, self.gidx[g], self.lidx[x], -1)
+                return ("join", dst, label, self.lidx[x1], self.lidx[x], self._observation(e))
+            case ReadGlobal() | WriteGlobal():
+                return None  # inside a folded copy wrapper, where no thread stops
         raise TypeError(act)
+
+    def _observation(self, e: Edge) -> int:
+        self.observing.append(e)
+        return len(self.observing) - 1
 
     # -- state helpers --
 
@@ -205,12 +224,6 @@ class _Explorer:
     def _lockonce(self, s: frozenset) -> int:
         return self._intern(self.lockonces, self._lockonce_ids, s)
 
-    def _may_run(self, i: int, j: int) -> bool:
-        r = self._may_run_memo.get((i, j))
-        if r is None:
-            r = self._may_run_memo[(i, j)] = may_run(self.digs[i], self.digs[j])
-        return r
-
     def _record(self, t: tuple, globals_: tuple, held: tuple) -> None:
         if t[STATUS] != RUNNING:
             return
@@ -225,7 +238,8 @@ class _Explorer:
     def run(self) -> Exploration:
         locals0 = [0] * len(self.ex.lvars)
         locals0[self.lidx["self"]] = "main"
-        main_dig, no_locks = self._dig((MAIN_TID, frozenset())), self._lockonce(frozenset())
+        main_dig = self._dig(self.tid_spec.init())
+        no_locks = self._lockonce(self.lockonce_spec.init())
         main = ("main", self.pid[self.cfgs[self.program.entry].start], tuple(locals0),
                 RUNNING, 0, main_dig, no_locks, ())
         globals0 = (0,) * len(self.ex.gvars)
@@ -258,7 +272,7 @@ class _Explorer:
             stack.extend(reversed(succs))
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
         self.ex.reachable = {
-            (tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], self.lockonces[lo])
+            Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], self.lockonces[lo])
             for tid, p, lockset, ls, gs, d, lo in self.reachable
         }
         return self.ex
@@ -320,36 +334,26 @@ class _Explorer:
             push()
         elif kind == "copyr":
             i, gi, mi = step[3], step[4], step[5]
-            if mi >= 0:
-                if held[mi] is not None:
-                    return out
-                lockonce2 = self._lock_digests(t, lu, mi, label)
-                lu2 = lu[:mi] + ((t[TDIG], lockonce2),) + lu[mi + 1:]
-            else:
-                lockonce2, lu2 = t[LOCKONCE], lu
-            push(locals_=ls[:i] + (globals_[gi],) + ls[i + 1:],
-                 lockonce=lockonce2, lu2=lu2)
+            if held[mi] is not None:
+                return out
+            digs2 = self._observe(t, step[6], lu[mi], label)
+            push(locals_=ls[:i] + (globals_[gi],) + ls[i + 1:], tdig=digs2[0],
+                 lockonce=digs2[1], lu2=lu[:mi] + (digs2,) + lu[mi + 1:])
         elif kind == "copyw":
             gi, i, mi = step[3], step[4], step[5]
             v = ls[i]
-            if not isinstance(v, int):
+            if not isinstance(v, int) or held[mi] is not None:
                 return out
-            if mi >= 0:
-                if held[mi] is not None:
-                    return out
-                lockonce2 = self._lock_digests(t, lu, mi, label)
-                lu2 = lu[:mi] + ((t[TDIG], lockonce2),) + lu[mi + 1:]
-            else:
-                lockonce2, lu2 = t[LOCKONCE], lu
+            digs2 = self._observe(t, step[6], lu[mi], label)
             self.ex.global_values[self.ex.gvars[gi]].add(v)
-            push(g2=globals_[:gi] + (v,) + globals_[gi + 1:],
-                 lockonce=lockonce2, lu2=lu2)
+            push(g2=globals_[:gi] + (v,) + globals_[gi + 1:], tdig=digs2[0],
+                 lockonce=digs2[1], lu2=lu[:mi] + (digs2,) + lu[mi + 1:])
         elif kind == "lock":
             mi = step[3]
             if held[mi] is not None:
                 return out
-            lockonce2 = self._lock_digests(t, lu, mi, label)
-            push(lockonce=lockonce2, h2=held[:mi] + (t[TID],) + held[mi + 1:])
+            tdig2, lockonce2 = self._observe(t, step[4], lu[mi], label)
+            push(tdig=tdig2, lockonce=lockonce2, h2=held[:mi] + (t[TID],) + held[mi + 1:])
         elif kind == "unlock":
             mi = step[3]
             if held[mi] != t[TID]:
@@ -361,18 +365,21 @@ class _Explorer:
                 self.ex.truncated_by.add("max_threads")
                 return out
             i, e, start, start_id = step[3], step[4], step[5], step[6]
-            (ii, c) = tdig = self.digs[t[TDIG]]
-            child_digest = tid_new(e.point, start, tdig)
-            child_base = tid_compose(self.ex.tid_abstractions[t[TID]][1], e)
-            prefix = f"{t[TID]}/{e.point}#"
+            tdig, lockonce = self.digs[t[TDIG]], self.lockonces[t[LOCKONCE]]
+            child_digest = self.tid_spec.new_thread(e.src, start, tdig)
+            child_base = tid_compose(self.ex.tid_abstractions[t[TID]][1],
+                                     CreateEdge(e.src, e.action.template))
+            prefix = f"{t[TID]}/{e.src}#"
             n2 = sum(1 for th in threads if th[TID].startswith(prefix))
             child_tid = f"{prefix}{n2}"
             self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
             child_ls = ls[:self.lidx["self"]] + (child_tid,) + ls[self.lidx["self"] + 1:]
             child = (child_tid, start_id, child_ls, RUNNING, 0, self._dig(child_digest),
-                     t[LOCKONCE], ())
+                     self._lockonce(self.lockonce_spec.new_thread(e.src, start, lockonce)), ())
             self._record(child, globals_, held)
-            push(locals_=ls[:i] + (child_tid,) + ls[i + 1:], tdig=self._dig((ii, c | {e})),
+            push(locals_=ls[:i] + (child_tid,) + ls[i + 1:],
+                 tdig=self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
+                 lockonce=self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce)),
                  others=tuple(threads) + (child,))
         elif kind == "return":
             v = ls[step[3]]
@@ -386,30 +393,35 @@ class _Explorer:
             if tj_i is None or threads[tj_i][STATUS] != RETURNED:
                 return out
             tj = threads[tj_i]
-            if not self._may_run(t[TDIG], tj[TDIG]):
-                self.ex.digest_infeasibilities.append(
-                    f"tid digest rejects feasible join: {_entry(label)}")
+            tdig2, lockonce2 = self._observe(t, step[5], (tj[TDIG], tj[LOCKONCE]), label)
             ts2 = list(threads)
             ts2[tj_i] = tj[:STATUS] + (JOINED,) + tj[STATUS + 1:]
-            lockonce2 = self.lockonces[t[LOCKONCE]] | self.lockonces[tj[LOCKONCE]]
             push(locals_=ls[:i1] + (tj[RETVAL],) + ls[i1 + 1:],
-                 lockonce=self._lockonce(lockonce2), others=ts2)
+                 tdig=tdig2, lockonce=lockonce2, others=ts2)
         else:
             raise ValueError(kind)
         return out
 
-    def _lock_digests(self, t, lu, mi: int, label) -> int:
-        """The lock-once id after locking mutex ``mi``."""
-        (lu_tdig, lu_lockonce) = lu[mi]
-        if not self._may_run(t[TDIG], lu_tdig):
-            self.ex.digest_infeasibilities.append(
-                f"tid digest rejects feasible lock: {_entry(label)}")
-        m = self.mutexes[mi]
-        mine, theirs = self.lockonces[t[LOCKONCE]], self.lockonces[lu_lockonce]
-        if m in mine and m not in theirs:
-            self.ex.digest_infeasibilities.append(
-                f"lock-once digest rejects feasible lock: {_entry(label)}")
-        return self._lockonce(mine | theirs | {m})
+    def _observe(self, t, obs: int, other: tuple[int, int], label) -> tuple[int, int]:
+        """The (tid digest, lock-once) ids of thread ``t`` after the observing
+        edge ``obs`` incorporates a trace with the digest ids ``other``: the
+        last unlock of the locked mutex, or the joined thread."""
+        key = (obs, t[TDIG], t[LOCKONCE]) + other
+        r = self._observe_memo.get(key)
+        if r is None:
+            e = self.observing[obs]
+            tdig = self.tid_spec.binary(e.src, e.action, self.digs[t[TDIG]], self.digs[other[0]])
+            lockonce = self.lockonce_spec.binary(e.src, e.action, self.lockonces[t[LOCKONCE]],
+                                                 self.lockonces[other[1]])
+            r = self._observe_memo[key] = (
+                (t[TDIG] if tdig is None else self._dig(tdig),
+                 t[LOCKONCE] if lockonce is None else self._lockonce(lockonce)),
+                [f"{spec} digest rejects feasible {type(e.action).__name__.lower()}"
+                 for spec, d in (("tid", tdig), ("lock-once", lockonce)) if d is None],
+            )
+        for rejected in r[1]:
+            self.ex.digest_infeasibilities.append(f"{rejected}: {_entry(label)}")
+        return r[0]
 
 
 def _entry(cons) -> str:

@@ -87,7 +87,6 @@ class Solver:
         self.deps: dict[Any, set[int]] = {}  # key -> constraint ids reading it
         self.ns_deps: dict[Any, set[int]] = {}
         self.last_reads: dict[int, set[Any]] = {}
-        self.affected_by: dict[Any, set[int]] = {}  # key -> constraints that wrote it
         self.updates: dict[Any, int] = {}
         self.stats = SolveStats()
 
@@ -146,7 +145,6 @@ class Solver:
         for ns in view.ns_reads:
             self.ns_deps.setdefault(ns, set()).add(cid)
         for key, value in effects.items():
-            self.affected_by.setdefault(key, set()).add(cid)
             self._apply(key, value, queue, widen_ok)
 
     # -- main loop --
@@ -200,11 +198,3 @@ class Solver:
                 if cur is None or not self.system.leq(key, value, cur):
                     bad.append(f"{c.name} -> {key}")
         return bad
-
-    def dependencies(self, key) -> set[Any]:
-        """Unknowns whose change re-triggers ``key`` (reads of the constraints
-        that contributed to it)."""
-        out: set[Any] = set()
-        for cid in self.affected_by.get(key, ()):
-            out |= self.last_reads.get(cid, set())
-        return out

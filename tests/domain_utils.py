@@ -1,6 +1,6 @@
 """Shared generators and the brute-force concretization oracle for domain tests."""
 
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 from concurrel.domains import RelDomain, Universe
@@ -11,6 +11,23 @@ OPS = ["<=", "<", ">=", ">", "==", "!="]
 
 def make_domain(numeric: str, names=("v", "w", "x", "y", "z")) -> RelDomain:
     return RelDomain(Universe(tuple(names), ("self",)), numeric)
+
+
+def eq(dom: RelDomain, a, b) -> bool:
+    return dom.leq(a, b) and dom.leq(b, a)
+
+
+def decompose(dom: RelDomain, r, k: int) -> dict:
+    """The restrictions of ``r`` to every set of at most ``k`` variables."""
+    out = {}
+    for size in range(1, k + 1):
+        for q in combinations(dom.universe.all_vars, size):
+            out[frozenset(q)] = dom.restrict(r, set(q))
+    return out
+
+
+def recompose(dom: RelDomain, d: dict):
+    return dom.meet_all(d.values())
 
 
 def random_relation(dom: RelDomain, rng: Random, steps: int | None = None):

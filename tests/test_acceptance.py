@@ -36,7 +36,9 @@ from concurrel.frontend.ast import Lock, Unlock
 from concurrel.oracle import ExploreBounds, explore
 
 from conftest import FixedClusters
-from domain_utils import gamma, make_domain, random_relation, eval_expr, eval_cmp
+from domain_utils import (
+    decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
+)
 
 
 def verdicts(program, config) -> list[str]:
@@ -93,8 +95,8 @@ def test_criterion_3_lock_once(programs):
     without_bounds = [bounds(r) for r in (oct_without, itv_without)]
     # the digest bounds are exactly the hull of what the oracle reaches there
     ex = explore(p, ExploreBounds())
-    seen = {(ex.global_store(rs)["g"], ex.global_store(rs)["h"])
-            for rs in ex.reachable if rs[1] == pt}
+    gi, hi = ex.gvars.index("g"), ex.gvars.index("h")
+    seen = {(rs.globals[gi], rs.globals[hi]) for rs in ex.reachable if rs.point == pt}
 
     ok = (strict_with == ["PROVEN"] and strict_without == ["UNKNOWN"]
           and got["octagon+digest"] == got["octagon"] == ["PROVEN"]
@@ -149,9 +151,9 @@ def test_criterion_7_ancestor_writes(programs):
 
 def _state_projected_equal(dom, small, full) -> bool:
     if isinstance(small, ImprovedState):
-        return (small.j == full.j and small.w == full.w and dom.eq(small.r, full.r)
-                and all(dom.eq(small.l[k], full.l[k]) for k in small.l))
-    return dom.eq(small, full)
+        return (small.j == full.j and small.w == full.w and eq(dom, small.r, full.r)
+                and all(eq(dom, small.l[k], full.l[k]) for k in small.l))
+    return eq(dom, small, full)
 
 
 def test_criterion_8_theorem5(programs):
@@ -236,13 +238,13 @@ def test_criterion_10_domain_property_suites():
         dom = make_domain(numeric, ("v", "w", "x", "y", "z"))
         for i in range(500):
             r = random_relation(dom, rng)
-            d = dom.decompose(r, 2)
-            if not dom.eq(dom.recompose(d), r):
+            d = decompose(dom, r, 2)
+            if not eq(dom, recompose(dom, d), r):
                 failures.append((numeric, "recompose", i))
             r2 = random_relation(dom, rng)
-            dj = dom.decompose(dom.join(r, r2), 2)
-            d2 = dom.decompose(r2, 2)
-            if not all(dom.eq(dj[q], dom.join(d[q], d2[q])) for q in dj):
+            dj = decompose(dom, dom.join(r, r2), 2)
+            d2 = decompose(dom, r2, 2)
+            if not all(eq(dom, dj[q], dom.join(d[q], d2[q])) for q in dj):
                 failures.append((numeric, "join-distribution", i))
 
     # lattice laws on 1000 random triples across the domains
@@ -253,8 +255,8 @@ def test_criterion_10_domain_property_suites():
             j, m = dom.join(a, b), dom.meet(a, b)
             laws = (
                 dom.leq(a, j) and dom.leq(b, j) and dom.leq(m, a) and dom.leq(m, b)
-                and dom.eq(dom.join(a, dom.meet(a, b)), a)
-                and dom.eq(dom.meet(a, dom.join(a, b)), a)
+                and eq(dom, dom.join(a, dom.meet(a, b)), a)
+                and eq(dom, dom.meet(a, dom.join(a, b)), a)
                 and dom.leq(dom.meet(dom.meet(a, b), c), dom.meet(a, dom.meet(b, c)))
             )
             if not laws:
@@ -274,7 +276,7 @@ def test_criterion_10_domain_property_suites():
         want = dom.unlift_var(r, x) if x in y else IntAbs.top()
         if dom.unlift_var(rr, x) != want:
             failures.append((numeric, "eq1", i))
-        if not dom.eq(dom.restrict(rr, y), rr):
+        if not eq(dom, dom.restrict(rr, y), rr):
             failures.append((numeric, "idempotence", i))
 
     # octagon transfer soundness vs enumeration on 200 random cases

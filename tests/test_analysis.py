@@ -15,6 +15,8 @@ from concurrel.frontend.cfg import Edge, Point
 from concurrel.frontend.ast import Create, Havoc, Lock, ReadGlobal, Unlock
 from concurrel.solver import Solver
 
+from domain_utils import eq
+
 
 def make_base(src: str, cluster_mode="monolithic"):
     p = parse_program(src)
@@ -44,8 +46,8 @@ def test_base_init_effects():
     eff = dict(((k[1], k[2]), v) for (k, v) in effects)
     zero_gh = dom.guard(dom.guard(dom.top(), Cmp("==", Var("g"), IntLit(0))),
                         Cmp("==", Var("h"), IntLit(0)))
-    assert dom.eq(eff[("a", frozenset({"g", "h"}))], zero_gh)
-    assert dom.eq(eff[("m_g", frozenset({"g"}))],
+    assert eq(dom, eff[("a", frozenset({"g", "h"}))], zero_gh)
+    assert eq(dom, eff[("m_g", frozenset({"g"}))],
                   dom.guard(dom.top(), Cmp("==", Var("g"), IntLit(0))))
     assert dom.unlift_tid(start, "self") == frozenset({MAIN_TID})
 
@@ -55,7 +57,7 @@ def test_base_init_empty_cluster_is_top():
     base, dom = make_base(src)
     effects, _ = base.init()
     eff = dict(((k[1], k[2]), v) for (k, v) in effects)
-    assert dom.eq(eff[("a", frozenset())], dom.top())
+    assert eq(dom, eff[("a", frozenset())], dom.top())
 
 
 def _edge(base, template, act_type):
@@ -75,12 +77,12 @@ def test_base_lock_meets_stored_values():
     })
     lock_edge = _edge(base, "main", Lock)
     _fx, v = base.transfer(lock_edge, frozenset(), dom.top(), env)
-    assert dom.eq(v, stored[q])
+    assert eq(dom, v, stored[q])
     # stored Top leaves the state unchanged
     stored[q] = dom.top()
     r0 = dom.assign_expr(dom.top(), "x", IntLit(3))
     _fx, v = base.transfer(lock_edge, frozenset(), r0, env)
-    assert dom.eq(v, r0)
+    assert eq(dom, v, r0)
 
 
 def test_base_unlock_publishes_and_restricts():
@@ -91,7 +93,7 @@ def test_base_unlock_publishes_and_restricts():
     effects, v = base.transfer(unlock_edge, frozenset({"a"}), r, None)
     ((key, pub),) = [e for e in effects]
     assert key == ("mutex", "a", frozenset({"g", "h"}))
-    assert dom.eq(pub, dom.restrict(r, {"g", "h"}))
+    assert eq(dom, pub, dom.restrict(r, {"g", "h"}))
     # locally, only x survives; g and h are forgotten
     assert dom.unlift_var(v, "x") == IntAbs.top()
     assert dom.contains(v, {"x": 5, "g": 0, "h": 1})
@@ -198,7 +200,7 @@ def test_stored_mutex_values_satisfy_restrict_invariant(programs):
             res = run_analysis(programs[name], preset(pname))
             for k, v in res.solver.values.items():
                 if isinstance(k, MutexKey):
-                    assert res.dom.eq(res.dom.restrict(v, k.cluster), v), (name, pname, k)
+                    assert eq(res.dom, res.dom.restrict(v, k.cluster), v), (name, pname, k)
 
 
 def test_post_solution_stable(programs):
@@ -268,7 +270,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
             (k.point, k.lockset) for k in wrap_points
         }
         for k, v in triv_points.items():
-            assert dom.eq(v, wrap_points[PointKey(k.point, k.lockset, k.lockset)]), (name, k)
+            assert eq(dom, v, wrap_points[PointKey(k.point, k.lockset, k.lockset)]), (name, k)
 
         # mutex values joined over digests agree with the unsplit values
         for k, v in res.solver.values.items():
@@ -276,7 +278,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
                 continue
             parts = [v2 for k2, v2 in solver.values.items()
                      if isinstance(k2, MutexKey) and (k2.mutex, k2.cluster) == (k.mutex, k.cluster)]
-            assert dom.eq(v, dom.join_all(parts)), (name, k)
+            assert eq(dom, v, dom.join_all(parts)), (name, k)
 
 
 def test_base_join_propagates_return_value():

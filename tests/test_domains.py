@@ -10,7 +10,9 @@ from concurrel.domains import IntAbs, VarEnv
 from concurrel.domains.octagon import OctBackend
 from concurrel.frontend.ast import BinOp, Cmp, IntLit, Var
 
-from domain_utils import OPS, eval_cmp, eval_expr, gamma, make_domain, random_relation
+from domain_utils import (
+    OPS, decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
+)
 
 DOMAINS = ["octagon", "eqconst", "interval"]
 
@@ -64,7 +66,7 @@ def test_unlift_eqconst_propagates_constants():
 def test_assign_self_is_noop(dom):
     r = random_relation(dom, Random(7))
     r2 = dom.assign_expr(r, "x", Var("x"))
-    assert dom.eq(r, r2)
+    assert eq(dom, r, r2)
 
 
 def test_assign_linear_octagon():
@@ -89,7 +91,7 @@ def test_assign_value_top_is_restrict(dom):
         r = dom.top()
     lhs = dom.assign_value(r, "x", IntAbs.top())
     rhs = dom.restrict(r, set(dom.universe.all_vars) - {"x"})
-    assert dom.eq(lhs, rhs)
+    assert eq(dom, lhs, rhs)
 
 
 def test_guard_examples(dom):
@@ -118,8 +120,8 @@ def test_guard_leq_octagon():
 
 def test_restrict_laws_basic(dom):
     r = random_relation(dom, Random(11))
-    assert dom.eq(dom.restrict(r, set(dom.universe.all_vars)), r)
-    assert dom.eq(dom.restrict(r, set()), dom.top()) or dom.is_bot(r)
+    assert eq(dom, dom.restrict(r, set(dom.universe.all_vars)), r)
+    assert eq(dom, dom.restrict(r, set()), dom.top()) or dom.is_bot(r)
 
 
 def test_restrict_eqconst_transitive():
@@ -128,13 +130,13 @@ def test_restrict_eqconst_transitive():
     r = dom.guard(r, Cmp("==", Var("h"), Var("i")))
     r2 = dom.restrict(r, {"g", "i"})
     expect = dom.guard(dom.top(), Cmp("==", Var("g"), Var("i")))
-    assert dom.eq(r2, expect)
+    assert eq(dom, r2, expect)
 
 
 def test_join_meet_neutral(dom):
     r = random_relation(dom, Random(5))
-    assert dom.eq(dom.meet(r, dom.top()), r)
-    assert dom.eq(dom.join(r, dom.bot()), r)
+    assert eq(dom, dom.meet(r, dom.top()), r)
+    assert eq(dom, dom.join(r, dom.bot()), r)
 
 
 def test_eqconst_flat_constant_join():
@@ -163,7 +165,7 @@ def test_widening_stabilizes_chains():
         for k in range(1, 40):
             grown = dom.join(w, dom.assign_value(dom.top(), "x", IntAbs(0, k)))
             w2 = dom.widen(w, grown)
-            if dom.eq(w2, w):
+            if eq(dom, w2, w):
                 break
             w = w2
             steps += 1
@@ -182,12 +184,12 @@ def test_lattice_laws_random(numeric):
         j, m = dom.join(a, b), dom.meet(a, b)
         assert dom.leq(a, j) and dom.leq(b, j)
         assert dom.leq(m, a) and dom.leq(m, b)
-        assert dom.eq(dom.join(a, b), dom.join(b, a))
-        assert dom.eq(dom.meet(a, b), dom.meet(b, a))
-        assert dom.eq(dom.join(a, dom.meet(a, b)), a)  # absorption
-        assert dom.eq(dom.meet(a, dom.join(a, b)), a)
+        assert eq(dom, dom.join(a, b), dom.join(b, a))
+        assert eq(dom, dom.meet(a, b), dom.meet(b, a))
+        assert eq(dom, dom.join(a, dom.meet(a, b)), a)  # absorption
+        assert eq(dom, dom.meet(a, dom.join(a, b)), a)
         if dom.leq(a, b) and dom.leq(b, a):
-            assert dom.eq(a, b)  # antisymmetry up to canonical form
+            assert eq(dom, a, b)  # antisymmetry up to canonical form
         assert dom.leq(m, j)
         # widen is an upper bound of join
         assert dom.leq(j, dom.widen(a, j))
@@ -205,8 +207,8 @@ def test_restriction_laws_random(numeric):
         # antitone in the co-restricted set
         if y1 <= y2:
             assert dom.leq(dom.restrict(r, y2), dom.restrict(r, y1))
-        assert dom.eq(dom.restrict(dom.restrict(r, y1), y2), dom.restrict(r, y1 & y2))
-        assert dom.eq(dom.restrict(dom.restrict(r, y1), y1), dom.restrict(r, y1))
+        assert eq(dom, dom.restrict(dom.restrict(r, y1), y2), dom.restrict(r, y1 & y2))
+        assert eq(dom, dom.restrict(dom.restrict(r, y1), y1), dom.restrict(r, y1))
         # Eq. 1, pointwise
         rr = dom.restrict(r, y1)
         for x in names:
@@ -225,45 +227,45 @@ def test_two_decomposability_random(numeric):
     rng = Random(44)
     for _ in range(80):
         r1, r2 = random_relation(dom, rng), random_relation(dom, rng)
-        d = dom.decompose(r1, 2)
-        assert all(dom.eq(dom.restrict(v, q), v) for q, v in d.items())
-        assert dom.eq(dom.recompose(d), r1)
+        d = decompose(dom, r1, 2)
+        assert all(eq(dom, dom.restrict(v, q), v) for q, v in d.items())
+        assert eq(dom, recompose(dom, d), r1)
         # (⊔R)|Q = ⊔ of per-cluster restrictions
         j = dom.join(r1, r2)
-        dj = dom.decompose(j, 2)
-        d2 = dom.decompose(r2, 2)
+        dj = decompose(dom, j, 2)
+        d2 = decompose(dom, r2, 2)
         for q in dj:
-            assert dom.eq(dj[q], dom.join(d[q], d2[q]))
+            assert eq(dom, dj[q], dom.join(d[q], d2[q]))
 
 
 def test_decompose_octagon_closed_pairs():
     dom = make_domain("octagon", ("x", "y", "z"))
     r = dom.guard(dom.top(), Cmp("<=", BinOp("-", Var("x"), Var("y")), IntLit(1)))
     r = dom.guard(r, Cmp("<=", BinOp("-", Var("y"), Var("z")), IntLit(1)))
-    d = dom.decompose(r, 2)
+    d = decompose(dom, r, 2)
     # the closed pair cluster {x,z} carries the transitive bound x − z ≤ 2
     xz = d[frozenset({"x", "z"})]
     assert not dom.contains(xz, {"x": 3, "z": 0})
     assert dom.contains(xz, {"x": 2, "z": 0})
-    assert dom.eq(dom.recompose(d), r)
+    assert eq(dom, recompose(dom, d), r)
 
 
 def test_decompose_eqconst_pairs():
     dom = make_domain("eqconst", ("g", "h", "i"))
     r = dom.guard(dom.top(), Cmp("==", Var("g"), Var("h")))
     r = dom.guard(r, Cmp("==", Var("h"), Var("i")))
-    d = dom.decompose(r, 2)
+    d = decompose(dom, r, 2)
     for q in ({"g", "h"}, {"h", "i"}, {"g", "i"}):
         pair = d[frozenset(q)]
         a, b = sorted(q)
-        assert dom.eq(pair, dom.guard(dom.top(), Cmp("==", Var(a), Var(b))))
-    assert dom.eq(dom.recompose(d), r)
+        assert eq(dom, pair, dom.guard(dom.top(), Cmp("==", Var(a), Var(b))))
+    assert eq(dom, recompose(dom, d), r)
 
 
 def test_decompose_top(dom):
-    d = dom.decompose(dom.top(), 2)
-    assert all(dom.eq(v, dom.top()) for v in d.values())
-    assert dom.eq(dom.recompose(d), dom.top())
+    d = decompose(dom, dom.top(), 2)
+    assert all(eq(dom, v, dom.top()) for v in d.values())
+    assert eq(dom, recompose(dom, d), dom.top())
 
 
 # -- soundness of transfers vs brute force ---------------------------------------

@@ -3,13 +3,14 @@
 import hashlib
 import os
 
+import pytest
+
 from concurrel.analysis.keys import digest_text
-from concurrel.frontend import parse_program
+from concurrel.digests import LockOnceDigest, TidDigestSpec
+from concurrel.frontend import Join, Lock, action_str, parse_program
 from concurrel.oracle import ExploreBounds, explore
 
 from conftest import load
-
-R_TID, R_POINT, R_LOCKSET, R_LOCALS, R_GLOBALS = range(5)
 
 
 def test_straight_line_no_violation():
@@ -33,8 +34,9 @@ def test_two_independent_one_step_threads_two_interleavings():
                       "thread t1 { g = 2; return 0; }")
     ex = explore(p)
     assert ex.schedules == 2 and not ex.truncated
-    exit_point = max(rs[R_POINT] for rs in ex.reachable if rs[R_POINT].template == "main")
-    assert {ex.global_store(rs)["g"] for rs in ex.reachable if rs[R_POINT] == exit_point} == {1, 2}
+    exit_point = max(rs.point for rs in ex.reachable if rs.point.template == "main")
+    assert {dict(zip(ex.gvars, rs.globals))["g"]
+            for rs in ex.reachable if rs.point == exit_point} == {1, 2}
 
 
 def test_fig_ex0_reaches_both_write_orders():
@@ -42,17 +44,17 @@ def test_fig_ex0_reaches_both_write_orders():
     ex = explore(p)
     final = {p2 for c in explore_points(ex) for p2 in [c]}
     exit_point = max(pt.idx for pt in  # main's structural exit
-                     {rs[R_POINT] for rs in ex.reachable if rs[R_POINT].template == "main"})
+                     {rs.point for rs in ex.reachable if rs.point.template == "main"})
     g_at_exit = {
-        dict(zip(ex.gvars, rs[R_GLOBALS]))["g"]
+        dict(zip(ex.gvars, rs.globals))["g"]
         for rs in ex.reachable
-        if rs[R_POINT].template == "main" and rs[R_POINT].idx == exit_point
+        if rs.point.template == "main" and rs.point.idx == exit_point
     }
     assert {1, 2} <= g_at_exit
 
 
 def explore_points(ex):
-    return {rs[R_POINT] for rs in ex.reachable}
+    return {rs.point for rs in ex.reachable}
 
 
 def test_one_element_program_has_no_violations(programs, explorations):
@@ -69,6 +71,30 @@ def test_corpus_has_no_concrete_violations(explorations):
 def test_digest_replay_never_rejects_feasible_steps(explorations):
     for name, ex in explorations.items():
         assert ex.digest_infeasibilities == [], name
+
+
+@pytest.mark.parametrize("spec, program, action, report", [
+    (LockOnceDigest, "synth_relock", Lock, "lock-once digest rejects feasible lock"),
+    (TidDigestSpec, "joins", Join, "tid digest rejects feasible join"),
+], ids=("lockonce-relock", "tid-join"))
+def test_digest_replay_reports_rejections_of_the_analyzer_specs(
+        monkeypatch, spec, program, action, report):
+    """The oracle replays the analyzer's own ``binary``: when a spec rejects
+    an action the program performs (here every join, and every re-lock,
+    also the copy wrappers' locks of m_g), the oracle reports that action."""
+    original, rejected = spec.binary, set()
+
+    def binary(self, u, act, d, d1):
+        if isinstance(act, action) and (action is Join or act.mutex in d):
+            rejected.add(f"{action_str(act)} @ {u}")
+            return None
+        return original(self, u, act, d, d1)
+
+    monkeypatch.setattr(spec, "binary", binary)
+    ex = explore(load(program))
+    reported = {m.split(": ")[-1] for m in ex.digest_infeasibilities}
+    assert rejected and reported == rejected
+    assert all(m.startswith(report + ": ") for m in ex.digest_infeasibilities)
 
 
 def test_exploration_deterministic():
@@ -95,8 +121,8 @@ def test_blocking_join_and_locks():
 def test_havoc_branches_over_value_set():
     p = parse_program("thread main { x = ?; }")
     ex = explore(p, ExploreBounds(havoc_values=(0, 1, 2)))
-    finals = {dict(zip(ex.lvars, rs[R_LOCALS]))["x"]
-              for rs in ex.reachable if rs[R_POINT].idx == 1}
+    finals = {dict(zip(ex.lvars, rs.locals))["x"]
+              for rs in ex.reachable if rs.point.idx == 1}
     assert finals == {0, 1, 2}
 
 
