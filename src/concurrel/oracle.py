@@ -24,10 +24,25 @@ locals are atomic: the lock/copy/unlock wrapper that lowering puts around
 each access, on the mutex for which ``Program.is_atomicity_mutex`` holds,
 executes as one oracle step (no user code can hold that mutex, so no
 interleaving is lost at wrapper-external points).
+
+Each thread's local state is stored once in a table and a state is a tuple
+of thread ids plus the shared slots (globals, mutex holders, the digests of
+each mutex's last unlock), as in SPIN's collapse compression (Holzmann,
+"State compression in SPIN", 1997).  A thread's steps are computed once per
+exploration for each value of the shared slots they read (none for local
+steps, the global and the last unlock for a copy, the last unlock for a
+lock), so a step taken again from another state is a table lookup; its
+digest rejections are reported again on every take.  Creates and joins,
+which read the other threads, are computed at every take.  Successors that
+were already explored are not pushed, and the cyclic garbage collector is
+off during ``explore`` (states hold no reference cycles).  A reachable row
+is (the moving thread's interned view, globals, lockset), turned into
+``Reachable`` tuples once at the end.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -110,13 +125,25 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
     return lambda ls: op(fl(ls), fr(ls))
 
 
-# thread tuple layout.  POINT is a point id (None once returned), TDIG and
+# Thread tuple layout.  POINT is a point id (None once returned), TDIG and
 # LOCKONCE are ids into the exploration's tables of interned tid digests and
-# lock-once sets, and VISITS is a sorted tuple of (point id, visits).  A state
-# is thus built of ints, strings and tuples only: it hashes without Python
-# code, and the garbage collector stops tracking it.
+# lock-once sets, and VISITS is a sorted tuple of (point id, visits).  Thread
+# tuples are interned in turn, so a state is (thread ids, globals, held, lu):
+# held names each mutex's holder (or None) and lu holds the (tid digest,
+# lock-once) ids of each mutex's last unlock.  A state is built of ints,
+# strings and tuples only: it hashes without Python code and holds no cycle.
 TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
 RUNNING, RETURNED, JOINED = 0, 1, 2
+
+# Kinds of prepared steps (see _Explorer._prepare).  A LOCAL step reads only
+# its thread; COPYR reads the global and the last unlock of the copy's mutex,
+# COPYW and LOCK read the last unlock of their mutex, and UNLOCK reads
+# nothing but its held check.  CREATE and JOIN read the other threads.
+LOCAL, COPYR, COPYW, LOCK, UNLOCK, CREATE, JOIN = range(7)
+
+
+def _set(tup: tuple, i: int, v) -> tuple:
+    return tup[:i] + (v,) + tup[i + 1:]
 
 
 class _Explorer:
@@ -141,13 +168,22 @@ class _Explorer:
             for cfg in cfgs.values() for p in cfg.points
         ]
         self.ex.tid_abstractions["main"] = (MAIN_TID, MAIN_TID)
-        # (tid, point id, lockset, locals, globals, tdig id, lockonce)
-        self.reachable: set[tuple] = set()
-        self._lockset_memo: dict = {}
         self.digs: list[tuple] = []  # interned tid digests, indexed by id
         self._dig_ids: dict[tuple, int] = {}
         self.lockonces: list[frozenset] = []  # interned lock-once sets
         self._lockonce_ids: dict[frozenset, int] = {}
+        # interned thread tuples; per thread id, the id of its view (None
+        # unless running) and its prepared steps (None until first expanded)
+        self.threads: list[tuple] = []
+        self._thread_ids: dict[tuple, int] = {}
+        self.views: list[int | None] = []
+        self.prepared: list[list | None] = []
+        # interned views (tid, point id, locals, tdig id, lockonce id); the
+        # reachable rows are (view id, globals, lockset)
+        self.view_rows: list[tuple] = []
+        self._view_ids: dict[tuple, int] = {}
+        self.rows: set[tuple] = set()
+        self._lockset_memo: dict = {}
         # visit counters are only kept for points that lie on a CFG cycle
         self.revisitable: set[int] = set()
         for cfg in cfgs.values():
@@ -224,188 +260,261 @@ class _Explorer:
     def _lockonce(self, s: frozenset) -> int:
         return self._intern(self.lockonces, self._lockonce_ids, s)
 
-    def _record(self, t: tuple, globals_: tuple, held: tuple) -> None:
-        if t[STATUS] != RUNNING:
-            return
-        key = (held, t[TID])
+    def _thread(self, t: tuple) -> int:
+        i = self._thread_ids.get(t)
+        if i is None:
+            i = self._thread_ids[t] = len(self.threads)
+            self.threads.append(t)
+            self.views.append(None if t[STATUS] != RUNNING else self._intern(
+                self.view_rows, self._view_ids, (t[TID], t[POINT], t[LOCALS], t[TDIG], t[LOCKONCE])))
+            self.prepared.append(None)
+        return i
+
+    def _lockset(self, held: tuple, tid: str) -> frozenset:
+        key = (held, tid)
         lockset = self._lockset_memo.get(key)
         if lockset is None:
-            lockset = frozenset(m for m, h in zip(self.mutexes, held) if h == t[TID])
+            lockset = frozenset(m for m, h in zip(self.mutexes, held) if h == tid)
             self._lockset_memo[key] = lockset
-        self.reachable.add((t[TID], t[POINT], lockset, t[LOCALS], globals_,
-                            t[TDIG], t[LOCKONCE]))
+        return lockset
 
     def run(self) -> Exploration:
         locals0 = [0] * len(self.ex.lvars)
         locals0[self.lidx["self"]] = "main"
         main_dig = self._dig(self.tid_spec.init())
         no_locks = self._lockonce(self.lockonce_spec.init())
-        main = ("main", self.pid[self.cfgs[self.program.entry].start], tuple(locals0),
-                RUNNING, 0, main_dig, no_locks, ())
+        main = self._thread(("main", self.pid[self.cfgs[self.program.entry].start],
+                             tuple(locals0), RUNNING, 0, main_dig, no_locks, ()))
         globals0 = (0,) * len(self.ex.gvars)
         held0 = (None,) * len(self.mutexes)
         lu0 = ((main_dig, no_locks),) * len(self.mutexes)
         for g, v in zip(self.ex.gvars, globals0):
             self.ex.global_values.setdefault(g, set()).add(v)
-        self._record(main, globals0, held0)
-        stack = [((main,), globals0, held0, lu0, None)]
+        rows, views, threads, prepared = self.rows, self.views, self.threads, self.prepared
+        rows.add((views[main], globals0, self._lockset(held0, "main")))
+        infeasible = self.ex.digest_infeasibilities
+        # schedules are cons lists of (tid, step label), formatted by _sched
+        stack = [(((main,), globals0, held0, lu0), None)]
         bound_states = self.bounds.max_total_states
         seen: set = set()
         while stack:
-            state = stack.pop()
-            threads, globals_, held, lu, sched = state
+            state, sched = stack.pop()
             n_seen = len(seen)
-            seen.add((threads, globals_, held, lu))
+            seen.add(state)
             if len(seen) == n_seen:
                 continue
             self.ex.states += 1
             if self.ex.states > bound_states:
                 self.ex.truncated_by.add("max_total_states")
                 break
+            tids, globals_, held, lu = state
             succs = []
-            for ti, t in enumerate(threads):
-                if t[STATUS] == RUNNING:
-                    for step in self.steps[t[POINT]]:
-                        succs.extend(self._step(state, ti, step))
-            if not succs:
+            stuck = True
+            for ti, x in enumerate(tids):
+                steps = prepared[x]
+                if steps is None:
+                    steps = self._prepare(x, sched)
+                if not steps:
+                    continue
+                tid = threads[x][TID]
+                for kind, label, mi, gi, r, source in steps:
+                    others = tids
+                    if kind == LOCAL:
+                        pass
+                    elif kind == UNLOCK:
+                        if held[mi] != tid:
+                            continue
+                    elif kind == CREATE:
+                        r, others = self._create(tids, globals_, held, source)
+                        if r is None:
+                            continue
+                    elif kind == JOIN:
+                        r, others = self._join(tids, label, source)
+                        if r is None:
+                            continue
+                    else:  # COPYR, COPYW, LOCK: memoized on the shared slots read
+                        if held[mi] is not None:
+                            continue
+                        key = lu[mi] if kind != COPYR else (globals_[gi], lu[mi])
+                        memo, r = r, r.get(key)
+                        if r is None:
+                            r = memo[key] = self._shared(kind, label, mi, gi, source, globals_, lu)
+                    succ_ids, gw, hw, luw, rejected = r
+                    if rejected:
+                        infeasible.extend(rejected)
+                    stuck = False
+                    g2 = globals_ if gw is None else _set(globals_, *gw)
+                    h2 = held if hw is None else _set(held, *hw)
+                    lu2 = lu if luw is None else _set(lu, *luw)
+                    lockset = self._lockset(h2, tid)
+                    cons = (tid, label, sched)
+                    for nt in succ_ids:
+                        view = views[nt]
+                        if view is not None:
+                            rows.add((view, g2, lockset))
+                        s2 = (others[:ti] + (nt,) + others[ti + 1:], g2, h2, lu2)
+                        if s2 not in seen:  # it would be skipped when popped
+                            succs.append((s2, cons))
+            if stuck:
                 self.ex.schedules += 1
             stack.extend(reversed(succs))
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
-        self.ex.reachable = {
-            Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], self.lockonces[lo])
-            for tid, p, lockset, ls, gs, d, lo in self.reachable
-        }
+        view_rows, lockonces = self.view_rows, self.lockonces
+        self.ex.reachable = set()
+        for view, gs, lockset in rows:
+            tid, p, ls, d, lo = view_rows[view]
+            self.ex.reachable.add(
+                Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], lockonces[lo]))
         return self.ex
 
-    def _step(self, state, ti: int, step):
-        threads, globals_, held, lu, sched = state
-        t = threads[ti]
-        kind = step[0]
-        dst: int = step[1]
-        if dst in self.revisitable:
-            visits = dict(t[VISITS])
-            n = visits.get(dst, 0)
-            if n >= self.bounds.max_steps_per_thread:
-                self.ex.truncated_by.add("max_steps_per_thread")
-                return []
-            visits[dst] = n + 1
-            visits_f = tuple(sorted(visits.items()))
-        else:
-            visits_f = t[VISITS]
-        # schedules are cons lists of (tid, step label), formatted by _sched
-        label = (t[TID], step[2], sched)
-        ls = t[LOCALS]
+    # -- steps --
+
+    def _prepare(self, x: int, sched) -> list:
+        """The steps of thread ``x``, with all the work that reads only the
+        thread done once, as (kind, label, mutex index, global index, r,
+        source).  r is the step's result for LOCAL and UNLOCK, and the memo
+        of results by the shared slots read for COPYR, COPYW and LOCK.  A
+        result is (successor thread ids, global write, held write, lu write,
+        rejected digests), each write a (slot, value) pair or None.  source
+        is the compiled step and the moved thread (at its destination, with
+        its visit counted), from which the other kinds compute a result.  A
+        step that can never fire (its visit cap is reached, a guard fails, an
+        operand is a thread name) is left out.  Local steps are evaluated
+        here, at the thread's first expansion, where a violated assert is
+        recorded with the schedule ``sched`` that reached it."""
+        t = self.threads[x]
         out = []
+        if t[STATUS] == RUNNING:
+            for step in self.steps[t[POINT]]:
+                dst = step[1]
+                if dst in self.revisitable:
+                    visits = dict(t[VISITS])
+                    n = visits.get(dst, 0)
+                    if n >= self.bounds.max_steps_per_thread:
+                        self.ex.truncated_by.add("max_steps_per_thread")
+                        continue
+                    visits[dst] = n + 1
+                    visits_f = tuple(sorted(visits.items()))
+                else:
+                    visits_f = t[VISITS]
+                moved = (t[TID], dst, t[LOCALS], RUNNING, t[RETVAL], t[TDIG], t[LOCKONCE], visits_f)
+                prepared = self._prepare_step(step, moved, sched)
+                if prepared is not None:
+                    out.append(prepared)
+        self.prepared[x] = out
+        return out
 
-        def push(point=dst, locals_=ls, status=RUNNING, retval=t[RETVAL],
-                 tdig=t[TDIG], lockonce=t[LOCKONCE], others=None, g2=globals_,
-                 h2=held, lu2=lu):
-            nt = (t[TID], point, locals_, status, retval, tdig, lockonce, visits_f)
-            ts = list(threads if others is None else others)
-            ts[ti] = nt
-            self._record(nt, g2, h2)
-            out.append((tuple(ts), g2, h2, lu2, label))
-
-        if kind == "assign":
-            try:
-                v = step[4](ls)
-            except TypeError:
-                return out
-            i = step[3]
-            push(locals_=ls[:i] + (v,) + ls[i + 1:])
-        elif kind == "havoc":
-            i = step[3]
-            for v in self.bounds.havoc_values:
-                push(locals_=ls[:i] + (v,) + ls[i + 1:])
-        elif kind == "guard":
-            try:
-                ok = step[3](ls)
-            except TypeError:
-                return out
-            if ok:
-                push()
-        elif kind == "assert":
-            try:
-                ok = step[3](ls)
-            except TypeError:
-                return out
-            if not ok and step[4] not in self.ex.violations:
-                self.ex.violations[step[4]] = _sched(label)
-            push()
-        elif kind == "copyr":
-            i, gi, mi = step[3], step[4], step[5]
-            if held[mi] is not None:
-                return out
-            digs2 = self._observe(t, step[6], lu[mi], label)
-            push(locals_=ls[:i] + (globals_[gi],) + ls[i + 1:], tdig=digs2[0],
-                 lockonce=digs2[1], lu2=lu[:mi] + (digs2,) + lu[mi + 1:])
-        elif kind == "copyw":
-            gi, i, mi = step[3], step[4], step[5]
-            v = ls[i]
-            if not isinstance(v, int) or held[mi] is not None:
-                return out
-            digs2 = self._observe(t, step[6], lu[mi], label)
-            self.ex.global_values[self.ex.gvars[gi]].add(v)
-            push(g2=globals_[:gi] + (v,) + globals_[gi + 1:], tdig=digs2[0],
-                 lockonce=digs2[1], lu2=lu[:mi] + (digs2,) + lu[mi + 1:])
-        elif kind == "lock":
-            mi = step[3]
-            if held[mi] is not None:
-                return out
-            tdig2, lockonce2 = self._observe(t, step[4], lu[mi], label)
-            push(tdig=tdig2, lockonce=lockonce2, h2=held[:mi] + (t[TID],) + held[mi + 1:])
-        elif kind == "unlock":
-            mi = step[3]
-            if held[mi] != t[TID]:
-                return out
-            lu2 = lu[:mi] + ((t[TDIG], t[LOCKONCE]),) + lu[mi + 1:]
-            push(h2=held[:mi] + (None,) + held[mi + 1:], lu2=lu2)
-        elif kind == "create":
-            if len(threads) >= self.bounds.max_threads:
-                self.ex.truncated_by.add("max_threads")
-                return out
-            i, e, start, start_id = step[3], step[4], step[5], step[6]
-            tdig, lockonce = self.digs[t[TDIG]], self.lockonces[t[LOCKONCE]]
-            child_digest = self.tid_spec.new_thread(e.src, start, tdig)
-            child_base = tid_compose(self.ex.tid_abstractions[t[TID]][1],
-                                     CreateEdge(e.src, e.action.template))
-            prefix = f"{t[TID]}/{e.src}#"
-            n2 = sum(1 for th in threads if th[TID].startswith(prefix))
-            child_tid = f"{prefix}{n2}"
-            self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
-            child_ls = ls[:self.lidx["self"]] + (child_tid,) + ls[self.lidx["self"] + 1:]
-            child = (child_tid, start_id, child_ls, RUNNING, 0, self._dig(child_digest),
-                     self._lockonce(self.lockonce_spec.new_thread(e.src, start, lockonce)), ())
-            self._record(child, globals_, held)
-            push(locals_=ls[:i] + (child_tid,) + ls[i + 1:],
-                 tdig=self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
-                 lockonce=self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce)),
-                 others=tuple(threads) + (child,))
+    def _prepare_step(self, step, moved: tuple, sched) -> tuple | None:
+        kind, label, ls = step[0], step[2], moved[LOCALS]
+        source = (step, moved)
+        if kind == "lock":
+            return (LOCK, label, step[3], None, {}, source)
+        if kind == "copyr":
+            return (COPYR, label, step[5], step[4], {}, source)
+        if kind == "copyw":
+            if not isinstance(ls[step[4]], int):
+                return None
+            return (COPYW, label, step[5], step[3], {}, source)
+        if kind == "unlock":
+            luw = (step[3], (moved[TDIG], moved[LOCKONCE]))
+            result = ((self._thread(moved),), None, (step[3], None), luw, ())
+            return (UNLOCK, label, step[3], None, result, None)
+        if kind == "create":
+            return (CREATE, label, None, None, None, source)
+        if kind == "join":
+            return (JOIN, label, None, None, None, source)
+        if kind == "havoc":
+            succs = [_set(moved, LOCALS, _set(ls, step[3], v)) for v in self.bounds.havoc_values]
         elif kind == "return":
             v = ls[step[3]]
             if not isinstance(v, int):
-                return out
-            push(point=None, status=RETURNED, retval=v)
-        elif kind == "join":
-            i1, i = step[3], step[4]
-            target = ls[i]
-            tj_i = next((k for k, th in enumerate(threads) if th[TID] == target), None)
-            if tj_i is None or threads[tj_i][STATUS] != RETURNED:
-                return out
-            tj = threads[tj_i]
-            tdig2, lockonce2 = self._observe(t, step[5], (tj[TDIG], tj[LOCKONCE]), label)
-            ts2 = list(threads)
-            ts2[tj_i] = tj[:STATUS] + (JOINED,) + tj[STATUS + 1:]
-            push(locals_=ls[:i1] + (tj[RETVAL],) + ls[i1 + 1:],
-                 tdig=tdig2, lockonce=lockonce2, others=ts2)
+                return None
+            succs = [moved[:POINT] + (None, ls, RETURNED, v) + moved[TDIG:]]
         else:
-            raise ValueError(kind)
-        return out
+            try:  # arithmetic on, or an order comparison with, a thread name
+                v = (step[4] if kind == "assign" else step[3])(ls)
+            except TypeError:
+                return None
+            if kind == "assign":
+                succs = [_set(moved, LOCALS, _set(ls, step[3], v))]
+            elif kind == "guard":
+                if not v:
+                    return None
+                succs = [moved]
+            elif kind == "assert":
+                if not v and step[4] not in self.ex.violations:
+                    self.ex.violations[step[4]] = _sched((moved[TID], label, sched))
+                succs = [moved]
+            else:
+                raise ValueError(kind)
+        result = (tuple(self._thread(nt) for nt in succs), None, None, None, ())
+        return (LOCAL, label, None, None, result, None)
 
-    def _observe(self, t, obs: int, other: tuple[int, int], label) -> tuple[int, int]:
+    def _shared(self, kind: int, label: str, mi: int, gi: int, source,
+                globals_: tuple, lu: tuple) -> tuple:
+        """The result of a COPYR, COPYW or LOCK step after the last unlock
+        ``lu[mi]`` of its mutex (and, for COPYR, the global's value)."""
+        step, moved = source
+        tid = moved[TID]
+        digs2, rejected = self._observe(moved, step[-1], lu[mi])
+        rejected = tuple(f"{r}: {tid}: {label}" for r in rejected)
+        moved = moved[:TDIG] + digs2 + moved[VISITS:]
+        if kind == COPYR:
+            nt = _set(moved, LOCALS, _set(moved[LOCALS], step[3], globals_[gi]))
+            return (self._thread(nt),), None, None, (mi, digs2), rejected
+        if kind == COPYW:
+            v = moved[LOCALS][step[4]]
+            self.ex.global_values[self.ex.gvars[gi]].add(v)
+            return (self._thread(moved),), (gi, v), None, (mi, digs2), rejected
+        return (self._thread(moved),), None, (mi, tid), None, rejected
+
+    def _create(self, tids: tuple, globals_: tuple, held: tuple, source):
+        """A create step: its result and the thread ids with the child
+        appended, or (None, tids) at the thread cap."""
+        if len(tids) >= self.bounds.max_threads:
+            self.ex.truncated_by.add("max_threads")
+            return None, tids
+        (_, _, _, i, e, start, start_id), moved = source
+        ls = moved[LOCALS]
+        tdig, lockonce = self.digs[moved[TDIG]], self.lockonces[moved[LOCKONCE]]
+        child_digest = self.tid_spec.new_thread(e.src, start, tdig)
+        child_base = tid_compose(self.ex.tid_abstractions[moved[TID]][1],
+                                 CreateEdge(e.src, e.action.template))
+        prefix = f"{moved[TID]}/{e.src}#"
+        n2 = sum(1 for y in tids if self.threads[y][TID].startswith(prefix))
+        child_tid = f"{prefix}{n2}"
+        self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
+        child = self._thread((
+            child_tid, start_id, _set(ls, self.lidx["self"], child_tid), RUNNING, 0,
+            self._dig(child_digest),
+            self._lockonce(self.lockonce_spec.new_thread(e.src, start, lockonce)), ()))
+        self.rows.add((self.views[child], globals_, self._lockset(held, child_tid)))
+        nt = moved[:LOCALS] + (_set(ls, i, child_tid),) + moved[STATUS:TDIG] + (
+            self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
+            self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce))) + moved[VISITS:]
+        return ((self._thread(nt),), None, None, None, ()), tids + (child,)
+
+    def _join(self, tids: tuple, label: str, source):
+        """A join step: its result and the thread ids with the joined
+        thread marked, or (None, tids) while it blocks."""
+        step, moved = source
+        target = moved[LOCALS][step[4]]
+        tj_i = next((k for k, y in enumerate(tids) if self.threads[y][TID] == target), None)
+        if tj_i is None or self.threads[tids[tj_i]][STATUS] != RETURNED:
+            return None, tids
+        tj = self.threads[tids[tj_i]]
+        digs2, rejected = self._observe(moved, step[5], (tj[TDIG], tj[LOCKONCE]))
+        nt = (moved[:LOCALS] + (_set(moved[LOCALS], step[3], tj[RETVAL]),)
+              + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
+        return (((self._thread(nt),), None, None, None,
+                 tuple(f"{r}: {moved[TID]}: {label}" for r in rejected)),
+                _set(tids, tj_i, self._thread(_set(tj, STATUS, JOINED))))
+
+    def _observe(self, t, obs: int, other: tuple[int, int]) -> tuple[tuple[int, int], list[str]]:
         """The (tid digest, lock-once) ids of thread ``t`` after the observing
-        edge ``obs`` incorporates a trace with the digest ids ``other``: the
-        last unlock of the locked mutex, or the joined thread."""
+        edge ``obs`` incorporates a trace with the digest ids ``other`` (the
+        last unlock of the locked mutex, or the joined thread), and the
+        digests that reject the combination."""
         key = (obs, t[TDIG], t[LOCKONCE]) + other
         r = self._observe_memo.get(key)
         if r is None:
@@ -419,20 +528,14 @@ class _Explorer:
                 [f"{spec} digest rejects feasible {type(e.action).__name__.lower()}"
                  for spec, d in (("tid", tdig), ("lock-once", lockonce)) if d is None],
             )
-        for rejected in r[1]:
-            self.ex.digest_infeasibilities.append(f"{rejected}: {_entry(label)}")
-        return r[0]
-
-
-def _entry(cons) -> str:
-    """The last step of a schedule, as text."""
-    return f"{cons[0]}: {cons[1]}"
+        return r
 
 
 def _sched(cons) -> list[str]:
+    """A schedule cons list (tid, step label, rest), as text, first step first."""
     out = []
     while cons is not None:
-        out.append(_entry(cons))
+        out.append(f"{cons[0]}: {cons[1]}")
         cons = cons[2]
     return out[::-1]
 
@@ -441,4 +544,12 @@ def explore(program: Program, bounds: ExploreBounds = ExploreBounds(),
             cfgs: dict[str, Cfg] | None = None) -> Exploration:
     if cfgs is None:
         cfgs = build_cfg(program)
-    return _Explorer(program, cfgs, bounds).run()
+    # states hold no reference cycles, so the cyclic collector would only
+    # walk the growing state set again and again
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Explorer(program, cfgs, bounds).run()
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,5 +1,6 @@
 """Bounded exploration: semantics, determinism, and sanity counts."""
 
+import gc
 import hashlib
 import os
 
@@ -73,15 +74,20 @@ def test_digest_replay_never_rejects_feasible_steps(explorations):
         assert ex.digest_infeasibilities == [], name
 
 
-@pytest.mark.parametrize("spec, program, action, report", [
-    (LockOnceDigest, "synth_relock", Lock, "lock-once digest rejects feasible lock"),
-    (TidDigestSpec, "joins", Join, "tid digest rejects feasible join"),
-], ids=("lockonce-relock", "tid-join"))
+@pytest.mark.parametrize("spec, program, action, report, pinned", [
+    (LockOnceDigest, "synth_relock", Lock, "lock-once digest rejects feasible lock",
+     (6, "7489bf9af51aff14")),
+    (TidDigestSpec, "joins", Join, "tid digest rejects feasible join", (6, "61946412104e54ab")),
+    (LockOnceDigest, "four_asserts", Lock, "lock-once digest rejects feasible lock",
+     (454, "53fb5ec4cbeff441")),
+], ids=("lockonce-relock", "tid-join", "lockonce-relock-repeated"))
 def test_digest_replay_reports_rejections_of_the_analyzer_specs(
-        monkeypatch, spec, program, action, report):
+        monkeypatch, spec, program, action, report, pinned):
     """The oracle replays the analyzer's own ``binary``: when a spec rejects
     an action the program performs (here every join, and every re-lock,
-    also the copy wrappers' locks of m_g), the oracle reports that action."""
+    also the copy wrappers' locks of m_g), the oracle reports that action,
+    once each time a schedule takes it: the whole list (count and order) is
+    pinned, so a step computed once and reused must report again."""
     original, rejected = spec.binary, set()
 
     def binary(self, u, act, d, d1):
@@ -95,6 +101,7 @@ def test_digest_replay_reports_rejections_of_the_analyzer_specs(
     reported = {m.split(": ")[-1] for m in ex.digest_infeasibilities}
     assert rejected and reported == rejected
     assert all(m.startswith(report + ": ") for m in ex.digest_infeasibilities)
+    assert (len(ex.digest_infeasibilities), _sha("\n".join(ex.digest_infeasibilities))) == pinned
 
 
 def test_exploration_deterministic():
@@ -184,6 +191,14 @@ _CAPPED_FINGERPRINTS = {
     "scaled_s0_p1": (2408, 1, 675, [], '811822978a789164', '2993b2636ca30ced'),
     "scaled_s0_p2": (2408, 1, 675, [], '527538e1d9a65985', '699e76644b195b8e'),
     "scaled_s0_p3": (2408, 1, 675, [], '2b5d6880570bfebc', 'a20465c4bb70af48'),
+    "scaled_s1_p0": (3453, 6, 767, [], 'a164c0680e084130', '0ff9ac8331e8473b'),
+    "scaled_s1_p1": (2408, 1, 675, [], '50b266b4d07ea036', '88f7f683af8c989a'),
+    "scaled_s1_p2": (2408, 1, 675, [], '914337b4f0f966f7', '1ef7bd42c3920545'),
+    "scaled_s1_p3": (2408, 1, 675, [], '3b2e3a5d7129a1ae', '6094f91a2cf13032'),
+    "scaled_s2_p0": (3453, 6, 767, [], '39efe35025574408', '8cedc5859cf1ffa6'),
+    "scaled_s2_p1": (2408, 1, 675, [], 'd4189c8394a79f16', 'e5f45b6aaac7566c'),
+    "scaled_s2_p2": (2408, 1, 675, [], 'ac9e6713cc1e1b1f', '2cba48d8518178c4'),
+    "scaled_s2_p3": (2408, 1, 675, [], 'c2cda5b85c86d94e', 'b7285571b576938a'),
 }
 
 
@@ -196,7 +211,105 @@ def test_oracle_output_is_pinned(explorations, monkeypatch):
 
     assert {n: _fingerprint(ex) for n, ex in explorations.items()} == _CORPUS_FINGERPRINTS
     programs = {n: load(n) for n in ("intro_cluster", "tid_loop")}
-    programs.update((g.name, parse_program(g.source, g.name)) for g in gen.generate_set(0))
+    for seed in range(3):
+        programs.update((g.name, parse_program(g.source, g.name)) for g in gen.generate_set(seed))
     capped = ExploreBounds(max_total_states=5_000)
     got = {n: _fingerprint(explore(p, capped)) for n, p in programs.items()}
     assert got == _CAPPED_FINGERPRINTS
+
+
+# Small programs whose shapes the corpus and generated pins miss:
+# (source, bounds, fingerprint).
+_SMALL_PROGRAMS = {
+    # an assert inside a loop, violated once t1 has written g
+    "loop_assert": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main {
+          t = create(t1);
+          i = 0;
+          while (i < 2) {
+            lock(a);
+            x = g;
+            unlock(a);
+            assert(x < 1);
+            i = i + 1;
+          }
+        }
+        thread t1 { lock(a); g = 1; unlock(a); return 0; }
+        """, ExploreBounds(), (144, 2, 51, [], 'f67f11bca96a75a9', 'cd4b4cd280821873')),
+    # a lock/unlock loop cut by the visit cap while t1 competes for the mutex
+    "lock_loop": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main {
+          t = create(t1);
+          i = 0;
+          while (i >= 0) {
+            lock(a);
+            x = g;
+            g = x + 1;
+            unlock(a);
+          }
+        }
+        thread t1 { lock(a); g = 0; unlock(a); return 0; }
+        """, ExploreBounds(max_steps_per_thread=3),
+        (191, 4, 47, ['max_steps_per_thread'], '3abd7bc68315bee7', 'eeff1610608a0d8e')),
+    # a havoc whose values split at a guard
+    "havoc_guard": ("""
+        thread main {
+          x = ?;
+          if (x > 0) { y = x; } else { y = 0 - x; }
+          assert(y != 1);
+        }
+        """, ExploreBounds(), (16, 3, 16, [], 'e4e43bdd6a471900', '279f14ba73b61291')),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_PROGRAMS))
+def test_small_program_explorations_are_pinned(name):
+    source, bounds, fingerprint = _SMALL_PROGRAMS[name]
+    assert _fingerprint(explore(parse_program(source), bounds)) == fingerprint
+
+
+def test_violation_inside_a_loop_reports_its_first_schedule():
+    source, bounds, _ = _SMALL_PROGRAMS["loop_assert"]
+    ex = explore(parse_program(source), bounds)
+    t1 = "main/main.0#0"
+    first_pass = ["main: lock(a) @ main.3", "main: lock(m_g) @ main.4",
+                  "main: unlock(a) @ main.7", "main: assert#0(x < 1) @ main.8"]
+    assert ex.violations == {0: [
+        "main: t = create(t1) @ main.0", "main: i = 0 @ main.1", "main: ?(i < 2) @ main.2",
+        *first_pass,
+        "main: i = (i + 1) @ main.9", "main: ?(0 == 0) @ main.10", "main: ?(i < 2) @ main.2",
+        f"{t1}: lock(a) @ t1.0", f"{t1}: $t0 = 1 @ t1.1", f"{t1}: lock(m_g) @ t1.2",
+        f"{t1}: unlock(a) @ t1.5",
+        *first_pass,
+    ]}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=("enabled", "disabled"))
+def test_explore_restores_the_garbage_collector(monkeypatch, enabled):
+    """``explore`` runs with the cyclic collector off and leaves it as it
+    found it, also when the exploration raises."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        program = load("synth_relock")
+        explore(program)
+        assert gc.isenabled() == enabled
+
+        during = []
+
+        def binary(self, u, act, d, d1):
+            during.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(TidDigestSpec, "binary", binary)
+        with pytest.raises(RuntimeError, match="boom"):
+            explore(program)
+        assert during == [False] and gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
