@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the bounded interleaving oracle on the corpus.
 
-    python benchmarks/bench_oracle.py [--repeat 1] [--scaled K]
+    python benchmarks/bench_oracle.py [--repeat 1] [--scaled K] [--check]
 
 Explores every corpus program at the default bounds (``ExploreBounds()``),
 and with ``--scaled K`` also the 4 generated programs of each generator
@@ -13,6 +13,12 @@ of ``--repeat`` explorations and the explored states per second, then the
 totals (with ``--scaled``, first those of the corpus and of the generated
 programs apart).  A program whose exploration stopped at a bound is marked
 with the bounds it hit.  Parsing and CFG construction are not timed.
+
+With ``--check`` it also analyzes each program under the presets that the
+``oracle-validate`` benchmark workload checks (interval, octagon, tids and
+clusters) and adds a column with the time of ``check_soundness`` against
+the exploration, summed over the presets (each the best of ``--repeat``
+calls).  The analyses themselves are not timed.
 """
 
 import argparse
@@ -28,6 +34,8 @@ from concurrel.frontend import parse_program  # noqa: E402
 from concurrel.frontend.cfg import build_cfg  # noqa: E402
 from concurrel.oracle import explore  # noqa: E402
 
+CHECK_PRESETS = ("interval", "octagon", "tids", "clusters")
+
 
 def _programs(scaled: int):
     """(group, name, program) for the corpus, then the generated programs."""
@@ -42,10 +50,29 @@ def _programs(scaled: int):
                 yield "scaled", g.name, parse_program(g.source, g.name)
 
 
+def _time_checks(program, ex, repeat: int) -> float:
+    """Seconds of ``check_soundness`` summed over ``CHECK_PRESETS``."""
+    from concurrel.analysis import check_asserts, preset, run_analysis
+    from concurrel.differential import check_soundness
+
+    total = 0.0
+    for name in CHECK_PRESETS:
+        result = run_analysis(program, preset(name))
+        verdicts = check_asserts(result)
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            check_soundness(result, ex, verdicts)
+            best = min(best, time.perf_counter() - t0)
+        total += best
+    return total
+
+
 def _line(name: str, row) -> str:
-    states, schedules, reachable, secs = row
+    states, schedules, reachable, secs, *check = row
     return (f"{name:<16} {states:>8} {schedules:>10} {reachable:>10} "
-            f"{secs:>8.3f} {states / secs:>9.0f}")
+            f"{secs:>8.3f} {states / secs:>9.0f}"
+            + "".join(f" {c:>8.3f}" for c in check))
 
 
 def main() -> int:
@@ -53,10 +80,12 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=1)
     ap.add_argument("--scaled", type=int, default=0, metavar="K",
                     help="also explore the generated programs of seeds 0..K-1")
+    ap.add_argument("--check", action="store_true",
+                    help="also time check_soundness under the oracle-validate presets")
     args = ap.parse_args()
 
     print(f"{'program':<16} {'states':>8} {'schedules':>10} {'reachable':>10} "
-          f"{'seconds':>8} {'states/s':>9}")
+          f"{'seconds':>8} {'states/s':>9}" + (f" {'check s':>8}" if args.check else ""))
     totals: dict[str, list] = {}
     for group, name, program in _programs(args.scaled):
         cfgs = build_cfg(program)
@@ -65,8 +94,10 @@ def main() -> int:
             t0 = time.perf_counter()
             ex = explore(program, cfgs=cfgs)
             best = min(best, time.perf_counter() - t0)
-        row = (ex.states, ex.schedules, len(ex.reachable), best)
-        totals[group] = [a + b for a, b in zip(totals.get(group, [0, 0, 0, 0.0]), row)]
+        row = [ex.states, ex.schedules, len(ex.reachable), best]
+        if args.check:
+            row.append(_time_checks(program, ex, args.repeat))
+        totals[group] = [a + b for a, b in zip(totals.get(group, [0] * len(row)), row)]
         cut = f"  truncated by {', '.join(sorted(ex.truncated_by))}" if ex.truncated else ""
         print(_line(name, row) + cut)
     if len(totals) > 1:

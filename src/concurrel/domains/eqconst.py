@@ -7,6 +7,8 @@ per class.  False is the least element; the empty conjunction is Top.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .values import BOT, IntAbs
 
 
@@ -262,16 +264,23 @@ class EqBackend:
         c = self._const_of(r, x)
         return IntAbs.top() if c is None else IntAbs.const(c)
 
-    def contains(self, r: EqRel, vals: list[int]) -> bool:
+    def support(self, r: EqRel) -> set[int]:
+        return {i for cls in (*r.classes, *r.consts) for i in cls}
+
+    def contains(self, r: EqRel, vals: np.ndarray) -> np.ndarray:
+        """Which rows of ``vals`` satisfy every equality of r: one column
+        comparison for all classes and one for all constants."""
         if r.bot:
-            return False
-        for cls in r.classes:
-            if len({vals[i] for i in cls}) != 1:
-                return False
-        for cls, c in r.consts.items():
-            if any(vals[i] != c for i in cls):
-                return False
-        return True
+            return np.zeros(len(vals), dtype=bool)
+        ok = np.ones(len(vals), dtype=bool)
+        members = [i for cls in r.classes for i in cls]
+        if members:
+            firsts = [min(cls) for cls in r.classes for _ in cls]
+            ok &= (vals[:, members] == vals[:, firsts]).all(axis=1)
+        if r.consts:
+            fixed = [i for cls in r.consts for i in cls]
+            ok &= (vals[:, fixed] == [c for cls, c in r.consts.items() for _ in cls]).all(axis=1)
+        return ok
 
     def render(self, r: EqRel, names: list[str]) -> list[str]:
         if r.bot:

@@ -54,6 +54,10 @@ else:
         KERNEL = "python"
 
 
+# Bound on the bytes of one temporary of ``OctBackend.contains``.
+CONTAINS_CHUNK_BYTES = 4 << 20
+
+
 class OctRel:
     """Immutable octagon over the universe variables ``vars``; None matrix
     means ⊥."""
@@ -119,6 +123,13 @@ def _project(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _octagonal(coeffs: dict[int, int]) -> bool:
     """Is ``sum(coeffs) ≤ c`` an octagonal constraint (±x or ±x ± y)?"""
     return 0 < len(coeffs) <= 2 and all(cf in (1, -1) for cf in coeffs.values())
+
+
+@lru_cache(maxsize=1024)
+def _signed_columns(vars: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The universe column of each index of a pack over ``vars`` (+x at 2k,
+    −x at 2k+1), and the sign it takes there."""
+    return np.repeat(vars, 2), np.tile([1.0, -1.0], len(vars))
 
 
 @lru_cache(maxsize=None)
@@ -399,14 +410,25 @@ class OctBackend:
             return lo
         return self.join(lo, hi)
 
-    def contains(self, r: OctRel, vals: list[int]) -> bool:
+    def support(self, r: OctRel) -> tuple[int, ...]:
+        return r.vars
+
+    def contains(self, r: OctRel, vals: np.ndarray) -> np.ndarray:
+        """Which rows of ``vals`` lie in γ(r): one broadcast of
+        w[j] − w[i] ≤ m[i][j] over the rows' ±x vectors, in chunks whose
+        temporaries stay under ``CONTAINS_CHUNK_BYTES``."""
         if r.is_bot:
-            return False
-        v = np.empty(2 * len(r.vars))
-        v[0::2] = [vals[x] for x in r.vars]
-        v[1::2] = [-vals[x] for x in r.vars]
-        diff = v[None, :] - v[:, None]
-        return bool((diff <= r.m).all())
+            return np.zeros(len(vals), dtype=bool)
+        if not r.vars:
+            return np.ones(len(vals), dtype=bool)
+        idx, sign = _signed_columns(r.vars)
+        w = vals[:, idx] * sign
+        step = max(1, CONTAINS_CHUNK_BYTES // (8 * r.m.size))
+        out = np.empty(len(vals), dtype=bool)
+        for s in range(0, len(vals), step):
+            c = w[s:s + step]
+            out[s:s + step] = (c[:, None, :] - c[:, :, None] <= r.m).reshape(len(c), -1).all(1)
+        return out
 
     # -- rendering --
 

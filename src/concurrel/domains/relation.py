@@ -18,7 +18,9 @@ unlift(r|Y) x = ⊤ for x ∉ Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from ..frontend.ast import Cmp, Expr, linear_form
 from .eqconst import EqBackend
@@ -65,7 +67,11 @@ class Relation:
 class NumericBackend(Protocol):
     """What ``RelDomain`` uses of a numeric component over the variables
     0..n-1, whose immutable values it never inspects.  ``guard_*`` refine by
-    ``sum(coeffs[i]·x_i) + const ⋈ 0``, over-approximating where inexact."""
+    ``sum(coeffs[i]·x_i) + const ⋈ 0``, over-approximating where inexact.
+    ``support`` lists the variables a value may constrain.  ``contains`` is
+    batched: ``vals`` is a 2-D array with one row of integer values per store
+    (column i holds x_i), and the result is a boolean vector with one entry
+    per row; a 1-row array tests one store."""
 
     def top(self): ...
     def bot(self): ...
@@ -81,7 +87,8 @@ class NumericBackend(Protocol):
     def guard_eq(self, r, coeffs: dict[int, int], const: int): ...
     def guard_neq(self, r, coeffs: dict[int, int], const: int): ...
     def unlift1(self, r, x: int): ...
-    def contains(self, r, vals: list[int]) -> bool: ...
+    def support(self, r) -> Iterable[int]: ...
+    def contains(self, r, vals: np.ndarray) -> np.ndarray: ...
     def render(self, r, names: list[str]) -> list[str]: ...
 
 
@@ -295,25 +302,73 @@ class RelDomain:
 
     # -- queries --
 
+    def support(self, r: Relation) -> set[str]:
+        """The variables r constrains.  Whether a store lies in γ(r) depends
+        on the values of these variables only."""
+        if r.bot:
+            return set()
+        ints = self.universe.int_vars
+        return {ints[i] for i in self.nb.support(r.num)} | r.tids.keys()
+
     def contains(self, r: Relation, store: dict[str, object]) -> bool:
         """Is the concrete store inside γ(r)?  Store values are ints or opaque
         thread ids; variables absent from the store are unconstrained, and a
-        variable currently holding a thread id is unconstrained numerically."""
-        if r.bot:
-            return False
-        int_vars = {v for v, x in store.items() if isinstance(x, int)}
-        num = self.nb.restrict(
-            r.num, {self.universe.index[v] for v in int_vars if v in self.universe.index}
-        )
-        vals = [store.get(v, 0) if v in int_vars else 0 for v in self.universe.int_vars]
-        return self.nb.contains(num, vals) and self._tids_ok(r, store)
+        variable currently holding a thread id is unconstrained numerically.
+        The one-store case of ``contains_many``."""
+        return bool(self.contains_many(r, {v: (x,) for v, x in store.items()}, 1)[0])
 
-    def _tids_ok(self, r: Relation, store) -> bool:
+    def contains_many(self, r: Relation, columns: dict[str, Sequence], count: int) -> np.ndarray:
+        """Which of ``count`` stores lie inside γ(r), as a boolean vector.
+        Store i maps each variable v of ``columns`` to ``columns[v][i]``;
+        each store is read as in ``contains``.
+
+        The stores are grouped by which dual variables hold a thread id in
+        them; each group takes one numeric restriction and one backend call.
+        The thread-id map is tested once per distinct value of a column."""
+        if r.bot or not count:
+            return np.zeros(count, dtype=bool)
+        try:
+            ok = self._numeric_contains(r, columns, count, np.int64)
+        except OverflowError:  # a value beyond 64 bits: compare Python ints
+            ok = self._numeric_contains(r, columns, count, object)
         for v, t in r.tids.items():
-            if v in store and t is not TID_TOP:
-                if isinstance(store[v], int) or store[v] not in t:
-                    return False
-        return True
+            if t is TID_TOP or v not in columns:
+                continue
+            col = columns[v]
+            good = {x: not isinstance(x, int) and x in t for x in set(col)}
+            if not all(good.values()):
+                ok &= np.fromiter(map(good.__getitem__, col), bool, count)
+        return ok
+
+    def _numeric_contains(self, r: Relation, columns, count: int, dtype) -> np.ndarray:
+        """The numeric part of ``contains_many``, with values of ``dtype``."""
+        index = self.universe.index
+        vals = np.zeros((count, len(self.universe.int_vars)), dtype=dtype)
+        ints: set[int] = set()  # variables holding an int in every store
+        duals: list[tuple[int, np.ndarray]] = []  # (variable, stores where it holds an int)
+        for v, col in columns.items():
+            i = index.get(v)
+            if i is None:
+                continue
+            kinds = {isinstance(x, int) for x in set(col)}
+            if kinds == {True}:
+                ints.add(i)
+                vals[:, i] = col
+            elif True in kinds:
+                mask = np.fromiter((isinstance(x, int) for x in col), bool, count)
+                vals[mask, i] = [x for x in col if isinstance(x, int)]
+                duals.append((i, mask))
+        if not duals:
+            return self.nb.contains(self.nb.restrict(r.num, ints), vals)
+        pattern = np.zeros(count, dtype=np.int64)
+        for bit, (_, mask) in enumerate(duals):
+            pattern[mask] |= 1 << bit
+        ok = np.empty(count, dtype=bool)
+        for p in np.unique(pattern).tolist():
+            keep = ints | {i for bit, (i, _) in enumerate(duals) if p >> bit & 1}
+            sel = pattern == p
+            ok[sel] = self.nb.contains(self.nb.restrict(r.num, keep), vals[sel])
+        return ok
 
     def render(self, r: Relation) -> str:
         if r.bot:

@@ -52,11 +52,9 @@ def random_relation(dom: RelDomain, rng: Random, steps: int | None = None):
 
 def gamma(dom: RelDomain, r, names, lo=0, hi=4) -> set[tuple]:
     """Concretization by enumeration over small boxes."""
-    out = set()
-    for vals in product(range(lo, hi + 1), repeat=len(names)):
-        if dom.contains(r, dict(zip(names, vals))):
-            out.add(vals)
-    return out
+    box = list(product(range(lo, hi + 1), repeat=len(names)))
+    inside = dom.contains_many(r, dict(zip(names, zip(*box))), len(box))
+    return {vals for vals, ok in zip(box, inside) if ok}
 
 
 def eval_expr(e, store) -> int:

@@ -1,4 +1,10 @@
-"""Soundness differential and mutation sensitivity of the harness."""
+"""Soundness differential and mutation sensitivity of the harness.
+
+Every report is also compared with ``reference_check_soundness``, the
+per-tuple check that the batched ``check_soundness`` replaces: the two must
+agree on every field, witness texts and their order included."""
+
+import dataclasses
 
 import pytest
 
@@ -6,17 +12,34 @@ from concurrel.analysis import check_asserts, preset, run_analysis
 from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.improved_system import ImprovedSystem
 from concurrel.differential import check_soundness
+from concurrel.frontend import parse_program
 from concurrel.frontend.ast import Unlock
+from concurrel.oracle import explore
+from soundness_reference import reference_check_soundness
 
-CONFIGS = ["octagon", "tids", "clusters"]
+CONFIGS = {
+    "interval": preset("interval"),
+    "octagon": preset("octagon"),
+    "tids": preset("tids"),
+    "clusters": preset("clusters"),
+    "tids+eqconst": preset("tids", domain="eqconst"),
+    "octagon+lock-once": preset("octagon", lock_once=True),
+}
+
+
+def checked(res, exploration, verdicts=None, max_witnesses=10):
+    """``check_soundness``, asserted equal to the reference's report."""
+    report = check_soundness(res, exploration, verdicts, max_witnesses)
+    assert report == reference_check_soundness(res, exploration, verdicts, max_witnesses)
+    return report
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_corpus_soundness(config, programs, explorations):
     for name, p in programs.items():
-        res = run_analysis(p, preset(config))
+        res = run_analysis(p, CONFIGS[config])
         verdicts = check_asserts(res)
-        report = check_soundness(res, explorations[name], verdicts)
+        report = checked(res, explorations[name], verdicts)
         assert report.ok, (name, config, report.witnesses[:3], report.proven_violated[:1])
         assert report.digest_misses == [], (name, config, report.digest_misses[:3])
 
@@ -25,7 +48,7 @@ def test_lock_once_digest_replay(programs, explorations):
     """Every lock-once digest the oracle replays is instantiated (Eq. 3)."""
     for name in ("lockonce", "lockonce_strict", "four_asserts", "example8"):
         res = run_analysis(programs[name], preset("octagon", lock_once=True))
-        report = check_soundness(res, explorations[name], check_asserts(res))
+        report = checked(res, explorations[name], check_asserts(res))
         assert report.ok and report.digest_misses == [], (name, report.digest_misses[:3])
 
 
@@ -34,7 +57,7 @@ def test_truncated_report_is_not_clean(programs, explorations):
     exploration to be complete."""
     for name, truncated in (("tid_loop", True), ("joins", False)):
         res = run_analysis(programs[name], preset("tids"))
-        report = check_soundness(res, explorations[name], check_asserts(res))
+        report = checked(res, explorations[name], check_asserts(res))
         assert report.ok and report.truncated is truncated, name
         assert report.clean is not truncated, name
 
@@ -52,8 +75,55 @@ def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations
 
     monkeypatch.setattr(BaseAnalysis, "transfer", mutated)
     res = run_analysis(programs["fig_ex0"], preset("octagon"))
-    report = check_soundness(res, explorations["fig_ex0"], check_asserts(res))
+    report = checked(res, explorations["fig_ex0"], check_asserts(res))
     assert not report.ok and report.witnesses
+
+
+def test_mutation_witnesses_capped_in_walk_order(monkeypatch, programs, explorations):
+    """With unlocks publishing nothing, most programs have more failing tuples
+    than ``max_witnesses``.  The reference fixes which of them the cap keeps
+    (the first of the sorted walk) and that the "no unknown" witnesses of
+    four_asserts and the published-value ones are not capped."""
+    orig = BaseAnalysis.transfer
+
+    def mutated(self, edge, lockset, r, env):
+        effects, v = orig(self, edge, lockset, r, env)
+        return ([] if isinstance(edge.action, Unlock) else effects), v
+
+    monkeypatch.setattr(BaseAnalysis, "transfer", mutated)
+    capped = 0
+    for name, p in programs.items():
+        res = run_analysis(p, preset("octagon"))
+        full = checked(res, explorations[name], max_witnesses=100)
+        report = checked(res, explorations[name])
+        capped += len(full.witnesses) > len(report.witnesses)
+    assert capped >= 5
+
+
+def test_digest_misses_in_walk_order(programs, explorations):
+    """A result read as lock-once while its unknowns carry the plain digest:
+    every replayed lock-once set is missing, reported once per point."""
+    res = run_analysis(programs["lockonce"], preset("octagon"))
+    res = dataclasses.replace(res, config=preset("octagon", lock_once=True))
+    report = checked(res, explorations["lockonce"])
+    assert report.ok and len(report.digest_misses) > 1
+
+
+def test_values_beyond_64_bits():
+    """Six doublings per iteration take x past 2**63 before the per-point loop
+    bound cuts the exploration; the check compares such values exactly."""
+    program = parse_program("""
+        thread main {
+          x = 1;
+          while (x > 0) {
+            x = x + x; x = x + x; x = x + x;
+            x = x + x; x = x + x; x = x + x;
+          }
+        }""")
+    exploration = explore(program)
+    assert max(rs.locals[exploration.lvars.index("x")] for rs in exploration.reachable) > 2**63
+    for config in ("octagon", "tids+eqconst"):
+        assert checked(run_analysis(program, CONFIGS[config]), exploration).ok, config
 
 
 def test_mutation_missing_init_side_effects(monkeypatch, programs, explorations):
@@ -65,14 +135,14 @@ def test_mutation_missing_init_side_effects(monkeypatch, programs, explorations)
 
     monkeypatch.setattr(BaseAnalysis, "init", mutated)
     res = run_analysis(programs["lockonce"], preset("octagon"))
-    report = check_soundness(res, explorations["lockonce"], check_asserts(res))
+    report = checked(res, explorations["lockonce"], check_asserts(res))
     assert not report.ok and report.witnesses
 
 
 def test_mutation_acc_always_true(monkeypatch, programs, explorations):
     monkeypatch.setattr(ImprovedSystem, "acc", lambda self, ego, state, cand: True)
     res = run_analysis(programs["joins"], preset("tids"))
-    report = check_soundness(res, explorations["joins"], check_asserts(res))
+    report = checked(res, explorations["joins"], check_asserts(res))
     assert not report.ok and report.witnesses
 
 
@@ -90,6 +160,6 @@ def test_flagged_and_custom_configs_sound(programs, explorations):
     ]
     for name, cfg in cases:
         res = run_analysis(programs[name], cfg)
-        report = check_soundness(res, explorations[name], check_asserts(res))
+        report = checked(res, explorations[name], check_asserts(res))
         assert report.ok, (name, report.witnesses[:3], report.proven_violated[:1])
         assert report.digest_misses == [], (name, report.digest_misses[:3])

@@ -337,13 +337,93 @@ def test_closure_idempotent_and_exact():
         if c1.is_bot:
             # unsatisfiable: no store may satisfy the raw constraints
             for vals in box(back.n):
-                assert not back.contains(r, list(vals))
+                assert not back.contains(r, np.array([vals]))[0]
             continue
         c2 = back.close(OctRel_copy(c1))
         assert not c2.is_bot
         assert np.array_equal(c1.m, c2.m)
         for vals in box(back.n):
-            assert back.contains(r, list(vals)) == back.contains(c1, list(vals))
+            assert back.contains(r, np.array([vals]))[0] == back.contains(c1, np.array([vals]))[0]
+
+
+# -- batched containment -----------------------------------------------------------
+
+def _row_contains(r, row) -> bool:
+    """One row of values against a numeric value, constraint by constraint."""
+    from concurrel.domains.octagon import OctRel
+
+    if isinstance(r, OctRel):
+        if r.m is None:
+            return False
+        w = [sign * row[x] for x in r.vars for sign in (1, -1)]
+        return all(w[j] - w[i] <= r.m[i, j] for i in range(len(w)) for j in range(len(w)))
+    return not r.bot and all(len({row[i] for i in cls}) == 1 for cls in r.classes) and all(
+        row[i] == c for cls, c in r.consts.items() for i in cls)
+
+
+def _store_contains(dom, r, store) -> bool:
+    """γ membership of one store, read variable by variable: a variable
+    holding a thread id is numerically unconstrained."""
+    if r.bot:
+        return False
+    ints = {v for v, x in store.items() if isinstance(x, int)}
+    num = dom.nb.restrict(r.num, {dom.universe.index[v] for v in ints if v in dom.universe.index})
+    row = [store[v] if v in ints else 0 for v in dom.universe.int_vars]
+    return _row_contains(num, row) and all(
+        v not in store or (not isinstance(store[v], int) and store[v] in t)
+        for v, t in r.tids.items())
+
+
+@pytest.mark.parametrize("numeric", DOMAINS)
+def test_backend_contains_is_the_row_by_row_test(numeric, monkeypatch):
+    """⊥, ⊤, closed values and (octagons) unclosed random DBMs, against
+    batches cut into many broadcast chunks."""
+    from concurrel.domains import octagon
+
+    monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
+    rng = Random(47)
+    dom = make_domain(numeric, ("x", "y", "z"))
+    nb = dom.nb
+    values = [nb.bot(), nb.top()] + [random_relation(dom, rng).num for _ in range(40)]
+    if numeric != "eqconst":
+        values += [_random_dbm(rng, 3)[1] for _ in range(40)]
+    for r in values:
+        vals = np.array([[rng.randint(-3, 5) for _ in range(3)]
+                         for _ in range(rng.randint(1, 30))])
+        assert nb.contains(r, vals).tolist() == [_row_contains(r, row) for row in vals.tolist()]
+
+
+@pytest.mark.parametrize("numeric", DOMAINS)
+def test_contains_many_is_the_store_by_store_test(numeric, monkeypatch):
+    """Stores where the dual variable x holds an int in some rows and a
+    thread id in others, thread ids outside every set, absent variables and
+    values beyond 64 bits."""
+    from concurrel.digests import AbstractTid, CreateEdge
+    from concurrel.domains import RelDomain, Universe, octagon
+    from concurrel.frontend.cfg import Point
+
+    monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
+    rng = Random(48)
+    dom = RelDomain(Universe(("v", "x", "y", "z"), ("self", "x")), numeric)
+    t1, t2 = AbstractTid(), AbstractTid((CreateEdge(Point("main", 1), "t"),))
+    rels = [dom.bot(), dom.top()]
+    for _ in range(60):
+        r = random_relation(dom, rng)
+        if rng.random() < 0.5:
+            r = dom.assign_value(r, "x", frozenset(rng.sample([t1, t2], rng.randint(1, 2))))
+        if rng.random() < 0.5:
+            r = dom.assign_value(r, "self", frozenset({t1}))
+        rels.append(r)
+    for r in rels:
+        count = rng.randint(1, 25)
+        choices = {"v": range(-2, 5), "x": [*range(-2, 5), t1, t2], "y": range(-2, 5),
+                   "z": [*range(-2, 5), 2**70], "self": [t1, t2, "unknown"]}
+        columns = {v: [rng.choice(c) for _ in range(count)]
+                   for v, c in choices.items() if rng.random() < 0.8}
+        stores = [{v: col[i] for v, col in columns.items()} for i in range(count)]
+        batch = dom.contains_many(r, columns, count).tolist()
+        assert batch == [_store_contains(dom, r, s) for s in stores]
+        assert batch == [dom.contains(r, s) for s in stores]
 
 
 def OctRel_copy(c):
