@@ -154,12 +154,12 @@ def _run(args) -> int:
 def _compare(args) -> int:
     names = args.presets.split(",")
     if len(names) < 2:
-        print("compare needs at least two presets", file=sys.stderr)
-        return 2
+        _fail("concurrel: compare needs at least two presets")
     for name in names:
         if name not in PRESETS:
-            print(f"unknown preset {name!r}", file=sys.stderr)
-            return 2
+            _fail(f"concurrel: unknown preset {name!r}")
+    if len({PRESETS[name].domain for name in names}) > 1:
+        _fail("concurrel: compare requires a common domain")
     results = dict(zip(names, _load_and_analyze(args.file, [PRESETS[n] for n in names])))
     base_name = names[0]
     base = results[base_name]
@@ -167,9 +167,6 @@ def _compare(args) -> int:
     rows = []
     for other_name in names[1:]:
         other = results[other_name]
-        if other.config.domain != base.config.domain:
-            print("compare requires a common domain", file=sys.stderr)
-            return 2
         counts = {"equal": 0, "more-precise": 0, "less-precise": 0, "incomparable": 0}
         detail = []
         for p in points:

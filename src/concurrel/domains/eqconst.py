@@ -1,11 +1,15 @@
 """Satisfiable conjunctions of equalities x=y and x=c, ordered by implication.
 
-Canonical form: a partition of the variable indices (union-find collapsed to
-frozensets, classes with equal constants merged) plus one optional constant
-per class.  False is the least element; the empty conjunction is Top.
+Canonical form: ``rep[i]`` is the least variable equal to i (i itself when no
+other variable is), and ``consts`` maps a representative to the constant of
+its class.  Classes with equal constants are merged, so i = j holds iff
+``rep[i] == rep[j]``.  False is the least element; the empty conjunction
+(every variable its own representative, no constant) is Top.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -13,15 +17,14 @@ from .values import BOT, IntAbs
 
 
 class EqRel:
-    """Immutable; ``classes`` only lists classes of size ≥ 2 or with a constant."""
+    """Immutable; ``consts`` is keyed by representatives only."""
 
-    __slots__ = ("n", "classes", "consts", "bot")
+    __slots__ = ("rep", "consts", "bot")
 
-    def __init__(self, n: int, classes: frozenset[frozenset[int]] = frozenset(),
-                 consts: tuple[tuple[frozenset[int], int], ...] = (), bot: bool = False):
-        self.n = n
-        self.classes = classes
-        self.consts = dict(consts)
+    def __init__(self, rep: tuple[int, ...], consts: dict[int, int] | None = None,
+                 bot: bool = False):
+        self.rep = rep
+        self.consts = consts or {}
         self.bot = bot
 
     @property
@@ -29,8 +32,10 @@ class EqRel:
         return self.bot
 
 
-def _canon(n: int, pairs: set[tuple[int, int]], consts: dict[int, int]) -> EqRel:
-    """Union-find canonicalization; returns ⊥ on constant contradiction."""
+def _canon(n: int, pairs: Iterable[tuple[int, int]],
+           consts: Iterable[tuple[int, int]]) -> EqRel:
+    """Union-find over the equalities ``pairs`` and the (variable, constant)
+    pairs ``consts``; ⊥ when a class gets two constants."""
     parent = list(range(n))
 
     def find(i):
@@ -41,51 +46,25 @@ def _canon(n: int, pairs: set[tuple[int, int]], consts: dict[int, int]) -> EqRel
 
     def union(i, j):
         ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+        parent[max(ri, rj)] = min(ri, rj)  # a root stays the least of its class
 
     for i, j in pairs:
         union(i, j)
     cls_const: dict[int, int] = {}
-    for i, c in consts.items():
-        r = find(i)
-        if r in cls_const and cls_const[r] != c:
-            return EqRel(n, bot=True)
-        cls_const[r] = c
-    # classes sharing a constant are logically equal
-    by_const: dict[int, int] = {}
-    for r, c in sorted(cls_const.items()):
-        if c in by_const:
-            union(by_const[c], r)
-        else:
-            by_const[c] = r
-    members: dict[int, set[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), set()).add(i)
-    out_classes = set()
-    out_consts = []
-    for r, mem in members.items():
-        const = next((cls_const[x] for x in mem if x in cls_const), None)
-        if len(mem) >= 2 or const is not None:
-            fs = frozenset(mem)
-            if len(mem) >= 2:
-                out_classes.add(fs)
-            if const is not None:
-                out_consts.append((fs, const))
-    return EqRel(n, frozenset(out_classes), tuple(out_consts))
-
-
-def _class_of(r: EqRel) -> dict[int, frozenset[int]]:
-    """The class of each variable that is not alone and unconstrained in r;
-    in canonical form, i and j are equal in r iff they share a class."""
-    return {i: cls for cls in (*r.classes, *r.consts) for i in cls}
+    for i, c in consts:
+        if cls_const.setdefault(find(i), c) != c:
+            return EqRel(tuple(range(n)), bot=True)
+    by_const: dict[int, int] = {}  # classes sharing a constant are logically equal
+    for r, c in cls_const.items():
+        union(by_const.setdefault(c, r), r)
+    return EqRel(tuple(find(i) for i in range(n)), {find(r): c for c, r in by_const.items()})
 
 
 class EqBackend:
     def __init__(self, n: int):
         self.n = n
-        self._top = EqRel(n)
-        self._bot = EqRel(n, bot=True)
+        self._top = EqRel(tuple(range(n)))
+        self._bot = EqRel(tuple(range(n)), bot=True)
 
     def top(self) -> EqRel:
         return self._top
@@ -98,18 +77,8 @@ class EqBackend:
 
     # -- views --
 
-    def _pairs(self, r: EqRel) -> set[tuple[int, int]]:
-        out = set()
-        for cls in r.classes:
-            mem = sorted(cls)
-            out.update((mem[0], x) for x in mem[1:])
-        return out
-
     def _const_of(self, r: EqRel, i: int) -> int | None:
-        for cls, c in r.consts.items():
-            if i in cls:
-                return c
-        return None
+        return r.consts.get(r.rep[i])
 
     def _eval(self, r: EqRel, coeffs: dict[int, int], const: int) -> int | None:
         """Value of ``sum(coeffs) + const``; None unless every variable is a constant."""
@@ -122,44 +91,29 @@ class EqBackend:
         return total
 
     def implies_eq(self, r: EqRel, i: int, j: int) -> bool:
-        if r.bot:
-            return True
-        if i == j or any(i in cls and j in cls for cls in r.classes):
-            return True
-        ci, cj = self._const_of(r, i), self._const_of(r, j)
-        return ci is not None and ci == cj
+        return r.bot or r.rep[i] == r.rep[j]
 
     # -- lattice --
 
     def meet(self, a: EqRel, b: EqRel) -> EqRel:
         if a.bot or b.bot:
             return self._bot
-        consts: dict[int, int] = {}
-        for r in (a, b):
-            for cls, c in r.consts.items():
-                for i in cls:
-                    if i in consts and consts[i] != c:
-                        return self._bot
-                    consts[i] = c
-        return _canon(self.n, self._pairs(a) | self._pairs(b), consts)
+        return _canon(self.n, [*enumerate(a.rep), *enumerate(b.rep)],
+                      [*a.consts.items(), *b.consts.items()])
 
     def join(self, a: EqRel, b: EqRel) -> EqRel:
         """Variables stay equal where they share a class in both a and b, and
-        keep the constants a and b agree on."""
+        keep the constants a and b agree on.  Canonical as built: a class
+        keeps a constant c only if it is a's class of c and b's class of c."""
         if a.bot:
             return b
         if b.bot:
             return a
-        ka, kb = _class_of(a), _class_of(b)
-        first: dict[tuple, int] = {}
-        pairs = set()
-        for i in range(self.n):
-            j = first.setdefault((ka.get(i, i), kb.get(i, i)), i)
-            if j != i:
-                pairs.add((j, i))
-        b_consts = {i: c for cls, c in b.consts.items() for i in cls}
-        consts = {i: c for cls, c in a.consts.items() for i in cls if b_consts.get(i) == c}
-        return _canon(self.n, pairs, consts)
+        first: dict[tuple[int, int], int] = {}
+        rep = tuple(first.setdefault(key, i) for i, key in enumerate(zip(a.rep, b.rep)))
+        consts = {i: c for (ra, rb), i in first.items()
+                  if (c := a.consts.get(ra)) is not None and c == b.consts.get(rb)}
+        return EqRel(rep, consts)
 
     def widen(self, a: EqRel, b: EqRel) -> EqRel:
         return self.join(a, b)  # finite height
@@ -170,27 +124,19 @@ class EqBackend:
             return True
         if b.bot:
             return False
-        for cls in b.classes:
-            mem = sorted(cls)
-            if not all(self.implies_eq(a, mem[0], x) for x in mem[1:]):
-                return False
-        for cls, c in b.consts.items():
-            if not all(self._const_of(a, i) == c for i in cls):
-                return False
-        return True
+        return (all(a.rep[i] == a.rep[r] for i, r in enumerate(b.rep) if i != r)
+                and all(self._const_of(a, r) == c for r, c in b.consts.items()))
 
     # -- transfer functions --
 
     def restrict(self, r: EqRel, keep: set[int]) -> EqRel:
+        """Each kept variable's representative becomes the least kept member
+        of its class; the others are left alone and unconstrained."""
         if r.bot:
             return r
-        pairs = {(i, j) for (i, j) in self._pairs(r) if i in keep and j in keep}
-        # transitivity within keep: classes restricted to keep stay classes
-        for cls in r.classes:
-            mem = sorted(cls & keep)
-            pairs.update((mem[0], x) for x in mem[1:])
-        consts = {i: c for cls, c in r.consts.items() for i in cls if i in keep}
-        return _canon(self.n, pairs, consts)
+        least: dict[int, int] = {}
+        rep = tuple(least.setdefault(r.rep[i], i) if i in keep else i for i in range(self.n))
+        return EqRel(rep, {least[x]: c for x, c in r.consts.items() if x in least})
 
     def forget(self, r: EqRel, xs: list[int]) -> EqRel:
         return self.restrict(r, set(range(self.n)) - set(xs))
@@ -201,9 +147,7 @@ class EqBackend:
         f = self.forget(r, [x])
         if f.bot or lo != hi:
             return f
-        consts = {i: c for cls, c in f.consts.items() for i in cls}
-        consts[x] = int(lo)
-        return _canon(self.n, self._pairs(f), consts)
+        return _canon(self.n, enumerate(f.rep), [*f.consts.items(), (x, int(lo))])
 
     def assign_linear(self, r: EqRel, x: int, coeffs: dict[int, int], const: int) -> EqRel:
         if r.bot:
@@ -237,11 +181,11 @@ class EqBackend:
         if len(items) == 1:
             (y, cy) = items[0]
             if cy in (1, -1):
-                return self.meet(r, _canon(self.n, set(), {y: -const * cy}))
+                return self.meet(r, _canon(self.n, (), [(y, -const * cy)]))
         if len(items) == 2 and const == 0:
             (y, cy), (z, cz) = items
             if {cy, cz} == {1, -1}:
-                return self.meet(r, _canon(self.n, {(y, z)}, {}))
+                return self.meet(r, _canon(self.n, [(y, z)], ()))
         total = self._eval(r, coeffs, const)
         return self._bot if total is not None and total != 0 else r
 
@@ -265,30 +209,22 @@ class EqBackend:
         return IntAbs.top() if c is None else IntAbs.const(c)
 
     def support(self, r: EqRel) -> set[int]:
-        return {i for cls in (*r.classes, *r.consts) for i in cls}
+        shared = {x for i, x in enumerate(r.rep) if x != i}
+        return {i for i, x in enumerate(r.rep) if x in shared or x in r.consts}
 
     def contains(self, r: EqRel, vals: np.ndarray) -> np.ndarray:
         """Which rows of ``vals`` satisfy every equality of r: one column
-        comparison for all classes and one for all constants."""
+        comparison against the representatives and one against the constants."""
         if r.bot:
             return np.zeros(len(vals), dtype=bool)
-        ok = np.ones(len(vals), dtype=bool)
-        members = [i for cls in r.classes for i in cls]
-        if members:
-            firsts = [min(cls) for cls in r.classes for _ in cls]
-            ok &= (vals[:, members] == vals[:, firsts]).all(axis=1)
+        ok = (vals == vals[:, list(r.rep)]).all(axis=1)
         if r.consts:
-            fixed = [i for cls in r.consts for i in cls]
-            ok &= (vals[:, fixed] == [c for cls, c in r.consts.items() for _ in cls]).all(axis=1)
+            ok &= (vals[:, list(r.consts)] == list(r.consts.values())).all(axis=1)
         return ok
 
     def render(self, r: EqRel, names: list[str]) -> list[str]:
         if r.bot:
             return ["⊥"]
-        out = []
-        for cls in r.classes:
-            mem = sorted(cls)
-            out.extend(f"{names[mem[0]]}={names[x]}" for x in mem[1:])
-        for cls, c in r.consts.items():
-            out.append(f"{names[min(cls)]}={c}")
+        out = [f"{names[x]}={names[i]}" for i, x in enumerate(r.rep) if x != i]
+        out += [f"{names[x]}={c}" for x, c in r.consts.items()]
         return sorted(out) or ["⊤"]

@@ -133,8 +133,8 @@ class _Parser:
 
     def program(self) -> Program:
         globs: list[str] = []
-        muts: list[str] = []
-        protections: dict[str, frozenset[str]] = {}
+        muts: dict[str, _Token] = {}
+        protects: dict[str, tuple[_Token, list[_Token]]] = {}
         threads: dict[str, tuple[Stmt, ...]] = {}
         while self.cur.kind != "eof":
             if self.accept("global"):
@@ -145,12 +145,13 @@ class _Parser:
                 self.expect(";")
             elif self.accept("mutex"):
                 for tok in self._names():
-                    muts.append(self._unique(tok, muts, "mutex"))
+                    muts[self._unique(tok, muts, "mutex")] = tok
                 self.expect(";")
             elif self.accept("protect"):
-                g = self._unique(self.expect("name"), protections, "protect declaration for")
+                tok = self.expect("name")
+                g = self._unique(tok, protects, "protect declaration for")
                 self.expect("with")
-                protections[g] = frozenset(tok.text for tok in self._names())
+                protects[g] = (tok, self._names())
                 self.expect(";")
             elif self.accept("thread"):
                 name = self._unique(self.expect("name"), threads, "thread template")
@@ -161,6 +162,8 @@ class _Parser:
                 threads[name] = tuple(body)
             else:
                 raise self._error(f"expected declaration or 'thread', found {self.cur.text!r}")
+        self._check_declarations(set(globs), muts, protects)
+        protections = {g: frozenset(t.text for t in ms) for g, (_, ms) in protects.items()}
         return Program(
             globals=tuple(globs),
             mutexes=tuple(muts),
@@ -168,6 +171,21 @@ class _Parser:
             protections=protections or None,
             filename=self.filename,
         )
+
+    def _check_declarations(self, globs: set[str], muts: dict[str, _Token],
+                            protects: dict[str, tuple[_Token, list[_Token]]]) -> None:
+        """Checks run once every declaration is read, since ``protect`` may
+        precede the names it uses; each error points at the offending name."""
+        for m, tok in muts.items():
+            if Program.is_atomicity_mutex(m):
+                raise self._error(
+                    f"mutex name {m!r} is reserved for implicit atomicity mutexes", tok)
+        for g, (tok, ms) in protects.items():
+            if g not in globs:
+                raise self._error(f"protect: unknown global {g!r}", tok)
+            for m in ms:
+                if m.text not in muts:
+                    raise self._error(f"protect: unknown mutex {m.text!r}", m)
 
     def _names(self) -> list[_Token]:
         toks = [self.expect("name")]
@@ -296,18 +314,6 @@ def _resolve(prog: Program) -> None:
         raise ParseError("no 'main' thread template", 1, 1, prog.filename)
     gset = set(prog.globals)
     mset = set(prog.mutexes)
-    for m in prog.mutexes:
-        if prog.is_atomicity_mutex(m):
-            raise ParseError(
-                f"mutex name {m!r} is reserved for implicit atomicity mutexes", 1, 1, prog.filename
-            )
-    if prog.protections:
-        for g, ms in prog.protections.items():
-            if g not in gset:
-                raise ParseError(f"protect: unknown global {g!r}", 1, 1, prog.filename)
-            for m in ms:
-                if m not in mset:
-                    raise ParseError(f"protect: unknown mutex {m!r}", 1, 1, prog.filename)
 
     def check_reserved(e: Expr | Cmp, p: Pos, what: str) -> None:
         # A thread id is no integer: ``self`` may only be joined.  ``ret``

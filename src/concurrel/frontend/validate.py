@@ -94,16 +94,14 @@ def validate(program: Program, cfgs: dict[str, Cfg] | None = None) -> list[Diagn
             g = e.action.glob
             declared = (program.protections or {}).get(g)
             for held in write_held[e]:
-                user_held = {m for m in held if not program.is_atomicity_mutex(m)}
-                if declared is not None and not declared <= held | {program.protecting_mutex(g)} | user_held:
-                    missing = sorted(declared - user_held - {program.protecting_mutex(g)})
-                    if missing:
-                        diags.append(Diagnostic(
-                            e.pos.line, e.pos.col, "error",
-                            f"write to '{g}' at {e.src} without declared protecting "
-                            f"mutex(es) {', '.join(missing)}", fn))
-                if declared is None and not user_held:
-                    unprotected_writes.add(g)
+                if declared is None:
+                    if all(program.is_atomicity_mutex(m) for m in held):
+                        unprotected_writes.add(g)
+                elif missing := sorted(declared - held):
+                    diags.append(Diagnostic(
+                        e.pos.line, e.pos.col, "error",
+                        f"write to '{g}' at {e.src} without declared protecting "
+                        f"mutex(es) {', '.join(missing)}", fn))
 
     for g in sorted(unprotected_writes):
         diags.append(Diagnostic(1, 1, "warning", f"no protecting mutex for {g}", fn))

@@ -89,9 +89,6 @@ def pairwise_eq_join(nb, a, b):
         return a
     pairs = {(i, j) for i in range(nb.n) for j in range(i + 1, nb.n)
              if nb.implies_eq(a, i, j) and nb.implies_eq(b, i, j)}
-    consts = {}
-    for i in range(nb.n):
-        ca, cb = nb._const_of(a, i), nb._const_of(b, i)
-        if ca is not None and ca == cb:
-            consts[i] = ca
+    consts = [(i, ca) for i in range(nb.n)
+              if (ca := nb._const_of(a, i)) is not None and ca == nb._const_of(b, i)]
     return _canon(nb.n, pairs, consts)

@@ -92,11 +92,18 @@ _TOO_DEEP = "expression nested deeper than 100 levels"
     ("mutex a, a; thread main { }", "1:10", "duplicate mutex 'a'"),
     ("global g; mutex a, b; protect g with a; protect g with b; thread main { }",
      "1:49", "duplicate protect declaration for 'g'"),
+    ("global g;\nmutex a;\nprotect h with a;\nthread main { }",
+     "3:9", "protect: unknown global 'h'"),
+    ("global g;\nmutex a;\nprotect g with b;\nthread main { }",
+     "3:16", "protect: unknown mutex 'b'"),
+    ("global g;\nmutex m_g;\nthread main { }",
+     "2:7", "mutex name 'm_g' is reserved for implicit atomicity mutexes"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
         "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500",
         "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
         "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
-        "global-twice", "mutex-twice", "protect-twice"])
+        "global-twice", "mutex-twice", "protect-twice", "protect-unknown-global",
+        "protect-unknown-mutex", "mutex-reserved"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"
     f.write_text(src)
@@ -104,6 +111,14 @@ def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, messa
     assert code == 2
     assert f"{f}:{position}: error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_protect_may_precede_its_declarations(tmp_path, capsys):
+    f = tmp_path / "early.conc"
+    f.write_text("protect g with a;\nglobal g;\nmutex a;\n"
+                 "thread main { lock(a); g = 1; unlock(a); }\n")
+    code, _, err = run_cli(capsys, "run", str(f))
+    assert code == 0 and "error" not in err
 
 
 def test_non_integer_step_budget_exit_2(capsys, monkeypatch):
@@ -124,6 +139,24 @@ def test_compare_bad_program_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "compare", corpus_path("joins"), "--presets", "octagon,tids")
     assert code == 2
     assert "solver aborted after 6 constraint evaluations" in err
+
+
+@pytest.mark.parametrize("presets, message", [
+    ("octagon", "concurrel: compare needs at least two presets"),
+    ("octagon,bogus", "concurrel: unknown preset 'bogus'"),
+    ("octagon,interval", "concurrel: compare requires a common domain"),
+], ids=["one-preset", "unknown-preset", "two-domains"])
+def test_compare_bad_presets_exit_2_before_analyzing(capsys, monkeypatch, presets, message):
+    import concurrel.cli as cli
+
+    def no_analysis(*_):
+        raise AssertionError("analyzed despite bad presets")
+
+    monkeypatch.setattr(cli, "_load_and_analyze", no_analysis)
+    code, _, err = run_cli(capsys, "compare", corpus_path("joins"), "--presets", presets)
+    assert code == 2
+    assert err.strip() == message
+    assert "Traceback" not in err
 
 
 def test_conflicting_flags_exit_2(capsys):

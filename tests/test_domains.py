@@ -357,8 +357,8 @@ def _row_contains(r, row) -> bool:
             return False
         w = [sign * row[x] for x in r.vars for sign in (1, -1)]
         return all(w[j] - w[i] <= r.m[i, j] for i in range(len(w)) for j in range(len(w)))
-    return not r.bot and all(len({row[i] for i in cls}) == 1 for cls in r.classes) and all(
-        row[i] == c for cls, c in r.consts.items() for i in cls)
+    return not r.bot and all(row[i] == row[x] for i, x in enumerate(r.rep)) and all(
+        row[x] == c for x, c in r.consts.items())
 
 
 def _store_contains(dom, r, store) -> bool:
@@ -829,4 +829,35 @@ def test_eqconst_join_equals_the_pairwise_definition():
     for _ in range(300):
         a, b = random_relation(dom, rng).num, random_relation(dom, rng).num
         got, want = dom.nb.join(a, b), pairwise_eq_join(dom.nb, a, b)
-        assert (got.bot, got.classes, got.consts) == (want.bot, want.classes, want.consts)
+        assert (got.bot, got.rep, got.consts) == (want.bot, want.rep, want.consts)
+
+
+def _eq_form(r):
+    """An eqconst value's (bot, rep, consts), after checking it is canonical:
+    each representative is the least member of its class, constants sit on
+    representatives, and no two classes share a constant."""
+    assert all(x <= i and r.rep[x] == x for i, x in enumerate(r.rep))
+    assert all(r.rep[x] == x for x in r.consts)
+    assert len(set(r.consts.values())) == len(r.consts)
+    return r.bot, r.rep, r.consts
+
+
+def test_eqconst_commuting_operations_give_one_canonical_form():
+    """meet, join and a sequence of equality guards give identical (rep,
+    consts) in either order; ``implies_eq`` reads equality off ``rep`` alone,
+    so classes with equal constants must always be merged.  (Inequality
+    guards are not exact, so their order may change the result.)"""
+    rng = Random(53)
+    dom = make_domain("eqconst")
+    nb, names = dom.nb, dom.universe.int_vars
+    for _ in range(300):
+        a, b = random_relation(dom, rng), random_relation(dom, rng)
+        assert _eq_form(nb.meet(a.num, b.num)) == _eq_form(nb.meet(b.num, a.num))
+        assert _eq_form(nb.join(a.num, b.num)) == _eq_form(nb.join(b.num, a.num))
+        guards = [Cmp("==", Var(rng.choice(names)),
+                      Var(rng.choice(names)) if rng.random() < 0.5 else IntLit(rng.randint(0, 2)))
+                  for _ in range(rng.randint(1, 4))]
+        forward, backward = a, a
+        for g, h in zip(guards, reversed(guards)):
+            forward, backward = dom.guard(forward, g), dom.guard(backward, h)
+        assert _eq_form(forward.num) == _eq_form(backward.num)
