@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import Any
 
 from ..digests import DigestSpec, LockOnceDigest
-from ..frontend.ast import Program
+from ..frontend.ast import IntLit, Program
 from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
 from ..frontend.validate import Diagnostic, validate
 from ..solver import DEFAULT_BUDGET, Solver
@@ -65,17 +65,23 @@ class AnalysisResult:
         return self.dom.join_all(
             self.local_relation(self.solver.values[k]) for k in self.point_keys(point, lockset))
 
+    @cached_property
+    def _published(self) -> dict[str, Relation]:
+        """Every global's published values, built in one pass over the
+        solver values (each global's joins in the solver's order)."""
+        dom = self.dom
+        out = {g: dom.restrict(dom.assign_expr(dom.top(), g, IntLit(0)), {g})
+               for g in self.program.globals}
+        for k, v in self.solver.values.items():
+            if isinstance(k, MutexKey):
+                for g in k.cluster:
+                    out[g] = dom.join(out[g], dom.restrict(v, {g}))
+        return out
+
     def published_values(self, g: str) -> Relation:
         """Join of everything published for clusters containing g, plus the
         initial value 0 (which improved modes keep in L, not at unknowns)."""
-        from ..frontend.ast import IntLit
-
-        out = self.dom.assign_expr(self.dom.top(), g, IntLit(0))
-        out = self.dom.restrict(out, {g})
-        for k, v in self.solver.values.items():
-            if isinstance(k, MutexKey) and g in k.cluster:
-                out = self.dom.join(out, self.dom.restrict(v, {g}))
-        return out
+        return self._published[g]
 
     def stats(self) -> dict:
         return {

@@ -231,8 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         raise SystemExit(2 if e.code not in (0, None) else 0)
     if getattr(args, "cluster_size", 1) < 1:
-        print("--cluster-size must be >= 1", file=sys.stderr)
-        return 2
+        _fail("concurrel: --cluster-size must be >= 1")
     return _run(args) if args.cmd == "run" else _compare(args)
 
 

@@ -14,7 +14,8 @@ For every reachable concrete state (thread, point, lockset, locals, globals):
 A report is ``ok`` when none of this fails on the explored states, and
 ``clean`` when it is ok and the exploration was not truncated at a bound.
 
-The check works per (point, lockset) group of reachable tuples.  The group's
+The check works per (point, lockset) group of reachable tuples, as the
+oracle groups them once per exploration (``Exploration.groups``).  The group's
 value v is built once; each tuple is projected to the values of the
 variables v constrains (``RelDomain.support``: locals and held globals, thread
 ids replaced by their abstraction), and the distinct projections are tested
@@ -84,17 +85,13 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
         def expected_digest(rs: Reachable):
             return ()
 
-    groups: dict[tuple, list[Reachable]] = {}
-    for rs in exploration.reachable:
-        groups.setdefault((rs.point, rs.lockset), []).append(rs)
-
     universe_globals = set(result.program.globals)
     locals_ = local_vars(result.universe, result.program)
     lvars = exploration.lvars
     gvars = exploration.gvars
 
     for (point, lockset), states in sorted(
-        groups.items(), key=lambda kv: (str(kv[0][0]), sorted(kv[0][1]))
+        exploration.groups.items(), key=lambda kv: (str(kv[0][0]), sorted(kv[0][1]))
     ):
         report.checked_states += len(states)
         keys = result.point_keys(point, lockset)

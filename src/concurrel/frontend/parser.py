@@ -2,7 +2,7 @@
 
 Grammar sketch::
 
-    program   := decl* threaddef+
+    program   := (decl | threaddef)*     -- one threaddef must be named "main"
     decl      := "global" names ";" | "mutex" names ";"
                | "protect" NAME "with" names ";"
     threaddef := "thread" NAME "{" stmt* "}"
@@ -13,8 +13,10 @@ Grammar sketch::
                | NAME "=" ("?" | "create" "(" NAME ")" | "join" "(" NAME ")"
                            | expr) ";"
 
-Expressions are linear integer arithmetic, nested at most ``MAX_NESTING``
-levels deep; conditions are single comparisons.  `//` starts a line comment.
+Declarations and thread templates may come in any order: a name may be used
+above its declaration, in a ``protect`` or in a template.  Expressions are
+linear integer arithmetic, nested at most ``MAX_NESTING`` levels deep;
+conditions are single comparisons.  `//` starts a line comment.
 """
 
 from __future__ import annotations

@@ -28,7 +28,10 @@ interleaving is lost at wrapper-external points).
 Each thread's local state is stored once in a table and a state is a tuple
 of thread ids plus the shared slots (globals, mutex holders, the digests of
 each mutex's last unlock), as in SPIN's collapse compression (Holzmann,
-"State compression in SPIN", 1997).  A thread's steps are computed once per
+"State compression in SPIN", 1997).  Each CFG edge is compiled once into a
+step of one of the kinds the explorer dispatches on: a local step is a
+function from the moving thread to its successors, and the other kinds hold
+the indices their handlers read.  A thread's steps are computed once per
 exploration for each value of the shared slots they read (none for local
 steps, the global and the last unlock for a copy, the last unlock for a
 lock), so a step taken again from another state is a table lookup; its
@@ -80,6 +83,9 @@ class Exploration:
     lvars: tuple[str, ...] = ()
     gvars: tuple[str, ...] = ()
     reachable: set[Reachable] = field(default_factory=set)
+    # the reachable tuples by (point, lockset); explore fills it with ``reachable``
+    groups: dict[tuple[Point, frozenset[str]], list[Reachable]] = field(
+        default_factory=dict, init=False)
     violations: dict[int, list[str]] = field(default_factory=dict)
     digest_infeasibilities: list[str] = field(default_factory=list)
     schedules: int = 0
@@ -135,7 +141,8 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
 TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
 RUNNING, RETURNED, JOINED = 0, 1, 2
 
-# Kinds of prepared steps (see _Explorer._prepare).  A LOCAL step reads only
+# Kinds of steps, compiled once per CFG edge (see _Explorer._compile_edge)
+# and prepared once per thread (see _Explorer._prepare).  A LOCAL step reads only
 # its thread; COPYR reads the global and the last unlock of the copy's mutex,
 # COPYW and LOCK read the last unlock of their mutex, and UNLOCK reads
 # nothing but its held check.  CREATE and JOIN read the other threads.
@@ -203,42 +210,59 @@ class _Explorer:
     # -- edge compilation --
 
     def _compile_edge(self, cfg: Cfg, e: Edge):
+        """The step of edge ``e`` as (kind, destination point id, label, mutex
+        index, global index, x).  For a LOCAL step, x maps the moved thread
+        (and the schedule that reached it) to its successor threads, or to
+        None when the step cannot fire; for the other kinds it holds what
+        ``_shared``, ``_create`` and ``_join`` read."""
         act = e.action
         label = f"{action_str(act)} @ {e.src}"
         dst = self.pid[e.dst]
         match act:
             case AssignLocal(x, expr):
-                return ("assign", dst, label, self.lidx[x], _compile_expr(expr, self.lidx))
+                i, f = self.lidx[x], _compile_expr(expr, self.lidx)
+                step = lambda t, sched: [_set(t, LOCALS, _set(t[LOCALS], i, f(t[LOCALS])))]
             case Havoc(x):
-                return ("havoc", dst, label, self.lidx[x])
+                i, values = self.lidx[x], self.bounds.havoc_values
+                step = lambda t, sched: [_set(t, LOCALS, _set(t[LOCALS], i, v)) for v in values]
             case Guard(c):
-                return ("guard", dst, label, _compile_cmp(c, self.lidx))
+                f = _compile_cmp(c, self.lidx)
+                step = lambda t, sched: [t] if f(t[LOCALS]) else None
+            case Return(x):
+                i = self.lidx[x]
+                step = lambda t, sched: (
+                    [t[:POINT] + (None, t[LOCALS], RETURNED, t[LOCALS][i]) + t[TDIG:]]
+                    if isinstance(t[LOCALS][i], int) else None)
             case Assert(c, aid, _):
-                return ("assert", dst, label, _compile_cmp(c, self.lidx), aid)
+                f, violations = _compile_cmp(c, self.lidx), self.ex.violations
+
+                def step(t, sched):
+                    if not f(t[LOCALS]) and aid not in violations:
+                        violations[aid] = _sched((t[TID], label, sched))
+                    return [t]
             case Lock(m) if self.program.is_atomicity_mutex(m):
                 # fold the atomic copy wrapper lock(m_g); access; unlock(m_g)
                 (mid,) = cfg.out_edges(e.dst)
                 (after,) = cfg.out_edges(mid.dst)
                 assert isinstance(after.action, Unlock)
-                if isinstance(mid.action, ReadGlobal):
-                    return ("copyr", self.pid[after.dst], label, self.lidx[mid.action.local],
-                            self.gidx[mid.action.glob], self.midx[m], self._observation(e))
-                return ("copyw", self.pid[after.dst], label, self.gidx[mid.action.glob],
-                        self.lidx[mid.action.local], self.midx[m], self._observation(e))
+                kind = COPYR if isinstance(mid.action, ReadGlobal) else COPYW
+                return (kind, self.pid[after.dst], label, self.midx[m], self.gidx[mid.action.glob],
+                        (self.lidx[mid.action.local], self._observation(e)))
             case Lock(m):
-                return ("lock", dst, label, self.midx[m], self._observation(e))
+                return (LOCK, dst, label, self.midx[m], None, (None, self._observation(e)))
             case Unlock(m):
-                return ("unlock", dst, label, self.midx[m])
+                return (UNLOCK, dst, label, self.midx[m], None, None)
             case Create(x, template):
                 start = self.cfgs[template].start
-                return ("create", dst, label, self.lidx[x], e, start, self.pid[start])
-            case Return(x):
-                return ("return", dst, label, self.lidx[x])
+                return (CREATE, dst, label, None, None, (self.lidx[x], e, start, self.pid[start]))
             case Join(x1, x):
-                return ("join", dst, label, self.lidx[x1], self.lidx[x], self._observation(e))
+                return (JOIN, dst, label, None, None,
+                        (self.lidx[x1], self.lidx[x], self._observation(e)))
             case ReadGlobal() | WriteGlobal():
                 return None  # inside a folded copy wrapper, where no thread stops
-        raise TypeError(act)
+            case _:
+                raise TypeError(act)
+        return (LOCAL, dst, label, None, None, step)
 
     def _observation(self, e: Edge) -> int:
         self.observing.append(e)
@@ -360,11 +384,13 @@ class _Explorer:
             stack.extend(reversed(succs))
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
         view_rows, lockonces = self.view_rows, self.lockonces
-        self.ex.reachable = set()
+        reachable, groups = self.ex.reachable, self.ex.groups
         for view, gs, lockset in rows:
             tid, p, ls, d, lo = view_rows[view]
-            self.ex.reachable.add(
+            reachable.add(
                 Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], lockonces[lo]))
+        for rs in reachable:  # in the set's order, as a walk of ``reachable`` sees them
+            groups.setdefault((rs.point, rs.lockset), []).append(rs)
         return self.ex
 
     # -- steps --
@@ -376,17 +402,17 @@ class _Explorer:
         of results by the shared slots read for COPYR, COPYW and LOCK.  A
         result is (successor thread ids, global write, held write, lu write,
         rejected digests), each write a (slot, value) pair or None.  source
-        is the compiled step and the moved thread (at its destination, with
-        its visit counted), from which the other kinds compute a result.  A
-        step that can never fire (its visit cap is reached, a guard fails, an
-        operand is a thread name) is left out.  Local steps are evaluated
-        here, at the thread's first expansion, where a violated assert is
-        recorded with the schedule ``sched`` that reached it."""
+        is the compiled step's last field and the moved thread (at its
+        destination, with its visit counted), from which the other kinds
+        compute a result.  A step that can never fire (its visit cap is
+        reached, a guard fails, an operand is a thread name) is left out.
+        Local steps are evaluated here, at the thread's first expansion,
+        where a violated assert is recorded with the schedule ``sched`` that
+        reached it."""
         t = self.threads[x]
         out = []
         if t[STATUS] == RUNNING:
-            for step in self.steps[t[POINT]]:
-                dst = step[1]
+            for kind, dst, label, mi, gi, arg in self.steps[t[POINT]]:
                 if dst in self.revisitable:
                     visits = dict(t[VISITS])
                     n = visits.get(dst, 0)
@@ -398,72 +424,43 @@ class _Explorer:
                 else:
                     visits_f = t[VISITS]
                 moved = (t[TID], dst, t[LOCALS], RUNNING, t[RETVAL], t[TDIG], t[LOCKONCE], visits_f)
-                prepared = self._prepare_step(step, moved, sched)
-                if prepared is not None:
-                    out.append(prepared)
+                if kind == LOCAL:
+                    try:  # arithmetic on, or an order comparison with, a thread name
+                        succs = arg(moved, sched)
+                    except TypeError:
+                        continue
+                    if succs is not None:
+                        result = (tuple(map(self._thread, succs)), None, None, None, ())
+                        out.append((LOCAL, label, None, None, result, None))
+                elif kind == UNLOCK:
+                    luw = (mi, (moved[TDIG], moved[LOCKONCE]))
+                    result = ((self._thread(moved),), None, (mi, None), luw, ())
+                    out.append((UNLOCK, label, mi, None, result, None))
+                elif kind in (CREATE, JOIN):
+                    out.append((kind, label, None, None, None, (arg, moved)))
+                else:
+                    if kind == COPYW:
+                        li, _ = arg
+                        if not isinstance(moved[LOCALS][li], int):
+                            continue  # a thread name is never written to a global
+                    out.append((kind, label, mi, gi, {}, (arg, moved)))
         self.prepared[x] = out
         return out
-
-    def _prepare_step(self, step, moved: tuple, sched) -> tuple | None:
-        kind, label, ls = step[0], step[2], moved[LOCALS]
-        source = (step, moved)
-        if kind == "lock":
-            return (LOCK, label, step[3], None, {}, source)
-        if kind == "copyr":
-            return (COPYR, label, step[5], step[4], {}, source)
-        if kind == "copyw":
-            if not isinstance(ls[step[4]], int):
-                return None
-            return (COPYW, label, step[5], step[3], {}, source)
-        if kind == "unlock":
-            luw = (step[3], (moved[TDIG], moved[LOCKONCE]))
-            result = ((self._thread(moved),), None, (step[3], None), luw, ())
-            return (UNLOCK, label, step[3], None, result, None)
-        if kind == "create":
-            return (CREATE, label, None, None, None, source)
-        if kind == "join":
-            return (JOIN, label, None, None, None, source)
-        if kind == "havoc":
-            succs = [_set(moved, LOCALS, _set(ls, step[3], v)) for v in self.bounds.havoc_values]
-        elif kind == "return":
-            v = ls[step[3]]
-            if not isinstance(v, int):
-                return None
-            succs = [moved[:POINT] + (None, ls, RETURNED, v) + moved[TDIG:]]
-        else:
-            try:  # arithmetic on, or an order comparison with, a thread name
-                v = (step[4] if kind == "assign" else step[3])(ls)
-            except TypeError:
-                return None
-            if kind == "assign":
-                succs = [_set(moved, LOCALS, _set(ls, step[3], v))]
-            elif kind == "guard":
-                if not v:
-                    return None
-                succs = [moved]
-            elif kind == "assert":
-                if not v and step[4] not in self.ex.violations:
-                    self.ex.violations[step[4]] = _sched((moved[TID], label, sched))
-                succs = [moved]
-            else:
-                raise ValueError(kind)
-        result = (tuple(self._thread(nt) for nt in succs), None, None, None, ())
-        return (LOCAL, label, None, None, result, None)
 
     def _shared(self, kind: int, label: str, mi: int, gi: int, source,
                 globals_: tuple, lu: tuple) -> tuple:
         """The result of a COPYR, COPYW or LOCK step after the last unlock
         ``lu[mi]`` of its mutex (and, for COPYR, the global's value)."""
-        step, moved = source
+        (li, obs), moved = source
         tid = moved[TID]
-        digs2, rejected = self._observe(moved, step[-1], lu[mi])
+        digs2, rejected = self._observe(moved, obs, lu[mi])
         rejected = tuple(f"{r}: {tid}: {label}" for r in rejected)
         moved = moved[:TDIG] + digs2 + moved[VISITS:]
         if kind == COPYR:
-            nt = _set(moved, LOCALS, _set(moved[LOCALS], step[3], globals_[gi]))
+            nt = _set(moved, LOCALS, _set(moved[LOCALS], li, globals_[gi]))
             return (self._thread(nt),), None, None, (mi, digs2), rejected
         if kind == COPYW:
-            v = moved[LOCALS][step[4]]
+            v = moved[LOCALS][li]
             self.ex.global_values[self.ex.gvars[gi]].add(v)
             return (self._thread(moved),), (gi, v), None, (mi, digs2), rejected
         return (self._thread(moved),), None, (mi, tid), None, rejected
@@ -474,7 +471,7 @@ class _Explorer:
         if len(tids) >= self.bounds.max_threads:
             self.ex.truncated_by.add("max_threads")
             return None, tids
-        (_, _, _, i, e, start, start_id), moved = source
+        (i, e, start, start_id), moved = source
         ls = moved[LOCALS]
         tdig, lockonce = self.digs[moved[TDIG]], self.lockonces[moved[LOCKONCE]]
         child_digest = self.tid_spec.new_thread(e.src, start, tdig)
@@ -497,14 +494,14 @@ class _Explorer:
     def _join(self, tids: tuple, label: str, source):
         """A join step: its result and the thread ids with the joined
         thread marked, or (None, tids) while it blocks."""
-        step, moved = source
-        target = moved[LOCALS][step[4]]
+        (ri, xi, obs), moved = source
+        target = moved[LOCALS][xi]
         tj_i = next((k for k, y in enumerate(tids) if self.threads[y][TID] == target), None)
         if tj_i is None or self.threads[tids[tj_i]][STATUS] != RETURNED:
             return None, tids
         tj = self.threads[tids[tj_i]]
-        digs2, rejected = self._observe(moved, step[5], (tj[TDIG], tj[LOCKONCE]))
-        nt = (moved[:LOCALS] + (_set(moved[LOCALS], step[3], tj[RETVAL]),)
+        digs2, rejected = self._observe(moved, obs, (tj[TDIG], tj[LOCKONCE]))
+        nt = (moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
               + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
         return (((self._thread(nt),), None, None, None,
                  tuple(f"{r}: {moved[TID]}: {label}" for r in rejected)),

@@ -2,13 +2,17 @@
 one ``RelDomain.contains`` call per reachable tuple, in the order of a full
 sorted walk.  Kept unchanged as the reference that
 ``concurrel.differential.check_soundness`` must agree with, report for
-report."""
+report.  ``reference_published_values`` is the per-global fold that
+``AnalysisResult.published_values`` replaced with one pass for all globals."""
 
 from __future__ import annotations
 
 from concurrel.analysis.driver import AnalysisResult, local_vars
+from concurrel.analysis.keys import MutexKey
 from concurrel.analysis.reporting import AssertVerdict
 from concurrel.differential import SoundnessReport
+from concurrel.domains.relation import Relation
+from concurrel.frontend.ast import IntLit
 from concurrel.oracle import Exploration, Reachable
 
 
@@ -85,3 +89,14 @@ def reference_check_soundness(result: AnalysisResult, exploration: Exploration,
                 report.proven_violated.append(
                     f"assert #{vd.aid} ({vd.cond}) PROVEN but violated:\n  {trace}")
     return report
+
+
+def reference_published_values(result: AnalysisResult, g: str) -> Relation:
+    """Join of everything published for clusters containing g, plus the
+    initial value 0, rebuilt from all solver values for this one global."""
+    out = result.dom.assign_expr(result.dom.top(), g, IntLit(0))
+    out = result.dom.restrict(out, {g})
+    for k, v in result.solver.values.items():
+        if isinstance(k, MutexKey) and g in k.cluster:
+            out = result.dom.join(out, result.dom.restrict(v, {g}))
+    return out

@@ -303,3 +303,4 @@ def test_lock_once_flag(capsys):
 def test_cluster_size_validation(capsys):
     code, _, err = run_cli(capsys, "run", corpus_path("joins"), "--cluster-size", "0")
     assert code == 2
+    assert err == "concurrel: --cluster-size must be >= 1\n"

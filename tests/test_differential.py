@@ -15,7 +15,7 @@ from concurrel.differential import check_soundness
 from concurrel.frontend import parse_program
 from concurrel.frontend.ast import Unlock
 from concurrel.oracle import explore
-from soundness_reference import reference_check_soundness
+from soundness_reference import reference_check_soundness, reference_published_values
 
 CONFIGS = {
     "interval": preset("interval"),
@@ -32,6 +32,18 @@ def checked(res, exploration, verdicts=None, max_witnesses=10):
     report = check_soundness(res, exploration, verdicts, max_witnesses)
     assert report == reference_check_soundness(res, exploration, verdicts, max_witnesses)
     return report
+
+
+@pytest.mark.parametrize("config", ("interval", "octagon", "tids", "clusters"))
+def test_published_values_equal_the_per_global_fold(config, programs):
+    """The published values of all globals, built in one pass, are those of
+    the fold over every solver value for one global at a time."""
+    for name, p in programs.items():
+        res = run_analysis(p, CONFIGS[config])
+        for g in p.globals:
+            new, old = res.published_values(g), reference_published_values(res, g)
+            assert res.dom.render(new) == res.dom.render(old), (name, g)
+            assert res.dom.leq(new, old) and res.dom.leq(old, new), (name, g)
 
 
 @pytest.mark.parametrize("config", CONFIGS)

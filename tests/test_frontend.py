@@ -123,9 +123,10 @@ def test_validate_reentrant_lock():
 
 
 def test_validate_unprotected_write():
-    p = parse_program("global g; thread main { g = 1; }")
-    diags = validate(p)
-    assert any("no protecting mutex for g" in d.message for d in diags)
+    # a declaration may also follow the template that uses it
+    for src in ("global g; thread main { g = 1; }", "thread main { g = 1; } global g;"):
+        diags = validate(parse_program(src))
+        assert any("no protecting mutex for g" in d.message for d in diags), src
 
 
 def test_validate_diagnostic_format():

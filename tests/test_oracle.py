@@ -265,6 +265,37 @@ _SMALL_PROGRAMS = {
           assert(y != 1);
         }
         """, ExploreBounds(), (16, 3, 16, [], 'e4e43bdd6a471900', '279f14ba73b61291')),
+    # A child inherits its creator's locals, so the second t1 starts with x
+    # holding the first t1's name.  That t1 cannot copy x to a global, add
+    # to it, or assert an order on it; each havoc value blocks it at one.
+    "thread_name_steps": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main { x = create(t1); x = create(t1); }
+        thread t1 {
+          c = ?;
+          if (c < 1) {
+            lock(a);
+            g = x;
+            unlock(a);
+          } else {
+            if (c < 2) { y = x + 1; } else { assert(x < 1); }
+          }
+          return 0;
+        }
+        """, ExploreBounds(), (274, 10, 36, [], '1f2f1272eee924ed', 'f55cb0278fdbaa7a')),
+    # ... nor guard on an order of x, nor return x
+    "thread_name_return": ("""
+        thread main { x = create(t1); x = create(t1); }
+        thread t1 {
+          c = ?;
+          if (c < 1) {
+            if (x > 0) { c = 1; }
+          }
+          return x;
+        }
+        """, ExploreBounds(), (151, 9, 24, [], 'b56f852b4fdba6c5', 'f45aade1f87a36a2')),
 }
 
 
