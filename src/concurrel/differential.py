@@ -21,9 +21,10 @@ variables v constrains (``RelDomain.support``: locals and held globals, thread
 ids replaced by their abstraction), and the distinct projections are tested
 in one ``RelDomain.contains_many`` call.  The digests the tuples replay are
 compared with the instantiated ones as a set.  Only a group where something
-fails is walked tuple by tuple, in (thread, locals) order, to write its
-digest misses and witnesses; so the reports, their order and the
-``max_witnesses`` cap on store witnesses are those of a full ordered walk.
+fails is walked tuple by tuple, in (thread, locals, globals, digests)
+order, to write its digest misses and witnesses; so the reports, their
+order and the ``max_witnesses`` cap on store witnesses are those of a full
+ordered walk.  That order is total, so no report depends on the hash seed.
 ``checked_states`` counts every reachable tuple.
 """
 
@@ -34,6 +35,7 @@ from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .analysis.driver import AnalysisResult, local_vars
+from .analysis.keys import digest_text
 from .analysis.reporting import AssertVerdict
 from .oracle import Exploration, Reachable
 
@@ -128,7 +130,8 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
 
         # the group fails somewhere: report it in the order of a full walk
         seen_digest_miss = set()
-        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals))):
+        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals), str(r.globals),
+                                                 digest_text((r.tdig, r.lockonce)))):
             d = expected_digest(rs)
             if d not in digests and d not in seen_digest_miss:
                 seen_digest_miss.add(d)

@@ -25,21 +25,23 @@ each access, on the mutex for which ``Program.is_atomicity_mutex`` holds,
 executes as one oracle step (no user code can hold that mutex, so no
 interleaving is lost at wrapper-external points).
 
-Each thread's local state is stored once in a table and a state is a tuple
-of thread ids plus the shared slots (globals, mutex holders, the digests of
-each mutex's last unlock), as in SPIN's collapse compression (Holzmann,
-"State compression in SPIN", 1997).  Each CFG edge is compiled once into a
-step of one of the kinds the explorer dispatches on: a local step is a
-function from the moving thread to its successors, and the other kinds hold
-the indices their handlers read.  A thread's steps are computed once per
-exploration for each value of the shared slots they read (none for local
-steps, the global and the last unlock for a copy, the last unlock for a
-lock), so a step taken again from another state is a table lookup; its
-digest rejections are reported again on every take.  Creates and joins,
-which read the other threads, are computed at every take.  Successors that
-were already explored are not pushed, and the cyclic garbage collector is
-off during ``explore`` (states hold no reference cycles).  A reachable row
-is (the moving thread's interned view, globals, lockset), turned into
+Each thread's local state is stored once in a table, and so are the shared
+slots (globals, mutex holders, the digests of each mutex's last unlock): a
+state is a tuple of thread ids plus a shared-slots id, as in SPIN's collapse
+compression (Holzmann, "State compression in SPIN", 1997).  Each CFG edge is
+compiled once into a step of one of the kinds the explorer dispatches on: a
+local step is a function from the moving thread to its successors, and the
+other kinds hold the indices their handlers read.  A thread's steps are
+prepared once, at its first expansion, and its moves from given shared slots
+(the successor thread and shared-slots ids of every step that can fire
+there) are computed once per exploration, in one memo by (thread id,
+shared-slots id); the reachable rows and global values they reach are
+recorded then.  A move taken again from another state is a table lookup; its
+digest rejections are reported again on every take.  Creates and joins, which
+read the other threads, are computed at every take.  Successors that were
+already explored are not pushed, and the cyclic garbage collector is off
+during ``explore`` (states hold no reference cycles).  A reachable row is
+(the moving thread's interned view, globals, lockset), turned into
 ``Reachable`` tuples once at the end.
 """
 
@@ -134,23 +136,71 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
 # Thread tuple layout.  POINT is a point id (None once returned), TDIG and
 # LOCKONCE are ids into the exploration's tables of interned tid digests and
 # lock-once sets, and VISITS is a sorted tuple of (point id, visits).  Thread
-# tuples are interned in turn, so a state is (thread ids, globals, held, lu):
-# held names each mutex's holder (or None) and lu holds the (tid digest,
-# lock-once) ids of each mutex's last unlock.  A state is built of ints,
-# strings and tuples only: it hashes without Python code and holds no cycle.
+# tuples are interned in turn, and so are the shared slots (globals, held,
+# lu): held names each mutex's holder (or None) and lu holds the (tid digest,
+# lock-once) ids of each mutex's last unlock.  A state is (thread ids, shared
+# id), built of ints and tuples only: it hashes without Python code and holds
+# no cycle.
 TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
 RUNNING, RETURNED, JOINED = 0, 1, 2
 
-# Kinds of steps, compiled once per CFG edge (see _Explorer._compile_edge)
-# and prepared once per thread (see _Explorer._prepare).  A LOCAL step reads only
+# Kinds of steps, compiled once per CFG edge (see _Explorer._compile_edge),
+# prepared once per thread (see _Explorer._prepare) and turned into moves once
+# per (thread, shared slots) (see _Explorer._moves).  A LOCAL step reads only
 # its thread; COPYR reads the global and the last unlock of the copy's mutex,
 # COPYW and LOCK read the last unlock of their mutex, and UNLOCK reads
 # nothing but its held check.  CREATE and JOIN read the other threads.
 LOCAL, COPYR, COPYW, LOCK, UNLOCK, CREATE, JOIN = range(7)
 
+_NO_LOCKS: frozenset[str] = frozenset()  # one object: frozenset() makes a new one each call
+
 
 def _set(tup: tuple, i: int, v) -> tuple:
     return tup[:i] + (v,) + tup[i + 1:]
+
+
+def _cycle_points(cfg: Cfg) -> set[Point]:
+    """The points of ``cfg`` that lie on a cycle: those whose strongly
+    connected component has an edge (Tarjan's algorithm, without recursion)."""
+    succ: dict[Point, list[Point]] = {p: [] for p in cfg.points}
+    for e in cfg.edges:
+        succ[e.src].append(e.dst)
+    index: dict[Point, int] = {}
+    low: dict[Point, int] = {}
+    stack: list[Point] = []
+    on_stack: set[Point] = set()
+    out: set[Point] = set()
+    for root in cfg.points:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            p, it = work[-1]
+            for q in it:
+                if q not in index:
+                    index[q] = low[q] = len(index)
+                    stack.append(q)
+                    on_stack.add(q)
+                    work.append((q, iter(succ[q])))
+                    break
+                if q in on_stack:
+                    low[p] = min(low[p], index[q])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[p])
+                if low[p] == index[p]:
+                    component = []
+                    while not component or component[-1] != p:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    if len(component) > 1 or p in succ[p]:
+                        out.update(component)
+    return out
 
 
 class _Explorer:
@@ -185,27 +235,21 @@ class _Explorer:
         self._thread_ids: dict[tuple, int] = {}
         self.views: list[int | None] = []
         self.prepared: list[list | None] = []
+        # interned shared slots (globals, held, lu), indexed by shared id
+        self.shared: list[tuple] = []
+        self._shared_ids: dict[tuple, int] = {}
+        # the moves of thread x from the shared slots s, by (x, s)
+        self.moves: dict[tuple[int, int], tuple] = {}
         # interned views (tid, point id, locals, tdig id, lockonce id); the
         # reachable rows are (view id, globals, lockset)
         self.view_rows: list[tuple] = []
         self._view_ids: dict[tuple, int] = {}
         self.rows: set[tuple] = set()
-        self._lockset_memo: dict = {}
+        # interned locksets, so that the rows share one object per lockset
+        self._locksets: dict[frozenset, frozenset] = {}
         # visit counters are only kept for points that lie on a CFG cycle
-        self.revisitable: set[int] = set()
-        for cfg in cfgs.values():
-            reach: dict[Point, set[Point]] = {p: set() for p in cfg.points}
-            for e in cfg.edges:
-                reach[e.src].add(e.dst)
-            changed = True
-            while changed:
-                changed = False
-                for p in cfg.points:
-                    new_r = reach[p] | {q for d in reach[p] for q in reach[d]}
-                    if len(new_r) != len(reach[p]):
-                        reach[p] = new_r
-                        changed = True
-            self.revisitable |= {self.pid[p] for p in cfg.points if p in reach[p]}
+        self.revisitable: set[int] = {
+            self.pid[p] for cfg in cfgs.values() for p in _cycle_points(cfg)}
 
     # -- edge compilation --
 
@@ -214,7 +258,7 @@ class _Explorer:
         index, global index, x).  For a LOCAL step, x maps the moved thread
         (and the schedule that reached it) to its successor threads, or to
         None when the step cannot fire; for the other kinds it holds what
-        ``_shared``, ``_create`` and ``_join`` read."""
+        ``_acquire``, ``_create`` and ``_join`` read."""
         act = e.action
         label = f"{action_str(act)} @ {e.src}"
         dst = self.pid[e.dst]
@@ -295,12 +339,13 @@ class _Explorer:
         return i
 
     def _lockset(self, held: tuple, tid: str) -> frozenset:
-        key = (held, tid)
-        lockset = self._lockset_memo.get(key)
-        if lockset is None:
-            lockset = frozenset(m for m, h in zip(self.mutexes, held) if h == tid)
-            self._lockset_memo[key] = lockset
-        return lockset
+        if tid not in held:
+            return _NO_LOCKS
+        lockset = frozenset(m for m, h in zip(self.mutexes, held) if h == tid)
+        return self._locksets.setdefault(lockset, lockset)
+
+    def _shared_id(self, slots: tuple) -> int:
+        return self._intern(self.shared, self._shared_ids, slots)
 
     def run(self) -> Exploration:
         locals0 = [0] * len(self.ex.lvars)
@@ -314,11 +359,11 @@ class _Explorer:
         lu0 = ((main_dig, no_locks),) * len(self.mutexes)
         for g, v in zip(self.ex.gvars, globals0):
             self.ex.global_values.setdefault(g, set()).add(v)
-        rows, views, threads, prepared = self.rows, self.views, self.threads, self.prepared
-        rows.add((views[main], globals0, self._lockset(held0, "main")))
+        self.rows.add((self.views[main], globals0, self._lockset(held0, "main")))
+        threads, memo = self.threads, self.moves
         infeasible = self.ex.digest_infeasibilities
         # schedules are cons lists of (tid, step label), formatted by _sched
-        stack = [(((main,), globals0, held0, lu0), None)]
+        stack = [(((main,), self._shared_id((globals0, held0, lu0))), None)]
         bound_states = self.bounds.max_total_states
         seen: set = set()
         while stack:
@@ -331,52 +376,32 @@ class _Explorer:
             if self.ex.states > bound_states:
                 self.ex.truncated_by.add("max_total_states")
                 break
-            tids, globals_, held, lu = state
+            tids, sid = state
             succs = []
             stuck = True
             for ti, x in enumerate(tids):
-                steps = prepared[x]
-                if steps is None:
-                    steps = self._prepare(x, sched)
-                if not steps:
+                moves = memo.get((x, sid))
+                if moves is None:
+                    moves = memo[x, sid] = self._moves(x, sid, sched)
+                if not moves:
                     continue
                 tid = threads[x][TID]
-                for kind, label, mi, gi, r, source in steps:
-                    others = tids
-                    if kind == LOCAL:
-                        pass
-                    elif kind == UNLOCK:
-                        if held[mi] != tid:
+                before, after = tids[:ti], tids[ti + 1:]
+                for label, rejected, nexts in moves:
+                    b, a = before, after
+                    if nexts is None:  # a create or a join: it reads the other threads
+                        kind, source = rejected
+                        take = self._create if kind == CREATE else self._join
+                        rejected, nexts, others = take(tids, sid, label, source)
+                        if nexts is None:
                             continue
-                    elif kind == CREATE:
-                        r, others = self._create(tids, globals_, held, source)
-                        if r is None:
-                            continue
-                    elif kind == JOIN:
-                        r, others = self._join(tids, label, source)
-                        if r is None:
-                            continue
-                    else:  # COPYR, COPYW, LOCK: memoized on the shared slots read
-                        if held[mi] is not None:
-                            continue
-                        key = lu[mi] if kind != COPYR else (globals_[gi], lu[mi])
-                        memo, r = r, r.get(key)
-                        if r is None:
-                            r = memo[key] = self._shared(kind, label, mi, gi, source, globals_, lu)
-                    succ_ids, gw, hw, luw, rejected = r
+                        b, a = others[:ti], others[ti + 1:]
                     if rejected:
                         infeasible.extend(rejected)
                     stuck = False
-                    g2 = globals_ if gw is None else _set(globals_, *gw)
-                    h2 = held if hw is None else _set(held, *hw)
-                    lu2 = lu if luw is None else _set(lu, *luw)
-                    lockset = self._lockset(h2, tid)
                     cons = (tid, label, sched)
-                    for nt in succ_ids:
-                        view = views[nt]
-                        if view is not None:
-                            rows.add((view, g2, lockset))
-                        s2 = (others[:ti] + (nt,) + others[ti + 1:], g2, h2, lu2)
+                    for nt, sid2 in nexts:
+                        s2 = (b + (nt,) + a, sid2)
                         if s2 not in seen:  # it would be skipped when popped
                             succs.append((s2, cons))
             if stuck:
@@ -385,7 +410,7 @@ class _Explorer:
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
         view_rows, lockonces = self.view_rows, self.lockonces
         reachable, groups = self.ex.reachable, self.ex.groups
-        for view, gs, lockset in rows:
+        for view, gs, lockset in self.rows:
             tid, p, ls, d, lo = view_rows[view]
             reachable.add(
                 Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], lockonces[lo]))
@@ -397,18 +422,17 @@ class _Explorer:
 
     def _prepare(self, x: int, sched) -> list:
         """The steps of thread ``x``, with all the work that reads only the
-        thread done once, as (kind, label, mutex index, global index, r,
-        source).  r is the step's result for LOCAL and UNLOCK, and the memo
-        of results by the shared slots read for COPYR, COPYW and LOCK.  A
-        result is (successor thread ids, global write, held write, lu write,
-        rejected digests), each write a (slot, value) pair or None.  source
-        is the compiled step's last field and the moved thread (at its
-        destination, with its visit counted), from which the other kinds
-        compute a result.  A step that can never fire (its visit cap is
-        reached, a guard fails, an operand is a thread name) is left out.
-        Local steps are evaluated here, at the thread's first expansion,
-        where a violated assert is recorded with the schedule ``sched`` that
-        reached it."""
+        thread done once, as (kind, label, mutex index, global index,
+        result, source).  The result is that of a LOCAL or UNLOCK step, and
+        None for the other kinds: (successor thread ids, global write, held
+        write, lu write, rejected digests), each write a (slot, value) pair
+        or None.  source is the compiled step's last field and the moved
+        thread (at its destination, with its visit counted), from which
+        ``_acquire``, ``_create`` and ``_join`` compute a result.  A step
+        that can never fire (its visit cap is reached, a guard fails, an
+        operand is a thread name) is left out.  Local steps are evaluated
+        here, at the thread's first expansion, where a violated assert is
+        recorded with the schedule ``sched`` that reached it."""
         t = self.threads[x]
         out = []
         if t[STATUS] == RUNNING:
@@ -436,19 +460,58 @@ class _Explorer:
                     luw = (mi, (moved[TDIG], moved[LOCKONCE]))
                     result = ((self._thread(moved),), None, (mi, None), luw, ())
                     out.append((UNLOCK, label, mi, None, result, None))
-                elif kind in (CREATE, JOIN):
-                    out.append((kind, label, None, None, None, (arg, moved)))
                 else:
                     if kind == COPYW:
                         li, _ = arg
                         if not isinstance(moved[LOCALS][li], int):
                             continue  # a thread name is never written to a global
-                    out.append((kind, label, mi, gi, {}, (arg, moved)))
+                    out.append((kind, label, mi, gi, None, (arg, moved)))
         self.prepared[x] = out
         return out
 
-    def _shared(self, kind: int, label: str, mi: int, gi: int, source,
-                globals_: tuple, lu: tuple) -> tuple:
+    def _moves(self, x: int, sid: int, sched) -> tuple:
+        """The moves of thread ``x`` from the shared slots ``sid``, one per
+        prepared step that can fire there, as (label, rejected digests,
+        ((next thread id, next shared id), ...)).  The rows they reach and
+        the values they write to globals are recorded here, once.  A create
+        or a join, which reads the other threads, is (label, (kind, source),
+        None), and ``_create`` or ``_join`` computes it at every take.
+        ``sched`` reached the state, for ``_prepare`` at the thread's first
+        expansion."""
+        steps = self.prepared[x]
+        if steps is None:
+            steps = self._prepare(x, sched)
+        if not steps:
+            return ()
+        globals_, held, lu = self.shared[sid]
+        tid = self.threads[x][TID]
+        out = []
+        for kind, label, mi, gi, result, source in steps:
+            if kind == CREATE or kind == JOIN:
+                out.append((label, (kind, source), None))
+                continue
+            if kind == UNLOCK:
+                if held[mi] != tid:
+                    continue
+            elif kind != LOCAL:  # COPYR, COPYW, LOCK
+                if held[mi] is not None:
+                    continue
+                result = self._acquire(kind, label, mi, gi, source, globals_, lu)
+            succ_ids, gw, hw, luw, rejected = result
+            g2 = globals_ if gw is None else _set(globals_, *gw)
+            h2 = held if hw is None else _set(held, *hw)
+            lu2 = lu if luw is None else _set(lu, *luw)
+            sid2 = self._shared_id((g2, h2, lu2))
+            lockset = self._lockset(h2, tid)
+            for nt in succ_ids:
+                view = self.views[nt]
+                if view is not None:
+                    self.rows.add((view, g2, lockset))
+            out.append((label, rejected, tuple((nt, sid2) for nt in succ_ids)))
+        return tuple(out)
+
+    def _acquire(self, kind: int, label: str, mi: int, gi: int, source,
+                 globals_: tuple, lu: tuple) -> tuple:
         """The result of a COPYR, COPYW or LOCK step after the last unlock
         ``lu[mi]`` of its mutex (and, for COPYR, the global's value)."""
         (li, obs), moved = source
@@ -465,13 +528,15 @@ class _Explorer:
             return (self._thread(moved),), (gi, v), None, (mi, digs2), rejected
         return (self._thread(moved),), None, (mi, tid), None, rejected
 
-    def _create(self, tids: tuple, globals_: tuple, held: tuple, source):
-        """A create step: its result and the thread ids with the child
-        appended, or (None, tids) at the thread cap."""
+    def _create(self, tids: tuple, sid: int, label: str, source):
+        """A create step from ``tids`` and the shared slots ``sid``: its
+        rejected digests, its successors as in a move, and the thread ids
+        with the child appended; the successors are None at the thread cap."""
         if len(tids) >= self.bounds.max_threads:
             self.ex.truncated_by.add("max_threads")
-            return None, tids
+            return (), None, tids
         (i, e, start, start_id), moved = source
+        globals_, held, _ = self.shared[sid]
         ls = moved[LOCALS]
         tdig, lockonce = self.digs[moved[TDIG]], self.lockonces[moved[LOCKONCE]]
         child_digest = self.tid_spec.new_thread(e.src, start, tdig)
@@ -486,25 +551,27 @@ class _Explorer:
             self._dig(child_digest),
             self._lockonce(self.lockonce_spec.new_thread(e.src, start, lockonce)), ()))
         self.rows.add((self.views[child], globals_, self._lockset(held, child_tid)))
-        nt = moved[:LOCALS] + (_set(ls, i, child_tid),) + moved[STATUS:TDIG] + (
+        nt = self._thread(moved[:LOCALS] + (_set(ls, i, child_tid),) + moved[STATUS:TDIG] + (
             self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
-            self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce))) + moved[VISITS:]
-        return ((self._thread(nt),), None, None, None, ()), tids + (child,)
+            self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce))) + moved[VISITS:])
+        self.rows.add((self.views[nt], globals_, self._lockset(held, moved[TID])))
+        return (), ((nt, sid),), tids + (child,)
 
-    def _join(self, tids: tuple, label: str, source):
-        """A join step: its result and the thread ids with the joined
-        thread marked, or (None, tids) while it blocks."""
+    def _join(self, tids: tuple, sid: int, label: str, source):
+        """A join step, as ``_create``, with the joined thread marked in the
+        thread ids; the successors are None while it blocks."""
         (ri, xi, obs), moved = source
         target = moved[LOCALS][xi]
         tj_i = next((k for k, y in enumerate(tids) if self.threads[y][TID] == target), None)
         if tj_i is None or self.threads[tids[tj_i]][STATUS] != RETURNED:
-            return None, tids
+            return (), None, tids
         tj = self.threads[tids[tj_i]]
         digs2, rejected = self._observe(moved, obs, (tj[TDIG], tj[LOCKONCE]))
-        nt = (moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
-              + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
-        return (((self._thread(nt),), None, None, None,
-                 tuple(f"{r}: {moved[TID]}: {label}" for r in rejected)),
+        nt = self._thread(moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
+                          + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
+        globals_, held, _ = self.shared[sid]
+        self.rows.add((self.views[nt], globals_, self._lockset(held, moved[TID])))
+        return (tuple(f"{r}: {moved[TID]}: {label}" for r in rejected), ((nt, sid),),
                 _set(tids, tj_i, self._thread(_set(tj, STATUS, JOINED))))
 
     def _observe(self, t, obs: int, other: tuple[int, int]) -> tuple[tuple[int, int], list[str]]:

@@ -8,7 +8,7 @@ report.  ``reference_published_values`` is the per-global fold that
 from __future__ import annotations
 
 from concurrel.analysis.driver import AnalysisResult, local_vars
-from concurrel.analysis.keys import MutexKey
+from concurrel.analysis.keys import MutexKey, digest_text
 from concurrel.analysis.reporting import AssertVerdict
 from concurrel.differential import SoundnessReport
 from concurrel.domains.relation import Relation
@@ -57,7 +57,8 @@ def reference_check_soundness(result: AnalysisResult, exploration: Exploration,
         held_globals = {g for g in universe_globals if result.protections[g] & lockset}
         v = dom.restrict(result.point_value(point, lockset), {*locals_, *held_globals})
         seen_digest_miss = set()
-        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals))):
+        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals), str(r.globals),
+                                                 digest_text((r.tdig, r.lockonce)))):
             d = expected_digest(rs)
             if d not in digests and d not in seen_digest_miss:
                 seen_digest_miss.add(d)

@@ -175,3 +175,58 @@ def test_flagged_and_custom_configs_sound(programs, explorations):
         report = checked(res, explorations[name], check_asserts(res))
         assert report.ok, (name, report.witnesses[:3], report.proven_violated[:1])
         assert report.digest_misses == [], (name, report.digest_misses[:3])
+
+
+def test_witness_order_does_not_follow_the_hash_seed():
+    """With ``acc`` always true, tids on joins fails at tuples of one thread
+    with equal locals; their witnesses come in the same order, and the cap
+    keeps the same ones, whatever the string-hash seed (3 orders of the
+    full list in seeds 0-3 when ties were left in set order)."""
+    import os
+    import subprocess
+    import sys
+
+    from conftest import corpus_path
+
+    code = (
+        "import sys; from concurrel.frontend import parse_program;"
+        "from concurrel.analysis import check_asserts, preset, run_analysis;"
+        "from concurrel.analysis.improved_system import ImprovedSystem;"
+        "from concurrel.differential import check_soundness;"
+        "from concurrel.oracle import explore;"
+        "ImprovedSystem.acc = lambda self, ego, state, cand: True;"
+        "p = parse_program(open(sys.argv[1]).read());"
+        "res = run_analysis(p, preset('tids')); ex = explore(p);"
+        "reports = [check_soundness(res, ex, check_asserts(res), n) for n in (10, 100)];"
+        "print(repr([(r.witnesses, r.digest_misses) for r in reports]))"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    texts = [
+        subprocess.run([sys.executable, "-c", code, corpus_path("joins")],
+                       env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                       text=True, check=True).stdout
+        for seed in ("0", "1", "2", "3")
+    ]
+    (capped, _), (full, _) = eval(texts[0])
+    assert len(capped) < len(full)
+    assert texts[1:] == texts[:1] * 3
+
+
+def test_proven_assert_that_the_oracle_violates_is_reported():
+    """An assert reported PROVEN that some explored schedule violates is a
+    soundness bug: the report names it with that schedule and is not ok."""
+    from test_oracle import _SMALL_PROGRAMS
+
+    source, bounds, _ = _SMALL_PROGRAMS["loop_assert"]
+    program = parse_program(source)
+    exploration = explore(program, bounds)
+    res = run_analysis(program, preset("octagon"))
+    (verdict,) = check_asserts(res)
+    assert verdict.verdict == "UNKNOWN" and 0 in exploration.violations
+    report = checked(res, exploration, [dataclasses.replace(verdict, verdict="PROVEN")])
+    schedule = "\n  ".join(exploration.violations[0])
+    assert report.proven_violated == [
+        f"assert #0 ({verdict.cond}) PROVEN but violated:\n  {schedule}"]
+    assert "main: assert#0(x < 1) @ main.8" in schedule
+    assert report.witnesses == [] and not report.ok

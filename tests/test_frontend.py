@@ -102,9 +102,27 @@ def test_start_point_has_no_incoming_edges():
         assert all(e.dst != cfg.start for e in cfg.edges)
 
 
+# no corpus program branches, so the round trip also reads this one
+_IF_ELSE = """
+global g;
+mutex a;
+protect g with a;
+thread main {
+  x = ?;
+  if (x > 0) {
+    lock(a);
+    g = x;
+    unlock(a);
+  } else {
+    if (x < 1) { y = 1; }
+  }
+}
+"""
+
+
 def test_roundtrip_and_determinism():
-    for path in CORPUS:
-        text = open(path).read()
+    sources = [(path, open(path).read()) for path in CORPUS] + [("if_else", _IF_ELSE)]
+    for path, text in sources:
         p1 = parse_program(text, path)
         p2 = parse_program(pretty_print(p1), path)
         assert pretty_print(p1) == pretty_print(p2)

@@ -3,12 +3,17 @@
 import gc
 import hashlib
 import os
+import types
+import weakref
 
 import pytest
 
+from concurrel import oracle
 from concurrel.analysis.keys import digest_text
 from concurrel.digests import LockOnceDigest, TidDigestSpec
-from concurrel.frontend import Join, Lock, action_str, parse_program
+from concurrel.frontend import Join, Lock, action_str, build_cfg, parse_program
+from concurrel.frontend.ast import Guard
+from concurrel.frontend.cfg import TRUE_GUARD, Cfg, Edge, Point
 from concurrel.oracle import ExploreBounds, explore
 
 from conftest import load
@@ -265,6 +270,14 @@ _SMALL_PROGRAMS = {
           assert(y != 1);
         }
         """, ExploreBounds(), (16, 3, 16, [], 'e4e43bdd6a471900', '279f14ba73b61291')),
+    # a product of havoced values, violated for x = 2 only
+    "havoc_product": ("""
+        thread main {
+          x = ?;
+          y = x * x;
+          if (y > 3) { assert(x != 2); }
+        }
+        """, ExploreBounds(), (14, 3, 14, [], '3b74e52dea862a99', '287ab52e21297411')),
     # A child inherits its creator's locals, so the second t1 starts with x
     # holding the first t1's name.  That t1 cannot copy x to a global, add
     # to it, or assert an order on it; each havoc value blocks it at one.
@@ -344,3 +357,78 @@ def test_explore_restores_the_garbage_collector(monkeypatch, enabled):
         assert during == [False] and gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _reaches_itself(cfg) -> set:
+    """The points of ``cfg`` from which a path of one or more edges leads
+    back to them, by growing every point's reachability set to a fixpoint."""
+    reach = {p: set() for p in cfg.points}
+    for e in cfg.edges:
+        reach[e.src].add(e.dst)
+    changed = True
+    while changed:
+        changed = False
+        for p in cfg.points:
+            new_r = reach[p] | {q for d in reach[p] for q in reach[d]}
+            if len(new_r) != len(reach[p]):
+                reach[p] = new_r
+                changed = True
+    return {p for p in cfg.points if p in reach[p]}
+
+
+def test_cycle_points_are_the_points_that_reach_themselves(programs, monkeypatch):
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    import gen
+
+    sources = list(programs.values())
+    sources += [parse_program(g.source, g.name) for seed in range(3) for g in gen.generate_set(seed)]
+    sources += [parse_program(source) for source, _, _ in _SMALL_PROGRAMS.values()]
+    cyclic = 0
+    for program in sources:
+        for cfg in build_cfg(program).values():
+            points = oracle._cycle_points(cfg)
+            assert points == _reaches_itself(cfg), cfg
+            cyclic += bool(points)
+    assert cyclic >= 10
+    # lowering closes every loop through a second point, so only a CFG built
+    # by hand has a self-loop: a component of one point, with an edge
+    p0, p1, p2 = (Point("t", i) for i in range(3))
+    loop = Cfg("t", p0, [p0, p1, p2],
+               [Edge(p0, Guard(TRUE_GUARD), p1), Edge(p1, Guard(TRUE_GUARD), p1),
+                Edge(p1, Guard(TRUE_GUARD), p2)])
+    assert oracle._cycle_points(loop) == _reaches_itself(loop) == {p1}
+
+
+def test_exploration_holds_no_explorer_table(monkeypatch):
+    """The moves memo and the shared-slots table die with the explorer when
+    ``explore`` returns: no cycle keeps the explorer alive, and nothing the
+    ``Exploration`` holds refers to either table.  Equal locksets are one
+    object, so the reachable tuples do not keep one copy each."""
+    kept = {}
+    run = oracle._Explorer.run
+
+    def tracked(self):
+        kept["explorer"], kept["tables"] = weakref.ref(self), (self.moves, self.shared)
+        return run(self)
+
+    monkeypatch.setattr(oracle._Explorer, "run", tracked)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        ex = explore(load("joins"))
+        assert kept["explorer"]() is None  # freed by reference counting alone
+    finally:
+        (gc.enable if was else gc.disable)()
+    memo, shared = kept.pop("tables")
+    assert memo and shared
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, todo = set(), [ex]
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and not isinstance(o, opaque):
+            seen.add(id(o))
+            todo.extend(gc.get_referents(o))
+    assert id(memo) not in seen and id(shared) not in seen and id(ex.reachable) in seen
+    locksets = [rs.lockset for rs in ex.reachable]
+    assert len(set(map(id, locksets))) == len(set(locksets)) > 1
