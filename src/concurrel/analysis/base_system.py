@@ -23,6 +23,7 @@ loop over the digests they may observe (``_observing_rhs``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from ..digests import CreateEdge, DigestSpec, MAIN_TID, tid_compose
@@ -202,7 +203,7 @@ class EdgeConstraints:
             if isinstance(act, Unlock) and act.mutex not in key.lockset:
                 continue
             factory = getattr(self, _RHS_FACTORY.get(type(act), "_plain_rhs"))
-            out.append(Constraint(f"{render_key(key)} {action_str(act)}",
+            out.append(Constraint(partial(_edge_name, key, act),
                                   self._from_source(key, factory(edge, key))))
         return out
 
@@ -220,6 +221,10 @@ class EdgeConstraints:
         """Digests of the known unknowns of mutex ``a``, in discovery order
         (reading the namespace records the dependency)."""
         return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
+
+
+def _edge_name(key: PointKey, act) -> str:
+    return f"{render_key(key)} {action_str(act)}"
 
 
 def accumulate(effects: dict, key, value, join) -> None:

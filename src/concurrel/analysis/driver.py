@@ -87,6 +87,8 @@ class AnalysisResult:
         return {
             "unknowns": len(self.solver.values),
             "evaluations": self.solver.stats.evaluations,
+            "constraints": len(self.solver.constraints),
+            "widenings": self.solver.stats.widened,
             "wall_ms": round(self.wall_ms, 1),
         }
 

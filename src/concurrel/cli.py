@@ -135,6 +135,7 @@ def _run(args) -> int:
             print(f"invariant at {iv.point} lock({iv.mutex}): {iv.invariant}")
         st = result.stats()
         print(f"unknowns={st['unknowns']} evaluations={st['evaluations']} "
+              f"constraints={st['constraints']} widenings={st['widenings']} "
               f"wall_ms={st['wall_ms']}")
         if oracle_report is not None:
             print(f"oracle: checked {oracle_report.checked_states} states, "

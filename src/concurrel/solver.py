@@ -10,12 +10,20 @@ dependencies, and return a dict of effects {key: value}; contributions and
 side-effects are treated alike and accumulate by join.  Widening escalates
 per key after a fixed number of strict increases, which terminates even for
 growth cycles that pass through mutex unknowns rather than CFG back edges.
-One narrowing sweep (a full monotone re-evaluation) recovers most of the
-overshoot afterwards.
+One narrowing sweep recovers most of the overshoot afterwards (Apinis, Seidl
+and Vojdani, "Side-effecting constraint systems", APLAS 2012): every key
+becomes the join of its seeds and of the effects of every constraint on the
+final assignment.
 
-``values`` is the one record of discovered unknowns, and one pass,
-``_reevaluate``, evaluates every constraint on the current assignment for
-both the narrowing sweep and ``check_post_solution``.
+The sweep does not call a right-hand side again.  The worklist ends only
+when each constraint's last evaluation read the current value of every key
+and namespace it read (a later change would have rescheduled it), and a
+right-hand side is a deterministic function of what it reads through its
+view; so the effects kept from each constraint's last evaluation are the
+effects it has on the final assignment.  ``values`` is the one record of
+discovered unknowns; ``_reevaluate`` runs every right-hand side again, only
+for ``check_post_solution``, which verifies the narrowed assignment
+independently.
 """
 
 from __future__ import annotations
@@ -38,9 +46,12 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Constraint:
-    name: str
+    name: str | Callable[[], str]  # a callable is formatted only by describe()
     rhs: Callable[["View"], dict[Any, Any]]
     cid: int = -1
+
+    def describe(self) -> str:
+        return self.name() if callable(self.name) else self.name
 
 
 class System(Protocol):
@@ -87,6 +98,8 @@ class Solver:
         self.deps: dict[Any, set[int]] = {}  # key -> constraint ids reading it
         self.ns_deps: dict[Any, set[int]] = {}
         self.last_reads: dict[int, set[Any]] = {}
+        self.last_effects: dict[int, dict[Any, Any]] = {}  # freed by _narrow
+        self.seeds: list[tuple[Any, Any]] = []
         self.updates: dict[Any, int] = {}
         self.stats = SolveStats()
 
@@ -113,7 +126,7 @@ class Solver:
             self._queued.add(cid)
             queue.append(cid)
 
-    def _apply(self, key, value, queue, widen_ok: bool) -> None:
+    def _apply(self, key, value, queue) -> None:
         old = self.values.get(key)
         if old is None:
             self.values[key] = value
@@ -123,14 +136,14 @@ class Solver:
                 return
             joined = self.system.join(key, old, value)
             self.updates[key] = self.updates.get(key, 0) + 1
-            if widen_ok and self.updates[key] > self.widen_delay:
+            if self.updates[key] > self.widen_delay:
                 joined = self.system.widen(key, old, joined)
                 self.stats.widened += 1
             self.values[key] = joined
         for cid in sorted(self.deps.get(key, ())):
             self._schedule(cid, queue)
 
-    def _evaluate(self, cid: int, queue, widen_ok: bool = True) -> None:
+    def _evaluate(self, cid: int, queue) -> None:
         self.stats.evaluations += 1
         if self.stats.evaluations > self.budget:
             raise BudgetExceeded(self.stats.evaluations)
@@ -140,12 +153,13 @@ class Solver:
         for key in self.last_reads.get(cid, ()):  # re-point stale deps
             self.deps.get(key, set()).discard(cid)
         self.last_reads[cid] = view.reads
+        self.last_effects[cid] = effects
         for key in view.reads:
             self.deps.setdefault(key, set()).add(cid)
         for ns in view.ns_reads:
             self.ns_deps.setdefault(ns, set()).add(cid)
         for key, value in effects.items():
-            self._apply(key, value, queue, widen_ok)
+            self._apply(key, value, queue)
 
     # -- main loop --
 
@@ -155,33 +169,32 @@ class Solver:
         for c in self.system.initial():
             self._add_constraint(c)
             self._schedule(c.cid, queue)
-        for key, value in seeds:
-            self._apply(key, value, queue, widen_ok=True)
+        self.seeds = list(seeds)
+        for key, value in self.seeds:
+            self._apply(key, value, queue)
         while queue:
             cid = queue.popleft()
             self._queued.discard(cid)
-            self._evaluate(cid, queue, widen_ok=True)
+            self._evaluate(cid, queue)
         self._narrow()
         return self.values
 
-    def _reevaluate(self):
-        """Every constraint with the effects it has on the current assignment."""
-        for c in self.constraints:
-            yield c, c.rhs(View(self))
-
     def _narrow(self) -> None:
         """One monotone re-accumulation sweep: recompute every key as the join
-        of all effects evaluated on the current (post-)solution.  For monotone
+        of its seeds and of every constraint's effects on the final (post-)
+        solution, in constraint order.  Those effects are the ones kept from
+        each constraint's last evaluation (see the module docstring), so no
+        right-hand side runs again; they are freed afterwards.  For monotone
         right-hand sides the result is a smaller post-solution."""
+        join = self.system.join
         acc: dict[Any, Any] = {}
-        for _c, effects in self._reevaluate():
-            self.stats.evaluations += 1
-            for key, value in effects.items():
-                if key in acc:
-                    acc[key] = self.system.join(key, acc[key], value)
-                else:
-                    acc[key] = value
-        # keys only ever written by seeds keep their seeded values
+        for key, value in self.seeds:
+            acc[key] = join(key, acc[key], value) if key in acc else value
+        for c in self.constraints:
+            for key, value in self.last_effects[c.cid].items():
+                acc[key] = join(key, acc[key], value) if key in acc else value
+        self.last_effects = {}
+        # a key that no last effect and no seed writes keeps its value
         for key, old in self.values.items():
             if key not in acc:
                 acc[key] = old
@@ -189,12 +202,25 @@ class Solver:
 
     # -- post-solve queries --
 
+    def _reevaluate(self):
+        """Every constraint with the effects it has on the current assignment."""
+        for c in self.constraints:
+            yield c, c.rhs(View(self))
+
     def check_post_solution(self) -> list[str]:
-        """Re-evaluate everything; report any effect not below the solution."""
+        """Re-evaluate every right-hand side; report any effect or seed not
+        below the solution."""
         bad = []
+
+        def below(key, value) -> bool:
+            cur = self.values.get(key)
+            return cur is not None and self.system.leq(key, value, cur)
+
+        for key, value in self.seeds:
+            if not below(key, value):
+                bad.append(f"seed -> {key}")
         for c, effects in self._reevaluate():
             for key, value in effects.items():
-                cur = self.values.get(key)
-                if cur is None or not self.system.leq(key, value, cur):
-                    bad.append(f"{c.name} -> {key}")
+                if not below(key, value):
+                    bad.append(f"{c.describe()} -> {key}")
         return bad

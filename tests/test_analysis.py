@@ -13,7 +13,7 @@ from concurrel.frontend import build_cfg, parse_program, validate
 from concurrel.frontend.ast import Cmp, IntLit, Var
 from concurrel.frontend.cfg import Edge, Point
 from concurrel.frontend.ast import Create, Havoc, Lock, ReadGlobal, Unlock
-from concurrel.solver import Solver
+from concurrel.solver import Solver, View
 
 from domain_utils import eq
 
@@ -208,6 +208,45 @@ def test_post_solution_stable(programs):
         for pname in ("octagon", "tids", "clusters"):
             res = run_analysis(programs[name], preset(pname))
             assert res.solver.check_post_solution() == [], (name, pname)
+
+
+def test_cached_effects_equal_a_reevaluation(monkeypatch):
+    """Narrowing folds the effects of each constraint's last worklist
+    evaluation.  Stopped just before narrowing, re-running every right-hand
+    side must give the same keys with values equal both ways, on the corpus
+    under the benchmark's 5 configurations and on the programs of one
+    generator seed under octagon, tids and clusters; the narrowed solution
+    must then still be a post-solution."""
+    import os
+
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import gen
+    import workloads
+
+    narrow = Solver._narrow
+    checked = []
+
+    def check_then_narrow(solver):
+        leq = solver.system.leq
+        for c in solver.constraints:
+            cached, fresh = solver.last_effects[c.cid], c.rhs(View(solver))
+            assert fresh.keys() == cached.keys(), c.describe()
+            for k, v in fresh.items():
+                assert leq(k, v, cached[k]) and leq(k, cached[k], v), (c.describe(), k)
+        checked.append(len(solver.constraints))
+        narrow(solver)
+
+    monkeypatch.setattr(Solver, "_narrow", check_then_narrow)
+    runs = [(text, name, config)
+            for name, text in workloads.load_corpus(os.path.dirname(perfbench)).items()
+            for config in workloads.CORPUS_CONFIGS.values()]
+    runs += [(g.source, g.name, preset(cfg))
+             for g in gen.generate_set(0) for cfg in workloads.SCALED_CONFIGS]
+    for text, name, config in runs:
+        _, result, _ = workloads.analyze(text, name, config)
+        assert result.solver.check_post_solution() == [], (name, config)
+    assert len(checked) == len(runs) == 14 * 5 + 4 * 3
 
 
 def test_solution_dump_deterministic(programs):

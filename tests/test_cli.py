@@ -180,8 +180,14 @@ def test_json_schema_roundtrip(capsys):
     doc = json.loads(out)
     assert set(doc) == {"asserts", "invariants", "stats"}
     assert all(set(a) == {"file", "line", "verdict"} for a in doc["asserts"])
-    assert {"unknowns", "evaluations", "wall_ms"} <= set(doc["stats"])
+    counts = ("unknowns", "evaluations", "constraints", "widenings")
+    assert {*counts, "wall_ms"} <= set(doc["stats"])
     assert json.loads(json.dumps(doc)) == doc
+    # the text output's stats line reports the same solver counts
+    _, text, _ = run_cli(capsys, "run", corpus_path("example8"), "--preset", "tids")
+    line = next(l for l in text.splitlines() if l.startswith("unknowns="))
+    fields = dict(f.split("=") for f in line.split())
+    assert {k: int(fields[k]) for k in counts} == {k: doc["stats"][k] for k in counts}
 
 
 def test_text_and_json_verdicts_agree(capsys):

@@ -130,3 +130,35 @@ def test_determinism():
         return sorted((str(k), repr(v)) for k, v in s.values.items())
 
     assert mk() == mk()
+
+
+def test_narrowing_keeps_a_seeds_contribution():
+    solver = Solver(IntervalSystem(initial=[Constraint("x:=0", lambda view: {"x": IntAbs.const(0)})]))
+    solver.solve(seeds=[("x", IntAbs.const(7))])
+    assert solver.values["x"] == IntAbs(0, 7)
+    assert solver.check_post_solution() == []
+    # the post-solution check also verifies the seeds
+    solver.values["x"] = IntAbs.const(0)
+    assert solver.check_post_solution() == ["seed -> x"]
+
+
+def test_narrowing_recovers_the_widening_overshoot_without_reevaluating():
+    calls = []
+
+    def init(view):
+        calls.append("init")
+        return {"x": IntAbs.const(0)}
+
+    def step(view):  # x := x + 1 while x < 10
+        calls.append("step")
+        v = view.get("x")
+        return {} if v is None else {"x": IntAbs(v.lo, min(v.hi + 1, 10))}
+
+    solver = Solver(IntervalSystem(initial=[Constraint("init", init), Constraint("step", step)]))
+    solver.solve()
+    assert solver.stats.widened > 0  # widening overshot to [0, +∞] ...
+    assert solver.values["x"] == IntAbs(0, 10)  # ... and narrowing recovered [0, 10]
+    assert solver.stats.evaluations == len(calls)  # every call was a worklist evaluation
+    assert solver.last_effects == {}  # the cached effects are freed
+    assert solver.check_post_solution() == []
+    assert len(calls) == solver.stats.evaluations + 2  # the check re-ran both, uncounted
