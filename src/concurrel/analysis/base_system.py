@@ -1,34 +1,36 @@
 """The base relational analysis and its digest-refined constraint system.
 
-The base right-hand sides (init, lock, unlock, read, write, create, return,
-join, local steps) are written against abstract "base keys" — (mutex,
-cluster), thread-return ids, thread start points — exactly as in the
-unrefined system.  ``WrappedBaseSystem`` is the solver-facing constraint
-generator: it re-keys every consulted or side-effected unknown with digests,
-instantiates observing actions once per feasible incoming digest, and
-redirects create side-effects through the digest's new-thread function.  The
-base right-hand sides are used as black boxes.
+``BaseAnalysis`` holds the relation-level pieces of the unrefined analysis
+that both constraint systems use: the initial cluster values and main's
+start relation (``init``), the local steps (``transfer``: read, write,
+assign, guard, assert, havoc), the relation kept at an unlock, a created
+thread's id and start relation, and the returned value.
+
+``WrappedBaseSystem`` is the digest-refined base system.  Its right-hand
+sides key every unknown they consult or side-effect themselves: a
+non-observing action keys its successor and its side-effects (published
+cluster values, thread returns) with the digest after ``spec.unary``, and a
+created thread's start with the digest of ``spec.new_thread``; the two
+observing actions, lock and join, read ``MutexKey``/``RetKey`` values of
+each digest they may observe and share one loop over those digests
+(``_observing_rhs``).
 
 The thread-id system (``improved_system.ImprovedSystem``) subclasses
-``BaseAnalysis`` and takes from it the initial values, the local steps
-(read, write, assign, guard, havoc, assert), the relation kept at an unlock,
-the child's start relation and the returned value; both systems share the
-solver plumbing of ``EdgeConstraints``: key namespaces, which outgoing edges
-spawn a constraint, the reading of the source value (a right-hand side runs
-only when it is present and not ⊥), and the enumeration of published mutex
-digests.  The wrapper's two observing actions, lock and join, share one
-loop over the digests they may observe (``_observing_rhs``).
+``BaseAnalysis``; both systems share the solver plumbing of
+``EdgeConstraints``: key namespaces, which outgoing edges spawn a
+constraint, the reading of the source value (a right-hand side runs only
+when it is present and not ⊥), and the enumeration of published mutex
+digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
 from ..digests import CreateEdge, DigestSpec, MAIN_TID, tid_compose
 from ..frontend.ast import (
-    Assert, AssignLocal, Create, Guard, Havoc, IntLit, Join, Lock, Program,
+    Action, Assert, AssignLocal, Create, Guard, Havoc, IntLit, Join, Lock, Program,
     ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
 )
 from ..frontend.cfg import Cfg, Edge, Point
@@ -48,19 +50,8 @@ def thaw_tid_value(k):
     return TID_TOP if k == "⊤" else k
 
 
-@dataclass
-class BaseEnv:
-    """What a base right-hand side may consult besides its own state."""
-
-    mutex_value: Callable[[str, frozenset], Relation | None] = lambda a, q: None
-    ret_candidates: Callable[[], list[tuple[Any, Relation]]] = lambda: []
-
-
-NO_ENV = BaseEnv()
-
-
 class BaseAnalysis:
-    """Right-hand sides of the unrefined analysis (lockset splitting only)."""
+    """Relation-level pieces of the unrefined analysis (lockset splitting only)."""
 
     def __init__(self, program: Program, cfgs: dict[str, Cfg], dom: RelDomain,
                  protections: dict[str, frozenset[str]],
@@ -74,21 +65,36 @@ class BaseAnalysis:
         self.locals = frozenset(locals_) | {"self"}
         self.mutexes = sorted(clusters)
 
-    # -- init --
-
-    def init(self) -> tuple[list[tuple[Any, Relation]], Relation]:
-        """Every cluster value with its globals at 0, and main's start relation."""
-        effects = []
+    def init(self) -> tuple[dict[tuple[str, frozenset[str]], Relation], Relation]:
+        """Every cluster value with its globals at 0, by (mutex, cluster), and
+        main's start relation."""
+        values = {}
         for a in self.mutexes:
             for q in self.clusters[a]:
                 r = self.dom.top()
                 for g in sorted(q):
                     r = self.dom.assign_expr(r, g, IntLit(0))
-                effects.append((("mutex", a, q), r))
+                values[(a, q)] = r
         start = self.dom.assign_value(self.dom.top(), "self", frozenset({MAIN_TID}))
-        return effects, start
+        return values, start
 
-    # -- pieces of the transfer shared with the thread-id system --
+    def transfer(self, act: Action, r: Relation) -> Relation:
+        """The successor of a local step (read, write, assign, guard, assert, havoc)."""
+        dom = self.dom
+        match act:
+            case ReadGlobal(x, g):
+                return dom.assign_expr(r, x, Var(g))
+            case WriteGlobal(g, x):
+                return dom.assign_expr(r, g, Var(x))
+            case AssignLocal(x, e):
+                return dom.assign_expr(r, x, e)
+            case Guard(c):
+                return dom.guard(r, c)
+            case Assert(_, _, _):
+                return r
+            case Havoc(x):
+                return dom.havoc(r, x)
+        raise TypeError(act)
 
     def unlock_keep(self, lockset: frozenset[str], a: str) -> set[str]:
         """What the ego keeps at unlock(a): its locals and 𝒢 of the other held mutexes."""
@@ -97,6 +103,13 @@ class BaseAnalysis:
             keep |= protected_by(self.protections, a2)
         return keep
 
+    def new_tid(self, u: Point, template: str, r: Relation):
+        """ν#: compose every creator id with the create edge (no C tracking)."""
+        creator = self.dom.unlift_tid(r, "self")
+        if creator is TID_TOP:
+            return TID_TOP
+        return frozenset(tid_compose(t, CreateEdge(u, template)) for t in creator)
+
     def start_relation(self, r: Relation, child_tid) -> Relation:
         """A created thread starts with its creator's locals and its own id."""
         return self.dom.restrict(self.dom.assign_value(r, "self", child_tid), self.locals)
@@ -104,63 +117,6 @@ class BaseAnalysis:
     def returned(self, r: Relation, x: str) -> Relation:
         """The value of ``return x`` as a relation over ``ret`` alone."""
         return self.dom.restrict(self.dom.assign_expr(r, "ret", Var(x)), {"ret"})
-
-    # -- per-edge transfer: returns (base side-effects, successor value) --
-
-    def transfer(self, edge: Edge, lockset: frozenset[str], r: Relation,
-                 env: BaseEnv) -> tuple[list[tuple[Any, Relation]], Relation]:
-        dom = self.dom
-        if dom.is_bot(r):
-            return [], r
-        act = edge.action
-        match act:
-            case Lock(a):
-                vals = [env.mutex_value(a, q) for q in self.clusters[a]]
-                if any(v is None for v in vals):
-                    return [], dom.bot()
-                return [], dom.meet_all([r] + vals)
-            case Unlock(a):
-                effects = [(("mutex", a, q), dom.restrict(r, q)) for q in self.clusters[a]]
-                return effects, dom.restrict(r, self.unlock_keep(lockset, a))
-            case ReadGlobal(x, g):
-                return [], dom.assign_expr(r, x, Var(g))
-            case WriteGlobal(g, x):
-                return [], dom.assign_expr(r, g, Var(x))
-            case AssignLocal(x, e):
-                return [], dom.assign_expr(r, x, e)
-            case Guard(c):
-                return [], dom.guard(r, c)
-            case Assert(_, _, _):
-                return [], r
-            case Havoc(x):
-                return [], dom.havoc(r, x)
-            case Create(x, template):
-                child_tid = self._new_tid(edge.src, template, r)
-                start = self.cfgs[template].start
-                return ([(("start", start), self.start_relation(r, child_tid))],
-                        dom.assign_value(r, x, child_tid))
-            case Return(x):
-                key = freeze_tid_value(dom.unlift_tid(r, "self"))
-                return [(("ret", key), self.returned(r, x))], r
-            case Join(x1, x):
-                tid_val = dom.unlift_tid(r, x)
-                if tid_val is BOT:
-                    return [], dom.bot()
-                acc = BOT
-                for key, stored in env.ret_candidates():
-                    if tid_meet(thaw_tid_value(key), tid_val):
-                        acc = int_join(acc, dom.unlift_var(stored, "ret"))
-                if acc is BOT:
-                    return [], dom.bot()  # no thread to join: execution blocks
-                return [], dom.assign_value(r, x1, acc)
-        raise TypeError(act)
-
-    def _new_tid(self, u: Point, template: str, r: Relation):
-        """ν#: compose every creator id with the create edge (no C tracking)."""
-        creator = self.dom.unlift_tid(r, "self")
-        if creator is TID_TOP:
-            return TID_TOP
-        return frozenset(tid_compose(t, CreateEdge(u, template)) for t in creator)
 
 
 # -- solver plumbing shared by both constraint systems -------------------------
@@ -260,55 +216,76 @@ class WrappedBaseSystem(EdgeConstraints):
 
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
-            effects: dict[Any, Relation] = {}
-            base_effects, start = self.base.init()
+            cluster_values, start = self.base.init()
             entry = self.cfgs[self.base.program.entry].start
             d = self.spec.init()
-            for (_kind, a, q), v in base_effects:
-                accumulate(effects, MutexKey(a, q, d), v, self.dom.join)
-            accumulate(effects, PointKey(entry, frozenset(), d), start, self.dom.join)
+            effects: dict[Any, Relation] = {
+                MutexKey(a, q, d): v for (a, q), v in cluster_values.items()}
+            effects[PointKey(entry, frozenset(), d)] = start
             return effects
 
         return [Constraint("init", rhs)]
 
-    def _unary_rhs(self, edge: Edge, src: PointKey):
-        """Non-observing actions: the base side-effects and the successor are
-        keyed with the digest after ``spec.unary`` (a created thread's start
-        with the digest of ``spec.new_thread``)."""
+    # Non-observing actions key their side-effects and successor with the
+    # digest after ``spec.unary`` (a created thread's start with the digest
+    # of ``spec.new_thread``); side-effects come first in each effect dict.
+
+    def _plain_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
-        lockset = src.lockset - {act.mutex} if isinstance(act, Unlock) else src.lockset
 
         def body(view: View, r: Relation):
-            base_effects, v = self.base.transfer(edge, src.lockset, r, NO_ENV)
-            d1 = self.spec.unary(edge.src, act, src.digest)
-            effects: dict[Any, Relation] = {}
-            for base_key, val in base_effects:
-                accumulate(effects, self._lift(base_key, d1, edge.src, src.digest), val,
-                           self.dom.join)
-            if not self.dom.is_bot(v):
-                accumulate(effects, PointKey(edge.dst, lockset, d1), v, self.dom.join)
+            v = self.base.transfer(act, r)
+            if self.dom.is_bot(v):
+                return {}
+            return {PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest)): v}
+
+        return body
+
+    def _unlock_rhs(self, edge: Edge, src: PointKey):
+        a = edge.action.mutex
+        keep = self.base.unlock_keep(src.lockset, a)
+
+        def body(view: View, r: Relation):
+            d1 = self.spec.unary(edge.src, edge.action, src.digest)
+            effects: dict[Any, Relation] = {
+                MutexKey(a, q, d1): self.dom.restrict(r, q) for q in self.base.clusters[a]}
+            effects[PointKey(edge.dst, src.lockset - {a}, d1)] = self.dom.restrict(r, keep)
             return effects
 
         return body
 
-    _plain_rhs = _unlock_rhs = _return_rhs = _create_rhs = _unary_rhs
+    def _create_rhs(self, edge: Edge, src: PointKey):
+        act = edge.action
+        start = self.cfgs[act.template].start
 
-    def _lift(self, base_key, d, u: Point, creator_digest):
-        match base_key:
-            case ("mutex", a, q):
-                return MutexKey(a, q, d)
-            case ("ret", tidkey):
-                return RetKey((tidkey, d))
-            case ("start", start):
-                return PointKey(start, frozenset(), self.spec.new_thread(u, start, creator_digest))
-        raise ValueError(base_key)
+        def body(view: View, r: Relation):
+            child_tid = self.base.new_tid(edge.src, act.template, r)
+            child = PointKey(start, frozenset(), self.spec.new_thread(edge.src, start, src.digest))
+            effects: dict[Any, Relation] = {child: self.base.start_relation(r, child_tid)}
+            v = self.dom.assign_value(r, act.local, child_tid)
+            if not self.dom.is_bot(v):
+                effects[PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))] = v
+            return effects
+
+        return body
+
+    def _return_rhs(self, edge: Edge, src: PointKey):
+        act = edge.action
+
+        def body(view: View, r: Relation):
+            d1 = self.spec.unary(edge.src, act, src.digest)
+            tid = freeze_tid_value(self.dom.unlift_tid(r, "self"))
+            return {RetKey((tid, d1)): self.base.returned(r, act.local),
+                    PointKey(edge.dst, src.lockset, d1): r}
+
+        return body
 
     def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str],
                        digests: Callable[[View], list],
-                       env: Callable[[View, Any], BaseEnv]):
+                       successor: Callable[[View, Any, Relation], Relation]):
         """Observing actions (lock, join): one successor per digest ``d1``
-        that ``digests`` lists and ``spec.binary`` admits, computed in the
-        base environment ``env(view, d1)`` and keyed with ``lockset``."""
+        that ``digests`` lists and ``spec.binary`` admits, computed by
+        ``successor(view, d1, r)`` and keyed with ``lockset``."""
 
         def body(view: View, r: Relation):
             effects: dict[Any, Relation] = {}
@@ -316,7 +293,7 @@ class WrappedBaseSystem(EdgeConstraints):
                 succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
                 if succ is None:
                     continue  # infeasible trace combination
-                _fx, v = self.base.transfer(edge, src.lockset, r, env(view, d1))
+                v = successor(view, d1, r)
                 if not self.dom.is_bot(v):
                     accumulate(effects, PointKey(edge.dst, lockset, succ), v, self.dom.join)
             return effects
@@ -325,27 +302,36 @@ class WrappedBaseSystem(EdgeConstraints):
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         a = edge.action.mutex
-        return self._observing_rhs(
-            edge, src, src.lockset | {a}, lambda view: self.mutex_digests(view, a),
-            lambda view, d1: BaseEnv(
-                mutex_value=lambda a2, q: view.get(MutexKey(a2, q, d1))))
+        qs = self.base.clusters[a]
+
+        def meet_published(view: View, d1, r: Relation) -> Relation:
+            vals = [view.get(MutexKey(a, q, d1)) for q in qs]
+            if any(v is None for v in vals):
+                return self.dom.bot()
+            return self.dom.meet_all([r] + vals)
+
+        return self._observing_rhs(edge, src, src.lockset | {a},
+                                   lambda view: self.mutex_digests(view, a), meet_published)
 
     def _join_rhs(self, edge: Edge, src: PointKey):
-        return self._observing_rhs(
-            edge, src, src.lockset, self._ret_digests,
-            lambda view, d1: BaseEnv(ret_candidates=lambda: self._ret_values(view, d1)))
+        act = edge.action
 
-    # -- thread-return digests through the view (records namespace deps) --
+        def join_returned(view: View, d1, r: Relation) -> Relation:
+            tid_val = self.dom.unlift_tid(r, act.tidvar)
+            if tid_val is BOT:
+                return self.dom.bot()
+            acc = BOT
+            for k in view.keys_in(("ret",)):
+                (tidkey, dd) = k.digest
+                if (dd == d1 and (stored := view.get(k)) is not None
+                        and tid_meet(thaw_tid_value(tidkey), tid_val)):
+                    acc = int_join(acc, self.dom.unlift_var(stored, "ret"))
+            if acc is BOT:
+                return self.dom.bot()  # no thread to join: execution blocks
+            return self.dom.assign_value(r, act.target, acc)
+
+        return self._observing_rhs(edge, src, src.lockset, self._ret_digests, join_returned)
 
     def _ret_digests(self, view: View) -> list:
+        """Thread-return digests, through the view (records the namespace dependency)."""
         return list(dict.fromkeys(k.digest[1] for k in view.keys_in(("ret",))))
-
-    def _ret_values(self, view: View, d1) -> list:
-        out = []
-        for k in view.keys_in(("ret",)):
-            (tidkey, dd) = k.digest
-            if dd == d1:
-                v = view.get(k)
-                if v is not None:
-                    out.append((tidkey, v))
-        return out

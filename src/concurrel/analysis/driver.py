@@ -35,7 +35,6 @@ class AnalysisResult:
     dom: RelDomain
     universe: Universe
     protections: dict[str, frozenset[str]]
-    clusters: dict[str, tuple[frozenset[str], ...]]
     solver: Solver
     system: Any
     spec: DigestSpec
@@ -140,6 +139,5 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
     solver.solve()
     wall = (time.perf_counter() - t0) * 1000.0
     return AnalysisResult(
-        program, config, cfgs, dom, universe, protections, clusters,
-        solver, system, spec, wall, diags,
+        program, config, cfgs, dom, universe, protections, solver, system, spec, wall, diags,
     )

@@ -18,13 +18,14 @@ published, and locking combines, per cluster, the join-local information
 with the joined contributions of all admitted, non-accounted thread ids.
 
 ``ImprovedSystem`` subclasses ``BaseAnalysis`` and takes from it what the
-thread ids leave unchanged: the initial cluster values (which seed L) and
-main's start relation, the local steps on r, the relation kept at an unlock,
-the child's start relation and the returned value.  Key namespaces, which
-outgoing edges spawn a constraint, the reading of the source state (a
-right-hand side runs only when it is present and not ⊥) and the enumeration
-of published mutex digests come from ``EdgeConstraints``, as in the base
-system.
+thread ids leave unchanged: the initial cluster values by (mutex, cluster),
+which become L, and main's start relation, the local steps on r, the
+relation kept at an unlock, the child's start relation and the returned
+value.  Like the base system, it keys the unknowns it consults and
+side-effects itself.  Key namespaces, which outgoing edges spawn a
+constraint, the reading of the source state (a right-hand side runs only
+when it is present and not ⊥) and the enumeration of published mutex
+digests come from ``EdgeConstraints``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..frontend.cfg import Cfg, Edge
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
 from ..domains.values import BOT, tid_meet
-from .base_system import NO_ENV, BaseAnalysis, EdgeConstraints, accumulate
+from .base_system import BaseAnalysis, EdgeConstraints, accumulate
 from .keys import MutexKey, PointKey, RetKey
 from .protections import protected_by
 
@@ -138,8 +139,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             entry = self.cfgs[self.program.entry].start
             d0 = self.spec.init()
             cluster_values, start = self.init()
-            l = {(a, q): r for (_kind, a, q), r in cluster_values}
-            state = ImprovedState(frozenset(), l, frozenset(), start)
+            state = ImprovedState(frozenset(), cluster_values, frozenset(), start)
             return {PointKey(entry, frozenset(), d0): state}
 
         return [Constraint("init", rhs)]
@@ -149,7 +149,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
         act = edge.action
 
         def body(view: View, s: ImprovedState):
-            _fx, r = self.transfer(edge, src.lockset, s.r, NO_ENV)
+            r = self.transfer(act, s.r)
             if dom.is_bot(r):
                 return {}
             w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w

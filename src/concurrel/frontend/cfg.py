@@ -10,6 +10,7 @@ desugared through fresh temporaries ``$tN``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ast import (
     Action, Assert, AssignLocal, Cmp, Create, Expr, Guard, Havoc, IntLit,
@@ -51,8 +52,17 @@ class Cfg:
     points: list[Point] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
 
+    @cached_property
+    def _out(self) -> dict[Point, list[Edge]]:
+        # built at the first query, once lowering has added every edge
+        out: dict[Point, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+        return out
+
     def out_edges(self, u: Point) -> list[Edge]:
-        return [e for e in self.edges if e.src == u]
+        """The edges leaving ``u``, in edge-list order (do not mutate)."""
+        return self._out.get(u, [])
 
 
 TRUE_GUARD = Cmp("==", IntLit(0), IntLit(0))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import Lock, Program, Unlock, WriteGlobal
-from .cfg import Cfg, Edge, Point, build_cfg
+from .cfg import Cfg, Edge, build_cfg
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ def held_locksets(cfg: Cfg) -> tuple[dict[Edge, list[frozenset[str]]], list[tupl
     | 'unlock of un-held mutex').  Like the analysis and the oracle, the
     walk does not follow such a step: re-locking deadlocks and unlocking a
     free mutex is an error."""
-    out: dict[Point, list[Edge]] = {}
-    for e in cfg.edges:
-        out.setdefault(e.src, []).append(e)
     problems: list[tuple[Edge, str]] = []
     write_held: dict[Edge, list[frozenset[str]]] = {}
     stack = [(cfg.start, frozenset())]
@@ -49,7 +46,7 @@ def held_locksets(cfg: Cfg) -> tuple[dict[Edge, list[frozenset[str]]], list[tupl
         if (u, held) in seen:
             continue
         seen.add((u, held))
-        for e in out.get(u, ()):
+        for e in cfg.out_edges(u):
             nxt = held
             match e.action:
                 case Lock(m):

@@ -162,9 +162,6 @@ def _set(tup: tuple, i: int, v) -> tuple:
 def _cycle_points(cfg: Cfg) -> set[Point]:
     """The points of ``cfg`` that lie on a cycle: those whose strongly
     connected component has an edge (Tarjan's algorithm, without recursion)."""
-    succ: dict[Point, list[Point]] = {p: [] for p in cfg.points}
-    for e in cfg.edges:
-        succ[e.src].append(e.dst)
     index: dict[Point, int] = {}
     low: dict[Point, int] = {}
     stack: list[Point] = []
@@ -176,15 +173,16 @@ def _cycle_points(cfg: Cfg) -> set[Point]:
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(cfg.out_edges(root)))]
         while work:
             p, it = work[-1]
-            for q in it:
+            for e in it:
+                q = e.dst
                 if q not in index:
                     index[q] = low[q] = len(index)
                     stack.append(q)
                     on_stack.add(q)
-                    work.append((q, iter(succ[q])))
+                    work.append((q, iter(cfg.out_edges(q))))
                     break
                 if q in on_stack:
                     low[p] = min(low[p], index[q])
@@ -198,7 +196,7 @@ def _cycle_points(cfg: Cfg) -> set[Point]:
                     while not component or component[-1] != p:
                         component.append(stack.pop())
                         on_stack.discard(component[-1])
-                    if len(component) > 1 or p in succ[p]:
+                    if len(component) > 1 or any(e.dst == p for e in cfg.out_edges(p)):
                         out.update(component)
     return out
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from concurrel.analysis import ClusterConfig
+from concurrel.analysis import ClusterConfig, MutexKey
 from concurrel.frontend import parse_program
 from concurrel.oracle import ExploreBounds, explore
 
@@ -27,6 +27,19 @@ class FixedClusters(ClusterConfig):
 
     def clusters_for(self, mutex, protected):
         return dict(self.families).get(mutex) or super().clusters_for(mutex, protected)
+
+
+def unlock_publishing_nothing(unlock_rhs):
+    """A mutation of ``WrappedBaseSystem._unlock_rhs``: the unlock keeps its
+    successor but drops its ``MutexKey`` effects, so other threads read
+    stale values."""
+
+    def factory(self, edge, src):
+        body = unlock_rhs(self, edge, src)
+        return lambda view, r: {k: v for k, v in body(view, r).items()
+                                if not isinstance(k, MutexKey)}
+
+    return factory
 
 
 def load(name: str):

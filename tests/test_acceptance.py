@@ -28,14 +28,14 @@ from concurrel.analysis import (
     AnalysisConfig, ClusterConfig, MutexKey, PointKey, RetKey, check_asserts,
     preset, run_analysis,
 )
-from concurrel.analysis.base_system import BaseAnalysis
+from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
 from concurrel.analysis.improved_system import ImprovedState, ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.domains import IntAbs
-from concurrel.frontend.ast import Lock, Unlock
+from concurrel.frontend.ast import Lock
 from concurrel.oracle import ExploreBounds, explore
 
-from conftest import FixedClusters
+from conftest import FixedClusters, unlock_publishing_nothing
 from domain_utils import (
     decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
 )
@@ -199,19 +199,14 @@ def test_criterion_9_soundness_differential(programs, explorations, monkeypatch)
 
     # harness sensitivity: three broken right-hand sides must produce witnesses
     sensitivity = []
-    orig_transfer = BaseAnalysis.transfer
-
-    def drop_unlock(self, edge, lockset, r, env):
-        effects, v = orig_transfer(self, edge, lockset, r, env)
-        return ([] if isinstance(edge.action, Unlock) else effects), v
-
     orig_init = BaseAnalysis.init
 
     def drop_init(self):
-        return [], orig_init(self)[1]
+        return {}, orig_init(self)[1]
 
     mutations = [
-        ("drop-unlock-effects", BaseAnalysis, "transfer", drop_unlock, "fig_ex0", "octagon"),
+        ("drop-unlock-effects", WrappedBaseSystem, "_unlock_rhs",
+         unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs), "fig_ex0", "octagon"),
         ("drop-init-effects", BaseAnalysis, "init", drop_init, "lockonce", "octagon"),
         ("acc-always-true", ImprovedSystem, "acc",
          lambda self, ego, state, cand: True, "joins", "tids"),

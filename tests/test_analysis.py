@@ -7,7 +7,7 @@ from concurrel.analysis import (
 from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.driver import build_universe
 from concurrel.analysis.protections import compute_protections, protected_by
-from concurrel.digests import LocksetDigest, MAIN_TID
+from concurrel.digests import DigestSpec, LocksetDigest, MAIN_TID
 from concurrel.domains import IntAbs, RelDomain
 from concurrel.frontend import build_cfg, parse_program, validate
 from concurrel.frontend.ast import Cmp, IntLit, Var
@@ -42,8 +42,7 @@ thread t1 { x = 1; }
 
 def test_base_init_effects():
     base, dom = make_base(SRC)
-    effects, start = base.init()
-    eff = dict(((k[1], k[2]), v) for (k, v) in effects)
+    eff, start = base.init()
     zero_gh = dom.guard(dom.guard(dom.top(), Cmp("==", Var("g"), IntLit(0))),
                         Cmp("==", Var("h"), IntLit(0)))
     assert eq(dom, eff[("a", frozenset({"g", "h"}))], zero_gh)
@@ -55,8 +54,7 @@ def test_base_init_effects():
 def test_base_init_empty_cluster_is_top():
     src = "mutex a;\nthread main { lock(a); unlock(a); }"
     base, dom = make_base(src)
-    effects, _ = base.init()
-    eff = dict(((k[1], k[2]), v) for (k, v) in effects)
+    eff, _ = base.init()
     assert eq(dom, eff[("a", frozenset())], dom.top())
 
 
@@ -67,22 +65,38 @@ def _edge(base, template, act_type):
     raise LookupError(act_type)
 
 
+D = DigestSpec().init()  # the trivial digest: every step keeps it
+
+
+def _effects(base, edge, lockset, r, published=()):
+    """The effects of ``WrappedBaseSystem``'s right-hand side for ``edge``
+    from the point unknown (edge.src, lockset, D) holding ``r``, on a solver
+    assignment that also holds the ``published`` (key, value) pairs."""
+    system = WrappedBaseSystem(base, DigestSpec())
+    solver = Solver(system)
+    src = PointKey(edge.src, lockset, D)
+    for key, v in [(src, r), *published]:
+        solver.values[key] = v
+        if (ns := system.namespace(key)) is not None:
+            solver.by_namespace.setdefault(ns, []).append(key)
+    factory = {Lock: system._lock_rhs, Unlock: system._unlock_rhs,
+               Create: system._create_rhs}.get(type(edge.action), system._plain_rhs)
+    return system._from_source(src, factory(edge, src))(View(solver))
+
+
 def test_base_lock_meets_stored_values():
     base, dom = make_base(SRC)
     q = frozenset({"g", "h"})
-    stored = {q: dom.guard(dom.top(), Cmp("==", Var("g"), Var("h")))}
-    env = type("E", (), {
-        "mutex_value": staticmethod(lambda a, qq: stored[qq]),
-        "ret_candidates": staticmethod(list),
-    })
+    stored = dom.guard(dom.top(), Cmp("==", Var("g"), Var("h")))
     lock_edge = _edge(base, "main", Lock)
-    _fx, v = base.transfer(lock_edge, frozenset(), dom.top(), env)
-    assert eq(dom, v, stored[q])
+    target = PointKey(lock_edge.dst, frozenset({"a"}), D)
+    fx = _effects(base, lock_edge, frozenset(), dom.top(), [(MutexKey("a", q, D), stored)])
+    assert list(fx) == [target]
+    assert eq(dom, fx[target], stored)
     # stored Top leaves the state unchanged
-    stored[q] = dom.top()
     r0 = dom.assign_expr(dom.top(), "x", IntLit(3))
-    _fx, v = base.transfer(lock_edge, frozenset(), r0, env)
-    assert eq(dom, v, r0)
+    fx = _effects(base, lock_edge, frozenset(), r0, [(MutexKey("a", q, D), dom.top())])
+    assert eq(dom, fx[target], r0)
 
 
 def test_base_unlock_publishes_and_restricts():
@@ -90,11 +104,13 @@ def test_base_unlock_publishes_and_restricts():
     unlock_edge = _edge(base, "main", Unlock)
     r = dom.guard(dom.top(), Cmp("==", Var("g"), Var("h")))
     r = dom.guard(r, Cmp("==", Var("x"), Var("g")))
-    effects, v = base.transfer(unlock_edge, frozenset({"a"}), r, None)
-    ((key, pub),) = [e for e in effects]
-    assert key == ("mutex", "a", frozenset({"g", "h"}))
-    assert eq(dom, pub, dom.restrict(r, {"g", "h"}))
+    fx = _effects(base, unlock_edge, frozenset({"a"}), r)
+    key = MutexKey("a", frozenset({"g", "h"}), D)
+    succ = PointKey(unlock_edge.dst, frozenset(), D)
+    assert list(fx) == [key, succ]  # the side-effect comes before the successor
+    assert eq(dom, fx[key], dom.restrict(r, {"g", "h"}))
     # locally, only x survives; g and h are forgotten
+    v = fx[succ]
     assert dom.unlift_var(v, "x") == IntAbs.top()
     assert dom.contains(v, {"x": 5, "g": 0, "h": 1})
 
@@ -110,7 +126,8 @@ def test_base_unlock_keeps_globals_still_protected():
     unlock_b = next(e for e in base.cfgs["main"].edges
                     if isinstance(e.action, Unlock) and e.action.mutex == "b")
     r = dom.guard(dom.top(), Cmp("==", Var("g"), IntLit(7)))
-    _fx, v = base.transfer(unlock_b, frozenset({"a", "b"}), r, None)
+    fx = _effects(base, unlock_b, frozenset({"a", "b"}), r)
+    v = fx[PointKey(unlock_b.dst, frozenset({"a"}), D)]
     assert dom.unlift_var(v, "g") == IntAbs.const(7)  # a still protects g
 
 
@@ -119,10 +136,10 @@ def test_base_read_write_havoc():
     cfg = base.cfgs["t1"]
     r = dom.guard(dom.top(), Cmp("==", Var("g"), Var("h")))
     read = Edge(cfg.start, ReadGlobal("x", "g"), Point("t1", 99))
-    _fx, v = base.transfer(read, frozenset({"m_g"}), r, None)
+    (v,) = _effects(base, read, frozenset({"m_g"}), r).values()
     assert dom.is_bot(dom.guard(v, Cmp("!=", Var("x"), Var("h"))))  # x=g=h
     hav = Edge(cfg.start, Havoc("x"), Point("t1", 99))
-    _fx, v2 = base.transfer(hav, frozenset(), v, None)
+    (v2,) = _effects(base, hav, frozenset(), v).values()
     assert dom.unlift_var(v2, "x") == IntAbs.top()
     assert dom.contains(v2, {"x": 9, "g": 1, "h": 1})
 
@@ -133,9 +150,11 @@ def test_base_create_child_state():
     r = dom.assign_value(dom.top(), "self", frozenset({MAIN_TID}))
     r = dom.guard(r, Cmp("==", Var("x"), IntLit(2)))
     r = dom.guard(r, Cmp("==", Var("g"), IntLit(5)))
-    effects, v = base.transfer(create_edge, frozenset(), r, None)
-    ((key, child),) = effects
-    assert key == ("start", Point("t1", 0))
+    fx = _effects(base, create_edge, frozenset(), r)
+    start = PointKey(Point("t1", 0), frozenset(), D)
+    succ = PointKey(create_edge.dst, frozenset(), D)
+    assert list(fx) == [start, succ]
+    child, v = fx[start], fx[succ]
     # globals are dropped from the child start state, locals are passed
     assert dom.unlift_var(child, "g") == IntAbs.top()
     assert dom.unlift_var(child, "x") == IntAbs.const(2)
@@ -147,10 +166,25 @@ def test_base_create_child_state():
 
 
 def test_base_strictness():
+    """No constraint whose source is ⊥ yields effects, although each yields
+    some from ⊤ (the mutex of the lock has a published value)."""
     base, dom = make_base(SRC)
-    for e in base.cfgs["main"].edges:
-        effects, v = base.transfer(e, frozenset({"a", "m_g"}), dom.bot(), None)
-        assert effects == [] and dom.is_bot(v)
+    system = WrappedBaseSystem(base, DigestSpec())
+    solver = Solver(system)
+    published = MutexKey("a", frozenset({"g", "h"}), D)
+    solver.values[published] = dom.top()
+    solver.by_namespace[system.namespace(published)] = [published]
+    n = 0
+    for p in base.cfgs["main"].points:
+        for lockset in (frozenset(), frozenset({"a", "m_g"})):
+            src = PointKey(p, lockset, D)
+            for c in system.constraints_for(src):
+                solver.values[src] = dom.bot()
+                assert c.rhs(View(solver)) == {}, c.describe()
+                solver.values[src] = dom.top()
+                assert c.rhs(View(solver)), c.describe()
+                n += 1
+    assert n == 4  # create and lock(a) from {}, create and unlock(a) from {a, m_g}
 
 
 def test_infer_protections_sec4_example(programs):

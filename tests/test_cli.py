@@ -235,16 +235,12 @@ def test_oracle_reports_truncation(capsys):
 
 
 def test_oracle_soundness_bug_exit_3(capsys, monkeypatch):
-    from concurrel.analysis.base_system import BaseAnalysis
-    from concurrel.frontend.ast import Unlock
+    from concurrel.analysis.base_system import WrappedBaseSystem
 
-    orig = BaseAnalysis.transfer
+    from conftest import unlock_publishing_nothing
 
-    def mutated(self, edge, lockset, r, env):
-        effects, v = orig(self, edge, lockset, r, env)
-        return ([] if isinstance(edge.action, Unlock) else effects), v
-
-    monkeypatch.setattr(BaseAnalysis, "transfer", mutated)
+    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
+                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
     code, out, err = run_cli(capsys, "run", corpus_path("fig_ex0"),
                              "--preset", "octagon", "--oracle")
     assert code == 3

@@ -9,12 +9,12 @@ import dataclasses
 import pytest
 
 from concurrel.analysis import check_asserts, preset, run_analysis
-from concurrel.analysis.base_system import BaseAnalysis
+from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
 from concurrel.analysis.improved_system import ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.frontend import parse_program
-from concurrel.frontend.ast import Unlock
 from concurrel.oracle import explore
+from conftest import unlock_publishing_nothing
 from soundness_reference import reference_check_soundness, reference_published_values
 
 CONFIGS = {
@@ -77,15 +77,8 @@ def test_truncated_report_is_not_clean(programs, explorations):
 # -- mutation sensitivity: each broken right-hand side must produce a witness --
 
 def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations):
-    orig = BaseAnalysis.transfer
-
-    def mutated(self, edge, lockset, r, env):
-        effects, v = orig(self, edge, lockset, r, env)
-        if isinstance(edge.action, Unlock):
-            effects = []  # publish nothing: other threads read stale values
-        return effects, v
-
-    monkeypatch.setattr(BaseAnalysis, "transfer", mutated)
+    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
+                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
     res = run_analysis(programs["fig_ex0"], preset("octagon"))
     report = checked(res, explorations["fig_ex0"], check_asserts(res))
     assert not report.ok and report.witnesses
@@ -96,13 +89,8 @@ def test_mutation_witnesses_capped_in_walk_order(monkeypatch, programs, explorat
     than ``max_witnesses``.  The reference fixes which of them the cap keeps
     (the first of the sorted walk) and that the "no unknown" witnesses of
     four_asserts and the published-value ones are not capped."""
-    orig = BaseAnalysis.transfer
-
-    def mutated(self, edge, lockset, r, env):
-        effects, v = orig(self, edge, lockset, r, env)
-        return ([] if isinstance(edge.action, Unlock) else effects), v
-
-    monkeypatch.setattr(BaseAnalysis, "transfer", mutated)
+    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
+                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
     capped = 0
     for name, p in programs.items():
         res = run_analysis(p, preset("octagon"))
@@ -142,8 +130,8 @@ def test_mutation_missing_init_side_effects(monkeypatch, programs, explorations)
     orig = BaseAnalysis.init
 
     def mutated(self):
-        _effects, start = orig(self)
-        return [], start  # no initial values at mutex unknowns
+        _values, start = orig(self)
+        return {}, start  # no initial values at mutex unknowns
 
     monkeypatch.setattr(BaseAnalysis, "init", mutated)
     res = run_analysis(programs["lockonce"], preset("octagon"))

@@ -157,3 +157,81 @@ def test_dump_solution_matches_reference_dumps(monkeypatch):
         if workloads.dump_digest(result) not in want:
             bad.append((prog, cfg))
     assert not bad
+
+
+# sha256 of ``dump_solution`` under base mode with the lock-once digest, the
+# one base-mode digest whose ``unary``, ``binary`` and ``new_thread`` change
+# it: the reference dumps run base mode with the trivial digest only, so they
+# cannot see an effect keyed with the wrong digest.
+LOCK_ONCE_DUMPS = {
+    ("ancestor", "interval"):
+        "e249469260d2b15b4db225431797632936cab7d22ea9c5171d90d425b298bce6",
+    ("ancestor", "octagon"):
+        "b3100e9dcb63349d5351ccae5569bcc3cc8861572ebba0bf914aececaa2649d3",
+    ("example8", "interval"):
+        "00e8f831df01d85312d9e16f063c4bf37eb629b67ed0512d84e180cfcdca6ddc",
+    ("example8", "octagon"):
+        "a07d8ec0172704a3db586101d661560b23bcc855d4d702adf03a92f2d75367c3",
+    ("fig_ex0", "interval"):
+        "7e5f9b028bd7833c4320e6f45ca2429c12b914b43151d29ced11a2d70938a665",
+    ("fig_ex0", "octagon"):
+        "7e5f9b028bd7833c4320e6f45ca2429c12b914b43151d29ced11a2d70938a665",
+    ("four_asserts", "interval"):
+        "ec5bc96ddfd39dc3c301a0cac1d97c3e6e2ed613d46f27989b347c1dffc4cae6",
+    ("four_asserts", "octagon"):
+        "7cb1e15f77b3bdd8a86c395aece452b774d84a5f5b89cabfba4a9f2095cab5ea",
+    ("intro_cluster", "interval"):
+        "a810dd8b465ca3896bb5b5605f5c1a885a8bcb104a4a86ea0376fba125596ee4",
+    ("intro_cluster", "octagon"):
+        "d85950e1eff32616cf201a36f0de493d724ed2a37a923fbc3f50ab9a59ce32dc",
+    ("joins", "interval"):
+        "f7d901b3561004dea779d573f303fa7b14c129ea09016c7c82d87c057122d6b1",
+    ("joins", "octagon"):
+        "81d2a6c3d5c5133c25e41576943efe355a26a13bad6d217713d21ae7edac74ed",
+    ("lockonce", "interval"):
+        "5af75a84be879670126b48d56fa3c583ad20f4250d608d76948770bb08de7370",
+    ("lockonce", "octagon"):
+        "884c32253024b2aaef1761b29f4ad3e4a03d77fc0dfb8b3191f00bde0f2ffae5",
+    ("lockonce_strict", "interval"):
+        "5af75a84be879670126b48d56fa3c583ad20f4250d608d76948770bb08de7370",
+    ("lockonce_strict", "octagon"):
+        "884c32253024b2aaef1761b29f4ad3e4a03d77fc0dfb8b3191f00bde0f2ffae5",
+    ("one_element", "interval"):
+        "b51f33c5601a2e5c347b2404accbc7a433c0518eade808bd57e1593403c62f08",
+    ("one_element", "octagon"):
+        "3024a69e9c640734cc21879d74969a948ef74e8a788eac5ca2f5e51c8462b356",
+    ("synth_counter", "interval"):
+        "201db5985bd01060714ace1402be3364d72152a3611c39d8cd3038aaf99dc637",
+    ("synth_counter", "octagon"):
+        "f39597502abe413f65e2a61996041d6712d36b402a4ca22a2c5a3bea65237650",
+    ("synth_infer", "interval"):
+        "96687640f52dcfa2329a6d2b172d91ad67d7f6194115bc86b20051202cfdf770",
+    ("synth_infer", "octagon"):
+        "5fda6841af9a362336a239ecc342f6ed03d16542d95f5e45a1b3d4a9cefd3994",
+    ("synth_mix", "interval"):
+        "20a62939c6b5a2a36939ac4bdb29b542f542e3d6d2d930cca0871d5bde4adb7c",
+    ("synth_mix", "octagon"):
+        "c76454cf56300a80296c3437f97f25f7ff29f56f3a5a6abc92e5444793228015",
+    ("synth_relock", "interval"):
+        "8060a0add853ded41d7b7d8174ceff5f114f4f83fb68dcd1df9736f6c308dbe0",
+    ("synth_relock", "octagon"):
+        "9879ad9f032b7634824fdd674160b691906d9d3857288ddff6724936c693a75c",
+    ("tid_loop", "interval"):
+        "db28f8fc53aca7d27a0ec7360d8eab667507a8e24667b12e48eca92f7dfd0297",
+    ("tid_loop", "octagon"):
+        "2da6d4a696c3e9918cd0478be58920b64e72662c4fa2cfed378c44645e383c24",
+}
+
+
+def test_lock_once_dumps_are_pinned(programs):
+    import hashlib
+
+    from concurrel.analysis import dump_solution
+
+    bad = []
+    for (prog, domain), want in sorted(LOCK_ONCE_DUMPS.items()):
+        result = run_analysis(programs[prog], preset(domain, lock_once=True))
+        if hashlib.sha256(dump_solution(result).encode()).hexdigest() != want:
+            bad.append((prog, domain))
+    assert len(LOCK_ONCE_DUMPS) == 2 * len(programs)
+    assert not bad
