@@ -6,11 +6,13 @@
 Explores every corpus program at the default bounds (``ExploreBounds()``),
 and with ``--scaled K`` also the 4 generated programs of each generator
 seed 0..K-1 (``perfbench/gen.py``, named ``scaled_s<seed>_p<n>``).  It
-prints, per program, the explored states, the schedules (explored states
-without a successor), the distinct reachable per-thread projections
-(``len(reachable)``, what the differential check reads), the best wall time
-of ``--repeat`` explorations and the explored states per second, then the
-totals (with ``--scaled``, first those of the corpus and of the generated
+prints, per program, the explored states (``Exploration.states``: the
+states with each thread's local steps collapsed, plus the members of every
+segment), the segments (the distinct segment origins), the schedules (the
+distinct final interleaved states, where no thread can move), the distinct
+reachable per-thread projections (``len(reachable)``, what the differential
+check reads), the best wall time of ``--repeat`` explorations and the
+explored states per second, then the totals (with ``--scaled``, first those of the corpus and of the generated
 programs apart).  A program whose exploration stopped at a bound is marked
 with the bounds it hit.  Parsing and CFG construction are not timed.
 
@@ -69,8 +71,8 @@ def _time_checks(program, ex, repeat: int) -> float:
 
 
 def _line(name: str, row) -> str:
-    states, schedules, reachable, secs, *check = row
-    return (f"{name:<16} {states:>8} {schedules:>10} {reachable:>10} "
+    states, segments, schedules, reachable, secs, *check = row
+    return (f"{name:<16} {states:>8} {segments:>8} {schedules:>10} {reachable:>10} "
             f"{secs:>8.3f} {states / secs:>9.0f}"
             + "".join(f" {c:>8.3f}" for c in check))
 
@@ -84,7 +86,7 @@ def main() -> int:
                     help="also time check_soundness under the oracle-validate presets")
     args = ap.parse_args()
 
-    print(f"{'program':<16} {'states':>8} {'schedules':>10} {'reachable':>10} "
+    print(f"{'program':<16} {'states':>8} {'segments':>8} {'schedules':>10} {'reachable':>10} "
           f"{'seconds':>8} {'states/s':>9}" + (f" {'check s':>8}" if args.check else ""))
     totals: dict[str, list] = {}
     for group, name, program in _programs(args.scaled):
@@ -94,7 +96,7 @@ def main() -> int:
             t0 = time.perf_counter()
             ex = explore(program, cfgs=cfgs)
             best = min(best, time.perf_counter() - t0)
-        row = [ex.states, ex.schedules, len(ex.reachable), best]
+        row = [ex.states, ex.segments, ex.schedules, len(ex.reachable), best]
         if args.check:
             row.append(_time_checks(program, ex, args.repeat))
         totals[group] = [a + b for a, b in zip(totals.get(group, [0] * len(row)), row)]

@@ -144,7 +144,7 @@ def _run(args) -> int:
             if oracle_report.truncated:
                 cut = ", ".join(f"{b}={getattr(bounds, b)}" for b in sorted(ex.truncated_by))
                 print(f"oracle: exploration truncated after {ex.states} states and "
-                      f"{ex.schedules} schedules by {cut}; the check is incomplete")
+                      f"{ex.schedules} final states by {cut}; the check is incomplete")
             for w in oracle_report.witnesses + oracle_report.proven_violated:
                 print(f"  {w}", file=sys.stderr)
     if args.dump_solution:

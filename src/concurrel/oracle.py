@@ -26,29 +26,52 @@ executes as one oracle step (no user code can hold that mutex, so no
 interleaving is lost at wrapper-external points).
 
 Each thread's local state is stored once in a table, and so are the shared
-slots (globals, mutex holders, the digests of each mutex's last unlock): a
-state is a tuple of thread ids plus a shared-slots id, as in SPIN's collapse
-compression (Holzmann, "State compression in SPIN", 1997).  Each CFG edge is
-compiled once into a step of one of the kinds the explorer dispatches on: a
-local step is a function from the moving thread to its successors, and the
-other kinds hold the indices their handlers read.  A thread's steps are
-prepared once, at its first expansion, and its moves from given shared slots
-(the successor thread and shared-slots ids of every step that can fire
-there) are computed once per exploration, in one memo by (thread id,
-shared-slots id); the reachable rows and global values they reach are
-recorded then.  A move taken again from another state is a table lookup; its
-digest rejections are reported again on every take.  Creates and joins, which
-read the other threads, are computed at every take.  Successors that were
-already explored are not pushed, and the cyclic garbage collector is off
-during ``explore`` (states hold no reference cycles).  A reachable row is
-(the moving thread's interned view, globals, lockset), turned into
-``Reachable`` tuples once at the end.
+slots (globals, mutex holders, the digests of each mutex's last unlock), as
+in SPIN's collapse compression (Holzmann, "State compression in SPIN",
+1997).  Each CFG edge is compiled once into a step of one of the kinds the
+explorer dispatches on: a local step (assign, havoc, guard, assert, return)
+is a function from the moving thread to its successors, and the other kinds
+(lock, unlock, copy, create, join) hold the indices their handlers read.
+
+Local steps are collapsed.  In an explored state each thread is its segment
+origin: the thread right after its creation or its last non-local step.  A
+state is a tuple of origin ids plus a shared-slots id.  An origin's segment
+is every thread reachable from it by local steps, computed (and each member
+prepared) once per exploration.  A local step reads and writes only its own
+thread and leaves the locks and the shared slots as they are, and a join
+needs its thread returned, which a local step reaches; so an interleaved
+state (x_1 .. x_n, s) is reachable exactly when (o_1 .. o_n, s) is, with
+each x_i in the segment of o_i (Lipton, CACM 1975).  The moves of an origin
+from given shared slots (the successor origin and shared-slots ids of every
+non-local step of a member that can fire there) are computed once per
+exploration, in one memo by (origin id, shared-slots id); the reachable rows
+and global values that its members' steps reach there are recorded then, so
+``reachable`` is the set the full interleaving would give.  A move taken
+again from another state is a table lookup; its digest rejections are
+reported again on every take.  Creates and joins, which read the other
+threads, are computed at every take; a join has one successor per returned
+member of its thread's segment.  Successors that were already explored are
+not pushed, and the cyclic garbage collector is off during ``explore``
+(states hold no reference cycles).  A reachable row is (the moving thread's
+interned view, globals, lockset), turned into ``Reachable`` tuples once at
+the end.
+
+``Exploration.states`` counts the explored states plus the members of every
+segment, and ``max_total_states`` bounds that sum, so a long local loop still
+stops at it.  ``Exploration.schedules`` counts the distinct interleaved
+states without a move.  They are found per explored state, as the
+combinations of one member per origin in which no member can move: a member
+that can only create or join is stuck when the create is at the thread cap
+and the joined thread's member in the combination has not returned.  A
+violated assert is recorded with a schedule that reaches it: the steps to
+its origin, then the local steps from there.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .digests import MAIN_TID, AbstractTid, CreateEdge, LockOnceDigest, TidDigestSpec, tid_compose
@@ -90,8 +113,9 @@ class Exploration:
         default_factory=dict, init=False)
     violations: dict[int, list[str]] = field(default_factory=dict)
     digest_infeasibilities: list[str] = field(default_factory=list)
-    schedules: int = 0
-    states: int = 0
+    schedules: int = 0  # distinct interleaved states without a move
+    states: int = 0  # explored states plus the members of every segment
+    segments: int = 0  # distinct segment origins
     truncated_by: set[str] = field(default_factory=set)  # ExploreBounds fields hit
     tid_abstractions: dict[str, tuple] = field(default_factory=dict)
     global_values: dict[str, set] = field(default_factory=dict)
@@ -138,15 +162,16 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
 # lock-once sets, and VISITS is a sorted tuple of (point id, visits).  Thread
 # tuples are interned in turn, and so are the shared slots (globals, held,
 # lu): held names each mutex's holder (or None) and lu holds the (tid digest,
-# lock-once) ids of each mutex's last unlock.  A state is (thread ids, shared
+# lock-once) ids of each mutex's last unlock.  A state is (origin ids, shared
 # id), built of ints and tuples only: it hashes without Python code and holds
 # no cycle.
 TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
 RUNNING, RETURNED, JOINED = 0, 1, 2
 
 # Kinds of steps, compiled once per CFG edge (see _Explorer._compile_edge),
-# prepared once per thread (see _Explorer._prepare) and turned into moves once
-# per (thread, shared slots) (see _Explorer._moves).  A LOCAL step reads only
+# prepared once per thread (see _Explorer._prepare), collected once per
+# segment (see _Explorer._segment) and turned into moves once per (origin,
+# shared slots) (see _Explorer._moves).  A LOCAL step reads only
 # its thread; COPYR reads the global and the last unlock of the copy's mutex,
 # COPYW and LOCK read the last unlock of their mutex, and UNLOCK reads
 # nothing but its held check.  CREATE and JOIN read the other threads.
@@ -236,8 +261,12 @@ class _Explorer:
         # interned shared slots (globals, held, lu), indexed by shared id
         self.shared: list[tuple] = []
         self._shared_ids: dict[tuple, int] = {}
-        # the moves of thread x from the shared slots s, by (x, s)
+        # per origin thread id, its segment (see _segment)
+        self.segments: dict[int, tuple] = {}
+        # the moves of origin o from the shared slots s, by (o, s)
         self.moves: dict[tuple[int, int], tuple] = {}
+        # the interleaved states without a move, as (thread ids, shared id)
+        self.terminals: set[tuple] = set()
         # interned views (tid, point id, locals, tdig id, lockonce id); the
         # reachable rows are (view id, globals, lockset)
         self.view_rows: list[tuple] = []
@@ -280,7 +309,7 @@ class _Explorer:
 
                 def step(t, sched):
                     if not f(t[LOCALS]) and aid not in violations:
-                        violations[aid] = _sched((t[TID], label, sched))
+                        violations[aid] = _sched((t[TID], (label,), sched))
                     return [t]
             case Lock(m) if self.program.is_atomicity_mutex(m):
                 # fold the atomic copy wrapper lock(m_g); access; unlock(m_g)
@@ -360,7 +389,7 @@ class _Explorer:
         self.rows.add((self.views[main], globals0, self._lockset(held0, "main")))
         threads, memo = self.threads, self.moves
         infeasible = self.ex.digest_infeasibilities
-        # schedules are cons lists of (tid, step label), formatted by _sched
+        # schedules are cons lists of (tid, step labels, rest), formatted by _sched
         stack = [(((main,), self._shared_id((globals0, held0, lu0))), None)]
         bound_states = self.bounds.max_total_states
         seen: set = set()
@@ -374,37 +403,38 @@ class _Explorer:
             if self.ex.states > bound_states:
                 self.ex.truncated_by.add("max_total_states")
                 break
-            tids, sid = state
+            origins, sid = state
             succs = []
-            stuck = True
-            for ti, x in enumerate(tids):
-                moves = memo.get((x, sid))
-                if moves is None:
-                    moves = memo[x, sid] = self._moves(x, sid, sched)
-                if not moves:
-                    continue
-                tid = threads[x][TID]
-                before, after = tids[:ti], tids[ti + 1:]
-                for label, rejected, nexts in moves:
-                    b, a = before, after
+            stucks = []
+            for ti, o in enumerate(origins):
+                entry = memo.get((o, sid))
+                if entry is None:
+                    entry = memo[o, sid] = self._moves(o, sid, sched)
+                moves, stuck = entry
+                stucks.append(stuck)
+                tid = threads[o][TID]
+                before, after = origins[:ti], origins[ti + 1:]
+                for labels, rejected, nexts in moves:
+                    cons = (tid, labels, sched)
                     if nexts is None:  # a create or a join: it reads the other threads
                         kind, source = rejected
-                        take = self._create if kind == CREATE else self._join
-                        rejected, nexts, others = take(tids, sid, label, source)
-                        if nexts is None:
-                            continue
-                        b, a = others[:ti], others[ti + 1:]
+                        if kind == CREATE:
+                            rejected, states = self._create(origins, ti, sid, source)
+                        else:
+                            rejected, states = self._join(origins, ti, sid, labels[-1], source, sched)
+                        succs.extend((s2, cons) for s2 in states if s2 not in seen)
+                    else:
+                        for nt, sid2 in nexts:
+                            s2 = (before + (nt,) + after, sid2)
+                            if s2 not in seen:  # it would be skipped when popped
+                                succs.append((s2, cons))
                     if rejected:
                         infeasible.extend(rejected)
-                    stuck = False
-                    cons = (tid, label, sched)
-                    for nt, sid2 in nexts:
-                        s2 = (b + (nt,) + a, sid2)
-                        if s2 not in seen:  # it would be skipped when popped
-                            succs.append((s2, cons))
-            if stuck:
-                self.ex.schedules += 1
+            if all(stucks):
+                self._add_terminals(origins, sid, stucks)
             stack.extend(reversed(succs))
+        self.ex.schedules = len(self.terminals)
+        self.ex.segments = len(self.segments)
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
         view_rows, lockonces = self.view_rows, self.lockonces
         reachable, groups = self.ex.reachable, self.ex.groups
@@ -421,16 +451,16 @@ class _Explorer:
     def _prepare(self, x: int, sched) -> list:
         """The steps of thread ``x``, with all the work that reads only the
         thread done once, as (kind, label, mutex index, global index,
-        result, source).  The result is that of a LOCAL or UNLOCK step, and
-        None for the other kinds: (successor thread ids, global write, held
-        write, lu write, rejected digests), each write a (slot, value) pair
-        or None.  source is the compiled step's last field and the moved
-        thread (at its destination, with its visit counted), from which
-        ``_acquire``, ``_create`` and ``_join`` compute a result.  A step
-        that can never fire (its visit cap is reached, a guard fails, an
-        operand is a thread name) is left out.  Local steps are evaluated
-        here, at the thread's first expansion, where a violated assert is
-        recorded with the schedule ``sched`` that reached it."""
+        result, source).  The result of a LOCAL step is its successor thread
+        ids; that of an UNLOCK step is (successor thread ids, global write,
+        held write, lu write, rejected digests), each write a (slot, value)
+        pair or None; the other kinds have None.  source is the compiled
+        step's last field and the moved thread (at its destination, with its
+        visit counted), from which ``_acquire``, ``_create`` and ``_join``
+        compute a result.  A step that can never fire (its visit cap is
+        reached, a guard fails, an operand is a thread name) is left out.
+        Local steps are evaluated here, once per thread, where a violated
+        assert is recorded with the schedule ``sched`` that reached ``x``."""
         t = self.threads[x]
         out = []
         if t[STATUS] == RUNNING:
@@ -452,8 +482,7 @@ class _Explorer:
                     except TypeError:
                         continue
                     if succs is not None:
-                        result = (tuple(map(self._thread, succs)), None, None, None, ())
-                        out.append((LOCAL, label, None, None, result, None))
+                        out.append((LOCAL, label, None, None, tuple(map(self._thread, succs)), None))
                 elif kind == UNLOCK:
                     luw = (mi, (moved[TDIG], moved[LOCKONCE]))
                     result = ((self._thread(moved),), None, (mi, None), luw, ())
@@ -467,46 +496,93 @@ class _Explorer:
         self.prepared[x] = out
         return out
 
-    def _moves(self, x: int, sid: int, sched) -> tuple:
-        """The moves of thread ``x`` from the shared slots ``sid``, one per
-        prepared step that can fire there, as (label, rejected digests,
-        ((next thread id, next shared id), ...)).  The rows they reach and
-        the values they write to globals are recorded here, once.  A create
-        or a join, which reads the other threads, is (label, (kind, source),
+    def _segment(self, o: int, sched) -> tuple:
+        """The segment of the origin ``o``: every thread reachable from
+        ``o`` by local steps (its members, ``o`` included), each prepared
+        once, as (the view ids of the members a local step reaches, the
+        other steps of the members, the members without a local step).  A
+        step is (member, kind, labels, mutex index, global index, result,
+        source), as a prepared step whose labels are those of the local
+        steps from ``o`` to the member and its own.  ``sched`` reached
+        ``o``; a member is prepared with ``sched`` extended by the local
+        steps that reach it.  Each member counts as an explored state."""
+        seg = self.segments.get(o)
+        if seg is not None:
+            return seg
+        threads, prepared, views = self.threads, self.prepared, self.views
+        tid = threads[o][TID]
+        paths = {o: ()}  # member -> labels of the local steps from o
+        members = [o]
+        steps, leaves = [], []
+        for m in members:  # grows while it is walked
+            self.ex.states += 1
+            if self.ex.states > self.bounds.max_total_states:
+                self.ex.truncated_by.add("max_total_states")
+                break
+            path = paths[m]
+            mine = prepared[m]
+            if mine is None:
+                mine = self._prepare(m, (tid, path, sched) if path else sched)
+            local = False
+            for kind, label, mi, gi, result, source in mine:
+                if kind == LOCAL:
+                    local = True
+                    for nt in result:
+                        if nt not in paths:
+                            paths[nt] = path + (label,)
+                            members.append(nt)
+                else:
+                    steps.append((m, kind, path + (label,), mi, gi, result, source))
+            if not local:
+                leaves.append(m)
+        reached = tuple(views[m] for m in members[1:] if views[m] is not None)
+        seg = self.segments[o] = (reached, tuple(steps), tuple(leaves))
+        return seg
+
+    def _moves(self, o: int, sid: int, sched) -> tuple:
+        """The moves of origin ``o`` from the shared slots ``sid``, and its
+        members that cannot move there but by a create or a join.  A move is
+        (labels, rejected digests, ((next origin id, next shared id), ...)),
+        one per non-local step of a member that can fire there.  The rows
+        that the members' local steps and these moves reach, and the values
+        the moves write to globals, are recorded here, once.  A create or a
+        join, which reads the other threads, is (labels, (kind, source),
         None), and ``_create`` or ``_join`` computes it at every take.
-        ``sched`` reached the state, for ``_prepare`` at the thread's first
+        ``sched`` reached the state, for ``_segment`` at the origin's first
         expansion."""
-        steps = self.prepared[x]
-        if steps is None:
-            steps = self._prepare(x, sched)
-        if not steps:
-            return ()
+        reached, steps, leaves = self._segment(o, sched)
         globals_, held, lu = self.shared[sid]
-        tid = self.threads[x][TID]
+        tid = self.threads[o][TID]
+        rows = self.rows
+        lockset = self._lockset(held, tid)
+        for view in reached:
+            rows.add((view, globals_, lockset))
         out = []
-        for kind, label, mi, gi, result, source in steps:
+        fired = set()
+        for m, kind, labels, mi, gi, result, source in steps:
             if kind == CREATE or kind == JOIN:
-                out.append((label, (kind, source), None))
+                out.append((labels, (kind, source), None))
                 continue
             if kind == UNLOCK:
                 if held[mi] != tid:
                     continue
-            elif kind != LOCAL:  # COPYR, COPYW, LOCK
-                if held[mi] is not None:
-                    continue
-                result = self._acquire(kind, label, mi, gi, source, globals_, lu)
+            elif held[mi] is not None:  # COPYR, COPYW, LOCK
+                continue
+            else:
+                result = self._acquire(kind, labels[-1], mi, gi, source, globals_, lu)
+            fired.add(m)
             succ_ids, gw, hw, luw, rejected = result
             g2 = globals_ if gw is None else _set(globals_, *gw)
             h2 = held if hw is None else _set(held, *hw)
             lu2 = lu if luw is None else _set(lu, *luw)
             sid2 = self._shared_id((g2, h2, lu2))
-            lockset = self._lockset(h2, tid)
+            lockset2 = self._lockset(h2, tid)
             for nt in succ_ids:
                 view = self.views[nt]
                 if view is not None:
-                    self.rows.add((view, g2, lockset))
-            out.append((label, rejected, tuple((nt, sid2) for nt in succ_ids)))
-        return tuple(out)
+                    rows.add((view, g2, lockset2))
+            out.append((labels, rejected, tuple((nt, sid2) for nt in succ_ids)))
+        return tuple(out), tuple(m for m in leaves if m not in fired)
 
     def _acquire(self, kind: int, label: str, mi: int, gi: int, source,
                  globals_: tuple, lu: tuple) -> tuple:
@@ -526,13 +602,13 @@ class _Explorer:
             return (self._thread(moved),), (gi, v), None, (mi, digs2), rejected
         return (self._thread(moved),), None, (mi, tid), None, rejected
 
-    def _create(self, tids: tuple, sid: int, label: str, source):
-        """A create step from ``tids`` and the shared slots ``sid``: its
-        rejected digests, its successors as in a move, and the thread ids
-        with the child appended; the successors are None at the thread cap."""
-        if len(tids) >= self.bounds.max_threads:
+    def _create(self, origins: tuple, ti: int, sid: int, source):
+        """A create step of origin ``origins[ti]`` from the shared slots
+        ``sid``: its rejected digests and its successor states, none at the
+        thread cap."""
+        if len(origins) >= self.bounds.max_threads:
             self.ex.truncated_by.add("max_threads")
-            return (), None, tids
+            return (), ()
         (i, e, start, start_id), moved = source
         globals_, held, _ = self.shared[sid]
         ls = moved[LOCALS]
@@ -541,7 +617,7 @@ class _Explorer:
         child_base = tid_compose(self.ex.tid_abstractions[moved[TID]][1],
                                  CreateEdge(e.src, e.action.template))
         prefix = f"{moved[TID]}/{e.src}#"
-        n2 = sum(1 for y in tids if self.threads[y][TID].startswith(prefix))
+        n2 = sum(1 for y in origins if self.threads[y][TID].startswith(prefix))
         child_tid = f"{prefix}{n2}"
         self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
         child = self._thread((
@@ -553,24 +629,47 @@ class _Explorer:
             self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
             self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce))) + moved[VISITS:])
         self.rows.add((self.views[nt], globals_, self._lockset(held, moved[TID])))
-        return (), ((nt, sid),), tids + (child,)
+        return (), [(_set(origins, ti, nt) + (child,), sid)]
 
-    def _join(self, tids: tuple, sid: int, label: str, source):
-        """A join step, as ``_create``, with the joined thread marked in the
-        thread ids; the successors are None while it blocks."""
+    def _join(self, origins: tuple, ti: int, sid: int, label: str, source, sched):
+        """A join step, as ``_create``, with one successor per returned
+        member of the joined thread's segment, where that member is marked
+        joined: none while no member returned."""
         (ri, xi, obs), moved = source
         target = moved[LOCALS][xi]
-        tj_i = next((k for k, y in enumerate(tids) if self.threads[y][TID] == target), None)
-        if tj_i is None or self.threads[tids[tj_i]][STATUS] != RETURNED:
-            return (), None, tids
-        tj = self.threads[tids[tj_i]]
-        digs2, rejected = self._observe(moved, obs, (tj[TDIG], tj[LOCKONCE]))
-        nt = self._thread(moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
-                          + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
+        tj_i = next((k for k, y in enumerate(origins) if self.threads[y][TID] == target), None)
+        if tj_i is None:
+            return (), ()
         globals_, held, _ = self.shared[sid]
-        self.rows.add((self.views[nt], globals_, self._lockset(held, moved[TID])))
-        return (tuple(f"{r}: {moved[TID]}: {label}" for r in rejected), ((nt, sid),),
-                _set(tids, tj_i, self._thread(_set(tj, STATUS, JOINED))))
+        lockset = self._lockset(held, moved[TID])
+        rejected, states = [], []
+        for r in self._segment(origins[tj_i], sched)[2]:
+            tj = self.threads[r]
+            if tj[STATUS] != RETURNED:
+                continue
+            digs2, rejects = self._observe(moved, obs, (tj[TDIG], tj[LOCKONCE]))
+            rejected += (f"{x}: {moved[TID]}: {label}" for x in rejects)
+            nt = self._thread(moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
+                              + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
+            self.rows.add((self.views[nt], globals_, lockset))
+            joined = self._thread(_set(tj, STATUS, JOINED))
+            states.append((_set(_set(origins, ti, nt), tj_i, joined), sid))
+        return rejected, states
+
+    def _add_terminals(self, origins: tuple, sid: int, stucks: list) -> None:
+        """Record the interleaved states of the collapsed state (``origins``,
+        ``sid``) where no thread can move: one member per thread, among the
+        members in ``stucks`` that can only move by a create or a join, such
+        that no create is under the thread cap and no join finds its thread
+        returned."""
+        threads = self.threads
+        capped = len(origins) >= self.bounds.max_threads
+        for combo in product(*stucks):
+            returned = {threads[m][TID] for m in combo if threads[m][STATUS] == RETURNED}
+            if not any(kind == CREATE and not capped
+                       or kind == JOIN and source[1][LOCALS][source[0][1]] in returned
+                       for m in combo for kind, _, _, _, _, source in self.prepared[m]):
+                self.terminals.add((combo, sid))
 
     def _observe(self, t, obs: int, other: tuple[int, int]) -> tuple[tuple[int, int], list[str]]:
         """The (tid digest, lock-once) ids of thread ``t`` after the observing
@@ -594,11 +693,11 @@ class _Explorer:
 
 
 def _sched(cons) -> list[str]:
-    """A schedule cons list (tid, step label, rest), as text, first step first."""
+    """A schedule cons list (tid, step labels, rest), as text, first step first."""
     out = []
     while cons is not None:
-        out.append(f"{cons[0]}: {cons[1]}")
-        cons = cons[2]
+        tid, labels, cons = cons
+        out.extend(f"{tid}: {label}" for label in reversed(labels))
     return out[::-1]
 
 

@@ -11,7 +11,7 @@ import pytest
 from concurrel import oracle
 from concurrel.analysis.keys import digest_text
 from concurrel.digests import LockOnceDigest, TidDigestSpec
-from concurrel.frontend import Join, Lock, action_str, build_cfg, parse_program
+from concurrel.frontend import Create, Join, Lock, action_str, build_cfg, parse_program
 from concurrel.frontend.ast import Guard
 from concurrel.frontend.cfg import TRUE_GUARD, Cfg, Edge, Point
 from concurrel.oracle import ExploreBounds, explore
@@ -84,7 +84,7 @@ def test_digest_replay_never_rejects_feasible_steps(explorations):
      (6, "7489bf9af51aff14")),
     (TidDigestSpec, "joins", Join, "tid digest rejects feasible join", (6, "61946412104e54ab")),
     (LockOnceDigest, "four_asserts", Lock, "lock-once digest rejects feasible lock",
-     (454, "53fb5ec4cbeff441")),
+     (433, "154281890a9ac704")),
 ], ids=("lockonce-relock", "tid-join", "lockonce-relock-repeated"))
 def test_digest_replay_reports_rejections_of_the_analyzer_specs(
         monkeypatch, spec, program, action, report, pinned):
@@ -149,7 +149,7 @@ def test_bound_truncation_is_flagged():
 def test_tid_loop_stops_only_at_the_thread_cap(explorations):
     """t1 creates t1 again, so thread creation is unbounded."""
     ex = explorations["tid_loop"]
-    assert ex.truncated_by == {"max_threads"} and ex.states == 14_651
+    assert ex.truncated_by == {"max_threads"} and ex.states == 1_202
 
 
 def _sha(text: str) -> str:
@@ -157,59 +157,123 @@ def _sha(text: str) -> str:
 
 
 def _fingerprint(ex) -> tuple:
-    """Counts plus two hash-seed-independent hashes: one of the reachable
-    tuples, one of the violations (with their schedules), the digest
-    infeasibilities, the thread-id abstractions and the global values."""
-    others = [f"{aid}: {' | '.join(s)}" for aid, s in sorted(ex.violations.items())]
-    others += ex.digest_infeasibilities
-    others += [f"{t}: {digest_text(a)}" for t, a in sorted(ex.tid_abstractions.items())]
-    others += [f"{g}: {sorted(vs)}" for g, vs in sorted(ex.global_values.items())]
-    return (ex.states, ex.schedules, len(ex.reachable), sorted(ex.truncated_by),
-            _sha("\n".join(sorted(digest_text(rs) for rs in ex.reachable))),
-            _sha("\n".join(others)))
+    """(kept, free).  kept holds what any complete exploration of the same
+    interleavings reaches, whatever the states it goes through: the
+    schedules, the count and a hash-seed-independent hash of the reachable
+    tuples, the bounds hit, and a hash of the violated assert ids, the set
+    of digest infeasibilities, the thread-id abstractions and the global
+    values.  free holds what follows the explored states: their count, the
+    number of infeasibility reports (one per take) and a hash of the
+    violations' schedules."""
+    kept = [str(aid) for aid in sorted(ex.violations)]
+    kept += sorted(set(ex.digest_infeasibilities))
+    kept += [f"{t}: {digest_text(a)}" for t, a in sorted(ex.tid_abstractions.items())]
+    kept += [f"{g}: {sorted(vs)}" for g, vs in sorted(ex.global_values.items())]
+    schedules = [f"{aid}: {' | '.join(s)}" for aid, s in sorted(ex.violations.items())]
+    return ((ex.schedules, len(ex.reachable), sorted(ex.truncated_by),
+             _sha("\n".join(sorted(digest_text(rs) for rs in ex.reachable))), _sha("\n".join(kept))),
+            (ex.states, len(ex.digest_infeasibilities), _sha("\n".join(schedules))))
 
 
-# (states, schedules, reachable, truncated_by, reachable hash, other fields' hash)
+# ((schedules, reachable, truncated_by, reachable hash, kept facts' hash),
+#  (states, infeasibility reports, violation schedules' hash))
 _CORPUS_FINGERPRINTS = {
-    "ancestor": (62, 2, 40, [], '613bebd5d15166a5', '40ba0212f5e2f585'),
-    "example8": (2964, 40, 613, [], 'e6bd5baa67a18b63', 'b4fe30d03c6f5ba1'),
-    "fig_ex0": (60, 2, 25, [], '4fa6a6b3dd5109fa', '3964358df5119bb0'),
-    "four_asserts": (911, 32, 266, [], '36c9779f3152d2c0', '328e901b23a97753'),
-    "intro_cluster": (257552, 5265, 5542, [], '47643aae24c24e01', '465770c605d05438'),
-    "joins": (233, 6, 127, [], '8a771182bdd9cb07', 'd4967164768bc8a8'),
-    "lockonce": (31, 2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
-    "lockonce_strict": (31, 2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
-    "one_element": (3907, 33, 168, [], '86afcf5f81df436a', 'c7a099e1ce12bfd5'),
-    "synth_counter": (78, 6, 45, [], 'cbaa76959dc042e7', '21cc93d6bf01a6f9'),
-    "synth_infer": (78, 3, 33, [], 'c6a0a70714bb25ec', 'c31d1410fd92d338'),
-    "synth_mix": (47, 3, 45, [], '30135f55b95acd2b', '06bde853bdec22c8'),
-    "synth_relock": (17, 1, 18, [], '85fafc0178e1ae89', 'b9bf33e7d6fbb55d'),
-    "tid_loop": (14651, 142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+    "ancestor": (
+        (2, 40, [], '613bebd5d15166a5', '40ba0212f5e2f585'),
+        (75, 0, 'e3b0c44298fc1c14')),
+    "example8": (
+        (40, 613, [], 'e6bd5baa67a18b63', 'b4fe30d03c6f5ba1'),
+        (1628, 0, 'e3b0c44298fc1c14')),
+    "fig_ex0": (
+        (2, 25, [], '4fa6a6b3dd5109fa', '3964358df5119bb0'),
+        (31, 0, 'e3b0c44298fc1c14')),
+    "four_asserts": (
+        (32, 266, [], '36c9779f3152d2c0', '328e901b23a97753'),
+        (865, 0, 'e3b0c44298fc1c14')),
+    "intro_cluster": (
+        (5265, 5542, [], '47643aae24c24e01', '465770c605d05438'),
+        (82073, 0, 'e3b0c44298fc1c14')),
+    "joins": (
+        (6, 127, [], '8a771182bdd9cb07', 'd4967164768bc8a8'),
+        (220, 0, 'e3b0c44298fc1c14')),
+    "lockonce": (
+        (2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+        (49, 0, 'e3b0c44298fc1c14')),
+    "lockonce_strict": (
+        (2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+        (49, 0, 'e3b0c44298fc1c14')),
+    "one_element": (
+        (33, 168, [], '86afcf5f81df436a', 'c7a099e1ce12bfd5'),
+        (643, 0, 'e3b0c44298fc1c14')),
+    "synth_counter": (
+        (6, 45, [], 'cbaa76959dc042e7', '21cc93d6bf01a6f9'),
+        (101, 0, 'e3b0c44298fc1c14')),
+    "synth_infer": (
+        (3, 33, [], 'c6a0a70714bb25ec', 'c31d1410fd92d338'),
+        (68, 0, 'e3b0c44298fc1c14')),
+    "synth_mix": (
+        (3, 45, [], '30135f55b95acd2b', '06bde853bdec22c8'),
+        (86, 0, 'e3b0c44298fc1c14')),
+    "synth_relock": (
+        (1, 18, [], '85fafc0178e1ae89', 'b9bf33e7d6fbb55d'),
+        (32, 0, 'e3b0c44298fc1c14')),
+    "tid_loop": (
+        (142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+        (1202, 0, 'e3b0c44298fc1c14')),
 }
 
-# at ExploreBounds(max_total_states=5_000); intro_cluster and tid_loop stop at
-# that cap, so they also pin the order in which states are explored
+# at ExploreBounds(max_total_states=5_000); intro_cluster stops at that cap,
+# so it also pins the order in which states are explored
 _CAPPED_FINGERPRINTS = {
-    "intro_cluster": (5001, 111, 366, ['max_total_states'], 'cee1922ab46a7dda', '465770c605d05438'),
-    "tid_loop": (5001, 31, 78, ['max_threads', 'max_total_states'], '5b6b4bbd5b1488ea', '8f525e8b579ab860'),
-    "scaled_s0_p0": (3453, 6, 767, [], '6f0e69c27d874048', 'a0f9edc520cba721'),
-    "scaled_s0_p1": (2408, 1, 675, [], '811822978a789164', '2993b2636ca30ced'),
-    "scaled_s0_p2": (2408, 1, 675, [], '527538e1d9a65985', '699e76644b195b8e'),
-    "scaled_s0_p3": (2408, 1, 675, [], '2b5d6880570bfebc', 'a20465c4bb70af48'),
-    "scaled_s1_p0": (3453, 6, 767, [], 'a164c0680e084130', '0ff9ac8331e8473b'),
-    "scaled_s1_p1": (2408, 1, 675, [], '50b266b4d07ea036', '88f7f683af8c989a'),
-    "scaled_s1_p2": (2408, 1, 675, [], '914337b4f0f966f7', '1ef7bd42c3920545'),
-    "scaled_s1_p3": (2408, 1, 675, [], '3b2e3a5d7129a1ae', '6094f91a2cf13032'),
-    "scaled_s2_p0": (3453, 6, 767, [], '39efe35025574408', '8cedc5859cf1ffa6'),
-    "scaled_s2_p1": (2408, 1, 675, [], 'd4189c8394a79f16', 'e5f45b6aaac7566c'),
-    "scaled_s2_p2": (2408, 1, 675, [], 'ac9e6713cc1e1b1f', '2cba48d8518178c4'),
-    "scaled_s2_p3": (2408, 1, 675, [], 'c2cda5b85c86d94e', 'b7285571b576938a'),
+    "intro_cluster": (
+        (313, 894, ['max_total_states'], 'b749d5e5c0e7907a', '465770c605d05438'),
+        (5001, 0, 'e3b0c44298fc1c14')),
+    "tid_loop": (
+        (142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+        (1202, 0, 'e3b0c44298fc1c14')),
+    "scaled_s0_p0": (
+        (6, 767, [], '6f0e69c27d874048', '8ca3692296dcbd96'),
+        (824, 0, '3cf85fffdc4324d2')),
+    "scaled_s0_p1": (
+        (1, 675, [], '811822978a789164', '3988f7a23a2aaeb9'),
+        (514, 0, 'a16fb28782a10966')),
+    "scaled_s0_p2": (
+        (1, 675, [], '527538e1d9a65985', 'ec3307c0d906f6d5'),
+        (514, 0, 'a920c42acbb9d005')),
+    "scaled_s0_p3": (
+        (1, 675, [], '2b5d6880570bfebc', 'c60dc1c65a6d4f76'),
+        (514, 0, '128b8254ab07d9a2')),
+    "scaled_s1_p0": (
+        (6, 767, [], 'a164c0680e084130', '916a0b9bdba99821'),
+        (824, 0, '4c05e9b3af4aae32')),
+    "scaled_s1_p1": (
+        (1, 675, [], '50b266b4d07ea036', 'fb4da16252b1a1de'),
+        (514, 0, '4ee200241b5ffd63')),
+    "scaled_s1_p2": (
+        (1, 675, [], '914337b4f0f966f7', '94007989b1c632bd'),
+        (514, 0, '47d7302394705bfc')),
+    "scaled_s1_p3": (
+        (1, 675, [], '3b2e3a5d7129a1ae', '44d1e6aa750c5165'),
+        (514, 0, '8ffb99414f69868f')),
+    "scaled_s2_p0": (
+        (6, 767, [], '39efe35025574408', 'ac7cd9d1db9e9e7c'),
+        (824, 0, 'd93127ee77b71d41')),
+    "scaled_s2_p1": (
+        (1, 675, [], 'd4189c8394a79f16', '0a3dd9e36cd98dee'),
+        (514, 0, 'eaa89df2ebf91107')),
+    "scaled_s2_p2": (
+        (1, 675, [], 'ac9e6713cc1e1b1f', 'fba7fc6ab0e3619f'),
+        (514, 0, 'efcb7c48c49a2343')),
+    "scaled_s2_p3": (
+        (1, 675, [], 'c2cda5b85c86d94e', 'e5e5d11a1bff80de'),
+        (514, 0, 'dbca2b2a30e92c65')),
 }
 
 
 def test_oracle_output_is_pinned(explorations, monkeypatch):
-    """A change inside the oracle must not change a single explored state,
-    schedule or reachable tuple."""
+    """A change inside the oracle must not change what a complete
+    exploration reaches (the kept part of each fingerprint); the explored
+    states, and so the capped explorations, are pinned as well."""
     monkeypatch.syspath_prepend(
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
     import gen
@@ -224,7 +288,7 @@ def test_oracle_output_is_pinned(explorations, monkeypatch):
 
 
 # Small programs whose shapes the corpus and generated pins miss:
-# (source, bounds, fingerprint).
+# (source, bounds, fingerprint as in _CORPUS_FINGERPRINTS).
 _SMALL_PROGRAMS = {
     # an assert inside a loop, violated once t1 has written g
     "loop_assert": ("""
@@ -243,7 +307,8 @@ _SMALL_PROGRAMS = {
           }
         }
         thread t1 { lock(a); g = 1; unlock(a); return 0; }
-        """, ExploreBounds(), (144, 2, 51, [], 'f67f11bca96a75a9', 'cd4b4cd280821873')),
+        """, ExploreBounds(),
+        ((2, 51, [], 'f67f11bca96a75a9', '8f097b755fbc368c'), (66, 0, '2d670de89ec74a85'))),
     # a lock/unlock loop cut by the visit cap while t1 competes for the mutex
     "lock_loop": ("""
         global g;
@@ -261,7 +326,8 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { lock(a); g = 0; unlock(a); return 0; }
         """, ExploreBounds(max_steps_per_thread=3),
-        (191, 4, 47, ['max_steps_per_thread'], '3abd7bc68315bee7', 'eeff1610608a0d8e')),
+        ((4, 47, ['max_steps_per_thread'], '3abd7bc68315bee7', 'eeff1610608a0d8e'),
+         (98, 0, 'e3b0c44298fc1c14'))),
     # a havoc whose values split at a guard
     "havoc_guard": ("""
         thread main {
@@ -269,7 +335,8 @@ _SMALL_PROGRAMS = {
           if (x > 0) { y = x; } else { y = 0 - x; }
           assert(y != 1);
         }
-        """, ExploreBounds(), (16, 3, 16, [], 'e4e43bdd6a471900', '279f14ba73b61291')),
+        """, ExploreBounds(),
+        ((3, 16, [], 'e4e43bdd6a471900', '296867e984238812'), (17, 0, 'a5506cf1f763acee'))),
     # a product of havoced values, violated for x = 2 only
     "havoc_product": ("""
         thread main {
@@ -277,7 +344,8 @@ _SMALL_PROGRAMS = {
           y = x * x;
           if (y > 3) { assert(x != 2); }
         }
-        """, ExploreBounds(), (14, 3, 14, [], '3b74e52dea862a99', '287ab52e21297411')),
+        """, ExploreBounds(),
+        ((3, 14, [], '3b74e52dea862a99', '296867e984238812'), (15, 0, '6de9c50abdc8b8cc'))),
     # A child inherits its creator's locals, so the second t1 starts with x
     # holding the first t1's name.  That t1 cannot copy x to a global, add
     # to it, or assert an order on it; each havoc value blocks it at one.
@@ -297,7 +365,8 @@ _SMALL_PROGRAMS = {
           }
           return 0;
         }
-        """, ExploreBounds(), (274, 10, 36, [], '1f2f1272eee924ed', 'f55cb0278fdbaa7a')),
+        """, ExploreBounds(),
+        ((10, 36, [], '1f2f1272eee924ed', 'f55cb0278fdbaa7a'), (50, 0, 'e3b0c44298fc1c14'))),
     # ... nor guard on an order of x, nor return x
     "thread_name_return": ("""
         thread main { x = create(t1); x = create(t1); }
@@ -308,7 +377,44 @@ _SMALL_PROGRAMS = {
           }
           return x;
         }
-        """, ExploreBounds(), (151, 9, 24, [], 'b56f852b4fdba6c5', 'f45aade1f87a36a2')),
+        """, ExploreBounds(),
+        ((9, 24, [], 'b56f852b4fdba6c5', 'f45aade1f87a36a2'), (30, 0, 'e3b0c44298fc1c14'))),
+    # t1 returns each havoc value, so one join reads one of several returned
+    # states of t1
+    "join_havoc_return": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main {
+          t = create(t1);
+          lock(a);
+          g = 1;
+          unlock(a);
+          r = join(t);
+          assert(r != 2);
+        }
+        thread t1 { x = ?; return x; }
+        """, ExploreBounds(),
+        ((3, 19, [], '0200a795d2c176df', '8f097b755fbc368c'), (30, 0, '4ec480b1afa12802'))),
+    # t1 reads 0 (before main's writes) or 1 (between them) and then
+    # overwrites it, so two states of t1 right after its unlock lead to one
+    # final state, with the same globals and last unlocks
+    "converge_end": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main {
+          t = create(t1);
+          lock(a);
+          g = 1;
+          unlock(a);
+          lock(a);
+          g = 2;
+          unlock(a);
+        }
+        thread t1 { lock(a); x = g; unlock(a); x = 0; y = x + 1; }
+        """, ExploreBounds(),
+        ((2, 28, [], 'd332d7f5f4345431', '36c175012f926abe'), (53, 0, 'e3b0c44298fc1c14'))),
 }
 
 
@@ -316,6 +422,44 @@ _SMALL_PROGRAMS = {
 def test_small_program_explorations_are_pinned(name):
     source, bounds, fingerprint = _SMALL_PROGRAMS[name]
     assert _fingerprint(explore(parse_program(source), bounds)) == fingerprint
+
+
+def _assert_replayable(program, schedule: list[str]) -> None:
+    """Each step of ``schedule`` (``tid: label`` lines, as in
+    ``Exploration.violations``) starts where its thread's previous step
+    ended, a thread's first step at its template's start, and a child's
+    first step after the create that names it."""
+    cfgs = build_cfg(program)
+    steps = {}  # label -> (edge, the points where the step can end)
+    for cfg in cfgs.values():
+        for e in cfg.edges:
+            end = e.dst
+            if isinstance(e.action, Lock) and program.is_atomicity_mutex(e.action.mutex):
+                (access,) = cfg.out_edges(e.dst)  # an atomic copy ends after its unlock
+                (unlock,) = cfg.out_edges(access.dst)
+                end = unlock.dst
+            steps.setdefault(f"{action_str(e.action)} @ {e.src}", (e, set()))[1].add(end)
+    at = {"main": {cfgs[program.entry].start}}  # per thread, where its next step starts
+    for line in schedule:
+        tid, label = line.split(": ", 1)
+        e, ends = steps[label]
+        assert tid in at and e.src in at[tid], (line, schedule)
+        at[tid] = ends
+        if isinstance(e.action, Create):
+            prefix = f"{tid}/{e.src}#"
+            child = f"{prefix}{sum(1 for t in at if t.startswith(prefix))}"
+            at[child] = {cfgs[e.action.template].start}
+
+
+def test_violation_schedules_are_interleavings(programs, explorations):
+    cases = [(programs[n], ex) for n, ex in explorations.items()]
+    for source, bounds, _ in _SMALL_PROGRAMS.values():
+        program = parse_program(source)
+        cases.append((program, explore(program, bounds)))
+    schedules = [(p, s) for p, ex in cases for s in ex.violations.values()]
+    assert len(schedules) >= 4
+    for program, schedule in schedules:
+        _assert_replayable(program, schedule)
 
 
 def test_violation_inside_a_loop_reports_its_first_schedule():
@@ -326,10 +470,11 @@ def test_violation_inside_a_loop_reports_its_first_schedule():
                   "main: unlock(a) @ main.7", "main: assert#0(x < 1) @ main.8"]
     assert ex.violations == {0: [
         "main: t = create(t1) @ main.0", "main: i = 0 @ main.1", "main: ?(i < 2) @ main.2",
-        *first_pass,
-        "main: i = (i + 1) @ main.9", "main: ?(0 == 0) @ main.10", "main: ?(i < 2) @ main.2",
+        *first_pass[:3],
         f"{t1}: lock(a) @ t1.0", f"{t1}: $t0 = 1 @ t1.1", f"{t1}: lock(m_g) @ t1.2",
         f"{t1}: unlock(a) @ t1.5",
+        first_pass[3],
+        "main: i = (i + 1) @ main.9", "main: ?(0 == 0) @ main.10", "main: ?(i < 2) @ main.2",
         *first_pass,
     ]}
 
