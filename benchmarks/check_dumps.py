@@ -7,8 +7,9 @@ Reads ``perfbench/reference/dumps.tsv`` (the corpus under 5 configurations
 and the scaled programs of every generator seed under 3 presets) and
 re-analyzes each row under the closure kernel in use (``KERNEL``; set
 ``CONCURREL_PURE=1`` for the numpy kernel).  Prints each mismatching row
-and the solver counts summed over the corpus rows and over the scaled
-rows, and exits 1 on any mismatch.  Runs one worker process per available CPU.
+and the solver and domain counts (interned relations, memo hits) summed
+over the corpus rows and over the scaled rows, and exits 1 on any
+mismatch.  Runs one worker process per available CPU.
 The references are only read, never written; re-record them with
 ``perfbench/record.py``.
 """
@@ -29,7 +30,8 @@ from workloads import CORPUS_CONFIGS, analyze, dump_digest, load_corpus, load_du
 
 
 def check_rows(rows: list[tuple[str, str, str, str]]) -> list[tuple]:
-    """(row, digest, evaluations, constraints, widenings) per row."""
+    """(row, digest, evaluations, constraints, widenings, relations,
+    memo hits) per row."""
     sources = load_corpus(ROOT)
     programs: dict[tuple[str, str], str] = {}
     out = []
@@ -41,9 +43,9 @@ def check_rows(rows: list[tuple[str, str, str, str]]) -> list[tuple]:
             if (seed, prog) not in programs:
                 programs.update(((seed, g.name), g.source) for g in gen.generate_set(int(seed)))
             _, result, _ = analyze(programs[seed, prog], prog, preset(cfg))
-        s = result.solver
-        out.append((row, dump_digest(result), s.stats.evaluations, len(s.constraints),
-                    s.stats.widened))
+        st = result.stats()
+        out.append((row, dump_digest(result), st["evaluations"], st["constraints"],
+                     st["widenings"], st["relations"], st["memo_hits"]))
     return out
 
 
@@ -62,16 +64,16 @@ def main() -> int:
 
     bad = 0
     totals: dict[str, list[int]] = {}
-    for row, digest, evals, constraints, widened in results:
+    for row, digest, *counts in results:
         if digest not in want[row]:
             bad += 1
             print("MISMATCH", *row, digest, sep="\t")
-        t = totals.setdefault(row[0], [0, 0, 0, 0])
-        for i, v in enumerate((1, evals, constraints, widened)):
+        t = totals.setdefault(row[0], [0] * 6)
+        for i, v in enumerate((1, *counts)):
             t[i] += v
-    for workload, (n, evals, constraints, widened) in totals.items():
+    for workload, (n, evals, constraints, widened, relations, hits) in totals.items():
         print(f"{workload}: {n} analyses, {evals} evaluations, {constraints} constraints, "
-              f"{widened} widenings")
+              f"{widened} widenings, {relations} relations, {hits} memo hits")
     print(f"kernel={KERNEL}: {len(results) - bad} of {len(results)} dump digests match, "
           f"{bad} differ")
     return 1 if bad else 0

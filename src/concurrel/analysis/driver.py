@@ -88,6 +88,8 @@ class AnalysisResult:
             "evaluations": self.solver.stats.evaluations,
             "constraints": len(self.solver.constraints),
             "widenings": self.solver.stats.widened,
+            "relations": self.dom.relations,
+            "memo_hits": self.dom.memo_hits,
             "wall_ms": round(self.wall_ms, 1),
         }
 

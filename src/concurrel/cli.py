@@ -125,6 +125,7 @@ def _run(args) -> int:
                 "truncated": oracle_report.truncated,
                 "truncated_by": sorted(ex.truncated_by),
                 "states": ex.states,
+                "reachable": len(ex.reachable),
                 "schedules": ex.schedules,
             }
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -136,6 +137,7 @@ def _run(args) -> int:
         st = result.stats()
         print(f"unknowns={st['unknowns']} evaluations={st['evaluations']} "
               f"constraints={st['constraints']} widenings={st['widenings']} "
+              f"relations={st['relations']} memo_hits={st['memo_hits']} "
               f"wall_ms={st['wall_ms']}")
         if oracle_report is not None:
             print(f"oracle: checked {oracle_report.checked_states} states, "

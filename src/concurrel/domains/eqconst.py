@@ -75,6 +75,9 @@ class EqBackend:
     def is_bot(self, r: EqRel) -> bool:
         return r.bot
 
+    def key(self, r: EqRel):
+        return None if r.bot else (r.rep, tuple(r.consts.items()))
+
     # -- views --
 
     def _const_of(self, r: EqRel, i: int) -> int | None:

@@ -179,6 +179,13 @@ class OctBackend:
     def is_bot(self, r: OctRel) -> bool:
         return self.close(r).is_bot
 
+    def key(self, r: OctRel):
+        """``(vars, matrix bytes)`` of a closed, non-⊥ octagon; None for the
+        others, which are not interned (see ``relation.py``)."""
+        if r.closed and r.m is not None:
+            return r.vars, r.m.tobytes()
+        return None
+
     def _norm(self, r: OctRel) -> OctRel:
         """Intervalized octagons must drop cross-variable bounds immediately,
         or raw matrices would transiently denote a smaller γ than their

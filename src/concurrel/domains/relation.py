@@ -13,6 +13,18 @@ The operations follow the standard relational-domain contract:
 with ``assign_value(r, x, v) = restrict(r, Vars∖{x}) ⊓ lift(⊤⊕{x↦v})`` and
 restriction satisfying  r|Vars = r,  r|∅ = ⊤,  (r|Y1)|Y2 = r|Y1∩Y2, and
 unlift(r|Y) x = ⊤ for x ∉ Y.
+
+A ``RelDomain`` hash-conses its relations: every relation it builds whose
+numeric component has a backend ``key`` (a closed, non-⊥ octagon; a non-⊥
+eqconst value) is interned under that key and the thread-id map, so equal
+representations are one object.  An unclosed octagon has no key: callers
+skip the join or comparison of an entry with itself (``a is b``) and keep
+the left operand where ``join`` would return its closure, so merging
+unclosed values would change representations and later widenings.
+``join``, ``widen``, ``meet`` and ``leq`` are memoized by the identity of
+their operands.  A memo key holds both operands, so their ids are never
+reused and a hit is exact.  The intern table and the memo tables live as
+long as the domain, that is, one analysis.
 """
 
 from __future__ import annotations
@@ -52,6 +64,9 @@ class Universe:
         return self.int_vars + tuple(v for v in self.tid_vars if v not in self.index)
 
 
+_MISS = object()
+
+
 class Relation:
     """Immutable product value; compare/inspect through its RelDomain."""
 
@@ -71,11 +86,15 @@ class NumericBackend(Protocol):
     ``support`` lists the variables a value may constrain.  ``contains`` is
     batched: ``vals`` is a 2-D array with one row of integer values per store
     (column i holds x_i), and the result is a boolean vector with one entry
-    per row; a 1-row array tests one store."""
+    per row; a 1-row array tests one store.  ``key`` is a hashable image of
+    the exact representation of ``r`` (values with equal keys behave alike
+    under every operation), or None when ``r`` must not be interned: ⊥, and
+    octagons that are not closed."""
 
     def top(self): ...
     def bot(self): ...
     def is_bot(self, r) -> bool: ...
+    def key(self, r) -> object: ...
     def leq(self, a, b) -> bool: ...
     def meet(self, a, b): ...
     def join(self, a, b): ...
@@ -106,8 +125,14 @@ class RelDomain:
             self.nb = EqBackend(n)
         else:
             raise ValueError(f"unknown numeric domain {numeric!r}")
-        self._top = Relation(self.nb.top(), {})
         self._bot = Relation(self.nb.bot(), {}, bot=True)
+        self._interned: dict[tuple, Relation] = {}
+        self._joins: dict[tuple[Relation, Relation], Relation] = {}
+        self._widens: dict[tuple[Relation, Relation], Relation] = {}
+        self._meets: dict[tuple[Relation, Relation], Relation] = {}
+        self._leqs: dict[tuple[Relation, Relation], bool] = {}
+        self.memo_hits = 0
+        self._top = self._mk(self.nb.top(), {})
 
     # -- construction --
 
@@ -120,14 +145,48 @@ class RelDomain:
     def _mk(self, num, tids: dict[str, object]) -> Relation:
         if self.nb.is_bot(num) or any(t is not TID_TOP and not t for t in tids.values()):
             return self._bot
-        return Relation(num, {k: v for k, v in tids.items() if v is not TID_TOP})
+        tids = {k: v for k, v in tids.items() if v is not TID_TOP}
+        key = self.nb.key(num)
+        if key is None:
+            return Relation(num, tids)
+        key = (key, tuple(tids.items()))
+        r = self._interned.get(key)
+        if r is None:
+            r = self._interned[key] = Relation(num, tids)
+        return r
 
     def is_bot(self, r: Relation) -> bool:
         return r.bot
 
+    @property
+    def relations(self) -> int:
+        """The number of interned relations."""
+        return len(self._interned)
+
+    def _memo(self, table: dict, a: Relation, b: Relation, op):
+        """``op(a, b)``, computed once per pair of operands."""
+        out = table.get((a, b), _MISS)
+        if out is _MISS:
+            out = table[a, b] = op(a, b)
+        else:
+            self.memo_hits += 1
+        return out
+
     # -- lattice --
 
     def leq(self, a: Relation, b: Relation) -> bool:
+        return self._memo(self._leqs, a, b, self._leq)
+
+    def meet(self, a: Relation, b: Relation) -> Relation:
+        return self._memo(self._meets, a, b, self._meet)
+
+    def join(self, a: Relation, b: Relation) -> Relation:
+        return self._memo(self._joins, a, b, self._join)
+
+    def widen(self, a: Relation, b: Relation) -> Relation:
+        return self._memo(self._widens, a, b, self._widen)
+
+    def _leq(self, a: Relation, b: Relation) -> bool:
         if a.bot:
             return True
         if b.bot:
@@ -136,7 +195,7 @@ class RelDomain:
             return False
         return all(tid_leq(a.tids.get(v, TID_TOP), t) for v, t in b.tids.items())
 
-    def meet(self, a: Relation, b: Relation) -> Relation:
+    def _meet(self, a: Relation, b: Relation) -> Relation:
         if a.bot or b.bot:
             return self._bot
         tids = dict(a.tids)
@@ -144,10 +203,10 @@ class RelDomain:
             tids[v] = tid_meet(tids.get(v, TID_TOP), t)
         return self._mk(self.nb.meet(a.num, b.num), tids)
 
-    def join(self, a: Relation, b: Relation) -> Relation:
+    def _join(self, a: Relation, b: Relation) -> Relation:
         return self._upper(a, b, self.nb.join)
 
-    def widen(self, a: Relation, b: Relation) -> Relation:
+    def _widen(self, a: Relation, b: Relation) -> Relation:
         return self._upper(a, b, self.nb.widen)
 
     def _upper(self, a: Relation, b: Relation, num_op) -> Relation:
@@ -156,7 +215,7 @@ class RelDomain:
             return b
         if b.bot:
             return a
-        tids = {v: tid_join(a.tids[v], b.tids[v]) for v in set(a.tids) & set(b.tids)}
+        tids = {v: tid_join(t, b.tids[v]) for v, t in a.tids.items() if v in b.tids}
         return self._mk(num_op(a.num, b.num), tids)
 
     def join_all(self, rs) -> Relation:

@@ -50,7 +50,7 @@ def load(name: str):
 
 @pytest.fixture(scope="session")
 def programs():
-    return {os.path.basename(p)[:-5]: parse_program(open(p).read(), p) for p in CORPUS}
+    return {name: load(name) for name in (os.path.basename(p)[:-5] for p in CORPUS)}
 
 
 @pytest.fixture(scope="session")

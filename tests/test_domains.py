@@ -861,3 +861,101 @@ def test_eqconst_commuting_operations_give_one_canonical_form():
         for g, h in zip(guards, reversed(guards)):
             forward, backward = dom.guard(forward, g), dom.guard(backward, h)
         assert _eq_form(forward.num) == _eq_form(backward.num)
+
+
+# -- interned relations and memoized lattice operations ---------------------------
+
+_LATTICE_OPS = ("join", "widen", "meet", "leq")
+
+
+def _recipe(data, maker):
+    """A relation to build in some domain: a numeric value made by ``maker``
+    (a packed octagon from ``_packed``, raw, closed or unclosed, or the end
+    of a random transfer sequence; widened by another one or not) and a
+    thread-id set for ``self``, ⊤ included."""
+    from hypothesis import strategies as st
+    from concurrel.domains.values import TID_TOP
+
+    def num():
+        if maker.numeric == "octagon" and data.draw(st.booleans()):
+            return _packed(data, maker.nb, len(maker.universe.int_vars))
+        return random_relation(maker, Random(data.draw(st.integers(0, 9999)))).num
+
+    n = num()
+    if data.draw(st.booleans()):
+        n = maker.nb.widen(n, num())
+    tid = data.draw(st.sampled_from(
+        (TID_TOP, frozenset({"t1"}), frozenset({"t2"}), frozenset({"t1", "t2"}))))
+    return n, {"self": tid}
+
+
+def test_memoized_operations_equal_those_of_a_fresh_domain():
+    """With its memo and intern table full (the thread-id-free variants of
+    the operands built first), a domain's join, widen, meet and ⊑ agree
+    with those of a fresh domain that builds the same operands, and a
+    repeated call returns the identical object."""
+    from itertools import product
+
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        numeric = data.draw(st.sampled_from(DOMAINS))
+        maker = make_domain(numeric, ("x", "y", "z"))
+        recipes = [_recipe(data, maker) for _ in range(3)]
+        dom = make_domain(numeric, ("x", "y", "z"))
+        for num, _ in recipes:
+            dom._mk(num, {})
+        rs = [dom._mk(num, dict(tids)) for num, tids in recipes]
+        for a, b in product(rs, repeat=2):
+            for op in _LATTICE_OPS:
+                getattr(dom, op)(a, b)
+        for i, j in product(range(len(rs)), repeat=2):
+            fresh = make_domain(numeric, ("x", "y", "z"))
+            a, b = (fresh._mk(num, dict(tids)) for num, tids in (recipes[i], recipes[j]))
+            judge = make_domain(numeric, ("x", "y", "z"))
+            for op in ("join", "widen", "meet"):
+                got, want = getattr(dom, op)(rs[i], rs[j]), getattr(fresh, op)(a, b)
+                assert dom.render(got) == fresh.render(want), op
+                assert eq(judge, got, want), op
+                assert getattr(dom, op)(rs[i], rs[j]) is got, op
+            assert dom.leq(rs[i], rs[j]) == fresh.leq(a, b) == judge.leq(a, b)
+
+    check()
+
+
+def test_closed_relations_are_interned_and_unclosed_ones_are_not():
+    """Two relations built separately from equal representations are one
+    object when the numeric value is closed (every eqconst value is), and
+    two objects when it is an unclosed octagon; a widened, unclosed result
+    is never the relation of its own closure."""
+    from hypothesis import given, settings, strategies as st
+    from concurrel.domains.eqconst import EqRel
+    from concurrel.domains.octagon import OctRel
+
+    def copy(num):
+        if isinstance(num, EqRel):
+            return EqRel(num.rep, dict(num.consts), num.bot)
+        return OctRel(num.vars, None if num.m is None else np.array(num.m), num.closed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        numeric = data.draw(st.sampled_from(DOMAINS))
+        dom = make_domain(numeric, ("x", "y", "z"))
+        (num, tids), (other, _) = _recipe(data, dom), _recipe(data, dom)
+        r1, r2 = dom._mk(num, tids), dom._mk(copy(num), dict(tids))
+        if dom.is_bot(r1):
+            assert r2 is r1 is dom.bot()
+        elif getattr(num, "closed", True):
+            assert r2 is r1
+        else:
+            assert r2 is not r1
+        w = dom.widen(r1, dom._mk(other, tids))
+        if not dom.is_bot(w) and not getattr(w.num, "closed", True):
+            c = dom.join(w, w)
+            assert c is not w and c.num.closed
+            assert dom.render(c) == dom.render(w)
+
+    check()
