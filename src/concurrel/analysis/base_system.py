@@ -1,26 +1,32 @@
 """The base relational analysis and its digest-refined constraint system.
 
-``BaseAnalysis`` holds the relation-level pieces of the unrefined analysis
-that both constraint systems use: the initial cluster values and main's
-start relation (``init``), the local steps (``transfer``: read, write,
-assign, guard, assert, havoc), the relation kept at an unlock, a created
-thread's id and start relation, and the returned value.
+``BaseAnalysis`` is the one base class of both constraint systems.  It holds
 
-``WrappedBaseSystem`` is the digest-refined base system.  Its right-hand
-sides key every unknown they consult or side-effect themselves: a
-non-observing action keys its successor and its side-effects (published
-cluster values, thread returns) with the digest after ``spec.unary``, and a
-created thread's start with the digest of ``spec.new_thread``; the two
-observing actions, lock and join, read ``MutexKey``/``RetKey`` values of
-each digest they may observe and share one loop over those digests
+- the relation steps of the unrefined analysis: the initial cluster values
+  and main's start relation (``init``), the local steps (``transfer``: read,
+  write, assign, guard, assert, havoc), the relation kept at an unlock, a
+  created thread's id and start relation, and the returned value;
+- the solver plumbing: key namespaces, which outgoing edges spawn a
+  constraint, the reading of the source value (a right-hand side runs only
+  when it is present and not ⊥) and the enumeration of published mutex
+  digests;
+- the relation-lattice defaults, for systems whose every value is a
+  relation: ``relation``, ``join``, ``widen`` and ``leq``.
+
+Every unknown is keyed with a digest of ``spec``, the digest specification
+the constructor takes.  A subclass provides ``initial`` and one right-hand
+side factory per action kind.
+
+``WrappedBaseSystem`` is the digest-refined base system.  A non-observing
+action keys its successor and its side-effects (published cluster values,
+thread returns) with the digest after ``spec.unary``, and a created
+thread's start with the digest of ``spec.new_thread``; the two observing
+actions, lock and join, read ``MutexKey``/``RetKey`` values of each digest
+they may observe and share one loop over those digests
 (``_observing_rhs``).
 
-The thread-id system (``improved_system.ImprovedSystem``) subclasses
-``BaseAnalysis``; both systems share the solver plumbing of
-``EdgeConstraints``: key namespaces, which outgoing edges spawn a
-constraint, the reading of the source value (a right-hand side runs only
-when it is present and not ⊥), and the enumeration of published mutex
-digests.
+The thread-id system (``improved_system.ImprovedSystem``) is the other
+subclass.
 """
 
 from __future__ import annotations
@@ -50,13 +56,18 @@ def thaw_tid_value(k):
     return TID_TOP if k == "⊤" else k
 
 
+_RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
+                Create: "_create_rhs", Return: "_return_rhs"}
+
+
 class BaseAnalysis:
-    """Relation-level pieces of the unrefined analysis (lockset splitting only)."""
+    """Relation steps, solver plumbing and relation-lattice defaults shared
+    by both constraint systems (see the module docstring)."""
 
     def __init__(self, program: Program, cfgs: dict[str, Cfg], dom: RelDomain,
                  protections: dict[str, frozenset[str]],
                  clusters: dict[str, tuple[frozenset[str], ...]],
-                 locals_: tuple[str, ...]):
+                 locals_: tuple[str, ...], spec: DigestSpec):
         self.program = program
         self.cfgs = cfgs
         self.dom = dom
@@ -64,6 +75,9 @@ class BaseAnalysis:
         self.clusters = clusters
         self.locals = frozenset(locals_) | {"self"}
         self.mutexes = sorted(clusters)
+        self.spec = spec
+
+    # -- relation steps --
 
     def init(self) -> tuple[dict[tuple[str, frozenset[str]], Relation], Relation]:
         """Every cluster value with its globals at 0, by (mutex, cluster), and
@@ -118,28 +132,7 @@ class BaseAnalysis:
         """The value of ``return x`` as a relation over ``ret`` alone."""
         return self.dom.restrict(self.dom.assign_expr(r, "ret", Var(x)), {"ret"})
 
-
-# -- solver plumbing shared by both constraint systems -------------------------
-
-
-_RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
-                Create: "_create_rhs", Return: "_return_rhs"}
-
-
-class EdgeConstraints:
-    """Key namespaces and one constraint per outgoing edge of a point unknown.
-
-    Subclasses provide ``cfgs``, ``dom``, ``relation`` (the relation of a
-    point value) and one factory per action kind (``_lock_rhs``,
-    ``_unlock_rhs``, ``_join_rhs``, ``_create_rhs``, ``_return_rhs``, and
-    ``_plain_rhs`` for local steps).  A factory closes over (edge, source
-    key) and returns ``body(view, value)``; the right-hand side reads the
-    source unknown and calls the body only when its value is present and
-    not ⊥.
-    """
-
-    cfgs: dict[str, Cfg]
-    dom: RelDomain
+    # -- solver plumbing --
 
     def namespace(self, key):
         if isinstance(key, MutexKey):
@@ -149,6 +142,10 @@ class EdgeConstraints:
         return None
 
     def constraints_for(self, key) -> list[Constraint]:
+        """One constraint per outgoing edge of a point unknown.  A factory
+        (``_lock_rhs``, ``_unlock_rhs``, ``_join_rhs``, ``_create_rhs``,
+        ``_return_rhs``, and ``_plain_rhs`` for local steps) closes over
+        (edge, source key) and returns ``body(view, value)``."""
         if not isinstance(key, PointKey):
             return []
         out = []
@@ -178,28 +175,8 @@ class EdgeConstraints:
         (reading the namespace records the dependency)."""
         return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
 
+    # -- relation-lattice defaults: every value is a Relation --
 
-def _edge_name(key: PointKey, act) -> str:
-    return f"{render_key(key)} {action_str(act)}"
-
-
-def accumulate(effects: dict, key, value, join) -> None:
-    effects[key] = join(effects[key], value) if key in effects else value
-
-
-# -- the digest wrapper ---------------------------------------------------------
-
-
-class WrappedBaseSystem(EdgeConstraints):
-    """Solver-facing constraint system: base analysis × digest spec."""
-
-    def __init__(self, base: BaseAnalysis, spec: DigestSpec):
-        self.base = base
-        self.spec = spec
-        self.dom = base.dom
-        self.cfgs = base.cfgs
-
-    # lattice plumbing: every value is a Relation
     def relation(self, value) -> Relation:
         return value
 
@@ -212,12 +189,25 @@ class WrappedBaseSystem(EdgeConstraints):
     def leq(self, key, a, b):
         return self.dom.leq(a, b)
 
-    # -- constraints --
+
+def _edge_name(key: PointKey, act) -> str:
+    return f"{render_key(key)} {action_str(act)}"
+
+
+def accumulate(effects: dict, key, value, join) -> None:
+    effects[key] = join(effects[key], value) if key in effects else value
+
+
+# -- the digest-refined base system --------------------------------------------
+
+
+class WrappedBaseSystem(BaseAnalysis):
+    """Solver-facing constraint system: base analysis × digest spec."""
 
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
-            cluster_values, start = self.base.init()
-            entry = self.cfgs[self.base.program.entry].start
+            cluster_values, start = self.init()
+            entry = self.cfgs[self.program.entry].start
             d = self.spec.init()
             effects: dict[Any, Relation] = {
                 MutexKey(a, q, d): v for (a, q), v in cluster_values.items()}
@@ -229,27 +219,31 @@ class WrappedBaseSystem(EdgeConstraints):
     # Non-observing actions key their side-effects and successor with the
     # digest after ``spec.unary`` (a created thread's start with the digest
     # of ``spec.new_thread``); side-effects come first in each effect dict.
+    # A digest depends on the edge and the source digest alone, so each
+    # factory computes its keys once.
 
     def _plain_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
+        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
 
         def body(view: View, r: Relation):
-            v = self.base.transfer(act, r)
+            v = self.transfer(act, r)
             if self.dom.is_bot(v):
                 return {}
-            return {PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest)): v}
+            return {dst: v}
 
         return body
 
     def _unlock_rhs(self, edge: Edge, src: PointKey):
         a = edge.action.mutex
-        keep = self.base.unlock_keep(src.lockset, a)
+        keep = self.unlock_keep(src.lockset, a)
+        d1 = self.spec.unary(edge.src, edge.action, src.digest)
+        published = [(MutexKey(a, q, d1), q) for q in self.clusters[a]]
+        dst = PointKey(edge.dst, src.lockset - {a}, d1)
 
         def body(view: View, r: Relation):
-            d1 = self.spec.unary(edge.src, edge.action, src.digest)
-            effects: dict[Any, Relation] = {
-                MutexKey(a, q, d1): self.dom.restrict(r, q) for q in self.base.clusters[a]}
-            effects[PointKey(edge.dst, src.lockset - {a}, d1)] = self.dom.restrict(r, keep)
+            effects: dict[Any, Relation] = {k: self.dom.restrict(r, q) for k, q in published}
+            effects[dst] = self.dom.restrict(r, keep)
             return effects
 
         return body
@@ -257,26 +251,27 @@ class WrappedBaseSystem(EdgeConstraints):
     def _create_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
         start = self.cfgs[act.template].start
+        child = PointKey(start, frozenset(), self.spec.new_thread(edge.src, start, src.digest))
+        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
 
         def body(view: View, r: Relation):
-            child_tid = self.base.new_tid(edge.src, act.template, r)
-            child = PointKey(start, frozenset(), self.spec.new_thread(edge.src, start, src.digest))
-            effects: dict[Any, Relation] = {child: self.base.start_relation(r, child_tid)}
+            child_tid = self.new_tid(edge.src, act.template, r)
+            effects: dict[Any, Relation] = {child: self.start_relation(r, child_tid)}
             v = self.dom.assign_value(r, act.local, child_tid)
             if not self.dom.is_bot(v):
-                effects[PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))] = v
+                effects[dst] = v
             return effects
 
         return body
 
     def _return_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
+        d1 = self.spec.unary(edge.src, act, src.digest)
+        dst = PointKey(edge.dst, src.lockset, d1)
 
         def body(view: View, r: Relation):
-            d1 = self.spec.unary(edge.src, act, src.digest)
             tid = freeze_tid_value(self.dom.unlift_tid(r, "self"))
-            return {RetKey((tid, d1)): self.base.returned(r, act.local),
-                    PointKey(edge.dst, src.lockset, d1): r}
+            return {RetKey((tid, d1)): self.returned(r, act.local), dst: r}
 
         return body
 
@@ -302,7 +297,7 @@ class WrappedBaseSystem(EdgeConstraints):
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         a = edge.action.mutex
-        qs = self.base.clusters[a]
+        qs = self.clusters[a]
 
         def meet_published(view: View, d1, r: Relation) -> Relation:
             vals = [view.get(MutexKey(a, q, d1)) for q in qs]
@@ -318,8 +313,6 @@ class WrappedBaseSystem(EdgeConstraints):
 
         def join_returned(view: View, d1, r: Relation) -> Relation:
             tid_val = self.dom.unlift_tid(r, act.tidvar)
-            if tid_val is BOT:
-                return self.dom.bot()
             acc = BOT
             for k in view.keys_in(("ret",)):
                 (tidkey, dd) = k.digest

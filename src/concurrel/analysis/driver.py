@@ -14,7 +14,7 @@ from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
 from ..frontend.validate import Diagnostic, validate
 from ..solver import DEFAULT_BUDGET, Solver
 from ..domains.relation import RelDomain, Relation, Universe
-from .base_system import BaseAnalysis, WrappedBaseSystem
+from .base_system import WrappedBaseSystem
 from .config import AnalysisConfig, ConfigError
 from .improved_system import ImprovedSystem
 from .keys import MutexKey, PointKey
@@ -120,15 +120,13 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
 
     if config.mode == "base":
         spec = LockOnceDigest() if config.lock_once else DigestSpec()
-        base = BaseAnalysis(program, cfgs, dom, protections, clusters, locals_)
-        system = WrappedBaseSystem(base, spec)
+        system = WrappedBaseSystem(program, cfgs, dom, protections, clusters, locals_, spec)
     else:
         system = ImprovedSystem(
             program, cfgs, dom, protections, clusters, locals_,
             clustered=(config.mode == "clusters"),
             exclude_ancestor_writes=config.exclude_ancestor_writes,
         )
-        spec = system.spec
 
     raw_budget = os.environ.get("CONCURREL_STEP_BUDGET")
     try:
@@ -141,5 +139,6 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
     solver.solve()
     wall = (time.perf_counter() - t0) * 1000.0
     return AnalysisResult(
-        program, config, cfgs, dom, universe, protections, solver, system, spec, wall, diags,
+        program, config, cfgs, dom, universe, protections, solver, system, system.spec, wall,
+        diags,
     )

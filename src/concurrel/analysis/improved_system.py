@@ -21,24 +21,26 @@ with the joined contributions of all admitted, non-accounted thread ids.
 thread ids leave unchanged: the initial cluster values by (mutex, cluster),
 which become L, and main's start relation, the local steps on r, the
 relation kept at an unlock, the child's start relation and the returned
-value.  Like the base system, it keys the unknowns it consults and
-side-effects itself.  Key namespaces, which outgoing edges spawn a
-constraint, the reading of the source state (a right-hand side runs only
-when it is present and not ⊥) and the enumeration of published mutex
-digests come from ``EdgeConstraints``.
+value, and the solver plumbing (key namespaces, which outgoing edges spawn
+a constraint, the reading of the source state, the enumeration of published
+mutex digests).  It overrides the relation-lattice defaults for its states.
+Like the base system, it keys the unknowns it consults and side-effects
+itself, and every digest comes from its ``TidDigestSpec``: ``unary`` for a
+successor, ``new_thread`` for a created thread, and ``binary`` at lock and
+join, where ``None`` excludes a combination (a thread that cannot run yet).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..digests import TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new
+from ..digests import TidDigestSpec, lcu_anc, may_create, tid_compose
 from ..frontend.ast import Program, WriteGlobal
 from ..frontend.cfg import Cfg, Edge
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
-from ..domains.values import BOT, tid_meet
-from .base_system import BaseAnalysis, EdgeConstraints, accumulate
+from ..domains.values import tid_meet
+from .base_system import BaseAnalysis, accumulate
 from .keys import MutexKey, PointKey, RetKey
 from .protections import protected_by
 
@@ -56,7 +58,7 @@ class ImprovedState:
         self.r = r
 
 
-class ImprovedSystem(BaseAnalysis, EdgeConstraints):
+class ImprovedSystem(BaseAnalysis):
     """Constraint generator for the tids and clusters modes."""
 
     def __init__(self, program: Program, cfgs: dict[str, Cfg], dom: RelDomain,
@@ -64,10 +66,9 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                  clusters: dict[str, tuple[frozenset[str], ...]],
                  locals_: tuple[str, ...], clustered: bool,
                  exclude_ancestor_writes: bool = False):
-        super().__init__(program, cfgs, dom, protections, clusters, locals_)
+        super().__init__(program, cfgs, dom, protections, clusters, locals_, TidDigestSpec())
         self.clustered = clustered
         self.exclude_ancestors = exclude_ancestor_writes
-        self.spec = TidDigestSpec()
 
     # -- digest keys at mutex/thread-return unknowns --
 
@@ -144,54 +145,60 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
 
         return [Constraint("init", rhs)]
 
+    # As in the base system, each factory computes the keys of its effects
+    # once: a digest depends on the edge and the source digest alone.
+
     def _plain_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         act = edge.action
+        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
 
         def body(view: View, s: ImprovedState):
             r = self.transfer(act, s.r)
             if dom.is_bot(r):
                 return {}
             w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
-            d1 = self.spec.unary(edge.src, act, src.digest)
-            return {PointKey(edge.dst, src.lockset, d1): ImprovedState(s.j, s.l, w, r)}
+            return {dst: ImprovedState(s.j, s.l, w, r)}
 
         return body
 
     def _create_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         act = edge.action
+        start = self.cfgs[act.template].start
+        child_digest = self.spec.new_thread(edge.src, start, src.digest)
+        child_tid = frozenset({child_digest[0]})
+        child = PointKey(start, frozenset(), child_digest)
+        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
 
         def body(view: View, s: ImprovedState):
-            start = self.cfgs[act.template].start
-            child_digest = tid_new(edge.src, start, src.digest)
-            child_tid = frozenset({child_digest[0]})
-            ego_digest = self.spec.unary(edge.src, act, src.digest)
             r_ego = dom.assign_value(s.r, act.local, child_tid)
             return {
-                PointKey(start, frozenset(), child_digest): ImprovedState(
-                    s.j, s.l, frozenset(), self.start_relation(s.r, child_tid)
-                ),
-                PointKey(edge.dst, src.lockset, ego_digest): ImprovedState(s.j, s.l, s.w, r_ego),
+                child: ImprovedState(s.j, s.l, frozenset(), self.start_relation(s.r, child_tid)),
+                dst: ImprovedState(s.j, s.l, s.w, r_ego),
             }
 
         return body
 
     def _return_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
+        d1 = self.spec.unary(edge.src, act, src.digest)
+        ret = RetKey(self.dkey(d1))
+        dst = PointKey(edge.dst, src.lockset, d1)
 
         def body(view: View, s: ImprovedState):
-            return {
-                RetKey(self.dkey(src.digest)): ImprovedState(
-                    s.j, s.l, frozenset(), self.returned(s.r, act.local)),
-                PointKey(edge.dst, src.lockset, src.digest): s,
-            }
+            return {ret: ImprovedState(s.j, s.l, frozenset(), self.returned(s.r, act.local)),
+                    dst: s}
 
         return body
 
     def _unlock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         a = edge.action.mutex
+        d1 = self.spec.unary(edge.src, edge.action, src.digest)
+        published_keys = {q: MutexKey(a, q, self.dkey(d1)) for q in self.clusters[a]}
+        keep = self.unlock_keep(src.lockset, a)
+        dst = PointKey(edge.dst, src.lockset - {a}, d1)
 
         def body(view: View, s: ImprovedState):
             effects: dict[Any, Any] = {}
@@ -205,29 +212,35 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
             for q in published:
                 v = dom.restrict(s.r, q)
                 l1[(a, q)] = v  # destructive join-local update
-                effects[MutexKey(a, q, self.dkey(src.digest))] = v
-            r1 = dom.restrict(s.r, self.unlock_keep(src.lockset, a))
+                effects[published_keys[q]] = v
+            r1 = dom.restrict(s.r, keep)
             w1 = frozenset(
                 g for g in s.w if self.protections[g] & (src.lockset - {a})
             )
-            effects[PointKey(edge.dst, src.lockset - {a}, src.digest)] = ImprovedState(
-                s.j, l1, w1, r1
-            )
+            effects[dst] = ImprovedState(s.j, l1, w1, r1)
             return effects
 
         return body
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
-        a = edge.action.mutex
+        act = edge.action
+        a = act.mutex
         qs = self.clusters[a]
+        # L stands for the ego's own past and the initial trace: the successor
+        # is keyed with what ``binary`` gives for the ego's own digest
+        # (``TidDigestSpec.binary`` keeps it), and every admitted digest
+        # contributes to that one successor
+        d1 = self.spec.binary(edge.src, act, src.digest, src.digest)
+        if d1 is None:
+            return lambda view, s: {}
+        target = PointKey(edge.dst, src.lockset | {a}, d1)
 
         def body(view: View, s: ImprovedState):
-            target = PointKey(edge.dst, src.lockset | {a}, src.digest)
             effects: dict[Any, Any] = {}
             admitted = [
                 dk for dk in self.mutex_digests(view, a)
-                if may_run(src.digest, self.dkey_digest(dk))
+                if self.spec.binary(edge.src, act, src.digest, self.dkey_digest(dk)) is not None
                 and not self.acc(src.digest, s, self.dkey_digest(dk))
             ]
 
@@ -270,14 +283,12 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
 
         def body(view: View, s: ImprovedState):
             tid_val = dom.unlift_tid(s.r, act.tidvar)
-            if tid_val is BOT:
-                return {}
-            target = PointKey(edge.dst, src.lockset, src.digest)
             effects: dict[Any, Any] = {}
             for k in view.keys_in(("ret",)):
                 cand = self.dkey_digest(k.digest)
                 (i1, _c1) = cand
-                if not may_run(src.digest, cand):
+                d1 = self.spec.binary(edge.src, act, src.digest, cand)
+                if d1 is None:
                     continue
                 if not tid_meet(frozenset({i1}), tid_val):
                     continue
@@ -291,7 +302,7 @@ class ImprovedSystem(BaseAnalysis, EdgeConstraints):
                 if dom.is_bot(r1):
                     continue
                 st = ImprovedState(s.j | rv.j | {i1}, self._l_join(s.l, rv.l), s.w, r1)
-                accumulate(effects, target, st, self.state_join)
+                accumulate(effects, PointKey(edge.dst, src.lockset, d1), st, self.state_join)
             return effects
 
         return body

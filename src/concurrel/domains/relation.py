@@ -2,17 +2,19 @@
 
 A relation is a product of a numeric component (octagon or eqconst over the
 integer-typed variables) and a non-relational map from thread-id-typed
-variables to ``TidAbs`` values.  lift/unlift/restrict act componentwise; the
-whole relation is ⊥ as soon as either component is.
+variables to ``TidAbs`` values.  assign_value/unlift_var/restrict act
+componentwise; the whole relation is ⊥ as soon as either component is.
 
-The operations follow the standard relational-domain contract:
+The operations follow the standard relational-domain contract, with the
+lift of a single binding and the unlift read one variable at a time:
 
-    lift    : (Vars →⊥ V#) → R           unlift : R → (Vars →⊥ V#)
-    assign_expr, assign_value, guard, restrict, meet, join, widen, leq
+    assign_value(r, x, v) = restrict(r, Vars∖{x}) ⊓ lift(⊤⊕{x↦v}),
+        so assign_value(⊤, x, v) = lift(⊤⊕{x↦v})
+    unlift_var(r, x) = unlift(r) x      (⊥ for ⊥; unlift_tid for thread ids)
+    assign_expr, guard, restrict, meet, join, widen, leq
 
-with ``assign_value(r, x, v) = restrict(r, Vars∖{x}) ⊓ lift(⊤⊕{x↦v})`` and
-restriction satisfying  r|Vars = r,  r|∅ = ⊤,  (r|Y1)|Y2 = r|Y1∩Y2, and
-unlift(r|Y) x = ⊤ for x ∉ Y.
+with restriction satisfying  r|Vars = r,  r|∅ = ⊤,  (r|Y1)|Y2 = r|Y1∩Y2,
+and  unlift_var(r|Y, x) = ⊤  for x ∉ Y.
 
 A ``RelDomain`` hash-conses its relations: every relation it builds whose
 numeric component has a backend ``key`` (a closed, non-⊥ octagon; a non-⊥
@@ -38,7 +40,7 @@ from ..frontend.ast import Cmp, Expr, linear_form
 from .eqconst import EqBackend
 from .octagon import OctBackend
 from .values import (
-    BOT, INF, IntAbs, TID_TOP, VarEnv, tid_join, tid_leq, tid_meet, tid_render,
+    BOT, INF, IntAbs, TID_TOP, tid_join, tid_leq, tid_meet, tid_render,
 )
 
 
@@ -230,37 +232,7 @@ class RelDomain:
             out = self.meet(out, r)
         return out
 
-    # -- lift / unlift --
-
-    def lift(self, env) -> Relation:
-        if env is VarEnv.BOT:
-            return self._bot
-        num = self.nb.top()
-        tids: dict[str, object] = {}
-        for x, v in env.entries.items():
-            if x in self.universe.index:
-                if v is BOT:
-                    return self._bot
-                if isinstance(v, IntAbs):
-                    num = self.nb.set_interval(num, self.universe.index[x], v.lo, v.hi)
-            elif x in self.universe.tid_vars:
-                if v is BOT:
-                    return self._bot
-                tids[x] = v
-            else:
-                raise KeyError(f"unknown variable {x!r}")
-        return self._mk(num, tids)
-
-    def unlift(self, r: Relation):
-        if r.bot:
-            return VarEnv.BOT
-        entries: dict[str, object] = {}
-        for x, i in self.universe.index.items():
-            v = self.nb.unlift1(r.num, i)
-            if not (isinstance(v, IntAbs) and v.is_top):
-                entries[x] = v
-        entries.update(r.tids)
-        return VarEnv(entries)
+    # -- unlift --
 
     def unlift_var(self, r: Relation, x: str):
         if r.bot:

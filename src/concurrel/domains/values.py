@@ -1,9 +1,8 @@
-"""Per-type abstract value lattices and abstract variable assignments.
+"""Per-type abstract value lattices.
 
 Integers are abstracted by intervals over the extended integers (a constant
 is a one-point interval); thread ids by finite sets of abstract thread ids
-with an explicit Top.  ``VarEnv`` is the Vars -> value map with a dedicated
-least element used by lift/unlift.
+with an explicit Top.
 """
 
 from __future__ import annotations
@@ -135,23 +134,3 @@ def tid_render(a) -> str:
     if a is TID_TOP:
         return "⊤"
     return "{" + ", ".join(sorted(str(t) for t in a)) + "}"
-
-
-class VarEnv:
-    """Type-consistent map var -> abstract value; unmentioned variables are
-    Top.  ``VarEnv.BOT`` (the shared BOT sentinel) is the least element."""
-
-    BOT = BOT
-
-    def __init__(self, entries: dict[str, Any] | None = None):
-        self.entries = dict(entries or {})
-
-    def get(self, x: str, top):
-        return self.entries.get(x, top)
-
-    def __eq__(self, other):
-        return isinstance(other, VarEnv) and self.entries == other.entries
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}↦{v!r}" for k, v in sorted(self.entries.items()))
-        return "{" + inner + "}"

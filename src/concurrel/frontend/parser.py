@@ -15,8 +15,9 @@ Grammar sketch::
 
 Declarations and thread templates may come in any order: a name may be used
 above its declaration, in a ``protect`` or in a template.  Expressions are
-linear integer arithmetic, nested at most ``MAX_NESTING`` levels deep;
-conditions are single comparisons.  `//` starts a line comment.
+integer arithmetic and conditions single comparisons; expressions, and the
+blocks of ``if``/``while`` statements, nest at most ``MAX_NESTING`` levels
+deep.  `//` starts a line comment.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .ast import (
     SReturn, SUnlock, SWhile, Stmt, Var, expr_vars,
 )
 
-# Each operator, parenthesis and unary minus is one level.  Later passes walk
-# expressions recursively, so the parser bounds the depth they meet.
+# Each operator, parenthesis and unary minus is one expression level, and
+# each if/while block one statement level.  Later passes walk expressions and
+# statements recursively, so the parser bounds the depth they meet.
 MAX_NESTING = 100
 
 KEYWORDS = {
@@ -126,9 +128,9 @@ class _Parser:
     def pos(self) -> Pos:
         return Pos(self.cur.line, self.cur.col)
 
-    def _nest(self, level: int) -> int:
+    def _nest(self, level: int, what: str = "expression") -> int:
         if level > MAX_NESTING:
-            raise self._error(f"expression nested deeper than {MAX_NESTING} levels")
+            raise self._error(f"{what} nested deeper than {MAX_NESTING} levels")
         return level
 
     # -- grammar --
@@ -157,11 +159,7 @@ class _Parser:
                 self.expect(";")
             elif self.accept("thread"):
                 name = self._unique(self.expect("name"), threads, "thread template")
-                self.expect("{")
-                body = []
-                while not self.accept("}"):
-                    body.append(self.stmt())
-                threads[name] = tuple(body)
+                threads[name] = self.block(0)
             else:
                 raise self._error(f"expected declaration or 'thread', found {self.cur.text!r}")
         self._check_declarations(set(globs), muts, protects)
@@ -201,15 +199,19 @@ class _Parser:
             raise self._error(f"duplicate {what} {tok.text!r}", tok)
         return tok.text
 
-    def block(self) -> tuple[Stmt, ...]:
+    def block(self, level: int) -> tuple[Stmt, ...]:
         self.expect("{")
         body = []
         while not self.accept("}"):
-            body.append(self.stmt())
+            body.append(self.stmt(level))
         return tuple(body)
 
-    def stmt(self) -> Stmt:
+    def stmt(self, level: int) -> Stmt:
+        """A statement at block nesting ``level``; an ``if`` or ``while``
+        nests its blocks one level deeper."""
         p = self.pos()
+        if self.cur.kind in ("if", "while"):
+            level = self._nest(level + 1, "statement")
         if self.accept("lock"):
             self.expect("(")
             m = self.expect("name").text
@@ -236,16 +238,16 @@ class _Parser:
             self.expect("(")
             c = self.cond()
             self.expect(")")
-            then = self.block()
+            then = self.block(level)
             orelse: tuple[Stmt, ...] = ()
             if self.accept("else"):
-                orelse = self.block()
+                orelse = self.block(level)
             return SIf(c, then, orelse, p)
         if self.accept("while"):
             self.expect("(")
             c = self.cond()
             self.expect(")")
-            return SWhile(c, self.block(), p)
+            return SWhile(c, self.block(level), p)
         target = self.expect("name").text
         self.expect("=")
         if self.accept("?"):

@@ -1,9 +1,10 @@
 """Demand-driven worklist solver for side-effecting constraint systems.
 
-Unknowns are discovered dynamically: when a key first receives a non-⊥
-value, the system is asked for the constraints it spawns (e.g. the outgoing
-CFG edges of a program point), and constraints subscribed to the key's
-namespace (e.g. "some unknown of mutex a appeared") are rescheduled.
+A solve starts from the system's ``initial`` constraints alone.  Unknowns
+are discovered dynamically: when a key first receives a non-⊥ value, the
+system is asked for the constraints it spawns (e.g. the outgoing CFG edges
+of a program point), and constraints subscribed to the key's namespace
+(e.g. "some unknown of mutex a appeared") are rescheduled.
 
 Right-hand sides read the current assignment through a view that records
 dependencies, and return a dict of effects {key: value}; contributions and
@@ -12,8 +13,7 @@ per key after a fixed number of strict increases, which terminates even for
 growth cycles that pass through mutex unknowns rather than CFG back edges.
 One narrowing sweep recovers most of the overshoot afterwards (Apinis, Seidl
 and Vojdani, "Side-effecting constraint systems", APLAS 2012): every key
-becomes the join of its seeds and of the effects of every constraint on the
-final assignment.
+becomes the join of the effects of every constraint on the final assignment.
 
 The sweep does not call a right-hand side again.  The worklist ends only
 when each constraint's last evaluation read the current value of every key
@@ -99,7 +99,6 @@ class Solver:
         self.ns_deps: dict[Any, set[int]] = {}
         self.last_reads: dict[int, set[Any]] = {}
         self.last_effects: dict[int, dict[Any, Any]] = {}  # freed by _narrow
-        self.seeds: list[tuple[Any, Any]] = []
         self.updates: dict[Any, int] = {}
         self.stats = SolveStats()
 
@@ -163,15 +162,12 @@ class Solver:
 
     # -- main loop --
 
-    def solve(self, seeds: list[tuple[Any, Any]] = ()) -> dict[Any, Any]:
+    def solve(self) -> dict[Any, Any]:
         queue: deque[int] = deque()
         self._queued: set[int] = set()
         for c in self.system.initial():
             self._add_constraint(c)
             self._schedule(c.cid, queue)
-        self.seeds = list(seeds)
-        for key, value in self.seeds:
-            self._apply(key, value, queue)
         while queue:
             cid = queue.popleft()
             self._queued.discard(cid)
@@ -181,20 +177,18 @@ class Solver:
 
     def _narrow(self) -> None:
         """One monotone re-accumulation sweep: recompute every key as the join
-        of its seeds and of every constraint's effects on the final (post-)
-        solution, in constraint order.  Those effects are the ones kept from
-        each constraint's last evaluation (see the module docstring), so no
+        of every constraint's effects on the final (post-)solution, in
+        constraint order.  Those effects are the ones kept from each
+        constraint's last evaluation (see the module docstring), so no
         right-hand side runs again; they are freed afterwards.  For monotone
         right-hand sides the result is a smaller post-solution."""
         join = self.system.join
         acc: dict[Any, Any] = {}
-        for key, value in self.seeds:
-            acc[key] = join(key, acc[key], value) if key in acc else value
         for c in self.constraints:
             for key, value in self.last_effects[c.cid].items():
                 acc[key] = join(key, acc[key], value) if key in acc else value
         self.last_effects = {}
-        # a key that no last effect and no seed writes keeps its value
+        # a key that no last effect writes keeps its value
         for key, old in self.values.items():
             if key not in acc:
                 acc[key] = old
@@ -208,17 +202,14 @@ class Solver:
             yield c, c.rhs(View(self))
 
     def check_post_solution(self) -> list[str]:
-        """Re-evaluate every right-hand side; report any effect or seed not
-        below the solution."""
+        """Re-evaluate every right-hand side; report any effect not below the
+        solution, as ``<constraint> -> <key>``."""
         bad = []
 
         def below(key, value) -> bool:
             cur = self.values.get(key)
             return cur is not None and self.system.leq(key, value, cur)
 
-        for key, value in self.seeds:
-            if not below(key, value):
-                bad.append(f"seed -> {key}")
         for c, effects in self._reevaluate():
             for key, value in effects.items():
                 if not below(key, value):

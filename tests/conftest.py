@@ -1,3 +1,4 @@
+import copy
 import glob
 import os
 from dataclasses import dataclass
@@ -27,6 +28,14 @@ class FixedClusters(ClusterConfig):
 
     def clusters_for(self, mutex, protected):
         return dict(self.families).get(mutex) or super().clusters_for(mutex, protected)
+
+
+def with_spec(system, spec):
+    """A copy of a constraint system that keys its unknowns with ``spec``;
+    it shares the program, domain and clusters of ``system``."""
+    system = copy.copy(system)
+    system.spec = spec
+    return system
 
 
 def unlock_publishing_nothing(unlock_rhs):

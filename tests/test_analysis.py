@@ -4,7 +4,6 @@ from concurrel.analysis import (
     ClusterConfig, MutexKey, PointKey, RetKey, WrappedBaseSystem, check_asserts,
     dump_solution, infer_protections, preset, run_analysis,
 )
-from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.driver import build_universe
 from concurrel.analysis.protections import compute_protections, protected_by
 from concurrel.digests import DigestSpec, LocksetDigest, MAIN_TID
@@ -15,10 +14,12 @@ from concurrel.frontend.cfg import Edge, Point
 from concurrel.frontend.ast import Create, Havoc, Lock, ReadGlobal, Unlock
 from concurrel.solver import Solver, View
 
+from conftest import with_spec
 from domain_utils import eq
 
 
 def make_base(src: str, cluster_mode="monolithic"):
+    """The base system of ``src`` under the trivial digest, and its domain."""
     p = parse_program(src)
     cfgs = build_cfg(p)
     protections = compute_protections(p, cfgs, "declared")
@@ -28,7 +29,7 @@ def make_base(src: str, cluster_mode="monolithic"):
     universe = build_universe(cfgs, p)
     dom = RelDomain(universe, "octagon")
     locals_ = tuple(v for v in universe.all_vars if v not in p.globals and v != "ret")
-    return BaseAnalysis(p, cfgs, dom, protections, clusters, locals_), dom
+    return WrappedBaseSystem(p, cfgs, dom, protections, clusters, locals_, DigestSpec()), dom
 
 
 SRC = """
@@ -68,11 +69,10 @@ def _edge(base, template, act_type):
 D = DigestSpec().init()  # the trivial digest: every step keeps it
 
 
-def _effects(base, edge, lockset, r, published=()):
-    """The effects of ``WrappedBaseSystem``'s right-hand side for ``edge``
-    from the point unknown (edge.src, lockset, D) holding ``r``, on a solver
+def _effects(system, edge, lockset, r, published=()):
+    """The effects of the base system's right-hand side for ``edge`` from
+    the point unknown (edge.src, lockset, D) holding ``r``, on a solver
     assignment that also holds the ``published`` (key, value) pairs."""
-    system = WrappedBaseSystem(base, DigestSpec())
     solver = Solver(system)
     src = PointKey(edge.src, lockset, D)
     for key, v in [(src, r), *published]:
@@ -168,14 +168,13 @@ def test_base_create_child_state():
 def test_base_strictness():
     """No constraint whose source is ⊥ yields effects, although each yields
     some from ⊤ (the mutex of the lock has a published value)."""
-    base, dom = make_base(SRC)
-    system = WrappedBaseSystem(base, DigestSpec())
+    system, dom = make_base(SRC)
     solver = Solver(system)
     published = MutexKey("a", frozenset({"g", "h"}), D)
     solver.values[published] = dom.top()
     solver.by_namespace[system.namespace(published)] = [published]
     n = 0
-    for p in base.cfgs["main"].points:
+    for p in system.cfgs["main"].points:
         for lockset in (frozenset(), frozenset({"a", "m_g"})):
             src = PointKey(p, lockset, D)
             for c in system.constraints_for(src):
@@ -242,6 +241,18 @@ def test_post_solution_stable(programs):
         for pname in ("octagon", "tids", "clusters"):
             res = run_analysis(programs[name], preset(pname))
             assert res.solver.check_post_solution() == [], (name, pname)
+
+
+def test_post_solution_report_names_the_edge():
+    """A point value shrunk below what its incoming edge gives is reported
+    as ``<source key> <action> -> <key>``."""
+    res = run_analysis(parse_program("thread main { x = ?; y = x; }"), preset("octagon"))
+    (key,) = res.point_keys(Point("main", 2))
+    solved = res.solver.values[key]
+    shrunk = res.dom.guard(solved, Cmp("<=", Var("x"), IntLit(0)))
+    assert not res.dom.is_bot(shrunk) and not res.dom.leq(solved, shrunk)
+    res.solver.values[key] = shrunk
+    assert res.solver.check_post_solution() == [f"[main.1, {{}}, ()] y = x -> {key}"]
 
 
 def test_cached_effects_equal_a_reevaluation(monkeypatch):
@@ -326,7 +337,7 @@ def test_wrapped_lockset_digest_matches_builtin_splitting(programs):
     the built-in lockset splitting up to key renaming."""
     for name in ("four_asserts", "lockonce", "example8", "synth_relock"):
         res = run_analysis(programs[name], preset("octagon"))
-        system = WrappedBaseSystem(res.system.base, LocksetDigest())
+        system = with_spec(res.system, LocksetDigest())
         solver = Solver(system)
         solver.solve()
         dom = res.dom

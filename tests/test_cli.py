@@ -1,12 +1,15 @@
 """CLI exit codes, JSON schema, dump determinism, and compare tables."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from concurrel.analysis import dump_solution, preset, run_analysis
 from concurrel.cli import main
+from concurrel.frontend import parse_program
 
-from conftest import corpus_path
+from conftest import corpus_path, load
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +61,9 @@ _SUM_400 = "+".join(["1"] * 400)
 _SUM_3000 = "+".join(["1"] * 3000)
 _PARENS_1500 = "(" * 1500 + "1" + ")" * 1500
 _TOO_DEEP = "expression nested deeper than 100 levels"
+_IFS_500 = "if (x < 1) { " * 500 + "}" * 500
+_WHILES_101 = "while (x < 1) { " * 101 + "}" * 101
+_TOO_DEEP_STMT = "statement nested deeper than 100 levels"
 
 
 @pytest.mark.parametrize("src, position, message", [
@@ -74,6 +80,8 @@ _TOO_DEEP = "expression nested deeper than 100 levels"
     (f"thread main {{ x = {_SUM_400}; }}", "1:222", _TOO_DEEP),
     (f"thread main {{ x = {_SUM_3000}; }}", "1:222", _TOO_DEEP),
     (f"thread main {{ x = {_PARENS_1500}; }}", "1:120", _TOO_DEEP),
+    (f"thread main {{ {_IFS_500} }}", "1:1315", _TOO_DEEP_STMT),
+    (f"thread main {{ {_WHILES_101} }}", "1:1615", _TOO_DEEP_STMT),
     ("thread main { y = 3; x = join(y); assert(0 == 1); }",
      "1:22", "join(y): only 'self' and the targets of create can be joined"),
     ("global g; thread main { x = join(g); assert(0 == 1); }",
@@ -99,7 +107,8 @@ _TOO_DEEP = "expression nested deeper than 100 levels"
     ("global g;\nmutex m_g;\nthread main { }",
      "2:7", "mutex name 'm_g' is reserved for implicit atomicity mutexes"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
-        "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500",
+        "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500", "ifs-500",
+        "whiles-101",
         "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
         "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
         "global-twice", "mutex-twice", "protect-twice", "protect-unknown-global",
@@ -111,6 +120,17 @@ def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, messa
     assert code == 2
     assert f"{f}:{position}: error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_nesting_at_the_bound_runs(tmp_path, capsys):
+    """100 nested blocks around an expression 100 levels deep pass every
+    phase, oracle and solution dump included."""
+    f = tmp_path / "deep.conc"
+    f.write_text("thread main { " + "if (x < 1) { " * 100 + f"x = {_SUM_400[:201]}; "
+                 + "}" * 100 + " }")
+    code, out, err = run_cli(capsys, "run", str(f), "--oracle", "--dump-solution")
+    assert code == 0 and err == ""
+    assert "oracle: checked 202 states, 0 witnesses" in out and "x=101" in out
 
 
 def test_protect_may_precede_its_declarations(tmp_path, capsys):
@@ -294,6 +314,74 @@ def test_flag_plumbing_overrides_preset(capsys):
                            "--cluster-size", "1")
     lines = [l for l in out.splitlines() if "assert(" in l]
     assert "h == 12" in lines[1] and lines[1].endswith("PROVEN")
+
+
+def _dump(capsys, path, *flags):
+    """The exit code and the solution dump of ``concurrel run``."""
+    code, out, _ = run_cli(capsys, "run", path, "--dump-solution", *flags)
+    return code, [l for l in out.splitlines() if l.startswith("[")]
+
+
+def test_cluster_size_keeps_the_preset_cluster_mode(capsys):
+    """Without --clusters, --cluster-size resizes the preset's own family:
+    clusters of at most K globals under the clusters preset, and still one
+    cluster per mutex under the monolithic tids preset."""
+    path = corpus_path("one_element")
+    resized = _dump(capsys, path, "--preset", "clusters", "--cluster-size", "1")
+    assert resized == _dump(capsys, path, "--preset", "clusters", "--clusters", "le-k",
+                            "--cluster-size", "1")
+    assert resized != _dump(capsys, path, "--preset", "clusters")
+    assert (_dump(capsys, path, "--preset", "tids", "--cluster-size", "1")
+            == _dump(capsys, path, "--preset", "tids"))
+
+
+def test_exclude_ancestor_writes_flag(capsys):
+    """The flag reaches the analysis: t1's assert (1) on the creator's
+    earlier writes is proven with it and not without."""
+    path = corpus_path("ancestor")
+    code, out, _ = run_cli(capsys, "run", path, "--preset", "tids",
+                           "--exclude-ancestor-writes", "--dump-solution")
+    assert code == 1  # assert (2) stays open
+    assert "assert(g == h): PROVEN" in out
+    assert out.endswith(dump_solution(
+        run_analysis(load("ancestor"), preset("tids", exclude_ancestor_writes=True))))
+    _, out, _ = run_cli(capsys, "run", path, "--preset", "tids")
+    assert "assert(g == h): UNKNOWN" in out
+
+
+def test_inferred_protections_flag(tmp_path, capsys):
+    """g is declared protected by a, and every write of it also holds b: with
+    inferred protections b publishes g too."""
+    src = ("global g; mutex a, b; protect g with a;\n"
+           "thread main { lock(a); lock(b); g = 1; unlock(b); unlock(a); }\n")
+    f = tmp_path / "nested.conc"
+    f.write_text(src)
+    code, out, _ = run_cli(capsys, "run", str(f), "--preset", "octagon",
+                           "--protections", "inferred", "--dump-solution")
+    assert code == 0
+    assert out.endswith(dump_solution(
+        run_analysis(parse_program(src), preset("octagon", protections="inferred"))))
+    assert "\n[b, {g}, ()] := g<=1, g>=0\n" in out
+    assert "[b, {}, ()] := ⊤" in _dump(capsys, str(f), "--preset", "octagon")[1]
+
+
+def test_compare_verbose_lists_every_point(capsys):
+    """--verbose adds, under each summary line, one line per program point
+    whose relations add up to the summary's counts."""
+    path = corpus_path("joins")
+    code, out, _ = run_cli(capsys, "compare", path, "--presets", "octagon,tids", "--verbose")
+    assert code == 0
+    _, brief, _ = run_cli(capsys, "compare", path, "--presets", "octagon,tids")
+    lines = out.splitlines()
+    detail = [l for l in lines if l.startswith("  ")]
+    assert [l for l in lines if l not in detail] == brief.splitlines()
+    assert lines[1:len(detail) + 1] == detail
+    points = [str(p) for cfg in run_analysis(load("joins"), preset("octagon")).cfgs.values()
+              for p in cfg.points]
+    assert [l.strip().split(": ")[0] for l in detail] == points
+    counts = Counter(l.split(": ")[1] for l in detail)
+    kinds = ("equal", "incomparable", "less-precise", "more-precise")
+    assert lines[0] == "tids vs octagon: " + ", ".join(f"{k}={counts[k]}" for k in kinds)
 
 
 def test_lock_once_flag(capsys):

@@ -74,6 +74,42 @@ def test_truncated_report_is_not_clean(programs, explorations):
         assert report.clean is not truncated, name
 
 
+NONLINEAR = """
+global g;
+mutex a;
+protect g with a;
+thread main {
+  t = create(t1);
+  y = ?; z = 3; x = 0;
+  x = y * z;
+  if (y * z <= 6) {
+    lock(a); g = x; unlock(a);
+  } else {
+    x = 2;
+  }
+  w = join(t);
+  lock(a); v = g; assert(v <= 6); unlock(a);
+}
+thread t1 {
+  lock(a); u = g; g = u * u; unlock(a);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_nonlinear_arithmetic_is_sound(config):
+    """Products of variables have no linear form: their assignments forget
+    the target and a guard over one refines nothing, and every reachable
+    state stays inside the abstraction."""
+    program = parse_program(NONLINEAR)
+    res = run_analysis(program, CONFIGS[config])
+    verdicts = check_asserts(res)
+    assert [v.verdict for v in verdicts] == ["UNKNOWN"]
+    report = checked(res, explore(program), verdicts)
+    assert report.clean and report.checked_states > 0, report.witnesses[:3]
+
+
 # -- mutation sensitivity: each broken right-hand side must produce a witness --
 
 def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations):

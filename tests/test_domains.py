@@ -6,9 +6,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from concurrel.domains import IntAbs, VarEnv
+from concurrel.domains import BOT, IntAbs, TID_TOP
 from concurrel.domains.octagon import OctBackend
-from concurrel.frontend.ast import BinOp, Cmp, IntLit, Var
+from concurrel.frontend.ast import BinOp, Cmp, IntLit, Var, linear_form
 
 from domain_utils import (
     OPS, decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
@@ -23,21 +23,25 @@ def dom(request):
 
 
 # -- basic frozen examples ------------------------------------------------------
+#
+# A binding is lifted by ``assign_value`` from ⊤, and a relation unlifted one
+# variable at a time by ``unlift_var`` (``unlift_tid`` for thread ids).
 
 def test_lift_unlift_bot(dom):
-    assert dom.is_bot(dom.lift(VarEnv.BOT))
-    assert dom.unlift(dom.bot()) is VarEnv.BOT
+    assert dom.is_bot(dom.assign_value(dom.top(), "x", BOT))
+    assert dom.unlift_var(dom.bot(), "x") is BOT
+    assert dom.unlift_tid(dom.bot(), "self") is BOT
 
 
 def test_lift_const(dom):
-    r = dom.lift(VarEnv({"x": IntAbs.const(3)}))
+    r = dom.assign_value(dom.top(), "x", IntAbs.const(3))
     assert dom.unlift_var(r, "x") == IntAbs.const(3)
     assert dom.contains(r, {"x": 3, "y": 0}) and not dom.contains(r, {"x": 4})
 
 
 def test_lift_box_octagon():
     dom = make_domain("octagon", ("x", "y"))
-    r = dom.lift(VarEnv({"x": IntAbs(1, 2), "y": IntAbs(1, 2)}))
+    r = dom.assign_value(dom.assign_value(dom.top(), "x", IntAbs(1, 2)), "y", IntAbs(1, 2))
     # γ equals the enumerated box; x−y stays within ±1 after closure
     assert gamma(dom, r, ("x", "y")) == {(1, 1), (1, 2), (2, 1), (2, 2)}
     m = dom.nb.close(r.num).m
@@ -48,9 +52,8 @@ def test_unlift_octagon_equalities():
     dom = make_domain("octagon", ("x", "y"))
     r = dom.guard(dom.top(), Cmp("==", Var("x"), Var("y")))
     r = dom.guard(r, Cmp("==", Var("x"), IntLit(7)))
-    env = dom.unlift(r)
-    assert env.entries["x"] == IntAbs.const(7)
-    assert env.entries["y"] == IntAbs.const(7)
+    assert dom.unlift_var(r, "x") == IntAbs.const(7)
+    assert dom.unlift_var(r, "y") == IntAbs.const(7)
     assert gamma(dom, r, ("x", "y"), 0, 10) == {(7, 7)}
 
 
@@ -58,9 +61,8 @@ def test_unlift_eqconst_propagates_constants():
     dom = make_domain("eqconst", ("x", "y"))
     r = dom.guard(dom.top(), Cmp("==", Var("x"), Var("y")))
     r = dom.guard(r, Cmp("==", Var("x"), IntLit(5)))
-    env = dom.unlift(r)
-    assert env.entries["x"] == IntAbs.const(5)
-    assert env.entries["y"] == IntAbs.const(5)
+    assert dom.unlift_var(r, "x") == IntAbs.const(5)
+    assert dom.unlift_var(r, "y") == IntAbs.const(5)
 
 
 def test_assign_self_is_noop(dom):
@@ -122,6 +124,13 @@ def test_restrict_laws_basic(dom):
     r = random_relation(dom, Random(11))
     assert eq(dom, dom.restrict(r, set(dom.universe.all_vars)), r)
     assert eq(dom, dom.restrict(r, set()), dom.top()) or dom.is_bot(r)
+    # unlift(r|Y) x = ⊤ for x ∉ Y, on both components
+    r = dom.assign_value(dom.assign_value(dom.top(), "y", IntAbs.const(2)), "self",
+                         frozenset({"t"}))
+    rx = dom.restrict(r, {"x"})
+    assert dom.unlift_var(rx, "y") == IntAbs.top()
+    assert dom.unlift_tid(rx, "self") is TID_TOP
+    assert dom.unlift_var(dom.restrict(r, {"y", "self"}), "y") == IntAbs.const(2)
 
 
 def test_restrict_eqconst_transitive():
@@ -637,8 +646,25 @@ def test_octagon_nonoctagonal_fallbacks_sound():
     assert dom.is_bot(r4)
 
 
+def test_nonlinear_arithmetic_is_not_tracked(dom):
+    """A product of two variables has no linear form: assigning it forgets
+    the target and keeps everything else, and a guard over it refines
+    nothing."""
+    prod = BinOp("*", Var("y"), Var("z"))
+    assert linear_form(prod) is None
+    r = dom.assign_value(dom.top(), "y", IntAbs.const(2))
+    r = dom.assign_value(dom.assign_value(r, "z", IntAbs.const(3)), "x", IntAbs.const(1))
+    r2 = dom.assign_expr(r, "x", prod)
+    assert eq(dom, r2, dom.assign_value(r, "x", IntAbs.top()))
+    assert dom.unlift_var(r2, "x") == IntAbs.top() and dom.unlift_var(r2, "z") == IntAbs.const(3)
+    for op in OPS:
+        assert dom.guard(r, Cmp(op, prod, IntLit(5))) is r
+        assert dom.guard(r, Cmp(op, Var("x"), prod)) is r
+
+
 def test_unlift_lift_above_identity():
-    """unlift ∘ lift ⊒ id on variable assignments, all numeric domains."""
+    """unlift ∘ lift ⊒ id on variable assignments, all numeric domains: each
+    variable's ``unlift_var`` is above the interval ``assign_value`` gave it."""
     from hypothesis import given, settings, strategies as st
     from concurrel.domains.values import int_leq
 
@@ -650,10 +676,11 @@ def test_unlift_lift_above_identity():
            st.sampled_from(DOMAINS))
     def check(entries, numeric):
         dom = make_domain(numeric, ("x", "y", "z"))
-        env = VarEnv(entries)
-        back = dom.unlift(dom.lift(env))
+        r = dom.top()
         for x, v in entries.items():
-            assert int_leq(v, back.get(x, IntAbs.top()))
+            r = dom.assign_value(r, x, v)
+        for x, v in entries.items():
+            assert int_leq(v, dom.unlift_var(r, x))
 
     check()
 

@@ -1,12 +1,15 @@
 """Lock-point invariants, the reads behind a lock, and cross-config monotonicity."""
 
 from concurrel.analysis import (
-    MutexKey, PointKey, WrappedBaseSystem, check_asserts, derive_lock_invariants,
+    MutexKey, PointKey, check_asserts, derive_lock_invariants,
     preset, run_analysis,
 )
-from concurrel.digests import DigestSpec
+from concurrel.digests import DigestSpec, TidDigestSpec
 from concurrel.frontend import parse_program
+from concurrel.frontend.ast import Join
 from concurrel.solver import Solver, View
+
+from conftest import with_spec
 
 def test_lock_invariants_four_asserts(programs):
     res = run_analysis(programs["four_asserts"], preset("octagon"))
@@ -72,13 +75,33 @@ class _RejectingSpec(DigestSpec):
         return None
 
 
+class _RejectingTidSpec(TidDigestSpec):
+    """Thread-id digests under which every binary combination is infeasible."""
+
+    binary = _RejectingSpec.binary
+
+
 def test_degenerate_spec_blocks_observing_actions(programs):
-    res = run_analysis(programs["lockonce"], preset("octagon"))
-    system = WrappedBaseSystem(res.system.base, _RejectingSpec())
-    solver = Solver(system)
-    solver.solve()
-    # nothing flows past any lock: no point key with a non-empty lockset
-    assert all(not k.lockset for k in solver.values if isinstance(k, PointKey))
+    """Both constraint systems ask their spec whether a lock or a join may
+    combine two traces: when ``binary`` rejects every combination, no point
+    key has a non-empty lockset or lies past a join."""
+    joining = parse_program("thread main { x = create(t1); y = join(x); z = 1; }\n"
+                            "thread t1 { return 0; }")
+    specs = {"octagon": _RejectingSpec, "tids": _RejectingTidSpec, "clusters": _RejectingTidSpec}
+    for program in (programs["lockonce"], programs["joins"], joining):
+        for name, spec in specs.items():
+            res = run_analysis(program, preset(name))
+            joined = {e.dst for cfg in res.cfgs.values() for e in cfg.edges
+                      if isinstance(e.action, Join)}
+
+            def past_lock_or_join(values):
+                return [k for k in values
+                        if isinstance(k, PointKey) and (k.lockset or k.point in joined)]
+
+            assert past_lock_or_join(res.solver.values), (program.filename, name)
+            solver = Solver(with_spec(res.system, spec()))
+            solver.solve()
+            assert past_lock_or_join(solver.values) == [], (program.filename, name)
 
 
 def test_lock_invariant_weaker_before_stronger_lock(programs):

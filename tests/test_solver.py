@@ -32,10 +32,12 @@ class IntervalSystem:
         return int_leq(a, b)
 
 
-def test_empty_system_with_seed():
+def test_initial_constraints_start_the_solve():
     solver = Solver(IntervalSystem())
-    solver.solve(seeds=[("start", IntAbs.const(7))])
-    assert solver.values == {"start": IntAbs.const(7)}
+    assert solver.solve() == {}
+    start = Constraint("start:=7", lambda view: {"start": IntAbs.const(7)})
+    solver = Solver(IntervalSystem(initial=[start]))
+    assert solver.solve() == {"start": IntAbs.const(7)}
 
 
 def test_self_loop_widens_to_infinity():
@@ -132,14 +134,17 @@ def test_determinism():
     assert mk() == mk()
 
 
-def test_narrowing_keeps_a_seeds_contribution():
-    solver = Solver(IntervalSystem(initial=[Constraint("x:=0", lambda view: {"x": IntAbs.const(0)})]))
-    solver.solve(seeds=[("x", IntAbs.const(7))])
+def test_narrowing_keeps_every_initial_contribution():
+    solver = Solver(IntervalSystem(initial=[
+        Constraint("x:=0", lambda view: {"x": IntAbs.const(0)}),
+        Constraint("x:=7", lambda view: {"x": IntAbs.const(7)}),
+    ]))
+    solver.solve()
     assert solver.values["x"] == IntAbs(0, 7)
     assert solver.check_post_solution() == []
-    # the post-solution check also verifies the seeds
+    # the post-solution check names the constraint whose effect is not below
     solver.values["x"] = IntAbs.const(0)
-    assert solver.check_post_solution() == ["seed -> x"]
+    assert solver.check_post_solution() == ["x:=7 -> x"]
 
 
 def test_narrowing_recovers_the_widening_overshoot_without_reevaluating():
