@@ -128,6 +128,8 @@ def _run(args) -> int:
                 "reachable": len(ex.reachable),
                 "schedules": ex.schedules,
             }
+        if args.dump_solution:
+            doc["solution"] = dump_solution(result)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for v in verdicts:
@@ -149,8 +151,8 @@ def _run(args) -> int:
                       f"{ex.schedules} final states by {cut}; the check is incomplete")
             for w in oracle_report.witnesses + oracle_report.proven_violated:
                 print(f"  {w}", file=sys.stderr)
-    if args.dump_solution:
-        sys.stdout.write(dump_solution(result))
+        if args.dump_solution:
+            sys.stdout.write(dump_solution(result))
     return exit_code
 
 
@@ -158,9 +160,11 @@ def _compare(args) -> int:
     names = args.presets.split(",")
     if len(names) < 2:
         _fail("concurrel: compare needs at least two presets")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in PRESETS:
             _fail(f"concurrel: unknown preset {name!r}")
+        if name in names[:i]:
+            _fail(f"concurrel: duplicate preset {name!r}")
     if len({PRESETS[name].domain for name in names}) > 1:
         _fail("concurrel: compare requires a common domain")
     results = dict(zip(names, _load_and_analyze(args.file, [PRESETS[n] for n in names])))

@@ -28,6 +28,16 @@ Every closure is the full tight closure, ``tight_close_inplace(m)``.  Both
 kernels offer that one function: the hand-written C extension ``_closure.c``
 when it is built, and the numpy kernel ``_closure_py`` otherwise or when
 ``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in use.
+
+Soundness needs float64 arithmetic that never rounds a bound inward; Apron
+rounds outward (Jeannet & Miné, CAV 2009), and here every float64 operation
+on the matrices is exact.  Finite entries are integers within
+±``EXACT_LIMIT`` (2^52), where the sum of two is exact.  A bound above
+``BOUND_LIMIT`` (2^40) in magnitude is dropped (set to +∞, which only loses
+precision) where a constant enters (``_set``, and the shift in
+``assign_linear``) and before each closure, whose path sums then stay within
+2^52 for packs of up to 2^11 variables.  ``contains`` compares int64 values
+within ±2^52, or Python ints, against the entries, both exactly.
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ else:
 
 # Bound on the bytes of one temporary of ``OctBackend.contains``.
 CONTAINS_CHUNK_BYTES = 4 << 20
+
+BOUND_LIMIT = 2.0 ** 40  # larger bounds are dropped where they enter, and before closure
+EXACT_LIMIT = 2.0 ** 52  # finite entries stay within ±EXACT_LIMIT
 
 
 class OctRel:
@@ -115,6 +128,11 @@ def _embed(r: OctRel, vars: tuple[int, ...]) -> np.ndarray:
     return m
 
 
+def _drop(m: np.ndarray, limit: float) -> None:
+    """Set the entries of ``m`` above ``limit`` in magnitude to +∞."""
+    np.putmask(m, np.abs(m) > limit, INF)
+
+
 def _project(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The rows and columns ``idx`` of ``m``."""
     return m.take(idx, 0).take(idx, 1)
@@ -129,7 +147,7 @@ def _octagonal(coeffs: dict[int, int]) -> bool:
 def _signed_columns(vars: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The universe column of each index of a pack over ``vars`` (+x at 2k,
     −x at 2k+1), and the sign it takes there."""
-    return np.repeat(vars, 2), np.tile([1.0, -1.0], len(vars))
+    return np.repeat(vars, 2), np.tile([1, -1], len(vars))
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +185,7 @@ class OctBackend:
         if r._closed_cache is not None:
             return r._closed_cache
         m = np.array(r.m)
+        _drop(m, BOUND_LIMIT)
         if tight_close_inplace(m) != 0:
             c = self._bot
         else:
@@ -260,9 +279,10 @@ class OctBackend:
     # -- constraint plumbing --
 
     def _set(self, m: np.ndarray, i: int, j: int, c: float) -> None:
-        v = min(m[i, j], c)
-        m[i, j] = v
-        m[j ^ 1, i ^ 1] = v
+        if -BOUND_LIMIT <= c <= BOUND_LIMIT:  # a larger bound is dropped
+            v = min(m[i, j], c)
+            m[i, j] = v
+            m[j ^ 1, i ^ 1] = v
 
     def _add_oct_constraint(self, m, coeffs: dict[int, int], bound: float) -> None:
         """Record sum(coeffs) ≤ bound, an octagonal constraint (see
@@ -307,13 +327,14 @@ class OctBackend:
         return lo, hi
 
     def _eval_linear(self, r: OctRel, coeffs: dict[int, int], const: int) -> tuple[float, float]:
-        lo, hi = float(const), float(const)
+        """The bounds of ``sum(coeffs) + const`` from those of each variable,
+        summed in Python ints (±∞ for a missing bound), so none rounds."""
+        lo = hi = const
         for x, cx in coeffs.items():
-            xlo, xhi = self.bounds(r, x)
-            if cx >= 0:
-                lo, hi = lo + cx * xlo, hi + cx * xhi
-            else:
-                lo, hi = lo + cx * xhi, hi + cx * xlo
+            xlo, xhi = (b if abs(b) == INF else int(b) for b in self.bounds(r, x))
+            if cx < 0:
+                xlo, xhi = xhi, xlo
+            lo, hi = lo + cx * xlo, hi + cx * xhi
         return lo, hi
 
     # -- transfer functions --
@@ -356,7 +377,7 @@ class OctBackend:
         c = self.close(r)
         if c.is_bot:
             return c
-        if coeffs == {x: 1}:  # x := x + const, an exact shift
+        if coeffs == {x: 1} and -BOUND_LIMIT <= const <= BOUND_LIMIT:  # x := x + const
             if x not in c.vars:
                 return c
             k = c.vars.index(x)
@@ -366,6 +387,7 @@ class OctBackend:
             m[:, 2 * k + 1] -= const
             m[2 * k + 1, :] += const
             m[2 * k, 2 * k] = m[2 * k + 1, 2 * k + 1] = 0.0
+            _drop(m, EXACT_LIMIT)  # sound, though the result may no longer be tight
             return OctRel(c.vars, m, True)
         if not coeffs:
             return self.set_interval(c, x, const, const)

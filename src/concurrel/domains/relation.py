@@ -38,7 +38,7 @@ import numpy as np
 
 from ..frontend.ast import Cmp, Expr, linear_form
 from .eqconst import EqBackend
-from .octagon import OctBackend
+from .octagon import EXACT_LIMIT, OctBackend
 from .values import (
     BOT, INF, IntAbs, TID_TOP, tid_join, tid_leq, tid_meet, tid_render,
 )
@@ -358,10 +358,7 @@ class RelDomain:
         The thread-id map is tested once per distinct value of a column."""
         if r.bot or not count:
             return np.zeros(count, dtype=bool)
-        try:
-            ok = self._numeric_contains(r, columns, count, np.int64)
-        except OverflowError:  # a value beyond 64 bits: compare Python ints
-            ok = self._numeric_contains(r, columns, count, object)
+        ok = self._numeric_contains(r, columns, count)
         for v, t in r.tids.items():
             if t is TID_TOP or v not in columns:
                 continue
@@ -371,17 +368,22 @@ class RelDomain:
                 ok &= np.fromiter(map(good.__getitem__, col), bool, count)
         return ok
 
-    def _numeric_contains(self, r: Relation, columns, count: int, dtype) -> np.ndarray:
-        """The numeric part of ``contains_many``, with values of ``dtype``."""
+    def _numeric_contains(self, r: Relation, columns, count: int) -> np.ndarray:
+        """The numeric part of ``contains_many``: with int64 values when every
+        int lies within ±``EXACT_LIMIT``, where the backends compare them
+        exactly, and with Python ints otherwise."""
         index = self.universe.index
-        vals = np.zeros((count, len(self.universe.int_vars)), dtype=dtype)
+        distinct = {index[v]: set(col) for v, col in columns.items() if v in index}
+        exact = all(-EXACT_LIMIT <= x <= EXACT_LIMIT
+                    for xs in distinct.values() for x in xs if isinstance(x, int))
+        vals = np.zeros((count, len(self.universe.int_vars)), dtype=np.int64 if exact else object)
         ints: set[int] = set()  # variables holding an int in every store
         duals: list[tuple[int, np.ndarray]] = []  # (variable, stores where it holds an int)
         for v, col in columns.items():
             i = index.get(v)
             if i is None:
                 continue
-            kinds = {isinstance(x, int) for x in set(col)}
+            kinds = {isinstance(x, int) for x in distinct[i]}
             if kinds == {True}:
                 ints.add(i)
                 vals[:, i] = col

@@ -12,6 +12,10 @@ Grammar sketch::
                | "while" "(" cond ")" block
                | NAME "=" ("?" | "create" "(" NAME ")" | "join" "(" NAME ")"
                            | expr) ";"
+    cond      := expr ("==" | "!=" | "<=" | ">=" | "<" | ">") expr
+    expr      := term (("+" | "-") term)*
+    term      := "-" term | primary ("*" term)?
+    primary   := NUM | NAME | "(" expr ")"
 
 Declarations and thread templates may come in any order: a name may be used
 above its declaration, in a ``protect`` or in a template.  Expressions are
@@ -277,8 +281,8 @@ class _Parser:
                 return Cmp(op, left, right)
         raise self._error("expected comparison operator")
 
-    # ``expr`` and ``term`` parse at nesting ``level`` and also return the
-    # deepest level the parsed expression reaches.
+    # ``expr``, ``term`` and ``primary`` parse at nesting ``level`` and also
+    # return the deepest level the parsed expression reaches.
 
     def expr(self, level: int) -> tuple[Expr, int]:
         e, deepest = self.term(level)
@@ -291,12 +295,15 @@ class _Parser:
         if self.accept("-"):
             t, deepest = self.term(self._nest(level + 1))
             return BinOp("-", IntLit(0), t), deepest
+        left, deepest = self.primary(level)
+        if self.accept("*"):
+            right, d = self.term(self._nest(level + 1))
+            return BinOp("*", left, right), self._nest(max(deepest + 1, d))
+        return left, deepest
+
+    def primary(self, level: int) -> tuple[Expr, int]:
         if tok := self.accept("num") or self.accept("name"):
-            atom = IntLit(int(tok.text)) if tok.kind == "num" else Var(tok.text)
-            if self.accept("*"):
-                t, deepest = self.term(self._nest(level + 1))
-                return BinOp("*", atom, t), deepest
-            return atom, level
+            return IntLit(int(tok.text)) if tok.kind == "num" else Var(tok.text), level
         if self.accept("("):
             e, deepest = self.expr(self._nest(level + 1))
             self.expect(")")

@@ -7,13 +7,14 @@ each thread carries its replayed digests (thread-id history with and without
 the encountered-creates refinement, and the lock-once set) so one exploration
 can be checked against any analysis configuration.
 
-The digests are replayed through the analyzer's own specs,
-``TidDigestSpec`` and ``LockOnceDigest``: ``new_thread`` and ``unary`` at a
-create, ``binary`` at a lock (against the digests of the mutex's last
-unlock) and at a join (against the joined thread's digests).  Both specs
-keep their digest at every other action.  A ``binary`` that returns ``None``
-on a step the oracle just took rejects a feasible combination of traces: it
-is reported in ``digest_infeasibilities``, and the thread keeps its digest.
+The digests are replayed through the analyzer's own specs, listed in
+``SPECS`` (``TidDigestSpec`` and ``LockOnceDigest``, each with the name its
+rejections carry): ``new_thread`` and ``unary`` at a create, ``binary`` at a
+lock (against the digests of the mutex's last unlock) and at a join (against
+the joined thread's digests).  Both specs keep their digest at every other
+action.  A ``binary`` that returns ``None`` on a step the oracle just took
+rejects a feasible combination of traces: it is reported in
+``digest_infeasibilities``, and the thread keeps that spec's digest.
 
 Globals start at 0; locals start at 0 (the concrete semantics allows any
 initial local values, so this is one admissible choice for an
@@ -26,19 +27,20 @@ executes as one oracle step (no user code can hold that mutex, so no
 interleaving is lost at wrapper-external points).
 
 Each thread's local state is stored once in a table, and so are the shared
-slots (globals, mutex holders, the digests of each mutex's last unlock), as
-in SPIN's collapse compression (Holzmann, "State compression in SPIN",
-1997).  Each CFG edge is compiled once into a step of one of the kinds the
-explorer dispatches on: a local step (assign, havoc, guard, assert, return)
-is a function from the moving thread to its successors, and the other kinds
-(lock, unlock, copy, create, join) hold the indices their handlers read.
+slots (globals, mutex holders, the digests of each mutex's last unlock) and
+the digests (one tuple per thread, a digest per spec), as in SPIN's collapse
+compression (Holzmann, "State compression in SPIN", 1997).  Each CFG edge is
+compiled once into a step of one of the kinds the explorer dispatches on: a
+local step (assign, havoc, guard, assert, return) is a function from the
+moving thread to its successors, and the other kinds (lock, unlock, copy,
+create, join) hold the indices their handlers read.
 
 Local steps are collapsed.  In an explored state each thread is its segment
 origin: the thread right after its creation or its last non-local step.  A
 state is a tuple of origin ids plus a shared-slots id.  An origin's segment
-is every thread reachable from it by local steps, computed (and each member
-prepared) once per exploration.  A local step reads and writes only its own
-thread and leaves the locks and the shared slots as they are, and a join
+is every thread reachable from it by local steps, computed in one pass over
+its members once per exploration.  A local step reads and writes only its
+own thread and leaves the locks and the shared slots as they are, and a join
 needs its thread returned, which a local step reaches; so an interleaved
 state (x_1 .. x_n, s) is reachable exactly when (o_1 .. o_n, s) is, with
 each x_i in the segment of o_i (Lipton, CACM 1975).  The moves of an origin
@@ -157,24 +159,26 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
     return lambda ls: op(fl(ls), fr(ls))
 
 
-# Thread tuple layout.  POINT is a point id (None once returned), TDIG and
-# LOCKONCE are ids into the exploration's tables of interned tid digests and
-# lock-once sets, and VISITS is a sorted tuple of (point id, visits).  Thread
-# tuples are interned in turn, and so are the shared slots (globals, held,
-# lu): held names each mutex's holder (or None) and lu holds the (tid digest,
-# lock-once) ids of each mutex's last unlock.  A state is (origin ids, shared
-# id), built of ints and tuples only: it hashes without Python code and holds
-# no cycle.
-TID, POINT, LOCALS, STATUS, RETVAL, TDIG, LOCKONCE, VISITS = range(8)
+# The digest specs each thread replays, with the names their rejections carry.
+SPECS = ((TidDigestSpec(), "tid"), (LockOnceDigest(), "lock-once"))
+
+# Thread tuple layout.  POINT is a point id (None once returned), DIGS is an
+# id into the exploration's table of interned digest tuples (one digest per
+# entry of SPECS), and VISITS is a sorted tuple of (point id, visits).
+# Thread tuples are interned in turn, and so are the shared slots (globals,
+# held, lu): held names each mutex's holder (or None) and lu holds the DIGS
+# id of each mutex's last unlock.  A state is (origin ids, shared id), built
+# of ints and tuples only: it hashes without Python code and holds no cycle.
+TID, POINT, LOCALS, STATUS, RETVAL, DIGS, VISITS = range(7)
 RUNNING, RETURNED, JOINED = 0, 1, 2
 
 # Kinds of steps, compiled once per CFG edge (see _Explorer._compile_edge),
-# prepared once per thread (see _Explorer._prepare), collected once per
-# segment (see _Explorer._segment) and turned into moves once per (origin,
-# shared slots) (see _Explorer._moves).  A LOCAL step reads only
-# its thread; COPYR reads the global and the last unlock of the copy's mutex,
-# COPYW and LOCK read the last unlock of their mutex, and UNLOCK reads
-# nothing but its held check.  CREATE and JOIN read the other threads.
+# evaluated once per segment member (see _Explorer._segment) and turned into
+# moves once per (origin, shared slots) (see _Explorer._moves).  A LOCAL step
+# reads only its thread; COPYR reads the global and the last unlock of the
+# copy's mutex, COPYW and LOCK read the last unlock of their mutex, and
+# UNLOCK reads nothing but its held check (see _Explorer._shared_step).
+# CREATE and JOIN read the other threads.
 LOCAL, COPYR, COPYW, LOCK, UNLOCK, CREATE, JOIN = range(7)
 
 _NO_LOCKS: frozenset[str] = frozenset()  # one object: frozenset() makes a new one each call
@@ -240,24 +244,20 @@ class _Explorer:
         self.midx = {m: i for i, m in enumerate(self.mutexes)}
         self.points: list[Point] = [p for cfg in cfgs.values() for p in cfg.points]
         self.pid = {p: i for i, p in enumerate(self.points)}
-        self.tid_spec, self.lockonce_spec = TidDigestSpec(), LockOnceDigest()
         self.observing: list[Edge] = []  # lock and join edges, indexed by observation id
-        self._observe_memo: dict[tuple[int, ...], tuple[tuple[int, int], list[str]]] = {}
+        self._observe_memo: dict[tuple[int, int, int], tuple[int, list[str]]] = {}
         self.steps: list[list] = [
             [self._compile_edge(cfg, e) for e in cfg.out_edges(p)]
             for cfg in cfgs.values() for p in cfg.points
         ]
         self.ex.tid_abstractions["main"] = (MAIN_TID, MAIN_TID)
-        self.digs: list[tuple] = []  # interned tid digests, indexed by id
+        self.digs: list[tuple] = []  # interned digest tuples (one per spec), indexed by id
         self._dig_ids: dict[tuple, int] = {}
-        self.lockonces: list[frozenset] = []  # interned lock-once sets
-        self._lockonce_ids: dict[frozenset, int] = {}
         # interned thread tuples; per thread id, the id of its view (None
-        # unless running) and its prepared steps (None until first expanded)
+        # unless running)
         self.threads: list[tuple] = []
         self._thread_ids: dict[tuple, int] = {}
         self.views: list[int | None] = []
-        self.prepared: list[list | None] = []
         # interned shared slots (globals, held, lu), indexed by shared id
         self.shared: list[tuple] = []
         self._shared_ids: dict[tuple, int] = {}
@@ -267,8 +267,8 @@ class _Explorer:
         self.moves: dict[tuple[int, int], tuple] = {}
         # the interleaved states without a move, as (thread ids, shared id)
         self.terminals: set[tuple] = set()
-        # interned views (tid, point id, locals, tdig id, lockonce id); the
-        # reachable rows are (view id, globals, lockset)
+        # interned views (tid, point id, locals, digs id); the reachable rows
+        # are (view id, globals, lockset)
         self.view_rows: list[tuple] = []
         self._view_ids: dict[tuple, int] = {}
         self.rows: set[tuple] = set()
@@ -285,7 +285,7 @@ class _Explorer:
         index, global index, x).  For a LOCAL step, x maps the moved thread
         (and the schedule that reached it) to its successor threads, or to
         None when the step cannot fire; for the other kinds it holds what
-        ``_acquire``, ``_create`` and ``_join`` read."""
+        ``_shared_step``, ``_create`` and ``_join`` read."""
         act = e.action
         label = f"{action_str(act)} @ {e.src}"
         dst = self.pid[e.dst]
@@ -302,7 +302,7 @@ class _Explorer:
             case Return(x):
                 i = self.lidx[x]
                 step = lambda t, sched: (
-                    [t[:POINT] + (None, t[LOCALS], RETURNED, t[LOCALS][i]) + t[TDIG:]]
+                    [t[:POINT] + (None, t[LOCALS], RETURNED, t[LOCALS][i]) + t[DIGS:]]
                     if isinstance(t[LOCALS][i], int) else None)
             case Assert(c, aid, _):
                 f, violations = _compile_cmp(c, self.lidx), self.ex.violations
@@ -352,17 +352,13 @@ class _Explorer:
     def _dig(self, d: tuple) -> int:
         return self._intern(self.digs, self._dig_ids, d)
 
-    def _lockonce(self, s: frozenset) -> int:
-        return self._intern(self.lockonces, self._lockonce_ids, s)
-
     def _thread(self, t: tuple) -> int:
         i = self._thread_ids.get(t)
         if i is None:
             i = self._thread_ids[t] = len(self.threads)
             self.threads.append(t)
             self.views.append(None if t[STATUS] != RUNNING else self._intern(
-                self.view_rows, self._view_ids, (t[TID], t[POINT], t[LOCALS], t[TDIG], t[LOCKONCE])))
-            self.prepared.append(None)
+                self.view_rows, self._view_ids, (t[TID], t[POINT], t[LOCALS], t[DIGS])))
         return i
 
     def _lockset(self, held: tuple, tid: str) -> frozenset:
@@ -377,13 +373,12 @@ class _Explorer:
     def run(self) -> Exploration:
         locals0 = [0] * len(self.ex.lvars)
         locals0[self.lidx["self"]] = "main"
-        main_dig = self._dig(self.tid_spec.init())
-        no_locks = self._lockonce(self.lockonce_spec.init())
+        main_digs = self._dig(tuple(spec.init() for spec, _ in SPECS))
         main = self._thread(("main", self.pid[self.cfgs[self.program.entry].start],
-                             tuple(locals0), RUNNING, 0, main_dig, no_locks, ()))
+                             tuple(locals0), RUNNING, 0, main_digs, ()))
         globals0 = (0,) * len(self.ex.gvars)
         held0 = (None,) * len(self.mutexes)
-        lu0 = ((main_dig, no_locks),) * len(self.mutexes)
+        lu0 = (main_digs,) * len(self.mutexes)
         for g, v in zip(self.ex.gvars, globals0):
             self.ex.global_values.setdefault(g, set()).add(v)
         self.rows.add((self.views[main], globals0, self._lockset(held0, "main")))
@@ -414,9 +409,9 @@ class _Explorer:
                 stucks.append(stuck)
                 tid = threads[o][TID]
                 before, after = origins[:ti], origins[ti + 1:]
-                for labels, rejected, nexts in moves:
+                for labels, rejected, nt, sid2 in moves:
                     cons = (tid, labels, sched)
-                    if nexts is None:  # a create or a join: it reads the other threads
+                    if nt is None:  # a create or a join: it reads the other threads
                         kind, source = rejected
                         if kind == CREATE:
                             rejected, states = self._create(origins, ti, sid, source)
@@ -424,10 +419,9 @@ class _Explorer:
                             rejected, states = self._join(origins, ti, sid, labels[-1], source, sched)
                         succs.extend((s2, cons) for s2 in states if s2 not in seen)
                     else:
-                        for nt, sid2 in nexts:
-                            s2 = (before + (nt,) + after, sid2)
-                            if s2 not in seen:  # it would be skipped when popped
-                                succs.append((s2, cons))
+                        s2 = (before + (nt,) + after, sid2)
+                        if s2 not in seen:  # it would be skipped when popped
+                            succs.append((s2, cons))
                     if rejected:
                         infeasible.extend(rejected)
             if all(stucks):
@@ -436,80 +430,38 @@ class _Explorer:
         self.ex.schedules = len(self.terminals)
         self.ex.segments = len(self.segments)
         points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
-        view_rows, lockonces = self.view_rows, self.lockonces
         reachable, groups = self.ex.reachable, self.ex.groups
         for view, gs, lockset in self.rows:
-            tid, p, ls, d, lo = view_rows[view]
-            reachable.add(
-                Reachable(tid, points[p], lockset, ls, gs, digs[d], tids[tid][1], lockonces[lo]))
+            tid, p, ls, d = self.view_rows[view]
+            (tdig, lockonce) = digs[d]  # in the order of SPECS
+            reachable.add(Reachable(tid, points[p], lockset, ls, gs, tdig, tids[tid][1], lockonce))
         for rs in reachable:  # in the set's order, as a walk of ``reachable`` sees them
             groups.setdefault((rs.point, rs.lockset), []).append(rs)
         return self.ex
 
     # -- steps --
 
-    def _prepare(self, x: int, sched) -> list:
-        """The steps of thread ``x``, with all the work that reads only the
-        thread done once, as (kind, label, mutex index, global index,
-        result, source).  The result of a LOCAL step is its successor thread
-        ids; that of an UNLOCK step is (successor thread ids, global write,
-        held write, lu write, rejected digests), each write a (slot, value)
-        pair or None; the other kinds have None.  source is the compiled
-        step's last field and the moved thread (at its destination, with its
-        visit counted), from which ``_acquire``, ``_create`` and ``_join``
-        compute a result.  A step that can never fire (its visit cap is
-        reached, a guard fails, an operand is a thread name) is left out.
-        Local steps are evaluated here, once per thread, where a violated
-        assert is recorded with the schedule ``sched`` that reached ``x``."""
-        t = self.threads[x]
-        out = []
-        if t[STATUS] == RUNNING:
-            for kind, dst, label, mi, gi, arg in self.steps[t[POINT]]:
-                if dst in self.revisitable:
-                    visits = dict(t[VISITS])
-                    n = visits.get(dst, 0)
-                    if n >= self.bounds.max_steps_per_thread:
-                        self.ex.truncated_by.add("max_steps_per_thread")
-                        continue
-                    visits[dst] = n + 1
-                    visits_f = tuple(sorted(visits.items()))
-                else:
-                    visits_f = t[VISITS]
-                moved = (t[TID], dst, t[LOCALS], RUNNING, t[RETVAL], t[TDIG], t[LOCKONCE], visits_f)
-                if kind == LOCAL:
-                    try:  # arithmetic on, or an order comparison with, a thread name
-                        succs = arg(moved, sched)
-                    except TypeError:
-                        continue
-                    if succs is not None:
-                        out.append((LOCAL, label, None, None, tuple(map(self._thread, succs)), None))
-                elif kind == UNLOCK:
-                    luw = (mi, (moved[TDIG], moved[LOCKONCE]))
-                    result = ((self._thread(moved),), None, (mi, None), luw, ())
-                    out.append((UNLOCK, label, mi, None, result, None))
-                else:
-                    if kind == COPYW:
-                        li, _ = arg
-                        if not isinstance(moved[LOCALS][li], int):
-                            continue  # a thread name is never written to a global
-                    out.append((kind, label, mi, gi, None, (arg, moved)))
-        self.prepared[x] = out
-        return out
-
     def _segment(self, o: int, sched) -> tuple:
         """The segment of the origin ``o``: every thread reachable from
-        ``o`` by local steps (its members, ``o`` included), each prepared
-        once, as (the view ids of the members a local step reaches, the
-        other steps of the members, the members without a local step).  A
-        step is (member, kind, labels, mutex index, global index, result,
-        source), as a prepared step whose labels are those of the local
-        steps from ``o`` to the member and its own.  ``sched`` reached
-        ``o``; a member is prepared with ``sched`` extended by the local
-        steps that reach it.  Each member counts as an explored state."""
+        ``o`` by local steps (its members, ``o`` included), found in one
+        pass that evaluates each member's steps, as (the view ids of the
+        members a local step reaches, the other steps of the members, the
+        members without a local step).  A non-local step is (member, kind,
+        labels, mutex index, global index, the compiled step's last field,
+        the moved thread), where the labels are those of the local steps
+        from ``o`` to the member and its own, and the moved thread is the
+        member at the step's destination with its visit counted.  A leaf is
+        (member, its create and join steps as (kind, the compiled step's
+        last field, the moved thread)).  A step that can never fire (its
+        visit cap is reached, a guard fails, an operand is a thread name) is
+        left out.  ``sched`` reached ``o``; a member's violated asserts are
+        recorded with ``sched`` extended by the local steps that reach it.
+        Each member counts as an explored state."""
         seg = self.segments.get(o)
         if seg is not None:
             return seg
-        threads, prepared, views = self.threads, self.prepared, self.views
+        threads, views, revisitable = self.threads, self.views, self.revisitable
+        cap = self.bounds.max_steps_per_thread
         tid = threads[o][TID]
         paths = {o: ()}  # member -> labels of the local steps from o
         members = [o]
@@ -519,39 +471,58 @@ class _Explorer:
             if self.ex.states > self.bounds.max_total_states:
                 self.ex.truncated_by.add("max_total_states")
                 break
-            path = paths[m]
-            mine = prepared[m]
-            if mine is None:
-                mine = self._prepare(m, (tid, path, sched) if path else sched)
-            local = False
-            for kind, label, mi, gi, result, source in mine:
+            path, t = paths[m], threads[m]
+            local, waits = False, []
+            mine = self.steps[t[POINT]] if t[STATUS] == RUNNING else ()
+            for kind, dst, label, mi, gi, arg in mine:
+                visits = t[VISITS]
+                if dst in revisitable:
+                    counts = dict(visits)
+                    n = counts.get(dst, 0)
+                    if n >= cap:
+                        self.ex.truncated_by.add("max_steps_per_thread")
+                        continue
+                    counts[dst] = n + 1
+                    visits = tuple(sorted(counts.items()))
+                moved = (tid, dst) + t[LOCALS:VISITS] + (visits,)
                 if kind == LOCAL:
+                    try:  # arithmetic on, or an order comparison with, a thread name
+                        succs = arg(moved, (tid, path, sched) if path else sched)
+                    except TypeError:
+                        continue
+                    if succs is None:
+                        continue
                     local = True
-                    for nt in result:
+                    for nt in map(self._thread, succs):
                         if nt not in paths:
                             paths[nt] = path + (label,)
                             members.append(nt)
-                else:
-                    steps.append((m, kind, path + (label,), mi, gi, result, source))
+                    continue
+                if kind == COPYW and not isinstance(moved[LOCALS][arg[0]], int):
+                    continue  # a thread name is never written to a global
+                if kind == CREATE or kind == JOIN:
+                    waits.append((kind, arg, moved))
+                steps.append((m, kind, path + (label,), mi, gi, arg, moved))
             if not local:
-                leaves.append(m)
+                leaves.append((m, tuple(waits)))
         reached = tuple(views[m] for m in members[1:] if views[m] is not None)
         seg = self.segments[o] = (reached, tuple(steps), tuple(leaves))
         return seg
 
     def _moves(self, o: int, sid: int, sched) -> tuple:
         """The moves of origin ``o`` from the shared slots ``sid``, and its
-        members that cannot move there but by a create or a join.  A move is
-        (labels, rejected digests, ((next origin id, next shared id), ...)),
-        one per non-local step of a member that can fire there.  The rows
-        that the members' local steps and these moves reach, and the values
-        the moves write to globals, are recorded here, once.  A create or a
-        join, which reads the other threads, is (labels, (kind, source),
-        None), and ``_create`` or ``_join`` computes it at every take.
-        ``sched`` reached the state, for ``_segment`` at the origin's first
-        expansion."""
+        leaves (see ``_segment``) that cannot move there but by a create or
+        a join.  A move is (labels, rejected digests, next origin id, next
+        shared id), one per non-local step of a member that can fire there.
+        The rows that the members' local steps and these moves reach, and
+        the values the moves write to globals, are recorded here, once.  A
+        create or a join, which reads the other threads, is (labels, (kind,
+        source), None, None), and ``_create`` or ``_join`` computes it at
+        every take.  ``sched`` reached the state, for ``_segment`` at the
+        origin's first expansion."""
         reached, steps, leaves = self._segment(o, sched)
-        globals_, held, lu = self.shared[sid]
+        slots = self.shared[sid]
+        globals_, held, _ = slots
         tid = self.threads[o][TID]
         rows = self.rows
         lockset = self._lockset(held, tid)
@@ -559,48 +530,39 @@ class _Explorer:
             rows.add((view, globals_, lockset))
         out = []
         fired = set()
-        for m, kind, labels, mi, gi, result, source in steps:
+        for m, kind, labels, mi, gi, arg, moved in steps:
             if kind == CREATE or kind == JOIN:
-                out.append((labels, (kind, source), None))
-                continue
-            if kind == UNLOCK:
-                if held[mi] != tid:
-                    continue
-            elif held[mi] is not None:  # COPYR, COPYW, LOCK
-                continue
-            else:
-                result = self._acquire(kind, labels[-1], mi, gi, source, globals_, lu)
-            fired.add(m)
-            succ_ids, gw, hw, luw, rejected = result
-            g2 = globals_ if gw is None else _set(globals_, *gw)
-            h2 = held if hw is None else _set(held, *hw)
-            lu2 = lu if luw is None else _set(lu, *luw)
-            sid2 = self._shared_id((g2, h2, lu2))
-            lockset2 = self._lockset(h2, tid)
-            for nt in succ_ids:
-                view = self.views[nt]
-                if view is not None:
-                    rows.add((view, g2, lockset2))
-            out.append((labels, rejected, tuple((nt, sid2) for nt in succ_ids)))
-        return tuple(out), tuple(m for m in leaves if m not in fired)
+                out.append((labels, (kind, (arg, moved)), None, None))
+            elif held[mi] == (tid if kind == UNLOCK else None):
+                fired.add(m)
+                nt, slots2, rejected = self._shared_step(kind, labels[-1], mi, gi, arg, moved, slots)
+                rows.add((self.views[nt], slots2[0], self._lockset(slots2[1], tid)))
+                out.append((labels, rejected, nt, self._shared_id(slots2)))
+        return tuple(out), tuple(leaf for leaf in leaves if leaf[0] not in fired)
 
-    def _acquire(self, kind: int, label: str, mi: int, gi: int, source,
-                 globals_: tuple, lu: tuple) -> tuple:
-        """The result of a COPYR, COPYW or LOCK step after the last unlock
-        ``lu[mi]`` of its mutex (and, for COPYR, the global's value)."""
-        (li, obs), moved = source
+    def _shared_step(self, kind: int, label: str, mi: int, gi: int, arg, moved: tuple,
+                     slots: tuple) -> tuple:
+        """The successor thread id, shared slots and rejected digests of a
+        COPYR, COPYW, LOCK or UNLOCK step of the mutex ``mi`` that can fire
+        from the shared slots ``slots``.  A copy or a lock observes the last
+        unlock ``lu[mi]``; a copy and an unlock leave their digests there."""
+        globals_, held, lu = slots
         tid = moved[TID]
+        if kind == UNLOCK:
+            return self._thread(moved), (globals_, _set(held, mi, None), _set(lu, mi, moved[DIGS])), ()
+        li, obs = arg
         digs2, rejected = self._observe(moved, obs, lu[mi])
         rejected = tuple(f"{r}: {tid}: {label}" for r in rejected)
-        moved = moved[:TDIG] + digs2 + moved[VISITS:]
+        moved = _set(moved, DIGS, digs2)
+        if kind == LOCK:
+            return self._thread(moved), (globals_, _set(held, mi, tid), lu), rejected
         if kind == COPYR:
-            nt = _set(moved, LOCALS, _set(moved[LOCALS], li, globals_[gi]))
-            return (self._thread(nt),), None, None, (mi, digs2), rejected
-        if kind == COPYW:
+            moved = _set(moved, LOCALS, _set(moved[LOCALS], li, globals_[gi]))
+        else:
             v = moved[LOCALS][li]
             self.ex.global_values[self.ex.gvars[gi]].add(v)
-            return (self._thread(moved),), (gi, v), None, (mi, digs2), rejected
-        return (self._thread(moved),), None, (mi, tid), None, rejected
+            globals_ = _set(globals_, gi, v)
+        return self._thread(moved), (globals_, held, _set(lu, mi, digs2)), rejected
 
     def _create(self, origins: tuple, ti: int, sid: int, source):
         """A create step of origin ``origins[ti]`` from the shared slots
@@ -612,22 +574,20 @@ class _Explorer:
         (i, e, start, start_id), moved = source
         globals_, held, _ = self.shared[sid]
         ls = moved[LOCALS]
-        tdig, lockonce = self.digs[moved[TDIG]], self.lockonces[moved[LOCKONCE]]
-        child_digest = self.tid_spec.new_thread(e.src, start, tdig)
+        mine = tuple(zip(SPECS, self.digs[moved[DIGS]]))
+        child_digs = tuple(spec.new_thread(e.src, start, d) for (spec, _), d in mine)
         child_base = tid_compose(self.ex.tid_abstractions[moved[TID]][1],
                                  CreateEdge(e.src, e.action.template))
         prefix = f"{moved[TID]}/{e.src}#"
         n2 = sum(1 for y in origins if self.threads[y][TID].startswith(prefix))
         child_tid = f"{prefix}{n2}"
-        self.ex.tid_abstractions[child_tid] = (child_digest[0], child_base)
-        child = self._thread((
-            child_tid, start_id, _set(ls, self.lidx["self"], child_tid), RUNNING, 0,
-            self._dig(child_digest),
-            self._lockonce(self.lockonce_spec.new_thread(e.src, start, lockonce)), ()))
+        # SPECS lists TidDigestSpec first; its digest is (abstract tid, creates)
+        self.ex.tid_abstractions[child_tid] = (child_digs[0][0], child_base)
+        child = self._thread((child_tid, start_id, _set(ls, self.lidx["self"], child_tid),
+                              RUNNING, 0, self._dig(child_digs), ()))
         self.rows.add((self.views[child], globals_, self._lockset(held, child_tid)))
-        nt = self._thread(moved[:LOCALS] + (_set(ls, i, child_tid),) + moved[STATUS:TDIG] + (
-            self._dig(self.tid_spec.unary(e.src, e.action, tdig)),
-            self._lockonce(self.lockonce_spec.unary(e.src, e.action, lockonce))) + moved[VISITS:])
+        digs2 = self._dig(tuple(spec.unary(e.src, e.action, d) for (spec, _), d in mine))
+        nt = self._thread(_set(_set(moved, LOCALS, _set(ls, i, child_tid)), DIGS, digs2))
         self.rows.add((self.views[nt], globals_, self._lockset(held, moved[TID])))
         return (), [(_set(origins, ti, nt) + (child,), sid)]
 
@@ -643,14 +603,14 @@ class _Explorer:
         globals_, held, _ = self.shared[sid]
         lockset = self._lockset(held, moved[TID])
         rejected, states = [], []
-        for r in self._segment(origins[tj_i], sched)[2]:
+        for r, _ in self._segment(origins[tj_i], sched)[2]:
             tj = self.threads[r]
             if tj[STATUS] != RETURNED:
                 continue
-            digs2, rejects = self._observe(moved, obs, (tj[TDIG], tj[LOCKONCE]))
+            digs2, rejects = self._observe(moved, obs, tj[DIGS])
             rejected += (f"{x}: {moved[TID]}: {label}" for x in rejects)
-            nt = self._thread(moved[:LOCALS] + (_set(moved[LOCALS], ri, tj[RETVAL]),)
-                              + moved[STATUS:TDIG] + digs2 + moved[VISITS:])
+            nt = self._thread(_set(_set(moved, LOCALS, _set(moved[LOCALS], ri, tj[RETVAL])),
+                                   DIGS, digs2))
             self.rows.add((self.views[nt], globals_, lockset))
             joined = self._thread(_set(tj, STATUS, JOINED))
             states.append((_set(_set(origins, ti, nt), tj_i, joined), sid))
@@ -659,36 +619,35 @@ class _Explorer:
     def _add_terminals(self, origins: tuple, sid: int, stucks: list) -> None:
         """Record the interleaved states of the collapsed state (``origins``,
         ``sid``) where no thread can move: one member per thread, among the
-        members in ``stucks`` that can only move by a create or a join, such
+        leaves in ``stucks`` that can only move by a create or a join, such
         that no create is under the thread cap and no join finds its thread
         returned."""
         threads = self.threads
         capped = len(origins) >= self.bounds.max_threads
         for combo in product(*stucks):
-            returned = {threads[m][TID] for m in combo if threads[m][STATUS] == RETURNED}
+            returned = {threads[m][TID] for m, _ in combo if threads[m][STATUS] == RETURNED}
             if not any(kind == CREATE and not capped
-                       or kind == JOIN and source[1][LOCALS][source[0][1]] in returned
-                       for m in combo for kind, _, _, _, _, source in self.prepared[m]):
-                self.terminals.add((combo, sid))
+                       or kind == JOIN and moved[LOCALS][arg[1]] in returned
+                       for _, waits in combo for kind, arg, moved in waits):
+                self.terminals.add((tuple(m for m, _ in combo), sid))
 
-    def _observe(self, t, obs: int, other: tuple[int, int]) -> tuple[tuple[int, int], list[str]]:
-        """The (tid digest, lock-once) ids of thread ``t`` after the observing
-        edge ``obs`` incorporates a trace with the digest ids ``other`` (the
-        last unlock of the locked mutex, or the joined thread), and the
-        digests that reject the combination."""
-        key = (obs, t[TDIG], t[LOCKONCE]) + other
+    def _observe(self, t: tuple, obs: int, other: int) -> tuple[int, list[str]]:
+        """The digests id of thread ``t`` after the observing edge ``obs``
+        incorporates a trace with the digests id ``other`` (the last unlock
+        of the locked mutex, or the joined thread), and the rejections of
+        the specs that reject the combination (each keeps its digest)."""
+        key = (obs, t[DIGS], other)
         r = self._observe_memo.get(key)
         if r is None:
             e = self.observing[obs]
-            tdig = self.tid_spec.binary(e.src, e.action, self.digs[t[TDIG]], self.digs[other[0]])
-            lockonce = self.lockonce_spec.binary(e.src, e.action, self.lockonces[t[LOCKONCE]],
-                                                 self.lockonces[other[1]])
-            r = self._observe_memo[key] = (
-                (t[TDIG] if tdig is None else self._dig(tdig),
-                 t[LOCKONCE] if lockonce is None else self._lockonce(lockonce)),
-                [f"{spec} digest rejects feasible {type(e.action).__name__.lower()}"
-                 for spec, d in (("tid", tdig), ("lock-once", lockonce)) if d is None],
-            )
+            digs, rejected = [], []
+            for (spec, name), d, d1 in zip(SPECS, self.digs[t[DIGS]], self.digs[other]):
+                d2 = spec.binary(e.src, e.action, d, d1)
+                if d2 is None:
+                    rejected.append(
+                        f"{name} digest rejects feasible {type(e.action).__name__.lower()}")
+                digs.append(d if d2 is None else d2)
+            r = self._observe_memo[key] = (self._dig(tuple(digs)), rejected)
         return r
 
 

@@ -165,7 +165,10 @@ def test_compare_bad_program_exit_2(tmp_path, capsys, monkeypatch):
     ("octagon", "concurrel: compare needs at least two presets"),
     ("octagon,bogus", "concurrel: unknown preset 'bogus'"),
     ("octagon,interval", "concurrel: compare requires a common domain"),
-], ids=["one-preset", "unknown-preset", "two-domains"])
+    ("octagon,octagon", "concurrel: duplicate preset 'octagon'"),
+    ("octagon,tids,octagon", "concurrel: duplicate preset 'octagon'"),
+], ids=["one-preset", "unknown-preset", "two-domains", "duplicate-preset",
+        "duplicate-preset-later"])
 def test_compare_bad_presets_exit_2_before_analyzing(capsys, monkeypatch, presets, message):
     import concurrel.cli as cli
 
@@ -209,6 +212,19 @@ def test_json_schema_roundtrip(capsys):
     line = next(l for l in text.splitlines() if l.startswith("unknowns="))
     fields = dict(f.split("=") for f in line.split())
     assert {k: int(fields[k]) for k in counts} == {k: doc["stats"][k] for k in counts}
+
+
+def test_json_dump_solution_is_one_document(capsys):
+    """With --format json the solution dump is the document's "solution"
+    string, so stdout parses as JSON; text mode still appends the dump."""
+    path = corpus_path("joins")
+    code, out, _ = run_cli(capsys, "run", path, "--preset", "clusters", "--format", "json",
+                           "--dump-solution")
+    assert code == 0
+    solution = dump_solution(run_analysis(load("joins"), preset("clusters")))
+    assert json.loads(out)["solution"] == solution
+    _, text, _ = run_cli(capsys, "run", path, "--preset", "clusters", "--dump-solution")
+    assert text.endswith(solution) and not text.startswith("{")
 
 
 def test_text_and_json_verdicts_agree(capsys):
@@ -274,14 +290,6 @@ def test_dump_invariants_text(capsys):
                            "--preset", "octagon", "--dump-invariants")
     assert code == 0
     assert "invariant at" in out and "lock(a)" in out
-
-
-def test_compare_identical_configs_all_equal(capsys):
-    code, out, _ = run_cli(capsys, "compare", corpus_path("example8"),
-                           "--presets", "tids,tids")
-    assert code == 0
-    line = next(l for l in out.splitlines() if l.startswith("tids vs tids"))
-    assert "incomparable=0" in line and "less-precise=0" in line and "more-precise=0" in line
 
 
 def test_compare_tids_never_less_precise_than_octagon(capsys):

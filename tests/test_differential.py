@@ -162,6 +162,32 @@ def test_values_beyond_64_bits():
         assert checked(run_analysis(program, CONFIGS[config]), exploration).ok, config
 
 
+BEYOND_2_53 = {
+    "constant-plus-one": "thread main { x = 9007199254740993; y = x + 1;"
+                         " assert(y != 9007199254740994); }",
+    "doubled-plus-one": "thread main { x = 4503599627370496; y = x + x; z = y + 1;"
+                        " assert(z != 9007199254740993); }",
+    "constant-bound": "thread main { x = 9007199254740993; assert(x <= 9007199254740992); }",
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("name", BEYOND_2_53)
+def test_constants_beyond_2_53_are_sound(name, config):
+    """float64 holds integers exactly only up to 2**53: rounded constants and
+    sums would prove asserts that every run violates, and a rounded check
+    would pass a store outside the relation.  Each assert stays UNKNOWN and
+    the check is clean."""
+    program = parse_program(BEYOND_2_53[name])
+    exploration = explore(program)
+    assert 0 in exploration.violations
+    res = run_analysis(program, CONFIGS[config])
+    verdicts = check_asserts(res)
+    assert [v.verdict for v in verdicts] == ["UNKNOWN"]
+    report = checked(res, exploration, verdicts)
+    assert report.clean and report.checked_states > 0, report.witnesses[:3]
+
+
 def test_mutation_missing_init_side_effects(monkeypatch, programs, explorations):
     orig = BaseAnalysis.init
 

@@ -355,6 +355,32 @@ def test_closure_idempotent_and_exact():
             assert back.contains(r, np.array([vals]))[0] == back.contains(c1, np.array([vals]))[0]
 
 
+@pytest.mark.parametrize("numeric", ["octagon", "interval"])
+def test_octagon_float_operations_stay_exact(numeric):
+    """Entries are float64, exact for integers up to 2**53.  A bound beyond
+    ``BOUND_LIMIT`` is dropped rather than rounded, shifts keep entries
+    within ``EXACT_LIMIT``, a non-octagonal sum is bounded in Python ints,
+    and containment compares values beyond 2**52 exactly."""
+    dom = make_domain(numeric, ("x", "y", "z"))
+    big = 2**53 + 1
+    assert dom.unlift_var(dom.assign_value(dom.top(), "x", IntAbs.const(big)), "x") == IntAbs.top()
+    shifted = dom.assign_value(dom.top(), "x", IntAbs.const(2**39))
+    for n in range(1, 2**11 + 1):  # x = 2**39 + n * BOUND_LIMIT, stored doubled
+        shifted = dom.assign_expr(shifted, "x", BinOp("+", Var("x"), IntLit(2**40)))
+        if n == 2**10:
+            assert dom.unlift_var(shifted, "x") == IntAbs.const(2**39 + 2**50)
+    assert dom.unlift_var(shifted, "x") == IntAbs.top()
+    # 32768 * 2**38 + 1 == 2**53 + 1, which float64 reads as 2**53
+    r = dom.assign_value(dom.assign_value(dom.top(), "y", IntAbs.const(2**38)), "z", IntAbs.const(1))
+    lhs = BinOp("+", BinOp("*", IntLit(32768), Var("y")), Var("z"))
+    assert not dom.is_bot(dom.guard(r, Cmp("==", lhs, IntLit(big))))
+    assert dom.contains(r, {"y": 2**38, "z": 1}) and not dom.contains(r, {"y": big, "z": 1})
+    if numeric == "octagon":
+        le = dom.guard(dom.top(), Cmp("<=", Var("x"), Var("y")))
+        assert not dom.contains(le, {"x": big, "y": big - 1})  # both round to 2**53
+        assert dom.contains(le, {"x": big, "y": big})
+
+
 # -- batched containment -----------------------------------------------------------
 
 def _row_contains(r, row) -> bool:

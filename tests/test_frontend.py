@@ -4,6 +4,7 @@ from concurrel.frontend import (
     Lock, ParseError, ReadGlobal, Unlock, WriteGlobal, build_cfg, cfg_dump,
     parse_program, pretty_print, validate,
 )
+from concurrel.frontend.ast import BinOp, IntLit, Var
 from conftest import CORPUS, load
 
 
@@ -41,6 +42,30 @@ def test_nesting_limit_is_100_levels():
                      "(" * 60 + "+".join(["1"] * 42) + ")" * 60):
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             parse_expr(too_deep)
+
+
+def test_parenthesized_left_factor_of_a_product():
+    """A number, a name or a parenthesized expression may stand left of
+    ``*``.  The printer writes every product in parentheses, so the round
+    trip reads such factors back.  A product is one level deeper than its
+    left factor."""
+    def rhs(e):
+        (stmt,) = parse_program(f"thread main {{ x = {e}; }}").threads["main"]
+        return stmt.expr
+
+    y, z = Var("y"), Var("z")
+    assert rhs("(y + z) * 2") == BinOp("*", BinOp("+", y, z), IntLit(2))
+    assert rhs("(y) * 2") == BinOp("*", y, IntLit(2))
+    assert rhs("(y * 2) * 3") == BinOp("*", BinOp("*", y, IntLit(2)), IntLit(3))
+    assert rhs("-(y) * 2 * z") == BinOp("-", IntLit(0), BinOp("*", y, BinOp("*", IntLit(2), z)))
+    p = parse_program("thread main { y = 1; z = 2; x = ((y + z) * 2) * (z - 1); }")
+    exprs = [s.expr for s in parse_program(pretty_print(p)).threads["main"]]
+    assert exprs == [s.expr for s in p.threads["main"]]
+    rhs("(" * 99 + "y" + ")" * 99 + " * 2")
+    rhs("(" * 98 + "y + z" + ")" * 98 + " * 2")
+    for too_deep in ("(" * 100 + "y" + ")" * 100 + " * 2", "(" * 99 + "y + z" + ")" * 99 + " * 2"):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            rhs(too_deep)
 
 
 def test_joining_self_stays_legal():
