@@ -10,7 +10,7 @@ from typing import Any
 
 from ..digests import DigestSpec, LockOnceDigest
 from ..frontend.ast import IntLit, Program
-from ..frontend.cfg import Cfg, Point, build_cfg, collect_locals, tid_vars
+from ..frontend.cfg import Cfg, Point, build_cfg, cfg_vars
 from ..frontend.validate import Diagnostic, validate
 from ..solver import DEFAULT_BUDGET, Solver
 from ..domains.relation import RelDomain, Relation, Universe
@@ -43,9 +43,6 @@ class AnalysisResult:
 
     # -- uniform views over the assignment --
 
-    def local_relation(self, value) -> Relation:
-        return self.system.relation(value)
-
     @cached_property
     def _point_index(self) -> dict[Point, list[PointKey]]:
         out: dict[Point, list[PointKey]] = {}
@@ -62,7 +59,7 @@ class AnalysisResult:
     def point_value(self, point: Point, lockset: frozenset[str] | None = None) -> Relation:
         """Abstract value at a point, joined over digests (and locksets)."""
         return self.dom.join_all(
-            self.local_relation(self.solver.values[k]) for k in self.point_keys(point, lockset))
+            self.system.relation(self.solver.values[k]) for k in self.point_keys(point, lockset))
 
     @cached_property
     def _published(self) -> dict[str, Relation]:
@@ -95,8 +92,8 @@ class AnalysisResult:
 
 
 def build_universe(cfgs: dict[str, Cfg], program: Program) -> Universe:
-    tids = tid_vars(cfgs)
-    ints = sorted((set(collect_locals(cfgs)) | set(program.globals) | {"ret"}) - {"self"})
+    locals_, tids = cfg_vars(cfgs)
+    ints = sorted((set(locals_) | set(program.globals) | {"ret"}) - {"self"})
     return Universe(tuple(ints), tuple(sorted(tids)))
 
 

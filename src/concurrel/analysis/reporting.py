@@ -31,7 +31,7 @@ def check_asserts(result: AnalysisResult) -> list[AssertVerdict]:
         verdict = "PROVEN"
         neg = negate(site.cond)
         for k in result.point_keys(site.point):
-            r = result.local_relation(result.solver.values[k])
+            r = result.system.relation(result.solver.values[k])
             if not result.dom.is_bot(result.dom.guard(r, neg)):
                 verdict = "UNKNOWN"
                 break

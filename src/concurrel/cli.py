@@ -136,11 +136,7 @@ def _run(args) -> int:
             print(f"{program.filename}:{v.line}:{v.col}: assert({v.cond}): {v.verdict}")
         for iv in invariants:
             print(f"invariant at {iv.point} lock({iv.mutex}): {iv.invariant}")
-        st = result.stats()
-        print(f"unknowns={st['unknowns']} evaluations={st['evaluations']} "
-              f"constraints={st['constraints']} widenings={st['widenings']} "
-              f"relations={st['relations']} memo_hits={st['memo_hits']} "
-              f"wall_ms={st['wall_ms']}")
+        print(" ".join(f"{k}={v}" for k, v in result.stats().items()))
         if oracle_report is not None:
             print(f"oracle: checked {oracle_report.checked_states} states, "
                   f"{len(oracle_report.witnesses)} witnesses, "

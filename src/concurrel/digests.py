@@ -12,26 +12,20 @@ abstract thread ids with creation histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import total_ordering
 
 from .frontend.ast import Action, Create, Join, Lock, Unlock
-from .frontend.cfg import Point
+from .frontend.cfg import Point, hash_once
 
 
 # -- abstract thread ids (creation histories with spill sets) -----------------
 
 @dataclass(frozen=True, order=True)
+@hash_once
 class CreateEdge:
     point: Point  # source point of the create edge
     template: str  # template the created thread starts in
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.point, self.template)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"⟨{self.point},{self.template}⟩"
@@ -39,6 +33,7 @@ class CreateEdge:
 
 @total_ordering
 @dataclass(frozen=True)
+@hash_once
 class AbstractTid:
     """(prefix of create edges after the main marker, spill set).
 
@@ -48,13 +43,6 @@ class AbstractTid:
 
     prefix: tuple[CreateEdge, ...] = ()
     spill: frozenset[CreateEdge] = frozenset()
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.prefix, self.spill)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def unique(self) -> bool:

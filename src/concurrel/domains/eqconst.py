@@ -9,11 +9,23 @@ its class.  Classes with equal constants are merged, so i = j holds iff
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 
 import numpy as np
 
 from .values import BOT, IntAbs
+
+
+# ``str`` refuses integers of more decimal digits than this (0: no limit).
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _printable(c: int) -> bool:
+    """Whether ``str(c)`` works; larger constants are forgotten, so that
+    every relation can be rendered.  A b-bit integer has at most
+    b·log10(2) + 1 decimal digits."""
+    return not _MAX_DIGITS or abs(c).bit_length() * 0.302 <= _MAX_DIGITS - 1
 
 
 class EqRel:
@@ -148,7 +160,7 @@ class EqBackend:
         if lo > hi:
             return self._bot
         f = self.forget(r, [x])
-        if f.bot or lo != hi:
+        if f.bot or lo != hi or not _printable(int(lo)):
             return f
         return _canon(self.n, enumerate(f.rep), [*f.consts.items(), (x, int(lo))])
 
@@ -183,7 +195,7 @@ class EqBackend:
         items = sorted(coeffs.items())
         if len(items) == 1:
             (y, cy) = items[0]
-            if cy in (1, -1):
+            if cy in (1, -1) and _printable(const):
                 return self.meet(r, _canon(self.n, (), [(y, -const * cy)]))
         if len(items) == 2 and const == 0:
             (y, cy), (z, cz) = items

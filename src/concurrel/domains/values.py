@@ -14,34 +14,23 @@ from typing import Any
 INF = math.inf
 
 
-class _Bot:
-    _inst = None
+class _Constant:
+    """A lattice element outside the value types, compared by identity;
+    copies and pickles of it are the module-level instance itself."""
 
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "⊥"
-
-
-BOT = _Bot()
-
-
-class _TidTop:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
+    def __init__(self, name: str, text: str):
+        self.name = name
+        self.text = text
 
     def __repr__(self):
-        return "⊤"
+        return self.text
+
+    def __reduce__(self):
+        return self.name
 
 
-TID_TOP = _TidTop()
+BOT = _Constant("BOT", "⊥")
+TID_TOP = _Constant("TID_TOP", "⊤")
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,7 @@ def int_widen(a, b):
 
 
 # TidAbs: frozenset of abstract thread ids, or TID_TOP; the empty set is Bot.
-TidAbs = Any  # frozenset | _TidTop
+TidAbs = Any  # frozenset | TID_TOP
 
 
 def tid_meet(a, b):

@@ -4,8 +4,7 @@ from .ast import (  # noqa: F401
     WriteGlobal, action_str, expr_vars, linear_form, negate,
 )
 from .cfg import (  # noqa: F401
-    AssertSite, Cfg, Edge, Point, assert_sites, build_cfg, cfg_dump,
-    collect_locals, tid_vars,
+    AssertSite, Cfg, Edge, Point, assert_sites, build_cfg, cfg_dump, cfg_vars,
 )
 from .parser import ParseError, parse_program  # noqa: F401
 from .pretty import pretty_print  # noqa: F401

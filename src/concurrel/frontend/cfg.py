@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .ast import (
     Action, Assert, AssignLocal, Cmp, Create, Expr, Guard, Havoc, IntLit,
@@ -20,18 +21,32 @@ from .ast import (
 )
 
 
+def hash_once(cls):
+    """Make a frozen dataclass hash its fields once, when it is built.
+
+    Points key the CFG's and the oracle's tables, and point and mutex keys,
+    with the thread ids inside their digests, key every table of the solver;
+    without this, each lookup rehashes the whole field tuple.  The hash is
+    that of the same tuple, so hash values and set orders are those of a
+    plain dataclass hash.  Apply it below ``@dataclass``: the dataclass then
+    keeps this explicit ``__hash__`` instead of writing its own, and its
+    generated ``__init__`` calls this ``__post_init__``.
+    """
+    fields_of = attrgetter(*cls.__annotations__)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(fields_of(self)))
+
+    cls.__post_init__ = __post_init__
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
 @dataclass(frozen=True, order=True)
+@hash_once
 class Point:
     template: str
     idx: int
-    # points key every dict of the analysis and the oracle: hash them once
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.template, self.idx)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.template}.{self.idx}"
@@ -69,24 +84,29 @@ TRUE_GUARD = Cmp("==", IntLit(0), IntLit(0))
 
 
 class _Lowerer:
-    def __init__(self, prog: Program, template: str, tmp_counter: list[int], aid_counter: list[int]):
+    """Lowers the templates of one program in turn; temporaries and assert
+    ids are numbered across the whole program."""
+
+    def __init__(self, prog: Program):
         self.prog = prog
         self.gset = set(prog.globals)
-        self.cfg = Cfg(template, Point(template, 0), [Point(template, 0)])
-        self.n = 1
-        self.tmp_counter = tmp_counter
-        self.aid_counter = aid_counter
+        self.tmps = 0
+        self.aids = 0
         self.pos = Pos(0, 0)  # position of the statement being lowered
 
+    def lower(self, template: str, body: tuple[Stmt, ...]) -> Cfg:
+        self.cfg = Cfg(template, Point(template, 0), [Point(template, 0)])
+        self.block(body, self.cfg.start)
+        return self.cfg
+
     def fresh(self) -> Point:
-        p = Point(self.cfg.template, self.n)
-        self.n += 1
+        p = Point(self.cfg.template, len(self.cfg.points))
         self.cfg.points.append(p)
         return p
 
     def tmp(self) -> str:
-        self.tmp_counter[0] += 1
-        return f"$t{self.tmp_counter[0] - 1}"
+        self.tmps += 1
+        return f"$t{self.tmps - 1}"
 
     def edge(self, src: Point, act: Action) -> Point:
         dst = self.fresh()
@@ -96,17 +116,11 @@ class _Lowerer:
     def edge_to(self, src: Point, act: Action, dst: Point) -> None:
         self.cfg.edges.append(Edge(src, act, dst, self.pos))
 
-    # -- global access wrappers --
-
-    def read(self, cur: Point, local: str, g: str) -> Point:
-        cur = self.edge(cur, Lock(self.prog.protecting_mutex(g)))
-        cur = self.edge(cur, ReadGlobal(local, g))
-        return self.edge(cur, Unlock(self.prog.protecting_mutex(g)))
-
-    def write(self, cur: Point, g: str, local: str) -> Point:
-        cur = self.edge(cur, Lock(self.prog.protecting_mutex(g)))
-        cur = self.edge(cur, WriteGlobal(g, local))
-        return self.edge(cur, Unlock(self.prog.protecting_mutex(g)))
+    def copy(self, cur: Point, access: ReadGlobal | WriteGlobal) -> Point:
+        """The copy ``access`` between a global and a local, wrapped in the
+        global's atomicity mutex."""
+        m = self.prog.protecting_mutex(access.glob)
+        return self.edge(self.edge(self.edge(cur, Lock(m)), access), Unlock(m))
 
     def to_local(self, cur: Point, e: Expr) -> tuple[Point, str]:
         """Make the value of ``e`` available in a local, reading globals if needed."""
@@ -114,7 +128,7 @@ class _Lowerer:
             return cur, e.name
         t = self.tmp()
         if isinstance(e, Var):  # bare global
-            return self.read(cur, t, e.name), t
+            return self.copy(cur, ReadGlobal(t, e.name)), t
         return self.edge(cur, AssignLocal(t, e)), t
 
     # -- statements --
@@ -136,10 +150,10 @@ class _Lowerer:
                     if havoc:
                         t = self.tmp()
                         cur = self.edge(cur, Havoc(t))
-                        return self.write(cur, x, t)
+                        return self.copy(cur, WriteGlobal(x, t))
                     assert e is not None
                     cur, t = self.to_local(cur, e)
-                    return self.write(cur, x, t)
+                    return self.copy(cur, WriteGlobal(x, t))
                 if havoc:
                     return self.edge(cur, Havoc(x))
                 if create:
@@ -148,7 +162,7 @@ class _Lowerer:
                     return self.edge(cur, Join(x, join))
                 assert e is not None
                 if isinstance(e, Var) and e.name in self.gset:
-                    return self.read(cur, x, e.name)
+                    return self.copy(cur, ReadGlobal(x, e.name))
                 return self.edge(cur, AssignLocal(x, e))
             case SReturn(e, _):
                 cur, t = self.to_local(cur, e)
@@ -157,9 +171,8 @@ class _Lowerer:
             case SAssert(c, pos):
                 orig = str(c)
                 cur, c = self.hoist_globals(cur, c)
-                aid = self.aid_counter[0]
-                self.aid_counter[0] += 1
-                return self.edge(cur, Assert(c, aid, pos, orig))
+                self.aids += 1
+                return self.edge(cur, Assert(c, self.aids - 1, pos, orig))
             case SIf(c, then, orelse, _):
                 t_in = self.edge(cur, Guard(c))
                 e_in = self.edge(cur, Guard(negate(c)))
@@ -187,7 +200,7 @@ class _Lowerer:
         subst: dict[str, str] = {}
         for v in sorted(expr_vars(c) & self.gset):
             t = self.tmp()
-            cur = self.read(cur, t, v)
+            cur = self.copy(cur, ReadGlobal(t, v))
             subst[v] = t
 
         def sub(e):
@@ -206,21 +219,17 @@ class _Lowerer:
 
 def build_cfg(program: Program) -> dict[str, Cfg]:
     """Lower every template; deterministic point numbering per template."""
-    tmp_counter = [0]
-    aid_counter = [0]
-    cfgs: dict[str, Cfg] = {}
-    for name, body in program.threads.items():
-        lo = _Lowerer(program, name, tmp_counter, aid_counter)
-        lo.block(body, lo.cfg.start)
-        cfgs[name] = lo.cfg
-    return cfgs
+    lo = _Lowerer(program)
+    return {name: lo.lower(name, body) for name, body in program.threads.items()}
 
 
 # -- derived metadata ---------------------------------------------------------
 
-def collect_locals(cfgs: dict[str, Cfg]) -> tuple[str, ...]:
-    """All local variables (including temporaries) in a stable order."""
+def cfg_vars(cfgs: dict[str, Cfg]) -> tuple[tuple[str, ...], frozenset[str]]:
+    """All local variables (temporaries included) in a stable order, and the
+    locals holding thread ids: create targets and join sources, plus self."""
     names: set[str] = set()
+    tids = {"self"}
     for cfg in cfgs.values():
         for e in cfg.edges:
             match e.action:
@@ -233,26 +242,11 @@ def collect_locals(cfgs: dict[str, Cfg]) -> tuple[str, ...]:
                     names |= expr_vars(c)
                 case Create(x, _):
                     names.add(x)
+                    tids.add(x)
                 case Join(x1, x):
                     names.update((x1, x))
-                case _:
-                    pass
-    return tuple(sorted(names))
-
-
-def tid_vars(cfgs: dict[str, Cfg]) -> frozenset[str]:
-    """Locals holding thread ids: create targets and join sources, plus self."""
-    out = {"self"}
-    for cfg in cfgs.values():
-        for e in cfg.edges:
-            match e.action:
-                case Create(x, _):
-                    out.add(x)
-                case Join(_, x):
-                    out.add(x)
-                case _:
-                    pass
-    return frozenset(out)
+                    tids.add(x)
+    return tuple(sorted(names)), frozenset(tids)
 
 
 @dataclass(frozen=True)

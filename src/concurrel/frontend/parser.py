@@ -27,6 +27,8 @@ deep.  `//` starts a line comment.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from .ast import (
     BinOp, Cmp, Expr, IntLit, Pos, Program, SAssert, SAssign, SIf, SLock,
@@ -64,14 +66,11 @@ class ParseError(SyntaxError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # 'num' | 'name' | literal text | 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
+class _Token(NamedTuple):
+    kind: str  # 'num' | 'name' | literal text | 'eof'
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
@@ -216,62 +215,47 @@ class _Parser:
         p = self.pos()
         if self.cur.kind in ("if", "while"):
             level = self._nest(level + 1, "statement")
-        if self.accept("lock"):
-            self.expect("(")
-            m = self.expect("name").text
-            self.expect(")")
-            self.expect(";")
-            return SLock(m, p)
-        if self.accept("unlock"):
-            self.expect("(")
-            m = self.expect("name").text
-            self.expect(")")
-            self.expect(";")
-            return SUnlock(m, p)
-        if self.accept("return"):
-            e, _ = self.expr(0)
-            self.expect(";")
-            return SReturn(e, p)
-        if self.accept("assert"):
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
-            self.expect(";")
-            return SAssert(c, p)
         if self.accept("if"):
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
+            c = self._paren_cond()
             then = self.block(level)
-            orelse: tuple[Stmt, ...] = ()
-            if self.accept("else"):
-                orelse = self.block(level)
-            return SIf(c, then, orelse, p)
+            return SIf(c, then, self.block(level) if self.accept("else") else (), p)
         if self.accept("while"):
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
-            return SWhile(c, self.block(level), p)
+            return SWhile(self._paren_cond(), self.block(level), p)
+        s = self._simple_stmt(p)
+        self.expect(";")
+        return s
+
+    def _simple_stmt(self, p: Pos) -> Stmt:
+        """A statement that ends in ``;``, without the ``;``."""
+        if self.accept("lock"):
+            return SLock(self._paren_name(), p)
+        if self.accept("unlock"):
+            return SUnlock(self._paren_name(), p)
+        if self.accept("return"):
+            return SReturn(self.expr(0)[0], p)
+        if self.accept("assert"):
+            return SAssert(self._paren_cond(), p)
         target = self.expect("name").text
         self.expect("=")
         if self.accept("?"):
-            self.expect(";")
             return SAssign(target, None, havoc=True, pos=p)
         if self.accept("create"):
-            self.expect("(")
-            t = self.expect("name").text
-            self.expect(")")
-            self.expect(";")
-            return SAssign(target, None, create=t, pos=p)
+            return SAssign(target, None, create=self._paren_name(), pos=p)
         if self.accept("join"):
-            self.expect("(")
-            x = self.expect("name").text
-            self.expect(")")
-            self.expect(";")
-            return SAssign(target, None, join=x, pos=p)
-        e, _ = self.expr(0)
-        self.expect(";")
-        return SAssign(target, e, pos=p)
+            return SAssign(target, None, join=self._paren_name(), pos=p)
+        return SAssign(target, self.expr(0)[0], pos=p)
+
+    def _paren_name(self) -> str:
+        self.expect("(")
+        name = self.expect("name").text
+        self.expect(")")
+        return name
+
+    def _paren_cond(self) -> Cmp:
+        self.expect("(")
+        c = self.cond()
+        self.expect(")")
+        return c
 
     def cond(self) -> Cmp:
         left, _ = self.expr(0)
@@ -302,8 +286,14 @@ class _Parser:
         return left, deepest
 
     def primary(self, level: int) -> tuple[Expr, int]:
-        if tok := self.accept("num") or self.accept("name"):
-            return IntLit(int(tok.text)) if tok.kind == "num" else Var(tok.text), level
+        if tok := self.accept("name"):
+            return Var(tok.text), level
+        if tok := self.accept("num"):
+            try:
+                return IntLit(int(tok.text)), level
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise self._error(
+                    f"integer literal of {len(tok.text)} digits is too long", tok) from None
         if self.accept("("):
             e, deepest = self.expr(self._nest(level + 1))
             self.expect(")")
@@ -318,84 +308,68 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
     return prog
 
 
+def _walk(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
+    """Every statement of ``stmts`` in source order, each ``if`` or ``while``
+    before the statements of its blocks."""
+    for s in stmts:
+        yield s
+        match s:
+            case SIf(_, then, orelse, _):
+                yield from _walk(then)
+                yield from _walk(orelse)
+            case SWhile(_, body, _):
+                yield from _walk(body)
+
+
 def _resolve(prog: Program) -> None:
     """Checks that do not need the CFG: undeclared names, the entry point and
-    misused thread ids."""
+    misused thread ids.  The first error in source order is raised."""
     if prog.entry not in prog.threads:
         raise ParseError("no 'main' thread template", 1, 1, prog.filename)
     gset = set(prog.globals)
     mset = set(prog.mutexes)
 
-    def check_reserved(e: Expr | Cmp, p: Pos, what: str) -> None:
+    def error(msg: str, p: Pos) -> ParseError:
+        return ParseError(msg, p.line, p.col, prog.filename)
+
+    def check_expr(e: Expr | Cmp, p: Pos, what: str, globals_ok: bool = False) -> None:
         # A thread id is no integer: ``self`` may only be joined.  ``ret``
         # names a thread's returned value and is never a readable local.
         names = expr_vars(e)
         for name in RESERVED:
             if name in names:
-                raise ParseError(f"{name!r} cannot be used in {what}", p.line, p.col, prog.filename)
-
-    def check_expr(e: Expr | Cmp, p: Pos, what: str, bare_global_ok: bool = False) -> None:
+                raise error(f"{name!r} cannot be used in {what}", p)
         # Guards and compound right-hand sides may contain only locals; a
         # bare global is fine where it denotes an atomic copy.
-        check_reserved(e, p, what)
-        names = expr_vars(e)
-        if bare_global_ok and isinstance(e, Var):
-            return
-        bad = names & gset
+        bad = set() if globals_ok else names & gset
         if bad:
-            raise ParseError(
-                f"globals forbidden in {what}: {', '.join(sorted(bad))}", p.line, p.col, prog.filename
-            )
+            raise error(f"globals forbidden in {what}: {', '.join(sorted(bad))}", p)
 
-    def create_targets(stmts) -> set[str]:
-        out = set()
-        for s in stmts:
-            match s:
-                case SAssign(target, create=str()):
-                    out.add(target)
-                case SIf(_, then, orelse, _):
-                    out |= create_targets(then) | create_targets(orelse)
-                case SWhile(_, body, _):
-                    out |= create_targets(body)
-        return out
-
-    def check_block(stmts, tids: set[str]) -> None:
+    for body in prog.threads.values():
+        stmts = list(_walk(body))
+        tids = {s.target for s in stmts if isinstance(s, SAssign) and s.create is not None}
+        tids = (tids - gset) | {"self"}
         for s in stmts:
             match s:
                 case SLock(m, p) | SUnlock(m, p):
                     if m not in mset:
-                        raise ParseError(f"undeclared mutex {m!r}", p.line, p.col, prog.filename)
+                        raise error(f"undeclared mutex {m!r}", p)
                 case SAssign(target, expr, _, create, join, p):
                     if create is not None and create not in prog.threads:
-                        raise ParseError(
-                            f"undeclared thread template {create!r}", p.line, p.col, prog.filename
-                        )
+                        raise error(f"undeclared thread template {create!r}", p)
                     if target in RESERVED:
-                        raise ParseError(f"{target!r} is reserved", p.line, p.col, prog.filename)
+                        raise error(f"{target!r} is reserved", p)
                     if target in gset and (create or join):
-                        raise ParseError(
-                            f"create and join assign only locals, not global {target!r}",
-                            p.line, p.col, prog.filename)
+                        raise error(f"create and join assign only locals, not global {target!r}", p)
                     if join is not None and join not in tids:
-                        raise ParseError(
-                            f"join({join}): only 'self' and the targets of create can be joined",
-                            p.line, p.col, prog.filename)
+                        raise error(
+                            f"join({join}): only 'self' and the targets of create can be joined", p)
                     if expr is not None:
-                        check_expr(expr, p, "expressions", bare_global_ok=True)
+                        check_expr(expr, p, "expressions", globals_ok=isinstance(expr, Var))
                 case SReturn(expr, p):
-                    check_expr(expr, p, "expressions", bare_global_ok=True)
-                case SIf(cond, then, orelse, p):
+                    check_expr(expr, p, "expressions", globals_ok=isinstance(expr, Var))
+                case SIf(cond, _, _, p) | SWhile(cond, _, p):
                     check_expr(cond, p, "guards")
-                    check_block(then, tids)
-                    check_block(orelse, tids)
-                case SWhile(cond, body, p):
-                    check_expr(cond, p, "guards")
-                    check_block(body, tids)
                 case SAssert(cond, p):
                     # assert conditions may mention globals (reads are hoisted)
-                    check_reserved(cond, p, "assertions")
-                case _:
-                    pass
-
-    for body in prog.threads.values():
-        check_block(body, (create_targets(body) - gset) | {"self"})
+                    check_expr(cond, p, "assertions", globals_ok=True)

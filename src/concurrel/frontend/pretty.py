@@ -26,22 +26,18 @@ def _stmt(s: Stmt, ind: str) -> list[str]:
                 return [f"{ind}{x} = join({join});"]
             return [f"{ind}{x} = {e};"]
         case SIf(c, then, orelse, _):
-            out = [f"{ind}if ({c}) {{"]
-            for t in then:
-                out += _stmt(t, ind + "  ")
+            out = [f"{ind}if ({c}) {{", *_block(then, ind)]
             if orelse:
-                out.append(f"{ind}}} else {{")
-                for t in orelse:
-                    out += _stmt(t, ind + "  ")
-            out.append(f"{ind}}}")
-            return out
+                out += [f"{ind}}} else {{", *_block(orelse, ind)]
+            return out + [f"{ind}}}"]
         case SWhile(c, body, _):
-            out = [f"{ind}while ({c}) {{"]
-            for t in body:
-                out += _stmt(t, ind + "  ")
-            out.append(f"{ind}}}")
-            return out
+            return [f"{ind}while ({c}) {{", *_block(body, ind), f"{ind}}}"]
     raise TypeError(s)
+
+
+def _block(stmts: tuple[Stmt, ...], ind: str) -> list[str]:
+    """The lines of ``stmts``, indented one level deeper than ``ind``."""
+    return [line for s in stmts for line in _stmt(s, ind + "  ")]
 
 
 def pretty_print(prog: Program) -> str:
@@ -54,8 +50,5 @@ def pretty_print(prog: Program) -> str:
         for g in sorted(prog.protections):
             lines.append(f"protect {g} with " + ", ".join(sorted(prog.protections[g])) + ";")
     for name, body in prog.threads.items():
-        lines.append(f"thread {name} {{")
-        for s in body:
-            lines += _stmt(s, "  ")
-        lines.append("}")
+        lines += [f"thread {name} {{", *_block(body, ""), "}"]
     return "\n".join(lines) + "\n"

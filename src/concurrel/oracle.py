@@ -81,7 +81,7 @@ from .frontend.ast import (
     Assert, AssignLocal, BinOp, Cmp, Create, Guard, Havoc, IntLit, Join,
     Lock, Program, ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
 )
-from .frontend.cfg import Cfg, Edge, Point, build_cfg, collect_locals
+from .frontend.cfg import Cfg, Edge, Point, build_cfg, cfg_vars
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ class _Explorer:
         self.cfgs = cfgs
         self.bounds = bounds
         self.ex = Exploration()
-        self.ex.lvars = tuple(sorted(set(collect_locals(cfgs)) | {"self"}))
+        self.ex.lvars = tuple(sorted(set(cfg_vars(cfgs)[0]) | {"self"}))
         self.ex.gvars = tuple(sorted(program.globals))
         self.lidx = {v: i for i, v in enumerate(self.ex.lvars)}
         self.gidx = {g: i for i, g in enumerate(self.ex.gvars)}

@@ -34,6 +34,7 @@ from typing import Any, Callable, Protocol
 
 
 DEFAULT_BUDGET = 1_000_000  # constraint evaluations before a solve is aborted
+WIDEN_DELAY = 6  # strict increases of a key before its updates widen
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,9 +89,8 @@ class SolveStats:
 
 
 class Solver:
-    def __init__(self, system: System, widen_delay: int = 6, budget: int = DEFAULT_BUDGET):
+    def __init__(self, system: System, budget: int = DEFAULT_BUDGET):
         self.system = system
-        self.widen_delay = widen_delay
         self.budget = budget
         self.values: dict[Any, Any] = {}
         self.by_namespace: dict[Any, list[Any]] = {}
@@ -135,7 +135,7 @@ class Solver:
                 return
             joined = self.system.join(key, old, value)
             self.updates[key] = self.updates.get(key, 0) + 1
-            if self.updates[key] > self.widen_delay:
+            if self.updates[key] > WIDEN_DELAY:
                 joined = self.system.widen(key, old, joined)
                 self.stats.widened += 1
             self.values[key] = joined

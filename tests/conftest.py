@@ -9,10 +9,22 @@ from concurrel.analysis import ClusterConfig, MutexKey
 from concurrel.frontend import parse_program
 from concurrel.oracle import ExploreBounds, explore
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+CORPUS_DIR = os.path.join(TESTS_DIR, "..", "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.conc")))
 
 assert len(CORPUS) >= 12, "corpus incomplete"
+
+
+def pytest_collection_modifyitems(items):
+    """A test in this directory fails when it leaves a file or another
+    resource unclosed: the ResourceWarning is raised when the object is
+    collected, and pytest reports it as an unraisable exception."""
+    for item in items:
+        if str(item.path).startswith(TESTS_DIR + os.sep):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def corpus_path(name: str) -> str:

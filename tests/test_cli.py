@@ -106,13 +106,14 @@ _TOO_DEEP_STMT = "statement nested deeper than 100 levels"
      "3:16", "protect: unknown mutex 'b'"),
     ("global g;\nmutex m_g;\nthread main { }",
      "2:7", "mutex name 'm_g' is reserved for implicit atomicity mutexes"),
+    (f"thread main {{ x = {'9' * 4301}; }}", "1:19", "integer literal of 4301 digits is too long"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
         "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500", "ifs-500",
         "whiles-101",
         "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
         "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
         "global-twice", "mutex-twice", "protect-twice", "protect-unknown-global",
-        "protect-unknown-mutex", "mutex-reserved"])
+        "protect-unknown-mutex", "mutex-reserved", "literal-4301-digits"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"
     f.write_text(src)
@@ -120,6 +121,20 @@ def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, messa
     assert code == 2
     assert f"{f}:{position}: error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_eqconst_forgets_constants_too_long_to_print(tmp_path, capsys):
+    """A computed constant of more digits than ``str`` prints, assigned or
+    met in a guard, is forgotten, so both dumps render."""
+    big = "1" + "0" * 4000
+    f = tmp_path / "big.conc"
+    f.write_text(f"global g; mutex a; protect g with a;\nthread main {{ x = {big}; "
+                 f"y = x * 1{'0' * 400}; z = ?; if (z == {big} * {big}) {{ w = z; }} "
+                 "lock(a); g = y; unlock(a); }")
+    for dump in ("--dump-solution", "--dump-invariants"):
+        code, out, err = run_cli(capsys, "run", str(f), "--domain", "eqconst", dump)
+        assert code == 0 and err == ""
+        assert f"x={big}" in out and "y=1" not in out and "z=1" not in out
 
 
 def test_nesting_at_the_bound_runs(tmp_path, capsys):

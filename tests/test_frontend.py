@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from concurrel.frontend import (
@@ -96,15 +98,12 @@ def test_write_wrapped_in_atomicity_mutex():
     assert acts[1:] == [Lock("m_g"), WriteGlobal("g", "x"), Unlock("m_g")]
 
 
-def test_every_global_access_is_wrapped():
-    for path in CORPUS:
-        p = parse_program(open(path).read(), path)
+def test_every_global_access_is_wrapped(programs):
+    for p in programs.values():
         for cfg in build_cfg(p).values():
             for e in cfg.edges:
                 if isinstance(e.action, (ReadGlobal, WriteGlobal)):
-                    m = p.protecting_mutex(
-                        e.action.glob if isinstance(e.action, WriteGlobal) else e.action.glob
-                    )
+                    m = p.protecting_mutex(e.action.glob)
                     (prev,) = [x for x in cfg.edges if x.dst == e.src]
                     (nxt,) = [x for x in cfg.edges if x.src == e.dst]
                     assert prev.action == Lock(m)
@@ -145,8 +144,43 @@ thread main {
 """
 
 
+_NESTED_ERRORS = """mutex a;
+thread main {
+  if (x < 1) {
+    y = join(t);
+    lock(c);
+  } else {
+    while (x > 0) {
+      t = create(main);
+      y = join(x);
+    }
+  }
+  lock(b);
+}
+"""
+
+
+def test_resolver_reports_nested_errors_in_source_order():
+    """The first error in source order is raised, in a then block, in a loop
+    inside an else block or after both; ``t`` may be joined above the
+    nested create that makes it a thread id."""
+    src = _NESTED_ERRORS
+    for bad, good, error in (
+        ("lock(c)", "lock(a)", "5:5: error: undeclared mutex 'c'"),
+        ("join(x)", "join(t)",
+         "9:7: error: join(x): only 'self' and the targets of create can be joined"),
+        ("lock(b)", "lock(a)", "12:3: error: undeclared mutex 'b'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_program(src, "nested.conc")
+        assert str(e.value) == "nested.conc:" + error
+        src = src.replace(bad, good)
+    parse_program(src, "nested.conc")
+
+
 def test_roundtrip_and_determinism():
-    sources = [(path, open(path).read()) for path in CORPUS] + [("if_else", _IF_ELSE)]
+    sources = [(path, Path(path).read_text(encoding="utf-8")) for path in CORPUS]
+    sources.append(("if_else", _IF_ELSE))
     for path, text in sources:
         p1 = parse_program(text, path)
         p2 = parse_program(pretty_print(p1), path)

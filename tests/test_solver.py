@@ -83,13 +83,19 @@ def test_values_grow_monotonically():
     assert solver.check_post_solution() == []
 
 
+class NoWidenSystem(IntervalSystem):
+    """Widening keeps the joined value, so growth never stabilizes."""
+
+    def widen(self, key, a, b):
+        return b
+
+
 def test_budget_exceeded():
     def rhs(view):
         v = view.get("x") or IntAbs.const(0)
         return {"x": IntAbs(v.lo - 1, v.hi)}  # descending lows never stabilize
 
-    solver = Solver(IntervalSystem(initial=[Constraint("down", rhs)]),
-                    widen_delay=10**9, budget=50)
+    solver = Solver(NoWidenSystem(initial=[Constraint("down", rhs)]), budget=50)
     with pytest.raises(BudgetExceeded):
         solver.solve()
 
