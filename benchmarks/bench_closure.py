@@ -6,11 +6,13 @@
 The closure is the hot inner loop of the octagon domain (it runs before
 every restriction, join, comparison and unlift).  Both kernels offer
 ``tight_close_inplace(m)``, the full tight closure.  Per size, the table
-gives its time under each kernel.  Octagons are packed to the variables
-they constrain, so the default sizes are the pack sizes the analyses close
-(1 to 5 variables on the generated benchmark programs); pass larger ones to
-time full-universe matrices.  Also times one end-to-end analysis under each
-available kernel, labelled with the kernel that ran.
+gives its time under each kernel; the compiled one is built, or loaded from
+its cache, as the package's first import does (``concurrel.domains._build``).
+Octagons are packed to the variables they constrain, so the default sizes
+are the pack sizes the analyses close (1 to 5 variables on the generated
+benchmark programs); pass larger ones to time full-universe matrices.  Also
+times one end-to-end analysis under each available kernel, labelled with the
+kernel that ran.
 """
 
 import argparse
@@ -52,13 +54,13 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
 
+    from concurrel.domains._build import load_compiled
     from concurrel.domains._closure_py import tight_close_inplace as pure
 
-    try:
-        from concurrel.domains._closure import tight_close_inplace as compiled
-    except ImportError:
-        compiled = None
-        print("compiled kernel not built; showing the pure kernel only")
+    module = load_compiled()
+    compiled = None if module is None else module.tight_close_inplace
+    if compiled is None:
+        print("compiled kernel could not be built; showing the pure kernel only")
 
     rng = np.random.default_rng(7)
     kernels = [("pure", pure)] + ([("compiled", compiled)] if compiled else [])

@@ -13,6 +13,7 @@ from ..frontend.ast import IntLit, Program
 from ..frontend.cfg import Cfg, Point, build_cfg, cfg_vars
 from ..frontend.validate import Diagnostic, validate
 from ..solver import DEFAULT_BUDGET, Solver
+from ..domains.octagon import KERNEL
 from ..domains.relation import RelDomain, Relation, Universe
 from .base_system import WrappedBaseSystem
 from .config import AnalysisConfig, ConfigError
@@ -88,6 +89,7 @@ class AnalysisResult:
             "relations": self.dom.relations,
             "memo_hits": self.dom.memo_hits,
             "wall_ms": round(self.wall_ms, 1),
+            "kernel": KERNEL,
         }
 
 

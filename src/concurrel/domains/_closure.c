@@ -1,11 +1,12 @@
 /* Compiled tight closure for integer octagon DBMs (the analyzer's hot kernel).
  *
- * Same contract as ``_closure_py.tight_close_inplace``: Floyd-Warshall over
- * every index, then integer tightening and strengthening, in place on a
- * square float64 matrix of even size whose entry m[i][j] bounds v_j - v_i
- * (+inf for "no bound"; -inf never appears).  Returns 0, or 1 when the
- * constraints are unsatisfiable (the matrix contents are then unspecified).
- * Any other matrix raises ValueError.
+ * Same contract as ``_closure_py.tight_close_inplace``: entries above
+ * BOUND_LIMIT in magnitude become +inf, then Floyd-Warshall over every index,
+ * then integer tightening and strengthening, in place on a square float64
+ * matrix of even size whose entry m[i][j] bounds v_j - v_i (+inf for "no
+ * bound"; -inf never appears).  Returns 0, or 1 when the constraints are
+ * unsatisfiable (the matrix contents are then unspecified).  Any other matrix
+ * raises ValueError.  ``_build.py`` compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -13,9 +14,16 @@
 #include <math.h>
 #include <string.h>
 
+/* _closure_py.BOUND_LIMIT, 2^40: dropping larger bounds keeps every path sum
+   of a pack of up to 2^11 variables within 2^52, where float64 is exact */
+#define BOUND_LIMIT 1099511627776.0
+
 static int
 tight_close(double *m, Py_ssize_t n2)
 {
+    for (Py_ssize_t i = 0; i < n2 * n2; i++)
+        if (fabs(m[i]) > BOUND_LIMIT)
+            m[i] = INFINITY;
     for (Py_ssize_t k = 0; k < n2; k++) {
         const double *mk = m + k * n2;
         for (Py_ssize_t i = 0; i < n2; i++) {

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Larger bounds are dropped (set to +inf, which only loses precision) before
+# each closure, whose path sums then stay within 2^52, where float64 is exact,
+# for packs of up to 2^11 variables.  ``_closure.c`` repeats the value.
+BOUND_LIMIT = 2.0 ** 40
+
 _LAYOUT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -23,7 +28,8 @@ def _layout(n2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tight_close_inplace(m: np.ndarray) -> int:
-    """Floyd-Warshall over every index, then integer tightening and
+    """Entries above ``BOUND_LIMIT`` in magnitude become +inf, then
+    Floyd-Warshall over every index, then integer tightening and
     strengthening, in place on a C-contiguous matrix.
 
     Returns 0, or 1 when the constraints are unsatisfiable (matrix contents
@@ -34,6 +40,7 @@ def tight_close_inplace(m: np.ndarray) -> int:
     n2 = m.shape[0]
     if n2 == 0:
         return 0
+    np.putmask(m, np.abs(m) > BOUND_LIMIT, np.inf)
     for k in range(n2):
         np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
     flat = m.reshape(-1)

@@ -25,9 +25,11 @@ ascending chains terminate.  ``join`` returns its closed left operand, and
 adds nothing, so callers can skip values that are the same object.
 
 Every closure is the full tight closure, ``tight_close_inplace(m)``.  Both
-kernels offer that one function: the hand-written C extension ``_closure.c``
-when it is built, and the numpy kernel ``_closure_py`` otherwise or when
-``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in use.
+kernels offer that one function: the hand-written C extension ``_closure.c``,
+which ``_build.load_compiled`` compiles into the package's ``__pycache__/``
+on the first import, and the numpy kernel ``_closure_py`` when that build or
+load fails or when ``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in
+use.
 
 Soundness needs float64 arithmetic that never rounds a bound inward; Apron
 rounds outward (Jeannet & Miné, CAV 2009), and here every float64 operation
@@ -35,9 +37,10 @@ on the matrices is exact.  Finite entries are integers within
 ±``EXACT_LIMIT`` (2^52), where the sum of two is exact.  A bound above
 ``BOUND_LIMIT`` (2^40) in magnitude is dropped (set to +∞, which only loses
 precision) where a constant enters (``_set``, and the shift in
-``assign_linear``) and before each closure, whose path sums then stay within
-2^52 for packs of up to 2^11 variables.  ``contains`` compares int64 values
-within ±2^52, or Python ints, against the entries, both exactly.
+``assign_linear``) and by each kernel before it closes, so that path sums
+stay within 2^52 for packs of up to 2^11 variables.  ``contains`` compares
+int64 values within ±2^52, or Python ints, against the entries, both
+exactly.
 """
 
 from __future__ import annotations
@@ -47,27 +50,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._build import load_compiled
+from ._closure_py import BOUND_LIMIT
 from .values import BOT, INF, IntAbs
 
-if os.environ.get("CONCURREL_PURE"):
+_compiled = None if os.environ.get("CONCURREL_PURE") else load_compiled()
+if _compiled is None:
     from ._closure_py import tight_close_inplace
 
     KERNEL = "python"
 else:
-    try:
-        from ._closure import tight_close_inplace  # type: ignore[no-redef]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from ._closure_py import tight_close_inplace
-
-        KERNEL = "python"
+    tight_close_inplace = _compiled.tight_close_inplace
+    KERNEL = "compiled"
 
 
 # Bound on the bytes of one temporary of ``OctBackend.contains``.
 CONTAINS_CHUNK_BYTES = 4 << 20
 
-BOUND_LIMIT = 2.0 ** 40  # larger bounds are dropped where they enter, and before closure
 EXACT_LIMIT = 2.0 ** 52  # finite entries stay within ±EXACT_LIMIT
 
 
@@ -185,7 +184,6 @@ class OctBackend:
         if r._closed_cache is not None:
             return r._closed_cache
         m = np.array(r.m)
-        _drop(m, BOUND_LIMIT)
         if tight_close_inplace(m) != 0:
             c = self._bot
         else:
@@ -327,15 +325,24 @@ class OctBackend:
         return lo, hi
 
     def _eval_linear(self, r: OctRel, coeffs: dict[int, int], const: int) -> tuple[float, float]:
-        """The bounds of ``sum(coeffs) + const`` from those of each variable,
-        summed in Python ints (±∞ for a missing bound), so none rounds."""
+        """The bounds of ``sum(coeffs) + const`` from those of each variable:
+        the finite parts summed in Python ints, so none rounds or overflows,
+        and a side with a missing bound in any term ±∞."""
         lo = hi = const
+        lo_open = hi_open = False
         for x, cx in coeffs.items():
-            xlo, xhi = (b if abs(b) == INF else int(b) for b in self.bounds(r, x))
+            xlo, xhi = self.bounds(r, x)
             if cx < 0:
                 xlo, xhi = xhi, xlo
-            lo, hi = lo + cx * xlo, hi + cx * xhi
-        return lo, hi
+            if abs(xlo) == INF:
+                lo_open = True
+            else:
+                lo += cx * int(xlo)
+            if abs(xhi) == INF:
+                hi_open = True
+            else:
+                hi += cx * int(xhi)
+        return -INF if lo_open else lo, INF if hi_open else hi
 
     # -- transfer functions --
 

@@ -7,6 +7,7 @@ import pytest
 
 from concurrel.analysis import dump_solution, preset, run_analysis
 from concurrel.cli import main
+from concurrel.domains import KERNEL
 from concurrel.frontend import parse_program
 
 from conftest import corpus_path, load
@@ -137,6 +138,19 @@ def test_eqconst_forgets_constants_too_long_to_print(tmp_path, capsys):
         assert f"x={big}" in out and "y=1" not in out and "z=1" not in out
 
 
+@pytest.mark.parametrize("domain", ["octagon", "interval"])
+def test_huge_coefficient_of_an_unbounded_variable(tmp_path, capsys, domain):
+    """A coefficient beyond float range times a variable with a missing
+    bound leaves that side of the result unbounded and the other exact."""
+    big = "1" + "0" * 400
+    f = tmp_path / "huge.conc"
+    f.write_text(f"thread main {{ x = ?; y = x * {big}; "
+                 f"if (x >= 0) {{ z = x * {big} + 1; assert(z >= 1); }} }}")
+    code, out, err = run_cli(capsys, "run", str(f), "--domain", domain, "--dump-solution")
+    assert code == 0 and err == ""
+    assert "PROVEN" in out and "y>=" not in out and "y<=" not in out
+
+
 def test_nesting_at_the_bound_runs(tmp_path, capsys):
     """100 nested blocks around an expression 100 levels deep pass every
     phase, oracle and solution dump included."""
@@ -219,14 +233,17 @@ def test_json_schema_roundtrip(capsys):
     assert set(doc) == {"asserts", "invariants", "stats"}
     assert all(set(a) == {"file", "line", "verdict"} for a in doc["asserts"])
     counts = ("unknowns", "evaluations", "constraints", "widenings", "relations", "memo_hits")
-    assert {*counts, "wall_ms"} <= set(doc["stats"])
+    assert {*counts, "wall_ms", "kernel"} <= set(doc["stats"])
+    assert doc["stats"]["kernel"] == KERNEL
     assert json.loads(json.dumps(doc)) == doc
-    # the text output's stats line reports the same solver and domain counts
+    # the text output's stats line reports the same solver and domain counts,
+    # and the closure kernel
     _, text, _ = run_cli(capsys, "run", corpus_path("example8"), "--preset", "tids",
                          "--dump-invariants")
     line = next(l for l in text.splitlines() if l.startswith("unknowns="))
     fields = dict(f.split("=") for f in line.split())
     assert {k: int(fields[k]) for k in counts} == {k: doc["stats"][k] for k in counts}
+    assert fields["kernel"] == KERNEL
 
 
 def test_json_dump_solution_is_one_document(capsys):

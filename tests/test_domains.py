@@ -498,42 +498,34 @@ def test_every_computed_closure_calls_tight_close_inplace(programs, monkeypatch)
     assert kernel_calls[0] == computed[0]
 
 
-def _compile_c_kernel(directory):
-    """Compile ``_closure.c`` into ``directory`` with the compiler and flags
-    Python was built with and load it from there, not as
-    ``concurrel.domains._closure``, so ``KERNEL`` stays as it is."""
-    import importlib.util
+def _compiled_kernel(cache):
+    """The package's compiled kernel, built into ``cache`` and loaded from
+    there; skips where there is no C compiler or no Python headers."""
     import shlex
     import shutil
-    import subprocess
     import sysconfig
     from pathlib import Path
 
-    import concurrel.domains.octagon as octagon
+    from concurrel.domains._build import load_compiled
 
     ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    include = sysconfig.get_paths()["include"]
     if not ldshared or shutil.which(ldshared[0]) is None:
         pytest.skip("no C compiler")
-    if not Path(include, "Python.h").exists():
+    if not Path(sysconfig.get_paths()["include"], "Python.h").exists():
         pytest.skip("no Python headers")
-    source = Path(octagon.__file__).with_name("_closure.c")
-    target = directory / ("_closure" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([*ldshared, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-                    "-O2", f"-I{include}", str(source), "-o", str(target)],
-                   check=True, capture_output=True)
-    spec = importlib.util.spec_from_file_location("_closure", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_compiled(cache)
+    assert module is not None
     return module
 
 
 def test_compiled_kernel_matches_numpy_kernel(tmp_path):
-    """The C kernel equals the numpy kernel bit for bit and rejects input
-    that breaks its contract."""
+    """The C kernel equals the numpy kernel bit for bit, drops the same
+    bounds beyond ``BOUND_LIMIT``, and rejects input that breaks its
+    contract."""
+    from concurrel.domains._closure_py import BOUND_LIMIT
     from concurrel.domains._closure_py import tight_close_inplace as pure
 
-    fast = _compile_c_kernel(tmp_path).tight_close_inplace
+    fast = _compiled_kernel(tmp_path).tight_close_inplace
     rng = Random(47)
     unsat = 0
     for trial in range(400):
@@ -544,6 +536,8 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
             i, j = rng.randrange(2 * n), rng.randrange(2 * n)
             if i != j:
                 c = float(rng.randint(-4, 6))
+                if rng.random() < 0.1:  # at, just beyond or far beyond the limit
+                    c = rng.choice((-1, 1)) * (BOUND_LIMIT + rng.choice((-1, 0, 1, 2**41)))
                 m[i, j] = min(m[i, j], c)
                 m[j ^ 1, i ^ 1] = m[i, j]
         if trial % 2:  # a closed matrix plus one new bound, as transfers leave it
@@ -560,6 +554,13 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
         if r1 == 0:
             assert np.array_equal(m1, m2)
     assert unsat > 0
+    # a bound of exactly BOUND_LIMIT stays, one more is dropped, in either sign
+    for sign in (1, -1):
+        m = np.array([[0.0, sign * (BOUND_LIMIT + 1)], [sign * BOUND_LIMIT, 0.0]])
+        for close in (pure, fast):
+            c = np.array(m)
+            assert close(c) == 0
+            assert c.tolist() == [[0.0, np.inf], [sign * BOUND_LIMIT, 0.0]]
 
     read_only = np.zeros((2, 2))
     read_only.setflags(write=False)
@@ -576,6 +577,72 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
             with pytest.raises(error):
                 fast(view)
         view.release()
+
+
+def test_compiled_kernel_is_built_once_per_cache(tmp_path, monkeypatch):
+    """A cold call builds the kernel into the cache and loads it; a second
+    call loads the cached file without running the compiler."""
+    import subprocess
+
+    from concurrel.domains._build import load_compiled
+
+    assert _compiled_kernel(tmp_path).tight_close_inplace(np.zeros((2, 2))) == 0
+    built = sorted(tmp_path.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_closure.")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a warm cache")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert load_compiled(tmp_path).tight_close_inplace(np.zeros((2, 2))) == 0
+    assert sorted(tmp_path.iterdir()) == built
+
+
+@pytest.mark.parametrize("failure", ["compile error", "no compiler", "unwritable cache",
+                                     "load error"])
+def test_failed_kernel_build_returns_none_and_leaves_no_temporary(tmp_path, monkeypatch,
+                                                                  failure):
+    import subprocess
+
+    from concurrel.domains import _build
+
+    cache = tmp_path / "cache"
+    if failure == "compile error":
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(_build, "SOURCE", broken)
+    elif failure == "no compiler":
+        def missing(*args, **kwargs):
+            raise FileNotFoundError(args[0][0])
+
+        monkeypatch.setattr(subprocess, "run", missing)
+    elif failure == "unwritable cache":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    else:
+        def garbage(cmd, **kwargs):  # "compiles" a file that is no extension
+            with open(cmd[cmd.index("-o") + 1], "w") as f:
+                f.write("not a shared object")
+
+        monkeypatch.setattr(subprocess, "run", garbage)
+    assert _build.load_compiled(cache) is None
+    leftovers = list(cache.iterdir()) if cache.is_dir() else []
+    assert not [f for f in leftovers if f.name.endswith(".tmp")]
+
+
+def test_concurrel_pure_selects_the_numpy_kernel():
+    import os
+    import subprocess
+    import sys
+
+    import concurrel
+
+    src = os.path.dirname(os.path.dirname(concurrel.__file__))
+    code = "from concurrel.domains import KERNEL; print(KERNEL)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "CONCURREL_PURE": "1", "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "python\n" and out.stderr == ""
 
 
 def test_closed_octagons_are_freed_without_the_cycle_collector(programs):
