@@ -4,9 +4,11 @@
 compiles the C source with the compiler and flags Python was built with
 (``LDSHARED``, ``CCSHARED``, ``-O2`` and the Python include directory) into
 the package's ``__pycache__/`` directory, and every later call, in any
-process, loads the file from there.  The file is named by the sha256 of the
+process, loads the file from there.  The file is named by the CRC-32 of the
 source, ``EXT_SUFFIX`` and the compile command, so a changed source or
-another interpreter builds a new file and never loads a stale one.  The
+another interpreter builds a new file and never loads a stale one.  CRC-32
+comes from ``zlib``, which numpy has already imported; ``hashlib`` would
+load OpenSSL into every process that imports the package.  The
 compiler writes to a unique temporary name that is then renamed into place,
 so processes that build at once never load a half-written file.
 
@@ -19,12 +21,12 @@ numpy kernel.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import shlex
 import sysconfig
+import zlib
 from pathlib import Path
 from types import ModuleType
 
@@ -68,9 +70,8 @@ def load_compiled(cache: str | os.PathLike | None = None) -> ModuleType | None:
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     try:
         flags = _flags()
-        key = hashlib.sha256(SOURCE.read_bytes())
-        key.update("\0".join([suffix, *flags]).encode())
-        path = Path(CACHE if cache is None else cache, f"_closure.{key.hexdigest()[:16]}{suffix}")
+        key = zlib.crc32("\0".join([suffix, *flags]).encode(), zlib.crc32(SOURCE.read_bytes()))
+        path = Path(CACHE if cache is None else cache, f"_closure.{key:08x}{suffix}")
         if not path.exists() and not _compile(flags, path):
             return None
         loader = importlib.machinery.ExtensionFileLoader(NAME, str(path))

@@ -18,11 +18,16 @@ variables they bound.  Binary operations align environments as Apron does:
 shared variables (a variable missing from one operand is ⊤ there), and
 a ⊑ b needs b unconstrained on the variables outside a's environment.
 
-Restriction, unlift, join, comparison and decomposition are performed on
-closed matrices only; widened values are deliberately left unclosed so that
-ascending chains terminate.  ``join`` returns its closed left operand, and
-``meet`` and ``widen`` their closed or left operand, when the other operand
-adds nothing, so callers can skip values that are the same object.
+Every ``OctRel`` holds its closed matrix from the moment it is built:
+``close`` is the one path from a fresh raw matrix to a value, and the other
+transfers (``join``, ``forget``, the shift of ``assign_linear``) keep a closed
+matrix closed.  The one unclosed matrix is the ``widened`` slot of a
+widening's result, the matrix the widening computed when it is not closed
+already; the next ``widen`` reads it as its left operand, so that ascending chains terminate (Miné,
+HOSC 2006), and no other operation does.  ``join``, ``meet`` and ``widen``
+return their left operand itself, and ``meet`` its right one, when the
+other operand adds nothing, so callers can skip values that are the same
+object.
 
 Every closure is the full tight closure, ``tight_close_inplace(m)``.  Both
 kernels offer that one function: the hand-written C extension ``_closure.c``,
@@ -74,15 +79,16 @@ class OctRel:
     """Immutable octagon over the universe variables ``vars``; None matrix
     means ⊥."""
 
-    __slots__ = ("vars", "m", "closed", "_closed_cache")
+    __slots__ = ("vars", "m", "widened")
 
-    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None, closed: bool = False):
+    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None,
+                 widened: np.ndarray | None = None):
         self.vars = vars
-        self.m = m
-        self.closed = closed
-        self._closed_cache: OctRel | None = None
-        if m is not None:
-            m.setflags(write=False)
+        self.m = m  # closed
+        self.widened = widened  # the unclosed matrix a widening computed
+        for a in (m, widened):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def is_bot(self) -> bool:
@@ -117,13 +123,15 @@ def _top_matrix(k: int) -> np.ndarray:
     return m
 
 
-def _embed(r: OctRel, vars: tuple[int, ...]) -> np.ndarray:
-    """A fresh matrix of ``r`` over ``vars`` ⊇ ``r.vars``."""
+def _embed(r: OctRel, vars: tuple[int, ...], rm: np.ndarray | None = None) -> np.ndarray:
+    """A fresh matrix of ``r`` (of ``rm`` over ``r.vars``, when given) over
+    ``vars`` ⊇ ``r.vars``."""
+    rm = r.m if rm is None else rm
     if r.vars == vars:
-        return np.array(r.m)
+        return np.array(rm)
     m = np.array(_top_matrix(len(vars)))
     idx = _indices(vars, r.vars)
-    m[idx[:, None], idx] = r.m
+    m[idx[:, None], idx] = rm
     return m
 
 
@@ -167,8 +175,8 @@ class OctBackend:
     def __init__(self, n: int, intervalize: bool = False):
         self.n = n
         self.intervalize = intervalize
-        self._bot = OctRel((), None, True)
-        self._top = OctRel((), np.zeros((0, 0)), True)
+        self._bot = OctRel((), None)
+        self._top = OctRel((), np.zeros((0, 0)))
 
     # -- basics --
 
@@ -178,47 +186,34 @@ class OctBackend:
     def bot(self) -> OctRel:
         return self._bot
 
-    def close(self, r: OctRel) -> OctRel:
-        if r.is_bot or r.closed:
-            return r
-        if r._closed_cache is not None:
-            return r._closed_cache
-        m = np.array(r.m)
+    def close(self, vars: tuple[int, ...], m: np.ndarray) -> OctRel:
+        """The value of the fresh raw matrix ``m`` over ``vars``: ⊥, or ``m``
+        tightly closed in place, without its cross-variable bounds when the
+        domain is intervalized."""
         if tight_close_inplace(m) != 0:
-            c = self._bot
-        else:
-            if self.intervalize:
-                m[_cross_variable(len(r.vars))] = INF
-            c = OctRel(r.vars, m, True)
-        r._closed_cache = c
-        return c
+            return self._bot
+        if self.intervalize:
+            m[_cross_variable(len(vars))] = INF
+        return OctRel(vars, m)
 
     def is_bot(self, r: OctRel) -> bool:
-        return self.close(r).is_bot
+        return r.is_bot
 
     def key(self, r: OctRel):
-        """``(vars, matrix bytes)`` of a closed, non-⊥ octagon; None for the
-        others, which are not interned (see ``relation.py``)."""
-        if r.closed and r.m is not None:
-            return r.vars, r.m.tobytes()
-        return None
-
-    def _norm(self, r: OctRel) -> OctRel:
-        """Intervalized octagons must drop cross-variable bounds immediately,
-        or raw matrices would transiently denote a smaller γ than their
-        canonical form."""
-        return self.close(r) if self.intervalize else r
+        """``(vars, matrix bytes, widened matrix bytes or None)``; None for ⊥."""
+        if r.m is None:
+            return None
+        return r.vars, r.m.tobytes(), None if r.widened is None else r.widened.tobytes()
 
     def leq(self, a: OctRel, b: OctRel) -> bool:
-        ca = self.close(a)
-        if ca.is_bot:
+        if a.is_bot:
             return True
         if b.is_bot:
             return False
-        if ca.vars == b.vars:
-            return bool((ca.m <= b.m).all())
-        vars = _union(ca.vars, b.vars)
-        return bool((_embed(ca, vars) <= _embed(b, vars)).all())
+        if a.vars == b.vars:
+            return bool((a.m <= b.m).all())
+        vars = _union(a.vars, b.vars)
+        return bool((_embed(a, vars) <= _embed(b, vars)).all())
 
     def meet(self, a: OctRel, b: OctRel) -> OctRel:
         if a.is_bot or b.is_bot:
@@ -231,48 +226,55 @@ class OctBackend:
         am = a.m if a.vars == vars else _embed(a, vars)
         bm = b.m if b.vars == vars else _embed(b, vars)
         m = np.minimum(am, bm)
-        base, base_m = (a, am) if a.closed else (b, bm) if b.closed else (None, None)
-        if base is not None and (m == base_m).all():
-            return base
-        return OctRel(vars, m)
+        if (m == am).all():
+            return a
+        if (m == bm).all():
+            return b
+        return self.close(vars, m)
 
     def join(self, a: OctRel, b: OctRel) -> OctRel:
-        """Entrywise maximum over the shared variables; the closed ``a``
-        itself when ``b`` ⊑ ``a``."""
-        ca, cb = self.close(a), self.close(b)
-        if ca.is_bot:
-            return cb
-        if cb.is_bot:
-            return ca
-        if ca.vars == cb.vars:
+        """Entrywise maximum over the shared variables; ``a`` itself when
+        ``b`` ⊑ ``a``."""
+        if a.is_bot:
+            return b
+        if b.is_bot:
+            return a
+        if a.vars == b.vars:
             # 99% of joins; testing ⊑ inline rather than through leq is
             # worth about 3% of scaled-analyze throughput
-            if (cb.m <= ca.m).all():
-                return ca
-            return OctRel(ca.vars, np.maximum(ca.m, cb.m), True)
-        if self.leq(cb, ca):
-            return ca
-        vars = _shared(ca.vars, cb.vars)
-        return OctRel(vars, np.maximum(self._pack(ca, vars).m, self._pack(cb, vars).m), True)
+            if (b.m <= a.m).all():
+                return a
+            return OctRel(a.vars, np.maximum(a.m, b.m))
+        if self.leq(b, a):
+            return a
+        vars = _shared(a.vars, b.vars)
+        return OctRel(vars, np.maximum(self._pack(a, vars).m, self._pack(b, vars).m))
 
     def widen(self, a: OctRel, b: OctRel) -> OctRel:
-        """Keep stable bounds, drop grown ones; result stays unclosed.
+        """Keep the bounds of ``a`` that ``b`` keeps, drop the others.  The
+        bounds of ``a`` are those of the matrix its own widening computed,
+        if any, and the result keeps its own as ``widened`` unless it is
+        already closed.
 
         Returns ``a`` itself when every bound is stable."""
         if a.is_bot:
             return b
-        cb = self.close(b)
-        if cb.is_bot:
+        if b.is_bot:
             return a
         # a variable of one operand only is unconstrained in the result
-        vars = _union(a.vars, cb.vars)
-        am = _embed(a, vars)
-        stable = _embed(cb, vars) <= am
+        vars = _union(a.vars, b.vars)
+        am = _embed(a, vars, a.widened)
+        stable = _embed(b, vars) <= am
         if stable.all():
             return a
-        keep = _shared(a.vars, cb.vars)
+        keep = _shared(a.vars, b.vars)
         m = np.where(stable, am, INF)
-        return OctRel(keep, m if keep == vars else _project(m, _indices(vars, keep)))
+        if keep != vars:
+            m = _project(m, _indices(vars, keep))
+        c = self.close(keep, np.array(m))
+        if c.is_bot or np.array_equal(c.m, m):
+            return c
+        return OctRel(keep, c.m, m)
 
     # -- constraint plumbing --
 
@@ -304,24 +306,23 @@ class OctBackend:
         else:  # −x − y
             self._set(m, 2 * y, 2 * x + 1, bound)
 
-    def _bounded(self, c: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
-        """The closed ``c`` plus each octagonal ``sum(coeffs) ≤ bound``, over
-        the universe variables of the first; unclosed."""
-        vars = _union(c.vars, constraints[0][0])
-        m = _embed(c, vars)
+    def _bounded(self, r: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
+        """``r`` plus each octagonal ``sum(coeffs) ≤ bound``, over the
+        universe variables of the first."""
+        vars = _union(r.vars, constraints[0][0])
+        m = _embed(r, vars)
         for coeffs, bound in constraints:
             self._add_oct_constraint(m, {vars.index(x): cf for x, cf in coeffs.items()}, bound)
-        return self._norm(OctRel(vars, m))
+        return self.close(vars, m)
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
-        c = self.close(r)
-        if c.is_bot:
+        if r.is_bot:
             raise ValueError("bounds of ⊥")
-        if x not in c.vars:
+        if x not in r.vars:
             return -INF, INF
-        k = c.vars.index(x)
-        hi = c.m[2 * k + 1, 2 * k] / 2.0
-        lo = -c.m[2 * k, 2 * k + 1] / 2.0
+        k = r.vars.index(x)
+        hi = r.m[2 * k + 1, 2 * k] / 2.0
+        lo = -r.m[2 * k, 2 * k + 1] / 2.0
         return lo, hi
 
     def _eval_linear(self, r: OctRel, coeffs: dict[int, int], const: int) -> tuple[float, float]:
@@ -346,23 +347,21 @@ class OctBackend:
 
     # -- transfer functions --
 
-    def _pack(self, c: OctRel, vars: tuple[int, ...]) -> OctRel:
-        """The closed ``c`` over its variables ``vars``, the others forgotten."""
-        if len(vars) == len(c.vars):
-            return c
-        return OctRel(vars, _project(c.m, _indices(c.vars, vars)), True)
+    def _pack(self, r: OctRel, vars: tuple[int, ...]) -> OctRel:
+        """``r`` over its variables ``vars``, the others forgotten."""
+        if len(vars) == len(r.vars):
+            return r
+        return OctRel(vars, _project(r.m, _indices(r.vars, vars)))
 
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
-        c = self.close(r)
-        if c.is_bot:
-            return c
-        return self._pack(c, tuple(x for x in c.vars if x not in xs))
+        if r.is_bot:
+            return r
+        return self._pack(r, tuple(x for x in r.vars if x not in xs))
 
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
-        c = self.close(r)
-        if c.is_bot:
-            return c
-        return self._pack(c, tuple(x for x in c.vars if x in keep))
+        if r.is_bot:
+            return r
+        return self._pack(r, tuple(x for x in r.vars if x in keep))
 
     def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel:
         """Assign the abstract value [lo, hi] to x (forget, then bound)."""
@@ -378,63 +377,60 @@ class OctBackend:
             self._set(m, 2 * k + 1, 2 * k, 2 * hi)
         if lo > -INF:
             self._set(m, 2 * k, 2 * k + 1, -2 * lo)
-        return OctRel(vars, m)
+        return self.close(vars, m)
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
-        c = self.close(r)
-        if c.is_bot:
-            return c
+        if r.is_bot:
+            return r
         if coeffs == {x: 1} and -BOUND_LIMIT <= const <= BOUND_LIMIT:  # x := x + const
-            if x not in c.vars:
-                return c
-            k = c.vars.index(x)
-            m = np.array(c.m)
+            if x not in r.vars:
+                return r
+            k = r.vars.index(x)
+            m = np.array(r.m)
             m[:, 2 * k] += const
             m[2 * k, :] -= const
             m[:, 2 * k + 1] -= const
             m[2 * k + 1, :] += const
             m[2 * k, 2 * k] = m[2 * k + 1, 2 * k + 1] = 0.0
             _drop(m, EXACT_LIMIT)  # sound, though the result may no longer be tight
-            return OctRel(c.vars, m, True)
+            return OctRel(r.vars, m)
         if not coeffs:
-            return self.set_interval(c, x, const, const)
+            return self.set_interval(r, x, const, const)
         if len(coeffs) == 1:
             (y, cy) = next(iter(coeffs.items()))
             if y != x and cy in (1, -1):  # x := ±y + const, i.e. x ∓ y − const == 0
-                return self.guard_eq(self.forget(c, [x]), {x: 1, y: -cy}, -const)
+                return self.guard_eq(self.forget(r, [x]), {x: 1, y: -cy}, -const)
             if y == x and cy == -1:  # x := −x + const
-                if x not in c.vars:
-                    return c
-                k = c.vars.index(x)
-                m = np.array(c.m)
+                if x not in r.vars:
+                    return r
+                k = r.vars.index(x)
+                m = np.array(r.m)
                 m[[2 * k, 2 * k + 1], :] = m[[2 * k + 1, 2 * k], :]
                 m[:, [2 * k, 2 * k + 1]] = m[:, [2 * k + 1, 2 * k]]
-                return self.assign_linear(OctRel(c.vars, m, True), x, {x: 1}, const)
-        lo, hi = self._eval_linear(c, coeffs, const)
-        return self.set_interval(c, x, lo, hi)
+                return self.assign_linear(OctRel(r.vars, m), x, {x: 1}, const)
+        lo, hi = self._eval_linear(r, coeffs, const)
+        return self.set_interval(r, x, lo, hi)
 
     def guard_leq0(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum(coeffs·v) + const ≤ 0``; sound fallback otherwise."""
-        c = self.close(r)
-        if c.is_bot:
-            return c
+        if r.is_bot:
+            return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
-            return self._bounded(c, [(work, -const)])
-        lo, _hi = self._eval_linear(c, work, const)
-        return self._bot if lo > 0 else c
+            return self._bounded(r, [(work, -const)])
+        lo, _hi = self._eval_linear(r, work, const)
+        return self._bot if lo > 0 else r
 
     def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum + const == 0``: both bounds on one copy, then one
         closure."""
-        c = self.close(r)
-        if c.is_bot:
-            return c
+        if r.is_bot:
+            return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
-            return self._bounded(c, [(work, -const), ({x: -cf for x, cf in work.items()}, const)])
-        lo, hi = self._eval_linear(c, work, const)
-        return self._bot if lo > 0 or hi < 0 else c
+            return self._bounded(r, [(work, -const), ({x: -cf for x, cf in work.items()}, const)])
+        lo, hi = self._eval_linear(r, work, const)
+        return self._bot if lo > 0 or hi < 0 else r
 
     def guard_neq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum + const != 0``: the join of ``< 0`` and ``> 0``."""
@@ -469,12 +465,11 @@ class OctBackend:
     # -- rendering --
 
     def render(self, r: OctRel, names: list[str]) -> list[str]:
-        c = self.close(r)
-        if c.is_bot:
+        if r.is_bot:
             return ["⊥"]
         out = []
-        names = [names[x] for x in c.vars]  # by pack index
-        box = [self.bounds(c, x) for x in c.vars]
+        names = [names[x] for x in r.vars]  # by pack index
+        box = [self.bounds(r, x) for x in r.vars]
         for k, (lo, hi) in enumerate(box):
             if lo == hi:
                 out.append(f"{names[k]}={int(lo)}")
@@ -488,25 +483,24 @@ class OctBackend:
             for j in range(i + 1, len(box)):
                 (jlo, jhi) = box[j]
                 # bounds not already implied by the unary ones
-                b = c.m[2 * i, 2 * j]  # x_j − x_i ≤ b
+                b = r.m[2 * i, 2 * j]  # x_j − x_i ≤ b
                 if b < INF and not jhi - ilo <= b:
                     out.append(f"{names[j]}-{names[i]}<={int(b)}")
-                b = c.m[2 * j, 2 * i]  # x_i − x_j ≤ b
+                b = r.m[2 * j, 2 * i]  # x_i − x_j ≤ b
                 if b < INF and not ihi - jlo <= b:
                     out.append(f"{names[i]}-{names[j]}<={int(b)}")
-                b = c.m[2 * i + 1, 2 * j]  # x_i + x_j ≤ b
+                b = r.m[2 * i + 1, 2 * j]  # x_i + x_j ≤ b
                 if b < INF and not ihi + jhi <= b:
                     out.append(f"{names[i]}+{names[j]}<={int(b)}")
-                b = c.m[2 * i, 2 * j + 1]  # −x_i − x_j ≤ b
+                b = r.m[2 * i, 2 * j + 1]  # −x_i − x_j ≤ b
                 if b < INF and not -(ilo + jlo) <= b:
                     out.append(f"{names[i]}+{names[j]}>={int(-b)}")
         return sorted(out) or ["⊤"]
 
     def unlift1(self, r: OctRel, x: int):
-        c = self.close(r)
-        if c.is_bot:
+        if r.is_bot:
             return BOT
-        lo, hi = self.bounds(c, x)
+        lo, hi = self.bounds(r, x)
         if lo == -INF and hi == INF:
             return IntAbs.top()
         return IntAbs(lo, hi)

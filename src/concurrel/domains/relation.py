@@ -16,13 +16,9 @@ lift of a single binding and the unlift read one variable at a time:
 with restriction satisfying  r|Vars = r,  r|∅ = ⊤,  (r|Y1)|Y2 = r|Y1∩Y2,
 and  unlift_var(r|Y, x) = ⊤  for x ∉ Y.
 
-A ``RelDomain`` hash-conses its relations: every relation it builds whose
-numeric component has a backend ``key`` (a closed, non-⊥ octagon; a non-⊥
-eqconst value) is interned under that key and the thread-id map, so equal
-representations are one object.  An unclosed octagon has no key: callers
-skip the join or comparison of an entry with itself (``a is b``) and keep
-the left operand where ``join`` would return its closure, so merging
-unclosed values would change representations and later widenings.
+A ``RelDomain`` hash-conses its relations: every non-⊥ relation it builds
+is interned under the backend ``key`` of its numeric component and its
+thread-id map, so equal representations are one object.
 ``join``, ``widen``, ``meet`` and ``leq`` are memoized by the identity of
 their operands.  A memo key holds both operands, so their ids are never
 reused and a hit is exact.  The intern table and the memo tables live as
@@ -90,8 +86,7 @@ class NumericBackend(Protocol):
     (column i holds x_i), and the result is a boolean vector with one entry
     per row; a 1-row array tests one store.  ``key`` is a hashable image of
     the exact representation of ``r`` (values with equal keys behave alike
-    under every operation), or None when ``r`` must not be interned: ⊥, and
-    octagons that are not closed."""
+    under every operation), None for ⊥ alone."""
 
     def top(self): ...
     def bot(self): ...
@@ -148,10 +143,7 @@ class RelDomain:
         if self.nb.is_bot(num) or any(t is not TID_TOP and not t for t in tids.values()):
             return self._bot
         tids = {k: v for k, v in tids.items() if v is not TID_TOP}
-        key = self.nb.key(num)
-        if key is None:
-            return Relation(num, tids)
-        key = (key, tuple(tids.items()))
+        key = (self.nb.key(num), tuple(tids.items()))
         r = self._interned.get(key)
         if r is None:
             r = self._interned[key] = Relation(num, tids)

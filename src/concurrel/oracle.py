@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .digests import MAIN_TID, AbstractTid, CreateEdge, LockOnceDigest, TidDigestSpec, tid_compose
+from .digests import MAIN_TID, CreateEdge, LockOnceDigest, TidDigestSpec, tid_compose
 from .frontend.ast import (
     Assert, AssignLocal, BinOp, Cmp, Create, Guard, Havoc, IntLit, Join,
     Lock, Program, ReadGlobal, Return, Unlock, Var, WriteGlobal, action_str,
@@ -101,7 +101,6 @@ class Reachable(NamedTuple):
     locals: tuple  # values of Exploration.lvars
     globals: tuple  # values of Exploration.gvars
     tdig: tuple  # TidDigestSpec digest
-    tbase: AbstractTid  # thread id without the encountered-creates refinement
     lockonce: frozenset[str]  # LockOnceDigest digest
 
 
@@ -429,12 +428,12 @@ class _Explorer:
             stack.extend(reversed(succs))
         self.ex.schedules = len(self.terminals)
         self.ex.segments = len(self.segments)
-        points, digs, tids = self.points, self.digs, self.ex.tid_abstractions
+        points, digs = self.points, self.digs
         reachable, groups = self.ex.reachable, self.ex.groups
         for view, gs, lockset in self.rows:
             tid, p, ls, d = self.view_rows[view]
             (tdig, lockonce) = digs[d]  # in the order of SPECS
-            reachable.add(Reachable(tid, points[p], lockset, ls, gs, tdig, tids[tid][1], lockonce))
+            reachable.add(Reachable(tid, points[p], lockset, ls, gs, tdig, lockonce))
         for rs in reachable:  # in the set's order, as a walk of ``reachable`` sees them
             groups.setdefault((rs.point, rs.lockset), []).append(rs)
         return self.ex

@@ -21,9 +21,8 @@ and namespace it read (a later change would have rescheduled it), and a
 right-hand side is a deterministic function of what it reads through its
 view; so the effects kept from each constraint's last evaluation are the
 effects it has on the final assignment.  ``values`` is the one record of
-discovered unknowns; ``_reevaluate`` runs every right-hand side again, only
-for ``check_post_solution``, which verifies the narrowed assignment
-independently.
+discovered unknowns; only ``check_post_solution`` runs every right-hand side
+again, to verify the narrowed assignment independently.
 """
 
 from __future__ import annotations
@@ -196,22 +195,13 @@ class Solver:
 
     # -- post-solve queries --
 
-    def _reevaluate(self):
-        """Every constraint with the effects it has on the current assignment."""
-        for c in self.constraints:
-            yield c, c.rhs(View(self))
-
     def check_post_solution(self) -> list[str]:
         """Re-evaluate every right-hand side; report any effect not below the
         solution, as ``<constraint> -> <key>``."""
         bad = []
-
-        def below(key, value) -> bool:
-            cur = self.values.get(key)
-            return cur is not None and self.system.leq(key, value, cur)
-
-        for c, effects in self._reevaluate():
-            for key, value in effects.items():
-                if not below(key, value):
+        for c in self.constraints:
+            for key, value in c.rhs(View(self)).items():
+                cur = self.values.get(key)
+                if cur is None or not self.system.leq(key, value, cur):
                     bad.append(f"{c.describe()} -> {key}")
         return bad

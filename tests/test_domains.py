@@ -44,7 +44,7 @@ def test_lift_box_octagon():
     r = dom.assign_value(dom.assign_value(dom.top(), "x", IntAbs(1, 2)), "y", IntAbs(1, 2))
     # γ equals the enumerated box; x−y stays within ±1 after closure
     assert gamma(dom, r, ("x", "y")) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    m = dom.nb.close(r.num).m
+    m = r.num.m
     assert m[0, 2] == 1 and m[2, 0] == 1  # |x − y| ≤ 1
 
 
@@ -117,7 +117,7 @@ def test_backends_implement_the_numeric_backend_protocol():
 def test_guard_leq_octagon():
     dom = make_domain("octagon", ("x", "y"))
     r = dom.guard(dom.top(), Cmp("<=", Var("x"), Var("y")))
-    assert dom.nb.close(r.num).m[2, 0] == 0  # x − y ≤ 0
+    assert r.num.m[2, 0] == 0  # x − y ≤ 0
 
 
 def test_restrict_laws_basic(dom):
@@ -323,8 +323,7 @@ def test_transfer_soundness_vs_enumeration(numeric):
 
 # -- octagon closure ---------------------------------------------------------------
 
-def _random_dbm(rng: Random, n: int):
-    back = OctBackend(n)
+def _random_dbm(rng: Random, n: int) -> np.ndarray:
     m = np.full((2 * n, 2 * n), np.inf)
     np.fill_diagonal(m, 0.0)
     for _ in range(rng.randint(1, 2 * n)):
@@ -333,26 +332,31 @@ def _random_dbm(rng: Random, n: int):
             c = float(rng.randint(-3, 6))
             m[i, j] = min(m[i, j], c)
             m[j ^ 1, i ^ 1] = m[i, j]
-    from concurrel.domains.octagon import OctRel
+    return m
 
-    return back, OctRel(tuple(range(n)), m)
+
+def _satisfies(m: np.ndarray, vals) -> bool:
+    """Does the store ``vals`` (one value per matrix variable) satisfy every
+    bound v_j − v_i ≤ m[i][j] of the raw matrix ``m``?"""
+    w = np.repeat(vals, 2) * np.tile([1, -1], len(vals))
+    return bool((w[None, :] - w[:, None] <= m).all())
 
 
 def test_closure_idempotent_and_exact():
     rng = Random(46)
     for _ in range(120):
-        back, r = _random_dbm(rng, rng.randint(1, 3))
-        c1 = back.close(r)
+        n = rng.randint(1, 3)
+        back, m, vars = OctBackend(n), _random_dbm(rng, n), tuple(range(n))
+        c1 = back.close(vars, np.array(m))
         if c1.is_bot:
             # unsatisfiable: no store may satisfy the raw constraints
-            for vals in box(back.n):
-                assert not back.contains(r, np.array([vals]))[0]
+            assert not any(_satisfies(m, vals) for vals in box(n))
             continue
-        c2 = back.close(OctRel_copy(c1))
+        c2 = back.close(vars, np.array(c1.m))
         assert not c2.is_bot
         assert np.array_equal(c1.m, c2.m)
-        for vals in box(back.n):
-            assert back.contains(r, np.array([vals]))[0] == back.contains(c1, np.array([vals]))[0]
+        for vals in box(n):
+            assert _satisfies(m, vals) == back.contains(c1, np.array([vals]))[0]
 
 
 @pytest.mark.parametrize("numeric", ["octagon", "interval"])
@@ -411,8 +415,8 @@ def _store_contains(dom, r, store) -> bool:
 
 @pytest.mark.parametrize("numeric", DOMAINS)
 def test_backend_contains_is_the_row_by_row_test(numeric, monkeypatch):
-    """⊥, ⊤, closed values and (octagons) unclosed random DBMs, against
-    batches cut into many broadcast chunks."""
+    """⊥, ⊤, values of transfer sequences and (octagons) closures of random
+    DBMs, against batches cut into many broadcast chunks."""
     from concurrel.domains import octagon
 
     monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
@@ -421,7 +425,7 @@ def test_backend_contains_is_the_row_by_row_test(numeric, monkeypatch):
     nb = dom.nb
     values = [nb.bot(), nb.top()] + [random_relation(dom, rng).num for _ in range(40)]
     if numeric != "eqconst":
-        values += [_random_dbm(rng, 3)[1] for _ in range(40)]
+        values += [nb.close((0, 1, 2), _random_dbm(rng, 3)) for _ in range(40)]
     for r in values:
         vals = np.array([[rng.randint(-3, 5) for _ in range(3)]
                          for _ in range(rng.randint(1, 30))])
@@ -461,12 +465,6 @@ def test_contains_many_is_the_store_by_store_test(numeric, monkeypatch):
         assert batch == [dom.contains(r, s) for s in stores]
 
 
-def OctRel_copy(c):
-    from concurrel.domains.octagon import OctRel
-
-    return OctRel(c.vars, np.array(c.m))
-
-
 def box(n, lo=-2, hi=4):
     from itertools import product
 
@@ -475,17 +473,17 @@ def box(n, lo=-2, hi=4):
 
 def test_every_computed_closure_calls_tight_close_inplace(programs, monkeypatch):
     """``close`` computes each closure through ``octagon.tight_close_inplace``,
-    the one name a tracer wraps, so counting its calls counts closures."""
+    the one name a tracer wraps, and nothing else calls the kernel, so
+    counting its calls counts closures."""
     import concurrel.domains.octagon as octagon
     from concurrel.analysis import preset, run_analysis
 
     computed, kernel_calls = [0], [0]
     close, kernel = OctBackend.close, octagon.tight_close_inplace
 
-    def counting_close(self, r):
-        if not (r.is_bot or r.closed or r._closed_cache is not None):
-            computed[0] += 1
-        return close(self, r)
+    def counting_close(self, *args):
+        computed[0] += 1
+        return close(self, *args)
 
     def counting_kernel(m):
         kernel_calls[0] += 1
@@ -598,6 +596,46 @@ def test_compiled_kernel_is_built_once_per_cache(tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == built
 
 
+def test_changed_kernel_source_builds_a_second_file(tmp_path, monkeypatch):
+    """The cache name covers the source: an edited source is compiled into
+    a file of its own instead of loading the one built before."""
+    import os
+
+    from concurrel.domains import _build
+
+    source = tmp_path / "_closure.c"
+    source.write_bytes(_build.SOURCE.read_bytes())
+    monkeypatch.setattr(_build, "SOURCE", source)
+    cache = tmp_path / "cache"
+    first = _compiled_kernel(cache)
+    source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+    second = _build.load_compiled(cache)
+    assert second is not None and second.__file__ != first.__file__
+    assert sorted(f.name for f in cache.iterdir()) == sorted(
+        os.path.basename(m.__file__) for m in (first, second))
+
+
+def test_import_on_a_warm_kernel_cache_loads_no_hashlib():
+    """Naming the cached kernel takes no ``hashlib``, which would load
+    OpenSSL into every process that imports the package."""
+    import os
+    import subprocess
+    import sys
+
+    import concurrel
+    from concurrel.domains._build import load_compiled
+
+    if load_compiled() is None:  # warms the package's cache
+        pytest.skip("no compiled kernel")
+    src = os.path.dirname(os.path.dirname(concurrel.__file__))
+    code = ("import sys, concurrel; from concurrel.domains import KERNEL; "
+            "print(KERNEL, sorted({'hashlib', '_hashlib'} & sys.modules.keys()))")
+    env = {k: v for k, v in os.environ.items() if k != "CONCURREL_PURE"}
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "compiled []\n" and out.stderr == ""
+
+
 @pytest.mark.parametrize("failure", ["compile error", "no compiler", "unwritable cache",
                                      "load error"])
 def test_failed_kernel_build_returns_none_and_leaves_no_temporary(tmp_path, monkeypatch,
@@ -694,6 +732,27 @@ def test_widen_returns_left_operand_when_stable():
     a = back.set_interval(back.top(), 0, 0, 0)
     w = back.widen(a, back.set_interval(back.top(), 0, 0, 1))
     assert w is not a and back.bounds(w, 0) == (0, float("inf"))
+
+
+def test_widen_reads_the_unclosed_matrix_of_its_left_operand():
+    """A widening's left operand is the matrix the previous widening
+    computed, not its closure: a bound that only the closure implies does
+    not survive the next widening (Miné, HOSC 2006)."""
+    dom = make_domain("octagon", ("x", "y"))
+
+    def octagon(x_hi, y_hi):  # {x ≤ x_hi, y ≤ y_hi, x − y ≤ 0}
+        r = dom.guard(dom.top(), Cmp("<=", Var("x"), IntLit(x_hi)))
+        r = dom.guard(r, Cmp("<=", Var("y"), IntLit(y_hi)))
+        return dom.guard(r, Cmp("<=", Var("x"), Var("y")))
+
+    inf = float("inf")
+    w = dom.widen(octagon(-5, 0), octagon(0, 0))
+    # x ≤ −5 grew, so the widening dropped it; x ≤ y ≤ 0 still gives x ≤ 0
+    assert dom.unlift_var(w, "x") == IntAbs(-inf, 0)
+    w2 = dom.widen(w, octagon(0, 1))
+    assert dom.unlift_var(w2, "x") == IntAbs.top()
+    assert dom.unlift_var(w2, "y") == IntAbs.top()
+    assert not dom.contains(w2, {"x": 1, "y": 0})  # x − y ≤ 0 is stable
 
 
 def test_octagon_assign_negation_of_other():
@@ -806,9 +865,8 @@ def test_guard_eq_closes_like_the_meet_of_both_halves():
             const = rng.randint(-4, 4)
             lo = back.guard_leq0(r, coeffs, const)
             hi = back.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const)
-            want = (back.bot() if back.is_bot(lo) or back.is_bot(hi)
-                    else back.close(back.meet(lo, hi)))
-            got = back.close(back.guard_eq(r, coeffs, const))
+            want = back.meet(lo, hi)
+            got = back.guard_eq(r, coeffs, const)
             assert got.is_bot == want.is_bot
             if not got.is_bot:
                 assert got.vars == want.vars and np.array_equal(got.m, want.m)
@@ -816,11 +874,10 @@ def test_guard_eq_closes_like_the_meet_of_both_halves():
 
 # -- packed octagons ----------------------------------------------------------------
 
-def _packed(data, back, n):
-    """A random octagon over a random subset of the n variables: raw,
-    closed, or closed plus one bound, left unclosed."""
+def _raw_pack(data, back, n):
+    """Random octagonal constraints over a random subset of the n
+    variables: (vars, raw matrix)."""
     from hypothesis import strategies as st
-    from concurrel.domains.octagon import OctRel
 
     vars = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))))
     k = len(vars)
@@ -828,27 +885,27 @@ def _packed(data, back, n):
     np.fill_diagonal(m, 0.0)
     for _ in range(data.draw(st.integers(0, 2 * k)) if k else 0):
         back._add_oct_constraint(m, *_oct_constraint(data, k))
-    r = OctRel(vars, m)
-    kind = data.draw(st.sampled_from(("raw", "closed", "bounded")))
-    if kind == "raw":
-        return r
-    c = back.close(r)
-    if kind == "closed" or c.is_bot or not k:
-        return c
-    m = np.array(c.m)
-    back._add_oct_constraint(m, *_oct_constraint(data, k))
-    return OctRel(vars, m)
+    return vars, m
+
+
+def _packed(data, back, n):
+    """A random octagon over a random subset of the n variables (⊥ too)."""
+    vars, m = _raw_pack(data, back, n)
+    return back.close(vars, m)
+
+
+def _full_matrix(vars, m, n):
+    """The full-universe matrix of the matrix ``m`` over ``vars``."""
+    full = np.full((2 * n, 2 * n), np.inf)
+    np.fill_diagonal(full, 0.0)
+    idx = [i for x in vars for i in (2 * x, 2 * x + 1)]
+    full[np.ix_(idx, idx)] = m
+    return full
 
 
 def _full(r, n):
     """The full-universe matrix of a packed octagon; None for ⊥."""
-    if r.is_bot:
-        return None
-    m = np.full((2 * n, 2 * n), np.inf)
-    np.fill_diagonal(m, 0.0)
-    idx = [i for x in r.vars for i in (2 * x, 2 * x + 1)]
-    m[np.ix_(idx, idx)] = r.m
-    return m
+    return None if r.is_bot else _full_matrix(r.vars, r.m, n)
 
 
 def _full_close(m):
@@ -866,8 +923,8 @@ def _same(got, want) -> bool:
 
 
 def test_packed_operations_equal_full_universe_ones():
-    """On octagons over different variables, the packed join, meet, widen,
-    ⊑, forget and closure give, embedded into the full universe, the
+    """On octagons over different variables, the packed closure, join, meet,
+    widen, ⊑ and forget give, embedded into the full universe, the
     matrices and ⊥ verdicts of the full-universe definitions."""
     from hypothesis import given, settings, strategies as st
 
@@ -876,12 +933,12 @@ def test_packed_operations_equal_full_universe_ones():
     def check(data):
         n = data.draw(st.integers(1, 5))
         back = OctBackend(n)
-        a, b = _packed(data, back, n), _packed(data, back, n)
-        fa, fb = _full(a, n), _full(b, n)
-        ca, cb = _full_close(fa), _full_close(fb)
+        (va, ma), (vb, mb) = _raw_pack(data, back, n), _raw_pack(data, back, n)
+        a, b = back.close(va, np.array(ma)), back.close(vb, np.array(mb))
+        ca, cb = _full(a, n), _full(b, n)
 
-        assert _same(_full(back.close(a), n), ca)
-        assert back.is_bot(a) == (ca is None)
+        assert _same(ca, _full_close(_full_matrix(va, ma, n)))
+        assert _same(cb, _full_close(_full_matrix(vb, mb, n)))
         if ca is None:
             want = cb
         elif cb is None:
@@ -890,18 +947,23 @@ def test_packed_operations_equal_full_universe_ones():
             want = np.maximum(ca, cb)
         assert _same(_full(back.join(a, b), n), want)
         met = back.meet(a, b)
-        want = None if fa is None or fb is None else np.minimum(fa, fb)
-        assert _same(_full(met, n), want)
-        assert _same(_full(back.close(met), n), _full_close(want))
-        assert back.is_bot(met) == (_full_close(want) is None)
-        if fa is None:
-            want = fb
+        want = None if ca is None or cb is None else np.minimum(ca, cb)
+        assert _same(_full(met, n), _full_close(want))
+        if ca is None:
+            want = cb
         elif cb is None:
-            want = fa
+            want = ca
         else:
-            want = np.where(cb <= fa, fa, np.inf)
-        assert _same(_full(back.widen(a, b), n), want)
-        want = ca is None or fb is not None and bool((ca <= fb).all())
+            want = np.where(cb <= ca, ca, np.inf)
+        w = back.widen(a, b)
+        assert _same(_full(w, n), _full_close(want))
+        if not w.is_bot:  # the next widening starts from the unclosed matrix
+            raw = _full_matrix(w.vars, w.m if w.widened is None else w.widened, n)
+            assert _same(raw, want)
+            c = _packed(data, back, n)
+            want = raw if c.is_bot else np.where(_full(c, n) <= raw, raw, np.inf)
+            assert _same(_full(back.widen(w, c), n), _full_close(want))
+        want = ca is None or cb is not None and bool((ca <= cb).all())
         assert back.leq(a, b) == want
         xs = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
         want = None if ca is None else np.array(ca)
@@ -923,9 +985,9 @@ def test_join_returns_the_left_operand_when_the_right_adds_nothing():
         b = back.meet(a, random_relation(dom, rng).num)  # b ⊑ a
         if back.is_bot(a) or back.is_bot(b):
             continue
-        assert back.join(a, b) is back.close(a)
-        assert back.join(b, b) is back.close(b)
-        shared += back.close(b).vars != back.close(a).vars
+        assert back.join(a, b) is a
+        assert back.join(b, b) is b
+        shared += b.vars != a.vars
     assert shared > 0  # some b had more variables than a
 
 
@@ -990,9 +1052,9 @@ _LATTICE_OPS = ("join", "widen", "meet", "leq")
 
 def _recipe(data, maker):
     """A relation to build in some domain: a numeric value made by ``maker``
-    (a packed octagon from ``_packed``, raw, closed or unclosed, or the end
-    of a random transfer sequence; widened by another one or not) and a
-    thread-id set for ``self``, ⊤ included."""
+    (a packed octagon from ``_packed`` or the end of a random transfer
+    sequence; widened by another one or not) and a thread-id set for
+    ``self``, ⊤ included."""
     from hypothesis import strategies as st
     from concurrel.domains.values import TID_TOP
 
@@ -1045,11 +1107,11 @@ def test_memoized_operations_equal_those_of_a_fresh_domain():
     check()
 
 
-def test_closed_relations_are_interned_and_unclosed_ones_are_not():
+def test_relations_built_from_equal_representations_are_one_object():
     """Two relations built separately from equal representations are one
-    object when the numeric value is closed (every eqconst value is), and
-    two objects when it is an unclosed octagon; a widened, unclosed result
-    is never the relation of its own closure."""
+    object, widened values included; a widened value is keyed by both of
+    its matrices, so it is another relation than its closure alone when the
+    two differ, with the same meaning."""
     from hypothesis import given, settings, strategies as st
     from concurrel.domains.eqconst import EqRel
     from concurrel.domains.octagon import OctRel
@@ -1057,7 +1119,8 @@ def test_closed_relations_are_interned_and_unclosed_ones_are_not():
     def copy(num):
         if isinstance(num, EqRel):
             return EqRel(num.rep, dict(num.consts), num.bot)
-        return OctRel(num.vars, None if num.m is None else np.array(num.m), num.closed)
+        return OctRel(num.vars, None if num.m is None else np.array(num.m),
+                      None if num.widened is None else np.array(num.widened))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1066,16 +1129,18 @@ def test_closed_relations_are_interned_and_unclosed_ones_are_not():
         dom = make_domain(numeric, ("x", "y", "z"))
         (num, tids), (other, _) = _recipe(data, dom), _recipe(data, dom)
         r1, r2 = dom._mk(num, tids), dom._mk(copy(num), dict(tids))
+        assert r2 is r1
         if dom.is_bot(r1):
-            assert r2 is r1 is dom.bot()
-        elif getattr(num, "closed", True):
-            assert r2 is r1
-        else:
-            assert r2 is not r1
-        w = dom.widen(r1, dom._mk(other, tids))
-        if not dom.is_bot(w) and not getattr(w.num, "closed", True):
-            c = dom.join(w, w)
-            assert c is not w and c.num.closed
-            assert dom.render(c) == dom.render(w)
+            assert r1 is dom.bot()
+        o = dom._mk(other, tids)
+        w = dom.widen(r1, o)
+        if dom.is_bot(w):
+            return
+        assert dom._mk(copy(w.num), dict(w.tids)) is w
+        assert dom._upper(r1, o, dom.nb.widen) is w  # computed again, unmemoized
+        if getattr(w.num, "widened", None) is not None:
+            closed = dom._mk(OctRel(w.num.vars, w.num.m), dict(w.tids))
+            assert (closed is w) == np.array_equal(w.num.m, w.num.widened)
+            assert dom.render(closed) == dom.render(w)
 
     check()

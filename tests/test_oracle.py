@@ -179,46 +179,46 @@ def _fingerprint(ex) -> tuple:
 #  (states, infeasibility reports, violation schedules' hash))
 _CORPUS_FINGERPRINTS = {
     "ancestor": (
-        (2, 40, [], '613bebd5d15166a5', '40ba0212f5e2f585'),
+        (2, 40, [], '46e049739400d21b', '40ba0212f5e2f585'),
         (75, 0, 'e3b0c44298fc1c14')),
     "example8": (
-        (40, 613, [], 'e6bd5baa67a18b63', 'b4fe30d03c6f5ba1'),
+        (40, 613, [], '6b364a3bbfb79934', 'b4fe30d03c6f5ba1'),
         (1628, 0, 'e3b0c44298fc1c14')),
     "fig_ex0": (
-        (2, 25, [], '4fa6a6b3dd5109fa', '3964358df5119bb0'),
+        (2, 25, [], 'af25daddbae596f7', '3964358df5119bb0'),
         (31, 0, 'e3b0c44298fc1c14')),
     "four_asserts": (
-        (32, 266, [], '36c9779f3152d2c0', '328e901b23a97753'),
+        (32, 266, [], '6c7fa2a40ddd20ad', '328e901b23a97753'),
         (865, 0, 'e3b0c44298fc1c14')),
     "intro_cluster": (
-        (5265, 5542, [], '47643aae24c24e01', '465770c605d05438'),
+        (5265, 5542, [], '754f05133c07338d', '465770c605d05438'),
         (82073, 0, 'e3b0c44298fc1c14')),
     "joins": (
-        (6, 127, [], '8a771182bdd9cb07', 'd4967164768bc8a8'),
+        (6, 127, [], 'cb62e0e4a68e3926', 'd4967164768bc8a8'),
         (220, 0, 'e3b0c44298fc1c14')),
     "lockonce": (
-        (2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+        (2, 27, [], '3a774c66b3eb89e3', '9b7958208e80b3e8'),
         (49, 0, 'e3b0c44298fc1c14')),
     "lockonce_strict": (
-        (2, 27, [], '4288ccbe9bfe61cb', '9b7958208e80b3e8'),
+        (2, 27, [], '3a774c66b3eb89e3', '9b7958208e80b3e8'),
         (49, 0, 'e3b0c44298fc1c14')),
     "one_element": (
-        (33, 168, [], '86afcf5f81df436a', 'c7a099e1ce12bfd5'),
+        (33, 168, [], '95a49b486cbf0a9e', 'c7a099e1ce12bfd5'),
         (643, 0, 'e3b0c44298fc1c14')),
     "synth_counter": (
-        (6, 45, [], 'cbaa76959dc042e7', '21cc93d6bf01a6f9'),
+        (6, 45, [], '3bdb711f070f9ad3', '21cc93d6bf01a6f9'),
         (101, 0, 'e3b0c44298fc1c14')),
     "synth_infer": (
-        (3, 33, [], 'c6a0a70714bb25ec', 'c31d1410fd92d338'),
+        (3, 33, [], '530247628b18c7ad', 'c31d1410fd92d338'),
         (68, 0, 'e3b0c44298fc1c14')),
     "synth_mix": (
-        (3, 45, [], '30135f55b95acd2b', '06bde853bdec22c8'),
+        (3, 45, [], '9a866e7a2c2ef144', '06bde853bdec22c8'),
         (86, 0, 'e3b0c44298fc1c14')),
     "synth_relock": (
-        (1, 18, [], '85fafc0178e1ae89', 'b9bf33e7d6fbb55d'),
+        (1, 18, [], 'c4c091dbfa3ef08e', 'b9bf33e7d6fbb55d'),
         (32, 0, 'e3b0c44298fc1c14')),
     "tid_loop": (
-        (142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+        (142, 131, ['max_threads'], '0981ca7724ad9c7b', '3eeb883d17bdb0be'),
         (1202, 0, 'e3b0c44298fc1c14')),
 }
 
@@ -226,46 +226,46 @@ _CORPUS_FINGERPRINTS = {
 # so it also pins the order in which states are explored
 _CAPPED_FINGERPRINTS = {
     "intro_cluster": (
-        (313, 894, ['max_total_states'], 'b749d5e5c0e7907a', '465770c605d05438'),
+        (313, 894, ['max_total_states'], '4a14a8a9272f5bc7', '465770c605d05438'),
         (5001, 0, 'e3b0c44298fc1c14')),
     "tid_loop": (
-        (142, 131, ['max_threads'], '8f7cd41495e327a0', '3eeb883d17bdb0be'),
+        (142, 131, ['max_threads'], '0981ca7724ad9c7b', '3eeb883d17bdb0be'),
         (1202, 0, 'e3b0c44298fc1c14')),
     "scaled_s0_p0": (
-        (6, 767, [], '6f0e69c27d874048', '8ca3692296dcbd96'),
+        (6, 767, [], '56fd7b556774164d', '8ca3692296dcbd96'),
         (824, 0, '3cf85fffdc4324d2')),
     "scaled_s0_p1": (
-        (1, 675, [], '811822978a789164', '3988f7a23a2aaeb9'),
+        (1, 675, [], '0dd1bc5466b40a58', '3988f7a23a2aaeb9'),
         (514, 0, 'a16fb28782a10966')),
     "scaled_s0_p2": (
-        (1, 675, [], '527538e1d9a65985', 'ec3307c0d906f6d5'),
+        (1, 675, [], '592119c9b6d05add', 'ec3307c0d906f6d5'),
         (514, 0, 'a920c42acbb9d005')),
     "scaled_s0_p3": (
-        (1, 675, [], '2b5d6880570bfebc', 'c60dc1c65a6d4f76'),
+        (1, 675, [], '1230ab1e4e4d294b', 'c60dc1c65a6d4f76'),
         (514, 0, '128b8254ab07d9a2')),
     "scaled_s1_p0": (
-        (6, 767, [], 'a164c0680e084130', '916a0b9bdba99821'),
+        (6, 767, [], 'f96ba600fa9997f1', '916a0b9bdba99821'),
         (824, 0, '4c05e9b3af4aae32')),
     "scaled_s1_p1": (
-        (1, 675, [], '50b266b4d07ea036', 'fb4da16252b1a1de'),
+        (1, 675, [], '86ef178c8db4ddbc', 'fb4da16252b1a1de'),
         (514, 0, '4ee200241b5ffd63')),
     "scaled_s1_p2": (
-        (1, 675, [], '914337b4f0f966f7', '94007989b1c632bd'),
+        (1, 675, [], '23245e900a364cf1', '94007989b1c632bd'),
         (514, 0, '47d7302394705bfc')),
     "scaled_s1_p3": (
-        (1, 675, [], '3b2e3a5d7129a1ae', '44d1e6aa750c5165'),
+        (1, 675, [], '1ed5fe5d4f53db49', '44d1e6aa750c5165'),
         (514, 0, '8ffb99414f69868f')),
     "scaled_s2_p0": (
-        (6, 767, [], '39efe35025574408', 'ac7cd9d1db9e9e7c'),
+        (6, 767, [], '2157d84db7dc9646', 'ac7cd9d1db9e9e7c'),
         (824, 0, 'd93127ee77b71d41')),
     "scaled_s2_p1": (
-        (1, 675, [], 'd4189c8394a79f16', '0a3dd9e36cd98dee'),
+        (1, 675, [], 'd44781a40b5fdb6c', '0a3dd9e36cd98dee'),
         (514, 0, 'eaa89df2ebf91107')),
     "scaled_s2_p2": (
-        (1, 675, [], 'ac9e6713cc1e1b1f', 'fba7fc6ab0e3619f'),
+        (1, 675, [], '04aed0c1282cf6d7', 'fba7fc6ab0e3619f'),
         (514, 0, 'efcb7c48c49a2343')),
     "scaled_s2_p3": (
-        (1, 675, [], 'c2cda5b85c86d94e', 'e5e5d11a1bff80de'),
+        (1, 675, [], 'f597305f59b0737a', 'e5e5d11a1bff80de'),
         (514, 0, 'dbca2b2a30e92c65')),
 }
 
@@ -308,7 +308,7 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { lock(a); g = 1; unlock(a); return 0; }
         """, ExploreBounds(),
-        ((2, 51, [], 'f67f11bca96a75a9', '8f097b755fbc368c'), (66, 0, '2d670de89ec74a85'))),
+        ((2, 51, [], '137199b92f1e1976', '8f097b755fbc368c'), (66, 0, '2d670de89ec74a85'))),
     # a lock/unlock loop cut by the visit cap while t1 competes for the mutex
     "lock_loop": ("""
         global g;
@@ -326,7 +326,7 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { lock(a); g = 0; unlock(a); return 0; }
         """, ExploreBounds(max_steps_per_thread=3),
-        ((4, 47, ['max_steps_per_thread'], '3abd7bc68315bee7', 'eeff1610608a0d8e'),
+        ((4, 47, ['max_steps_per_thread'], 'c40334f0c1b1396f', 'eeff1610608a0d8e'),
          (98, 0, 'e3b0c44298fc1c14'))),
     # a havoc whose values split at a guard
     "havoc_guard": ("""
@@ -336,7 +336,7 @@ _SMALL_PROGRAMS = {
           assert(y != 1);
         }
         """, ExploreBounds(),
-        ((3, 16, [], 'e4e43bdd6a471900', '296867e984238812'), (17, 0, 'a5506cf1f763acee'))),
+        ((3, 16, [], 'd19631eb9c3c912c', '296867e984238812'), (17, 0, 'a5506cf1f763acee'))),
     # a product of havoced values, violated for x = 2 only
     "havoc_product": ("""
         thread main {
@@ -345,7 +345,7 @@ _SMALL_PROGRAMS = {
           if (y > 3) { assert(x != 2); }
         }
         """, ExploreBounds(),
-        ((3, 14, [], '3b74e52dea862a99', '296867e984238812'), (15, 0, '6de9c50abdc8b8cc'))),
+        ((3, 14, [], '57797fbe97cbddf7', '296867e984238812'), (15, 0, '6de9c50abdc8b8cc'))),
     # A child inherits its creator's locals, so the second t1 starts with x
     # holding the first t1's name.  That t1 cannot copy x to a global, add
     # to it, or assert an order on it; each havoc value blocks it at one.
@@ -366,7 +366,7 @@ _SMALL_PROGRAMS = {
           return 0;
         }
         """, ExploreBounds(),
-        ((10, 36, [], '1f2f1272eee924ed', 'f55cb0278fdbaa7a'), (50, 0, 'e3b0c44298fc1c14'))),
+        ((10, 36, [], 'ba995b7c2392e6d2', 'f55cb0278fdbaa7a'), (50, 0, 'e3b0c44298fc1c14'))),
     # ... nor guard on an order of x, nor return x
     "thread_name_return": ("""
         thread main { x = create(t1); x = create(t1); }
@@ -378,7 +378,7 @@ _SMALL_PROGRAMS = {
           return x;
         }
         """, ExploreBounds(),
-        ((9, 24, [], 'b56f852b4fdba6c5', 'f45aade1f87a36a2'), (30, 0, 'e3b0c44298fc1c14'))),
+        ((9, 24, [], '5049a0001a991bfd', 'f45aade1f87a36a2'), (30, 0, 'e3b0c44298fc1c14'))),
     # t1 returns each havoc value, so one join reads one of several returned
     # states of t1
     "join_havoc_return": ("""
@@ -395,7 +395,7 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { x = ?; return x; }
         """, ExploreBounds(),
-        ((3, 19, [], '0200a795d2c176df', '8f097b755fbc368c'), (30, 0, '4ec480b1afa12802'))),
+        ((3, 19, [], 'ee3ee8e040125f9f', '8f097b755fbc368c'), (30, 0, '4ec480b1afa12802'))),
     # t1 reads 0 (before main's writes) or 1 (between them) and then
     # overwrites it, so two states of t1 right after its unlock lead to one
     # final state, with the same globals and last unlocks
@@ -414,7 +414,7 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { lock(a); x = g; unlock(a); x = 0; y = x + 1; }
         """, ExploreBounds(),
-        ((2, 28, [], 'd332d7f5f4345431', '36c175012f926abe'), (53, 0, 'e3b0c44298fc1c14'))),
+        ((2, 28, [], '473a35fdec6e4c4a', '36c175012f926abe'), (53, 0, 'e3b0c44298fc1c14'))),
 }
 
 
