@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark the bounded interleaving oracle on the corpus.
 
-    python benchmarks/bench_oracle.py [--repeat 1] [--scaled K] [--check]
+    python benchmarks/bench_oracle.py [--repeat 1] [--scaled K] [--check] [--deep]
 
 Explores every corpus program at the default bounds (``ExploreBounds()``),
+or with ``--deep`` at ``DEEP_BOUNDS`` (havoc values -1..2, 600,000 states),
 and with ``--scaled K`` also the 4 generated programs of each generator
 seed 0..K-1 (``perfbench/gen.py``, named ``scaled_s<seed>_p<n>``).  It
 prints, per program, the explored states (``Exploration.states``: the
 states with each thread's local steps collapsed, plus the members of every
 segment), the segments (the distinct segment origins), the schedules (the
-distinct final interleaved states, where no thread can move), the distinct
+distinct final interleaved states, where no thread can move; a finished
+thread in them, as in every state, keeps only its id and status, and a
+returned one its return value and digests until it is joined), the distinct
 reachable per-thread projections (``len(reachable)``, what the differential
 check reads), the best wall time of ``--repeat`` explorations and the
 explored states per second, then the totals (with ``--scaled``, first those of the corpus and of the generated
@@ -34,7 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from concurrel.frontend import parse_program  # noqa: E402
 from concurrel.frontend.cfg import build_cfg  # noqa: E402
-from concurrel.oracle import explore  # noqa: E402
+from concurrel.oracle import DEEP_BOUNDS, ExploreBounds, explore  # noqa: E402
 
 CHECK_PRESETS = ("interval", "octagon", "tids", "clusters")
 
@@ -84,7 +87,10 @@ def main() -> int:
                     help="also explore the generated programs of seeds 0..K-1")
     ap.add_argument("--check", action="store_true",
                     help="also time check_soundness under the oracle-validate presets")
+    ap.add_argument("--deep", action="store_true",
+                    help="explore at DEEP_BOUNDS instead of ExploreBounds()")
     args = ap.parse_args()
+    bounds = DEEP_BOUNDS if args.deep else ExploreBounds()
 
     print(f"{'program':<16} {'states':>8} {'segments':>8} {'schedules':>10} {'reachable':>10} "
           f"{'seconds':>8} {'states/s':>9}" + (f" {'check s':>8}" if args.check else ""))
@@ -94,7 +100,7 @@ def main() -> int:
         best = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            ex = explore(program, cfgs=cfgs)
+            ex = explore(program, bounds, cfgs)
             best = min(best, time.perf_counter() - t0)
         row = [ex.states, ex.segments, ex.schedules, len(ex.reachable), best]
         if args.check:

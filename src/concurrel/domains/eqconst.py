@@ -88,7 +88,7 @@ class EqBackend:
         return r.bot
 
     def key(self, r: EqRel):
-        return None if r.bot else (r.rep, tuple(r.consts.items()))
+        return r.rep, tuple(r.consts.items())
 
     # -- views --
 

@@ -200,9 +200,7 @@ class OctBackend:
         return r.is_bot
 
     def key(self, r: OctRel):
-        """``(vars, matrix bytes, widened matrix bytes or None)``; None for ⊥."""
-        if r.m is None:
-            return None
+        """``(vars, matrix bytes, widened matrix bytes or None)`` of a non-⊥ ``r``."""
         return r.vars, r.m.tobytes(), None if r.widened is None else r.widened.tobytes()
 
     def leq(self, a: OctRel, b: OctRel) -> bool:

@@ -85,8 +85,8 @@ class NumericBackend(Protocol):
     batched: ``vals`` is a 2-D array with one row of integer values per store
     (column i holds x_i), and the result is a boolean vector with one entry
     per row; a 1-row array tests one store.  ``key`` is a hashable image of
-    the exact representation of ``r`` (values with equal keys behave alike
-    under every operation), None for ⊥ alone."""
+    the exact representation of a non-⊥ ``r`` (values with equal keys behave
+    alike under every operation); it is never asked for ⊥."""
 
     def top(self): ...
     def bot(self): ...

@@ -58,15 +58,24 @@ not pushed, and the cyclic garbage collector is off during ``explore``
 interned view, globals, lockset), turned into ``Reachable`` tuples once at
 the end.
 
+A finished thread keeps only what a later step reads, which drops its dead
+variables (Bozga, Fernandez & Ghirvu, "State space reduction based on live
+variables analysis", SAS 1999): a returned thread keeps its id, return value
+and digests (a join reads them), a joined thread its id alone.  Finished
+threads have no view, so the rows, moves, creates and joins are those of
+threads that keep every field; only states that differ in the dead fields
+fall together.
+
 ``Exploration.states`` counts the explored states plus the members of every
 segment, and ``max_total_states`` bounds that sum, so a long local loop still
 stops at it.  ``Exploration.schedules`` counts the distinct interleaved
-states without a move.  They are found per explored state, as the
-combinations of one member per origin in which no member can move: a member
-that can only create or join is stuck when the create is at the thread cap
-and the joined thread's member in the combination has not returned.  A
-violated assert is recorded with a schedule that reaches it: the steps to
-its origin, then the local steps from there.
+states without a move, finished threads reduced as above.  They are found
+per explored state, as the combinations of one member per origin in which
+no member can move: a member that can only create or join is stuck when the
+create is at the thread cap and the joined thread's member in the
+combination has not returned.  A violated assert is recorded with a
+schedule that reaches it: the steps to its origin, then the local steps
+from there.
 """
 
 from __future__ import annotations
@@ -92,6 +101,12 @@ class ExploreBounds:
     max_total_states: int = 300_000
 
 
+# Deeper bounds beside the default ones: a havoc also draws -1, and the state
+# cap is twice as high, so that every corpus program but tid_loop (cut by
+# the thread cap) still explores completely.
+DEEP_BOUNDS = ExploreBounds(havoc_values=(-1, 0, 1, 2), max_total_states=600_000)
+
+
 class Reachable(NamedTuple):
     """What one thread sees in one reachable state."""
 
@@ -114,7 +129,9 @@ class Exploration:
         default_factory=dict, init=False)
     violations: dict[int, list[str]] = field(default_factory=dict)
     digest_infeasibilities: list[str] = field(default_factory=list)
-    schedules: int = 0  # distinct interleaved states without a move
+    # distinct interleaved states without a move, finished threads reduced
+    # to the fields a later step reads (see _finished)
+    schedules: int = 0
     states: int = 0  # explored states plus the members of every segment
     segments: int = 0  # distinct segment origins
     truncated_by: set[str] = field(default_factory=set)  # ExploreBounds fields hit
@@ -161,9 +178,11 @@ def _compile_cmp(c: Cmp, lidx) -> Callable:
 # The digest specs each thread replays, with the names their rejections carry.
 SPECS = ((TidDigestSpec(), "tid"), (LockOnceDigest(), "lock-once"))
 
-# Thread tuple layout.  POINT is a point id (None once returned), DIGS is an
-# id into the exploration's table of interned digest tuples (one digest per
-# entry of SPECS), and VISITS is a sorted tuple of (point id, visits).
+# Thread tuple layout.  POINT is a point id, DIGS is an id into the
+# exploration's table of interned digest tuples (one digest per entry of
+# SPECS), and VISITS is a sorted tuple of (point id, visits).  A finished
+# thread (see _finished) has POINT None and empty LOCALS and VISITS; a
+# returned one keeps RETVAL and DIGS, a joined one neither (both None).
 # Thread tuples are interned in turn, and so are the shared slots (globals,
 # held, lu): held names each mutex's holder (or None) and lu holds the DIGS
 # id of each mutex's last unlock.  A state is (origin ids, shared id), built
@@ -185,6 +204,17 @@ _NO_LOCKS: frozenset[str] = frozenset()  # one object: frozenset() makes a new o
 
 def _set(tup: tuple, i: int, v) -> tuple:
     return tup[:i] + (v,) + tup[i + 1:]
+
+
+def _finished(t: tuple, status: int, retval=None) -> tuple:
+    """The thread ``t`` once it returned ``retval`` (``status`` RETURNED) or
+    was joined (JOINED), with only the fields a later step reads.  A
+    returned thread is read by ``_join`` (its digests and return value),
+    ``_create`` and ``_add_terminals`` (its id and status); a joined one,
+    joined at most once, only for its id."""
+    if status == RETURNED:
+        return (t[TID], None, (), RETURNED, retval, t[DIGS], ())
+    return (t[TID], None, (), JOINED, None, None, ())
 
 
 def _cycle_points(cfg: Cfg) -> set[Point]:
@@ -301,8 +331,7 @@ class _Explorer:
             case Return(x):
                 i = self.lidx[x]
                 step = lambda t, sched: (
-                    [t[:POINT] + (None, t[LOCALS], RETURNED, t[LOCALS][i]) + t[DIGS:]]
-                    if isinstance(t[LOCALS][i], int) else None)
+                    [_finished(t, RETURNED, t[LOCALS][i])] if isinstance(t[LOCALS][i], int) else None)
             case Assert(c, aid, _):
                 f, violations = _compile_cmp(c, self.lidx), self.ex.violations
 
@@ -611,7 +640,7 @@ class _Explorer:
             nt = self._thread(_set(_set(moved, LOCALS, _set(moved[LOCALS], ri, tj[RETVAL])),
                                    DIGS, digs2))
             self.rows.add((self.views[nt], globals_, lockset))
-            joined = self._thread(_set(tj, STATUS, JOINED))
+            joined = self._thread(_finished(tj, JOINED))
             states.append((_set(_set(origins, ti, nt), tj_i, joined), sid))
         return rejected, states
 

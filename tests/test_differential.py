@@ -13,7 +13,7 @@ from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
 from concurrel.analysis.improved_system import ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.frontend import parse_program
-from concurrel.oracle import explore
+from concurrel.oracle import DEEP_BOUNDS, explore
 from conftest import unlock_publishing_nothing
 from soundness_reference import reference_check_soundness, reference_published_values
 
@@ -54,6 +54,20 @@ def test_corpus_soundness(config, programs, explorations):
         report = checked(res, explorations[name], verdicts)
         assert report.ok, (name, config, report.witnesses[:3], report.proven_violated[:1])
         assert report.digest_misses == [], (name, config, report.digest_misses[:3])
+
+
+def test_corpus_soundness_at_deep_bounds(programs):
+    """At ``DEEP_BOUNDS`` every corpus program but tid_loop, which creates
+    threads without end, explores completely, and the presets that the
+    oracle-validate benchmark checks are sound on each."""
+    for name, p in programs.items():
+        ex = explore(p, DEEP_BOUNDS)
+        assert ex.truncated_by == ({"max_threads"} if name == "tid_loop" else set()), name
+        for config in ("interval", "octagon", "tids", "clusters"):
+            res = run_analysis(p, CONFIGS[config])
+            report = check_soundness(res, ex, check_asserts(res))
+            assert report.ok, (name, config, report.witnesses[:3], report.proven_violated[:1])
+            assert report.digest_misses == [], (name, config, report.digest_misses[:3])
 
 
 def test_lock_once_digest_replay(programs, explorations):

@@ -158,13 +158,15 @@ def _sha(text: str) -> str:
 
 def _fingerprint(ex) -> tuple:
     """(kept, free).  kept holds what any complete exploration of the same
-    interleavings reaches, whatever the states it goes through: the
-    schedules, the count and a hash-seed-independent hash of the reachable
-    tuples, the bounds hit, and a hash of the violated assert ids, the set
-    of digest infeasibilities, the thread-id abstractions and the global
-    values.  free holds what follows the explored states: their count, the
-    number of infeasibility reports (one per take) and a hash of the
-    violations' schedules."""
+    interleavings reaches, whatever the states it goes through: the count
+    and a hash-seed-independent hash of the reachable tuples, the bounds
+    hit, and a hash of the violated assert ids, the set of digest
+    infeasibilities, the thread-id abstractions and the global values.  It
+    also holds the schedules, which follow the definition of a state: they
+    count distinct final states, so they fall when a state drops a field
+    (as a finished thread drops its dead ones).  free holds what follows
+    the explored states: their count, the number of infeasibility reports
+    (one per take) and a hash of the violations' schedules."""
     kept = [str(aid) for aid in sorted(ex.violations)]
     kept += sorted(set(ex.digest_infeasibilities))
     kept += [f"{t}: {digest_text(a)}" for t, a in sorted(ex.tid_abstractions.items())]
@@ -180,7 +182,7 @@ def _fingerprint(ex) -> tuple:
 _CORPUS_FINGERPRINTS = {
     "ancestor": (
         (2, 40, [], '46e049739400d21b', '40ba0212f5e2f585'),
-        (75, 0, 'e3b0c44298fc1c14')),
+        (74, 0, 'e3b0c44298fc1c14')),
     "example8": (
         (40, 613, [], '6b364a3bbfb79934', 'b4fe30d03c6f5ba1'),
         (1628, 0, 'e3b0c44298fc1c14')),
@@ -191,11 +193,11 @@ _CORPUS_FINGERPRINTS = {
         (32, 266, [], '6c7fa2a40ddd20ad', '328e901b23a97753'),
         (865, 0, 'e3b0c44298fc1c14')),
     "intro_cluster": (
-        (5265, 5542, [], '754f05133c07338d', '465770c605d05438'),
-        (82073, 0, 'e3b0c44298fc1c14')),
+        (243, 5542, [], '754f05133c07338d', '465770c605d05438'),
+        (17418, 0, 'e3b0c44298fc1c14')),
     "joins": (
-        (6, 127, [], 'cb62e0e4a68e3926', 'd4967164768bc8a8'),
-        (220, 0, 'e3b0c44298fc1c14')),
+        (4, 127, [], 'cb62e0e4a68e3926', 'd4967164768bc8a8'),
+        (198, 0, 'e3b0c44298fc1c14')),
     "lockonce": (
         (2, 27, [], '3a774c66b3eb89e3', '9b7958208e80b3e8'),
         (49, 0, 'e3b0c44298fc1c14')),
@@ -203,7 +205,7 @@ _CORPUS_FINGERPRINTS = {
         (2, 27, [], '3a774c66b3eb89e3', '9b7958208e80b3e8'),
         (49, 0, 'e3b0c44298fc1c14')),
     "one_element": (
-        (33, 168, [], '95a49b486cbf0a9e', 'c7a099e1ce12bfd5'),
+        (6, 168, [], '95a49b486cbf0a9e', 'c7a099e1ce12bfd5'),
         (643, 0, 'e3b0c44298fc1c14')),
     "synth_counter": (
         (6, 45, [], '3bdb711f070f9ad3', '21cc93d6bf01a6f9'),
@@ -213,7 +215,7 @@ _CORPUS_FINGERPRINTS = {
         (68, 0, 'e3b0c44298fc1c14')),
     "synth_mix": (
         (3, 45, [], '9a866e7a2c2ef144', '06bde853bdec22c8'),
-        (86, 0, 'e3b0c44298fc1c14')),
+        (84, 0, 'e3b0c44298fc1c14')),
     "synth_relock": (
         (1, 18, [], 'c4c091dbfa3ef08e', 'b9bf33e7d6fbb55d'),
         (32, 0, 'e3b0c44298fc1c14')),
@@ -226,14 +228,14 @@ _CORPUS_FINGERPRINTS = {
 # so it also pins the order in which states are explored
 _CAPPED_FINGERPRINTS = {
     "intro_cluster": (
-        (313, 894, ['max_total_states'], '4a14a8a9272f5bc7', '465770c605d05438'),
+        (78, 2353, ['max_total_states'], '5153a39a839eb6a0', '465770c605d05438'),
         (5001, 0, 'e3b0c44298fc1c14')),
     "tid_loop": (
         (142, 131, ['max_threads'], '0981ca7724ad9c7b', '3eeb883d17bdb0be'),
         (1202, 0, 'e3b0c44298fc1c14')),
     "scaled_s0_p0": (
         (6, 767, [], '56fd7b556774164d', '8ca3692296dcbd96'),
-        (824, 0, '3cf85fffdc4324d2')),
+        (818, 0, '3cf85fffdc4324d2')),
     "scaled_s0_p1": (
         (1, 675, [], '0dd1bc5466b40a58', '3988f7a23a2aaeb9'),
         (514, 0, 'a16fb28782a10966')),
@@ -245,7 +247,7 @@ _CAPPED_FINGERPRINTS = {
         (514, 0, '128b8254ab07d9a2')),
     "scaled_s1_p0": (
         (6, 767, [], 'f96ba600fa9997f1', '916a0b9bdba99821'),
-        (824, 0, '4c05e9b3af4aae32')),
+        (818, 0, '4c05e9b3af4aae32')),
     "scaled_s1_p1": (
         (1, 675, [], '86ef178c8db4ddbc', 'fb4da16252b1a1de'),
         (514, 0, '4ee200241b5ffd63')),
@@ -257,7 +259,7 @@ _CAPPED_FINGERPRINTS = {
         (514, 0, '8ffb99414f69868f')),
     "scaled_s2_p0": (
         (6, 767, [], '2157d84db7dc9646', 'ac7cd9d1db9e9e7c'),
-        (824, 0, 'd93127ee77b71d41')),
+        (818, 0, 'd93127ee77b71d41')),
     "scaled_s2_p1": (
         (1, 675, [], 'd44781a40b5fdb6c', '0a3dd9e36cd98dee'),
         (514, 0, 'eaa89df2ebf91107')),
@@ -366,7 +368,7 @@ _SMALL_PROGRAMS = {
           return 0;
         }
         """, ExploreBounds(),
-        ((10, 36, [], 'ba995b7c2392e6d2', 'f55cb0278fdbaa7a'), (50, 0, 'e3b0c44298fc1c14'))),
+        ((7, 36, [], 'ba995b7c2392e6d2', 'f55cb0278fdbaa7a'), (49, 0, 'e3b0c44298fc1c14'))),
     # ... nor guard on an order of x, nor return x
     "thread_name_return": ("""
         thread main { x = create(t1); x = create(t1); }
@@ -378,7 +380,7 @@ _SMALL_PROGRAMS = {
           return x;
         }
         """, ExploreBounds(),
-        ((9, 24, [], '5049a0001a991bfd', 'f45aade1f87a36a2'), (30, 0, 'e3b0c44298fc1c14'))),
+        ((3, 24, [], '5049a0001a991bfd', 'f45aade1f87a36a2'), (28, 0, 'e3b0c44298fc1c14'))),
     # t1 returns each havoc value, so one join reads one of several returned
     # states of t1
     "join_havoc_return": ("""
@@ -395,7 +397,25 @@ _SMALL_PROGRAMS = {
         }
         thread t1 { x = ?; return x; }
         """, ExploreBounds(),
-        ((3, 19, [], 'ee3ee8e040125f9f', '8f097b755fbc368c'), (30, 0, '4ec480b1afa12802'))),
+        ((3, 19, [], 'ee3ee8e040125f9f', '8f097b755fbc368c'), (28, 0, '4ec480b1afa12802'))),
+    # main joins 1, which names no thread, so the join never fires and main
+    # never reaches its assert
+    "join_no_thread": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread main {
+          x = create(t1);
+          lock(a);
+          g = 1;
+          unlock(a);
+          x = 1;
+          y = join(x);
+          assert(y == 0);
+        }
+        thread t1 { lock(a); g = 2; unlock(a); return 0; }
+        """, ExploreBounds(),
+        ((2, 19, [], '9f24446d9f7ae470', '36c175012f926abe'), (32, 0, 'e3b0c44298fc1c14'))),
     # t1 reads 0 (before main's writes) or 1 (between them) and then
     # overwrites it, so two states of t1 right after its unlock lead to one
     # final state, with the same globals and last unlocks
@@ -422,6 +442,36 @@ _SMALL_PROGRAMS = {
 def test_small_program_explorations_are_pinned(name):
     source, bounds, fingerprint = _SMALL_PROGRAMS[name]
     assert _fingerprint(explore(parse_program(source), bounds)) == fingerprint
+
+
+def _full_finished(t: tuple, status: int, retval=None) -> tuple:
+    """``oracle._finished`` without the reduction: the finished thread
+    keeps every field."""
+    if status == oracle.RETURNED:
+        return t[:oracle.POINT] + (None, t[oracle.LOCALS], oracle.RETURNED, retval) + t[oracle.DIGS:]
+    return oracle._set(t, oracle.STATUS, oracle.JOINED)
+
+
+def test_finished_threads_drop_only_dead_fields(programs, explorations, monkeypatch):
+    """A finished thread keeps only what a later step reads, so exploring
+    with threads that keep every field reaches the same rows, violations
+    (with their schedules), digest infeasibilities, thread ids, global
+    values and bounds, through no fewer states and final states."""
+    cases = [(program, ExploreBounds(), explorations[n]) for n, program in programs.items()]
+    for source, bounds, _ in _SMALL_PROGRAMS.values():
+        program = parse_program(source)
+        cases.append((program, bounds, explore(program, bounds)))
+    monkeypatch.setattr(oracle, "_finished", _full_finished)
+    fewer = 0
+    for program, bounds, ex in cases:
+        full = explore(program, bounds)
+        assert ex.reachable == full.reachable and ex.violations == full.violations
+        assert set(ex.digest_infeasibilities) == set(full.digest_infeasibilities)
+        assert ex.tid_abstractions == full.tid_abstractions
+        assert ex.global_values == full.global_values and ex.truncated_by == full.truncated_by
+        assert ex.states <= full.states and ex.schedules <= full.schedules
+        fewer += ex.states < full.states
+    assert fewer >= 5
 
 
 def _assert_replayable(program, schedule: list[str]) -> None:
