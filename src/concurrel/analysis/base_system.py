@@ -300,10 +300,7 @@ class WrappedBaseSystem(BaseAnalysis):
         qs = self.clusters[a]
 
         def meet_published(view: View, d1, r: Relation) -> Relation:
-            vals = [view.get(MutexKey(a, q, d1)) for q in qs]
-            if any(v is None for v in vals):
-                return self.dom.bot()
-            return self.dom.meet_all([r] + vals)
+            return self.dom.meet_all([r] + [view.get(MutexKey(a, q, d1)) for q in qs])
 
         return self._observing_rhs(edge, src, src.lockset | {a},
                                    lambda view: self.mutex_digests(view, a), meet_published)
@@ -316,9 +313,8 @@ class WrappedBaseSystem(BaseAnalysis):
             acc = BOT
             for k in view.keys_in(("ret",)):
                 (tidkey, dd) = k.digest
-                if (dd == d1 and (stored := view.get(k)) is not None
-                        and tid_meet(thaw_tid_value(tidkey), tid_val)):
-                    acc = int_join(acc, self.dom.unlift_var(stored, "ret"))
+                if dd == d1 and tid_meet(thaw_tid_value(tidkey), tid_val):
+                    acc = int_join(acc, self.dom.unlift_var(view.get(k), "ret"))
             if acc is BOT:
                 return self.dom.bot()  # no thread to join: execution blocks
             return self.dom.assign_value(r, act.target, acc)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..digests import TidDigestSpec, lcu_anc, may_create, tid_compose
+from ..digests import TidDigestSpec, may_run
 from ..frontend.ast import Program, WriteGlobal
 from ..frontend.cfg import Cfg, Edge
 from ..solver import Constraint, View
@@ -122,16 +122,11 @@ class ImprovedSystem(BaseAnalysis):
 
     def acc(self, ego: tuple, state: ImprovedState, cand: tuple) -> bool:
         (i, _c) = ego
-        (i1, c1) = cand
+        (i1, _c1) = cand
         if i1.unique and (i == i1 or i1 in state.j):
             return True
-        if self.exclude_ancestors and lcu_anc(i1, i) == i1:
-            if not any(
-                tid_compose(i1, e) == i or may_create(tid_compose(i1, e), i)
-                for e in c1
-            ):
-                return True
-        return False
+        # an ancestor's write from before the ego could run is in the ego's start
+        return self.exclude_ancestors and not may_run(cand, ego)
 
     # -- constraints --
 
@@ -268,8 +263,6 @@ class ImprovedSystem(BaseAnalysis):
                 effects[target] = ImprovedState(s.j, s.l, s.w, floor)
             for dk in admitted:
                 vals = [view.get(MutexKey(a, q, dk)) for q in qs]
-                if any(v is None for v in vals):
-                    continue
                 r1 = dom.meet(s.r, dom.join(dom.meet_all(vals), l_meet))
                 if not dom.is_bot(r1):
                     accumulate(effects, target, ImprovedState(s.j, s.l, s.w, r1), self.state_join)
@@ -295,12 +288,7 @@ class ImprovedSystem(BaseAnalysis):
                 if self.acc(src.digest, s, cand):
                     continue
                 rv = view.get(k)
-                if rv is None:
-                    continue
-                ret = dom.unlift_var(rv.r, "ret")
-                r1 = dom.assign_value(s.r, act.target, ret)
-                if dom.is_bot(r1):
-                    continue
+                r1 = dom.assign_value(s.r, act.target, dom.unlift_var(rv.r, "ret"))
                 st = ImprovedState(s.j | rv.j | {i1}, self._l_join(s.l, rv.l), s.w, r1)
                 accumulate(effects, PointKey(edge.dst, src.lockset, d1), st, self.state_join)
             return effects

@@ -95,15 +95,22 @@ def _run(args) -> int:
     invariants = derive_lock_invariants(result) if args.dump_invariants else []
 
     exit_code = 0 if all(v.verdict == "PROVEN" for v in verdicts) else 1
-    oracle_report = ex = None
+    oracle = None  # the oracle facts, which both formats report
     if args.oracle:
         bounds = ExploreBounds()
         ex = explore(program, bounds, cfgs=result.cfgs)
-        oracle_report = check_soundness(result, ex, verdicts)
-        if not oracle_report.ok:
+        report = check_soundness(result, ex, verdicts)
+        if not report.ok:
             exit_code = 3
-        elif not oracle_report.clean:  # an incomplete check must not pass as a clean one
+        elif not report.clean:  # an incomplete check must not pass as a clean one
             exit_code = 1
+        oracle = {
+            "checked_states": report.checked_states, "witnesses": report.witnesses,
+            "proven_violated": report.proven_violated, "digest_misses": report.digest_misses,
+            "truncated": report.truncated, "truncated_by": sorted(ex.truncated_by),
+            "states": ex.states, "segments": ex.segments, "reachable": len(ex.reachable),
+            "schedules": ex.schedules,
+        }
 
     if args.format == "json":
         doc = {
@@ -117,17 +124,8 @@ def _run(args) -> int:
             ],
             "stats": result.stats(),
         }
-        if oracle_report is not None:
-            doc["oracle"] = {
-                "checked_states": oracle_report.checked_states,
-                "witnesses": oracle_report.witnesses,
-                "proven_violated": oracle_report.proven_violated,
-                "truncated": oracle_report.truncated,
-                "truncated_by": sorted(ex.truncated_by),
-                "states": ex.states,
-                "reachable": len(ex.reachable),
-                "schedules": ex.schedules,
-            }
+        if oracle is not None:
+            doc["oracle"] = oracle
         if args.dump_solution:
             doc["solution"] = dump_solution(result)
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -137,15 +135,19 @@ def _run(args) -> int:
         for iv in invariants:
             print(f"invariant at {iv.point} lock({iv.mutex}): {iv.invariant}")
         print(" ".join(f"{k}={v}" for k, v in result.stats().items()))
-        if oracle_report is not None:
-            print(f"oracle: checked {oracle_report.checked_states} states, "
-                  f"{len(oracle_report.witnesses)} witnesses, "
-                  f"{len(oracle_report.proven_violated)} proven-violated")
-            if oracle_report.truncated:
-                cut = ", ".join(f"{b}={getattr(bounds, b)}" for b in sorted(ex.truncated_by))
-                print(f"oracle: exploration truncated after {ex.states} states and "
-                      f"{ex.schedules} final states by {cut}; the check is incomplete")
-            for w in oracle_report.witnesses + oracle_report.proven_violated:
+        if oracle is not None:
+            print(f"oracle: checked {oracle['checked_states']} states, "
+                  f"{len(oracle['witnesses'])} witnesses, "
+                  f"{len(oracle['proven_violated'])} proven-violated, "
+                  f"{len(oracle['digest_misses'])} digest misses")
+            line = (f"oracle: exploration {'truncated' if oracle['truncated'] else 'complete'} "
+                    f"after {oracle['states']} states in {oracle['segments']} segments, "
+                    f"{oracle['reachable']} reachable rows and {oracle['schedules']} final states")
+            if oracle["truncated"]:
+                cut = ", ".join(f"{b}={getattr(bounds, b)}" for b in oracle["truncated_by"])
+                line += f" by {cut}; the check is incomplete"
+            print(line)
+            for w in oracle["witnesses"] + oracle["proven_violated"] + oracle["digest_misses"]:
                 print(f"  {w}", file=sys.stderr)
         if args.dump_solution:
             sys.stdout.write(dump_solution(result))

@@ -10,7 +10,8 @@ another interpreter builds a new file and never loads a stale one.  CRC-32
 comes from ``zlib``, which numpy has already imported; ``hashlib`` would
 load OpenSSL into every process that imports the package.  The
 compiler writes to a unique temporary name that is then renamed into place,
-so processes that build at once never load a half-written file.
+so processes that build at once never load a half-written file.  A build
+then removes the other (stale) kernels of this ``EXT_SUFFIX`` beside it.
 
 The cache is written even when ``PYTHONDONTWRITEBYTECODE`` is set: it holds
 no bytecode, and every process would otherwise pay for a build (about
@@ -21,6 +22,7 @@ numpy kernel.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -72,8 +74,12 @@ def load_compiled(cache: str | os.PathLike | None = None) -> ModuleType | None:
         flags = _flags()
         key = zlib.crc32("\0".join([suffix, *flags]).encode(), zlib.crc32(SOURCE.read_bytes()))
         path = Path(CACHE if cache is None else cache, f"_closure.{key:08x}{suffix}")
-        if not path.exists() and not _compile(flags, path):
-            return None
+        if not path.exists():
+            if not _compile(flags, path):
+                return None
+            for stale in set(path.parent.glob(f"_closure.*{suffix}")) - {path}:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         loader = importlib.machinery.ExtensionFileLoader(NAME, str(path))
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_file_location(NAME, path, loader=loader))

@@ -284,25 +284,14 @@ class OctBackend:
 
     def _add_oct_constraint(self, m, coeffs: dict[int, int], bound: float) -> None:
         """Record sum(coeffs) ≤ bound, an octagonal constraint (see
-        ``_octagonal``) over the pack indices of ``m``."""
-        items = sorted(coeffs.items())
-        if len(items) == 1:
-            (x, cx) = items[0]
-            if cx == 1:  # x ≤ bound
-                self._set(m, 2 * x + 1, 2 * x, 2 * bound)
-            else:  # −x ≤ bound
-                self._set(m, 2 * x, 2 * x + 1, 2 * bound)
-            return
-        (x, cx), (y, cy) = items
-        # v_j − v_i ≤ bound with v_j the positive occurrence of x
-        if cx == 1 and cy == -1:  # x − y
-            self._set(m, 2 * y, 2 * x, bound)
-        elif cx == -1 and cy == 1:  # y − x
-            self._set(m, 2 * x, 2 * y, bound)
-        elif cx == 1 and cy == 1:  # x + y
-            self._set(m, 2 * y + 1, 2 * x, bound)
-        else:  # −x − y
-            self._set(m, 2 * y, 2 * x + 1, bound)
+        ``_octagonal``) over the pack indices of ``m``: index 2k is +x_k and
+        2k+1 is −x_k, and ``m[i, j]`` bounds v_j − v_i."""
+        (x, cx), *rest = coeffs.items()
+        if rest:
+            ((y, cy),) = rest
+            self._set(m, 2 * y + (cy > 0), 2 * x + (cx < 0), bound)
+        else:
+            self._set(m, 2 * x + (cx > 0), 2 * x + (cx < 0), 2 * bound)
 
     def _bounded(self, r: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
         """``r`` plus each octagonal ``sum(coeffs) ≤ bound``, over the

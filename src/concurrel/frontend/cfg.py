@@ -66,6 +66,8 @@ class Cfg:
     start: Point
     points: list[Point] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
+    # every point on a cycle, and some unreachable ones (see _Lowerer.stmt)
+    loops: set[Point] = field(default_factory=set)
 
     @cached_property
     def _out(self) -> dict[Point, list[Edge]]:
@@ -188,10 +190,15 @@ class _Lowerer:
                 if cur == self.cfg.start:
                     # keep the start point free of incoming (back) edges
                     head = self.edge(cur, Guard(TRUE_GUARD))
+                first = len(self.cfg.edges)
                 body_in = self.edge(head, Guard(c))
                 body_out = self.block(body, body_in)
                 self.pos = s.pos
                 self.edge_to(body_out, Guard(TRUE_GUARD), head)
+                # only a back edge closes a cycle: the loop's points on one are
+                # those that lead back to its head along its edges, and the
+                # others that do are unreachable
+                self.cfg.loops |= _leading_to(self.cfg.edges[first:], head)
                 return self.edge(head, Guard(negate(c)))
         raise TypeError(s)
 
@@ -215,6 +222,19 @@ class _Lowerer:
                     return e
 
         return cur, sub(c)
+
+
+def _leading_to(edges: list[Edge], target: Point) -> set[Point]:
+    """The points from which a path of one or more of ``edges`` leads to ``target``."""
+    preds: dict[Point, set[Point]] = {}
+    for e in edges:
+        preds.setdefault(e.dst, set()).add(e.src)
+    found, todo = set(), [target]
+    while todo:
+        new = preds.get(todo.pop(), set()) - found
+        found |= new
+        todo += new
+    return found
 
 
 def build_cfg(program: Program) -> dict[str, Cfg]:

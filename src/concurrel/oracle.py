@@ -2,10 +2,12 @@
 
 Explores all schedules (iterative DFS, state dedup) within bounds: havoc
 draws from a finite value set, loops are cut by a per-(thread, point) visit
-cap, and the total state count is capped.  Exploration is config-independent:
-each thread carries its replayed digests (thread-id history with and without
-the encountered-creates refinement, and the lock-once set) so one exploration
-can be checked against any analysis configuration.
+cap, counted at the points on a cycle that lowering records in
+``Cfg.loops``, and the total state count is capped.  Exploration is
+config-independent: each thread carries its replayed digests (thread-id
+history with and without the encountered-creates refinement, and the
+lock-once set) so one exploration can be checked against any analysis
+configuration.
 
 The digests are replayed through the analyzer's own specs, listed in
 ``SPECS`` (``TidDigestSpec`` and ``LockOnceDigest``, each with the name its
@@ -217,48 +219,6 @@ def _finished(t: tuple, status: int, retval=None) -> tuple:
     return (t[TID], None, (), JOINED, None, None, ())
 
 
-def _cycle_points(cfg: Cfg) -> set[Point]:
-    """The points of ``cfg`` that lie on a cycle: those whose strongly
-    connected component has an edge (Tarjan's algorithm, without recursion)."""
-    index: dict[Point, int] = {}
-    low: dict[Point, int] = {}
-    stack: list[Point] = []
-    on_stack: set[Point] = set()
-    out: set[Point] = set()
-    for root in cfg.points:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(cfg.out_edges(root)))]
-        while work:
-            p, it = work[-1]
-            for e in it:
-                q = e.dst
-                if q not in index:
-                    index[q] = low[q] = len(index)
-                    stack.append(q)
-                    on_stack.add(q)
-                    work.append((q, iter(cfg.out_edges(q))))
-                    break
-                if q in on_stack:
-                    low[p] = min(low[p], index[q])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[p])
-                if low[p] == index[p]:
-                    component = []
-                    while not component or component[-1] != p:
-                        component.append(stack.pop())
-                        on_stack.discard(component[-1])
-                    if len(component) > 1 or any(e.dst == p for e in cfg.out_edges(p)):
-                        out.update(component)
-    return out
-
-
 class _Explorer:
     def __init__(self, program: Program, cfgs: dict[str, Cfg], bounds: ExploreBounds):
         self.program = program
@@ -303,9 +263,9 @@ class _Explorer:
         self.rows: set[tuple] = set()
         # interned locksets, so that the rows share one object per lockset
         self._locksets: dict[frozenset, frozenset] = {}
-        # visit counters are only kept for points that lie on a CFG cycle
-        self.revisitable: set[int] = {
-            self.pid[p] for cfg in cfgs.values() for p in _cycle_points(cfg)}
+        # visit counters are kept for the points on a CFG cycle alone, which
+        # lowering records in Cfg.loops (with some unreachable points)
+        self.revisitable: set[int] = {self.pid[p] for cfg in cfgs.values() for p in cfg.loops}
 
     # -- edge compilation --
 

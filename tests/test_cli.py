@@ -299,9 +299,17 @@ def test_oracle_reports_truncation(capsys):
         # every reachable row is checked; states counts collapsed states and
         # may be fewer than the rows
         assert oracle["checked_states"] == oracle["reachable"] > 0
-        assert oracle["schedules"] > 0
+        assert oracle["schedules"] > 0 and oracle["segments"] > 0
+        assert oracle["digest_misses"] == []
+        # the text reports the same facts
         _, out, _ = run_cli(capsys, "run", corpus_path(prog), "--preset", "tids", "--oracle")
+        assert (f"oracle: checked {oracle['checked_states']} states, 0 witnesses, "
+                "0 proven-violated, 0 digest misses\n") in out
+        assert (f" after {oracle['states']} states in {oracle['segments']} segments, "
+                f"{oracle['reachable']} reachable rows and {oracle['schedules']} final states"
+                ) in out
         assert ("exploration truncated after" in out) is truncated, prog
+        assert ("exploration complete after" in out) is not truncated, prog
         assert ("by max_threads=6; the check is incomplete" in out) is truncated, prog
 
 
@@ -331,6 +339,21 @@ def test_compare_tids_never_less_precise_than_octagon(capsys):
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("tids vs octagon"))
         assert "less-precise=0" in line and "incomparable=0" in line, (name, line)
+
+
+@pytest.mark.parametrize("name, presets, line", [
+    # against clusters, tids loses precision at 21 points and gains none
+    ("one_element", "clusters,tids",
+     "tids vs clusters: equal=38, incomparable=0, less-precise=21, more-precise=0"),
+    # the base system names the threads created in a loop with other
+    # abstract ids than the thread-id system, so their id sets do not compare
+    ("tid_loop", "octagon,tids",
+     "tids vs octagon: equal=1, incomparable=8, less-precise=0, more-precise=7"),
+])
+def test_compare_reports_every_outcome(capsys, name, presets, line):
+    code, out, _ = run_cli(capsys, "compare", corpus_path(name), "--presets", presets)
+    assert code == 0
+    assert out.splitlines()[0] == line
 
 
 def test_compare_json(capsys):

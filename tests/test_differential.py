@@ -12,7 +12,7 @@ from concurrel.analysis import check_asserts, preset, run_analysis
 from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
 from concurrel.analysis.improved_system import ImprovedSystem
 from concurrel.differential import check_soundness
-from concurrel.frontend import parse_program
+from concurrel.frontend import build_cfg, cfg_dump, parse_program
 from concurrel.oracle import DEEP_BOUNDS, explore
 from conftest import unlock_publishing_nothing
 from soundness_reference import reference_check_soundness, reference_published_values
@@ -122,6 +122,46 @@ def test_nonlinear_arithmetic_is_sound(config):
     assert [v.verdict for v in verdicts] == ["UNKNOWN"]
     report = checked(res, explore(program), verdicts)
     assert report.clean and report.checked_states > 0, report.witnesses[:3]
+
+
+# ``return g`` and ``g = h`` read a bare global into a temporary, which
+# lowering wraps in the global's atomicity mutex like any other read
+BARE_GLOBALS = """
+global g, h;
+thread t { x = ?; h = x; return g; }
+thread main { a = create(t); g = h; y = join(a); assert(y <= 2); }
+"""
+
+BARE_GLOBALS_CFG = """\
+template main start=main.0
+  main.0 --[a = create(t)]--> main.1
+  main.1 --[lock(m_h)]--> main.2
+  main.2 --[$t1 = h]--> main.3
+  main.3 --[unlock(m_h)]--> main.4
+  main.4 --[lock(m_g)]--> main.5
+  main.5 --[g = $t1]--> main.6
+  main.6 --[unlock(m_g)]--> main.7
+  main.7 --[y = join(a)]--> main.8
+  main.8 --[assert#0(y <= 2)]--> main.9
+template t start=t.0
+  t.0 --[x = ?]--> t.1
+  t.1 --[lock(m_h)]--> t.2
+  t.2 --[h = x]--> t.3
+  t.3 --[unlock(m_h)]--> t.4
+  t.4 --[lock(m_g)]--> t.5
+  t.5 --[$t0 = g]--> t.6
+  t.6 --[unlock(m_g)]--> t.7
+  t.7 --[return $t0]--> t.8
+"""
+
+
+@pytest.mark.parametrize("config", ("interval", "octagon", "tids", "clusters"))
+def test_bare_global_reads_are_sound(config):
+    program = parse_program(BARE_GLOBALS)
+    assert cfg_dump(build_cfg(program)) == BARE_GLOBALS_CFG
+    res = run_analysis(program, CONFIGS[config])
+    report = checked(res, explore(program), check_asserts(res))
+    assert report.clean and report.checked_states == 36, report.witnesses[:3]
 
 
 # -- mutation sensitivity: each broken right-hand side must produce a witness --

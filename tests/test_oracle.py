@@ -1,5 +1,6 @@
 """Bounded exploration: semantics, determinism, and sanity counts."""
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -12,8 +13,6 @@ from concurrel import oracle
 from concurrel.analysis.keys import digest_text
 from concurrel.digests import LockOnceDigest, TidDigestSpec
 from concurrel.frontend import Create, Join, Lock, action_str, build_cfg, parse_program
-from concurrel.frontend.ast import Guard
-from concurrel.frontend.cfg import TRUE_GUARD, Cfg, Edge, Point
 from concurrel.oracle import ExploreBounds, explore
 
 from conftest import load
@@ -571,28 +570,60 @@ def _reaches_itself(cfg) -> set:
     return {p for p in cfg.points if p in reach[p]}
 
 
-def test_cycle_points_are_the_points_that_reach_themselves(programs, monkeypatch):
+# Loop shapes whose visit counters a wrong ``Cfg.loops`` would change:
+# (source, bounds).
+_LOOP_SHAPES = {
+    # the head passed at most once: the body always returns
+    "returning_body": ("thread main { x = ?; while (x < 2) { return x; } assert(x >= 2); }",
+                       ExploreBounds()),
+    # the same head, then a merge with a path that never passed it
+    "returning_body_then_merge": ("""
+        thread main { x = ?; if (x > 0) { while (x < 2) { return x; } x = 0; }
+                      y = x + 1; assert(y >= 1); }""", ExploreBounds()),
+    "return_in_if": ("""
+        thread main { i = ?; while (i < 3) { if (i == 1) { return i; } i = i + 1; } }""",
+                     ExploreBounds()),
+    # a point inside the loop that only leads to a return, then a merge
+    "return_after_nested_if": ("""
+        thread main { i = ?; while (i < 5) {
+            if (i > 0) { if (i > 1) { i = 1; } return i; }
+            i = i + 1; } }""", ExploreBounds()),
+    "branching_two_threads": ("""
+        global g;
+        mutex a;
+        protect g with a;
+        thread t { i = 0; while (i < 2) {
+            lock(a); if (i == 0) { g = 1; } else { g = 2; } unlock(a); i = i + 1; } }
+        thread main { u = create(t); j = 0; while (j < 2) {
+            lock(a); x = g; unlock(a); if (x == 1) { j = j + 1; } else { j = j + 2; } } }""",
+                              ExploreBounds()),
+    "cut_by_visits": ("thread main { x = ?; while (x < 100) { x = x + 1; } }",
+                      ExploreBounds(max_steps_per_thread=3)),
+}
+
+
+def test_loop_points_keep_every_exploration(programs, explorations, monkeypatch):
+    """Lowering's ``Cfg.loops`` holds every point that lies on a cycle and
+    no reachable one that does not: exploring with ``loops`` set to the
+    points that reach themselves changes no fingerprint, states and
+    schedules included."""
     monkeypatch.syspath_prepend(
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
     import gen
 
-    sources = list(programs.values())
-    sources += [parse_program(g.source, g.name) for seed in range(3) for g in gen.generate_set(seed)]
-    sources += [parse_program(source) for source, _, _ in _SMALL_PROGRAMS.values()]
-    cyclic = 0
-    for program in sources:
-        for cfg in build_cfg(program).values():
-            points = oracle._cycle_points(cfg)
-            assert points == _reaches_itself(cfg), cfg
-            cyclic += bool(points)
-    assert cyclic >= 10
-    # lowering closes every loop through a second point, so only a CFG built
-    # by hand has a self-loop: a component of one point, with an edge
-    p0, p1, p2 = (Point("t", i) for i in range(3))
-    loop = Cfg("t", p0, [p0, p1, p2],
-               [Edge(p0, Guard(TRUE_GUARD), p1), Edge(p1, Guard(TRUE_GUARD), p1),
-                Edge(p1, Guard(TRUE_GUARD), p2)])
-    assert oracle._cycle_points(loop) == _reaches_itself(loop) == {p1}
+    cases = [(program, ExploreBounds(), explorations[n]) for n, program in programs.items()]
+    sources = [(parse_program(g.source, g.name), ExploreBounds())
+               for seed in range(3) for g in gen.generate_set(seed)]
+    sources += [(parse_program(source), bounds) for source, bounds, _ in _SMALL_PROGRAMS.values()]
+    sources += [(parse_program(source), bounds) for source, bounds in _LOOP_SHAPES.values()]
+    cases += [(program, bounds, explore(program, bounds)) for program, bounds in sources]
+    cut = 0
+    for program, bounds, ex in cases:
+        exact = {n: dataclasses.replace(cfg, loops=_reaches_itself(cfg))
+                 for n, cfg in build_cfg(program).items()}
+        assert _fingerprint(explore(program, bounds, exact)) == _fingerprint(ex)
+        cut += "max_steps_per_thread" in ex.truncated_by
+    assert cut >= 2
 
 
 def test_exploration_holds_no_explorer_table(monkeypatch):

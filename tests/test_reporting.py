@@ -246,15 +246,89 @@ LOCK_ONCE_DUMPS = {
 }
 
 
-def test_lock_once_dumps_are_pinned(programs):
+def _unpinned_dumps(programs, pins: dict, **overrides) -> list:
+    """The (program, preset) keys of ``pins`` whose ``dump_solution`` under
+    the preset with ``overrides`` has another sha256."""
     import hashlib
 
     from concurrel.analysis import dump_solution
 
     bad = []
-    for (prog, domain), want in sorted(LOCK_ONCE_DUMPS.items()):
-        result = run_analysis(programs[prog], preset(domain, lock_once=True))
+    for (prog, name), want in sorted(pins.items()):
+        result = run_analysis(programs[prog], preset(name, **overrides))
         if hashlib.sha256(dump_solution(result).encode()).hexdigest() != want:
-            bad.append((prog, domain))
+            bad.append((prog, name))
+    return bad
+
+
+def test_lock_once_dumps_are_pinned(programs):
     assert len(LOCK_ONCE_DUMPS) == 2 * len(programs)
-    assert not bad
+    assert not _unpinned_dumps(programs, LOCK_ONCE_DUMPS, lock_once=True)
+
+
+# sha256 of ``dump_solution`` under tids and clusters with
+# ``--exclude-ancestor-writes``, whose ancestor clause of ``ImprovedSystem.acc``
+# and uncollapsed digest keys no reference dump runs.
+EXCLUDE_ANCESTOR_DUMPS = {
+    ("ancestor", "tids"):
+        "835cae6cec2723dc4755579d6125d9f185ee26019a88165d8aa0761a2fd7727d",
+    ("ancestor", "clusters"):
+        "3135b4c2a28db26601c9f8c9c692dd16b0d48280b352bec53c1613abde665129",
+    ("example8", "tids"):
+        "2dfcac3f4b516ae76a2257e0b24f7823ba548e2f5aeaca764a1ab03d5d0c542c",
+    ("example8", "clusters"):
+        "3c72450a94e418311533367f051c0609422bc2510d85ea8b7fc54dbb626a288d",
+    ("fig_ex0", "tids"):
+        "aa11ec0c0ff2f1b777e4c064e6e9ae079dd60d625beec5fbecb09a307aac64e7",
+    ("fig_ex0", "clusters"):
+        "aa11ec0c0ff2f1b777e4c064e6e9ae079dd60d625beec5fbecb09a307aac64e7",
+    ("four_asserts", "tids"):
+        "1fb59e57c951a8afd0be1dc0bcff62ed59fd93e6c415d5dc7efce694558d5839",
+    ("four_asserts", "clusters"):
+        "59e0c16826a7d594f7878549d6507e42ca11547b984514c47d5ca076c79d846e",
+    ("intro_cluster", "tids"):
+        "94461beb59dbe8208c3aa5e3d028d2829a142df4f29b683dd47601afc3810d68",
+    ("intro_cluster", "clusters"):
+        "e06f5d9d037a5acaac7a46f8cb5f035fdcd65e1cbe80907e3ede0712a6605d85",
+    ("joins", "tids"):
+        "81404ac5cd1ef5d390e043210c3c645ff30446bb499f993d5d7fd840119e1647",
+    ("joins", "clusters"):
+        "5c74d46b5474fb79558289896ccda9a8bd376a9761beb41724356ad3b023d257",
+    ("lockonce", "tids"):
+        "8c1456c6bb29d0c1b259c1d3fdbfb456af62e31b50713d795ba4b635a054aa90",
+    ("lockonce", "clusters"):
+        "9f7e4a8f0fd66eea0be85b007c7986f67e87975be49c8368b57f8a98565b4af1",
+    ("lockonce_strict", "tids"):
+        "8c1456c6bb29d0c1b259c1d3fdbfb456af62e31b50713d795ba4b635a054aa90",
+    ("lockonce_strict", "clusters"):
+        "9f7e4a8f0fd66eea0be85b007c7986f67e87975be49c8368b57f8a98565b4af1",
+    ("one_element", "tids"):
+        "5d7780fa0819296ef0a74e046d651d60cbb0d3615e00a5995b72875fd1811fac",
+    ("one_element", "clusters"):
+        "34d0d9300fcfc981ecec29f4580573aff72485b17495b7df7775b7d50c5651cd",
+    ("synth_counter", "tids"):
+        "1ba240b8dff957049e22856753747d1241e9dbc20786fe084de964b85ae753a2",
+    ("synth_counter", "clusters"):
+        "1ba240b8dff957049e22856753747d1241e9dbc20786fe084de964b85ae753a2",
+    ("synth_infer", "tids"):
+        "bf2623c1975eb32ae3cff477718c84c147a5045026583545c90f957bb02abee2",
+    ("synth_infer", "clusters"):
+        "f7def7e7d7d70364af6cfaa8d812e5506c157d04737c1774546d07afecfac33e",
+    ("synth_mix", "tids"):
+        "afd33ffeb693efbbc6b842d1a9688988a0248a6d86ddb2994fe04dd1bea3b997",
+    ("synth_mix", "clusters"):
+        "bd45e6bfc3db6e8b26863c6d71c30bdb1d32ce4c60c8049ba35fd892d65a1f90",
+    ("synth_relock", "tids"):
+        "f01e325feb9df4316fe84695b4225bca675ca5b3df252e1b83678a3ff89ae8c8",
+    ("synth_relock", "clusters"):
+        "f01e325feb9df4316fe84695b4225bca675ca5b3df252e1b83678a3ff89ae8c8",
+    ("tid_loop", "tids"):
+        "dcd7b21d3c1a8808724970d57b1b2b46050ae531dfceb2fb7a3dde562fbeae0c",
+    ("tid_loop", "clusters"):
+        "dcd7b21d3c1a8808724970d57b1b2b46050ae531dfceb2fb7a3dde562fbeae0c",
+}
+
+
+def test_exclude_ancestor_dumps_are_pinned(programs):
+    assert len(EXCLUDE_ANCESTOR_DUMPS) == 2 * len(programs)
+    assert not _unpinned_dumps(programs, EXCLUDE_ANCESTOR_DUMPS, exclude_ancestor_writes=True)
