@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark the octagon tight-closure kernels: compiled vs pure numpy.
+"""Benchmark the octagon kernel entry points: compiled vs pure numpy.
 
     python benchmarks/bench_closure.py [--sizes 1,2,3,4,5] [--repeat 50]
 
-The closure is the hot inner loop of the octagon domain (it runs before
-every restriction, join, comparison and unlift).  Both kernels offer
-``tight_close_inplace(m)``, the full tight closure.  Per size, the table
-gives its time under each kernel; the compiled one is built, or loaded from
-its cache, as the package's first import does (``concurrel.domains._build``).
-Octagons are packed to the variables they constrain, so the default sizes
-are the pack sizes the analyses close (1 to 5 variables on the generated
-benchmark programs); pass larger ones to time full-universe matrices.  Also
-times one end-to-end analysis under each available kernel, labelled with the
-kernel that ran.
+The kernel has one entry point per octagon operation (the header of
+``src/concurrel/domains/_closure.c`` lists them), and each ``OctBackend``
+operation makes one call for its matrix work.  Per entry point and pack
+size, the table gives the time of one call under each kernel; the compiled
+one is built, or loaded from its cache, as the package's first import does
+(``concurrel.domains._build``).  The closure, ``tight_close_inplace``, runs
+only on a fresh raw matrix, the one path from a raw matrix to a value; on
+the generated benchmark programs it is about 1% of an analysis.  Its time
+here includes the copy of its input.  Octagons are packed to the variables
+they constrain, so the default sizes are the pack sizes the analyses use
+(1 to 5 variables on the generated benchmark programs); pass larger ones to
+time full-universe matrices.  Also times one end-to-end analysis under each
+available kernel, labelled with the kernel that ran.
 """
 
 import argparse
@@ -36,16 +39,48 @@ def random_dbm(rng: np.random.Generator, n: int) -> np.ndarray:
     return m
 
 
-def bench_kernel(close, inputs, repeat: int) -> float:
-    """Best-of-3 mean time of ``close(copy of m)`` over ``inputs``."""
+def closed_dbm(rng: np.random.Generator, n: int, close) -> np.ndarray:
+    """A satisfiable closed read-only DBM over n variables, as operands are."""
+    while True:
+        m = random_dbm(rng, n)
+        if close(m) == 0:
+            m.setflags(write=False)
+            return m
+
+
+ENTRY_POINTS = ("tight_close_inplace", "leq", "join", "meet", "widen", "pack", "bound", "shift")
+
+
+def calls(kernel, n: int, rng: np.random.Generator) -> dict:
+    """Entry point -> list of argument-less calls on packs of n variables."""
+    out = {name: [] for name in ENTRY_POINTS}
+    for _ in range(10):
+        raw = random_dbm(rng, n)
+        a, b = closed_dbm(rng, n, kernel.tight_close_inplace), closed_dbm(rng, n, kernel.tight_close_inplace)
+        project = tuple(range(n - 1)) if n > 1 else ()
+        embed = tuple(range(n)) + (-1,)  # one more variable, as a guard adds
+        entries = [0, 2 * n + 1, 3.0, 1, 2 * n, -3.0]
+        out["tight_close_inplace"].append(lambda raw=raw: kernel.tight_close_inplace(np.array(raw)))
+        out["leq"].append(lambda a=a: kernel.leq(a, a))
+        out["join"].append(lambda a=a, b=b: kernel.join(a, b))
+        out["meet"].append(lambda a=a, b=b: kernel.meet(a, b))
+        out["widen"].append(lambda a=a, b=b: kernel.widen(a, b))
+        out["pack"].append(lambda a=a, p=project: kernel.pack(a, p))
+        out["bound"].append(lambda a=a, p=embed, e=entries: kernel.bound(a, p, e))
+        out["shift"].append(lambda a=a: kernel.shift(a, 0, 3, True))
+    return out
+
+
+def bench(fns, repeat: int) -> float:
+    """Best-of-3 mean time of one call of ``fns``."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(repeat):
-            for m in inputs:
-                close(np.array(m))
+            for fn in fns:
+                fn()
         best = min(best, time.perf_counter() - t0)
-    return best / (repeat * len(inputs))
+    return best / (repeat * len(fns))
 
 
 def main() -> int:
@@ -54,23 +89,24 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
 
+    from concurrel.domains import _closure_py
     from concurrel.domains._build import load_compiled
-    from concurrel.domains._closure_py import tight_close_inplace as pure
 
-    module = load_compiled()
-    compiled = None if module is None else module.tight_close_inplace
+    compiled = load_compiled()
     if compiled is None:
         print("compiled kernel could not be built; showing the pure kernel only")
-
-    rng = np.random.default_rng(7)
-    kernels = [("pure", pure)] + ([("compiled", compiled)] if compiled else [])
-    print(f"{'n vars':>7}" + "".join(f" {name:>10}" for name, _ in kernels))
-    for n in (int(s) for s in args.sizes.split(",")):
-        inputs = [random_dbm(rng, n) for _ in range(10)]
-        row = f"{n:>7}"
-        for _, close in kernels:
-            row += f" {bench_kernel(close, inputs, args.repeat) * 1e6:>8.1f}µs"
-        print(row)
+    kernels = [("pure", _closure_py)] + ([("compiled", compiled)] if compiled else [])
+    print(f"{'entry point':>20} {'n vars':>7}" + "".join(f" {name:>10}" for name, _ in kernels))
+    sizes = [int(s) for s in args.sizes.split(",")]
+    timed = {}
+    for name, kernel in kernels:
+        for n in sizes:
+            for entry, fns in calls(kernel, n, np.random.default_rng(7)).items():
+                timed[entry, n, name] = bench(fns, args.repeat)
+    for entry in ENTRY_POINTS:
+        for n in sizes:
+            print(f"{entry:>20} {n:>7}"
+                  + "".join(f" {timed[entry, n, name] * 1e6:>8.1f}µs" for name, _ in kernels))
 
     # end-to-end: one clustered analysis under each available kernel
     corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "intro_cluster.conc")

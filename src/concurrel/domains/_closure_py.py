@@ -1,12 +1,22 @@
-"""Pure-numpy tight closure for integer octagon DBMs.
+"""The numpy octagon kernel: the numpy twin of every entry point of ``_closure.c``.
 
-The fallback for the compiled kernel in ``_closure.c``, with the same
-contract; selected at import in ``octagon.py``, and the reference the tests
-compare the compiled kernel against.  Entries are float64 with +inf for "no
-bound"; -inf never appears (all entries are upper bounds).
+Both kernels keep one contract (the header of ``_closure.c`` lists it): each
+function here returns, on the same input, the same matrix bit for bit as the
+C function of its name, or the same argument.  This one is the fallback
+when the C kernel cannot be built, selected at import in ``octagon.py``, and
+the reference the tests compare the C kernel against.  It does not check its
+input.
+
+A matrix is a square C-contiguous float64 matrix of even size 2k over k
+variables; entry m[i][j] bounds v_j − v_i, with +inf for "no bound" (-inf
+and -0.0 never appear).  A gather map ``pos`` puts a matrix over other variables:
+target variable u reads variable ``pos[u]`` of the matrix, or is
+unconstrained when it is −1; None keeps the matrix as it is.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,6 +24,10 @@ import numpy as np
 # each closure, whose path sums then stay within 2^52, where float64 is exact,
 # for packs of up to 2^11 variables.  ``_closure.c`` repeats the value.
 BOUND_LIMIT = 2.0 ** 40
+
+# Finite entries stay within ±EXACT_LIMIT, where the sum of two is exact;
+# ``shift`` drops larger ones.  ``_closure.c`` repeats the value.
+EXACT_LIMIT = 2.0 ** 52
 
 _LAYOUT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -56,3 +70,106 @@ def tight_close_inplace(m: np.ndarray) -> int:
     # strengthening; it also writes the rounded 2h into each m[i][i^1]
     np.minimum(m, h[:, None] + h[bar][None, :], out=m)
     return 0
+
+
+@lru_cache(maxsize=None)
+def _top(k: int) -> np.ndarray:
+    """⊤ over k variables: +inf off the diagonal (read-only, shared)."""
+    m = np.full((2 * k, 2 * k), np.inf)
+    np.fill_diagonal(m, 0.0)
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=1024)
+def _gather_indices(pos: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix indices that ``pos`` reads from, and those it writes to."""
+    src = [2 * p + s for p in pos if p >= 0 for s in (0, 1)]
+    dst = [2 * u + s for u, p in enumerate(pos) if p >= 0 for s in (0, 1)]
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
+def _gathered(m: np.ndarray, pos) -> np.ndarray:
+    """``m`` over the target of ``pos``; ``m`` itself for None."""
+    if pos is None:
+        return m
+    src, dst = _gather_indices(tuple(pos))
+    if len(dst) == 2 * len(pos):  # a projection
+        return m.take(src, 0).take(src, 1)
+    out = np.array(_top(len(pos)))
+    out[dst[:, None], dst] = m[src[:, None], src]
+    return out
+
+
+def leq(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> bool:
+    """Is every entry of ``a`` at most that of ``b``?"""
+    return bool((_gathered(a, pa) <= _gathered(b, pb)).all())
+
+
+def join(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
+    """``a`` itself when no map is given and ``b`` ≤ ``a``; else a fresh
+    entrywise maximum."""
+    if pa is None and pb is None:
+        if (b <= a).all():
+            return a
+        return np.maximum(a, b)
+    return np.maximum(_gathered(a, pa), _gathered(b, pb))
+
+
+def meet(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
+    """``a`` itself when the entrywise minimum equals ``a``, else ``b``
+    itself when it equals ``b``, else a fresh (unclosed) minimum."""
+    ga, gb = _gathered(a, pa), _gathered(b, pb)
+    m = np.minimum(ga, gb)
+    if (m == ga).all():
+        return a
+    if (m == gb).all():
+        return b
+    return m
+
+
+def widen(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
+    """``a`` itself when ``b`` ≤ ``a``; else a fresh matrix of the entries
+    of ``a`` that ``b`` keeps, +inf elsewhere."""
+    ga = _gathered(a, pa)
+    stable = _gathered(b, pb) <= ga
+    if stable.all():
+        return a
+    return np.where(stable, ga, np.inf)
+
+
+def pack(m: np.ndarray, pos) -> np.ndarray:
+    """A fresh ``m`` over the target of ``pos``."""
+    out = _gathered(m, pos)
+    return np.array(m) if out is m else out
+
+
+def bound(m: np.ndarray, pos, entries) -> np.ndarray:
+    """A fresh ``m`` over the target of ``pos``; then each ``(i, j, c)`` of
+    the flat list ``entries`` sets m[i][j] and m[j^1][i^1] to their minimum
+    with c, in order."""
+    m = pack(m, pos)
+    for t in range(0, len(entries), 3):
+        i, j, c = entries[t : t + 3]
+        v = min(m[i, j], c)
+        m[i, j] = v
+        m[j ^ 1, i ^ 1] = v
+    return m
+
+
+def shift(m: np.ndarray, k: int, c, neg) -> np.ndarray:
+    """A fresh ``m`` with variable ``k`` negated (when ``neg``), then
+    increased by ``c``; entries above ``EXACT_LIMIT`` in magnitude become
+    +inf."""
+    m = np.array(m)
+    p, q = 2 * k, 2 * k + 1
+    if neg:
+        m[[p, q], :] = m[[q, p], :]
+        m[:, [p, q]] = m[:, [q, p]]
+    m[:, p] += c
+    m[p, :] -= c
+    m[:, q] -= c
+    m[q, :] += c
+    m[p, p] = m[q, q] = 0.0
+    np.putmask(m, np.abs(m) > EXACT_LIMIT, np.inf)
+    return m

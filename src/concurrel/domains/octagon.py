@@ -29,21 +29,28 @@ return their left operand itself, and ``meet`` its right one, when the
 other operand adds nothing, so callers can skip values that are the same
 object.
 
-Every closure is the full tight closure, ``tight_close_inplace(m)``.  Both
-kernels offer that one function: the hand-written C extension ``_closure.c``,
-which ``_build.load_compiled`` compiles into the package's ``__pycache__/``
-on the first import, and the numpy kernel ``_closure_py`` when that build or
-load fails or when ``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in
-use.
+The matrix work of each operation is one call into the kernel, whose entry
+points are listed in the header of ``_closure.c``: ``leq``, ``join``,
+``meet``, ``widen``, ``pack`` (embed a pack into other variables or project
+it onto some), ``bound`` (a gathered copy plus the entries of new bounds) and
+``shift`` (``x := ±x + c``), and the full tight closure
+``tight_close_inplace(m)``, which every closure runs.  This module keeps the
+variable bookkeeping: it turns the variables of two packs into the gather
+maps the kernel reads.  There are two kernels with one contract: the
+hand-written C extension ``_closure.c``, which ``_build.load_compiled``
+compiles into the package's ``__pycache__/`` on the first import, and its
+numpy twin ``_closure_py`` when that build or load fails or when
+``CONCURREL_PURE`` is set.  ``KERNEL`` names the one in use.
 
 Soundness needs float64 arithmetic that never rounds a bound inward; Apron
 rounds outward (Jeannet & Miné, CAV 2009), and here every float64 operation
 on the matrices is exact.  Finite entries are integers within
 ±``EXACT_LIMIT`` (2^52), where the sum of two is exact.  A bound above
 ``BOUND_LIMIT`` (2^40) in magnitude is dropped (set to +∞, which only loses
-precision) where a constant enters (``_set``, and the shift in
-``assign_linear``) and by each kernel before it closes, so that path sums
-stay within 2^52 for packs of up to 2^11 variables.  ``contains`` compares
+precision) where a constant enters (``_entries``, and the shift of
+``assign_linear``, which takes no larger constant) and by each kernel before
+it closes, so that path sums stay within 2^52 for packs of up to 2^11
+variables; the shift drops the entries it takes beyond 2^52.  ``contains`` compares
 int64 values within ±2^52, or Python ints, against the entries, both
 exactly.
 """
@@ -55,24 +62,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _closure_py
 from ._build import load_compiled
 from ._closure_py import BOUND_LIMIT
 from .values import BOT, INF, IntAbs
 
-_compiled = None if os.environ.get("CONCURREL_PURE") else load_compiled()
-if _compiled is None:
-    from ._closure_py import tight_close_inplace
-
-    KERNEL = "python"
-else:
-    tight_close_inplace = _compiled.tight_close_inplace
-    KERNEL = "compiled"
+_kernel = (None if os.environ.get("CONCURREL_PURE") else load_compiled()) or _closure_py
+KERNEL = "python" if _kernel is _closure_py else "compiled"
+tight_close_inplace = _kernel.tight_close_inplace
 
 
 # Bound on the bytes of one temporary of ``OctBackend.contains``.
 CONTAINS_CHUNK_BYTES = 4 << 20
-
-EXACT_LIMIT = 2.0 ** 52  # finite entries stay within ±EXACT_LIMIT
 
 
 class OctRel:
@@ -105,44 +106,31 @@ def _shared(xs, ys) -> tuple[int, ...]:
     return xs if xs == ys else tuple(x for x in xs if x in ys)
 
 
-def _indices(vars: tuple[int, ...], sub) -> np.ndarray:
-    """Matrix indices, in a pack over ``vars``, of the variables ``sub``."""
+@lru_cache(maxsize=4096)
+def _pos(src: tuple[int, ...], dst: tuple[int, ...], drop: int = -1) -> tuple[int, ...]:
+    """The kernel's gather map from a pack over ``src`` to one over ``dst``:
+    the pack index in ``src`` of each variable of ``dst``, or −1 for one
+    that ``src`` leaves unconstrained (and for ``drop``)."""
+    return tuple(src.index(x) if x in src and x != drop else -1 for x in dst)
+
+
+def _entries(vars: tuple[int, ...], constraints) -> list:
+    """The kernel's ``bound`` entries ``i, j, c`` (flat) that record each
+    octagonal ``sum(coeffs) ≤ bound`` (see ``_octagonal``) in a pack over
+    ``vars``: index 2k is +x_k and 2k+1 is −x_k, and m[i][j] bounds
+    v_j − v_i.  A bound beyond ``BOUND_LIMIT`` in magnitude is dropped."""
     out = []
-    for x in sub:
-        k = vars.index(x)
-        out += (2 * k, 2 * k + 1)
-    return np.array(out, dtype=np.intp)
-
-
-@lru_cache(maxsize=None)
-def _top_matrix(k: int) -> np.ndarray:
-    """⊤ over k variables: +∞ off the diagonal (read-only, shared)."""
-    m = np.full((2 * k, 2 * k), INF)
-    np.fill_diagonal(m, 0.0)
-    m.setflags(write=False)
-    return m
-
-
-def _embed(r: OctRel, vars: tuple[int, ...], rm: np.ndarray | None = None) -> np.ndarray:
-    """A fresh matrix of ``r`` (of ``rm`` over ``r.vars``, when given) over
-    ``vars`` ⊇ ``r.vars``."""
-    rm = r.m if rm is None else rm
-    if r.vars == vars:
-        return np.array(rm)
-    m = np.array(_top_matrix(len(vars)))
-    idx = _indices(vars, r.vars)
-    m[idx[:, None], idx] = rm
-    return m
-
-
-def _drop(m: np.ndarray, limit: float) -> None:
-    """Set the entries of ``m`` above ``limit`` in magnitude to +∞."""
-    np.putmask(m, np.abs(m) > limit, INF)
-
-
-def _project(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The rows and columns ``idx`` of ``m``."""
-    return m.take(idx, 0).take(idx, 1)
+    for coeffs, bound in constraints:
+        if len(coeffs) == 2:
+            (x, cx), (y, cy) = coeffs.items()
+            i, j, c = 2 * vars.index(y) + (cy > 0), 2 * vars.index(x) + (cx < 0), bound
+        else:
+            ((x, cx),) = coeffs.items()
+            k = 2 * vars.index(x)
+            i, j, c = k + (cx > 0), k + (cx < 0), 2 * bound
+        if -BOUND_LIMIT <= c <= BOUND_LIMIT:
+            out += (i, j, c)
+    return out
 
 
 def _octagonal(coeffs: dict[int, int]) -> bool:
@@ -209,9 +197,9 @@ class OctBackend:
         if b.is_bot:
             return False
         if a.vars == b.vars:
-            return bool((a.m <= b.m).all())
+            return _kernel.leq(a.m, b.m)
         vars = _union(a.vars, b.vars)
-        return bool((_embed(a, vars) <= _embed(b, vars)).all())
+        return _kernel.leq(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
 
     def meet(self, a: OctRel, b: OctRel) -> OctRel:
         if a.is_bot or b.is_bot:
@@ -221,12 +209,13 @@ class OctBackend:
         if not a.vars:
             return b
         vars = _union(a.vars, b.vars)
-        am = a.m if a.vars == vars else _embed(a, vars)
-        bm = b.m if b.vars == vars else _embed(b, vars)
-        m = np.minimum(am, bm)
-        if (m == am).all():
+        if a.vars == b.vars:
+            m = _kernel.meet(a.m, b.m)
+        else:
+            m = _kernel.meet(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
+        if m is a.m:
             return a
-        if (m == bm).all():
+        if m is b.m:
             return b
         return self.close(vars, m)
 
@@ -237,16 +226,13 @@ class OctBackend:
             return b
         if b.is_bot:
             return a
-        if a.vars == b.vars:
-            # 99% of joins; testing ⊑ inline rather than through leq is
-            # worth about 3% of scaled-analyze throughput
-            if (b.m <= a.m).all():
-                return a
-            return OctRel(a.vars, np.maximum(a.m, b.m))
+        if a.vars == b.vars:  # 99% of joins
+            m = _kernel.join(a.m, b.m)
+            return a if m is a.m else OctRel(a.vars, m)
         if self.leq(b, a):
             return a
         vars = _shared(a.vars, b.vars)
-        return OctRel(vars, np.maximum(self._pack(a, vars).m, self._pack(b, vars).m))
+        return OctRel(vars, _kernel.join(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars)))
 
     def widen(self, a: OctRel, b: OctRel) -> OctRel:
         """Keep the bounds of ``a`` that ``b`` keeps, drop the others.  The
@@ -259,48 +245,32 @@ class OctBackend:
             return b
         if b.is_bot:
             return a
+        am = a.m if a.widened is None else a.widened
         # a variable of one operand only is unconstrained in the result
         vars = _union(a.vars, b.vars)
-        am = _embed(a, vars, a.widened)
-        stable = _embed(b, vars) <= am
-        if stable.all():
+        if a.vars == b.vars:
+            m = _kernel.widen(am, b.m)
+        else:
+            m = _kernel.widen(am, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
+        if m is am:
             return a
         keep = _shared(a.vars, b.vars)
-        m = np.where(stable, am, INF)
         if keep != vars:
-            m = _project(m, _indices(vars, keep))
+            m = _kernel.pack(m, _pos(vars, keep))
         c = self.close(keep, np.array(m))
-        if c.is_bot or np.array_equal(c.m, m):
+        if c.is_bot or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
             return c
         return OctRel(keep, c.m, m)
 
     # -- constraint plumbing --
 
-    def _set(self, m: np.ndarray, i: int, j: int, c: float) -> None:
-        if -BOUND_LIMIT <= c <= BOUND_LIMIT:  # a larger bound is dropped
-            v = min(m[i, j], c)
-            m[i, j] = v
-            m[j ^ 1, i ^ 1] = v
-
-    def _add_oct_constraint(self, m, coeffs: dict[int, int], bound: float) -> None:
-        """Record sum(coeffs) ≤ bound, an octagonal constraint (see
-        ``_octagonal``) over the pack indices of ``m``: index 2k is +x_k and
-        2k+1 is −x_k, and ``m[i, j]`` bounds v_j − v_i."""
-        (x, cx), *rest = coeffs.items()
-        if rest:
-            ((y, cy),) = rest
-            self._set(m, 2 * y + (cy > 0), 2 * x + (cx < 0), bound)
-        else:
-            self._set(m, 2 * x + (cx > 0), 2 * x + (cx < 0), 2 * bound)
-
-    def _bounded(self, r: OctRel, constraints: list[tuple[dict[int, int], float]]) -> OctRel:
-        """``r`` plus each octagonal ``sum(coeffs) ≤ bound``, over the
-        universe variables of the first."""
+    def _bounded(self, r: OctRel, constraints: list[tuple[dict[int, int], float]],
+                 drop: int = -1) -> OctRel:
+        """``r`` with the variable ``drop`` forgotten, plus each octagonal
+        ``sum(coeffs) ≤ bound``, over the universe variables of the first."""
         vars = _union(r.vars, constraints[0][0])
-        m = _embed(r, vars)
-        for coeffs, bound in constraints:
-            self._add_oct_constraint(m, {vars.index(x): cf for x, cf in coeffs.items()}, bound)
-        return self.close(vars, m)
+        return self.close(vars, _kernel.bound(r.m, _pos(r.vars, vars, drop),
+                                              _entries(vars, constraints)))
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
         if r.is_bot:
@@ -338,7 +308,7 @@ class OctBackend:
         """``r`` over its variables ``vars``, the others forgotten."""
         if len(vars) == len(r.vars):
             return r
-        return OctRel(vars, _project(r.m, _indices(r.vars, vars)))
+        return OctRel(vars, _kernel.pack(r.m, _pos(r.vars, vars)))
 
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
         if r.is_bot:
@@ -354,47 +324,25 @@ class OctBackend:
         """Assign the abstract value [lo, hi] to x (forget, then bound)."""
         if lo > hi:
             return self._bot
-        f = self.forget(r, [x])
-        if f.is_bot or (lo == -INF and hi == INF):
-            return f
-        vars = _union(f.vars, (x,))
-        m = _embed(f, vars)
-        k = vars.index(x)
-        if hi < INF:
-            self._set(m, 2 * k + 1, 2 * k, 2 * hi)
-        if lo > -INF:
-            self._set(m, 2 * k, 2 * k + 1, -2 * lo)
-        return self.close(vars, m)
+        if r.is_bot or (lo == -INF and hi == INF):
+            return self.forget(r, [x])
+        return self._bounded(r, [({x: 1}, hi), ({x: -1}, -lo)], drop=x)
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
         if r.is_bot:
             return r
-        if coeffs == {x: 1} and -BOUND_LIMIT <= const <= BOUND_LIMIT:  # x := x + const
-            if x not in r.vars:
-                return r
-            k = r.vars.index(x)
-            m = np.array(r.m)
-            m[:, 2 * k] += const
-            m[2 * k, :] -= const
-            m[:, 2 * k + 1] -= const
-            m[2 * k + 1, :] += const
-            m[2 * k, 2 * k] = m[2 * k + 1, 2 * k + 1] = 0.0
-            _drop(m, EXACT_LIMIT)  # sound, though the result may no longer be tight
-            return OctRel(r.vars, m)
         if not coeffs:
             return self.set_interval(r, x, const, const)
         if len(coeffs) == 1:
-            (y, cy) = next(iter(coeffs.items()))
-            if y != x and cy in (1, -1):  # x := ±y + const, i.e. x ∓ y − const == 0
-                return self.guard_eq(self.forget(r, [x]), {x: 1, y: -cy}, -const)
-            if y == x and cy == -1:  # x := −x + const
+            ((y, cy),) = coeffs.items()
+            if y == x and cy in (1, -1) and -BOUND_LIMIT <= const <= BOUND_LIMIT:
+                # x := ±x + const; sound, though the result may no longer be tight
                 if x not in r.vars:
                     return r
-                k = r.vars.index(x)
-                m = np.array(r.m)
-                m[[2 * k, 2 * k + 1], :] = m[[2 * k + 1, 2 * k], :]
-                m[:, [2 * k, 2 * k + 1]] = m[:, [2 * k + 1, 2 * k]]
-                return self.assign_linear(OctRel(r.vars, m), x, {x: 1}, const)
+                return OctRel(r.vars, _kernel.shift(r.m, r.vars.index(x), const, cy < 0))
+            if y != x and cy in (1, -1):  # x := ±y + const, i.e. x ∓ y − const == 0
+                return self._bounded(r, [({x: 1, y: -cy}, const), ({x: -1, y: cy}, -const)],
+                                     drop=x)
         lo, hi = self._eval_linear(r, coeffs, const)
         return self.set_interval(r, x, lo, hi)
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from ..frontend.ast import Cmp, Expr, linear_form
 from .eqconst import EqBackend
-from .octagon import EXACT_LIMIT, OctBackend
+from ._closure_py import EXACT_LIMIT
+from .octagon import OctBackend
 from .values import (
     BOT, INF, IntAbs, TID_TOP, tid_join, tid_leq, tid_meet, tid_render,
 )
@@ -287,9 +288,9 @@ class RelDomain:
         )
 
     def havoc(self, r: Relation, x: str) -> Relation:
-        if x in self.universe.index:
-            return self.assign_value(r, x, IntAbs.top())
-        return self.assign_value(r, x, TID_TOP)
+        """Forget both slots of ``x``: every havoc target is a local, and
+        every local but the reserved ``self`` is an int variable."""
+        return self.assign_value(r, x, IntAbs.top())
 
     def guard(self, r: Relation, c: Cmp) -> Relation:
         if r.bot:

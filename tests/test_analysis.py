@@ -144,6 +144,23 @@ def test_base_read_write_havoc():
     assert dom.contains(v2, {"x": 9, "g": 1, "h": 1})
 
 
+def test_havoc_forgets_both_slots_of_a_thread_id_local():
+    """``t = create(w); t = ?;``: ``t`` is an int variable that also holds
+    a thread id, and the havoc forgets both of its slots."""
+    from concurrel.domains import TID_TOP
+
+    base, dom = make_base("thread main { t = create(w); t = ?; } thread w { t = 1; }")
+    assert "t" in dom.universe.index and "t" in dom.universe.tid_vars
+    create_edge, havoc_edge = _edge(base, "main", Create), _edge(base, "main", Havoc)
+    r = dom.assign_value(dom.top(), "self", frozenset({MAIN_TID}))
+    created = _effects(base, create_edge, frozenset(), r)[PointKey(create_edge.dst, frozenset(), D)]
+    assert dom.unlift_tid(created, "t") is not TID_TOP
+    for v in (created, dom.assign_expr(created, "t", IntLit(3))):
+        (after,) = _effects(base, havoc_edge, frozenset(), v).values()
+        assert dom.unlift_tid(after, "t") is TID_TOP
+        assert dom.unlift_var(after, "t") == IntAbs.top()
+
+
 def test_base_create_child_state():
     base, dom = make_base(SRC)
     create_edge = _edge(base, "main", Create)

@@ -496,34 +496,93 @@ def test_every_computed_closure_calls_tight_close_inplace(programs, monkeypatch)
     assert kernel_calls[0] == computed[0]
 
 
-def _compiled_kernel(cache):
-    """The package's compiled kernel, built into ``cache`` and loaded from
-    there; skips where there is no C compiler or no Python headers."""
+def _cannot_compile() -> str | None:
+    """Why the kernel cannot be compiled here, or None."""
     import shlex
     import shutil
     import sysconfig
     from pathlib import Path
 
-    from concurrel.domains._build import load_compiled
-
     ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     if not ldshared or shutil.which(ldshared[0]) is None:
-        pytest.skip("no C compiler")
+        return "no C compiler"
     if not Path(sysconfig.get_paths()["include"], "Python.h").exists():
-        pytest.skip("no Python headers")
+        return "no Python headers"
+    return None
+
+
+def _compiled_kernel(cache):
+    """The package's compiled kernel, built into ``cache`` and loaded from
+    there; skips where there is no C compiler or no Python headers."""
+    from concurrel.domains._build import load_compiled
+
+    reason = _cannot_compile()
+    if reason:
+        pytest.skip(reason)
     module = load_compiled(cache)
     assert module is not None
     return module
 
 
-def test_compiled_kernel_matches_numpy_kernel(tmp_path):
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled kernel, built once for this module into a cache of its
+    own, whichever kernel the package uses."""
+    return _compiled_kernel(tmp_path_factory.mktemp("kernel"))
+
+
+def _use_kernel(monkeypatch, module):
+    from concurrel.domains import octagon
+
+    monkeypatch.setattr(octagon, "_kernel", module)
+    monkeypatch.setattr(octagon, "tight_close_inplace", module.tight_close_inplace)
+
+
+def _kernel_entry(rng: Random, limits) -> float:
+    """A random matrix entry: mostly small integers and +inf, and also
+    values at and just beyond each of ``limits``."""
+    pick = rng.random()
+    if pick < 0.35:
+        return np.inf
+    if pick < 0.45:
+        return rng.choice((-1, 1)) * (rng.choice(limits) + rng.choice((-1, 0, 1)))
+    return float(rng.randint(-4, 6))
+
+
+def _kernel_matrix(rng: Random, k: int, limits) -> np.ndarray:
+    """A random read-only 2k×2k matrix with a zero diagonal, as the
+    operations pass the matrices of their operands."""
+    m = np.array([[_kernel_entry(rng, limits) for _ in range(2 * k)] for _ in range(2 * k)])
+    np.fill_diagonal(m, 0.0)
+    m.setflags(write=False)
+    return m
+
+
+def _gather_map(rng: Random, src: int, k: int) -> tuple[int, ...]:
+    """A random gather map from a pack of ``src`` variables onto ``k``:
+    distinct variables of the pack, or −1."""
+    free = rng.sample(range(src), src)
+    return tuple(free.pop() if free and rng.random() < 0.7 else -1 for _ in range(k))
+
+
+def _agree(pure_out, fast_out, args) -> bool:
+    """Both kernels returned the same argument, or equal fresh matrices
+    bit for bit."""
+    for a in args:
+        if pure_out is a or fast_out is a:
+            return pure_out is a and fast_out is a
+    return (isinstance(fast_out, np.ndarray) and fast_out.dtype == np.float64
+            and fast_out.shape == pure_out.shape and fast_out.tobytes() == pure_out.tobytes())
+
+
+def test_compiled_kernel_matches_numpy_kernel(compiled):
     """The C kernel equals the numpy kernel bit for bit, drops the same
     bounds beyond ``BOUND_LIMIT``, and rejects input that breaks its
     contract."""
     from concurrel.domains._closure_py import BOUND_LIMIT
     from concurrel.domains._closure_py import tight_close_inplace as pure
 
-    fast = _compiled_kernel(tmp_path).tight_close_inplace
+    fast = compiled.tight_close_inplace
     rng = Random(47)
     unsat = 0
     for trial in range(400):
@@ -575,6 +634,138 @@ def test_compiled_kernel_matches_numpy_kernel(tmp_path):
             with pytest.raises(error):
                 fast(view)
         view.release()
+
+
+def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
+    """Every entry point but the closure, on random packs of 1–5 variables
+    and random gather maps, with entries at and beyond ±``BOUND_LIMIT`` and
+    ±``EXACT_LIMIT``: the C kernel returns the same
+    argument as the numpy kernel, or a matrix equal to its bit for bit, and
+    the closures of the matrices of ``meet`` and ``bound`` agree on ⊥."""
+    from concurrel.domains import _closure_py as pure
+    from concurrel.domains._closure_py import BOUND_LIMIT, EXACT_LIMIT
+
+    rng = Random(53)
+    limits = (BOUND_LIMIT, EXACT_LIMIT)
+    seen = {"argument": 0, "fresh": 0, "unsat": 0}
+
+    def check(name, *args):
+        want, got = getattr(pure, name)(*args), getattr(compiled, name)(*args)
+        if name == "leq":
+            assert got is want, (name, args)
+            return want
+        assert _agree(want, got, args), (name, args)
+        seen["argument" if any(want is a for a in args) else "fresh"] += 1
+        return want
+
+    def closes_alike(m):
+        m1, m2 = np.array(m), np.array(m)
+        r1, r2 = pure.tight_close_inplace(m1), compiled.tight_close_inplace(m2)
+        assert r1 == r2
+        seen["unsat"] += r1
+        assert r1 or np.array_equal(m1, m2)
+
+    for _ in range(600):
+        ka, kb, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
+        a = _kernel_matrix(rng, ka, limits)
+        b = rng.choice([_kernel_matrix(rng, ka, limits), a])
+        if b is not a and rng.random() < 0.5:  # b above or below a entrywise
+            b = (np.maximum if rng.random() < 0.5 else np.minimum)(a, b)
+            b.setflags(write=False)
+        for name in ("leq", "join", "meet", "widen"):
+            check(name, a, b)
+            check(name, b, a)
+        pa, pb = _gather_map(rng, ka, k), _gather_map(rng, kb, k)
+        c = _kernel_matrix(rng, kb, limits)
+        for name in ("leq", "join", "meet", "widen"):
+            out = check(name, a, c, pa, pb)
+            if name == "meet" and not any(out is x for x in (a, c)):
+                closes_alike(out)
+        assert check("join", a, b, None, None) is a or not pure.leq(b, a)
+        check("pack", a, pa)
+        check("pack", a, None)
+        entries = []
+        for _ in range(rng.randint(0, 3)):
+            c_ = rng.choice((float(rng.randint(-6, 8)), rng.randint(-6, 8),
+                             rng.choice((-1, 1)) * BOUND_LIMIT))
+            entries += (rng.randrange(2 * k or 1), rng.randrange(2 * k or 1), c_)
+        if k:
+            closes_alike(check("bound", a, pa, entries))
+        check("bound", a, None, [i % (2 * ka) if t % 3 < 2 else i
+                                 for t, i in enumerate(entries)])
+        const = rng.choice((rng.randint(-5, 5), rng.choice((-1, 1)) * int(BOUND_LIMIT)))
+        check("shift", a, rng.randrange(ka), const, rng.random() < 0.5)
+    assert min(seen.values()) > 50, seen
+
+
+def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compiled):
+    """Each C entry point raises ``ValueError`` on a strided, float32, 1-D,
+    non-square or odd-sized matrix and on a malformed map or entry list,
+    and ``tight_close_inplace`` also on a read-only matrix, which the
+    others only read.  Each one releases the buffers it took, on every
+    path."""
+    good = np.zeros((2, 2))
+    read_only = np.zeros((2, 2))
+    read_only.setflags(write=False)
+    bad_matrices = (np.zeros((4, 4))[::2, ::2], np.zeros((2, 2), np.float32), np.zeros(4),
+                    np.zeros((2, 4)), np.zeros((3, 3)), [[0.0, 0.0], [0.0, 0.0]])
+    calls = {  # entry point: its arguments, with the matrix to vary first
+        "tight_close_inplace": lambda m: (m,),
+        "leq": lambda m: (m, good), "join": lambda m: (m, good),
+        "meet": lambda m: (m, good), "widen": lambda m: (m, good),
+        "pack": lambda m: (m, (0,)),
+        "bound": lambda m: (m, None, [0, 1, 2.0]),
+        "shift": lambda m: (m, 0, 3, False),
+    }
+    for name, args in calls.items():
+        fn = getattr(compiled, name)
+        for bad in bad_matrices + ((read_only,) if name == "tight_close_inplace" else ()):
+            with pytest.raises(ValueError):
+                fn(*args(bad))
+        if name != "tight_close_inplace":
+            fn(*args(read_only))  # read, never written
+    for name in ("leq", "join", "meet", "widen"):  # the second operand too
+        with pytest.raises(ValueError):
+            getattr(compiled, name)(good, np.zeros((3, 3)))
+    malformed = [
+        ("leq", (good, good, (2,), None)), ("leq", (good, good, (0,), (0, -1))),
+        ("meet", (good, good, (-2,), (0,))), ("join", (good, good, "x", None)),
+        ("widen", (good, good, (0.5,), (0,))), ("pack", (good, (1,))),
+        ("bound", (good, None, [0, 1])), ("bound", (good, None, [0, 2, 1.0])),
+        ("bound", (good, None, [0, 1, "c"])), ("bound", (good, None, 3)),
+        ("shift", (good, 1, 3, False)), ("shift", (good, 0, "c", False)),
+    ]
+    for name, args in malformed:
+        with pytest.raises(ValueError):
+            getattr(compiled, name)(*args)
+
+    def view(shape=(2, 2)):
+        return memoryview(bytearray(8 * shape[0] * shape[1])).cast("d", shape)
+
+    paths = [  # (entry point, arguments), each passing memoryviews
+        ("tight_close_inplace", lambda a, b: (a,)), ("tight_close_inplace", lambda a, b: (b,)),
+        ("pack", lambda a, b: (a, (0, -1))), ("pack", lambda a, b: (a, (3,))),
+        ("pack", lambda a, b: (b, (0,))),
+        ("bound", lambda a, b: (a, None, [0, 1, 1.0])), ("bound", lambda a, b: (a, None, [9, 9, 1.0])),
+        ("bound", lambda a, b: (b, None, [])),
+        ("shift", lambda a, b: (a, 0, 1, True)), ("shift", lambda a, b: (a, 5, 1, True)),
+        ("shift", lambda a, b: (b, 0, 1, True)),
+    ]
+    for name in ("leq", "join", "meet", "widen"):
+        paths += [(name, lambda a, b: (a, a)), (name, lambda a, b: (a, b)),
+                  (name, lambda a, b: (b, a)), (name, lambda a, b: (a, a, (0,), (0,))),
+                  (name, lambda a, b: (a, a, (0,), (3,))), (name, lambda a, b: (a, a, (0,), (0, 0)))]
+    outcomes = set()
+    for name, args in paths:
+        a, b = view(), view((1, 4))
+        try:
+            getattr(compiled, name)(*args(a, b))
+            outcomes.add("returned")
+        except ValueError:
+            outcomes.add("raised")
+        a.release()
+        b.release()
+    assert outcomes == {"returned", "raised"}
 
 
 def test_compiled_kernel_is_built_once_per_cache(tmp_path, monkeypatch):
@@ -874,23 +1065,26 @@ def test_guard_eq_closes_like_the_meet_of_both_halves():
 
 # -- packed octagons ----------------------------------------------------------------
 
-def _raw_pack(data, back, n):
+def _raw_pack(data, n):
     """Random octagonal constraints over a random subset of the n
     variables: (vars, raw matrix)."""
     from hypothesis import strategies as st
+
+    from concurrel.domains._closure_py import bound
+    from concurrel.domains.octagon import _entries
 
     vars = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))))
     k = len(vars)
     m = np.full((2 * k, 2 * k), np.inf)
     np.fill_diagonal(m, 0.0)
-    for _ in range(data.draw(st.integers(0, 2 * k)) if k else 0):
-        back._add_oct_constraint(m, *_oct_constraint(data, k))
-    return vars, m
+    constraints = [_oct_constraint(data, k)
+                   for _ in range(data.draw(st.integers(0, 2 * k)) if k else 0)]
+    return vars, bound(m, None, _entries(tuple(range(k)), constraints))
 
 
 def _packed(data, back, n):
     """A random octagon over a random subset of the n variables (⊥ too)."""
-    vars, m = _raw_pack(data, back, n)
+    vars, m = _raw_pack(data, n)
     return back.close(vars, m)
 
 
@@ -922,18 +1116,21 @@ def _same(got, want) -> bool:
         got is not None and want is not None and np.array_equal(got, want))
 
 
-def test_packed_operations_equal_full_universe_ones():
+def test_packed_operations_equal_full_universe_ones(request, monkeypatch):
     """On octagons over different variables, the packed closure, join, meet,
     widen, ⊑ and forget give, embedded into the full universe, the
-    matrices and ⊥ verdicts of the full-universe definitions."""
+    matrices and ⊥ verdicts of the full-universe definitions, under the
+    numpy kernel and, where it can be compiled, the C kernel."""
     from hypothesis import given, settings, strategies as st
+
+    from concurrel.domains import _closure_py
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def check(data):
         n = data.draw(st.integers(1, 5))
         back = OctBackend(n)
-        (va, ma), (vb, mb) = _raw_pack(data, back, n), _raw_pack(data, back, n)
+        (va, ma), (vb, mb) = _raw_pack(data, n), _raw_pack(data, n)
         a, b = back.close(va, np.array(ma)), back.close(vb, np.array(mb))
         ca, cb = _full(a, n), _full(b, n)
 
@@ -972,7 +1169,52 @@ def test_packed_operations_equal_full_universe_ones():
             want[2 * x, 2 * x] = want[2 * x + 1, 2 * x + 1] = 0.0
         assert _same(_full(back.forget(a, xs), n), want)
 
-    check()
+    for module in [_closure_py] + ([] if _cannot_compile() else [request.getfixturevalue("compiled")]):
+        _use_kernel(monkeypatch, module)
+        check()
+
+
+@pytest.mark.parametrize("intervalize", [False, True])
+def test_transfer_sequence_is_equal_under_both_kernels(compiled, monkeypatch, intervalize):
+    """A fixed sequence of transfers (assign in all four forms, guard, meet,
+    join, widen, restrict) gives equal ``(vars, m, widened)`` under the
+    numpy and the C kernel, with ⊥ among them and, on octagons, an
+    unclosed widening."""
+    from concurrel.domains import _closure_py
+
+    def run(module):
+        _use_kernel(monkeypatch, module)
+        back = OctBackend(6, intervalize)
+        r = back.set_interval(back.top(), 0, 0, 10)
+        r = back.assign_linear(r, 1, {0: 1}, 3)  # x := y + c
+        r = back.assign_linear(r, 2, {0: -1}, 2)  # x := −y + c
+        r = back.assign_linear(r, 1, {1: 1}, 4)  # x := x + c
+        r = back.assign_linear(r, 2, {2: -1}, 1)  # x := −x + c
+        r = back.assign_linear(r, 3, {0: 1, 1: 2}, 0)  # x := sum, as an interval
+        r = back.assign_linear(r, 4, {}, 7)  # x := c
+        g = back.guard_leq0(r, {0: 1, 3: -1}, 2)
+        e = back.guard_eq(back.forget(r, [5]), {4: 1, 5: -1}, 0)
+        met = back.meet(g, e)
+        bot = back.guard_leq0(met, {1: 1, 0: -1}, 4)  # x1 − x0 + 4 ≤ 0 contradicts x1 = x0 + 7
+        j = back.join(g, back.forget(e, [1]))
+        # x0 ≤ 8 is tighter than x0 − x1 ≤ 3 and x1 ≤ 6 give: widening it
+        # away leaves a matrix that closes to x0 ≤ 9
+        a = back.guard_leq0(back.set_interval(j, 1, 0, 6), {0: 1, 1: -1}, -3)
+        a = back.set_interval(a, 5, 0, 0)
+        step = back.join(a, back.guard_leq0(back.assign_linear(a, 0, {0: 1}, 1),
+                                            {0: 1, 1: -1}, -3))
+        w1 = back.widen(a, step)
+        w2 = back.widen(w1, back.join(w1, back.assign_linear(w1, 3, {3: 1}, -2)))
+        w3 = back.widen(w2, back.guard_neq(e, {4: 1}, -7))
+        rs = back.restrict(w3, {0, 1, 3})
+        values = [r, g, e, met, bot, j, a, step, w1, w2, w3, rs]
+        return [(v.vars, None if v.is_bot else v.m.tobytes(),
+                 None if v.widened is None else v.widened.tobytes()) for v in values]
+
+    pure = run(_closure_py)
+    assert pure == run(compiled)
+    assert any(m is None for _, m, _ in pure)
+    assert intervalize or any(w is not None for _, _, w in pure)  # intervals close as they are
 
 
 def test_join_returns_the_left_operand_when_the_right_adds_nothing():
