@@ -8,7 +8,8 @@ and the scaled programs of every generator seed under 3 presets) and
 re-analyzes each row under the closure kernel in use (``KERNEL``; set
 ``CONCURREL_PURE=1`` for the numpy kernel).  Prints each mismatching row
 and the solver and domain counts (interned relations, memo hits) summed
-over the corpus rows and over the scaled rows, and exits 1 on any
+over the corpus rows, over the corpus rows of each configuration of
+``CORPUS_CONFIGS`` and over the scaled rows, and exits 1 on any
 mismatch.  Runs one worker process per available CPU.
 The references are only read, never written; re-record them with
 ``perfbench/record.py``.
@@ -63,17 +64,22 @@ def main() -> int:
         results = [x for part in pool.map(check_rows, chunks.values()) for x in part]
 
     bad = 0
+    # the totals of each workload, and the corpus's of each configuration
     totals: dict[str, list[int]] = {}
     for row, digest, *counts in results:
         if digest not in want[row]:
             bad += 1
             print("MISMATCH", *row, digest, sep="\t")
-        t = totals.setdefault(row[0], [0] * 6)
-        for i, v in enumerate((1, *counts)):
-            t[i] += v
-    for workload, (n, evals, constraints, widened, relations, hits) in totals.items():
-        print(f"{workload}: {n} analyses, {evals} evaluations, {constraints} constraints, "
-              f"{widened} widenings, {relations} relations, {hits} memo hits")
+        groups = [row[0]] + ([f"  corpus {row[3]}"] if row[0] == "corpus" else [])
+        for group in groups:
+            t = totals.setdefault(group, [0] * 6)
+            for i, v in enumerate((1, *counts)):
+                t[i] += v
+    for group in ["corpus", *(f"  corpus {cfg}" for cfg in CORPUS_CONFIGS), "scaled"]:
+        if group in totals:
+            n, evals, constraints, widened, relations, hits = totals[group]
+            print(f"{group}: {n} analyses, {evals} evaluations, {constraints} constraints, "
+                  f"{widened} widenings, {relations} relations, {hits} memo hits")
     print(f"kernel={KERNEL}: {len(results) - bad} of {len(results)} dump digests match, "
           f"{bad} differ")
     return 1 if bad else 0

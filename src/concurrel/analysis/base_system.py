@@ -176,6 +176,8 @@ class BaseAnalysis:
         return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
 
     # -- relation-lattice defaults: every value is a Relation --
+    # ``join`` returns its left operand itself exactly when the right one
+    # adds nothing (``RelDomain.join`` does), as ``solver.System`` requires.
 
     def relation(self, value) -> Relation:
         return value

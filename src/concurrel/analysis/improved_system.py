@@ -10,7 +10,9 @@ Local states carry, besides the relation r:
 
 A thread-return unknown holds the same kind of state, with ``r`` over
 ``ret`` alone and W empty, so one lattice (``state_join``/``state_leq``)
-serves both; mutex unknowns hold plain relations.
+serves both; mutex unknowns hold plain relations.  ``state_join(a, b)``
+returns ``a`` itself when no component changes, that is, exactly when
+``state_leq(b, a)``, as the solver's ``System.join`` contract requires.
 
 Side effects to mutex unknowns happen only when a protected global may have
 been written; in clustered mode only the clusters that intersect W are
@@ -82,14 +84,27 @@ class ImprovedSystem(BaseAnalysis):
     # -- state lattice --
 
     # L entries often reach a join or comparison as the same object (they
-    # pass unchanged along the CFG); such an entry is its own join and ⊑
+    # pass unchanged along the CFG); such an entry is its own join and ⊑.
+    # Both joins return their left operand itself when no entry changes.
     def _l_join(self, l1: dict, l2: dict, widen: bool = False) -> dict:
         op = self.dom.widen if widen else self.dom.join
-        return {k: a if a is (b := l2[k]) else op(a, b) for k, a in l1.items()}
+        out = l1
+        for k, a in l1.items():
+            if a is not (b := l2[k]) and (c := op(a, b)) is not a:
+                if out is l1:
+                    out = dict(l1)
+                out[k] = c
+        return out
 
     def state_join(self, a: ImprovedState, b: ImprovedState, widen=False) -> ImprovedState:
         op = self.dom.widen if widen else self.dom.join
-        return ImprovedState(a.j & b.j, self._l_join(a.l, b.l, widen), a.w | b.w, op(a.r, b.r))
+        j = a.j if a.j <= b.j else a.j & b.j
+        l = self._l_join(a.l, b.l, widen)
+        w = a.w if b.w <= a.w else a.w | b.w
+        r = op(a.r, b.r)
+        if j is a.j and l is a.l and w is a.w and r is a.r:
+            return a
+        return ImprovedState(j, l, w, r)
 
     def state_leq(self, a: ImprovedState, b: ImprovedState) -> bool:
         return (

@@ -18,7 +18,9 @@ and  unlift_var(r|Y, x) = ⊤  for x ∉ Y.
 
 A ``RelDomain`` hash-conses its relations: every non-⊥ relation it builds
 is interned under the backend ``key`` of its numeric component and its
-thread-id map, so equal representations are one object.
+thread-id map in sorted variable order, so values with equal keys are one
+object.  ``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the
+solver relies on: the numeric join is then a's value, with a's key.
 ``join``, ``widen``, ``meet`` and ``leq`` are memoized by the identity of
 their operands.  A memo key holds both operands, so their ids are never
 reused and a hit is exact.  The intern table and the memo tables live as
@@ -86,8 +88,12 @@ class NumericBackend(Protocol):
     batched: ``vals`` is a 2-D array with one row of integer values per store
     (column i holds x_i), and the result is a boolean vector with one entry
     per row; a 1-row array tests one store.  ``key`` is a hashable image of
-    the exact representation of a non-⊥ ``r`` (values with equal keys behave
-    alike under every operation); it is never asked for ⊥."""
+    a non-⊥ ``r``, never asked for ⊥: values with equal keys behave alike
+    under every operation, and equal values have equal keys where the
+    representation is canonical.  Eqconst's is; an octagon's key is its
+    representation (its variables and its closed and widened matrices), so
+    two octagons of one meaning may differ in key.  ``join(a, b)`` returns a
+    value with a's key when b ⊑ a, and only then."""
 
     def top(self): ...
     def bot(self): ...
@@ -141,9 +147,15 @@ class RelDomain:
         return self._bot
 
     def _mk(self, num, tids: dict[str, object]) -> Relation:
-        if self.nb.is_bot(num) or any(t is not TID_TOP and not t for t in tids.values()):
+        """The interned relation of ``num`` and ``tids``, keyed by the
+        backend key and the thread-id map without ⊤ entries in sorted
+        variable order, so the order of ``tids`` does not matter."""
+        if self.nb.is_bot(num):
             return self._bot
-        tids = {k: v for k, v in tids.items() if v is not TID_TOP}
+        if tids:
+            if any(t is not TID_TOP and not t for t in tids.values()):
+                return self._bot
+            tids = {k: tids[k] for k in sorted(tids) if tids[k] is not TID_TOP}
         key = (self.nb.key(num), tuple(tids.items()))
         r = self._interned.get(key)
         if r is None:
@@ -158,28 +170,40 @@ class RelDomain:
         """The number of interned relations."""
         return len(self._interned)
 
-    def _memo(self, table: dict, a: Relation, b: Relation, op):
-        """``op(a, b)``, computed once per pair of operands."""
-        out = table.get((a, b), _MISS)
+    # -- lattice: each operation computed once per pair of operands --
+
+    def leq(self, a: Relation, b: Relation) -> bool:
+        out = self._leqs.get((a, b), _MISS)
         if out is _MISS:
-            out = table[a, b] = op(a, b)
+            out = self._leqs[a, b] = self._leq(a, b)
         else:
             self.memo_hits += 1
         return out
 
-    # -- lattice --
-
-    def leq(self, a: Relation, b: Relation) -> bool:
-        return self._memo(self._leqs, a, b, self._leq)
-
     def meet(self, a: Relation, b: Relation) -> Relation:
-        return self._memo(self._meets, a, b, self._meet)
+        out = self._meets.get((a, b), _MISS)
+        if out is _MISS:
+            out = self._meets[a, b] = self._meet(a, b)
+        else:
+            self.memo_hits += 1
+        return out
 
     def join(self, a: Relation, b: Relation) -> Relation:
-        return self._memo(self._joins, a, b, self._join)
+        """An upper bound of a and b; ``a`` itself exactly when b ⊑ a."""
+        out = self._joins.get((a, b), _MISS)
+        if out is _MISS:
+            out = self._joins[a, b] = self._upper(a, b, self.nb.join)
+        else:
+            self.memo_hits += 1
+        return out
 
     def widen(self, a: Relation, b: Relation) -> Relation:
-        return self._memo(self._widens, a, b, self._widen)
+        out = self._widens.get((a, b), _MISS)
+        if out is _MISS:
+            out = self._widens[a, b] = self._upper(a, b, self.nb.widen)
+        else:
+            self.memo_hits += 1
+        return out
 
     def _leq(self, a: Relation, b: Relation) -> bool:
         if a.bot:
@@ -197,12 +221,6 @@ class RelDomain:
         for v, t in b.tids.items():
             tids[v] = tid_meet(tids.get(v, TID_TOP), t)
         return self._mk(self.nb.meet(a.num, b.num), tids)
-
-    def _join(self, a: Relation, b: Relation) -> Relation:
-        return self._upper(a, b, self.nb.join)
-
-    def _widen(self, a: Relation, b: Relation) -> Relation:
-        return self._upper(a, b, self.nb.widen)
 
     def _upper(self, a: Relation, b: Relation, num_op) -> Relation:
         """``num_op`` (join or widen) on the numbers, join on the thread ids."""

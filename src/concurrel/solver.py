@@ -8,9 +8,14 @@ of a program point), and constraints subscribed to the key's namespace
 
 Right-hand sides read the current assignment through a view that records
 dependencies, and return a dict of effects {key: value}; contributions and
-side-effects are treated alike and accumulate by join.  Widening escalates
-per key after a fixed number of strict increases, which terminates even for
-growth cycles that pass through mutex unknowns rather than CFG back edges.
+side-effects are treated alike and accumulate by join.  An effect updates
+its key with one lattice call, ``joined = system.join(key, old, value)``,
+and stops there when ``joined is old``.  This relies on the one contract
+of ``System.join``: it returns its left operand itself exactly when the
+right operand adds nothing (value ⊑ old), as ``RelDomain.join`` and
+``ImprovedSystem.state_join`` do.  Widening escalates per key after a
+fixed number of strict increases, which terminates even for growth cycles
+that pass through mutex unknowns rather than CFG back edges.
 One narrowing sweep recovers most of the overshoot afterwards (Apinis, Seidl
 and Vojdani, "Side-effecting constraint systems", APLAS 2012): every key
 becomes the join of the effects of every constraint on the final assignment.
@@ -55,6 +60,9 @@ class Constraint:
 
 
 class System(Protocol):
+    """``join(key, a, b)`` returns ``a`` itself exactly when b ⊑ a (see the
+    module docstring); ``leq`` serves only ``check_post_solution``."""
+
     def initial(self) -> list[Constraint]: ...
     def constraints_for(self, key) -> list[Constraint]: ...
     def namespace(self, key): ...  # hashable | None
@@ -130,11 +138,11 @@ class Solver:
             self.values[key] = value
             self._register_key(key, queue)
         else:
-            if self.system.leq(key, value, old):
-                return
             joined = self.system.join(key, old, value)
-            self.updates[key] = self.updates.get(key, 0) + 1
-            if self.updates[key] > WIDEN_DELAY:
+            if joined is old:  # value ⊑ old
+                return
+            self.updates[key] = n = self.updates.get(key, 0) + 1
+            if n > WIDEN_DELAY:
                 joined = self.system.widen(key, old, joined)
                 self.stats.widened += 1
             self.values[key] = joined

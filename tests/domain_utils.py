@@ -91,4 +91,4 @@ def pairwise_eq_join(nb, a, b):
              if nb.implies_eq(a, i, j) and nb.implies_eq(b, i, j)}
     consts = [(i, ca) for i in range(nb.n)
               if (ca := nb._const_of(a, i)) is not None and ca == nb._const_of(b, i)]
-    return _canon(nb.n, pairs, consts)
+    return _canon(pairs, consts)

@@ -466,3 +466,40 @@ def test_post_solution_stable_eqconst(programs):
                 domain="eqconst", mode=mode,
                 clusters=ClusterConfig("le_k" if mode == "clusters" else "monolithic")))
             assert res.solver.check_post_solution() == [], (name, mode)
+
+
+def test_state_join_returns_its_left_operand_exactly_when_the_right_adds_nothing(programs):
+    """``ImprovedSystem.state_join(a, b) is a`` iff ``state_leq(b, a)``, for
+    the point and return states of a clusters and a tids analysis, their
+    joins and widenings, states mixing the components of those, and copies
+    with equal but fresh components: the solver relies on it to stop an
+    update without asking ⊑."""
+    from hypothesis import given, settings, strategies as st
+
+    from concurrel.analysis.improved_system import ImprovedState
+
+    systems = []
+    for name, mode in (("intro_cluster", "clusters"), ("joins", "tids")):
+        result = run_analysis(programs[name], preset(mode))
+        states = [v for v in result.solver.values.values() if isinstance(v, ImprovedState)]
+        systems.append((result.system, states))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        system, states = data.draw(st.sampled_from(systems))
+        a, b = (data.draw(st.sampled_from(states)) for _ in range(2))
+        made = [a, b, system.state_join(a, b), system.state_join(a, b, widen=True)]
+
+        def mixed():
+            return ImprovedState(*(getattr(data.draw(st.sampled_from(made)), f)
+                                   for f in ("j", "l", "w", "r")))
+
+        x, y = mixed(), mixed()
+        fresh = ImprovedState(frozenset(x.j), dict(x.l), frozenset(x.w), x.r)
+        pairs = [(a, b), (b, a), (a, a), (made[2], a), (made[2], b), (made[3], a),
+                 (made[3], b), (x, y), (y, x), (x, fresh), (fresh, x), (made[2], x), (x, a)]
+        for p, q in pairs:
+            assert (system.state_join(p, q) is p) == system.state_leq(q, p)
+
+    check()

@@ -396,7 +396,7 @@ def _row_contains(r, row) -> bool:
             return False
         w = [sign * row[x] for x in r.vars for sign in (1, -1)]
         return all(w[j] - w[i] <= r.m[i, j] for i in range(len(w)) for j in range(len(w)))
-    return not r.bot and all(row[i] == row[x] for i, x in enumerate(r.rep)) and all(
+    return not r.bot and all(row[x] == row[rx] for x, rx in r.rep.items()) and all(
         row[x] == c for x, c in r.consts.items())
 
 
@@ -1252,18 +1252,24 @@ def test_eqconst_join_equals_the_pairwise_definition():
     dom = make_domain("eqconst")
     for _ in range(300):
         a, b = random_relation(dom, rng).num, random_relation(dom, rng).num
-        got, want = dom.nb.join(a, b), pairwise_eq_join(dom.nb, a, b)
-        assert (got.bot, got.rep, got.consts) == (want.bot, want.rep, want.consts)
+        assert _eq_form(dom.nb.join(a, b)) == _eq_form(pairwise_eq_join(dom.nb, a, b))
 
 
 def _eq_form(r):
-    """An eqconst value's (bot, rep, consts), after checking it is canonical:
-    each representative is the least member of its class, constants sit on
-    representatives, and no two classes share a constant."""
-    assert all(x <= i and r.rep[x] == x for i, x in enumerate(r.rep))
-    assert all(r.rep[x] == x for x in r.consts)
+    """An eqconst value's (bot, rep items, consts items), after checking it
+    is canonical: both maps are in increasing key order, each representative
+    is the least member of its class, every listed variable shares its
+    class or has a constant, constants sit on representatives, and no two
+    classes share a constant."""
+    from collections import Counter
+
+    size = Counter(r.rep.values())
+    assert list(r.rep) == sorted(r.rep) and list(r.consts) == sorted(r.consts)
+    assert all(rx <= x and r.rep[rx] == rx for x, rx in r.rep.items())
+    assert all(size[rx] > 1 or rx in r.consts for rx in r.rep.values())
+    assert all(r.rep.get(x) == x for x in r.consts)
     assert len(set(r.consts.values())) == len(r.consts)
-    return r.bot, r.rep, r.consts
+    return r.bot, tuple(r.rep.items()), tuple(r.consts.items())
 
 
 def test_eqconst_commuting_operations_give_one_canonical_form():
@@ -1295,8 +1301,8 @@ _LATTICE_OPS = ("join", "widen", "meet", "leq")
 def _recipe(data, maker):
     """A relation to build in some domain: a numeric value made by ``maker``
     (a packed octagon from ``_packed`` or the end of a random transfer
-    sequence; widened by another one or not) and a thread-id set for
-    ``self``, ⊤ included."""
+    sequence; widened by another one or not) and thread-id sets for
+    ``self`` and ``t``, ⊤ included."""
     from hypothesis import strategies as st
     from concurrel.domains.values import TID_TOP
 
@@ -1308,9 +1314,8 @@ def _recipe(data, maker):
     n = num()
     if data.draw(st.booleans()):
         n = maker.nb.widen(n, num())
-    tid = data.draw(st.sampled_from(
-        (TID_TOP, frozenset({"t1"}), frozenset({"t2"}), frozenset({"t1", "t2"}))))
-    return n, {"self": tid}
+    sets = (TID_TOP, frozenset({"t1"}), frozenset({"t2"}), frozenset({"t1", "t2"}))
+    return n, {v: data.draw(st.sampled_from(sets)) for v in ("self", "t")}
 
 
 def test_memoized_operations_equal_those_of_a_fresh_domain():
@@ -1351,18 +1356,25 @@ def test_memoized_operations_equal_those_of_a_fresh_domain():
 
 def test_relations_built_from_equal_representations_are_one_object():
     """Two relations built separately from equal representations are one
-    object, widened values included; a widened value is keyed by both of
-    its matrices, so it is another relation than its closure alone when the
-    two differ, with the same meaning."""
+    object, widened values included, whatever the order of the thread-id
+    map and of the eqconst equalities and constants they were built from; a
+    widened value is keyed by both of its matrices, so it is another
+    relation than its closure alone when the two differ, with the same
+    meaning."""
     from hypothesis import given, settings, strategies as st
-    from concurrel.domains.eqconst import EqRel
+    from concurrel.domains.eqconst import EqRel, _canon
     from concurrel.domains.octagon import OctRel
 
     def copy(num):
-        if isinstance(num, EqRel):
-            return EqRel(num.rep, dict(num.consts), num.bot)
+        if isinstance(num, EqRel):  # built again, from both maps reversed
+            if num.bot:
+                return num
+            return _canon(reversed(list(num.rep.items())), reversed(list(num.consts.items())))
         return OctRel(num.vars, None if num.m is None else np.array(num.m),
                       None if num.widened is None else np.array(num.widened))
+
+    def reordered(tids):
+        return dict(reversed(list(tids.items())))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1370,7 +1382,7 @@ def test_relations_built_from_equal_representations_are_one_object():
         numeric = data.draw(st.sampled_from(DOMAINS))
         dom = make_domain(numeric, ("x", "y", "z"))
         (num, tids), (other, _) = _recipe(data, dom), _recipe(data, dom)
-        r1, r2 = dom._mk(num, tids), dom._mk(copy(num), dict(tids))
+        r1, r2 = dom._mk(num, tids), dom._mk(copy(num), reordered(tids))
         assert r2 is r1
         if dom.is_bot(r1):
             assert r1 is dom.bot()
@@ -1378,7 +1390,7 @@ def test_relations_built_from_equal_representations_are_one_object():
         w = dom.widen(r1, o)
         if dom.is_bot(w):
             return
-        assert dom._mk(copy(w.num), dict(w.tids)) is w
+        assert dom._mk(copy(w.num), reordered(w.tids)) is w
         assert dom._upper(r1, o, dom.nb.widen) is w  # computed again, unmemoized
         if getattr(w.num, "widened", None) is not None:
             closed = dom._mk(OctRel(w.num.vars, w.num.m), dict(w.tids))
@@ -1386,3 +1398,99 @@ def test_relations_built_from_equal_representations_are_one_object():
             assert dom.render(closed) == dom.render(w)
 
     check()
+
+
+@pytest.mark.parametrize("numeric", DOMAINS)
+def test_equal_values_built_in_either_order_are_one_object(numeric):
+    """``x = 1; y = 2`` and ``y = 2; x = 1`` from ⊤ give one relation, and
+    so does a thread-id map {self: {m}, t: {c}} filled in either order; the
+    intern table then holds ⊤, x=1, y=2 and the one relation of both."""
+    dom = make_domain(numeric, ("x", "y"))
+    one, two = IntLit(1), IntLit(2)
+    a = dom.assign_expr(dom.assign_expr(dom.top(), "x", one), "y", two)
+    b = dom.assign_expr(dom.assign_expr(dom.top(), "y", two), "x", one)
+    assert a is b and dom.relations == 4
+    m, c = frozenset({"m"}), frozenset({"c"})
+    a = dom.assign_value(dom.assign_value(dom.top(), "self", m), "t", c)
+    b = dom.assign_value(dom.assign_value(dom.top(), "t", c), "self", m)
+    assert a is b
+
+
+def test_join_returns_its_left_operand_exactly_when_the_right_adds_nothing():
+    """``join(a, b) is a`` iff b ⊑ a, over octagon, interval and eqconst
+    operands, widened ones included: the solver stops an update when the
+    join returns the old value itself, without asking ⊑."""
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        dom = make_domain(data.draw(st.sampled_from(DOMAINS)), ("x", "y", "z"))
+        a, b = (dom._mk(*_recipe(data, dom)) for _ in range(2))
+        j, m, w = dom.join(a, b), dom.meet(a, b), dom.widen(a, b)
+        pairs = [(a, b), (b, a), (a, a), (j, a), (j, b), (a, j), (a, m), (m, a), (b, m),
+                 (w, a), (w, b), (j, w), (w, j), (a, dom.bot()), (dom.bot(), a), (a, dom.top()),
+                 (dom.top(), a)]
+        for x, y in pairs:
+            assert (dom.join(x, y) is x) == dom.leq(y, x)
+
+    check()
+
+
+def test_packed_eqconst_agrees_with_the_full_universe_reference():
+    """Random transfer sequences, run step for step through the packed
+    backend and through the full-universe one it replaced
+    (``eqconst_reference``), render alike, and the two agree on ⊑ both ways
+    between any two of the values, and on their meets and joins."""
+    from eqconst_reference import EqBackend as RefBackend, EqRel as RefRel
+
+    from concurrel.domains.eqconst import EqBackend
+
+    n = 5
+    new, ref = EqBackend(n), RefBackend(n)
+    names = [f"v{i}" for i in range(n)]
+    rng = Random(54)
+
+    def run(nb):
+        r = nb.top()
+        for op, args in script:
+            if op == "restrict":
+                r = nb.restrict(r, set(args))
+            elif op == "set_interval":
+                r = nb.set_interval(r, *args)
+            else:
+                r = getattr(nb, op)(r, *args)
+        return r
+
+    pairs = []
+    for _ in range(300):
+        script = []
+        for _ in range(rng.randint(1, 8)):
+            x, y = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            script.append(rng.choice([
+                ("set_interval", (x, c, c)),
+                ("set_interval", (x, c, c + 1)),
+                ("assign_linear", (x, {y: 1}, 0)),
+                ("assign_linear", (x, {y: 1}, c)),
+                ("assign_linear", (x, {x: 1, y: -1}, c)),
+                ("assign_linear", (x, {}, c)),
+                ("guard_eq", ({x: 1, y: -1}, 0)),
+                ("guard_eq", ({x: 1}, c)),
+                ("guard_eq", ({x: 2, y: 1}, c)),
+                ("guard_neq", ({x: 1, y: -1}, 0)),
+                ("guard_neq", ({x: 1}, c)),
+                ("guard_leq0", ({x: 1, y: 1}, c)),
+                ("restrict", rng.sample(range(n), rng.randint(0, n))),
+            ]))
+        a, b = run(new), run(ref)
+        assert new.render(a, names) == ref.render(b, names)
+        assert new.support(a) == ref.support(b)
+        full = RefRel(tuple(a.rep.get(i, i) for i in range(n)), dict(a.consts), a.bot)
+        assert ref.leq(full, b) and ref.leq(b, full)
+        pairs.append((a, b))
+    for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+        assert new.leq(a1, a2) == ref.leq(b1, b2) and new.leq(a2, a1) == ref.leq(b2, b1)
+        for op in ("meet", "join", "widen"):
+            got, want = getattr(new, op)(a1, a2), getattr(ref, op)(b1, b2)
+            assert new.render(got, names) == ref.render(want, names), op

@@ -22,8 +22,8 @@ class IntervalSystem:
     def namespace(self, key):
         return None
 
-    def join(self, key, a, b):
-        return int_join(a, b)
+    def join(self, key, a, b):  # a itself when b adds nothing, as Solver needs
+        return a if int_leq(b, a) else int_join(a, b)
 
     def widen(self, key, a, b):
         return int_widen(a, b)
