@@ -1,32 +1,27 @@
-"""The base relational analysis and its digest-refined constraint system.
+"""The base constraint system, and the base class of the thread-id system.
 
-``BaseAnalysis`` is the one base class of both constraint systems.  It holds
+``BaseAnalysis`` is the digest-refined base system; every value is a
+relation.  Every unknown is keyed with a digest of ``spec``, the digest
+specification the constructor takes.  A non-observing action keys its
+successor and its side-effects (published cluster values, thread returns)
+with the digest after ``spec.unary``, and a created thread's start with the
+digest of ``spec.new_thread``; the two observing actions, lock and join,
+read ``MutexKey``/``RetKey`` values of each digest they may observe and
+share one loop over those digests (``_observing_rhs``).  Besides
+``initial`` and one right-hand side factory per action kind, the class
+holds the relation steps (``init``, the initial cluster values and main's
+start relation, and ``transfer``, the local steps), the solver plumbing
+(key namespaces, which outgoing edges spawn a constraint, the reading of
+the source value: a right-hand side runs only when it is present and not ⊥)
+and the relation lattice.
 
-- the relation steps of the unrefined analysis: the initial cluster values
-  and main's start relation (``init``), the local steps (``transfer``: read,
-  write, assign, guard, assert, havoc), the relation kept at an unlock, a
-  created thread's id and start relation, and the returned value;
-- the solver plumbing: key namespaces, which outgoing edges spawn a
-  constraint, the reading of the source value (a right-hand side runs only
-  when it is present and not ⊥) and the enumeration of published mutex
-  digests;
-- the relation-lattice defaults, for systems whose every value is a
-  relation: ``relation``, ``join``, ``widen`` and ``leq``.
-
-Every unknown is keyed with a digest of ``spec``, the digest specification
-the constructor takes.  A subclass provides ``initial`` and one right-hand
-side factory per action kind.
-
-``WrappedBaseSystem`` is the digest-refined base system.  A non-observing
-action keys its successor and its side-effects (published cluster values,
-thread returns) with the digest after ``spec.unary``, and a created
-thread's start with the digest of ``spec.new_thread``; the two observing
-actions, lock and join, read ``MutexKey``/``RetKey`` values of each digest
-they may observe and share one loop over those digests
-(``_observing_rhs``).
-
-The thread-id system (``improved_system.ImprovedSystem``) is the other
-subclass.
+The thread-id system (``improved_system.ImprovedSystem``) is this system
+with local states that also carry J, L and W.  It shares the factories of
+the local step, create, return and unlock, which leave what its states add
+to a few small methods, each the identity or the base behaviour here:
+``relation``, ``stepped``, ``fresh``, ``child_tid``, ``ret_key``, ``dkey``,
+``published`` and ``unlocked``.  It overrides ``initial``, ``_lock_rhs``,
+``_join_rhs``, the lattice and ``render``.
 """
 
 from __future__ import annotations
@@ -61,8 +56,8 @@ _RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
 
 
 class BaseAnalysis:
-    """Relation steps, solver plumbing and relation-lattice defaults shared
-    by both constraint systems (see the module docstring)."""
+    """The base constraint system: the relational analysis × a digest spec
+    (see the module docstring)."""
 
     def __init__(self, program: Program, cfgs: dict[str, Cfg], dom: RelDomain,
                  protections: dict[str, frozenset[str]],
@@ -110,28 +105,6 @@ class BaseAnalysis:
                 return dom.havoc(r, x)
         raise TypeError(act)
 
-    def unlock_keep(self, lockset: frozenset[str], a: str) -> set[str]:
-        """What the ego keeps at unlock(a): its locals and 𝒢 of the other held mutexes."""
-        keep = set(self.locals)
-        for a2 in lockset - {a}:
-            keep |= protected_by(self.protections, a2)
-        return keep
-
-    def new_tid(self, u: Point, template: str, r: Relation):
-        """ν#: compose every creator id with the create edge (no C tracking)."""
-        creator = self.dom.unlift_tid(r, "self")
-        if creator is TID_TOP:
-            return TID_TOP
-        return frozenset(tid_compose(t, CreateEdge(u, template)) for t in creator)
-
-    def start_relation(self, r: Relation, child_tid) -> Relation:
-        """A created thread starts with its creator's locals and its own id."""
-        return self.dom.restrict(self.dom.assign_value(r, "self", child_tid), self.locals)
-
-    def returned(self, r: Relation, x: str) -> Relation:
-        """The value of ``return x`` as a relation over ``ret`` alone."""
-        return self.dom.restrict(self.dom.assign_expr(r, "ret", Var(x)), {"ret"})
-
     # -- solver plumbing --
 
     def namespace(self, key):
@@ -175,12 +148,61 @@ class BaseAnalysis:
         (reading the namespace records the dependency)."""
         return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
 
-    # -- relation-lattice defaults: every value is a Relation --
-    # ``join`` returns its left operand itself exactly when the right one
-    # adds nothing (``RelDomain.join`` does), as ``solver.System`` requires.
+    # -- what a local state adds to its relation: nothing here --
+    # ``s`` is the source value of a right-hand side and ``r`` a relation
+    # computed from ``relation(s)``.
 
     def relation(self, value) -> Relation:
+        """The relation of a point or thread-return value."""
         return value
+
+    def stepped(self, s, act: Action, r: Relation):
+        """The value after the local step or create ``act`` from ``s``."""
+        return r
+
+    def fresh(self, s, r: Relation):
+        """The start value of a thread that ``s`` creates, or the value it returns."""
+        return r
+
+    def child_tid(self, u: Point, template: str, child_digest) -> Callable[[Relation], Any]:
+        """The id of the thread created at ⟨u, template⟩, as a function of
+        the creator's relation: ν# composes every creator id with the create
+        edge (no C tracking)."""
+        edge = CreateEdge(u, template)
+
+        def tid(r: Relation):
+            creator = self.dom.unlift_tid(r, "self")
+            if creator is TID_TOP:
+                return TID_TOP
+            return frozenset(tid_compose(t, edge) for t in creator)
+
+        return tid
+
+    def ret_key(self, d1) -> Callable[[Relation], RetKey]:
+        """The key of a thread return with digest ``d1``, as a function of
+        the returning relation: the thread's id and the digest."""
+        return lambda r: RetKey((freeze_tid_value(self.dom.unlift_tid(r, "self")), d1))
+
+    def dkey(self, digest) -> Any:
+        """The digest part of the mutex keys an unlock with ``digest`` publishes."""
+        return digest
+
+    def published(self, s, a: str):
+        """The clusters of mutex ``a`` that an unlock from ``s`` publishes."""
+        return self.clusters[a]
+
+    def unlocked(self, s, a: str, held: frozenset[str], published: dict, r: Relation):
+        """The value after unlock(a) from ``s``, with ``held`` still held,
+        the ``published`` values by cluster and the kept relation ``r``."""
+        return r
+
+    def render(self, key, value) -> str:
+        """The text of ``value`` in a solution dump."""
+        return self.dom.render(value)
+
+    # -- relation lattice --
+    # ``join`` returns its left operand itself exactly when the right one
+    # adds nothing (``RelDomain.join`` does), as ``solver.System`` requires.
 
     def join(self, key, a, b):
         return self.dom.join(a, b)
@@ -191,20 +213,7 @@ class BaseAnalysis:
     def leq(self, key, a, b):
         return self.dom.leq(a, b)
 
-
-def _edge_name(key: PointKey, act) -> str:
-    return f"{render_key(key)} {action_str(act)}"
-
-
-def accumulate(effects: dict, key, value, join) -> None:
-    effects[key] = join(effects[key], value) if key in effects else value
-
-
-# -- the digest-refined base system --------------------------------------------
-
-
-class WrappedBaseSystem(BaseAnalysis):
-    """Solver-facing constraint system: base analysis × digest spec."""
+    # -- constraints --
 
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
@@ -227,53 +236,63 @@ class WrappedBaseSystem(BaseAnalysis):
     def _plain_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
         dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
+        transfer, relation, stepped, is_bot = (
+            self.transfer, self.relation, self.stepped, self.dom.is_bot)
 
-        def body(view: View, r: Relation):
-            v = self.transfer(act, r)
-            if self.dom.is_bot(v):
+        def body(view: View, s):
+            r = transfer(act, relation(s))
+            if is_bot(r):
                 return {}
-            return {dst: v}
-
-        return body
-
-    def _unlock_rhs(self, edge: Edge, src: PointKey):
-        a = edge.action.mutex
-        keep = self.unlock_keep(src.lockset, a)
-        d1 = self.spec.unary(edge.src, edge.action, src.digest)
-        published = [(MutexKey(a, q, d1), q) for q in self.clusters[a]]
-        dst = PointKey(edge.dst, src.lockset - {a}, d1)
-
-        def body(view: View, r: Relation):
-            effects: dict[Any, Relation] = {k: self.dom.restrict(r, q) for k, q in published}
-            effects[dst] = self.dom.restrict(r, keep)
-            return effects
+            return {dst: stepped(s, act, r)}
 
         return body
 
     def _create_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
         start = self.cfgs[act.template].start
-        child = PointKey(start, frozenset(), self.spec.new_thread(edge.src, start, src.digest))
+        child_digest = self.spec.new_thread(edge.src, start, src.digest)
+        child = PointKey(start, frozenset(), child_digest)
+        child_tid = self.child_tid(edge.src, act.template, child_digest)
         dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
 
-        def body(view: View, r: Relation):
-            child_tid = self.new_tid(edge.src, act.template, r)
-            effects: dict[Any, Relation] = {child: self.start_relation(r, child_tid)}
-            v = self.dom.assign_value(r, act.local, child_tid)
-            if not self.dom.is_bot(v):
-                effects[dst] = v
-            return effects
+        def body(view: View, s):
+            r = self.relation(s)
+            tid = child_tid(r)
+            # the child starts with its creator's locals and its own id
+            start_r = self.dom.restrict(self.dom.assign_value(r, "self", tid), self.locals)
+            return {child: self.fresh(s, start_r),
+                    dst: self.stepped(s, act, self.dom.assign_value(r, act.local, tid))}
 
         return body
 
     def _return_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
         d1 = self.spec.unary(edge.src, act, src.digest)
+        ret = self.ret_key(d1)
         dst = PointKey(edge.dst, src.lockset, d1)
 
-        def body(view: View, r: Relation):
-            tid = freeze_tid_value(self.dom.unlift_tid(r, "self"))
-            return {RetKey((tid, d1)): self.returned(r, act.local), dst: r}
+        def body(view: View, s):
+            r = self.relation(s)
+            returned = self.dom.restrict(self.dom.assign_expr(r, "ret", Var(act.local)), {"ret"})
+            return {ret(r): self.fresh(s, returned), dst: s}
+
+        return body
+
+    def _unlock_rhs(self, edge: Edge, src: PointKey):
+        a = edge.action.mutex
+        held = src.lockset - {a}
+        # the ego keeps its locals and 𝒢 of the mutexes it still holds
+        keep = self.locals.union(*(protected_by(self.protections, b) for b in held))
+        d1 = self.spec.unary(edge.src, edge.action, src.digest)
+        keys = {q: MutexKey(a, q, self.dkey(d1)) for q in self.clusters[a]}
+        dst = PointKey(edge.dst, held, d1)
+
+        def body(view: View, s):
+            r = self.relation(s)
+            published = {q: self.dom.restrict(r, q) for q in self.published(s, a)}
+            effects: dict[Any, Any] = {keys[q]: v for q, v in published.items()}
+            effects[dst] = self.unlocked(s, a, held, published, self.dom.restrict(r, keep))
+            return effects
 
         return body
 
@@ -326,3 +345,11 @@ class WrappedBaseSystem(BaseAnalysis):
     def _ret_digests(self, view: View) -> list:
         """Thread-return digests, through the view (records the namespace dependency)."""
         return list(dict.fromkeys(k.digest[1] for k in view.keys_in(("ret",))))
+
+
+def _edge_name(key: PointKey, act) -> str:
+    return f"{render_key(key)} {action_str(act)}"
+
+
+def accumulate(effects: dict, key, value, join) -> None:
+    effects[key] = join(effects[key], value) if key in effects else value

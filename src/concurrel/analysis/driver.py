@@ -6,7 +6,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
 
 from ..digests import DigestSpec, LockOnceDigest
 from ..frontend.ast import IntLit, Program
@@ -15,7 +14,7 @@ from ..frontend.validate import Diagnostic, validate
 from ..solver import DEFAULT_BUDGET, Solver
 from ..domains.octagon import KERNEL
 from ..domains.relation import RelDomain, Relation, Universe
-from .base_system import WrappedBaseSystem
+from .base_system import BaseAnalysis
 from .config import AnalysisConfig, ConfigError
 from .improved_system import ImprovedSystem
 from .keys import MutexKey, PointKey
@@ -37,7 +36,7 @@ class AnalysisResult:
     universe: Universe
     protections: dict[str, frozenset[str]]
     solver: Solver
-    system: Any
+    system: BaseAnalysis
     spec: DigestSpec
     wall_ms: float = 0.0
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -119,7 +118,7 @@ def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
 
     if config.mode == "base":
         spec = LockOnceDigest() if config.lock_once else DigestSpec()
-        system = WrappedBaseSystem(program, cfgs, dom, protections, clusters, locals_, spec)
+        system = BaseAnalysis(program, cfgs, dom, protections, clusters, locals_, spec)
     else:
         system = ImprovedSystem(
             program, cfgs, dom, protections, clusters, locals_,

@@ -19,15 +19,16 @@ been written; in clustered mode only the clusters that intersect W are
 published, and locking combines, per cluster, the join-local information
 with the joined contributions of all admitted, non-accounted thread ids.
 
-``ImprovedSystem`` subclasses ``BaseAnalysis`` and takes from it what the
-thread ids leave unchanged: the initial cluster values by (mutex, cluster),
-which become L, and main's start relation, the local steps on r, the
-relation kept at an unlock, the child's start relation and the returned
-value, and the solver plumbing (key namespaces, which outgoing edges spawn
-a constraint, the reading of the source state, the enumeration of published
-mutex digests).  It overrides the relation-lattice defaults for its states.
-Like the base system, it keys the unknowns it consults and side-effects
-itself, and every digest comes from its ``TidDigestSpec``: ``unary`` for a
+``ImprovedSystem`` is the base system (``BaseAnalysis``) with these states.
+Its small methods say what J, L and W add to the shared factories of the
+local step, create, return and unlock: a write grows W (``stepped``); a
+child starts, and a return value is stored, with the creator's J and L and
+W = ∅ (``fresh``); a child's id is the thread id of its digest
+(``child_tid``); a return is keyed with the digest key (``ret_key``); an
+unlock publishes the clusters above (``published``), takes them into L and
+keeps in W what another held mutex protects (``unlocked``).  It overrides
+``initial``, the lock and join right-hand sides, the lattice and
+``render``.  Every digest comes from its ``TidDigestSpec``: ``unary`` for a
 successor, ``new_thread`` for a created thread, and ``binary`` at lock and
 join, where ``None`` excludes a combination (a thread that cannot run yet).
 """
@@ -143,6 +144,55 @@ class ImprovedSystem(BaseAnalysis):
         # an ancestor's write from before the ego could run is in the ego's start
         return self.exclude_ancestors and not may_run(cand, ego)
 
+    # -- what a state adds to its relation --
+
+    def stepped(self, s: ImprovedState, act, r: Relation) -> ImprovedState:
+        w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
+        return ImprovedState(s.j, s.l, w, r)
+
+    def fresh(self, s: ImprovedState, r: Relation) -> ImprovedState:
+        return ImprovedState(s.j, s.l, frozenset(), r)
+
+    def child_tid(self, u, template, child_digest):
+        tid = frozenset({child_digest[0]})
+        return lambda r: tid
+
+    def ret_key(self, d1):
+        key = RetKey(self.dkey(d1))
+        return lambda r: key
+
+    def published(self, s: ImprovedState, a: str):
+        """Under ``clusters`` the clusters that meet W; otherwise all of
+        them iff W holds a global that ``a`` protects."""
+        if self.clustered:
+            return [q for q in self.clusters[a] if q & s.w]
+        return self.clusters[a] if protected_by(self.protections, a) & s.w else ()
+
+    def unlocked(self, s: ImprovedState, a, held, published, r) -> ImprovedState:
+        """L takes the published values (a destructive join-local update), W
+        keeps the globals that a mutex still held protects."""
+        l = {**s.l, **{(a, q): v for q, v in published.items()}}
+        w = frozenset(g for g in s.w if self.protections[g] & held)
+        return ImprovedState(s.j, l, w, r)
+
+    def render(self, key, v) -> str:
+        dom = self.dom
+        if isinstance(key, MutexKey):
+            return dom.render(v)
+        if isinstance(key, RetKey):
+            return f"v=({dom.render(v.r)})"
+        parts = [f"r=({dom.render(v.r)})"]
+        if v.j:
+            parts.append("J={" + ", ".join(str(i) for i in sorted(v.j)) + "}")
+        if v.w:
+            parts.append("W={" + ",".join(sorted(v.w)) + "}")
+        ls = [
+            f"L[{a},{{{','.join(sorted(q))}}}]=({dom.render(lv)})"
+            for (a, q), lv in sorted(v.l.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1])))
+            if dom.render(lv) != "⊤"
+        ]
+        return "; ".join(parts + ls)
+
     # -- constraints --
 
     def initial(self) -> list[Constraint]:
@@ -154,83 +204,6 @@ class ImprovedSystem(BaseAnalysis):
             return {PointKey(entry, frozenset(), d0): state}
 
         return [Constraint("init", rhs)]
-
-    # As in the base system, each factory computes the keys of its effects
-    # once: a digest depends on the edge and the source digest alone.
-
-    def _plain_rhs(self, edge: Edge, src: PointKey):
-        dom = self.dom
-        act = edge.action
-        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
-
-        def body(view: View, s: ImprovedState):
-            r = self.transfer(act, s.r)
-            if dom.is_bot(r):
-                return {}
-            w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
-            return {dst: ImprovedState(s.j, s.l, w, r)}
-
-        return body
-
-    def _create_rhs(self, edge: Edge, src: PointKey):
-        dom = self.dom
-        act = edge.action
-        start = self.cfgs[act.template].start
-        child_digest = self.spec.new_thread(edge.src, start, src.digest)
-        child_tid = frozenset({child_digest[0]})
-        child = PointKey(start, frozenset(), child_digest)
-        dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
-
-        def body(view: View, s: ImprovedState):
-            r_ego = dom.assign_value(s.r, act.local, child_tid)
-            return {
-                child: ImprovedState(s.j, s.l, frozenset(), self.start_relation(s.r, child_tid)),
-                dst: ImprovedState(s.j, s.l, s.w, r_ego),
-            }
-
-        return body
-
-    def _return_rhs(self, edge: Edge, src: PointKey):
-        act = edge.action
-        d1 = self.spec.unary(edge.src, act, src.digest)
-        ret = RetKey(self.dkey(d1))
-        dst = PointKey(edge.dst, src.lockset, d1)
-
-        def body(view: View, s: ImprovedState):
-            return {ret: ImprovedState(s.j, s.l, frozenset(), self.returned(s.r, act.local)),
-                    dst: s}
-
-        return body
-
-    def _unlock_rhs(self, edge: Edge, src: PointKey):
-        dom = self.dom
-        a = edge.action.mutex
-        d1 = self.spec.unary(edge.src, edge.action, src.digest)
-        published_keys = {q: MutexKey(a, q, self.dkey(d1)) for q in self.clusters[a]}
-        keep = self.unlock_keep(src.lockset, a)
-        dst = PointKey(edge.dst, src.lockset - {a}, d1)
-
-        def body(view: View, s: ImprovedState):
-            effects: dict[Any, Any] = {}
-            if self.clustered:
-                published = [q for q in self.clusters[a] if q & s.w]
-            elif protected_by(self.protections, a) & s.w:
-                published = list(self.clusters[a])
-            else:
-                published = []
-            l1 = dict(s.l)
-            for q in published:
-                v = dom.restrict(s.r, q)
-                l1[(a, q)] = v  # destructive join-local update
-                effects[published_keys[q]] = v
-            r1 = dom.restrict(s.r, keep)
-            w1 = frozenset(
-                g for g in s.w if self.protections[g] & (src.lockset - {a})
-            )
-            effects[dst] = ImprovedState(s.j, l1, w1, r1)
-            return effects
-
-        return body
 
     def _lock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
@@ -269,18 +242,19 @@ class ImprovedSystem(BaseAnalysis):
                     effects[target] = ImprovedState(s.j, s.l, s.w, r1)
                 return effects
 
-            # per-digest constraints, plus the always-sound join-local floor
-            # (the incoming trace may be the initial one or the ego's own past,
-            # both of which L accounts for)
+            # per-digest relations, joined onto the always-sound join-local
+            # floor (the incoming trace may be the initial one or the ego's
+            # own past, both of which L accounts for); every contribution has
+            # the source's J, L and W
             l_meet = dom.meet_all(s.l[(a, q)] for q in qs)
-            floor = dom.meet(s.r, l_meet)
-            if not dom.is_bot(floor):
-                effects[target] = ImprovedState(s.j, s.l, s.w, floor)
+            r_acc = dom.meet(s.r, l_meet)
             for dk in admitted:
                 vals = [view.get(MutexKey(a, q, dk)) for q in qs]
                 r1 = dom.meet(s.r, dom.join(dom.meet_all(vals), l_meet))
                 if not dom.is_bot(r1):
-                    accumulate(effects, target, ImprovedState(s.j, s.l, s.w, r1), self.state_join)
+                    r_acc = r1 if dom.is_bot(r_acc) else dom.join(r_acc, r1)
+            if not dom.is_bot(r_acc):
+                effects[target] = ImprovedState(s.j, s.l, s.w, r_acc)
             return effects
 
         return body

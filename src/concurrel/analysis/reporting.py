@@ -1,4 +1,8 @@
-"""Assert verdicts, lock-point invariants and stable solution dumps."""
+"""Assert verdicts, lock-point invariants and stable solution dumps.
+
+The reports read the solved assignment through the constraint system: its
+``relation`` of a value and, in a dump, its ``render`` of a key's value.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,8 @@ from dataclasses import dataclass
 
 from ..frontend.ast import Lock, negate
 from ..frontend.cfg import assert_sites
-from ..domains.relation import Relation
 from .driver import AnalysisResult, local_vars
-from .improved_system import ImprovedState
-from .keys import PointKey, RetKey, render_key
+from .keys import PointKey, render_key
 from .protections import protected_by
 
 
@@ -67,25 +69,6 @@ def derive_lock_invariants(result: AnalysisResult) -> list[LockInvariant]:
     return out
 
 
-def _render_value(result: AnalysisResult, key, v) -> str:
-    dom = result.dom
-    if isinstance(v, ImprovedState):
-        if isinstance(key, RetKey):
-            return f"v=({dom.render(v.r)})"
-        parts = [f"r=({dom.render(v.r)})"]
-        if v.j:
-            parts.append("J={" + ", ".join(str(i) for i in sorted(v.j)) + "}")
-        if v.w:
-            parts.append("W={" + ",".join(sorted(v.w)) + "}")
-        ls = [
-            f"L[{a},{{{','.join(sorted(q))}}}]=({dom.render(lv)})"
-            for (a, q), lv in sorted(v.l.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1])))
-            if dom.render(lv) != "⊤"
-        ]
-        return "; ".join(parts + ls)
-    return dom.render(v)
-
-
 def dump_solution(result: AnalysisResult) -> str:
     lines = []
     for k in result.solver.values:
@@ -93,5 +76,5 @@ def dump_solution(result: AnalysisResult) -> str:
             key_s = render_key(k, result.spec.render)
         else:
             key_s = render_key(k)
-        lines.append(f"{key_s} := {_render_value(result, k, result.solver.values[k])}")
+        lines.append(f"{key_s} := {result.system.render(k, result.solver.values[k])}")
     return "\n".join(sorted(lines)) + "\n"

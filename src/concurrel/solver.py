@@ -12,10 +12,11 @@ side-effects are treated alike and accumulate by join.  An effect updates
 its key with one lattice call, ``joined = system.join(key, old, value)``,
 and stops there when ``joined is old``.  This relies on the one contract
 of ``System.join``: it returns its left operand itself exactly when the
-right operand adds nothing (value ⊑ old), as ``RelDomain.join`` and
-``ImprovedSystem.state_join`` do.  Widening escalates per key after a
-fixed number of strict increases, which terminates even for growth cycles
-that pass through mutex unknowns rather than CFG back edges.
+right operand adds nothing (value ⊑ old), as ``BaseAnalysis.join``
+(``RelDomain.join``) and ``ImprovedSystem.state_join`` do.  Widening
+escalates per key after a fixed number of strict increases, which
+terminates even for growth cycles that pass through mutex unknowns rather
+than CFG back edges.
 One narrowing sweep recovers most of the overshoot afterwards (Apinis, Seidl
 and Vojdani, "Side-effecting constraint systems", APLAS 2012): every key
 becomes the join of the effects of every constraint on the final assignment.

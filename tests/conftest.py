@@ -51,9 +51,11 @@ def with_spec(system, spec):
 
 
 def unlock_publishing_nothing(unlock_rhs):
-    """A mutation of ``WrappedBaseSystem._unlock_rhs``: the unlock keeps its
+    """A mutation of ``BaseAnalysis._unlock_rhs``: the unlock keeps its
     successor but drops its ``MutexKey`` effects, so other threads read
-    stale values."""
+    stale values.  Patched onto ``BaseAnalysis``, it mutates the unlock of
+    the thread-id system too, which inherits it; its users run base presets
+    only."""
 
     def factory(self, edge, src):
         body = unlock_rhs(self, edge, src)

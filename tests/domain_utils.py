@@ -13,6 +13,15 @@ def make_domain(numeric: str, names=("v", "w", "x", "y", "z")) -> RelDomain:
     return RelDomain(Universe(tuple(names), ("self",)), numeric)
 
 
+def use_kernel(monkeypatch, module):
+    """Run the octagon operations on the closure kernel ``module`` for the
+    rest of the test."""
+    from concurrel.domains import octagon
+
+    monkeypatch.setattr(octagon, "_kernel", module)
+    monkeypatch.setattr(octagon, "tight_close_inplace", module.tight_close_inplace)
+
+
 def eq(dom: RelDomain, a, b) -> bool:
     return dom.leq(a, b) and dom.leq(b, a)
 

@@ -28,7 +28,7 @@ from concurrel.analysis import (
     AnalysisConfig, ClusterConfig, MutexKey, PointKey, RetKey, check_asserts,
     preset, run_analysis,
 )
-from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
+from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.improved_system import ImprovedState, ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.domains import IntAbs
@@ -205,8 +205,8 @@ def test_criterion_9_soundness_differential(programs, explorations, monkeypatch)
         return {}, orig_init(self)[1]
 
     mutations = [
-        ("drop-unlock-effects", WrappedBaseSystem, "_unlock_rhs",
-         unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs), "fig_ex0", "octagon"),
+        ("drop-unlock-effects", BaseAnalysis, "_unlock_rhs",
+         unlock_publishing_nothing(BaseAnalysis._unlock_rhs), "fig_ex0", "octagon"),
         ("drop-init-effects", BaseAnalysis, "init", drop_init, "lockonce", "octagon"),
         ("acc-always-true", ImprovedSystem, "acc",
          lambda self, ego, state, cand: True, "joins", "tids"),

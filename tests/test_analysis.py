@@ -1,25 +1,28 @@
 """Unit tests for the right-hand sides, protections, and system invariants."""
 
 from concurrel.analysis import (
-    ClusterConfig, MutexKey, PointKey, RetKey, WrappedBaseSystem, check_asserts,
+    BaseAnalysis, ClusterConfig, MutexKey, PointKey, RetKey, check_asserts,
     dump_solution, infer_protections, preset, run_analysis,
 )
 from concurrel.analysis.driver import build_universe
 from concurrel.analysis.protections import compute_protections, protected_by
-from concurrel.digests import DigestSpec, LocksetDigest, MAIN_TID
+from concurrel.analysis.improved_system import ImprovedState, ImprovedSystem
+from concurrel.digests import DigestSpec, LocksetDigest, MAIN_TID, TidDigestSpec, tid_new
 from concurrel.domains import IntAbs, RelDomain
 from concurrel.frontend import build_cfg, parse_program, validate
-from concurrel.frontend.ast import Cmp, IntLit, Var
+from concurrel.frontend.ast import (
+    Cmp, Create, Havoc, IntLit, Lock, ReadGlobal, Return, Unlock, Var, WriteGlobal,
+)
 from concurrel.frontend.cfg import Edge, Point
-from concurrel.frontend.ast import Create, Havoc, Lock, ReadGlobal, Unlock
 from concurrel.solver import Solver, View
 
 from conftest import with_spec
 from domain_utils import eq
 
 
-def make_base(src: str, cluster_mode="monolithic"):
-    """The base system of ``src`` under the trivial digest, and its domain."""
+def _system_args(src: str, cluster_mode: str):
+    """The program, CFGs, octagon domain, declared protections, clusters
+    and locals of ``src``: the arguments both constraint systems take."""
     p = parse_program(src)
     cfgs = build_cfg(p)
     protections = compute_protections(p, cfgs, "declared")
@@ -29,7 +32,22 @@ def make_base(src: str, cluster_mode="monolithic"):
     universe = build_universe(cfgs, p)
     dom = RelDomain(universe, "octagon")
     locals_ = tuple(v for v in universe.all_vars if v not in p.globals and v != "ret")
-    return WrappedBaseSystem(p, cfgs, dom, protections, clusters, locals_, DigestSpec()), dom
+    return (p, cfgs, dom, protections, clusters, locals_), dom
+
+
+def make_base(src: str, cluster_mode="monolithic"):
+    """The base system of ``src`` under the trivial digest, and its domain."""
+    args, dom = _system_args(src, cluster_mode)
+    return BaseAnalysis(*args, DigestSpec()), dom
+
+
+def make_improved(src: str, clustered=False, exclude_ancestor_writes=False):
+    """The thread-id system of ``src``, under ``clusters`` (clusters of at
+    most 2 globals) when ``clustered`` and under ``tids`` otherwise, and its
+    domain."""
+    args, dom = _system_args(src, "le_k" if clustered else "monolithic")
+    return ImprovedSystem(*args, clustered=clustered,
+                          exclude_ancestor_writes=exclude_ancestor_writes), dom
 
 
 SRC = """
@@ -69,18 +87,18 @@ def _edge(base, template, act_type):
 D = DigestSpec().init()  # the trivial digest: every step keeps it
 
 
-def _effects(system, edge, lockset, r, published=()):
-    """The effects of the base system's right-hand side for ``edge`` from
-    the point unknown (edge.src, lockset, D) holding ``r``, on a solver
+def _effects(system, edge, lockset, r, published=(), digest=D):
+    """The effects of the right-hand side for ``edge`` from the point
+    unknown (edge.src, lockset, digest) holding ``r``, on a solver
     assignment that also holds the ``published`` (key, value) pairs."""
     solver = Solver(system)
-    src = PointKey(edge.src, lockset, D)
+    src = PointKey(edge.src, lockset, digest)
     for key, v in [(src, r), *published]:
         solver.values[key] = v
         if (ns := system.namespace(key)) is not None:
             solver.by_namespace.setdefault(ns, []).append(key)
-    factory = {Lock: system._lock_rhs, Unlock: system._unlock_rhs,
-               Create: system._create_rhs}.get(type(edge.action), system._plain_rhs)
+    factory = {Lock: system._lock_rhs, Unlock: system._unlock_rhs, Create: system._create_rhs,
+               Return: system._return_rhs}.get(type(edge.action), system._plain_rhs)
     return system._from_source(src, factory(edge, src))(View(solver))
 
 
@@ -201,6 +219,141 @@ def test_base_strictness():
                 assert c.rhs(View(solver)), c.describe()
                 n += 1
     assert n == 4  # create and lock(a) from {}, create and unlock(a) from {a, m_g}
+
+
+# The thread-id system's edge constraints: what its states add to the base
+# system's relation steps.
+
+TSRC = """
+global g, h, k;
+mutex a, b;
+protect g with a; protect h with a, b; protect k with b;
+thread main { x = create(t1); lock(a); lock(b); unlock(b); unlock(a); }
+thread t1 { y = 1; return y; }
+"""
+
+T = TidDigestSpec().init()  # main's digest
+
+
+def _state(system, r, w=(), j=()):
+    """A thread-id state over ``r``, with the initial L and the given W and J."""
+    return ImprovedState(frozenset(j), system.init()[0], frozenset(w), r)
+
+
+def test_improved_write_adds_its_global_to_w():
+    system, dom = make_improved(TSRC)
+    s = _state(system, dom.assign_expr(dom.top(), "x", IntLit(4)), w={"h"})
+    after = Point("main", 99)
+    (v,) = _effects(system, Edge(Point("main", 2), WriteGlobal("g", "x"), after),
+                    frozenset({"a"}), s, digest=T).values()
+    assert v.w == {"g", "h"} and v.j is s.j and v.l is s.l
+    assert dom.unlift_var(v.r, "g") == IntAbs.const(4)
+    # a read leaves W as it is
+    (v,) = _effects(system, Edge(Point("main", 2), ReadGlobal("x", "g"), after),
+                    frozenset({"a"}), s, digest=T).values()
+    assert v.w == s.w
+
+
+def _unlock_a(clustered, w):
+    """The effects of unlock(a) from lockset {a}, with W = ``w``, g = 5 and
+    h = 6, and the source state."""
+    system, dom = make_improved(TSRC, clustered)
+    r = dom.guard(dom.guard(dom.top(), Cmp("==", Var("g"), IntLit(5))),
+                  Cmp("==", Var("h"), IntLit(6)))
+    s = _state(system, r, w=w)
+    edge = next(e for e in system.cfgs["main"].edges if e.action == Unlock("a"))
+    return system, dom, s, edge, _effects(system, edge, frozenset({"a"}), s, digest=T)
+
+
+def test_improved_unlock_publishes_the_clusters_that_meet_w():
+    """Under ``clusters`` an unlock publishes the clusters that meet W;
+    under ``tids`` it publishes every cluster iff 𝒢[a] ∩ W ≠ ∅."""
+    gh = frozenset({"g", "h"})
+    cases = [
+        (True, {"g"}, [frozenset({"g"}), gh]),
+        (True, {"h", "k"}, [frozenset({"h"}), gh]),
+        (True, {"k"}, []),
+        (False, {"g"}, [gh]),
+        (False, {"h"}, [gh]),
+        (False, {"k"}, []),
+        (False, (), []),
+    ]
+    for clustered, w, want in cases:
+        system, dom, s, edge, fx = _unlock_a(clustered, w)
+        succ = PointKey(edge.dst, frozenset(), T)
+        # side-effects first, keyed with the digest key of the successor's digest
+        assert list(fx) == [MutexKey("a", q, system.dkey(T)) for q in want] + [succ], \
+            (clustered, w)
+        for q in want:
+            assert fx[MutexKey("a", q, system.dkey(T))] is dom.restrict(s.r, q)
+
+
+def test_improved_unlock_replaces_the_published_l_entries():
+    """A published cluster's L entry becomes the published value (not its
+    join with the old entry); every other entry is kept."""
+    system, dom, s, edge, fx = _unlock_a(True, {"g"})
+    after = fx[PointKey(edge.dst, frozenset(), T)]
+    for (a, q), old in s.l.items():
+        if a == "a" and "g" in q:
+            assert after.l[a, q] is dom.restrict(s.r, q)
+            assert dom.unlift_var(after.l[a, q], "g") == IntAbs.const(5)
+        else:
+            assert after.l[a, q] is old
+    assert after.j is s.j
+
+
+def test_improved_unlock_keeps_in_w_what_another_held_mutex_protects():
+    system, dom = make_improved(TSRC)
+    s = _state(system, dom.top(), w={"g", "h", "k"})
+    unlock_b = next(e for e in system.cfgs["main"].edges if e.action == Unlock("b"))
+    fx = _effects(system, unlock_b, frozenset({"a", "b"}), s, digest=T)
+    # a still protects g and h; only b protects k
+    assert fx[PointKey(unlock_b.dst, frozenset({"a"}), T)].w == {"g", "h"}
+    _, _, _, edge, fx = _unlock_a(False, {"g", "h", "k"})
+    assert fx[PointKey(edge.dst, frozenset(), T)].w == frozenset()
+
+
+def test_improved_create_child_state():
+    """The child starts with its parent's J and L, W = ∅ and its own id;
+    the parent keeps its state and holds the child's id."""
+    system, dom = make_improved(TSRC)
+    create_edge = _edge(system, "main", Create)
+    r = dom.assign_value(dom.top(), "self", frozenset({MAIN_TID}))
+    r = dom.guard(dom.guard(r, Cmp("==", Var("y"), IntLit(2))), Cmp("==", Var("g"), IntLit(5)))
+    s = _state(system, r, w={"g"}, j={MAIN_TID})
+    fx = _effects(system, create_edge, frozenset(), s, digest=T)
+    start = Point("t1", 0)
+    child_digest = tid_new(create_edge.src, start, T)
+    child_key = PointKey(start, frozenset(), child_digest)
+    succ = PointKey(create_edge.dst, frozenset(), system.spec.unary(create_edge.src,
+                                                                   create_edge.action, T))
+    assert list(fx) == [child_key, succ]
+    child, parent = fx[child_key], fx[succ]
+    assert child.j is s.j and child.l is s.l and child.w == frozenset()
+    assert dom.unlift_tid(child.r, "self") == frozenset({child_digest[0]})
+    assert dom.unlift_var(child.r, "y") == IntAbs.const(2)
+    assert dom.unlift_var(child.r, "g") == IntAbs.top()  # globals are dropped
+    assert parent.j is s.j and parent.l is s.l and parent.w == s.w
+    assert dom.unlift_tid(parent.r, "x") == frozenset({child_digest[0]})
+
+
+def test_improved_return_keyed_by_the_digest_key():
+    """A return is keyed RetKey(dkey(d1)): the thread id alone, or the whole
+    digest under --exclude-ancestor-writes; its value relates ``ret`` alone
+    and has W = ∅, and the successor keeps the state."""
+    for exclude, key in ((False, T[0]), (True, T)):
+        system, dom = make_improved(TSRC, exclude_ancestor_writes=exclude)
+        ret_edge = _edge(system, "t1", Return)
+        r = dom.guard(dom.top(), Cmp("==", Var("y"), IntLit(1)))
+        s = _state(system, dom.guard(r, Cmp("==", Var("g"), IntLit(3))), w={"g"})
+        fx = _effects(system, ret_edge, frozenset(), s, digest=T)
+        succ = PointKey(ret_edge.dst, frozenset(), T)
+        assert list(fx) == [RetKey(key), succ]
+        v = fx[RetKey(key)]
+        assert v.w == frozenset() and v.j is s.j and v.l is s.l
+        assert v.r is dom.restrict(v.r, {"ret"})
+        assert dom.unlift_var(v.r, "ret") == IntAbs.const(1)
+        assert fx[succ] is s
 
 
 def test_infer_protections_sec4_example(programs):

@@ -314,12 +314,12 @@ def test_oracle_reports_truncation(capsys):
 
 
 def test_oracle_soundness_bug_exit_3(capsys, monkeypatch):
-    from concurrel.analysis.base_system import WrappedBaseSystem
+    from concurrel.analysis.base_system import BaseAnalysis
 
     from conftest import unlock_publishing_nothing
 
-    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
-                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
+    monkeypatch.setattr(BaseAnalysis, "_unlock_rhs",
+                        unlock_publishing_nothing(BaseAnalysis._unlock_rhs))
     code, out, err = run_cli(capsys, "run", corpus_path("fig_ex0"),
                              "--preset", "octagon", "--oracle")
     assert code == 3

@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 
 from concurrel.analysis import check_asserts, preset, run_analysis
-from concurrel.analysis.base_system import BaseAnalysis, WrappedBaseSystem
+from concurrel.analysis.base_system import BaseAnalysis
 from concurrel.analysis.improved_system import ImprovedSystem
 from concurrel.differential import check_soundness
 from concurrel.frontend import build_cfg, cfg_dump, parse_program
@@ -167,8 +167,8 @@ def test_bare_global_reads_are_sound(config):
 # -- mutation sensitivity: each broken right-hand side must produce a witness --
 
 def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations):
-    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
-                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
+    monkeypatch.setattr(BaseAnalysis, "_unlock_rhs",
+                        unlock_publishing_nothing(BaseAnalysis._unlock_rhs))
     res = run_analysis(programs["fig_ex0"], preset("octagon"))
     report = checked(res, explorations["fig_ex0"], check_asserts(res))
     assert not report.ok and report.witnesses
@@ -179,8 +179,8 @@ def test_mutation_witnesses_capped_in_walk_order(monkeypatch, programs, explorat
     than ``max_witnesses``.  The reference fixes which of them the cap keeps
     (the first of the sorted walk) and that the "no unknown" witnesses of
     four_asserts and the published-value ones are not capped."""
-    monkeypatch.setattr(WrappedBaseSystem, "_unlock_rhs",
-                        unlock_publishing_nothing(WrappedBaseSystem._unlock_rhs))
+    monkeypatch.setattr(BaseAnalysis, "_unlock_rhs",
+                        unlock_publishing_nothing(BaseAnalysis._unlock_rhs))
     capped = 0
     for name, p in programs.items():
         res = run_analysis(p, preset("octagon"))

@@ -12,6 +12,7 @@ from concurrel.frontend.ast import BinOp, Cmp, IntLit, Var, linear_form
 
 from domain_utils import (
     OPS, decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
+    use_kernel,
 )
 
 DOMAINS = ["octagon", "eqconst", "interval"]
@@ -529,13 +530,6 @@ def compiled(tmp_path_factory):
     """The compiled kernel, built once for this module into a cache of its
     own, whichever kernel the package uses."""
     return _compiled_kernel(tmp_path_factory.mktemp("kernel"))
-
-
-def _use_kernel(monkeypatch, module):
-    from concurrel.domains import octagon
-
-    monkeypatch.setattr(octagon, "_kernel", module)
-    monkeypatch.setattr(octagon, "tight_close_inplace", module.tight_close_inplace)
 
 
 def _kernel_entry(rng: Random, limits) -> float:
@@ -1170,7 +1164,7 @@ def test_packed_operations_equal_full_universe_ones(request, monkeypatch):
         assert _same(_full(back.forget(a, xs), n), want)
 
     for module in [_closure_py] + ([] if _cannot_compile() else [request.getfixturevalue("compiled")]):
-        _use_kernel(monkeypatch, module)
+        use_kernel(monkeypatch, module)
         check()
 
 
@@ -1183,7 +1177,7 @@ def test_transfer_sequence_is_equal_under_both_kernels(compiled, monkeypatch, in
     from concurrel.domains import _closure_py
 
     def run(module):
-        _use_kernel(monkeypatch, module)
+        use_kernel(monkeypatch, module)
         back = OctBackend(6, intervalize)
         r = back.set_interval(back.top(), 0, 0, 10)
         r = back.assign_linear(r, 1, {0: 1}, 3)  # x := y + c

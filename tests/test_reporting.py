@@ -10,6 +10,7 @@ from concurrel.frontend.ast import Join
 from concurrel.solver import Solver, View
 
 from conftest import with_spec
+from domain_utils import use_kernel
 
 def test_lock_invariants_four_asserts(programs):
     res = run_analysis(programs["four_asserts"], preset("octagon"))
@@ -153,12 +154,28 @@ def test_dump_solution_independent_of_hash_seed():
         assert texts[0] == texts[1], prog
 
 
+# Solver counts summed over the 14 corpus programs, per configuration of
+# the reference dumps: (evaluations, constraints, widenings).
+CORPUS_COUNTS = {
+    "interval": (1296, 559, 26),
+    "octagon": (1441, 559, 27),
+    "tids": (1413, 599, 28),
+    "clusters": (1379, 599, 28),
+    "tids-eqconst": (1142, 599, 0),
+}
+
+
 def test_dump_solution_matches_reference_dumps(monkeypatch):
     """The corpus rows of the benchmark's reference dumps (14 programs × 5
     configurations) and the rows of one scaled program (15 int variables ×
     octagon, tids, clusters): a refactor must leave ``dump_solution``
-    byte-identical, compared through its recorded sha256."""
+    byte-identical, compared through its recorded sha256, and the solver
+    must iterate as before, compared through the corpus sums of its counts.
+    Both hold under the closure kernel in use and, where that is the
+    compiled one, under the numpy kernel too."""
     import os
+
+    from concurrel.domains import _closure_py, octagon
 
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     monkeypatch.syspath_prepend(perfbench)
@@ -173,13 +190,21 @@ def test_dump_solution_matches_reference_dumps(monkeypatch):
     assert len(rows) == 70
     for cfg in workloads.SCALED_CONFIGS:
         rows[("scaled", "0", scaled.name, cfg)] = refs[("scaled", "0", scaled.name, cfg)]
-    bad = []
-    for (_, _, prog, cfg), want in sorted(rows.items()):
-        # the scaled presets are corpus configurations of the same name
-        _, result, _ = workloads.analyze(sources[prog], prog, workloads.CORPUS_CONFIGS[cfg])
-        if workloads.dump_digest(result) not in want:
-            bad.append((prog, cfg))
-    assert not bad
+    for kernel in dict.fromkeys([octagon._kernel, _closure_py]):
+        use_kernel(monkeypatch, kernel)
+        bad = []
+        counts = {cfg: (0, 0, 0) for cfg in workloads.CORPUS_CONFIGS}
+        for (workload, _, prog, cfg), want in sorted(rows.items()):
+            # the scaled presets are corpus configurations of the same name
+            _, result, _ = workloads.analyze(sources[prog], prog, workloads.CORPUS_CONFIGS[cfg])
+            if workloads.dump_digest(result) not in want:
+                bad.append((prog, cfg))
+            if workload == "corpus":
+                st = result.stats()
+                counts[cfg] = tuple(map(sum, zip(
+                    counts[cfg], (st["evaluations"], st["constraints"], st["widenings"]))))
+        assert not bad, kernel.__name__
+        assert counts == CORPUS_COUNTS, kernel.__name__
 
 
 # sha256 of ``dump_solution`` under base mode with the lock-once digest, the
