@@ -10,7 +10,7 @@ read ``MutexKey``/``RetKey`` values of each digest they may observe and
 share one loop over those digests (``_observing_rhs``).  Besides
 ``initial`` and one right-hand side factory per action kind, the class
 holds the relation steps (``init``, the initial cluster values and main's
-start relation, and ``transfer``, the local steps), the solver plumbing
+start relation, and ``step``, the local steps), the solver plumbing
 (key namespaces, which outgoing edges spawn a constraint, the reading of
 the source value: a right-hand side runs only when it is present and not ⊥)
 and the relation lattice.
@@ -19,7 +19,7 @@ The thread-id system (``improved_system.ImprovedSystem``) is this system
 with local states that also carry J, L and W.  It shares the factories of
 the local step, create, return and unlock, which leave what its states add
 to a few small methods, each the identity or the base behaviour here:
-``relation``, ``stepped``, ``fresh``, ``child_tid``, ``ret_key``, ``dkey``,
+``relation``, ``stepper``, ``fresh``, ``child_tid``, ``ret_key``, ``dkey``,
 ``published`` and ``unlocked``.  It overrides ``initial``, ``_lock_rhs``,
 ``_join_rhs``, the lattice and ``render``.
 """
@@ -27,6 +27,7 @@ to a few small methods, each the identity or the base behaviour here:
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable
 
 from ..digests import CreateEdge, DigestSpec, MAIN_TID, tid_compose
@@ -50,6 +51,9 @@ def freeze_tid_value(v) -> Any:
 def thaw_tid_value(k):
     return TID_TOP if k == "⊤" else k
 
+
+_RET = frozenset({"ret"})
+key_digest = attrgetter("digest")  # the digest of a point, mutex or thread-return key
 
 _RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
                 Create: "_create_rhs", Return: "_return_rhs"}
@@ -87,22 +91,24 @@ class BaseAnalysis:
         start = self.dom.assign_value(self.dom.top(), "self", frozenset({MAIN_TID}))
         return values, start
 
-    def transfer(self, act: Action, r: Relation) -> Relation:
-        """The successor of a local step (read, write, assign, guard, assert, havoc)."""
+    def step(self, act: Action) -> Callable[[Relation], Relation]:
+        """The successor of a local step (read, write, assign, guard,
+        assert, havoc) as a function of the relation; what depends on the
+        step alone is computed once."""
         dom = self.dom
         match act:
             case ReadGlobal(x, g):
-                return dom.assign_expr(r, x, Var(g))
+                return dom.assigner(x, Var(g))
             case WriteGlobal(g, x):
-                return dom.assign_expr(r, g, Var(x))
+                return dom.assigner(g, Var(x))
             case AssignLocal(x, e):
-                return dom.assign_expr(r, x, e)
+                return dom.assigner(x, e)
             case Guard(c):
-                return dom.guard(r, c)
+                return dom.guarder(c)
             case Assert(_, _, _):
-                return r
+                return lambda r: r
             case Havoc(x):
-                return dom.havoc(r, x)
+                return lambda r: dom.havoc(r, x)
         raise TypeError(act)
 
     # -- solver plumbing --
@@ -136,17 +142,40 @@ class BaseAnalysis:
     def _from_source(self, src: PointKey, body):
         def rhs(view: View):
             value = view.get(src)
-            if value is None or self.dom.is_bot(self.relation(value)):
+            if value is None or value.bot:  # a state is ⊥ when its relation is
                 return {}
             return body(view, value)
 
         return rhs
 
     @staticmethod
-    def mutex_digests(view: View, a: str) -> list:
-        """Digests of the known unknowns of mutex ``a``, in discovery order
-        (reading the namespace records the dependency)."""
-        return list(dict.fromkeys(k.digest for k in view.keys_in(("mutex", a))))
+    def namespace_entries(ns, part: Callable[[Any], Any] | None, entry: Callable[[Any], Any]):
+        """A function of a view listing ``entry(d)`` for each distinct
+        ``part(k)`` d (``k`` itself when ``part`` is None) over the known
+        unknowns k of namespace ``ns``, in discovery order, without the d
+        where it is None.  Reading the namespace through the view records
+        the dependency.  ``entry`` runs once per d: a namespace's keys are
+        only ever appended to, so each call looks at the keys discovered
+        since the last one alone."""
+        seen: set = set()
+        out: list = []
+        done = 0
+
+        def entries(view: View) -> list:
+            nonlocal done
+            keys = view.keys_in(ns)
+            if len(keys) > done:
+                for k in keys[done:]:
+                    d = k if part is None else part(k)
+                    if d not in seen:
+                        seen.add(d)
+                        e = entry(d)
+                        if e is not None:
+                            out.append(e)
+                done = len(keys)
+            return out
+
+        return entries
 
     # -- what a local state adds to its relation: nothing here --
     # ``s`` is the source value of a right-hand side and ``r`` a relation
@@ -156,9 +185,10 @@ class BaseAnalysis:
         """The relation of a point or thread-return value."""
         return value
 
-    def stepped(self, s, act: Action, r: Relation):
-        """The value after the local step or create ``act`` from ``s``."""
-        return r
+    def stepper(self, act: Action) -> Callable[[Any, Relation], Any]:
+        """The value after the local step or create ``act`` from ``s``, as a
+        function of ``s`` and the relation ``r`` it steps to."""
+        return lambda s, r: r
 
     def fresh(self, s, r: Relation):
         """The start value of a thread that ``s`` creates, or the value it returns."""
@@ -236,14 +266,13 @@ class BaseAnalysis:
     def _plain_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
         dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
-        transfer, relation, stepped, is_bot = (
-            self.transfer, self.relation, self.stepped, self.dom.is_bot)
+        step, relation, stepped = self.step(act), self.relation, self.stepper(act)
 
         def body(view: View, s):
-            r = transfer(act, relation(s))
-            if is_bot(r):
+            r = step(relation(s))
+            if r.bot:
                 return {}
-            return {dst: stepped(s, act, r)}
+            return {dst: stepped(s, r)}
 
         return body
 
@@ -254,6 +283,7 @@ class BaseAnalysis:
         child = PointKey(start, frozenset(), child_digest)
         child_tid = self.child_tid(edge.src, act.template, child_digest)
         dst = PointKey(edge.dst, src.lockset, self.spec.unary(edge.src, act, src.digest))
+        stepped = self.stepper(act)
 
         def body(view: View, s):
             r = self.relation(s)
@@ -261,7 +291,7 @@ class BaseAnalysis:
             # the child starts with its creator's locals and its own id
             start_r = self.dom.restrict(self.dom.assign_value(r, "self", tid), self.locals)
             return {child: self.fresh(s, start_r),
-                    dst: self.stepped(s, act, self.dom.assign_value(r, act.local, tid))}
+                    dst: stepped(s, self.dom.assign_value(r, act.local, tid))}
 
         return body
 
@@ -270,10 +300,11 @@ class BaseAnalysis:
         d1 = self.spec.unary(edge.src, act, src.digest)
         ret = self.ret_key(d1)
         dst = PointKey(edge.dst, src.lockset, d1)
+        assign_ret = self.dom.assigner("ret", Var(act.local))
 
         def body(view: View, s):
             r = self.relation(s)
-            returned = self.dom.restrict(self.dom.assign_expr(r, "ret", Var(act.local)), {"ret"})
+            returned = self.dom.restrict(assign_ret(r), _RET)
             return {ret(r): self.fresh(s, returned), dst: s}
 
         return body
@@ -296,22 +327,30 @@ class BaseAnalysis:
 
         return body
 
-    def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str],
-                       digests: Callable[[View], list],
+    def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str], ns,
+                       digest: Callable[[Any], Any],
                        successor: Callable[[View, Any, Relation], Relation]):
-        """Observing actions (lock, join): one successor per digest ``d1``
-        that ``digests`` lists and ``spec.binary`` admits, computed by
-        ``successor(view, d1, r)`` and keyed with ``lockset``."""
+        """Observing actions (lock, join): one successor per distinct
+        ``digest(k)`` d1 over the keys k of namespace ``ns`` that
+        ``spec.binary`` admits, computed by ``successor(view, d1, r)`` and
+        keyed with ``lockset``.  Admission and the successor key are
+        computed once per d1."""
+        join = self.dom.join
+
+        def entry(d1):
+            succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
+            if succ is None:
+                return None  # infeasible trace combination
+            return d1, PointKey(edge.dst, lockset, succ)
+
+        admitted = self.namespace_entries(ns, digest, entry)
 
         def body(view: View, r: Relation):
             effects: dict[Any, Relation] = {}
-            for d1 in digests(view):
-                succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
-                if succ is None:
-                    continue  # infeasible trace combination
+            for d1, target in admitted(view):
                 v = successor(view, d1, r)
-                if not self.dom.is_bot(v):
-                    accumulate(effects, PointKey(edge.dst, lockset, succ), v, self.dom.join)
+                if not v.bot:
+                    effects[target] = join(effects[target], v) if target in effects else v
             return effects
 
         return body
@@ -319,12 +358,15 @@ class BaseAnalysis:
     def _lock_rhs(self, edge: Edge, src: PointKey):
         a = edge.action.mutex
         qs = self.clusters[a]
+        reads: dict[Any, list[MutexKey]] = {}  # d1 -> the keys of its published values
 
         def meet_published(view: View, d1, r: Relation) -> Relation:
-            return self.dom.meet_all([r] + [view.get(MutexKey(a, q, d1)) for q in qs])
+            if d1 not in reads:
+                reads[d1] = [MutexKey(a, q, d1) for q in qs]
+            return self.dom.meet_all([r] + [view.get(k) for k in reads[d1]])
 
-        return self._observing_rhs(edge, src, src.lockset | {a},
-                                   lambda view: self.mutex_digests(view, a), meet_published)
+        return self._observing_rhs(edge, src, src.lockset | {a}, ("mutex", a),
+                                   key_digest, meet_published)
 
     def _join_rhs(self, edge: Edge, src: PointKey):
         act = edge.action
@@ -340,16 +382,9 @@ class BaseAnalysis:
                 return self.dom.bot()  # no thread to join: execution blocks
             return self.dom.assign_value(r, act.target, acc)
 
-        return self._observing_rhs(edge, src, src.lockset, self._ret_digests, join_returned)
-
-    def _ret_digests(self, view: View) -> list:
-        """Thread-return digests, through the view (records the namespace dependency)."""
-        return list(dict.fromkeys(k.digest[1] for k in view.keys_in(("ret",))))
+        return self._observing_rhs(edge, src, src.lockset, ("ret",),
+                                   lambda k: k.digest[1], join_returned)
 
 
 def _edge_name(key: PointKey, act) -> str:
     return f"{render_key(key)} {action_str(act)}"
-
-
-def accumulate(effects: dict, key, value, join) -> None:
-    effects[key] = join(effects[key], value) if key in effects else value

@@ -43,7 +43,7 @@ from ..frontend.cfg import Cfg, Edge
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
 from ..domains.values import tid_meet
-from .base_system import BaseAnalysis, accumulate
+from .base_system import BaseAnalysis, key_digest
 from .keys import MutexKey, PointKey, RetKey
 from .protections import protected_by
 
@@ -52,13 +52,14 @@ class ImprovedState:
     """The value of a point unknown, and of a thread-return unknown, where
     ``r`` relates ``ret`` alone and ``w`` is empty."""
 
-    __slots__ = ("j", "l", "w", "r")
+    __slots__ = ("j", "l", "w", "r", "bot")
 
     def __init__(self, j: frozenset, l: dict, w: frozenset, r: Relation):
         self.j = j
         self.l = l
         self.w = w
         self.r = r
+        self.bot = r.bot  # a state is ⊥ when its relation is
 
 
 class ImprovedSystem(BaseAnalysis):
@@ -136,19 +137,34 @@ class ImprovedSystem(BaseAnalysis):
 
     # -- accounted-for check (I2 + I3, optionally ancestor writes) --
 
-    def acc(self, ego: tuple, state: ImprovedState, cand: tuple) -> bool:
+    def admission(self, edge: Edge, ego: tuple, cand: tuple):
+        """Whether the observing ``edge`` from the ego digest ``ego`` admits
+        the candidate digest ``cand``, in the parts that depend on the two
+        digests alone: None when ``spec.binary`` excludes it or it is
+        accounted for (the unique ego itself, or, with ancestor writes
+        excluded, a thread that cannot run yet).  Otherwise the pair
+        ``(d1, i1)`` of the successor digest and the id a state's J
+        accounts for (``i1`` when unique, else None): ``i1 ∈ J`` is the
+        one test left to each evaluation."""
+        d1 = self.spec.binary(edge.src, edge.action, ego, cand)
+        if d1 is None:
+            return None
         (i, _c) = ego
         (i1, _c1) = cand
-        if i1.unique and (i == i1 or i1 in state.j):
-            return True
+        if i1.unique and i == i1:
+            return None
         # an ancestor's write from before the ego could run is in the ego's start
-        return self.exclude_ancestors and not may_run(cand, ego)
+        if self.exclude_ancestors and not may_run(cand, ego):
+            return None
+        return d1, i1 if i1.unique else None
 
     # -- what a state adds to its relation --
 
-    def stepped(self, s: ImprovedState, act, r: Relation) -> ImprovedState:
-        w = s.w | {act.glob} if isinstance(act, WriteGlobal) else s.w
-        return ImprovedState(s.j, s.l, w, r)
+    def stepper(self, act):
+        if isinstance(act, WriteGlobal):
+            w = frozenset({act.glob})
+            return lambda s, r: ImprovedState(s.j, s.l, s.w | w, r)
+        return lambda s, r: ImprovedState(s.j, s.l, s.w, r)
 
     def fresh(self, s: ImprovedState, r: Relation) -> ImprovedState:
         return ImprovedState(s.j, s.l, frozenset(), r)
@@ -218,44 +234,45 @@ class ImprovedSystem(BaseAnalysis):
         if d1 is None:
             return lambda view, s: {}
         target = PointKey(edge.dst, src.lockset | {a}, d1)
+        lq = [(a, q) for q in qs]
+
+        def entry(dk):
+            # the id J is tested for, and the keys of the published values by
+            # cluster (the successor digest is the ego's, above)
+            adm = self.admission(edge, src.digest, self.dkey_digest(dk))
+            return None if adm is None else (adm[1], [MutexKey(a, q, dk) for q in qs])
+
+        candidates = self.namespace_entries(("mutex", a), key_digest, entry)
 
         def body(view: View, s: ImprovedState):
-            effects: dict[Any, Any] = {}
-            admitted = [
-                dk for dk in self.mutex_digests(view, a)
-                if self.spec.binary(edge.src, act, src.digest, self.dkey_digest(dk)) is not None
-                and not self.acc(src.digest, s, self.dkey_digest(dk))
-            ]
+            j = s.j
+            admitted = [keys for j_id, keys in candidates(view) if j_id not in j]
 
             if self.clustered:
                 # one combined constraint over all admitted digests
                 r_acc = dom.top()
-                for q in qs:
+                for n, lk in enumerate(lq):
                     jq = dom.bot()
-                    for dk in admitted:
-                        v = view.get(MutexKey(a, q, dk))
+                    for keys in admitted:
+                        v = view.get(keys[n])
                         if v is not None:
                             jq = dom.join(jq, v)
-                    r_acc = dom.meet(r_acc, dom.join(jq, s.l[(a, q)]))
+                    r_acc = dom.meet(r_acc, dom.join(jq, s.l[lk]))
                 r1 = dom.meet(s.r, r_acc)
-                if not dom.is_bot(r1):
-                    effects[target] = ImprovedState(s.j, s.l, s.w, r1)
-                return effects
+                return {} if r1.bot else {target: ImprovedState(s.j, s.l, s.w, r1)}
 
             # per-digest relations, joined onto the always-sound join-local
             # floor (the incoming trace may be the initial one or the ego's
             # own past, both of which L accounts for); every contribution has
             # the source's J, L and W
-            l_meet = dom.meet_all(s.l[(a, q)] for q in qs)
+            l_meet = dom.meet_all([s.l[lk] for lk in lq])
             r_acc = dom.meet(s.r, l_meet)
-            for dk in admitted:
-                vals = [view.get(MutexKey(a, q, dk)) for q in qs]
+            for keys in admitted:
+                vals = [view.get(k) for k in keys]
                 r1 = dom.meet(s.r, dom.join(dom.meet_all(vals), l_meet))
-                if not dom.is_bot(r1):
-                    r_acc = r1 if dom.is_bot(r_acc) else dom.join(r_acc, r1)
-            if not dom.is_bot(r_acc):
-                effects[target] = ImprovedState(s.j, s.l, s.w, r_acc)
-            return effects
+                if not r1.bot:
+                    r_acc = r1 if r_acc.bot else dom.join(r_acc, r1)
+            return {} if r_acc.bot else {target: ImprovedState(s.j, s.l, s.w, r_acc)}
 
         return body
 
@@ -263,23 +280,26 @@ class ImprovedSystem(BaseAnalysis):
         dom = self.dom
         act = edge.action
 
+        def entry(k):
+            cand = self.dkey_digest(k.digest)
+            adm = self.admission(edge, src.digest, cand)
+            if adm is None:
+                return None
+            d1, j_id = adm
+            return k, frozenset({cand[0]}), j_id, PointKey(edge.dst, src.lockset, d1)
+
+        candidates = self.namespace_entries(("ret",), None, entry)
+
         def body(view: View, s: ImprovedState):
             tid_val = dom.unlift_tid(s.r, act.tidvar)
             effects: dict[Any, Any] = {}
-            for k in view.keys_in(("ret",)):
-                cand = self.dkey_digest(k.digest)
-                (i1, _c1) = cand
-                d1 = self.spec.binary(edge.src, act, src.digest, cand)
-                if d1 is None:
-                    continue
-                if not tid_meet(frozenset({i1}), tid_val):
-                    continue
-                if self.acc(src.digest, s, cand):
+            for k, ids, j_id, target in candidates(view):
+                if not tid_meet(ids, tid_val) or j_id in s.j:
                     continue
                 rv = view.get(k)
                 r1 = dom.assign_value(s.r, act.target, dom.unlift_var(rv.r, "ret"))
-                st = ImprovedState(s.j | rv.j | {i1}, self._l_join(s.l, rv.l), s.w, r1)
-                accumulate(effects, PointKey(edge.dst, src.lockset, d1), st, self.state_join)
+                st = ImprovedState(s.j | rv.j | ids, self._l_join(s.l, rv.l), s.w, r1)
+                effects[target] = self.state_join(effects[target], st) if target in effects else st
             return effects
 
         return body

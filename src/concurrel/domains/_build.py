@@ -6,22 +6,25 @@ operation's matrix work, the tight closure among them (the header of
 
 ``octagon`` calls ``load_compiled()`` when it is imported.  The first call
 compiles the C source with the compiler and flags Python was built with
-(``LDSHARED``, ``CCSHARED``, ``-O2`` and the Python include directory) into
-the package's ``__pycache__/`` directory, and every later call, in any
-process, loads the file from there.  The file is named by the CRC-32 of the
-source, ``EXT_SUFFIX`` and the compile command, so a changed source or
-another interpreter builds a new file and never loads a stale one.  CRC-32
-comes from ``zlib``, which numpy has already imported; ``hashlib`` would
-load OpenSSL into every process that imports the package.  The
-compiler writes to a unique temporary name that is then renamed into place,
-so processes that build at once never load a half-written file.  A build
-then removes the other (stale) kernels of this ``EXT_SUFFIX`` beside it.
+(``LDSHARED``, ``CCSHARED``, ``-O2`` and the include directories of Python
+and of numpy's C API) into the package's ``__pycache__/`` directory, and
+every later call, in any process, loads the file from there.  The file is
+named by the CRC-32 of the source, ``EXT_SUFFIX``, numpy's version (the
+kernel uses numpy's C API, so its ABI) and the compile command, so a changed
+source, another interpreter or another numpy builds a new file and never
+loads a stale one.  CRC-32 comes from ``zlib``, which numpy has already
+imported; ``hashlib`` would load OpenSSL into every process that imports
+the package.  The compiler writes to a unique temporary name that is then
+renamed into place, so processes that build at once never load a
+half-written file.  A build then removes the other (stale) kernels of this
+``EXT_SUFFIX`` beside it.
 
 The cache is written even when ``PYTHONDONTWRITEBYTECODE`` is set: it holds
 no bytecode, and every process would otherwise pay for a build (about
-0.15 s on a 2-vCPU x86-64 host).  Any failure (no compiler, no headers, a compile error, an
-unwritable directory, a load error) returns None, and ``octagon`` uses the
-numpy kernel.
+0.15 s on a 2-vCPU x86-64 host).  Any failure (no compiler, no headers, a
+compile error, an unwritable directory, a load error, numpy headers that do
+not match the numpy in use) returns None, and ``octagon`` uses the numpy
+kernel.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import zlib
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+
 NAME = "concurrel.domains._closure"
 SOURCE = Path(__file__).with_name("_closure.c")
 CACHE = Path(__file__).with_name("__pycache__")
@@ -45,7 +50,7 @@ def _flags() -> list[str]:
     """The compile command, without its input and output files."""
     config = sysconfig.get_config_var
     return [*shlex.split(config("LDSHARED") or ""), *shlex.split(config("CCSHARED") or ""),
-            "-O2", f"-I{sysconfig.get_paths()['include']}"]
+            "-O2", f"-I{sysconfig.get_paths()['include']}", f"-I{np.get_include()}"]
 
 
 def _compile(flags: list[str], path: Path) -> bool:
@@ -76,7 +81,8 @@ def load_compiled(cache: str | os.PathLike | None = None) -> ModuleType | None:
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     try:
         flags = _flags()
-        key = zlib.crc32("\0".join([suffix, *flags]).encode(), zlib.crc32(SOURCE.read_bytes()))
+        key = zlib.crc32("\0".join([suffix, np.__version__, *flags]).encode(),
+                         zlib.crc32(SOURCE.read_bytes()))
         path = Path(CACHE if cache is None else cache, f"_closure.{key:08x}{suffix}")
         if not path.exists():
             if not _compile(flags, path):

@@ -7,6 +7,8 @@
  * m[i][j] bounds v_j - v_i (+inf for "no bound"; -inf never appears).
  * ``tight_close_inplace`` needs a writable matrix; every other entry point
  * only reads its matrices and returns a fresh one or one of its arguments.
+ * The fresh matrix of ``meet`` or ``bound`` is writable, for the caller to
+ * close in place; that of every other entry point is read-only.
  * A matrix that breaks the contract, and a malformed map or entry list,
  * raise ValueError.  ``_build.py`` compiles this file on first import.
  *
@@ -44,13 +46,14 @@
 #include <math.h>
 #include <string.h>
 
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
+
 /* _closure_py.BOUND_LIMIT, 2^40: dropping larger bounds keeps every path sum
    of a pack of up to 2^11 variables within 2^52, where float64 is exact */
 #define BOUND_LIMIT 1099511627776.0
 /* _closure_py.EXACT_LIMIT, 2^52 */
 #define EXACT_LIMIT 4503599627370496.0
-
-static PyObject *np_empty; /* numpy.empty, which makes every result */
 
 static int
 tight_close(double *m, Py_ssize_t n2)
@@ -194,21 +197,24 @@ gather(double *out, Py_ssize_t k, const double *m, Py_ssize_t src, const Py_ssiz
 static PyObject *
 new_matrix(Py_ssize_t n2, double **data)
 {
-    PyObject *shape = Py_BuildValue("(nn)", n2, n2);
-    if (shape == NULL)
-        return NULL;
-    PyObject *arr = PyObject_CallOneArg(np_empty, shape);
-    Py_DECREF(shape);
-    if (arr == NULL)
-        return NULL;
-    Py_buffer view;
-    if (PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0) {
-        Py_DECREF(arr);
-        return NULL;
-    }
-    *data = view.buf; /* owned by arr, which outlives the view */
-    PyBuffer_Release(&view);
+    npy_intp dims[2] = {n2, n2};
+    PyObject *arr = PyArray_SimpleNew(2, dims, NPY_DOUBLE);
+    if (arr != NULL)
+        *data = PyArray_DATA((PyArrayObject *)arr);
     return arr;
+}
+
+/* ``result``, read-only when it is a fresh matrix. */
+static PyObject *
+frozen(PyObject *result, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (result == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        if (result == args[i])
+            return result;
+    PyArray_CLEARFLAGS((PyArrayObject *)result, NPY_ARRAY_WRITEABLE);
+    return result;
 }
 
 /* The gathered matrix ``obj`` over ``pos`` as a fresh array; the unary
@@ -364,7 +370,7 @@ join(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             out[i] = p.x[i] > p.y[i] ? p.x[i] : p.y[i];
 done:
     put_pair(&p);
-    return result;
+    return frozen(result, args, nargs);
 }
 
 static PyObject *
@@ -416,7 +422,7 @@ widen(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             out[i] = p.y[i] <= p.x[i] ? p.x[i] : INFINITY;
 done:
     put_pair(&p);
-    return result;
+    return frozen(result, args, nargs);
 }
 
 static PyObject *
@@ -426,7 +432,7 @@ pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     double *out;
     Py_ssize_t n2;
-    return gathered_copy(args[0], args[1], &out, &n2);
+    return frozen(gathered_copy(args[0], args[1], &out, &n2), args, 0);
 }
 
 static PyObject *
@@ -511,7 +517,7 @@ shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (Py_ssize_t i = 0; i < n2 * n2; i++)
         if (fabs(m[i]) > EXACT_LIMIT)
             m[i] = INFINITY;
-    return result;
+    return frozen(result, args, 0);
 }
 
 static PyMethodDef methods[] = {
@@ -534,14 +540,7 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__closure(void)
 {
-    if (np_empty == NULL) {
-        PyObject *numpy = PyImport_ImportModule("numpy");
-        if (numpy == NULL)
-            return NULL;
-        np_empty = PyObject_GetAttrString(numpy, "empty");
-        Py_DECREF(numpy);
-        if (np_empty == NULL)
-            return NULL;
-    }
+    if (_import_array() < 0)  /* the ImportError propagates, nothing printed */
+        return NULL;
     return PyModule_Create(&module);
 }

@@ -5,7 +5,9 @@ function here returns, on the same input, the same matrix bit for bit as the
 C function of its name, or the same argument.  This one is the fallback
 when the C kernel cannot be built, selected at import in ``octagon.py``, and
 the reference the tests compare the C kernel against.  It does not check its
-input.
+input.  As there, the fresh matrix of ``meet`` or ``bound`` is writable, for
+the caller to close in place, and that of every other entry point is
+read-only.
 
 A matrix is a square C-contiguous float64 matrix of even size 2k over k
 variables; entry m[i][j] bounds v_j − v_i, with +inf for "no bound" (-inf
@@ -101,6 +103,11 @@ def _gathered(m: np.ndarray, pos) -> np.ndarray:
     return out
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 def leq(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> bool:
     """Is every entry of ``a`` at most that of ``b``?"""
     return bool((_gathered(a, pa) <= _gathered(b, pb)).all())
@@ -112,8 +119,8 @@ def join(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
     if pa is None and pb is None:
         if (b <= a).all():
             return a
-        return np.maximum(a, b)
-    return np.maximum(_gathered(a, pa), _gathered(b, pb))
+        return _frozen(np.maximum(a, b))
+    return _frozen(np.maximum(_gathered(a, pa), _gathered(b, pb)))
 
 
 def meet(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
@@ -135,20 +142,25 @@ def widen(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
     stable = _gathered(b, pb) <= ga
     if stable.all():
         return a
-    return np.where(stable, ga, np.inf)
+    return _frozen(np.where(stable, ga, np.inf))
+
+
+def _copy(m: np.ndarray, pos) -> np.ndarray:
+    """A fresh writable ``m`` over the target of ``pos``."""
+    out = _gathered(m, pos)
+    return np.array(m) if out is m else out
 
 
 def pack(m: np.ndarray, pos) -> np.ndarray:
     """A fresh ``m`` over the target of ``pos``."""
-    out = _gathered(m, pos)
-    return np.array(m) if out is m else out
+    return _frozen(_copy(m, pos))
 
 
 def bound(m: np.ndarray, pos, entries) -> np.ndarray:
     """A fresh ``m`` over the target of ``pos``; then each ``(i, j, c)`` of
     the flat list ``entries`` sets m[i][j] and m[j^1][i^1] to their minimum
     with c, in order."""
-    m = pack(m, pos)
+    m = _copy(m, pos)
     for t in range(0, len(entries), 3):
         i, j, c = entries[t : t + 3]
         v = min(m[i, j], c)
@@ -172,4 +184,4 @@ def shift(m: np.ndarray, k: int, c, neg) -> np.ndarray:
     m[q, :] += c
     m[p, p] = m[q, q] = 0.0
     np.putmask(m, np.abs(m) > EXACT_LIMIT, np.inf)
-    return m
+    return _frozen(m)

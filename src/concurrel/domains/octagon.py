@@ -34,7 +34,10 @@ points are listed in the header of ``_closure.c``: ``leq``, ``join``,
 ``meet``, ``widen``, ``pack`` (embed a pack into other variables or project
 it onto some), ``bound`` (a gathered copy plus the entries of new bounds) and
 ``shift`` (``x := ±x + c``), and the full tight closure
-``tight_close_inplace(m)``, which every closure runs.  This module keeps the
+``tight_close_inplace(m)``, which every closure runs.  An ``OctRel``'s
+matrices are read-only: ``close`` makes the matrix it closed read-only, and
+the kernel hands back the other fresh matrices read-only (all but those of
+``meet`` and ``bound``, which ``close`` takes).  This module keeps the
 variable bookkeeping: it turns the variables of two packs into the gather
 maps the kernel reads.  There are two kernels with one contract: the
 hand-written C extension ``_closure.c``, which ``_build.load_compiled``
@@ -85,11 +88,8 @@ class OctRel:
     def __init__(self, vars: tuple[int, ...], m: np.ndarray | None,
                  widened: np.ndarray | None = None):
         self.vars = vars
-        self.m = m  # closed
-        self.widened = widened  # the unclosed matrix a widening computed
-        for a in (m, widened):
-            if a is not None:
-                a.setflags(write=False)
+        self.m = m  # closed, read-only
+        self.widened = widened  # the unclosed matrix a widening computed, read-only
 
     @property
     def is_bot(self) -> bool:
@@ -164,7 +164,9 @@ class OctBackend:
         self.n = n
         self.intervalize = intervalize
         self._bot = OctRel((), None)
-        self._top = OctRel((), np.zeros((0, 0)))
+        top = np.zeros((0, 0))
+        top.setflags(write=False)
+        self._top = OctRel((), top)
 
     # -- basics --
 
@@ -182,19 +184,23 @@ class OctBackend:
             return self._bot
         if self.intervalize:
             m[_cross_variable(len(vars))] = INF
+        m.setflags(write=False)
         return OctRel(vars, m)
 
     def is_bot(self, r: OctRel) -> bool:
-        return r.is_bot
+        return r.m is None
 
     def key(self, r: OctRel):
-        """``(vars, matrix bytes, widened matrix bytes or None)`` of a non-⊥ ``r``."""
-        return r.vars, r.m.tobytes(), None if r.widened is None else r.widened.tobytes()
+        """``(vars, matrix bytes, widened matrix bytes or None)``, or None for ⊥."""
+        m = r.m
+        if m is None:
+            return None
+        return r.vars, m.tobytes(), None if r.widened is None else r.widened.tobytes()
 
     def leq(self, a: OctRel, b: OctRel) -> bool:
-        if a.is_bot:
+        if a.m is None:
             return True
-        if b.is_bot:
+        if b.m is None:
             return False
         if a.vars == b.vars:
             return _kernel.leq(a.m, b.m)
@@ -202,7 +208,7 @@ class OctBackend:
         return _kernel.leq(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
 
     def meet(self, a: OctRel, b: OctRel) -> OctRel:
-        if a.is_bot or b.is_bot:
+        if a.m is None or b.m is None:
             return self._bot
         if not b.vars:  # ⊤
             return a
@@ -222,9 +228,9 @@ class OctBackend:
     def join(self, a: OctRel, b: OctRel) -> OctRel:
         """Entrywise maximum over the shared variables; ``a`` itself when
         ``b`` ⊑ ``a``."""
-        if a.is_bot:
+        if a.m is None:
             return b
-        if b.is_bot:
+        if b.m is None:
             return a
         if a.vars == b.vars:  # 99% of joins
             m = _kernel.join(a.m, b.m)
@@ -241,9 +247,9 @@ class OctBackend:
         already closed.
 
         Returns ``a`` itself when every bound is stable."""
-        if a.is_bot:
+        if a.m is None:
             return b
-        if b.is_bot:
+        if b.m is None:
             return a
         am = a.m if a.widened is None else a.widened
         # a variable of one operand only is unconstrained in the result
@@ -258,7 +264,7 @@ class OctBackend:
         if keep != vars:
             m = _kernel.pack(m, _pos(vars, keep))
         c = self.close(keep, np.array(m))
-        if c.is_bot or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
+        if c.m is None or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
             return c
         return OctRel(keep, c.m, m)
 
@@ -273,7 +279,7 @@ class OctBackend:
                                               _entries(vars, constraints)))
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
-        if r.is_bot:
+        if r.m is None:
             raise ValueError("bounds of ⊥")
         if x not in r.vars:
             return -INF, INF
@@ -311,12 +317,12 @@ class OctBackend:
         return OctRel(vars, _kernel.pack(r.m, _pos(r.vars, vars)))
 
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
-        if r.is_bot:
+        if r.m is None:
             return r
         return self._pack(r, tuple(x for x in r.vars if x not in xs))
 
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
-        if r.is_bot:
+        if r.m is None:
             return r
         return self._pack(r, tuple(x for x in r.vars if x in keep))
 
@@ -324,12 +330,12 @@ class OctBackend:
         """Assign the abstract value [lo, hi] to x (forget, then bound)."""
         if lo > hi:
             return self._bot
-        if r.is_bot or (lo == -INF and hi == INF):
+        if r.m is None or (lo == -INF and hi == INF):
             return self.forget(r, [x])
         return self._bounded(r, [({x: 1}, hi), ({x: -1}, -lo)], drop=x)
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
-        if r.is_bot:
+        if r.m is None:
             return r
         if not coeffs:
             return self.set_interval(r, x, const, const)
@@ -348,7 +354,7 @@ class OctBackend:
 
     def guard_leq0(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum(coeffs·v) + const ≤ 0``; sound fallback otherwise."""
-        if r.is_bot:
+        if r.m is None:
             return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
@@ -359,7 +365,7 @@ class OctBackend:
     def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
         """Refine by ``sum + const == 0``: both bounds on one copy, then one
         closure."""
-        if r.is_bot:
+        if r.m is None:
             return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
@@ -371,9 +377,9 @@ class OctBackend:
         """Refine by ``sum + const != 0``: the join of ``< 0`` and ``> 0``."""
         lo = self.guard_leq0(r, coeffs, const + 1)
         hi = self.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const + 1)
-        if self.is_bot(lo):
+        if lo.m is None:
             return hi
-        if self.is_bot(hi):
+        if hi.m is None:
             return lo
         return self.join(lo, hi)
 
@@ -384,7 +390,7 @@ class OctBackend:
         """Which rows of ``vals`` lie in γ(r): one broadcast of
         w[j] − w[i] ≤ m[i][j] over the rows' ±x vectors, in chunks whose
         temporaries stay under ``CONTAINS_CHUNK_BYTES``."""
-        if r.is_bot:
+        if r.m is None:
             return np.zeros(len(vals), dtype=bool)
         if not r.vars:
             return np.ones(len(vals), dtype=bool)
@@ -400,7 +406,7 @@ class OctBackend:
     # -- rendering --
 
     def render(self, r: OctRel, names: list[str]) -> list[str]:
-        if r.is_bot:
+        if r.m is None:
             return ["⊥"]
         out = []
         names = [names[x] for x in r.vars]  # by pack index
@@ -433,7 +439,7 @@ class OctBackend:
         return sorted(out) or ["⊤"]
 
     def unlift1(self, r: OctRel, x: int):
-        if r.is_bot:
+        if r.m is None:
             return BOT
         lo, hi = self.bounds(r, x)
         if lo == -INF and hi == INF:

@@ -17,9 +17,11 @@ with restriction satisfying  r|Vars = r,  r|∅ = ⊤,  (r|Y1)|Y2 = r|Y1∩Y2,
 and  unlift_var(r|Y, x) = ⊤  for x ∉ Y.
 
 A ``RelDomain`` hash-conses its relations: every non-⊥ relation it builds
-is interned under the backend ``key`` of its numeric component and its
-thread-id map in sorted variable order, so values with equal keys are one
-object.  ``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the
+is interned under the backend ``key`` of its numeric component and the
+items of its thread-id map in sorted variable order (``Relation.tkey``),
+so values with equal keys are one object.  A thread-id map is kept in that
+canonical form (no ⊤ entry, variables in sorted order), and a transfer that
+leaves it alone passes the operand's map and ``tkey`` on unchanged.  ``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the
 solver relies on: the numeric join is then a's value, with a's key.
 ``join``, ``widen``, ``meet`` and ``leq`` are memoized by the identity of
 their operands.  A memo key holds both operands, so their ids are never
@@ -30,7 +32,7 @@ long as the domain, that is, one analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -71,11 +73,12 @@ _MISS = object()
 class Relation:
     """Immutable product value; compare/inspect through its RelDomain."""
 
-    __slots__ = ("num", "tids", "bot")
+    __slots__ = ("num", "tids", "tkey", "bot")
 
-    def __init__(self, num, tids: dict[str, object], bot: bool = False):
+    def __init__(self, num, tids: dict[str, object], tkey: tuple = (), bot: bool = False):
         self.num = num
         self.tids = tids  # tid var -> TidAbs, missing entries are ⊤
+        self.tkey = tkey  # tuple(tids.items())
         self.bot = bot
 
 
@@ -87,8 +90,8 @@ class NumericBackend(Protocol):
     ``support`` lists the variables a value may constrain.  ``contains`` is
     batched: ``vals`` is a 2-D array with one row of integer values per store
     (column i holds x_i), and the result is a boolean vector with one entry
-    per row; a 1-row array tests one store.  ``key`` is a hashable image of
-    a non-⊥ ``r``, never asked for ⊥: values with equal keys behave alike
+    per row; a 1-row array tests one store.  ``key`` is None for ⊥ and a
+    hashable image of any other ``r``: values with equal keys behave alike
     under every operation, and equal values have equal keys where the
     representation is canonical.  Eqconst's is; an octagon's key is its
     representation (its variables and its closed and widened matrices), so
@@ -98,7 +101,7 @@ class NumericBackend(Protocol):
     def top(self): ...
     def bot(self): ...
     def is_bot(self, r) -> bool: ...
-    def key(self, r) -> object: ...
+    def key(self, r) -> object: ...  # None exactly for ⊥
     def leq(self, a, b) -> bool: ...
     def meet(self, a, b): ...
     def join(self, a, b): ...
@@ -113,6 +116,10 @@ class NumericBackend(Protocol):
     def support(self, r) -> Iterable[int]: ...
     def contains(self, r, vals: np.ndarray) -> np.ndarray: ...
     def render(self, r, names: list[str]) -> list[str]: ...
+
+
+def _unchanged(r: Relation) -> Relation:
+    return r
 
 
 class RelDomain:
@@ -131,12 +138,13 @@ class RelDomain:
             raise ValueError(f"unknown numeric domain {numeric!r}")
         self._bot = Relation(self.nb.bot(), {}, bot=True)
         self._interned: dict[tuple, Relation] = {}
+        self._kept: dict[frozenset, frozenset[int]] = {}  # restrict: keep -> int indices
         self._joins: dict[tuple[Relation, Relation], Relation] = {}
         self._widens: dict[tuple[Relation, Relation], Relation] = {}
         self._meets: dict[tuple[Relation, Relation], Relation] = {}
         self._leqs: dict[tuple[Relation, Relation], bool] = {}
         self.memo_hits = 0
-        self._top = self._mk(self.nb.top(), {})
+        self._top = self._intern(self.nb.top(), {}, ())
 
     # -- construction --
 
@@ -146,21 +154,25 @@ class RelDomain:
     def bot(self) -> Relation:
         return self._bot
 
-    def _mk(self, num, tids: dict[str, object]) -> Relation:
-        """The interned relation of ``num`` and ``tids``, keyed by the
-        backend key and the thread-id map without ⊤ entries in sorted
-        variable order, so the order of ``tids`` does not matter."""
-        if self.nb.is_bot(num):
+    def _intern(self, num, tids: dict[str, object], tkey: tuple) -> Relation:
+        """The interned relation of ``num`` and the canonical thread-id map
+        ``tids``, whose items are ``tkey``."""
+        nkey = self.nb.key(num)
+        if nkey is None:
             return self._bot
-        if tids:
-            if any(t is not TID_TOP and not t for t in tids.values()):
-                return self._bot
-            tids = {k: tids[k] for k in sorted(tids) if tids[k] is not TID_TOP}
-        key = (self.nb.key(num), tuple(tids.items()))
+        key = (nkey, tkey)
         r = self._interned.get(key)
         if r is None:
-            r = self._interned[key] = Relation(num, tids)
+            r = self._interned[key] = Relation(num, tids, tkey)
         return r
+
+    def _mk(self, num, tids: dict[str, object]) -> Relation:
+        """``_intern`` of a thread-id map in any variable order, which may
+        hold ⊤ entries (dropped) and empty ones (⊥)."""
+        if any(t is not TID_TOP and not t for t in tids.values()):
+            return self._bot
+        tids = {k: tids[k] for k in sorted(tids) if tids[k] is not TID_TOP}
+        return self._intern(num, tids, tuple(tids.items()))
 
     def is_bot(self, r: Relation) -> bool:
         return r.bot
@@ -217,19 +229,27 @@ class RelDomain:
     def _meet(self, a: Relation, b: Relation) -> Relation:
         if a.bot or b.bot:
             return self._bot
+        num = self.nb.meet(a.num, b.num)
+        if a.tkey == b.tkey or not b.tids:
+            return self._intern(num, a.tids, a.tkey)
+        if not a.tids:
+            return self._intern(num, b.tids, b.tkey)
         tids = dict(a.tids)
         for v, t in b.tids.items():
             tids[v] = tid_meet(tids.get(v, TID_TOP), t)
-        return self._mk(self.nb.meet(a.num, b.num), tids)
+        return self._mk(num, tids)
 
     def _upper(self, a: Relation, b: Relation, num_op) -> Relation:
-        """``num_op`` (join or widen) on the numbers, join on the thread ids."""
+        """``num_op`` (join or widen) on the numbers, join on the thread ids
+        (of two sets, a set: the canonical order and form hold)."""
         if a.bot:
             return b
         if b.bot:
             return a
+        if a.tkey == b.tkey:
+            return self._intern(num_op(a.num, b.num), a.tids, a.tkey)
         tids = {v: tid_join(t, b.tids[v]) for v, t in a.tids.items() if v in b.tids}
-        return self._mk(num_op(a.num, b.num), tids)
+        return self._intern(num_op(a.num, b.num), tids, tuple(tids.items()))
 
     def join_all(self, rs) -> Relation:
         out = self._bot
@@ -263,10 +283,16 @@ class RelDomain:
     def restrict(self, r: Relation, keep) -> Relation:
         if r.bot:
             return r
-        keep = set(keep)
-        num = self.nb.restrict(r.num, {self.universe.index[v] for v in keep if v in self.universe.index})
+        keep = frozenset(keep)
+        ids = self._kept.get(keep)
+        if ids is None:
+            index = self.universe.index
+            ids = self._kept[keep] = frozenset(index[v] for v in keep if v in index)
+        num = self.nb.restrict(r.num, ids)
+        if not r.tids or keep.issuperset(r.tids):
+            return self._intern(num, r.tids, r.tkey)
         tids = {v: t for v, t in r.tids.items() if v in keep}
-        return self._mk(num, tids)
+        return self._intern(num, tids, tuple(tids.items()))
 
     def assign_value(self, r: Relation, x: str, v) -> Relation:
         """Assign an abstract value; the other slot of a dual variable is
@@ -275,35 +301,47 @@ class RelDomain:
             return r
         if v is BOT:
             return self._bot
-        tids = dict(r.tids)
         num = r.num
         if isinstance(v, IntAbs):
-            num = self.nb.set_interval(num, self.universe.index[x], v.lo, v.hi)
-            tids.pop(x, None)
-        else:
-            if x in self.universe.index:
-                num = self.nb.set_interval(num, self.universe.index[x], -INF, INF)
-            if v is TID_TOP:
-                tids.pop(x, None)
-            else:
-                tids[x] = v
-        return self._mk(num, tids)
+            return self._mk_without(self.nb.set_interval(num, self.universe.index[x], v.lo, v.hi),
+                                    r, x)
+        if x in self.universe.index:
+            num = self.nb.set_interval(num, self.universe.index[x], -INF, INF)
+        if v is TID_TOP:
+            return self._mk_without(num, r, x)
+        return self._mk(num, {**r.tids, x: v})
+
+    def _mk_without(self, num, r: Relation, x: str) -> Relation:
+        """``_intern`` of ``num`` and the thread-id map of ``r`` without ``x``."""
+        if x not in r.tids:
+            return self._intern(num, r.tids, r.tkey)
+        tids = dict(r.tids)
+        del tids[x]
+        return self._intern(num, tids, tuple(tids.items()))
 
     def assign_expr(self, r: Relation, x: str, e: Expr) -> Relation:
         """Numeric assignment x := e (e over the numeric slots)."""
-        if r.bot:
-            return r
+        return self.assigner(x, e)(r)
+
+    def assigner(self, x: str, e: Expr) -> Callable[[Relation], Relation]:
+        """``assign_expr(·, x, e)`` as a function of the relation, with the
+        linear form of ``e`` over variable indices computed once."""
         lf = linear_form(e)
         if lf is None:
-            return self.assign_value(r, x, IntAbs.top())
+            top = IntAbs.top()
+            return lambda r: self.assign_value(r, x, top)
         coeffs, const = lf
-        idx_coeffs = {self.universe.index[v]: c for v, c in coeffs.items()}
-        tids = dict(r.tids)
-        tids.pop(x, None)  # x no longer holds a thread id
-        return self._mk(
-            self.nb.assign_linear(r.num, self.universe.index[x], idx_coeffs, const),
-            tids,
-        )
+        index = self.universe.index
+        i, idx_coeffs = index[x], {index[v]: c for v, c in coeffs.items()}
+        assign_linear = self.nb.assign_linear
+
+        def assign(r: Relation) -> Relation:
+            if r.bot:
+                return r
+            # x no longer holds a thread id
+            return self._mk_without(assign_linear(r.num, i, idx_coeffs, const), r, x)
+
+        return assign
 
     def havoc(self, r: Relation, x: str) -> Relation:
         """Forget both slots of ``x``: every havoc target is a local, and
@@ -311,11 +349,14 @@ class RelDomain:
         return self.assign_value(r, x, IntAbs.top())
 
     def guard(self, r: Relation, c: Cmp) -> Relation:
-        if r.bot:
-            return r
+        return self.guarder(c)(r)
+
+    def guarder(self, c: Cmp) -> Callable[[Relation], Relation]:
+        """``guard(·, c)`` as a function of the relation, with the linear
+        form of ``c`` over variable indices computed once."""
         lhs, rhs = linear_form(c.left), linear_form(c.right)
         if lhs is None or rhs is None:
-            return r
+            return _unchanged
         coeffs = dict(lhs[0])
         for v, k in rhs[0].items():
             coeffs[v] = coeffs.get(v, 0) - k
@@ -325,22 +366,29 @@ class RelDomain:
 
         # left − right  ⋈  0, with const folded into the left side
         neg = {v: -k for v, k in idx.items()}
+        nb = self.nb
         match c.op:
             case "<=":
-                num = self.nb.guard_leq0(r.num, idx, const)
+                refine = nb.guard_leq0
             case "<":
-                num = self.nb.guard_leq0(r.num, idx, const + 1)
+                refine, const = nb.guard_leq0, const + 1
             case ">=":
-                num = self.nb.guard_leq0(r.num, neg, -const)
+                refine, idx, const = nb.guard_leq0, neg, -const
             case ">":
-                num = self.nb.guard_leq0(r.num, neg, -const + 1)
+                refine, idx, const = nb.guard_leq0, neg, -const + 1
             case "==":
-                num = self.nb.guard_eq(r.num, idx, const)
+                refine = nb.guard_eq
             case "!=":
-                num = self.nb.guard_neq(r.num, idx, const)
+                refine = nb.guard_neq
             case _:
                 raise ValueError(c.op)
-        return self._mk(num, dict(r.tids))
+
+        def guard(r: Relation) -> Relation:
+            if r.bot:
+                return r
+            return self._intern(refine(r.num, idx, const), r.tids, r.tkey)
+
+        return guard
 
     # -- queries --
 

@@ -8,9 +8,15 @@ of a program point), and constraints subscribed to the key's namespace
 
 Right-hand sides read the current assignment through a view that records
 dependencies, and return a dict of effects {key: value}; contributions and
-side-effects are treated alike and accumulate by join.  An effect updates
-its key with one lattice call, ``joined = system.join(key, old, value)``,
-and stops there when ``joined is old``.  This relies on the one contract
+side-effects are treated alike and accumulate by join.  The worklist is
+first-in first-out; an updated key queues its readers (``Unknown.readers``,
+kept in increasing constraint order) and a new key of a namespace the
+readers of the namespace (``ns_deps``).  An evaluation re-points its constraint's
+dependencies only when it read other keys than the constraint's last
+evaluation did (most evaluations read the same ones); the readers of a
+namespace only grow.  An effect updates its key with one lattice call,
+``joined = system.join(key, old, value)``, and stops there when
+``joined is old``.  This relies on the one contract
 of ``System.join``: it returns its left operand itself exactly when the
 right operand adds nothing (value ⊑ old), as ``BaseAnalysis.join``
 (``RelDomain.join``) and ``ImprovedSystem.state_join`` do.  Widening
@@ -33,6 +39,7 @@ again, to verify the narrowed assignment independently.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
@@ -73,21 +80,38 @@ class System(Protocol):
 
 
 class View:
-    """Read access to the current assignment with dependency recording."""
+    """Read access to the current assignment with dependency recording.
+
+    ``reads`` and ``ns_reads`` list the keys and namespaces read, in the
+    order of the reads (a key read twice appears twice)."""
+
+    __slots__ = ("_s", "reads", "ns_reads")
 
     def __init__(self, solver: "Solver"):
         self._s = solver
-        self.reads: set[Any] = set()
-        self.ns_reads: set[Any] = set()
+        self.reads: list[Any] = []
+        self.ns_reads: list[Any] = []
 
     def get(self, key):
-        self.reads.add(key)
+        self.reads.append(key)
         return self._s.values.get(key)
 
     def keys_in(self, namespace) -> list:
         """Known unknowns of a namespace, in discovery order (deterministic)."""
-        self.ns_reads.add(namespace)
+        self.ns_reads.append(namespace)
         return list(self._s.by_namespace.get(namespace, ()))
+
+
+class Unknown:
+    """What the solver keeps of a key besides its value: ``readers``, the
+    constraints whose last evaluation read the key, in increasing order,
+    and ``increases``, the strict increases of its value so far."""
+
+    __slots__ = ("readers", "increases")
+
+    def __init__(self):
+        self.readers: list[int] = []
+        self.increases = 0
 
 
 @dataclass
@@ -103,83 +127,112 @@ class Solver:
         self.values: dict[Any, Any] = {}
         self.by_namespace: dict[Any, list[Any]] = {}
         self.constraints: list[Constraint] = []
-        self.deps: dict[Any, set[int]] = {}  # key -> constraint ids reading it
-        self.ns_deps: dict[Any, set[int]] = {}
-        self.last_reads: dict[int, set[Any]] = {}
+        self.unknowns: dict[Any, Unknown] = {}  # every key read or registered
+        self.ns_deps: dict[Any, list[int]] = {}  # every constraint that ever read it
+        self.last_reads: dict[int, list[Any]] = {}
+        self.last_ns_reads: dict[int, list[Any]] = {}
         self.last_effects: dict[int, dict[Any, Any]] = {}  # freed by _narrow
-        self.updates: dict[Any, int] = {}
         self.stats = SolveStats()
+        self._queue: deque[int] = deque()
+        self._queued: list[bool] = []  # by constraint id
 
     # -- bookkeeping --
 
     def _add_constraint(self, c: Constraint) -> None:
+        """Number ``c`` and schedule it."""
         c.cid = len(self.constraints)
         self.constraints.append(c)
+        self.last_reads[c.cid] = []
+        self.last_ns_reads[c.cid] = []
+        self._queued.append(True)
+        self._queue.append(c.cid)
 
-    def _register_key(self, key, queue) -> None:
+    def _register_key(self, key) -> Unknown:
         """A key's first value: wake its namespace's readers and spawn its
         constraints.  ``values`` is the one record of registered keys."""
+        u = self.unknowns.get(key)
+        if u is None:
+            u = self.unknowns[key] = Unknown()
         ns = self.system.namespace(key)
         if ns is not None:
             self.by_namespace.setdefault(ns, []).append(key)
-            for cid in sorted(self.ns_deps.get(ns, ())):
-                self._schedule(cid, queue)
+            self._schedule(self.ns_deps.get(ns, ()))
         for c in self.system.constraints_for(key):
             self._add_constraint(c)
-            self._schedule(c.cid, queue)
+        return u
 
-    def _schedule(self, cid: int, queue) -> None:
-        if cid not in self._queued:
-            self._queued.add(cid)
-            queue.append(cid)
+    def _schedule(self, cids) -> None:
+        """Queue each of ``cids`` (in increasing order) that is not queued."""
+        queued = self._queued
+        for cid in cids:
+            if not queued[cid]:
+                queued[cid] = True
+                self._queue.append(cid)
 
-    def _apply(self, key, value, queue) -> None:
-        old = self.values.get(key)
-        if old is None:
-            self.values[key] = value
-            self._register_key(key, queue)
-        else:
-            joined = self.system.join(key, old, value)
-            if joined is old:  # value ⊑ old
-                return
-            self.updates[key] = n = self.updates.get(key, 0) + 1
-            if n > WIDEN_DELAY:
-                joined = self.system.widen(key, old, joined)
-                self.stats.widened += 1
-            self.values[key] = joined
-        for cid in sorted(self.deps.get(key, ())):
-            self._schedule(cid, queue)
-
-    def _evaluate(self, cid: int, queue) -> None:
-        self.stats.evaluations += 1
-        if self.stats.evaluations > self.budget:
-            raise BudgetExceeded(self.stats.evaluations)
-        c = self.constraints[cid]
-        view = View(self)
-        effects = c.rhs(view)
-        for key in self.last_reads.get(cid, ()):  # re-point stale deps
-            self.deps.get(key, set()).discard(cid)
-        self.last_reads[cid] = view.reads
-        self.last_effects[cid] = effects
-        for key in view.reads:
-            self.deps.setdefault(key, set()).add(cid)
-        for ns in view.ns_reads:
-            self.ns_deps.setdefault(ns, set()).add(cid)
-        for key, value in effects.items():
-            self._apply(key, value, queue)
+    def _repoint(self, cid: int, old: list, new: list) -> None:
+        """Move ``cid`` from the readers of the keys of ``old`` alone to
+        those of the keys of ``new`` alone."""
+        old, new = set(old), set(new)
+        unknowns = self.unknowns
+        for key in old - new:
+            unknowns[key].readers.remove(cid)
+        for key in new - old:
+            if key not in unknowns:
+                unknowns[key] = Unknown()
+            insort(unknowns[key].readers, cid)
 
     # -- main loop --
 
     def solve(self) -> dict[Any, Any]:
-        queue: deque[int] = deque()
-        self._queued: set[int] = set()
+        """Evaluate constraints in first-in first-out order until none is
+        queued.  An evaluation re-points the dependencies of its constraint
+        only when it read other keys, or other namespaces, than the last one
+        (the readers of a namespace only grow)."""
         for c in self.system.initial():
             self._add_constraint(c)
-            self._schedule(c.cid, queue)
+        system, values, unknowns = self.system, self.values, self.unknowns
+        join, widen, stats, budget = system.join, system.widen, self.stats, self.budget
+        constraints, last_reads, last_effects = self.constraints, self.last_reads, self.last_effects
+        queue, queued = self._queue, self._queued
+        view = View(self)
         while queue:
             cid = queue.popleft()
-            self._queued.discard(cid)
-            self._evaluate(cid, queue)
+            queued[cid] = False
+            stats.evaluations += 1
+            if stats.evaluations > budget:
+                raise BudgetExceeded(stats.evaluations)
+            view.reads = reads = []
+            view.ns_reads = ns_reads = []
+            effects = constraints[cid].rhs(view)
+            if reads != last_reads[cid]:
+                self._repoint(cid, last_reads[cid], reads)
+                last_reads[cid] = reads
+            if ns_reads and ns_reads != self.last_ns_reads[cid]:
+                for ns in ns_reads:
+                    readers = self.ns_deps.setdefault(ns, [])
+                    if cid not in readers:
+                        insort(readers, cid)
+                self.last_ns_reads[cid] = ns_reads
+            last_effects[cid] = effects
+            for key, value in effects.items():
+                old = values.get(key)
+                if old is None:
+                    values[key] = value
+                    u = self._register_key(key)
+                else:
+                    joined = join(key, old, value)
+                    if joined is old:  # value ⊑ old
+                        continue
+                    u = unknowns[key]
+                    u.increases += 1
+                    if u.increases > WIDEN_DELAY:
+                        joined = widen(key, old, joined)
+                        stats.widened += 1
+                    values[key] = joined
+                for reader in u.readers:
+                    if not queued[reader]:
+                        queued[reader] = True
+                        queue.append(reader)
         self._narrow()
         return self.values
 

@@ -208,8 +208,8 @@ def test_criterion_9_soundness_differential(programs, explorations, monkeypatch)
         ("drop-unlock-effects", BaseAnalysis, "_unlock_rhs",
          unlock_publishing_nothing(BaseAnalysis._unlock_rhs), "fig_ex0", "octagon"),
         ("drop-init-effects", BaseAnalysis, "init", drop_init, "lockonce", "octagon"),
-        ("acc-always-true", ImprovedSystem, "acc",
-         lambda self, ego, state, cand: True, "joins", "tids"),
+        ("all-accounted-for", ImprovedSystem, "admission",
+         lambda self, edge, ego, cand: None, "joins", "tids"),
     ]
     for label, cls, attr, fn, prog, cfg in mutations:
         with pytest.MonkeyPatch.context() as mp:

@@ -256,7 +256,7 @@ def test_mutation_missing_init_side_effects(monkeypatch, programs, explorations)
 
 
 def test_mutation_acc_always_true(monkeypatch, programs, explorations):
-    monkeypatch.setattr(ImprovedSystem, "acc", lambda self, ego, state, cand: True)
+    monkeypatch.setattr(ImprovedSystem, "admission", lambda self, edge, ego, cand: None)
     res = run_analysis(programs["joins"], preset("tids"))
     report = checked(res, explorations["joins"], check_asserts(res))
     assert not report.ok and report.witnesses
@@ -282,8 +282,9 @@ def test_flagged_and_custom_configs_sound(programs, explorations):
 
 
 def test_witness_order_does_not_follow_the_hash_seed():
-    """With ``acc`` always true, tids on joins fails at tuples of one thread
-    with equal locals; their witnesses come in the same order, and the cap
+    """With every candidate accounted for (``admission`` always None), tids
+    on joins fails at tuples of one thread with equal locals; their
+    witnesses come in the same order, and the cap
     keeps the same ones, whatever the string-hash seed (3 orders of the
     full list in seeds 0-3 when ties were left in set order)."""
     import os
@@ -298,7 +299,7 @@ def test_witness_order_does_not_follow_the_hash_seed():
         "from concurrel.analysis.improved_system import ImprovedSystem;"
         "from concurrel.differential import check_soundness;"
         "from concurrel.oracle import explore;"
-        "ImprovedSystem.acc = lambda self, ego, state, cand: True;"
+        "ImprovedSystem.admission = lambda self, edge, ego, cand: None;"
         "p = parse_program(open(sys.argv[1]).read());"
         "res = run_analysis(p, preset('tids')); ex = explore(p);"
         "reports = [check_soundness(res, ex, check_asserts(res), n) for n in (10, 100)];"

@@ -692,6 +692,25 @@ def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
     assert min(seen.values()) > 50, seen
 
 
+def test_kernel_results_are_read_only_unless_the_caller_closes_them(compiled):
+    """Under both kernels, the fresh matrix of ``meet`` and ``bound`` is
+    writable, for the caller to close in place, and those of ``join``,
+    ``widen``, ``pack`` and ``shift`` are read-only, as a value keeps them."""
+    from concurrel.domains import _closure_py as pure
+
+    a = np.array([[0.0, 1.0], [2.0, 0.0]])
+    b = np.array([[0.0, 3.0], [0.0, 0.0]])
+    a.setflags(write=False)
+    b.setflags(write=False)
+    for kernel in (pure, compiled):
+        fresh = {"join": kernel.join(a, b), "widen": kernel.widen(a, b),
+                 "pack": kernel.pack(a, (0,)), "shift": kernel.shift(a, 0, 1, False),
+                 "meet": kernel.meet(a, b), "bound": kernel.bound(a, None, [0, 1, -1.0])}
+        for name, m in fresh.items():
+            assert m is not a and m is not b, (kernel.__name__, name)
+            assert m.flags.writeable == (name in ("meet", "bound")), (kernel.__name__, name)
+
+
 def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compiled):
     """Each C entry point raises ``ValueError`` on a strided, float32, 1-D,
     non-square or odd-sized matrix and on a malformed map or entry list,
@@ -798,6 +817,18 @@ def test_changed_kernel_source_builds_a_second_file(tmp_path, monkeypatch):
     second = _build.load_compiled(cache)
     assert second is not None and second.__file__ != first.__file__
     assert [f.name for f in cache.iterdir()] == [os.path.basename(second.__file__)]
+
+
+def test_another_numpy_version_builds_a_second_file(tmp_path, monkeypatch):
+    """The kernel uses numpy's C API, so the cache name covers numpy's
+    version: a file built against another numpy is never loaded."""
+    from concurrel.domains import _build
+
+    cache = tmp_path / "cache"
+    first = _compiled_kernel(cache)
+    monkeypatch.setattr(_build.np, "__version__", _build.np.__version__ + ".other")
+    second = _build.load_compiled(cache)
+    assert second is not None and second.__file__ != first.__file__
 
 
 def test_import_on_a_warm_kernel_cache_loads_no_hashlib():

@@ -292,7 +292,7 @@ def test_lock_once_dumps_are_pinned(programs):
 
 
 # sha256 of ``dump_solution`` under tids and clusters with
-# ``--exclude-ancestor-writes``, whose ancestor clause of ``ImprovedSystem.acc``
+# ``--exclude-ancestor-writes``, whose ancestor clause of ``ImprovedSystem.admission``
 # and uncollapsed digest keys no reference dump runs.
 EXCLUDE_ANCESTOR_DUMPS = {
     ("ancestor", "tids"):
@@ -357,3 +357,33 @@ EXCLUDE_ANCESTOR_DUMPS = {
 def test_exclude_ancestor_dumps_are_pinned(programs):
     assert len(EXCLUDE_ANCESTOR_DUMPS) == 2 * len(programs)
     assert not _unpinned_dumps(programs, EXCLUDE_ANCESTOR_DUMPS, exclude_ancestor_writes=True)
+
+
+# sha256 of ``dump_solution`` of the generated program with 8 workers, 2
+# mutexes and 2 globals each (``perfbench/gen.py``, seed 1), under tids and
+# clusters.  Each of its mutexes is published under 4 digests and 8
+# threads return, against at most 2 of each in the benchmark's 2-worker
+# programs, so this pins the per-(constraint, digest) caches of the lock
+# and join constraints.
+MANY_DIGEST_DUMPS = {
+    "tids": "c82c0d86ce293430fc4482a98dc4e356fcca948d7bfebbe984899f36a15b8e14",
+    "clusters": "3011b7210a8a2794a5578c33e9c4bfe0914bb38fb7eb14a16e11ffa9ff873da6",
+}
+
+
+def test_many_digest_dumps_are_pinned(monkeypatch):
+    import hashlib
+    import os
+
+    from concurrel.analysis import dump_solution
+
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import gen
+
+    g = gen.generate(1, 0, gen.Shape(workers=8, mutexes=2, globals_per_mutex=2))
+    program = parse_program(g.source, g.name)
+    for name, want in MANY_DIGEST_DUMPS.items():
+        result = run_analysis(program, preset(name))
+        assert hashlib.sha256(dump_solution(result).encode()).hexdigest() == want, name
+        assert result.solver.check_post_solution() == [], name

@@ -173,3 +173,69 @@ def test_narrowing_recovers_the_widening_overshoot_without_reevaluating():
     assert solver.last_effects == {}  # the cached effects are freed
     assert solver.check_post_solution() == []
     assert len(calls) == solver.stats.evaluations + 2  # the check re-ran both, uncounted
+
+
+def test_dependency_index_matches_the_last_reads(programs, monkeypatch):
+    """When the worklist empties, re-running each right-hand side reads
+    exactly the keys and namespaces of its constraint's last evaluation
+    (``last_reads``, ``last_ns_reads``); ``unknowns[key].readers`` lists
+    exactly the constraints whose last evaluation read ``key``, in
+    increasing order, and ``ns_deps[ns]`` holds each one whose last
+    evaluation read ``ns``.  The solver re-points dependencies only when a
+    constraint's reads change; this checks it on every corpus program under
+    every preset."""
+    from concurrel.analysis import PRESETS, preset, run_analysis
+    from concurrel.solver import View
+
+    narrow = Solver._narrow
+    checked = []
+
+    def check_then_narrow(solver):
+        want: dict = {}
+        for c in solver.constraints:
+            view = View(solver)
+            c.rhs(view)
+            assert set(view.reads) == set(solver.last_reads[c.cid]), c.describe()
+            assert set(view.ns_reads) == set(solver.last_ns_reads[c.cid]), c.describe()
+            for key in set(view.reads):
+                want.setdefault(key, []).append(c.cid)
+            for ns in view.ns_reads:
+                assert c.cid in solver.ns_deps[ns], c.describe()
+        assert {key: u.readers for key, u in solver.unknowns.items() if u.readers} == want
+        assert all(cids == sorted(set(cids)) for cids in solver.ns_deps.values())
+        checked.append(len(solver.constraints))
+        narrow(solver)
+
+    monkeypatch.setattr(Solver, "_narrow", check_then_narrow)
+    for name, program in sorted(programs.items()):
+        for p in PRESETS:
+            run_analysis(program, preset(p))
+    assert len(checked) == len(programs) * len(PRESETS)
+
+
+def test_a_constraint_that_stops_reading_a_key_leaves_its_readers():
+    """Reads can shrink: ``step`` reads ``a`` while x is 0 and ``b`` once x
+    has grown, and its re-evaluation moves it from the readers of ``a`` to
+    those of ``b``."""
+
+    def init(view):
+        return {"x": IntAbs.const(0), "a": IntAbs.const(0)}
+
+    def step(view):
+        x = view.get("x")
+        if x is None:
+            return {}
+        if x.hi < 1:
+            view.get("a")
+            return {"x": IntAbs(0, 1)}
+        view.get("b")
+        return {}
+
+    start, stepper = Constraint("init", init), Constraint("step", step)
+    solver = Solver(IntervalSystem(initial=[start, stepper]))
+    solver.solve()
+    assert solver.stats.evaluations == 3
+    assert solver.last_reads[stepper.cid] == ["x", "b"]
+    assert solver.unknowns["a"].readers == []
+    assert solver.unknowns["b"].readers == [stepper.cid]
+    assert solver.unknowns["x"].readers == [stepper.cid]
