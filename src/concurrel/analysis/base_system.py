@@ -6,28 +6,29 @@ specification the constructor takes.  A non-observing action keys its
 successor and its side-effects (published cluster values, thread returns)
 with the digest after ``spec.unary``, and a created thread's start with the
 digest of ``spec.new_thread``; the two observing actions, lock and join,
-read ``MutexKey``/``RetKey`` values of each digest they may observe and
-share one loop over those digests (``_observing_rhs``).  Besides
-``initial`` and one right-hand side factory per action kind, the class
-holds the relation steps (``init``, the initial cluster values and main's
-start relation, and ``step``, the local steps), the solver plumbing
-(key namespaces, which outgoing edges spawn a constraint, the reading of
-the source value: a right-hand side runs only when it is present and not ⊥)
-and the relation lattice.
+read ``MutexKey``/``RetKey`` values of each digest that ``admission``
+admits, listed by one helper (``_admitted``).  Besides ``initial`` and one
+right-hand side factory per action kind, the class holds the relation steps
+(``init``, the initial cluster values and main's start relation, and
+``step``, the local steps), the solver plumbing (key namespaces, which
+outgoing edges spawn a constraint, the reading of the source value: a
+right-hand side runs only when it is present and not ⊥) and the relation
+lattice.
 
 The thread-id system (``improved_system.ImprovedSystem``) is this system
-with local states that also carry J, L and W.  It shares the factories of
-the local step, create, return and unlock, which leave what its states add
-to a few small methods, each the identity or the base behaviour here:
-``relation``, ``stepper``, ``fresh``, ``child_tid``, ``ret_key``, ``dkey``,
-``published`` and ``unlocked``.  It overrides ``initial``, ``_lock_rhs``,
-``_join_rhs``, the lattice and ``render``.
+with local states that also carry J, L and W.  It shares ``initial`` and
+the factories of the local step, create, return, unlock and join, which
+leave what its states add to a few small methods, each the identity or the
+base behaviour here: ``start``, ``relation``, ``stepper``, ``fresh``,
+``child_tid``, ``ret_key``, ``ret_digest``, ``accounted``, ``joined``,
+``dkey``, ``dkey_digest``, ``published``, ``unlocked`` and ``admission``.
+The two systems differ only in the lock, those methods and the lattice
+(and ``render``).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import attrgetter
 from typing import Any, Callable
 
 from ..digests import CreateEdge, DigestSpec, MAIN_TID, tid_compose
@@ -38,22 +39,12 @@ from ..frontend.ast import (
 from ..frontend.cfg import Cfg, Edge, Point
 from ..solver import Constraint, View
 from ..domains.relation import RelDomain, Relation
-from ..domains.values import BOT, TID_TOP, int_join, tid_meet
+from ..domains.values import TID_TOP, tid_meet
 from .keys import MutexKey, PointKey, RetKey, render_key
 from .protections import protected_by
 
 
-def freeze_tid_value(v) -> Any:
-    """Hashable form of a TidAbs used as a thread-return key."""
-    return "⊤" if v is TID_TOP else frozenset(v)
-
-
-def thaw_tid_value(k):
-    return TID_TOP if k == "⊤" else k
-
-
 _RET = frozenset({"ret"})
-key_digest = attrgetter("digest")  # the digest of a point, mutex or thread-return key
 
 _RHS_FACTORY = {Lock: "_lock_rhs", Unlock: "_unlock_rhs", Join: "_join_rhs",
                 Create: "_create_rhs", Return: "_return_rhs"}
@@ -148,13 +139,24 @@ class BaseAnalysis:
 
         return rhs
 
-    @staticmethod
-    def namespace_entries(ns, part: Callable[[Any], Any] | None, entry: Callable[[Any], Any]):
-        """A function of a view listing ``entry(d)`` for each distinct
-        ``part(k)`` d (``k`` itself when ``part`` is None) over the known
-        unknowns k of namespace ``ns``, in discovery order, without the d
-        where it is None.  Reading the namespace through the view records
-        the dependency.  ``entry`` runs once per d: a namespace's keys are
+    def admission(self, edge: Edge, ego, cand):
+        """Whether the observing ``edge`` from the ego digest ``ego`` admits
+        the candidate digest ``cand``: None when ``spec.binary`` excludes
+        the combination, otherwise the pair of the successor digest and the
+        id a state's J accounts for (None: no id here).  It depends on the
+        two digests alone."""
+        d1 = self.spec.binary(edge.src, edge.action, ego, cand)
+        return None if d1 is None else (d1, None)
+
+    def _admitted(self, edge: Edge, src: PointKey, lockset: frozenset[str], ns,
+                  candidate: Callable[[Any], tuple]):
+        """A function of a view listing (successor key, accounted id,
+        payload) for each distinct digest of the known unknowns of
+        namespace ``ns``, in discovery order, where ``candidate(k)`` of the
+        first key k with the digest is (candidate digest, payload) and
+        ``admission`` admits the candidate digest; the successor key holds
+        ``lockset``.  Reading the namespace through the view records the
+        dependency.  Each digest is looked at once: a namespace's keys are
         only ever appended to, so each call looks at the keys discovered
         since the last one alone."""
         seen: set = set()
@@ -166,20 +168,35 @@ class BaseAnalysis:
             keys = view.keys_in(ns)
             if len(keys) > done:
                 for k in keys[done:]:
-                    d = k if part is None else part(k)
-                    if d not in seen:
-                        seen.add(d)
-                        e = entry(d)
-                        if e is not None:
-                            out.append(e)
+                    if k.digest not in seen:
+                        seen.add(k.digest)
+                        cand, payload = candidate(k)
+                        adm = self.admission(edge, src.digest, cand)
+                        if adm is not None:
+                            out.append((PointKey(edge.dst, lockset, adm[0]), adm[1], payload))
                 done = len(keys)
             return out
 
         return entries
 
+    def _lock_admitted(self, edge: Edge, src: PointKey):
+        """``_admitted`` at lock(a): the payload of a digest is the keys of
+        its published values by cluster."""
+        a = edge.action.mutex
+        qs = self.clusters[a]
+        return self._admitted(
+            edge, src, src.lockset | {a}, ("mutex", a),
+            lambda k: (self.dkey_digest(k.digest), [MutexKey(a, q, k.digest) for q in qs]))
+
     # -- what a local state adds to its relation: nothing here --
     # ``s`` is the source value of a right-hand side and ``r`` a relation
     # computed from ``relation(s)``.
+
+    def start(self, values: dict, r: Relation) -> tuple[Any, dict]:
+        """Main's start value and the initial values of the mutex unknowns
+        by (mutex, cluster), from the initial cluster ``values`` and main's
+        start relation ``r``."""
+        return r, values
 
     def relation(self, value) -> Relation:
         """The relation of a point or thread-return value."""
@@ -210,12 +227,34 @@ class BaseAnalysis:
 
     def ret_key(self, d1) -> Callable[[Relation], RetKey]:
         """The key of a thread return with digest ``d1``, as a function of
-        the returning relation: the thread's id and the digest."""
-        return lambda r: RetKey((freeze_tid_value(self.dom.unlift_tid(r, "self")), d1))
+        the returning relation: the thread's ids ("⊤" for any) and the digest."""
+        def key(r: Relation) -> RetKey:
+            ids = self.dom.unlift_tid(r, "self")
+            return RetKey(("⊤" if ids is TID_TOP else frozenset(ids), d1))
+
+        return key
+
+    def ret_digest(self, key: RetKey) -> tuple:
+        """The digest and the thread ids of the return ``key``."""
+        (ids, d1) = key.digest
+        return d1, TID_TOP if ids == "⊤" else ids
+
+    def accounted(self, s):
+        """The ids of the threads that ``s`` has definitely joined (J)."""
+        return ()
+
+    def joined(self, s, returned, ids, r: Relation):
+        """The value after joining, from ``s``, a thread of ``ids`` that
+        returned ``returned``, with the relation ``r``."""
+        return r
 
     def dkey(self, digest) -> Any:
         """The digest part of the mutex keys an unlock with ``digest`` publishes."""
         return digest
+
+    def dkey_digest(self, dk) -> Any:
+        """The digest of the digest part ``dk`` of a mutex key."""
+        return dk
 
     def published(self, s, a: str):
         """The clusters of mutex ``a`` that an unlock from ``s`` publishes."""
@@ -247,12 +286,11 @@ class BaseAnalysis:
 
     def initial(self) -> list[Constraint]:
         def rhs(view: View):
-            cluster_values, start = self.init()
-            entry = self.cfgs[self.program.entry].start
             d = self.spec.init()
-            effects: dict[Any, Relation] = {
-                MutexKey(a, q, d): v for (a, q), v in cluster_values.items()}
-            effects[PointKey(entry, frozenset(), d)] = start
+            state, published = self.start(*self.init())
+            effects: dict[Any, Any] = {
+                MutexKey(a, q, self.dkey(d)): v for (a, q), v in published.items()}
+            effects[PointKey(self.cfgs[self.program.entry].start, frozenset(), d)] = state
             return effects
 
         return [Constraint("init", rhs)]
@@ -327,63 +365,47 @@ class BaseAnalysis:
 
         return body
 
-    def _observing_rhs(self, edge: Edge, src: PointKey, lockset: frozenset[str], ns,
-                       digest: Callable[[Any], Any],
-                       successor: Callable[[View, Any, Relation], Relation]):
-        """Observing actions (lock, join): one successor per distinct
-        ``digest(k)`` d1 over the keys k of namespace ``ns`` that
-        ``spec.binary`` admits, computed by ``successor(view, d1, r)`` and
-        keyed with ``lockset``.  Admission and the successor key are
-        computed once per d1."""
-        join = self.dom.join
-
-        def entry(d1):
-            succ = self.spec.binary(edge.src, edge.action, src.digest, d1)
-            if succ is None:
-                return None  # infeasible trace combination
-            return d1, PointKey(edge.dst, lockset, succ)
-
-        admitted = self.namespace_entries(ns, digest, entry)
+    def _lock_rhs(self, edge: Edge, src: PointKey):
+        admitted = self._lock_admitted(edge, src)
+        meet_all, join = self.dom.meet_all, self.dom.join
 
         def body(view: View, r: Relation):
             effects: dict[Any, Relation] = {}
-            for d1, target in admitted(view):
-                v = successor(view, d1, r)
+            for target, _j_id, keys in admitted(view):
+                v = meet_all([r] + [view.get(k) for k in keys])
                 if not v.bot:
                     effects[target] = join(effects[target], v) if target in effects else v
             return effects
 
         return body
 
-    def _lock_rhs(self, edge: Edge, src: PointKey):
-        a = edge.action.mutex
-        qs = self.clusters[a]
-        reads: dict[Any, list[MutexKey]] = {}  # d1 -> the keys of its published values
-
-        def meet_published(view: View, d1, r: Relation) -> Relation:
-            if d1 not in reads:
-                reads[d1] = [MutexKey(a, q, d1) for q in qs]
-            return self.dom.meet_all([r] + [view.get(k) for k in reads[d1]])
-
-        return self._observing_rhs(edge, src, src.lockset | {a}, ("mutex", a),
-                                   key_digest, meet_published)
-
     def _join_rhs(self, edge: Edge, src: PointKey):
+        """Each admitted return of a thread the joined id may be and J does
+        not account for gives a successor; successors of one key join."""
         act = edge.action
+        dom, relation, join = self.dom, self.relation, self.join
 
-        def join_returned(view: View, d1, r: Relation) -> Relation:
-            tid_val = self.dom.unlift_tid(r, act.tidvar)
-            acc = BOT
-            for k in view.keys_in(("ret",)):
-                (tidkey, dd) = k.digest
-                if dd == d1 and tid_meet(thaw_tid_value(tidkey), tid_val):
-                    acc = int_join(acc, self.dom.unlift_var(view.get(k), "ret"))
-            if acc is BOT:
-                return self.dom.bot()  # no thread to join: execution blocks
-            return self.dom.assign_value(r, act.target, acc)
+        def candidate(k: RetKey):
+            d1, ids = self.ret_digest(k)
+            return d1, (k, ids)
 
-        return self._observing_rhs(edge, src, src.lockset, ("ret",),
-                                   lambda k: k.digest[1], join_returned)
+        admitted = self._admitted(edge, src, src.lockset, ("ret",), candidate)
+
+        def body(view: View, s):
+            r = relation(s)
+            tid_val = dom.unlift_tid(r, act.tidvar)
+            j = self.accounted(s)
+            effects: dict[Any, Any] = {}
+            for target, j_id, (k, ids) in admitted(view):
+                if j_id in j or not tid_meet(ids, tid_val):
+                    continue
+                returned = view.get(k)
+                r1 = dom.assign_value(r, act.target, dom.unlift_var(relation(returned), "ret"))
+                v = self.joined(s, returned, ids, r1)
+                effects[target] = join(target, effects[target], v) if target in effects else v
+            return effects
+
+        return body
 
 
 def _edge_name(key: PointKey, act) -> str:

@@ -15,6 +15,12 @@ class ClusterConfig:
     mode: str = "monolithic"  # 'monolithic' | 'le_k' | 'all'
     k: int = 2
 
+    def __post_init__(self):
+        if self.mode not in ("monolithic", "le_k", "all"):
+            raise ConfigError(f"unknown cluster mode {self.mode!r}")
+        if self.k < 1:
+            raise ConfigError(f"the cluster size must be >= 1, not {self.k}")
+
     def clusters_for(self, mutex: str, protected: frozenset[str]) -> tuple[frozenset[str], ...]:
         """The cluster family 𝒬_a for a mutex protecting ``protected``.
 
@@ -25,13 +31,9 @@ class ClusterConfig:
         names = sorted(protected)
         if self.mode == "monolithic":
             return (frozenset(names),)
-        if self.mode == "le_k":
-            sizes = range(1, min(self.k, len(names)) + 1)
-        elif self.mode == "all":
-            sizes = range(1, len(names) + 1)
-        else:
-            raise ValueError(self.mode)
-        return tuple(frozenset(q) for size in sizes for q in combinations(names, size))
+        largest = min(self.k, len(names)) if self.mode == "le_k" else len(names)
+        return tuple(frozenset(q) for size in range(1, largest + 1)
+                     for q in combinations(names, size))
 
 
 @dataclass(frozen=True)

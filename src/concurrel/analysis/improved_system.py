@@ -20,17 +20,21 @@ published, and locking combines, per cluster, the join-local information
 with the joined contributions of all admitted, non-accounted thread ids.
 
 ``ImprovedSystem`` is the base system (``BaseAnalysis``) with these states.
-Its small methods say what J, L and W add to the shared factories of the
-local step, create, return and unlock: a write grows W (``stepped``); a
-child starts, and a return value is stored, with the creator's J and L and
-W = ∅ (``fresh``); a child's id is the thread id of its digest
-(``child_tid``); a return is keyed with the digest key (``ret_key``); an
-unlock publishes the clusters above (``published``), takes them into L and
-keeps in W what another held mutex protects (``unlocked``).  It overrides
-``initial``, the lock and join right-hand sides, the lattice and
-``render``.  Every digest comes from its ``TidDigestSpec``: ``unary`` for a
-successor, ``new_thread`` for a created thread, and ``binary`` at lock and
-join, where ``None`` excludes a combination (a thread that cannot run yet).
+Its small methods say what J, L and W add to the shared ``initial`` and the
+shared factories of the local step, create, return, unlock and join: main
+starts with L holding the initial cluster values, which no mutex unknown
+holds (``start``); a write grows W (``stepped``); a child starts, and a
+return value is stored, with the creator's J and L and W = ∅ (``fresh``); a
+child's id is the thread id of its digest (``child_tid``); a return is keyed
+with the digest key (``ret_key``, read back by ``ret_digest``); an unlock
+publishes the clusters above (``published``), takes them into L and keeps
+in W what another held mutex protects (``unlocked``); a join skips the ids
+J accounts for (``accounted``, ``admission``) and takes J ∪ J′ ∪ ids and
+the join of both L (``joined``).  It differs from the base system only in
+the lock right-hand side, those methods, the lattice and ``render``.  Every
+digest comes from its ``TidDigestSpec``: ``unary`` for a successor,
+``new_thread`` for a created thread, and ``binary`` at lock and join, where
+``None`` excludes a combination (a thread that cannot run yet).
 """
 
 from __future__ import annotations
@@ -40,10 +44,9 @@ from typing import Any
 from ..digests import TidDigestSpec, may_run
 from ..frontend.ast import Program, WriteGlobal
 from ..frontend.cfg import Cfg, Edge
-from ..solver import Constraint, View
+from ..solver import View
 from ..domains.relation import RelDomain, Relation
-from ..domains.values import tid_meet
-from .base_system import BaseAnalysis, key_digest
+from .base_system import BaseAnalysis
 from .keys import MutexKey, PointKey, RetKey
 from .protections import protected_by
 
@@ -138,16 +141,12 @@ class ImprovedSystem(BaseAnalysis):
     # -- accounted-for check (I2 + I3, optionally ancestor writes) --
 
     def admission(self, edge: Edge, ego: tuple, cand: tuple):
-        """Whether the observing ``edge`` from the ego digest ``ego`` admits
-        the candidate digest ``cand``, in the parts that depend on the two
-        digests alone: None when ``spec.binary`` excludes it or it is
-        accounted for (the unique ego itself, or, with ancestor writes
-        excluded, a thread that cannot run yet).  Otherwise the pair
-        ``(d1, i1)`` of the successor digest and the id a state's J
-        accounts for (``i1`` when unique, else None): ``i1 ∈ J`` is the
-        one test left to each evaluation."""
-        d1 = self.spec.binary(edge.src, edge.action, ego, cand)
-        if d1 is None:
+        """The base admission, but None also when ``cand`` is accounted for
+        (the unique ego itself, or, with ancestor writes excluded, a thread
+        that cannot run yet); the id a state's J accounts for is ``i1``
+        when unique: ``i1 ∈ J`` is the one test left to each evaluation."""
+        adm = super().admission(edge, ego, cand)
+        if adm is None:
             return None
         (i, _c) = ego
         (i1, _c1) = cand
@@ -156,7 +155,7 @@ class ImprovedSystem(BaseAnalysis):
         # an ancestor's write from before the ego could run is in the ego's start
         if self.exclude_ancestors and not may_run(cand, ego):
             return None
-        return d1, i1 if i1.unique else None
+        return adm[0], i1 if i1.unique else None
 
     # -- what a state adds to its relation --
 
@@ -165,6 +164,10 @@ class ImprovedSystem(BaseAnalysis):
             w = frozenset({act.glob})
             return lambda s, r: ImprovedState(s.j, s.l, s.w | w, r)
         return lambda s, r: ImprovedState(s.j, s.l, s.w, r)
+
+    def start(self, values: dict, r: Relation):
+        # L, not the mutex unknowns, holds the initial cluster values
+        return ImprovedState(frozenset(), values, frozenset(), r), {}
 
     def fresh(self, s: ImprovedState, r: Relation) -> ImprovedState:
         return ImprovedState(s.j, s.l, frozenset(), r)
@@ -176,6 +179,16 @@ class ImprovedSystem(BaseAnalysis):
     def ret_key(self, d1):
         key = RetKey(self.dkey(d1))
         return lambda r: key
+
+    def ret_digest(self, key: RetKey):
+        cand = self.dkey_digest(key.digest)
+        return cand, frozenset({cand[0]})
+
+    def accounted(self, s: ImprovedState):
+        return s.j
+
+    def joined(self, s: ImprovedState, returned: ImprovedState, ids, r) -> ImprovedState:
+        return ImprovedState(s.j | returned.j | ids, self._l_join(s.l, returned.l), s.w, r)
 
     def published(self, s: ImprovedState, a: str):
         """Under ``clusters`` the clusters that meet W; otherwise all of
@@ -211,16 +224,6 @@ class ImprovedSystem(BaseAnalysis):
 
     # -- constraints --
 
-    def initial(self) -> list[Constraint]:
-        def rhs(view: View):
-            entry = self.cfgs[self.program.entry].start
-            d0 = self.spec.init()
-            cluster_values, start = self.init()
-            state = ImprovedState(frozenset(), cluster_values, frozenset(), start)
-            return {PointKey(entry, frozenset(), d0): state}
-
-        return [Constraint("init", rhs)]
-
     def _lock_rhs(self, edge: Edge, src: PointKey):
         dom = self.dom
         act = edge.action
@@ -235,18 +238,11 @@ class ImprovedSystem(BaseAnalysis):
             return lambda view, s: {}
         target = PointKey(edge.dst, src.lockset | {a}, d1)
         lq = [(a, q) for q in qs]
-
-        def entry(dk):
-            # the id J is tested for, and the keys of the published values by
-            # cluster (the successor digest is the ego's, above)
-            adm = self.admission(edge, src.digest, self.dkey_digest(dk))
-            return None if adm is None else (adm[1], [MutexKey(a, q, dk) for q in qs])
-
-        candidates = self.namespace_entries(("mutex", a), key_digest, entry)
+        candidates = self._lock_admitted(edge, src)
 
         def body(view: View, s: ImprovedState):
             j = s.j
-            admitted = [keys for j_id, keys in candidates(view) if j_id not in j]
+            admitted = [keys for _target, j_id, keys in candidates(view) if j_id not in j]
 
             if self.clustered:
                 # one combined constraint over all admitted digests
@@ -273,33 +269,5 @@ class ImprovedSystem(BaseAnalysis):
                 if not r1.bot:
                     r_acc = r1 if r_acc.bot else dom.join(r_acc, r1)
             return {} if r_acc.bot else {target: ImprovedState(s.j, s.l, s.w, r_acc)}
-
-        return body
-
-    def _join_rhs(self, edge: Edge, src: PointKey):
-        dom = self.dom
-        act = edge.action
-
-        def entry(k):
-            cand = self.dkey_digest(k.digest)
-            adm = self.admission(edge, src.digest, cand)
-            if adm is None:
-                return None
-            d1, j_id = adm
-            return k, frozenset({cand[0]}), j_id, PointKey(edge.dst, src.lockset, d1)
-
-        candidates = self.namespace_entries(("ret",), None, entry)
-
-        def body(view: View, s: ImprovedState):
-            tid_val = dom.unlift_tid(s.r, act.tidvar)
-            effects: dict[Any, Any] = {}
-            for k, ids, j_id, target in candidates(view):
-                if not tid_meet(ids, tid_val) or j_id in s.j:
-                    continue
-                rv = view.get(k)
-                r1 = dom.assign_value(s.r, act.target, dom.unlift_var(rv.r, "ret"))
-                st = ImprovedState(s.j | rv.j | ids, self._l_join(s.l, rv.l), s.w, r1)
-                effects[target] = self.state_join(effects[target], st) if target in effects else st
-            return effects
 
         return body

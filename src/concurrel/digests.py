@@ -100,9 +100,7 @@ def may_run(d: "TidDigest", d1: "TidDigest") -> bool:
         return True
     if lcu_anc(i, i1) != i:
         return True
-    return any(
-        tid_compose(i, e) == i1 or may_create(tid_compose(i, e), i1) for e in c
-    )
+    return any(may_create(tid_compose(i, e), i1) for e in c)
 
 
 def tid_new(u: Point, u1: Point, d: "TidDigest") -> "TidDigest":

@@ -23,9 +23,9 @@ so values with equal keys are one object.  A thread-id map is kept in that
 canonical form (no ⊤ entry, variables in sorted order), and a transfer that
 leaves it alone passes the operand's map and ``tkey`` on unchanged.  ``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the
 solver relies on: the numeric join is then a's value, with a's key.
-``join``, ``widen``, ``meet`` and ``leq`` are memoized by the identity of
-their operands.  A memo key holds both operands, so their ids are never
-reused and a hit is exact.  The intern table and the memo tables live as
+``join``, ``widen`` and ``meet`` are memoized by the identity of their
+operands (``leq`` is not: no analysis step calls it).  A memo key holds
+both operands, so their ids are never reused and a hit is exact.  The intern table and the memo tables live as
 long as the domain, that is, one analysis.
 """
 
@@ -142,7 +142,6 @@ class RelDomain:
         self._joins: dict[tuple[Relation, Relation], Relation] = {}
         self._widens: dict[tuple[Relation, Relation], Relation] = {}
         self._meets: dict[tuple[Relation, Relation], Relation] = {}
-        self._leqs: dict[tuple[Relation, Relation], bool] = {}
         self.memo_hits = 0
         self._top = self._intern(self.nb.top(), {}, ())
 
@@ -182,15 +181,16 @@ class RelDomain:
         """The number of interned relations."""
         return len(self._interned)
 
-    # -- lattice: each operation computed once per pair of operands --
+    # -- lattice: join, widen and meet computed once per pair of operands --
 
     def leq(self, a: Relation, b: Relation) -> bool:
-        out = self._leqs.get((a, b), _MISS)
-        if out is _MISS:
-            out = self._leqs[a, b] = self._leq(a, b)
-        else:
-            self.memo_hits += 1
-        return out
+        if a.bot:
+            return True
+        if b.bot:
+            return False
+        if not self.nb.leq(a.num, b.num):
+            return False
+        return all(tid_leq(a.tids.get(v, TID_TOP), t) for v, t in b.tids.items())
 
     def meet(self, a: Relation, b: Relation) -> Relation:
         out = self._meets.get((a, b), _MISS)
@@ -216,15 +216,6 @@ class RelDomain:
         else:
             self.memo_hits += 1
         return out
-
-    def _leq(self, a: Relation, b: Relation) -> bool:
-        if a.bot:
-            return True
-        if b.bot:
-            return False
-        if not self.nb.leq(a.num, b.num):
-            return False
-        return all(tid_leq(a.tids.get(v, TID_TOP), t) for v, t in b.tids.items())
 
     def _meet(self, a: Relation, b: Relation) -> Relation:
         if a.bot or b.bot:

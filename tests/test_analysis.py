@@ -1,7 +1,9 @@
 """Unit tests for the right-hand sides, protections, and system invariants."""
 
+import pytest
+
 from concurrel.analysis import (
-    BaseAnalysis, ClusterConfig, MutexKey, PointKey, RetKey, check_asserts,
+    BaseAnalysis, ClusterConfig, ConfigError, MutexKey, PointKey, RetKey, check_asserts,
     dump_solution, infer_protections, preset, run_analysis,
 )
 from concurrel.analysis.driver import build_universe
@@ -11,7 +13,7 @@ from concurrel.digests import DigestSpec, LocksetDigest, MAIN_TID, TidDigestSpec
 from concurrel.domains import IntAbs, RelDomain
 from concurrel.frontend import build_cfg, parse_program, validate
 from concurrel.frontend.ast import (
-    Cmp, Create, Havoc, IntLit, Lock, ReadGlobal, Return, Unlock, Var, WriteGlobal,
+    Cmp, Create, Havoc, IntLit, Join, Lock, ReadGlobal, Return, Unlock, Var, WriteGlobal,
 )
 from concurrel.frontend.cfg import Edge, Point
 from concurrel.solver import Solver, View
@@ -100,6 +102,17 @@ def _effects(system, edge, lockset, r, published=(), digest=D):
     factory = {Lock: system._lock_rhs, Unlock: system._unlock_rhs, Create: system._create_rhs,
                Return: system._return_rhs}.get(type(edge.action), system._plain_rhs)
     return system._from_source(src, factory(edge, src))(View(solver))
+
+
+def test_cluster_config_rejects_an_unknown_mode():
+    with pytest.raises(ConfigError, match="unknown cluster mode 'bogus'"):
+        ClusterConfig("bogus")
+
+
+def test_cluster_config_rejects_a_size_below_one():
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match="cluster size must be >= 1"):
+            ClusterConfig("le_k", k)
 
 
 def test_base_lock_meets_stored_values():
@@ -566,6 +579,25 @@ def test_base_join_over_multiple_returns():
     v1, v2 = check_asserts(res)
     assert v1.verdict == "PROVEN"  # join over both returns: y ∈ [0,1]
     assert v2.verdict == "UNKNOWN"
+
+
+def test_a_join_reads_the_returns_once(programs):
+    """Every evaluation of a join reads the thread-return namespace once and
+    each thread-return key at most once, in both constraint systems."""
+    program = programs["intro_cluster"]
+    for cfg in (preset("octagon"), preset("octagon", lock_once=True), preset("tids")):
+        res = run_analysis(program, cfg)
+        joins = {e.src for c in res.cfgs.values() for e in c.edges if isinstance(e.action, Join)}
+        evaluated = 0
+        for key in [k for k in res.solver.values if isinstance(k, PointKey) and k.point in joins]:
+            for c in res.system.constraints_for(key):
+                view = View(res.solver)
+                if c.rhs(view):
+                    evaluated += 1
+                rets = [k for k in view.reads if isinstance(k, RetKey)]
+                assert view.ns_reads == [("ret",)], (cfg, c.describe())
+                assert rets and len(rets) == len(set(rets)), (cfg, c.describe(), rets)
+        assert evaluated, cfg
 
 
 def test_base_monolithic_cannot_show_intro_assert2(programs):
