@@ -26,6 +26,10 @@ import time
 
 import numpy as np
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
 
 def random_dbm(rng: np.random.Generator, n: int) -> np.ndarray:
     m = np.full((2 * n, 2 * n), np.inf)
@@ -109,7 +113,7 @@ def main() -> int:
                   + "".join(f" {timed[entry, n, name] * 1e6:>8.1f}µs" for name, _ in kernels))
 
     # end-to-end: one clustered analysis under each available kernel
-    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "intro_cluster.conc")
+    corpus = os.path.join(ROOT, "corpus", "intro_cluster.conc")
     code = (
         "import time; from concurrel.frontend import parse_program;"
         "from concurrel.analysis import run_analysis, preset;"
@@ -119,11 +123,12 @@ def main() -> int:
         "[run_analysis(p, preset('clusters')) for _ in range(5)];"
         "print(KERNEL, (time.perf_counter() - t0) / 5)"
     )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     envs = [{}] if compiled is None else [{}, {"CONCURREL_PURE": "1"}]
     for env in envs:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True,
-                             env={**os.environ, **env})
+                             env={**os.environ, **env, "PYTHONPATH": path})
         if out.returncode == 0:
             kernel, secs = out.stdout.split()
             print(f"end-to-end clusters analysis ({kernel} kernel): "

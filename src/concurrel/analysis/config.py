@@ -10,6 +10,12 @@ class ConfigError(ValueError):
     """An analysis configuration that cannot run: conflicting or unknown settings."""
 
 
+# The values of ``AnalysisConfig``'s named fields; the CLI offers these choices.
+DOMAINS = ("octagon", "eqconst", "interval")
+MODES = ("base", "tids", "clusters")
+PROTECTIONS = ("declared", "inferred")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     mode: str = "monolithic"  # 'monolithic' | 'le_k' | 'all'
@@ -38,16 +44,20 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    domain: str = "octagon"  # 'octagon' | 'eqconst' | 'interval'
-    mode: str = "base"  # 'base' | 'tids' | 'clusters'
+    domain: str = "octagon"  # one of DOMAINS
+    mode: str = "base"  # one of MODES
     clusters: ClusterConfig = field(default_factory=ClusterConfig)
     lock_once: bool = False  # extra lock-once digest (base mode only)
     exclude_ancestor_writes: bool = False  # ancestor-write acc + uncollapsed keys
-    protections: str = "declared"  # 'declared' | 'inferred'
+    protections: str = "declared"  # one of PROTECTIONS
 
     def __post_init__(self):
-        if self.mode not in ("base", "tids", "clusters"):
+        if self.domain not in DOMAINS:
+            raise ConfigError(f"unknown domain {self.domain!r}")
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.protections not in PROTECTIONS:
+            raise ConfigError(f"unknown protections {self.protections!r}")
         if self.lock_once and self.mode != "base":
             raise ConfigError("the lock-once digest is only supported in base mode")
         if self.exclude_ancestor_writes and self.mode == "base":

@@ -24,6 +24,7 @@ from .analysis import (
     AnalysisConfig, AnalysisResult, ClusterConfig, ConfigError, PRESETS, check_asserts,
     derive_lock_invariants, dump_solution, run_analysis,
 )
+from .analysis.config import DOMAINS, MODES, PROTECTIONS
 from .analysis.driver import ProgramError
 from .differential import check_soundness
 from .frontend import ParseError, parse_program
@@ -213,13 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="analyze a source file")
     runp.add_argument("file")
     runp.add_argument("--preset", choices=sorted(PRESETS))
-    runp.add_argument("--domain", choices=["octagon", "eqconst", "interval"])
-    runp.add_argument("--mode", choices=["base", "tids", "clusters"])
+    runp.add_argument("--domain", choices=DOMAINS)
+    runp.add_argument("--mode", choices=MODES)
     runp.add_argument("--clusters", choices=["monolithic", "le-k", "all"])
     runp.add_argument("--cluster-size", type=int, default=2, metavar="K")
     runp.add_argument("--lock-once", action="store_true")
     runp.add_argument("--exclude-ancestor-writes", action="store_true")
-    runp.add_argument("--protections", choices=["declared", "inferred"])
+    runp.add_argument("--protections", choices=PROTECTIONS)
     runp.add_argument("--oracle", action="store_true")
     runp.add_argument("--dump-invariants", action="store_true")
     runp.add_argument("--dump-solution", action="store_true")

@@ -8,8 +8,9 @@ constant of the class; both dicts are in increasing key order.  Classes with
 equal constants are merged, so i = j holds iff i == j or both are
 constrained with ``rep[i] == rep[j]``.  A variable outside ``rep`` is
 unconstrained.  So equal values have equal ``rep`` and ``consts``, item for
-item, and ``key`` identifies a value.  False is the least element; the empty
-conjunction (``rep`` and ``consts`` empty) is Top.
+item, and ``key`` identifies a value.  The empty conjunction (``rep`` and
+``consts`` empty) is ⊤.  Every ``EqRel`` is satisfiable: an operation whose
+result is unsatisfiable returns None, and ⊥ itself belongs to ``RelDomain``.
 
 Each operation reads and builds only the constrained variables of its
 operands: its cost grows with their support, not with the universe.
@@ -22,7 +23,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .values import BOT, IntAbs
+from .values import IntAbs
 
 
 # ``str`` refuses integers of more decimal digits than this (0: no limit).
@@ -39,20 +40,14 @@ def _printable(c: int) -> bool:
 class EqRel:
     """Immutable; ``rep`` and ``consts`` as in the module docstring."""
 
-    __slots__ = ("rep", "consts", "bot")
+    __slots__ = ("rep", "consts")
 
-    def __init__(self, rep: dict[int, int], consts: dict[int, int], bot: bool = False):
+    def __init__(self, rep: dict[int, int], consts: dict[int, int]):
         self.rep = rep
         self.consts = consts
-        self.bot = bot
-
-    @property
-    def is_bot(self) -> bool:
-        return self.bot
 
 
 _TOP = EqRel({}, {})
-_BOT = EqRel({}, {}, bot=True)
 
 
 def _pack(root: dict[int, int], consts: dict[int, int]) -> EqRel:
@@ -67,9 +62,9 @@ def _pack(root: dict[int, int], consts: dict[int, int]) -> EqRel:
     return EqRel(rep, consts if len(consts) < 2 else dict(sorted(consts.items())))
 
 
-def _canon(pairs: Iterable[tuple[int, int]], consts: Iterable[tuple[int, int]]) -> EqRel:
+def _canon(pairs: Iterable[tuple[int, int]], consts: Iterable[tuple[int, int]]) -> EqRel | None:
     """Union-find over the equalities ``pairs`` and the (variable, constant)
-    pairs ``consts``; ⊥ when a class gets two constants."""
+    pairs ``consts``; None when a class gets two constants."""
     parent: dict[int, int] = {}
 
     def find(i):
@@ -88,7 +83,7 @@ def _canon(pairs: Iterable[tuple[int, int]], consts: Iterable[tuple[int, int]]) 
     cls_const: dict[int, int] = {}
     for i, c in consts:
         if cls_const.setdefault(find(i), c) != c:
-            return _BOT
+            return None
     by_const: dict[int, int] = {}  # classes sharing a constant are logically equal
     for r, c in cls_const.items():
         union(by_const.setdefault(c, r), r)
@@ -103,16 +98,8 @@ class EqBackend:
     def top(self) -> EqRel:
         return _TOP
 
-    def bot(self) -> EqRel:
-        return _BOT
-
-    def is_bot(self, r: EqRel) -> bool:
-        return r.bot
-
     def key(self, r: EqRel):
-        """The items of ``rep`` and ``consts``, or None for ⊥."""
-        if r.bot:
-            return None
+        """The items of ``rep`` and ``consts``."""
         return tuple(r.rep.items()), tuple(r.consts.items())
 
     # -- views --
@@ -131,13 +118,11 @@ class EqBackend:
         return total
 
     def implies_eq(self, r: EqRel, i: int, j: int) -> bool:
-        return r.bot or i == j or r.rep.get(i, i) == r.rep.get(j, j)
+        return i == j or r.rep.get(i, i) == r.rep.get(j, j)
 
     # -- lattice --
 
-    def meet(self, a: EqRel, b: EqRel) -> EqRel:
-        if a.bot or b.bot:
-            return _BOT
+    def meet(self, a: EqRel, b: EqRel) -> EqRel | None:
         if not b.rep:
             return a
         if not a.rep:
@@ -149,10 +134,6 @@ class EqBackend:
         keep the constants a and b agree on.  Canonical as built: a class
         keeps a constant c only if it is a's class of c and b's class of c.
         A variable unconstrained in a or b is unconstrained in the join."""
-        if a.bot:
-            return b
-        if b.bot:
-            return a
         brep = b.rep
         first: dict[tuple[int, int], int] = {}
         root = {x: first.setdefault((ra, rb), x)
@@ -166,10 +147,6 @@ class EqBackend:
 
     def leq(self, a: EqRel, b: EqRel) -> bool:
         """a ⊑ b iff a implies every constraint of b."""
-        if a.bot:
-            return True
-        if b.bot:
-            return False
         arep = a.rep
         return (all(x == r or arep.get(x, x) == arep.get(r, r) for x, r in b.rep.items())
                 and all(a.consts.get(arep.get(r, r)) == c for r, c in b.consts.items()))
@@ -179,7 +156,7 @@ class EqBackend:
     def restrict(self, r: EqRel, keep: set[int]) -> EqRel:
         """Each kept variable's representative becomes the least kept member
         of its class; the others are left alone and unconstrained."""
-        if r.bot or keep.issuperset(r.rep):
+        if keep.issuperset(r.rep):
             return r
         least: dict[int, int] = {}
         root = {x: least.setdefault(rx, x) for x, rx in r.rep.items() if x in keep}
@@ -190,17 +167,15 @@ class EqBackend:
             return r
         return self.restrict(r, set(r.rep).difference(xs))
 
-    def set_interval(self, r: EqRel, x: int, lo: float, hi: float) -> EqRel:
+    def set_interval(self, r: EqRel, x: int, lo: float, hi: float) -> EqRel | None:
         if lo > hi:
-            return _BOT
+            return None
         f = self.forget(r, [x])
-        if f.bot or lo != hi or not _printable(int(lo)):
+        if lo != hi or not _printable(int(lo)):
             return f
         return _canon(f.rep.items(), [*f.consts.items(), (x, int(lo))])
 
     def assign_linear(self, r: EqRel, x: int, coeffs: dict[int, int], const: int) -> EqRel:
-        if r.bot:
-            return r
         if coeffs == {x: 1} and const == 0:
             return r
         if not coeffs:
@@ -215,17 +190,13 @@ class EqBackend:
             return self.forget(r, [x])
         return self.set_interval(r, x, val, val)
 
-    def guard_leq0(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
+    def guard_leq0(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel | None:
         """Refine by sum+const ≤ 0; exact only when enough is known."""
-        if r.bot:
-            return r
         total = self._eval(r, coeffs, const)
-        return _BOT if total is not None and total > 0 else r
+        return None if total is not None and total > 0 else r
 
-    def guard_eq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
+    def guard_eq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel | None:
         """Refine by sum(coeffs) + const == 0."""
-        if r.bot:
-            return r
         items = sorted(coeffs.items())
         if len(items) == 1:
             (y, cy) = items[0]
@@ -236,24 +207,20 @@ class EqBackend:
             if {cy, cz} == {1, -1}:
                 return self.meet(r, _canon([(y, z)], ()))
         total = self._eval(r, coeffs, const)
-        return _BOT if total is not None and total != 0 else r
+        return None if total is not None and total != 0 else r
 
-    def guard_neq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel:
-        """Refine by sum(coeffs) + const != 0 (⊥ when equality is implied)."""
-        if r.bot:
-            return r
+    def guard_neq(self, r: EqRel, coeffs: dict[int, int], const: int) -> EqRel | None:
+        """Refine by sum(coeffs) + const != 0 (None when equality is implied)."""
         items = sorted(coeffs.items())
         if len(items) == 2 and const == 0:
             (y, cy), (z, cz) = items
             if {cy, cz} == {1, -1} and self.implies_eq(r, y, z):
-                return _BOT
-        return _BOT if self._eval(r, coeffs, const) == 0 else r
+                return None
+        return None if self._eval(r, coeffs, const) == 0 else r
 
     # -- queries --
 
-    def unlift1(self, r: EqRel, x: int):
-        if r.bot:
-            return BOT
+    def unlift1(self, r: EqRel, x: int) -> IntAbs:
         c = self._const_of(r, x)
         return IntAbs.top() if c is None else IntAbs.const(c)
 
@@ -263,8 +230,6 @@ class EqBackend:
     def contains(self, r: EqRel, vals: np.ndarray) -> np.ndarray:
         """Which rows of ``vals`` satisfy every equality of r: one column
         comparison against the representatives and one against the constants."""
-        if r.bot:
-            return np.zeros(len(vals), dtype=bool)
         ok = np.ones(len(vals), dtype=bool)
         shared = [(x, rx) for x, rx in r.rep.items() if x != rx]
         if shared:
@@ -275,8 +240,6 @@ class EqBackend:
         return ok
 
     def render(self, r: EqRel, names: list[str]) -> list[str]:
-        if r.bot:
-            return ["⊥"]
         out = [f"{names[rx]}={names[x]}" for x, rx in r.rep.items() if x != rx]
         out += [f"{names[x]}={c}" for x, c in r.consts.items()]
         return sorted(out) or ["⊤"]

@@ -6,7 +6,8 @@ indices, and a 2k×2k matrix over them; pack variable k (universe variable
 an upper bound on v_j − v_i.  A variable outside ``vars`` is unconstrained,
 so ⊤ is ``vars=()`` with a 0×0 matrix.  Matrices are kept *coherent*
 (m[i][j] == m[j^1][i^1]); the canonical form is the tight closure for integer
-octagons.
+octagons.  Every ``OctRel`` is satisfiable: an operation whose result is
+empty returns None, and ⊥ itself belongs to ``RelDomain``.
 
 A pack is the full-universe matrix with the rows and columns of its
 unconstrained variables left out: those rows are +∞ off the diagonal, and
@@ -20,14 +21,14 @@ a ⊑ b needs b unconstrained on the variables outside a's environment.
 
 Every ``OctRel`` holds its closed matrix from the moment it is built:
 ``close`` is the one path from a fresh raw matrix to a value, and the other
-transfers (``join``, ``forget``, the shift of ``assign_linear``) keep a closed
-matrix closed.  The one unclosed matrix is the ``widened`` slot of a
+transfers (``join``, ``forget``, the shift of ``assign_linear``) keep a
+closed matrix closed.  The one unclosed matrix is the ``widened`` slot of a
 widening's result, the matrix the widening computed when it is not closed
-already; the next ``widen`` reads it as its left operand, so that ascending chains terminate (Miné,
-HOSC 2006), and no other operation does.  ``join``, ``meet`` and ``widen``
-return their left operand itself, and ``meet`` its right one, when the
-other operand adds nothing, so callers can skip values that are the same
-object.
+already; the next ``widen`` reads it as its left operand, so that ascending
+chains terminate (Miné, HOSC 2006), and no other operation does.  ``join``,
+``meet`` and ``widen`` return their left operand itself, and ``meet`` its
+right one, when the other operand adds nothing, so callers can skip values
+that are the same object.
 
 The matrix work of each operation is one call into the kernel, whose entry
 points are listed in the header of ``_closure.c``: ``leq``, ``join``,
@@ -53,9 +54,9 @@ on the matrices is exact.  Finite entries are integers within
 precision) where a constant enters (``_entries``, and the shift of
 ``assign_linear``, which takes no larger constant) and by each kernel before
 it closes, so that path sums stay within 2^52 for packs of up to 2^11
-variables; the shift drops the entries it takes beyond 2^52.  ``contains`` compares
-int64 values within ±2^52, or Python ints, against the entries, both
-exactly.
+variables; the shift drops the entries it takes beyond 2^52.  ``contains``
+compares int64 values within ±2^52, or Python ints, against the entries,
+both exactly.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 from . import _closure_py
 from ._build import load_compiled
 from ._closure_py import BOUND_LIMIT
-from .values import BOT, INF, IntAbs
+from .values import INF, IntAbs
 
 _kernel = (None if os.environ.get("CONCURREL_PURE") else load_compiled()) or _closure_py
 KERNEL = "python" if _kernel is _closure_py else "compiled"
@@ -80,20 +81,15 @@ CONTAINS_CHUNK_BYTES = 4 << 20
 
 
 class OctRel:
-    """Immutable octagon over the universe variables ``vars``; None matrix
-    means ⊥."""
+    """Immutable satisfiable octagon over the universe variables ``vars``."""
 
     __slots__ = ("vars", "m", "widened")
 
-    def __init__(self, vars: tuple[int, ...], m: np.ndarray | None,
+    def __init__(self, vars: tuple[int, ...], m: np.ndarray,
                  widened: np.ndarray | None = None):
         self.vars = vars
         self.m = m  # closed, read-only
         self.widened = widened  # the unclosed matrix a widening computed, read-only
-
-    @property
-    def is_bot(self) -> bool:
-        return self.m is None
 
 
 # -- environments --
@@ -163,7 +159,6 @@ class OctBackend:
     def __init__(self, n: int, intervalize: bool = False):
         self.n = n
         self.intervalize = intervalize
-        self._bot = OctRel((), None)
         top = np.zeros((0, 0))
         top.setflags(write=False)
         self._top = OctRel((), top)
@@ -173,43 +168,28 @@ class OctBackend:
     def top(self) -> OctRel:
         return self._top
 
-    def bot(self) -> OctRel:
-        return self._bot
-
-    def close(self, vars: tuple[int, ...], m: np.ndarray) -> OctRel:
-        """The value of the fresh raw matrix ``m`` over ``vars``: ⊥, or ``m``
-        tightly closed in place, without its cross-variable bounds when the
-        domain is intervalized."""
+    def close(self, vars: tuple[int, ...], m: np.ndarray) -> OctRel | None:
+        """The value of the fresh raw matrix ``m`` over ``vars``: None when it
+        is unsatisfiable, else ``m`` tightly closed in place, without its
+        cross-variable bounds when the domain is intervalized."""
         if tight_close_inplace(m) != 0:
-            return self._bot
+            return None
         if self.intervalize:
             m[_cross_variable(len(vars))] = INF
         m.setflags(write=False)
         return OctRel(vars, m)
 
-    def is_bot(self, r: OctRel) -> bool:
-        return r.m is None
-
     def key(self, r: OctRel):
-        """``(vars, matrix bytes, widened matrix bytes or None)``, or None for ⊥."""
-        m = r.m
-        if m is None:
-            return None
-        return r.vars, m.tobytes(), None if r.widened is None else r.widened.tobytes()
+        """``(vars, matrix bytes, widened matrix bytes or None)``."""
+        return r.vars, r.m.tobytes(), None if r.widened is None else r.widened.tobytes()
 
     def leq(self, a: OctRel, b: OctRel) -> bool:
-        if a.m is None:
-            return True
-        if b.m is None:
-            return False
         if a.vars == b.vars:
             return _kernel.leq(a.m, b.m)
         vars = _union(a.vars, b.vars)
         return _kernel.leq(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
 
-    def meet(self, a: OctRel, b: OctRel) -> OctRel:
-        if a.m is None or b.m is None:
-            return self._bot
+    def meet(self, a: OctRel, b: OctRel) -> OctRel | None:
         if not b.vars:  # ⊤
             return a
         if not a.vars:
@@ -228,10 +208,6 @@ class OctBackend:
     def join(self, a: OctRel, b: OctRel) -> OctRel:
         """Entrywise maximum over the shared variables; ``a`` itself when
         ``b`` ⊑ ``a``."""
-        if a.m is None:
-            return b
-        if b.m is None:
-            return a
         if a.vars == b.vars:  # 99% of joins
             m = _kernel.join(a.m, b.m)
             return a if m is a.m else OctRel(a.vars, m)
@@ -240,17 +216,13 @@ class OctBackend:
         vars = _shared(a.vars, b.vars)
         return OctRel(vars, _kernel.join(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars)))
 
-    def widen(self, a: OctRel, b: OctRel) -> OctRel:
+    def widen(self, a: OctRel, b: OctRel) -> OctRel | None:
         """Keep the bounds of ``a`` that ``b`` keeps, drop the others.  The
         bounds of ``a`` are those of the matrix its own widening computed,
         if any, and the result keeps its own as ``widened`` unless it is
         already closed.
 
         Returns ``a`` itself when every bound is stable."""
-        if a.m is None:
-            return b
-        if b.m is None:
-            return a
         am = a.m if a.widened is None else a.widened
         # a variable of one operand only is unconstrained in the result
         vars = _union(a.vars, b.vars)
@@ -264,14 +236,14 @@ class OctBackend:
         if keep != vars:
             m = _kernel.pack(m, _pos(vars, keep))
         c = self.close(keep, np.array(m))
-        if c.m is None or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
+        if c is None or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
             return c
         return OctRel(keep, c.m, m)
 
     # -- constraint plumbing --
 
     def _bounded(self, r: OctRel, constraints: list[tuple[dict[int, int], float]],
-                 drop: int = -1) -> OctRel:
+                 drop: int = -1) -> OctRel | None:
         """``r`` with the variable ``drop`` forgotten, plus each octagonal
         ``sum(coeffs) ≤ bound``, over the universe variables of the first."""
         vars = _union(r.vars, constraints[0][0])
@@ -279,8 +251,6 @@ class OctBackend:
                                               _entries(vars, constraints)))
 
     def bounds(self, r: OctRel, x: int) -> tuple[float, float]:
-        if r.m is None:
-            raise ValueError("bounds of ⊥")
         if x not in r.vars:
             return -INF, INF
         k = r.vars.index(x)
@@ -317,26 +287,20 @@ class OctBackend:
         return OctRel(vars, _kernel.pack(r.m, _pos(r.vars, vars)))
 
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
-        if r.m is None:
-            return r
         return self._pack(r, tuple(x for x in r.vars if x not in xs))
 
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
-        if r.m is None:
-            return r
         return self._pack(r, tuple(x for x in r.vars if x in keep))
 
-    def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel:
+    def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel | None:
         """Assign the abstract value [lo, hi] to x (forget, then bound)."""
         if lo > hi:
-            return self._bot
-        if r.m is None or (lo == -INF and hi == INF):
+            return None
+        if lo == -INF and hi == INF:
             return self.forget(r, [x])
         return self._bounded(r, [({x: 1}, hi), ({x: -1}, -lo)], drop=x)
 
     def assign_linear(self, r: OctRel, x: int, coeffs: dict[int, int], const: int) -> OctRel:
-        if r.m is None:
-            return r
         if not coeffs:
             return self.set_interval(r, x, const, const)
         if len(coeffs) == 1:
@@ -352,34 +316,30 @@ class OctBackend:
         lo, hi = self._eval_linear(r, coeffs, const)
         return self.set_interval(r, x, lo, hi)
 
-    def guard_leq0(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
+    def guard_leq0(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel | None:
         """Refine by ``sum(coeffs·v) + const ≤ 0``; sound fallback otherwise."""
-        if r.m is None:
-            return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
             return self._bounded(r, [(work, -const)])
         lo, _hi = self._eval_linear(r, work, const)
-        return self._bot if lo > 0 else r
+        return None if lo > 0 else r
 
-    def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
+    def guard_eq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel | None:
         """Refine by ``sum + const == 0``: both bounds on one copy, then one
         closure."""
-        if r.m is None:
-            return r
         work = {x: cf for x, cf in coeffs.items() if cf != 0}
         if _octagonal(work):
             return self._bounded(r, [(work, -const), ({x: -cf for x, cf in work.items()}, const)])
         lo, hi = self._eval_linear(r, work, const)
-        return self._bot if lo > 0 or hi < 0 else r
+        return None if lo > 0 or hi < 0 else r
 
-    def guard_neq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel:
+    def guard_neq(self, r: OctRel, coeffs: dict[int, int], const: int) -> OctRel | None:
         """Refine by ``sum + const != 0``: the join of ``< 0`` and ``> 0``."""
         lo = self.guard_leq0(r, coeffs, const + 1)
         hi = self.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const + 1)
-        if lo.m is None:
+        if lo is None:
             return hi
-        if hi.m is None:
+        if hi is None:
             return lo
         return self.join(lo, hi)
 
@@ -390,8 +350,6 @@ class OctBackend:
         """Which rows of ``vals`` lie in γ(r): one broadcast of
         w[j] − w[i] ≤ m[i][j] over the rows' ±x vectors, in chunks whose
         temporaries stay under ``CONTAINS_CHUNK_BYTES``."""
-        if r.m is None:
-            return np.zeros(len(vals), dtype=bool)
         if not r.vars:
             return np.ones(len(vals), dtype=bool)
         idx, sign = _signed_columns(r.vars)
@@ -406,8 +364,6 @@ class OctBackend:
     # -- rendering --
 
     def render(self, r: OctRel, names: list[str]) -> list[str]:
-        if r.m is None:
-            return ["⊥"]
         out = []
         names = [names[x] for x in r.vars]  # by pack index
         box = [self.bounds(r, x) for x in r.vars]
@@ -438,9 +394,7 @@ class OctBackend:
                     out.append(f"{names[i]}+{names[j]}>={int(-b)}")
         return sorted(out) or ["⊤"]
 
-    def unlift1(self, r: OctRel, x: int):
-        if r.m is None:
-            return BOT
+    def unlift1(self, r: OctRel, x: int) -> IntAbs:
         lo, hi = self.bounds(r, x)
         if lo == -INF and hi == INF:
             return IntAbs.top()

@@ -3,7 +3,10 @@
 A relation is a product of a numeric component (octagon or eqconst over the
 integer-typed variables) and a non-relational map from thread-id-typed
 variables to ``TidAbs`` values.  assign_value/unlift_var/restrict act
-componentwise; the whole relation is ⊥ as soon as either component is.
+componentwise; the whole relation is ⊥ as soon as either component is.  ⊥
+is the domain's alone: it has no numeric component, every operation returns
+early on it, and a numeric backend sees satisfiable values only and returns
+None for an empty result.
 
 The operations follow the standard relational-domain contract, with the
 lift of a single binding and the unlift read one variable at a time:
@@ -21,12 +24,15 @@ is interned under the backend ``key`` of its numeric component and the
 items of its thread-id map in sorted variable order (``Relation.tkey``),
 so values with equal keys are one object.  A thread-id map is kept in that
 canonical form (no ⊤ entry, variables in sorted order), and a transfer that
-leaves it alone passes the operand's map and ``tkey`` on unchanged.  ``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the
-solver relies on: the numeric join is then a's value, with a's key.
-``join``, ``widen`` and ``meet`` are memoized by the identity of their
-operands (``leq`` is not: no analysis step calls it).  A memo key holds
-both operands, so their ids are never reused and a hit is exact.  The intern table and the memo tables live as
-long as the domain, that is, one analysis.
+leaves it alone passes the operand's map and ``tkey`` on unchanged.
+
+``join(a, b)`` returns ``a`` itself exactly when b ⊑ a, which the solver
+relies on: the numeric join is then a's value, with a's key.  ``join``,
+``widen`` and ``meet`` are memoized by the identity of their operands
+(``leq`` is not: no analysis step calls it).  A memo key holds both
+operands, so their ids are never reused and a hit is exact.  The intern
+table and the memo tables live as long as the domain, that is, one
+analysis.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class Relation:
     __slots__ = ("num", "tids", "tkey", "bot")
 
     def __init__(self, num, tids: dict[str, object], tkey: tuple = (), bot: bool = False):
-        self.num = num
+        self.num = num  # None for ⊥
         self.tids = tids  # tid var -> TidAbs, missing entries are ⊤
         self.tkey = tkey  # tuple(tids.items())
         self.bot = bot
@@ -85,23 +91,23 @@ class Relation:
 @runtime_checkable
 class NumericBackend(Protocol):
     """What ``RelDomain`` uses of a numeric component over the variables
-    0..n-1, whose immutable values it never inspects.  ``guard_*`` refine by
-    ``sum(coeffs[i]·x_i) + const ⋈ 0``, over-approximating where inexact.
-    ``support`` lists the variables a value may constrain.  ``contains`` is
-    batched: ``vals`` is a 2-D array with one row of integer values per store
-    (column i holds x_i), and the result is a boolean vector with one entry
-    per row; a 1-row array tests one store.  ``key`` is None for ⊥ and a
-    hashable image of any other ``r``: values with equal keys behave alike
-    under every operation, and equal values have equal keys where the
-    representation is canonical.  Eqconst's is; an octagon's key is its
-    representation (its variables and its closed and widened matrices), so
-    two octagons of one meaning may differ in key.  ``join(a, b)`` returns a
-    value with a's key when b ⊑ a, and only then."""
+    0..n-1, whose immutable values it never inspects.  Every operand is
+    satisfiable, and an operation that finds its result unsatisfiable
+    (``meet``, the guards, ``set_interval`` with lo > hi) returns None.
+    ``guard_*`` refine by ``sum(coeffs[i]·x_i) + const ⋈ 0``,
+    over-approximating where inexact.  ``support`` lists the variables a
+    value may constrain.  ``contains`` is batched: ``vals`` is a 2-D array
+    with one row of integer values per store (column i holds x_i), and the
+    result is a boolean vector with one entry per row; a 1-row array tests
+    one store.  ``key`` is a hashable image of a value: values with equal
+    keys behave alike under every operation, and equal values have equal
+    keys where the representation is canonical.  Eqconst's is; an octagon's
+    key is its representation (its variables and its closed and widened
+    matrices), so two octagons of one meaning may differ in key.
+    ``join(a, b)`` returns a value with a's key when b ⊑ a, and only then."""
 
     def top(self): ...
-    def bot(self): ...
-    def is_bot(self, r) -> bool: ...
-    def key(self, r) -> object: ...  # None exactly for ⊥
+    def key(self, r) -> object: ...
     def leq(self, a, b) -> bool: ...
     def meet(self, a, b): ...
     def join(self, a, b): ...
@@ -136,7 +142,7 @@ class RelDomain:
             self.nb = EqBackend(n)
         else:
             raise ValueError(f"unknown numeric domain {numeric!r}")
-        self._bot = Relation(self.nb.bot(), {}, bot=True)
+        self._bot = Relation(None, {}, bot=True)
         self._interned: dict[tuple, Relation] = {}
         self._kept: dict[frozenset, frozenset[int]] = {}  # restrict: keep -> int indices
         self._joins: dict[tuple[Relation, Relation], Relation] = {}
@@ -155,11 +161,10 @@ class RelDomain:
 
     def _intern(self, num, tids: dict[str, object], tkey: tuple) -> Relation:
         """The interned relation of ``num`` and the canonical thread-id map
-        ``tids``, whose items are ``tkey``."""
-        nkey = self.nb.key(num)
-        if nkey is None:
+        ``tids``, whose items are ``tkey``; ⊥ when ``num`` is None."""
+        if num is None:
             return self._bot
-        key = (nkey, tkey)
+        key = (self.nb.key(num), tkey)
         r = self._interned.get(key)
         if r is None:
             r = self._interned[key] = Relation(num, tids, tkey)

@@ -59,6 +59,14 @@ def random_relation(dom: RelDomain, rng: Random, steps: int | None = None):
     return r
 
 
+def satisfiable_relation(dom: RelDomain, rng: Random):
+    """A random relation other than ⊥, whose numeric component a backend
+    may take as an operand."""
+    while (r := random_relation(dom, rng)).bot:
+        pass
+    return r
+
+
 def gamma(dom: RelDomain, r, names, lo=0, hi=4) -> set[tuple]:
     """Concretization by enumeration over small boxes."""
     box = list(product(range(lo, hi + 1), repeat=len(names)))
@@ -92,10 +100,6 @@ def pairwise_eq_join(nb, a, b):
     and b make equal, and each constant both give a variable (O(n²) pairs)."""
     from concurrel.domains.eqconst import _canon
 
-    if a.bot:
-        return b
-    if b.bot:
-        return a
     pairs = {(i, j) for i in range(nb.n) for j in range(i + 1, nb.n)
              if nb.implies_eq(a, i, j) and nb.implies_eq(b, i, j)}
     consts = [(i, ca) for i in range(nb.n)

@@ -115,6 +115,20 @@ def test_cluster_config_rejects_a_size_below_one():
             ClusterConfig("le_k", k)
 
 
+@pytest.mark.parametrize("field, names", [
+    ("domain", "DOMAINS"), ("mode", "MODES"), ("protections", "PROTECTIONS")])
+def test_analysis_config_accepts_exactly_its_named_values(field, names):
+    """A named field takes each value of its constant (the CLI's choices)
+    and refuses any other when the configuration is built, before an
+    analysis starts."""
+    from concurrel.analysis import AnalysisConfig, config
+
+    for name in getattr(config, names):
+        assert getattr(AnalysisConfig(**{field: name}), field) == name
+    with pytest.raises(ConfigError, match=f"unknown {field} 'bogus'"):
+        AnalysisConfig(**{field: "bogus"})
+
+
 def test_base_lock_meets_stored_values():
     base, dom = make_base(SRC)
     q = frozenset({"g", "h"})

@@ -12,7 +12,7 @@ from concurrel.frontend.ast import BinOp, Cmp, IntLit, Var, linear_form
 
 from domain_utils import (
     OPS, decompose, eq, eval_cmp, eval_expr, gamma, make_domain, random_relation, recompose,
-    use_kernel,
+    satisfiable_relation, use_kernel,
 )
 
 DOMAINS = ["octagon", "eqconst", "interval"]
@@ -113,6 +113,37 @@ def test_backends_implement_the_numeric_backend_protocol():
     for nb in (OctBackend(3), OctBackend(3, intervalize=True), EqBackend(3)):
         assert isinstance(nb, NumericBackend), nb
     assert not isinstance(object(), NumericBackend)
+
+
+@pytest.mark.parametrize("numeric", DOMAINS)
+def test_bot_never_reaches_the_backend(numeric):
+    """⊥ is the domain's alone: every operation answers for a ⊥ operand
+    without calling the numeric backend."""
+
+    class Refusing:
+        def __getattr__(self, name):
+            def call(*args):
+                raise AssertionError(f"the backend's {name} was called")
+            return call
+
+    dom = make_domain(numeric, ("x", "y", "z"))
+    a, bot = dom.assign_value(dom.top(), "x", IntAbs.const(1)), dom.bot()
+    dom.nb = Refusing()
+    for x, y in ((bot, bot), (bot, a), (a, bot)):
+        assert dom.meet(x, y) is bot
+        assert dom.join(x, y) is dom.widen(x, y) is (a if a in (x, y) else bot)
+    assert dom.leq(bot, a) and dom.leq(bot, bot) and not dom.leq(a, bot)
+    assert dom.restrict(bot, {"x"}) is bot
+    assert dom.assign_value(bot, "x", IntAbs.const(2)) is bot
+    assert dom.assign_value(a, "x", BOT) is bot
+    for e in (BinOp("+", Var("y"), IntLit(1)), BinOp("*", Var("y"), Var("z"))):
+        assert dom.assigner("x", e)(bot) is bot
+    for op in OPS:
+        assert dom.guarder(Cmp(op, Var("x"), Var("y")))(bot) is bot
+    assert dom.unlift_var(bot, "x") is BOT and dom.unlift_tid(bot, "self") is BOT
+    assert dom.support(bot) == set()
+    assert dom.contains_many(bot, {"x": [0, 1], "self": ["t", 2]}, 2).tolist() == [False, False]
+    assert dom.render(bot) == "⊥"
 
 
 def test_guard_leq_octagon():
@@ -349,12 +380,12 @@ def test_closure_idempotent_and_exact():
         n = rng.randint(1, 3)
         back, m, vars = OctBackend(n), _random_dbm(rng, n), tuple(range(n))
         c1 = back.close(vars, np.array(m))
-        if c1.is_bot:
+        if c1 is None:
             # unsatisfiable: no store may satisfy the raw constraints
             assert not any(_satisfies(m, vals) for vals in box(n))
             continue
         c2 = back.close(vars, np.array(c1.m))
-        assert not c2.is_bot
+        assert c2 is not None
         assert np.array_equal(c1.m, c2.m)
         for vals in box(n):
             assert _satisfies(m, vals) == back.contains(c1, np.array([vals]))[0]
@@ -393,11 +424,9 @@ def _row_contains(r, row) -> bool:
     from concurrel.domains.octagon import OctRel
 
     if isinstance(r, OctRel):
-        if r.m is None:
-            return False
         w = [sign * row[x] for x in r.vars for sign in (1, -1)]
         return all(w[j] - w[i] <= r.m[i, j] for i in range(len(w)) for j in range(len(w)))
-    return not r.bot and all(row[x] == row[rx] for x, rx in r.rep.items()) and all(
+    return all(row[x] == row[rx] for x, rx in r.rep.items()) and all(
         row[x] == c for x, c in r.consts.items())
 
 
@@ -416,18 +445,19 @@ def _store_contains(dom, r, store) -> bool:
 
 @pytest.mark.parametrize("numeric", DOMAINS)
 def test_backend_contains_is_the_row_by_row_test(numeric, monkeypatch):
-    """⊥, ⊤, values of transfer sequences and (octagons) closures of random
-    DBMs, against batches cut into many broadcast chunks."""
+    """⊤, values of transfer sequences and (octagons) satisfiable closures
+    of random DBMs, against batches cut into many broadcast chunks.  No
+    backend sees ⊥: ``contains_many`` answers for it."""
     from concurrel.domains import octagon
 
     monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
     rng = Random(47)
     dom = make_domain(numeric, ("x", "y", "z"))
     nb = dom.nb
-    values = [nb.bot(), nb.top()] + [random_relation(dom, rng).num for _ in range(40)]
+    values = [nb.top()] + [satisfiable_relation(dom, rng).num for _ in range(40)]
     if numeric != "eqconst":
         values += [nb.close((0, 1, 2), _random_dbm(rng, 3)) for _ in range(40)]
-    for r in values:
+    for r in filter(None, values):
         vals = np.array([[rng.randint(-3, 5) for _ in range(3)]
                          for _ in range(rng.randint(1, 30))])
         assert nb.contains(r, vals).tolist() == [_row_contains(r, row) for row in vals.tolist()]
@@ -939,9 +969,9 @@ def test_widen_returns_left_operand_when_stable():
     back = dom.nb
     rng = Random(49)
     for _ in range(50):
-        a = random_relation(dom, rng).num
-        b = back.meet(a, random_relation(dom, rng).num)
-        if back.is_bot(a):
+        a = satisfiable_relation(dom, rng).num
+        b = back.meet(a, satisfiable_relation(dom, rng).num)
+        if b is None:
             continue
         assert back.widen(a, b) is a
         assert back.widen(a, a) is a
@@ -1075,16 +1105,16 @@ def test_guard_eq_closes_like_the_meet_of_both_halves():
         dom = make_domain(numeric, ("x", "y", "z"))
         back = dom.nb
         for _ in range(200):
-            r = random_relation(dom, rng).num
+            r = satisfiable_relation(dom, rng).num
             xs = rng.sample(range(3), rng.choice((1, 2, 2, 3)))
             coeffs = {x: rng.choice((1, -1, 1, 2)) for x in xs}
             const = rng.randint(-4, 4)
             lo = back.guard_leq0(r, coeffs, const)
             hi = back.guard_leq0(r, {x: -cf for x, cf in coeffs.items()}, -const)
-            want = back.meet(lo, hi)
+            want = None if lo is None or hi is None else back.meet(lo, hi)
             got = back.guard_eq(r, coeffs, const)
-            assert got.is_bot == want.is_bot
-            if not got.is_bot:
+            assert (got is None) == (want is None)
+            if got is not None:
                 assert got.vars == want.vars and np.array_equal(got.m, want.m)
 
 
@@ -1108,7 +1138,8 @@ def _raw_pack(data, n):
 
 
 def _packed(data, back, n):
-    """A random octagon over a random subset of the n variables (⊥ too)."""
+    """A random octagon over a random subset of the n variables, or None
+    when its constraints are unsatisfiable."""
     vars, m = _raw_pack(data, n)
     return back.close(vars, m)
 
@@ -1123,15 +1154,13 @@ def _full_matrix(vars, m, n):
 
 
 def _full(r, n):
-    """The full-universe matrix of a packed octagon; None for ⊥."""
-    return None if r.is_bot else _full_matrix(r.vars, r.m, n)
+    """The full-universe matrix of a packed octagon; None for None."""
+    return None if r is None else _full_matrix(r.vars, r.m, n)
 
 
 def _full_close(m):
     from concurrel.domains._closure_py import tight_close_inplace
 
-    if m is None:
-        return None
     c = np.array(m)
     return None if tight_close_inplace(c) else c
 
@@ -1144,8 +1173,9 @@ def _same(got, want) -> bool:
 def test_packed_operations_equal_full_universe_ones(request, monkeypatch):
     """On octagons over different variables, the packed closure, join, meet,
     widen, ⊑ and forget give, embedded into the full universe, the
-    matrices and ⊥ verdicts of the full-universe definitions, under the
-    numpy kernel and, where it can be compiled, the C kernel."""
+    matrices and emptiness verdicts of the full-universe definitions, under
+    the numpy kernel and, where it can be compiled, the C kernel.  Only the
+    closure sees unsatisfiable matrices: no other operation takes ⊥."""
     from hypothesis import given, settings, strategies as st
 
     from concurrel.domains import _closure_py
@@ -1161,35 +1191,24 @@ def test_packed_operations_equal_full_universe_ones(request, monkeypatch):
 
         assert _same(ca, _full_close(_full_matrix(va, ma, n)))
         assert _same(cb, _full_close(_full_matrix(vb, mb, n)))
-        if ca is None:
-            want = cb
-        elif cb is None:
-            want = ca
-        else:
-            want = np.maximum(ca, cb)
-        assert _same(_full(back.join(a, b), n), want)
-        met = back.meet(a, b)
-        want = None if ca is None or cb is None else np.minimum(ca, cb)
-        assert _same(_full(met, n), _full_close(want))
-        if ca is None:
-            want = cb
-        elif cb is None:
-            want = ca
-        else:
-            want = np.where(cb <= ca, ca, np.inf)
+        if a is None or b is None:
+            return
+        assert _same(_full(back.join(a, b), n), np.maximum(ca, cb))
+        assert _same(_full(back.meet(a, b), n), _full_close(np.minimum(ca, cb)))
+        want = np.where(cb <= ca, ca, np.inf)
         w = back.widen(a, b)
         assert _same(_full(w, n), _full_close(want))
-        if not w.is_bot:  # the next widening starts from the unclosed matrix
-            raw = _full_matrix(w.vars, w.m if w.widened is None else w.widened, n)
-            assert _same(raw, want)
-            c = _packed(data, back, n)
-            want = raw if c.is_bot else np.where(_full(c, n) <= raw, raw, np.inf)
+        # the next widening starts from the unclosed matrix
+        raw = _full_matrix(w.vars, w.m if w.widened is None else w.widened, n)
+        assert _same(raw, want)
+        c = _packed(data, back, n)
+        if c is not None:
+            want = np.where(_full(c, n) <= raw, raw, np.inf)
             assert _same(_full(back.widen(w, c), n), _full_close(want))
-        want = ca is None or cb is not None and bool((ca <= cb).all())
-        assert back.leq(a, b) == want
+        assert back.leq(a, b) == bool((ca <= cb).all())
         xs = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
-        want = None if ca is None else np.array(ca)
-        for x in xs if want is not None else ():
+        want = np.array(ca)
+        for x in xs:
             want[2 * x : 2 * x + 2, :] = want[:, 2 * x : 2 * x + 2] = np.inf
             want[2 * x, 2 * x] = want[2 * x + 1, 2 * x + 1] = 0.0
         assert _same(_full(back.forget(a, xs), n), want)
@@ -1203,8 +1222,8 @@ def test_packed_operations_equal_full_universe_ones(request, monkeypatch):
 def test_transfer_sequence_is_equal_under_both_kernels(compiled, monkeypatch, intervalize):
     """A fixed sequence of transfers (assign in all four forms, guard, meet,
     join, widen, restrict) gives equal ``(vars, m, widened)`` under the
-    numpy and the C kernel, with ⊥ among them and, on octagons, an
-    unclosed widening."""
+    numpy and the C kernel, with an unsatisfiable result (None) among them
+    and, on octagons, an unclosed widening."""
     from concurrel.domains import _closure_py
 
     def run(module):
@@ -1230,16 +1249,17 @@ def test_transfer_sequence_is_equal_under_both_kernels(compiled, monkeypatch, in
                                             {0: 1, 1: -1}, -3))
         w1 = back.widen(a, step)
         w2 = back.widen(w1, back.join(w1, back.assign_linear(w1, 3, {3: 1}, -2)))
-        w3 = back.widen(w2, back.guard_neq(e, {4: 1}, -7))
+        w3 = back.widen(w2, back.guard_neq(e, {4: 1}, -6))  # x4 = 7 in e: one half is empty
         rs = back.restrict(w3, {0, 1, 3})
         values = [r, g, e, met, bot, j, a, step, w1, w2, w3, rs]
-        return [(v.vars, None if v.is_bot else v.m.tobytes(),
-                 None if v.widened is None else v.widened.tobytes()) for v in values]
+        return [None if v is None else (v.vars, v.m.tobytes(),
+                                        None if v.widened is None else v.widened.tobytes())
+                for v in values]
 
     pure = run(_closure_py)
     assert pure == run(compiled)
-    assert any(m is None for _, m, _ in pure)
-    assert intervalize or any(w is not None for _, _, w in pure)  # intervals close as they are
+    assert None in pure
+    assert intervalize or any(v and v[2] is not None for v in pure)  # intervals close as they are
 
 
 def test_join_returns_the_left_operand_when_the_right_adds_nothing():
@@ -1248,9 +1268,9 @@ def test_join_returns_the_left_operand_when_the_right_adds_nothing():
     rng = Random(51)
     shared = 0
     for _ in range(200):
-        a = random_relation(dom, rng).num
-        b = back.meet(a, random_relation(dom, rng).num)  # b ⊑ a
-        if back.is_bot(a) or back.is_bot(b):
+        a = satisfiable_relation(dom, rng).num
+        b = back.meet(a, satisfiable_relation(dom, rng).num)  # b ⊑ a
+        if b is None:
             continue
         assert back.join(a, b) is a
         assert back.join(b, b) is b
@@ -1276,25 +1296,27 @@ def test_eqconst_join_equals_the_pairwise_definition():
     rng = Random(52)
     dom = make_domain("eqconst")
     for _ in range(300):
-        a, b = random_relation(dom, rng).num, random_relation(dom, rng).num
+        a, b = satisfiable_relation(dom, rng).num, satisfiable_relation(dom, rng).num
         assert _eq_form(dom.nb.join(a, b)) == _eq_form(pairwise_eq_join(dom.nb, a, b))
 
 
 def _eq_form(r):
-    """An eqconst value's (bot, rep items, consts items), after checking it
-    is canonical: both maps are in increasing key order, each representative
+    """An eqconst value's (rep items, consts items), after checking it is
+    canonical: both maps are in increasing key order, each representative
     is the least member of its class, every listed variable shares its
     class or has a constant, constants sit on representatives, and no two
-    classes share a constant."""
+    classes share a constant.  None for None (an unsatisfiable result)."""
     from collections import Counter
 
+    if r is None:
+        return None
     size = Counter(r.rep.values())
     assert list(r.rep) == sorted(r.rep) and list(r.consts) == sorted(r.consts)
     assert all(rx <= x and r.rep[rx] == rx for x, rx in r.rep.items())
     assert all(size[rx] > 1 or rx in r.consts for rx in r.rep.values())
     assert all(r.rep.get(x) == x for x in r.consts)
     assert len(set(r.consts.values())) == len(r.consts)
-    return r.bot, tuple(r.rep.items()), tuple(r.consts.items())
+    return tuple(r.rep.items()), tuple(r.consts.items())
 
 
 def test_eqconst_commuting_operations_give_one_canonical_form():
@@ -1306,7 +1328,7 @@ def test_eqconst_commuting_operations_give_one_canonical_form():
     dom = make_domain("eqconst")
     nb, names = dom.nb, dom.universe.int_vars
     for _ in range(300):
-        a, b = random_relation(dom, rng), random_relation(dom, rng)
+        a, b = satisfiable_relation(dom, rng), satisfiable_relation(dom, rng)
         assert _eq_form(nb.meet(a.num, b.num)) == _eq_form(nb.meet(b.num, a.num))
         assert _eq_form(nb.join(a.num, b.num)) == _eq_form(nb.join(b.num, a.num))
         guards = [Cmp("==", Var(rng.choice(names)),
@@ -1326,19 +1348,20 @@ _LATTICE_OPS = ("join", "widen", "meet", "leq")
 def _recipe(data, maker):
     """A relation to build in some domain: a numeric value made by ``maker``
     (a packed octagon from ``_packed`` or the end of a random transfer
-    sequence; widened by another one or not) and thread-id sets for
-    ``self`` and ``t``, ⊤ included."""
+    sequence; widened by another one or not; None for ⊥) and thread-id
+    sets for ``self`` and ``t``, ⊤ included."""
     from hypothesis import strategies as st
     from concurrel.domains.values import TID_TOP
 
-    def num():
+    def rel():
         if maker.numeric == "octagon" and data.draw(st.booleans()):
-            return _packed(data, maker.nb, len(maker.universe.int_vars))
-        return random_relation(maker, Random(data.draw(st.integers(0, 9999)))).num
+            return maker._mk(_packed(data, maker.nb, len(maker.universe.int_vars)), {})
+        return random_relation(maker, Random(data.draw(st.integers(0, 9999))))
 
-    n = num()
+    r = rel()
     if data.draw(st.booleans()):
-        n = maker.nb.widen(n, num())
+        r = maker.widen(r, rel())
+    n = r.num
     sets = (TID_TOP, frozenset({"t1"}), frozenset({"t2"}), frozenset({"t1", "t2"}))
     return n, {v: data.draw(st.sampled_from(sets)) for v in ("self", "t")}
 
@@ -1391,11 +1414,11 @@ def test_relations_built_from_equal_representations_are_one_object():
     from concurrel.domains.octagon import OctRel
 
     def copy(num):
+        if num is None:  # ⊥
+            return None
         if isinstance(num, EqRel):  # built again, from both maps reversed
-            if num.bot:
-                return num
             return _canon(reversed(list(num.rep.items())), reversed(list(num.consts.items())))
-        return OctRel(num.vars, None if num.m is None else np.array(num.m),
+        return OctRel(num.vars, np.array(num.m),
                       None if num.widened is None else np.array(num.widened))
 
     def reordered(tids):
@@ -1466,7 +1489,9 @@ def test_packed_eqconst_agrees_with_the_full_universe_reference():
     """Random transfer sequences, run step for step through the packed
     backend and through the full-universe one it replaced
     (``eqconst_reference``), render alike, and the two agree on ⊑ both ways
-    between any two of the values, and on their meets and joins."""
+    between any two satisfiable values, and on their meets and joins.  The
+    packed backend's None (an unsatisfiable result) is the reference's ⊥,
+    and ends its sequence."""
     from eqconst_reference import EqBackend as RefBackend, EqRel as RefRel
 
     from concurrel.domains.eqconst import EqBackend
@@ -1485,7 +1510,12 @@ def test_packed_eqconst_agrees_with_the_full_universe_reference():
                 r = nb.set_interval(r, *args)
             else:
                 r = getattr(nb, op)(r, *args)
+            if r is None:
+                break
         return r
+
+    def render(r):
+        return ["⊥"] if r is None else new.render(r, names)
 
     pairs = []
     for _ in range(300):
@@ -1509,13 +1539,15 @@ def test_packed_eqconst_agrees_with_the_full_universe_reference():
                 ("restrict", rng.sample(range(n), rng.randint(0, n))),
             ]))
         a, b = run(new), run(ref)
-        assert new.render(a, names) == ref.render(b, names)
+        assert render(a) == ref.render(b, names)
+        if a is None:
+            continue
         assert new.support(a) == ref.support(b)
-        full = RefRel(tuple(a.rep.get(i, i) for i in range(n)), dict(a.consts), a.bot)
+        full = RefRel(tuple(a.rep.get(i, i) for i in range(n)), dict(a.consts))
         assert ref.leq(full, b) and ref.leq(b, full)
         pairs.append((a, b))
     for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
         assert new.leq(a1, a2) == ref.leq(b1, b2) and new.leq(a2, a1) == ref.leq(b2, b1)
         for op in ("meet", "join", "widen"):
             got, want = getattr(new, op)(a1, a2), getattr(ref, op)(b1, b2)
-            assert new.render(got, names) == ref.render(want, names), op
+            assert render(got) == ref.render(want, names), op

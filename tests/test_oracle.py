@@ -44,6 +44,24 @@ def test_two_independent_one_step_threads_two_interleavings():
             for rs in ex.reachable if rs.point == exit_point} == {1, 2}
 
 
+def test_a_state_reached_twice_is_explored_once():
+    """The ``lock(a)`` detour of ``x == 0`` comes back to the thread and
+    shared state that the direct path reaches; the second pop of that state
+    is skipped, so no state is counted twice (28 without the check)."""
+    p = parse_program("mutex a, b;\n"
+                      "thread main {\n"
+                      "  lock(a); unlock(a);\n"
+                      "  x = ?;\n"
+                      "  if (x == 0) { lock(a); unlock(a); }\n"
+                      "  x = 0;\n"
+                      "  y = 1;\n"
+                      "  lock(b); unlock(b);\n"
+                      "}")
+    ex = explore(p)
+    assert not ex.truncated
+    assert (ex.states, ex.schedules) == (27, 1)
+
+
 def test_fig_ex0_reaches_both_write_orders():
     p = load("fig_ex0")
     ex = explore(p)
