@@ -4,11 +4,14 @@
     python benchmarks/bench_closure.py [--sizes 1,2,3,4,5] [--repeat 50]
 
 The kernel has one entry point per octagon operation (the header of
-``src/concurrel/domains/_closure.c`` lists them), and each ``OctBackend``
-operation makes one call for its matrix work.  Per entry point and pack
-size, the table gives the time of one call under each kernel; the compiled
-one is built, or loaded from its cache, as the package's first import does
-(``concurrel.domains._build``).  The closure, ``tight_close_inplace``, runs
+``src/concurrel/domains/_closure.c`` lists them).  ``leq``, ``join``,
+``meet`` and ``widen`` take two matrices of one size, timed here on two
+packs over the same variables; ``OctBackend`` first ``pack``s an operand
+over other variables, so such an operation costs one more ``pack`` call per
+operand it aligns.  ``pack`` and ``bound`` read a gather map.  Per entry
+point and pack size, the table gives the time of one call under each
+kernel; the compiled one is built, or loaded from its cache, as the
+package's first import does (``concurrel.domains._build``).  The closure, ``tight_close_inplace``, runs
 only on a fresh raw matrix, the one path from a raw matrix to a value; on
 the generated benchmark programs it is about 1% of an analysis.  Its time
 here includes the copy of its input.  Octagons are packed to the variables

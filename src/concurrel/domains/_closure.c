@@ -12,21 +12,22 @@
  * A matrix that breaks the contract, and a malformed map or entry list,
  * raise ValueError.  ``_build.py`` compiles this file on first import.
  *
- * A gather map ``pos`` (a sequence of ints, or None) puts a matrix over
- * other variables: target variable u reads the variable pos[u] of the
- * matrix, or is unconstrained when pos[u] is -1.  None keeps the matrix as
- * it is.  One map both embeds a pack into a larger set of variables and
- * projects it onto a smaller one.  The binary entry points take an optional
- * map per operand, onto one target.
+ * The binary entry points take two matrices of one size, over the same
+ * variables; the caller aligns its operands first, with ``pack``.  Only
+ * ``pack`` and ``bound`` read a gather map ``pos`` (a sequence of ints, or
+ * None), which puts a matrix over other variables: target variable u reads
+ * the variable pos[u] of the matrix, or is unconstrained when pos[u] is -1.
+ * None keeps the matrix as it is.  One map both embeds a pack into a larger
+ * set of variables and projects it onto a smaller one.
  *
  *   tight_close_inplace(m) -> 0, or 1 when m is unsatisfiable
- *   leq(a, b[, pa, pb])    -> every entry of a <= that of b
- *   join(a, b[, pa, pb])   -> a itself when no map is given and b <= a,
- *                             else a fresh entrywise maximum
- *   meet(a, b[, pa, pb])   -> a itself when the entrywise minimum equals a,
+ *   leq(a, b)              -> every entry of a <= that of b
+ *   join(a, b)             -> a itself when b <= a, else a fresh entrywise
+ *                             maximum
+ *   meet(a, b)             -> a itself when the entrywise minimum equals a,
  *                             else b itself when it equals b, else a fresh
  *                             (unclosed) minimum
- *   widen(a, b[, pa, pb])  -> a itself when b <= a, else a fresh matrix of
+ *   widen(a, b)            -> a itself when b <= a, else a fresh matrix of
  *                             the entries of a that b keeps, +inf elsewhere
  *   pack(m, pos)           -> a fresh gathered m
  *   bound(m, pos, entries) -> a fresh gathered m, then each (i, j, c) of the
@@ -242,73 +243,6 @@ done:
     return out;
 }
 
-/* Two operands over one target of ``k`` variables: ``x`` and ``y`` point at
-   their buffers, or at gathered copies (``own``) when a map is given. */
-typedef struct {
-    Matrix a, b;
-    double *x, *y;
-    double *own;
-    Py_ssize_t k;
-    int mapped;
-} Pair;
-
-static int
-get_pair(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name)
-{
-    memset(p, 0, sizeof *p);
-    if (nargs != 2 && nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 or 4 arguments (%zd given)", name, nargs);
-        return -1;
-    }
-    if (get_matrix(args[0], &p->a, 0) < 0 || get_matrix(args[1], &p->b, 0) < 0)
-        return -1;
-    Py_ssize_t *pa = NULL, *pb = NULL;
-    Py_ssize_t ka = p->a.k, kb = p->b.k;
-    if (nargs == 4) {
-        if ((ka = get_pos(args[2], p->a.k, &pa)) < 0)
-            return -1;
-        if ((kb = get_pos(args[3], p->b.k, &pb)) < 0) {
-            PyMem_Free(pa);
-            return -1;
-        }
-    }
-    int status = 0;
-    p->k = ka;
-    p->mapped = pa != NULL || pb != NULL;
-    p->x = p->a.view.buf;
-    p->y = p->b.view.buf;
-    if (ka != kb) {
-        PyErr_SetString(PyExc_ValueError, "the operands must have one size over the target");
-        status = -1;
-    }
-    else if (p->mapped) {
-        Py_ssize_t size = 4 * ka * ka;
-        p->own = PyMem_Malloc((2 * size > 0 ? 2 * size : 1) * sizeof(double));
-        if (p->own == NULL) {
-            PyErr_NoMemory();
-            status = -1;
-        }
-        else {
-            if (pa != NULL)
-                gather(p->x = p->own, ka, p->a.view.buf, p->a.k, pa);
-            if (pb != NULL)
-                gather(p->y = p->own + size, ka, p->b.view.buf, p->b.k, pb);
-        }
-    }
-    PyMem_Free(pa);
-    PyMem_Free(pb);
-    return status;
-}
-
-static void
-put_pair(Pair *p)
-{
-    PyMem_Free(p->own);
-    p->own = NULL;
-    put_matrix(&p->a);
-    put_matrix(&p->b);
-}
-
 static int
 check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
 {
@@ -316,6 +250,38 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
         return 1;
     PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, n, nargs);
     return 0;
+}
+
+/* Two operands of one size: ``x`` and ``y`` point at their buffers. */
+typedef struct {
+    Matrix a, b;
+    double *x, *y;
+    Py_ssize_t k;
+} Pair;
+
+static int
+get_pair(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name)
+{
+    memset(p, 0, sizeof *p);
+    if (!check_nargs(name, nargs, 2))
+        return -1;
+    if (get_matrix(args[0], &p->a, 0) < 0 || get_matrix(args[1], &p->b, 0) < 0)
+        return -1;
+    if (p->a.k != p->b.k) {
+        PyErr_SetString(PyExc_ValueError, "the operands must have one size");
+        return -1;
+    }
+    p->x = p->a.view.buf;
+    p->y = p->b.view.buf;
+    p->k = p->a.k;
+    return 0;
+}
+
+static void
+put_pair(Pair *p)
+{
+    put_matrix(&p->a);
+    put_matrix(&p->b);
 }
 
 /* -- entry points -- */
@@ -354,14 +320,12 @@ join(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (get_pair(&p, args, nargs, "join") < 0)
         goto done;
     Py_ssize_t n = 4 * p.k * p.k;
-    if (!p.mapped) {
-        int le = 1;
-        for (Py_ssize_t i = 0; i < n && le; i++)
-            le = p.y[i] <= p.x[i];
-        if (le) {
-            result = Py_NewRef(args[0]);
-            goto done;
-        }
+    int le = 1;
+    for (Py_ssize_t i = 0; i < n && le; i++)
+        le = p.y[i] <= p.x[i];
+    if (le) {
+        result = Py_NewRef(args[0]);
+        goto done;
     }
     double *out;
     result = new_matrix(2 * p.k, &out);
@@ -523,10 +487,10 @@ shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"tight_close_inplace", tight_close_inplace, METH_O,
      "tight_close_inplace(m) -> 0, or 1 when m is unsatisfiable"},
-    {"leq", (PyCFunction)(void (*)(void))leq, METH_FASTCALL, "leq(a, b[, pa, pb]) -> bool"},
-    {"join", (PyCFunction)(void (*)(void))join, METH_FASTCALL, "join(a, b[, pa, pb]) -> a or a fresh maximum"},
-    {"meet", (PyCFunction)(void (*)(void))meet, METH_FASTCALL, "meet(a, b[, pa, pb]) -> a, b or a fresh minimum"},
-    {"widen", (PyCFunction)(void (*)(void))widen, METH_FASTCALL, "widen(a, b[, pa, pb]) -> a or a fresh matrix"},
+    {"leq", (PyCFunction)(void (*)(void))leq, METH_FASTCALL, "leq(a, b) -> bool"},
+    {"join", (PyCFunction)(void (*)(void))join, METH_FASTCALL, "join(a, b) -> a or a fresh maximum"},
+    {"meet", (PyCFunction)(void (*)(void))meet, METH_FASTCALL, "meet(a, b) -> a, b or a fresh minimum"},
+    {"widen", (PyCFunction)(void (*)(void))widen, METH_FASTCALL, "widen(a, b) -> a or a fresh matrix"},
     {"pack", (PyCFunction)(void (*)(void))pack, METH_FASTCALL, "pack(m, pos) -> fresh gathered matrix"},
     {"bound", (PyCFunction)(void (*)(void))bound, METH_FASTCALL, "bound(m, pos, entries) -> fresh matrix"},
     {"shift", (PyCFunction)(void (*)(void))shift, METH_FASTCALL, "shift(m, k, c, neg) -> fresh matrix"},

@@ -11,9 +11,11 @@ read-only.
 
 A matrix is a square C-contiguous float64 matrix of even size 2k over k
 variables; entry m[i][j] bounds v_j − v_i, with +inf for "no bound" (-inf
-and -0.0 never appear).  A gather map ``pos`` puts a matrix over other variables:
-target variable u reads variable ``pos[u]`` of the matrix, or is
-unconstrained when it is −1; None keeps the matrix as it is.
+and -0.0 never appear).  The binary entry points (``leq``, ``join``,
+``meet``, ``widen``) take two matrices of one size, over the same variables.
+Only ``pack`` and ``bound`` read a gather map ``pos``, which puts a matrix
+over other variables: target variable u reads variable ``pos[u]`` of the
+matrix, or is unconstrained when it is −1; None keeps the matrix as it is.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ def _gather_indices(pos: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
 
-def _gathered(m: np.ndarray, pos) -> np.ndarray:
-    """``m`` over the target of ``pos``; ``m`` itself for None."""
+def _copy(m: np.ndarray, pos) -> np.ndarray:
+    """A fresh writable ``m`` over the target of ``pos``."""
     if pos is None:
-        return m
+        return np.array(m)
     src, dst = _gather_indices(tuple(pos))
     if len(dst) == 2 * len(pos):  # a projection
         return m.take(src, 0).take(src, 1)
@@ -108,47 +110,36 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def leq(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> bool:
+def leq(a: np.ndarray, b: np.ndarray) -> bool:
     """Is every entry of ``a`` at most that of ``b``?"""
-    return bool((_gathered(a, pa) <= _gathered(b, pb)).all())
+    return bool((a <= b).all())
 
 
-def join(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
-    """``a`` itself when no map is given and ``b`` ≤ ``a``; else a fresh
-    entrywise maximum."""
-    if pa is None and pb is None:
-        if (b <= a).all():
-            return a
-        return _frozen(np.maximum(a, b))
-    return _frozen(np.maximum(_gathered(a, pa), _gathered(b, pb)))
+def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` itself when ``b`` ≤ ``a``; else a fresh entrywise maximum."""
+    if (b <= a).all():
+        return a
+    return _frozen(np.maximum(a, b))
 
 
-def meet(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
+def meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a`` itself when the entrywise minimum equals ``a``, else ``b``
     itself when it equals ``b``, else a fresh (unclosed) minimum."""
-    ga, gb = _gathered(a, pa), _gathered(b, pb)
-    m = np.minimum(ga, gb)
-    if (m == ga).all():
+    m = np.minimum(a, b)
+    if (m == a).all():
         return a
-    if (m == gb).all():
+    if (m == b).all():
         return b
     return m
 
 
-def widen(a: np.ndarray, b: np.ndarray, pa=None, pb=None) -> np.ndarray:
+def widen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a`` itself when ``b`` ≤ ``a``; else a fresh matrix of the entries
     of ``a`` that ``b`` keeps, +inf elsewhere."""
-    ga = _gathered(a, pa)
-    stable = _gathered(b, pb) <= ga
+    stable = b <= a
     if stable.all():
         return a
-    return _frozen(np.where(stable, ga, np.inf))
-
-
-def _copy(m: np.ndarray, pos) -> np.ndarray:
-    """A fresh writable ``m`` over the target of ``pos``."""
-    out = _gathered(m, pos)
-    return np.array(m) if out is m else out
+    return _frozen(np.where(stable, a, np.inf))
 
 
 def pack(m: np.ndarray, pos) -> np.ndarray:

@@ -167,9 +167,7 @@ class EqBackend:
             return r
         return self.restrict(r, set(r.rep).difference(xs))
 
-    def set_interval(self, r: EqRel, x: int, lo: float, hi: float) -> EqRel | None:
-        if lo > hi:
-            return None
+    def set_interval(self, r: EqRel, x: int, lo: float, hi: float) -> EqRel:
         f = self.forget(r, [x])
         if lo != hi or not _printable(int(lo)):
             return f

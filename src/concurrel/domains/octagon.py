@@ -30,17 +30,19 @@ chains terminate (Miné, HOSC 2006), and no other operation does.  ``join``,
 right one, when the other operand adds nothing, so callers can skip values
 that are the same object.
 
-The matrix work of each operation is one call into the kernel, whose entry
+The matrix work of each operation is done by the kernel, whose entry
 points are listed in the header of ``_closure.c``: ``leq``, ``join``,
-``meet``, ``widen``, ``pack`` (embed a pack into other variables or project
-it onto some), ``bound`` (a gathered copy plus the entries of new bounds) and
-``shift`` (``x := ±x + c``), and the full tight closure
-``tight_close_inplace(m)``, which every closure runs.  An ``OctRel``'s
-matrices are read-only: ``close`` makes the matrix it closed read-only, and
-the kernel hands back the other fresh matrices read-only (all but those of
-``meet`` and ``bound``, which ``close`` takes).  This module keeps the
-variable bookkeeping: it turns the variables of two packs into the gather
-maps the kernel reads.  There are two kernels with one contract: the
+``meet`` and ``widen`` on two matrices of one size, ``pack`` (embed a pack
+into other variables or project it onto some), ``bound`` (a gathered copy
+plus the entries of new bounds) and ``shift`` (``x := ±x + c``), and the
+full tight closure ``tight_close_inplace(m)``, which every closure runs.  An
+``OctRel``'s matrices are read-only: ``close`` makes the matrix it closed
+read-only, and the kernel hands back the other fresh matrices read-only (all
+but those of ``meet`` and ``bound``, which ``close`` takes).  This module
+keeps the variable bookkeeping: it turns the variables of two packs into
+the gather maps that ``pack`` and ``bound`` read, and ``_over`` aligns the
+operands of a binary operation with ``pack`` when their variables differ.
+There are two kernels with one contract: the
 hand-written C extension ``_closure.c``, which ``_build.load_compiled``
 compiles into the package's ``__pycache__/`` on the first import, and its
 numpy twin ``_closure_py`` when that build or load fails or when
@@ -108,6 +110,12 @@ def _pos(src: tuple[int, ...], dst: tuple[int, ...], drop: int = -1) -> tuple[in
     the pack index in ``src`` of each variable of ``dst``, or −1 for one
     that ``src`` leaves unconstrained (and for ``drop``)."""
     return tuple(src.index(x) if x in src and x != drop else -1 for x in dst)
+
+
+def _over(m: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """The matrix ``m`` of a pack over ``src`` as one over ``dst``: ``m``
+    itself when they are the same, else its ``pack``."""
+    return m if src == dst else _kernel.pack(m, _pos(src, dst))
 
 
 def _entries(vars: tuple[int, ...], constraints) -> list:
@@ -184,10 +192,8 @@ class OctBackend:
         return r.vars, r.m.tobytes(), None if r.widened is None else r.widened.tobytes()
 
     def leq(self, a: OctRel, b: OctRel) -> bool:
-        if a.vars == b.vars:
-            return _kernel.leq(a.m, b.m)
         vars = _union(a.vars, b.vars)
-        return _kernel.leq(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
+        return _kernel.leq(_over(a.m, a.vars, vars), _over(b.m, b.vars, vars))
 
     def meet(self, a: OctRel, b: OctRel) -> OctRel | None:
         if not b.vars:  # ⊤
@@ -195,13 +201,11 @@ class OctBackend:
         if not a.vars:
             return b
         vars = _union(a.vars, b.vars)
-        if a.vars == b.vars:
-            m = _kernel.meet(a.m, b.m)
-        else:
-            m = _kernel.meet(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
-        if m is a.m:
+        am, bm = _over(a.m, a.vars, vars), _over(b.m, b.vars, vars)
+        m = _kernel.meet(am, bm)
+        if m is am:
             return a
-        if m is b.m:
+        if m is bm:
             return b
         return self.close(vars, m)
 
@@ -214,7 +218,7 @@ class OctBackend:
         if self.leq(b, a):
             return a
         vars = _shared(a.vars, b.vars)
-        return OctRel(vars, _kernel.join(a.m, b.m, _pos(a.vars, vars), _pos(b.vars, vars)))
+        return OctRel(vars, _kernel.join(_over(a.m, a.vars, vars), _over(b.m, b.vars, vars)))
 
     def widen(self, a: OctRel, b: OctRel) -> OctRel | None:
         """Keep the bounds of ``a`` that ``b`` keeps, drop the others.  The
@@ -223,18 +227,14 @@ class OctBackend:
         already closed.
 
         Returns ``a`` itself when every bound is stable."""
-        am = a.m if a.widened is None else a.widened
         # a variable of one operand only is unconstrained in the result
         vars = _union(a.vars, b.vars)
-        if a.vars == b.vars:
-            m = _kernel.widen(am, b.m)
-        else:
-            m = _kernel.widen(am, b.m, _pos(a.vars, vars), _pos(b.vars, vars))
+        am = _over(a.m if a.widened is None else a.widened, a.vars, vars)
+        m = _kernel.widen(am, _over(b.m, b.vars, vars))
         if m is am:
             return a
         keep = _shared(a.vars, b.vars)
-        if keep != vars:
-            m = _kernel.pack(m, _pos(vars, keep))
+        m = _over(m, vars, keep)
         c = self.close(keep, np.array(m))
         if c is None or _kernel.leq(c.m, m) and _kernel.leq(m, c.m):  # closed already
             return c
@@ -292,10 +292,9 @@ class OctBackend:
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
         return self._pack(r, tuple(x for x in r.vars if x in keep))
 
-    def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel | None:
-        """Assign the abstract value [lo, hi] to x (forget, then bound)."""
-        if lo > hi:
-            return None
+    def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel:
+        """Assign the abstract value [lo, hi] (lo ≤ hi) to x (forget, then
+        bound)."""
         if lo == -INF and hi == INF:
             return self.forget(r, [x])
         return self._bounded(r, [({x: 1}, hi), ({x: -1}, -lo)], drop=x)

@@ -93,7 +93,7 @@ class NumericBackend(Protocol):
     """What ``RelDomain`` uses of a numeric component over the variables
     0..n-1, whose immutable values it never inspects.  Every operand is
     satisfiable, and an operation that finds its result unsatisfiable
-    (``meet``, the guards, ``set_interval`` with lo > hi) returns None.
+    (``meet``, the guards) returns None.  ``set_interval`` takes lo ≤ hi.
     ``guard_*`` refine by ``sum(coeffs[i]·x_i) + const ⋈ 0``,
     over-approximating where inexact.  ``support`` lists the variables a
     value may constrain.  ``contains`` is batched: ``vals`` is a 2-D array

@@ -108,13 +108,20 @@ _TOO_DEEP_STMT = "statement nested deeper than 100 levels"
     ("global g;\nmutex m_g;\nthread main { }",
      "2:7", "mutex name 'm_g' is reserved for implicit atomicity mutexes"),
     (f"thread main {{ x = {'9' * 4301}; }}", "1:19", "integer literal of 4301 digits is too long"),
+    ("thread main { x = 1 $ 2; }", "1:21", "unexpected character '$'"),
+    ("thread main { x = 1 }", "1:21", "expected ';', found '}'"),
+    ("global g; lock a;", "1:11", "expected declaration or 'thread', found 'lock'"),
+    ("thread main { if (x) { } }", "1:20", "expected comparison operator"),
+    ("thread main { self = 1; }", "1:15", "'self' is reserved"),
 ], ids=["create-to-global", "join-to-global", "self-sum", "self-copy", "self-guard",
         "self-assert", "self-return", "sum-400", "sum-3000", "parens-1500", "ifs-500",
         "whiles-101",
         "join-int-local", "join-global", "join-unassigned", "ret-copy", "ret-guard",
         "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
         "global-twice", "mutex-twice", "protect-twice", "protect-unknown-global",
-        "protect-unknown-mutex", "mutex-reserved", "literal-4301-digits"])
+        "protect-unknown-mutex", "mutex-reserved", "literal-4301-digits",
+        "bad-character", "missing-semicolon", "statement-at-top-level",
+        "guard-without-comparison", "assign-to-self"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"
     f.write_text(src)
@@ -212,10 +219,15 @@ def test_compare_bad_presets_exit_2_before_analyzing(capsys, monkeypatch, preset
 
 
 def test_conflicting_flags_exit_2(capsys):
-    code, _, err = run_cli(capsys, "run", corpus_path("joins"), "--preset", "tids",
-                           "--lock-once")
-    assert code == 2
-    assert "lock-once digest is only supported in base mode" in err
+    for program, flags, message in [
+        ("joins", ("--preset", "tids", "--lock-once"),
+         "lock-once digest is only supported in base mode"),
+        ("ancestor", ("--preset", "octagon", "--exclude-ancestor-writes"),
+         "concurrel: --exclude-ancestor-writes needs thread ids (tids/clusters)"),
+    ]:
+        code, _, err = run_cli(capsys, "run", corpus_path(program), *flags)
+        assert code == 2
+        assert message in err
 
 
 def test_usage_error_exit_2():

@@ -164,6 +164,40 @@ def test_bare_global_reads_are_sound(config):
     assert report.clean and report.checked_states == 36, report.witnesses[:3]
 
 
+# asserts over sums and differences of globals, whose reads lowering hoists
+# out of the expression, and assignments of non-linear sub-expressions
+GLOBAL_ARITHMETIC = """
+global g, h; mutex a; protect g with a; protect h with a;
+thread main {
+  x = create(t1);
+  z = ?; y = z * z + 1; w = (z * z) * 2 - 1;
+  assert(y >= 1); assert(w >= 0 - 1);
+  lock(a); g = z; t = z + 1; h = t; assert(h - g == 1); assert(g + h <= 2 * h); unlock(a);
+}
+thread t1 { lock(a); g = 5; h = 6; assert(h - g == 1); unlock(a); }
+"""
+
+
+@pytest.mark.parametrize("config, expected", [
+    ("interval", ["UNKNOWN"] * 4 + ["PROVEN"]),
+    ("octagon", ["UNKNOWN"] * 2 + ["PROVEN"] * 3),
+    ("tids", ["UNKNOWN"] * 2 + ["PROVEN"] * 3),
+    ("clusters", ["UNKNOWN"] * 2 + ["PROVEN"] * 3),
+])
+def test_arithmetic_over_globals_in_asserts(config, expected):
+    """A non-linear right-hand side forgets its target, so its asserts stay
+    UNKNOWN; the relational domains prove the asserts over two globals
+    protected by one mutex, which intervals cannot."""
+    program = parse_program(GLOBAL_ARITHMETIC)
+    exploration = explore(program)
+    assert not exploration.truncated_by
+    res = run_analysis(program, CONFIGS[config])
+    verdicts = check_asserts(res)
+    assert [v.verdict for v in verdicts] == expected
+    report = checked(res, exploration, verdicts)
+    assert report.clean and report.checked_states > 0, report.witnesses[:3]
+
+
 # -- mutation sensitivity: each broken right-hand side must produce a witness --
 
 def test_mutation_dropped_unlock_side_effect(monkeypatch, programs, explorations):
