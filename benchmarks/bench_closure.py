@@ -6,13 +6,14 @@
 The kernel has one entry point per octagon operation (the header of
 ``src/concurrel/domains/_closure.c`` lists them).  ``leq``, ``join``,
 ``meet`` and ``widen`` take two matrices of one size, timed here on two
-packs over the same variables; ``OctBackend`` first ``pack``s an operand
-over other variables, so such an operation costs one more ``pack`` call per
-operand it aligns.  ``pack`` and ``bound`` read a gather map.  Per entry
-point and pack size, the table gives the time of one call under each
-kernel; the compiled one is built, or loaded from its cache, as the
-package's first import does (``concurrel.domains._build``).  The closure, ``tight_close_inplace``, runs
-only on a fresh raw matrix, the one path from a raw matrix to a value; on
+packs over the same variables; ``OctBackend`` first gathers an operand over
+other variables with ``bound`` and no entries, so such an operation costs
+one more call per operand it aligns.  Only ``bound`` reads a gather map; the
+``gather`` row times it with no entries, as a projection.  Per entry point
+and pack size, the table gives the time of one call under each kernel; the
+compiled one is built, or loaded from its cache, as the package's first
+import does (``concurrel.domains._build``).  The closure,
+``tight_close_inplace``, runs only on a fresh raw matrix, the one path from a raw matrix to a value; on
 the generated benchmark programs it is about 1% of an analysis.  Its time
 here includes the copy of its input.  Octagons are packed to the variables
 they constrain, so the default sizes are the pack sizes the analyses use
@@ -55,7 +56,7 @@ def closed_dbm(rng: np.random.Generator, n: int, close) -> np.ndarray:
             return m
 
 
-ENTRY_POINTS = ("tight_close_inplace", "leq", "join", "meet", "widen", "pack", "bound", "shift")
+ENTRY_POINTS = ("tight_close_inplace", "leq", "join", "meet", "widen", "gather", "bound", "shift")
 
 
 def calls(kernel, n: int, rng: np.random.Generator) -> dict:
@@ -72,7 +73,7 @@ def calls(kernel, n: int, rng: np.random.Generator) -> dict:
         out["join"].append(lambda a=a, b=b: kernel.join(a, b))
         out["meet"].append(lambda a=a, b=b: kernel.meet(a, b))
         out["widen"].append(lambda a=a, b=b: kernel.widen(a, b))
-        out["pack"].append(lambda a=a, p=project: kernel.pack(a, p))
+        out["gather"].append(lambda a=a, p=project: kernel.bound(a, p, ()))
         out["bound"].append(lambda a=a, p=embed, e=entries: kernel.bound(a, p, e))
         out["shift"].append(lambda a=a: kernel.shift(a, 0, 3, True))
     return out

@@ -63,7 +63,7 @@ class BaseAnalysis:
         self.dom = dom
         self.protections = protections
         self.clusters = clusters
-        self.locals = frozenset(locals_) | {"self"}
+        self.locals = frozenset(locals_)
         self.mutexes = sorted(clusters)
         self.spec = spec
 

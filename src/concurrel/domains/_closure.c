@@ -6,19 +6,19 @@
  * C-contiguous float64 matrix of even size 2k over k variables, whose entry
  * m[i][j] bounds v_j - v_i (+inf for "no bound"; -inf never appears).
  * ``tight_close_inplace`` needs a writable matrix; every other entry point
- * only reads its matrices and returns a fresh one or one of its arguments.
- * The fresh matrix of ``meet`` or ``bound`` is writable, for the caller to
- * close in place; that of every other entry point is read-only.
- * A matrix that breaks the contract, and a malformed map or entry list,
- * raise ValueError.  ``_build.py`` compiles this file on first import.
+ * only reads its matrices and returns a fresh, writable one or one of its
+ * arguments.  The caller owns a fresh matrix: it may close it in place, and
+ * it makes it read-only when a value keeps it.  A matrix that breaks the
+ * contract, and a malformed map or entry list, raise ValueError.
+ * ``_build.py`` compiles this file on first import.
  *
  * The binary entry points take two matrices of one size, over the same
- * variables; the caller aligns its operands first, with ``pack``.  Only
- * ``pack`` and ``bound`` read a gather map ``pos`` (a sequence of ints, or
- * None), which puts a matrix over other variables: target variable u reads
- * the variable pos[u] of the matrix, or is unconstrained when pos[u] is -1.
- * None keeps the matrix as it is.  One map both embeds a pack into a larger
- * set of variables and projects it onto a smaller one.
+ * variables; the caller aligns its operands first, with ``bound`` and no
+ * entries.  Only ``bound`` reads a gather map ``pos`` (a sequence of ints,
+ * or None), which puts a matrix over other variables: target variable u
+ * reads the variable pos[u] of the matrix, or is unconstrained when pos[u]
+ * is -1.  None keeps the matrix as it is.  One map both embeds a pack into a
+ * larger set of variables and projects it onto a smaller one.
  *
  *   tight_close_inplace(m) -> 0, or 1 when m is unsatisfiable
  *   leq(a, b)              -> every entry of a <= that of b
@@ -29,7 +29,6 @@
  *                             (unclosed) minimum
  *   widen(a, b)            -> a itself when b <= a, else a fresh matrix of
  *                             the entries of a that b keeps, +inf elsewhere
- *   pack(m, pos)           -> a fresh gathered m
  *   bound(m, pos, entries) -> a fresh gathered m, then each (i, j, c) of the
  *                             flat entry list sets m[i][j] and m[j^1][i^1]
  *                             to their minimum with c, in order
@@ -205,19 +204,6 @@ new_matrix(Py_ssize_t n2, double **data)
     return arr;
 }
 
-/* ``result``, read-only when it is a fresh matrix. */
-static PyObject *
-frozen(PyObject *result, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (result == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < nargs; i++)
-        if (result == args[i])
-            return result;
-    PyArray_CLEARFLAGS((PyArrayObject *)result, NPY_ARRAY_WRITEABLE);
-    return result;
-}
-
 /* The gathered matrix ``obj`` over ``pos`` as a fresh array; the unary
    entry points start from it. */
 static PyObject *
@@ -334,7 +320,7 @@ join(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             out[i] = p.x[i] > p.y[i] ? p.x[i] : p.y[i];
 done:
     put_pair(&p);
-    return frozen(result, args, nargs);
+    return result;
 }
 
 static PyObject *
@@ -386,17 +372,7 @@ widen(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             out[i] = p.y[i] <= p.x[i] ? p.x[i] : INFINITY;
 done:
     put_pair(&p);
-    return frozen(result, args, nargs);
-}
-
-static PyObject *
-pack(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (!check_nargs("pack", nargs, 2))
-        return NULL;
-    double *out;
-    Py_ssize_t n2;
-    return frozen(gathered_copy(args[0], args[1], &out, &n2), args, 0);
+    return result;
 }
 
 static PyObject *
@@ -481,7 +457,7 @@ shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (Py_ssize_t i = 0; i < n2 * n2; i++)
         if (fabs(m[i]) > EXACT_LIMIT)
             m[i] = INFINITY;
-    return frozen(result, args, 0);
+    return result;
 }
 
 static PyMethodDef methods[] = {
@@ -491,14 +467,14 @@ static PyMethodDef methods[] = {
     {"join", (PyCFunction)(void (*)(void))join, METH_FASTCALL, "join(a, b) -> a or a fresh maximum"},
     {"meet", (PyCFunction)(void (*)(void))meet, METH_FASTCALL, "meet(a, b) -> a, b or a fresh minimum"},
     {"widen", (PyCFunction)(void (*)(void))widen, METH_FASTCALL, "widen(a, b) -> a or a fresh matrix"},
-    {"pack", (PyCFunction)(void (*)(void))pack, METH_FASTCALL, "pack(m, pos) -> fresh gathered matrix"},
     {"bound", (PyCFunction)(void (*)(void))bound, METH_FASTCALL, "bound(m, pos, entries) -> fresh matrix"},
     {"shift", (PyCFunction)(void (*)(void))shift, METH_FASTCALL, "shift(m, k, c, neg) -> fresh matrix"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_closure", "Compiled octagon kernel.", -1, methods,
+    PyModuleDef_HEAD_INIT, .m_name = "_closure", .m_doc = "Compiled octagon kernel.",
+    .m_size = -1, .m_methods = methods,
 };
 
 PyMODINIT_FUNC

@@ -5,17 +5,16 @@ function here returns, on the same input, the same matrix bit for bit as the
 C function of its name, or the same argument.  This one is the fallback
 when the C kernel cannot be built, selected at import in ``octagon.py``, and
 the reference the tests compare the C kernel against.  It does not check its
-input.  As there, the fresh matrix of ``meet`` or ``bound`` is writable, for
-the caller to close in place, and that of every other entry point is
-read-only.
+input.  As there, every fresh matrix is writable and the caller's to keep:
+``OctRel`` makes the matrices it holds read-only.
 
 A matrix is a square C-contiguous float64 matrix of even size 2k over k
 variables; entry m[i][j] bounds v_j − v_i, with +inf for "no bound" (-inf
 and -0.0 never appear).  The binary entry points (``leq``, ``join``,
 ``meet``, ``widen``) take two matrices of one size, over the same variables.
-Only ``pack`` and ``bound`` read a gather map ``pos``, which puts a matrix
-over other variables: target variable u reads variable ``pos[u]`` of the
-matrix, or is unconstrained when it is −1; None keeps the matrix as it is.
+Only ``bound`` reads a gather map ``pos``, which puts a matrix over other
+variables: target variable u reads variable ``pos[u]`` of the matrix, or is
+unconstrained when it is −1; None keeps the matrix as it is.
 """
 
 from __future__ import annotations
@@ -105,11 +104,6 @@ def _copy(m: np.ndarray, pos) -> np.ndarray:
     return out
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
 def leq(a: np.ndarray, b: np.ndarray) -> bool:
     """Is every entry of ``a`` at most that of ``b``?"""
     return bool((a <= b).all())
@@ -119,7 +113,7 @@ def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a`` itself when ``b`` ≤ ``a``; else a fresh entrywise maximum."""
     if (b <= a).all():
         return a
-    return _frozen(np.maximum(a, b))
+    return np.maximum(a, b)
 
 
 def meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,12 +133,7 @@ def widen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stable = b <= a
     if stable.all():
         return a
-    return _frozen(np.where(stable, a, np.inf))
-
-
-def pack(m: np.ndarray, pos) -> np.ndarray:
-    """A fresh ``m`` over the target of ``pos``."""
-    return _frozen(_copy(m, pos))
+    return np.where(stable, a, np.inf)
 
 
 def bound(m: np.ndarray, pos, entries) -> np.ndarray:
@@ -175,4 +164,4 @@ def shift(m: np.ndarray, k: int, c, neg) -> np.ndarray:
     m[q, :] += c
     m[p, p] = m[q, q] = 0.0
     np.putmask(m, np.abs(m) > EXACT_LIMIT, np.inf)
-    return _frozen(m)
+    return m

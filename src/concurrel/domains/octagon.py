@@ -32,16 +32,16 @@ that are the same object.
 
 The matrix work of each operation is done by the kernel, whose entry
 points are listed in the header of ``_closure.c``: ``leq``, ``join``,
-``meet`` and ``widen`` on two matrices of one size, ``pack`` (embed a pack
-into other variables or project it onto some), ``bound`` (a gathered copy
-plus the entries of new bounds) and ``shift`` (``x := ±x + c``), and the
-full tight closure ``tight_close_inplace(m)``, which every closure runs.  An
-``OctRel``'s matrices are read-only: ``close`` makes the matrix it closed
-read-only, and the kernel hands back the other fresh matrices read-only (all
-but those of ``meet`` and ``bound``, which ``close`` takes).  This module
-keeps the variable bookkeeping: it turns the variables of two packs into
-the gather maps that ``pack`` and ``bound`` read, and ``_over`` aligns the
-operands of a binary operation with ``pack`` when their variables differ.
+``meet`` and ``widen`` on two matrices of one size, ``bound`` (a gathered
+copy plus the entries of new bounds; with no entries it embeds a pack into
+other variables or projects it onto some) and ``shift`` (``x := ±x + c``),
+and the full tight closure ``tight_close_inplace(m)``, which every closure
+runs.  The kernel hands back fresh writable matrices, or one of its
+arguments; ``OctRel.__init__`` makes the matrices a value holds read-only,
+and no other code does.  This module keeps the variable bookkeeping: it
+turns the variables of two packs into the gather maps that ``bound`` reads,
+and ``_over`` aligns the operands of a binary operation with it when their
+variables differ.
 There are two kernels with one contract: the
 hand-written C extension ``_closure.c``, which ``_build.load_compiled``
 compiles into the package's ``__pycache__/`` on the first import, and its
@@ -83,15 +83,19 @@ CONTAINS_CHUNK_BYTES = 4 << 20
 
 
 class OctRel:
-    """Immutable satisfiable octagon over the universe variables ``vars``."""
+    """Immutable satisfiable octagon over the universe variables ``vars``;
+    it makes the matrices it holds read-only."""
 
     __slots__ = ("vars", "m", "widened")
 
     def __init__(self, vars: tuple[int, ...], m: np.ndarray,
                  widened: np.ndarray | None = None):
+        m.setflags(write=False)
+        if widened is not None:
+            widened.setflags(write=False)
         self.vars = vars
-        self.m = m  # closed, read-only
-        self.widened = widened  # the unclosed matrix a widening computed, read-only
+        self.m = m  # closed
+        self.widened = widened  # the unclosed matrix a widening computed
 
 
 # -- environments --
@@ -114,8 +118,8 @@ def _pos(src: tuple[int, ...], dst: tuple[int, ...], drop: int = -1) -> tuple[in
 
 def _over(m: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
     """The matrix ``m`` of a pack over ``src`` as one over ``dst``: ``m``
-    itself when they are the same, else its ``pack``."""
-    return m if src == dst else _kernel.pack(m, _pos(src, dst))
+    itself when they are the same, else a fresh gathered copy."""
+    return m if src == dst else _kernel.bound(m, _pos(src, dst), ())
 
 
 def _entries(vars: tuple[int, ...], constraints) -> list:
@@ -167,9 +171,7 @@ class OctBackend:
     def __init__(self, n: int, intervalize: bool = False):
         self.n = n
         self.intervalize = intervalize
-        top = np.zeros((0, 0))
-        top.setflags(write=False)
-        self._top = OctRel((), top)
+        self._top = OctRel((), np.zeros((0, 0)))
 
     # -- basics --
 
@@ -184,7 +186,6 @@ class OctBackend:
             return None
         if self.intervalize:
             m[_cross_variable(len(vars))] = INF
-        m.setflags(write=False)
         return OctRel(vars, m)
 
     def key(self, r: OctRel):
@@ -284,7 +285,7 @@ class OctBackend:
         """``r`` over its variables ``vars``, the others forgotten."""
         if len(vars) == len(r.vars):
             return r
-        return OctRel(vars, _kernel.pack(r.m, _pos(r.vars, vars)))
+        return OctRel(vars, _kernel.bound(r.m, _pos(r.vars, vars), ()))
 
     def forget(self, r: OctRel, xs: list[int]) -> OctRel:
         return self._pack(r, tuple(x for x in r.vars if x not in xs))

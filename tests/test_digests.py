@@ -4,7 +4,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from concurrel.analysis.keys import MutexKey, PointKey
+from concurrel.analysis.keys import MutexKey, PointKey, render_key
 from concurrel.digests import (
     AbstractTid, CreateEdge, DigestSpec, LockOnceDigest, LocksetDigest, MAIN_TID,
     TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new,
@@ -29,6 +29,7 @@ def test_lockset_digest_rows():
     assert s.unary(U, AssignLocal("x", IntLit(1)), frozenset({"a"})) == frozenset({"a"})
     # binary actions keep the ego component
     assert s.binary(U, Join("x", "y"), frozenset({"a"}), frozenset({"b"})) == frozenset({"a"})
+    assert s.render(frozenset({"b", "a"})) == "{a,b}"
 
 
 def test_lock_once_digest_rows():
@@ -193,7 +194,8 @@ def test_discovered_thread_ids_match_worked_example():
 
 def test_key_dataclasses_hash_once_and_print_as_before():
     """Point, CreateEdge, AbstractTid, PointKey and MutexKey cache their hash
-    in a field that is not compared, printed or matched."""
+    in a field that is not compared, printed or matched; ``render_key``
+    prints a value of no key kind as ``str`` does."""
     def make():
         p = Point("t1", 3)
         e = CreateEdge(p, "t2")
@@ -216,3 +218,4 @@ def test_key_dataclasses_hash_once_and_print_as_before():
     assert [f.name for f in dataclasses.fields(PointKey) if f.repr] == ["point", "lockset", "digest"]
     assert [f.name for f in dataclasses.fields(MutexKey) if f.repr] == ["mutex", "cluster", "digest"]
     assert Point("a", 2) < Point("b", 1) and CreateEdge(Point("a", 2), "z") < CreateEdge(Point("b", 0), "a")
+    assert render_key(Point("t1", 3)) == str(Point("t1", 3))

@@ -649,6 +649,8 @@ def test_compiled_kernel_matches_numpy_kernel(compiled):
                 np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3)), [[0.0, 0.0], [0.0, 0.0]]):
         with pytest.raises(ValueError):
             fast(bad)
+    with pytest.raises(ValueError):  # the one check of the numpy kernel
+        pure(np.zeros((4, 4))[::2, ::2])
     # the buffer is released on every path: a memoryview with exports cannot be released
     for shape, error in (((2, 2), None), ((1, 4), ValueError)):
         view = memoryview(bytearray(32)).cast("d", shape)
@@ -658,6 +660,21 @@ def test_compiled_kernel_matches_numpy_kernel(compiled):
             with pytest.raises(error):
                 fast(view)
         view.release()
+
+
+def test_both_kernels_export_the_same_entry_points(compiled):
+    """The C kernel's functions are exactly the public functions of its
+    numpy twin, the seven entry points of the contract."""
+    import inspect
+
+    from concurrel.domains import _closure_py
+
+    entry_points = {"tight_close_inplace", "leq", "join", "meet", "widen", "bound", "shift"}
+    twin = {name for name, f in vars(_closure_py).items()
+            if inspect.isfunction(f) and f.__module__ == _closure_py.__name__
+            and not name.startswith("_")}
+    assert twin == entry_points
+    assert {name for name in dir(compiled) if not name.startswith("_")} == entry_points
 
 
 def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
@@ -701,14 +718,14 @@ def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
             check(name, b, a)
         pa, pb = _gather_map(rng, ka, k), _gather_map(rng, kb, k)
         c = _kernel_matrix(rng, kb, limits)
-        ga, gc = pure.pack(a, pa), pure.pack(c, pb)  # two operands aligned as OctBackend does
+        ga, gc = pure.bound(a, pa, ()), pure.bound(c, pb, ())  # aligned as OctBackend does
         for name in ("leq", "join", "meet", "widen"):
             out = check(name, ga, gc)
             if name == "meet" and not any(out is x for x in (ga, gc)):
                 closes_alike(out)
         assert check("join", a, b) is a or not pure.leq(b, a)
-        check("pack", a, pa)
-        check("pack", a, None)
+        check("bound", a, pa, ())
+        check("bound", a, None, ())
         entries = []
         for _ in range(rng.randint(0, 3)):
             c_ = rng.choice((float(rng.randint(-6, 8)), rng.randint(-6, 8),
@@ -723,23 +740,27 @@ def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
     assert min(seen.values()) > 50, seen
 
 
-def test_kernel_results_are_read_only_unless_the_caller_closes_them(compiled):
-    """Under both kernels, the fresh matrix of ``meet`` and ``bound`` is
-    writable, for the caller to close in place, and those of ``join``,
-    ``widen``, ``pack`` and ``shift`` are read-only, as a value keeps them."""
+def test_kernel_results_are_writable_and_operands_unchanged(compiled):
+    """Under both kernels, every fresh matrix an entry point returns is
+    writable (``OctRel`` alone makes matrices read-only), and no entry point
+    but the closure writes its operands, writable or not."""
     from concurrel.domains import _closure_py as pure
 
-    a = np.array([[0.0, 1.0], [2.0, 0.0]])
-    b = np.array([[0.0, 3.0], [0.0, 0.0]])
-    a.setflags(write=False)
-    b.setflags(write=False)
-    for kernel in (pure, compiled):
-        fresh = {"join": kernel.join(a, b), "widen": kernel.widen(a, b),
-                 "pack": kernel.pack(a, (0,)), "shift": kernel.shift(a, 0, 1, False),
-                 "meet": kernel.meet(a, b), "bound": kernel.bound(a, None, [0, 1, -1.0])}
-        for name, m in fresh.items():
-            assert m is not a and m is not b, (kernel.__name__, name)
-            assert m.flags.writeable == (name in ("meet", "bound")), (kernel.__name__, name)
+    for writable in (True, False):
+        a = np.array([[0.0, 1.0], [2.0, 0.0]])
+        b = np.array([[0.0, 3.0], [0.0, 0.0]])
+        a.setflags(write=writable)
+        b.setflags(write=writable)
+        before = a.tobytes(), b.tobytes()
+        for kernel in (pure, compiled):
+            fresh = {"join": kernel.join(a, b), "widen": kernel.widen(a, b),
+                     "shift": kernel.shift(a, 0, 1, False), "meet": kernel.meet(a, b),
+                     "bound": kernel.bound(a, None, [0, 1, -1.0]),
+                     "gather": kernel.bound(a, (0, -1), ())}
+            for name, m in fresh.items():
+                assert m is not a and m is not b, (kernel.__name__, name)
+                assert m.flags.writeable, (kernel.__name__, name)
+            assert (a.tobytes(), b.tobytes()) == before, kernel.__name__
 
 
 def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compiled):
@@ -757,7 +778,6 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
         "tight_close_inplace": lambda m: (m,),
         "leq": lambda m: (m, good), "join": lambda m: (m, good),
         "meet": lambda m: (m, good), "widen": lambda m: (m, good),
-        "pack": lambda m: (m, (0,)),
         "bound": lambda m: (m, None, [0, 1, 2.0]),
         "shift": lambda m: (m, 0, 3, False),
     }
@@ -776,8 +796,8 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
         with pytest.raises(TypeError):  # no gather maps
             getattr(compiled, name)(good, good, None, None)
     malformed = [
-        ("pack", (good, (1,))), ("pack", (good, (-2,))), ("pack", (good, "x")),
-        ("pack", (good, (0.5,))),
+        ("bound", (good, (1,), ())), ("bound", (good, (-2,), ())), ("bound", (good, "x", ())),
+        ("bound", (good, (0.5,), ())),
         ("bound", (good, None, [0, 1])), ("bound", (good, None, [0, 2, 1.0])),
         ("bound", (good, None, [0, 1, "c"])), ("bound", (good, None, 3)),
         ("shift", (good, 1, 3, False)), ("shift", (good, 0, "c", False)),
@@ -791,8 +811,8 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
 
     paths = [  # (entry point, arguments), each passing memoryviews
         ("tight_close_inplace", lambda a, b: (a,)), ("tight_close_inplace", lambda a, b: (b,)),
-        ("pack", lambda a, b: (a, (0, -1))), ("pack", lambda a, b: (a, (3,))),
-        ("pack", lambda a, b: (b, (0,))),
+        ("bound", lambda a, b: (a, (0, -1), ())), ("bound", lambda a, b: (a, (3,), ())),
+        ("bound", lambda a, b: (b, (0,), ())),
         ("bound", lambda a, b: (a, None, [0, 1, 1.0])), ("bound", lambda a, b: (a, None, [9, 9, 1.0])),
         ("bound", lambda a, b: (b, None, [])),
         ("shift", lambda a, b: (a, 0, 1, True)), ("shift", lambda a, b: (a, 5, 1, True)),
@@ -831,6 +851,26 @@ def test_compiled_kernel_is_built_once_per_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     assert load_compiled(tmp_path).tight_close_inplace(np.zeros((2, 2))) == 0
     assert sorted(tmp_path.iterdir()) == built
+
+
+def test_compiled_kernel_source_has_no_compiler_warnings():
+    """``_closure.c`` passes a syntax-only compile with ``-Wall -Wextra``
+    (unused parameters aside) and ``-Werror``, under the include
+    directories the build uses."""
+    import shutil
+    import subprocess
+
+    from concurrel.domains import _build
+
+    reason = _cannot_compile()
+    if reason:
+        pytest.skip(reason)
+    flags = _build._flags()
+    includes = [f for f in flags if f.startswith("-I")]
+    cmd = [shutil.which(flags[0]), "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+           "-fsyntax-only", *includes, str(_build.SOURCE)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_changed_kernel_source_builds_a_second_file(tmp_path, monkeypatch):
@@ -1067,7 +1107,6 @@ def test_unlift_lift_above_identity():
     """unlift ∘ lift ⊒ id on variable assignments, all numeric domains: each
     variable's ``unlift_var`` is above the interval ``assign_value`` gave it."""
     from hypothesis import given, settings, strategies as st
-    from concurrel.domains.values import int_leq
 
     bounds = st.tuples(st.integers(-3, 5), st.integers(-3, 5)).map(
         lambda t: IntAbs(min(t), max(t)))
@@ -1081,7 +1120,8 @@ def test_unlift_lift_above_identity():
         for x, v in entries.items():
             r = dom.assign_value(r, x, v)
         for x, v in entries.items():
-            assert int_leq(v, dom.unlift_var(r, x))
+            w = dom.unlift_var(r, x)
+            assert w.lo <= v.lo and v.hi <= w.hi
 
     check()
 
@@ -1263,6 +1303,49 @@ def test_transfer_sequence_is_equal_under_both_kernels(compiled, monkeypatch, in
     assert pure == run(compiled)
     assert None in pure
     assert intervalize or any(v and v[2] is not None for v in pure)  # intervals close as they are
+
+
+def test_every_interned_octagon_holds_read_only_matrices(compiled, monkeypatch, programs):
+    """Under both kernels, after solving the corpus under the benchmark's
+    five configurations and a loop that widens, every octagon the domain
+    interned has a read-only matrix, and a read-only ``widened`` where it
+    has one: ``OctRel`` freezes what it holds, whatever the kernel
+    returned."""
+    import os
+
+    from concurrel.analysis import preset, run_analysis
+    from concurrel.domains import _closure_py
+    from concurrel.domains.octagon import OctRel
+    from concurrel.frontend import parse_program
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+
+    # widening drops the upper bound of x, which closure derives again from
+    # x - y <= 2 and y <= 6: the widened matrix is not closed
+    loop = parse_program("""
+    thread main {
+      y = ?;
+      if (y >= 0) { if (y <= 6) {
+        x = 0;
+        while (x < y + 3) { if (x < 8) { x = x + 1; } }
+      } }
+    }
+    """)
+    runs = [(p, c) for p in programs.values() for c in workloads.CORPUS_CONFIGS.values()]
+    runs.append((loop, preset("octagon")))
+    for kernel in (_closure_py, compiled):
+        use_kernel(monkeypatch, kernel)
+        seen = {"m": 0, "widened": 0}
+        for program, config in runs:
+            for rel in run_analysis(program, config).dom._interned.values():
+                if isinstance(rel.num, OctRel):
+                    assert not rel.num.m.flags.writeable
+                    seen["m"] += 1
+                    if rel.num.widened is not None:
+                        assert not rel.num.widened.flags.writeable
+                        seen["widened"] += 1
+        assert min(seen.values()) > 0, (kernel.__name__, seen)
 
 
 def test_join_returns_the_left_operand_when_the_right_adds_nothing():

@@ -2,8 +2,32 @@
 
 import pytest
 
-from concurrel.domains.values import BOT, INF, IntAbs, int_join, int_leq, int_widen
+from concurrel.domains.values import BOT, INF, IntAbs
 from concurrel.solver import BudgetExceeded, Constraint, Solver
+
+
+def int_join(a, b):
+    if a is BOT:
+        return b
+    if b is BOT:
+        return a
+    return IntAbs(min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def int_leq(a, b) -> bool:
+    if a is BOT:
+        return True
+    if b is BOT:
+        return False
+    return a.lo >= b.lo and a.hi <= b.hi
+
+
+def int_widen(a, b):
+    if a is BOT:
+        return b
+    if b is BOT:
+        return a
+    return IntAbs(a.lo if a.lo <= b.lo else -INF, a.hi if a.hi >= b.hi else INF)
 
 
 class IntervalSystem:
