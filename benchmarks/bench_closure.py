@@ -9,7 +9,9 @@ The kernel has one entry point per octagon operation (the header of
 packs over the same variables; ``OctBackend`` first gathers an operand over
 other variables with ``bound`` and no entries, so such an operation costs
 one more call per operand it aligns.  Only ``bound`` reads a gather map; the
-``gather`` row times it with no entries, as a projection.  Per entry point
+``gather`` row times it with no entries, as a projection; ``contains``
+tests a batch of 32 rows, as the differential check passes the distinct
+rows of one (point, lockset) group.  Per entry point
 and pack size, the table gives the time of one call under each kernel; the
 compiled one is built, or loaded from its cache, as the package's first
 import does (``concurrel.domains._build``).  The closure,
@@ -56,7 +58,11 @@ def closed_dbm(rng: np.random.Generator, n: int, close) -> np.ndarray:
             return m
 
 
-ENTRY_POINTS = ("tight_close_inplace", "leq", "join", "meet", "widen", "gather", "bound", "shift")
+ENTRY_POINTS = ("tight_close_inplace", "leq", "join", "meet", "widen", "gather", "bound", "shift",
+                "contains")
+
+
+ROWS = 32  # the rows of one ``contains`` batch
 
 
 def calls(kernel, n: int, rng: np.random.Generator) -> dict:
@@ -76,6 +82,8 @@ def calls(kernel, n: int, rng: np.random.Generator) -> dict:
         out["gather"].append(lambda a=a, p=project: kernel.bound(a, p, ()))
         out["bound"].append(lambda a=a, p=embed, e=entries: kernel.bound(a, p, e))
         out["shift"].append(lambda a=a: kernel.shift(a, 0, 3, True))
+        rows = rng.integers(-3, 4, size=(ROWS, n + 1))
+        out["contains"].append(lambda a=a, r=rows: kernel.contains(a, r, tuple(range(1, n + 1))))
     return out
 
 

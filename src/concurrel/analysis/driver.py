@@ -105,7 +105,7 @@ def local_vars(universe: Universe, program: Program) -> tuple[str, ...]:
 
 def run_analysis(program: Program, config: AnalysisConfig) -> AnalysisResult:
     cfgs = build_cfg(program)
-    diags = validate(program, cfgs)
+    diags = validate(program)
     if any(d.severity == "error" for d in diags):
         raise ProgramError([d for d in diags if d.severity == "error"])
 

@@ -76,6 +76,7 @@ class ImprovedSystem(BaseAnalysis):
         super().__init__(program, cfgs, dom, protections, clusters, locals_, TidDigestSpec())
         self.clustered = clustered
         self.exclude_ancestors = exclude_ancestor_writes
+        self._admissions: dict[tuple, Any] = {}  # admission by (ego, candidate)
 
     # -- digest keys at mutex/thread-return unknowns --
 
@@ -144,18 +145,27 @@ class ImprovedSystem(BaseAnalysis):
         """The base admission, but None also when ``cand`` is accounted for
         (the unique ego itself, or, with ancestor writes excluded, a thread
         that cannot run yet); the id a state's J accounts for is ``i1``
-        when unique: ``i1 ∈ J`` is the one test left to each evaluation."""
+        when unique: ``i1 ∈ J`` is the one test left to each evaluation.
+
+        Every edge that asks is a lock or a join, where ``TidDigestSpec``
+        reads the two digests alone, so the answer is kept per analysis by
+        the digest pair; many constraints ask for one pair.  The memo holds
+        only for a spec whose ``binary`` ignores the edge."""
+        key = (ego, cand)
+        memo = self._admissions
+        if key in memo:
+            return memo[key]
         adm = super().admission(edge, ego, cand)
-        if adm is None:
-            return None
-        (i, _c) = ego
-        (i1, _c1) = cand
-        if i1.unique and i == i1:
-            return None
-        # an ancestor's write from before the ego could run is in the ego's start
-        if self.exclude_ancestors and not may_run(cand, ego):
-            return None
-        return adm[0], i1 if i1.unique else None
+        if adm is not None:
+            (i, _c), (i1, _c1) = ego, cand
+            # an ancestor's write from before the ego could run is in the
+            # ego's start
+            if i1.unique and i == i1 or self.exclude_ancestors and not may_run(cand, ego):
+                adm = None
+            else:
+                adm = adm[0], i1 if i1.unique else None
+        memo[key] = adm
+        return adm
 
     # -- what a state adds to its relation --
 

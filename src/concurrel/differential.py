@@ -14,30 +14,35 @@ For every reachable concrete state (thread, point, lockset, locals, globals):
 A report is ``ok`` when none of this fails on the explored states, and
 ``clean`` when it is ok and the exploration was not truncated at a bound.
 
-The check works per (point, lockset) group of reachable tuples, as the
-oracle groups them once per exploration (``Exploration.groups``).  The group's
-value v is built once; each tuple is projected to the values of the
-variables v constrains (``RelDomain.support``: locals and held globals, thread
-ids replaced by their abstraction), and the distinct projections are tested
-in one ``RelDomain.contains_many`` call.  The digests the tuples replay are
-compared with the instantiated ones as a set.  Only a group where something
-fails is walked tuple by tuple, in (thread, locals, globals, digests)
-order, to write its digest misses and witnesses; so the reports, their
-order and the ``max_witnesses`` cap on store witnesses are those of a full
-ordered walk.  That order is total, so no report depends on the hash seed.
+The check works per (point, lockset) group of reachable tuples, in the
+order of ``Exploration.groups``, which the exploration builds once, at
+the first check, for every configuration checked against it: per group, the
+column of values of each variable, row by row, and the set of each spec's
+replayed digests.  The group's value v is built once.  The distinct
+projections of the rows onto the variables v constrains
+(``RelDomain.support``: locals and held globals) are one ``set(zip(...))``
+of their columns; thread ids are replaced by their abstraction, and the
+projections are tested in one ``RelDomain.contains_many`` call, which makes
+one backend call (for an octagon, one kernel call) per pattern of variables
+holding a thread id, usually one per group.  The digests the configuration
+instantiates are compared with the group's replayed set.  Only a group
+where something fails is walked tuple by tuple, in (thread, locals,
+globals, digests) order, to write its digest misses and witnesses; so the
+reports, their order and the ``max_witnesses`` cap on store witnesses are
+those of a full ordered walk.  That order is total, so no report depends on the hash seed.
 ``checked_states`` counts every reachable tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Sequence
 
 from .analysis.driver import AnalysisResult, local_vars
 from .analysis.keys import digest_text
 from .analysis.reporting import AssertVerdict
-from .oracle import Exploration, Reachable
+from .oracle import Exploration, Group, Reachable
 
 
 @dataclass
@@ -59,16 +64,6 @@ class SoundnessReport:
         return self.ok and not self.truncated
 
 
-def _picker(idx: list[int]):
-    """A function from a tuple to the tuple of its entries ``idx``."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    if idx:
-        i, = idx
-        return lambda t: (t[i],)
-    return lambda t: ()
-
-
 def check_soundness(result: AnalysisResult, exploration: Exploration,
                     verdicts: list[AssertVerdict] | None = None,
                     max_witnesses: int = 10) -> SoundnessReport:
@@ -79,22 +74,28 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
         tid: (full if improved else base)
         for tid, (full, base) in exploration.tid_abstractions.items()
     }
+    # the digest of a tuple the instantiated ones must include, and those
+    # of a group
     if improved:
-        expected_digest = attrgetter("tdig")
+        expected_digest, replayed = attrgetter("tdig"), attrgetter("tdigs")
     elif result.config.lock_once:
-        expected_digest = attrgetter("lockonce")
+        expected_digest, replayed = attrgetter("lockonce"), attrgetter("lockonces")
     else:
         def expected_digest(rs: Reachable):
             return ()
+
+        def replayed(group: Group):
+            return {()}
 
     universe_globals = set(result.program.globals)
     locals_ = local_vars(result.universe, result.program)
     lvars = exploration.lvars
     gvars = exploration.gvars
+    lcol = {x: i for i, x in enumerate(lvars)}
+    gcol = {g: len(lvars) + i for i, g in enumerate(gvars)}
 
-    for (point, lockset), states in sorted(
-        exploration.groups.items(), key=lambda kv: (str(kv[0][0]), sorted(kv[0][1]))
-    ):
+    for (point, lockset), group in exploration.groups.items():
+        states = group.states
         report.checked_states += len(states)
         keys = result.point_keys(point, lockset)
         if not keys:
@@ -110,13 +111,8 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
         need = dom.support(v)
         lnames = [x for x in lvars if x in need]
         gnames = [g for g in gvars if g in need]  # v keeps only held globals
-        lpick = _picker([lvars.index(x) for x in lnames])
-        gpick = _picker([gvars.index(g) for g in gnames])
-
-        def project(rs: Reachable) -> tuple:
-            return lpick(rs.locals) + gpick(rs.globals)
-
-        projections = list(set(map(project, states)))
+        picked = [group.columns[lcol[x]] for x in lnames] + [group.columns[gcol[g]] for g in gnames]
+        projections = list(set(zip(*picked))) if picked else [()]
         columns: dict[str, Sequence] = dict(zip(lnames + gnames, zip(*projections)))
         for var in lnames:
             col = columns[var]
@@ -124,20 +120,22 @@ def check_soundness(result: AnalysisResult, exploration: Exploration,
             if tids:
                 columns[var] = tuple(map(tids.get, col, col))
         inside = dom.contains_many(v, columns, len(projections))
-        if inside.all() and set(map(expected_digest, states)) <= digests:
+        if inside.all() and replayed(group) <= digests:
             continue
         inside = dict(zip(projections, inside.tolist()))
 
         # the group fails somewhere: report it in the order of a full walk
         seen_digest_miss = set()
-        for rs in sorted(states, key=lambda r: (r.tid, str(r.locals), str(r.globals),
-                                                 digest_text((r.tdig, r.lockonce)))):
+        rows = zip(*picked) if picked else [()] * len(states)
+        for rs, row in sorted(zip(states, rows),
+                              key=lambda t: (t[0].tid, str(t[0].locals), str(t[0].globals),
+                                             digest_text((t[0].tdig, t[0].lockonce)))):
             d = expected_digest(rs)
             if d not in digests and d not in seen_digest_miss:
                 seen_digest_miss.add(d)
                 report.digest_misses.append(
                     f"{point}: replayed digest {result.spec.render(d)} not instantiated")
-            if inside[project(rs)] or len(report.witnesses) >= max_witnesses:
+            if inside[row] or len(report.witnesses) >= max_witnesses:
                 continue
             store: dict[str, object] = {}
             for var, val in zip(lvars, rs.locals):

@@ -1,8 +1,9 @@
 """Build and load the compiled octagon kernel, ``_closure.c``.
 
-The kernel is a contract of several entry points, one per octagon
-operation's matrix work, the tight closure among them (the header of
-``_closure.c`` lists them); ``_closure_py`` is its numpy twin.
+The kernel is a contract of eight entry points, one per octagon
+operation's matrix work, the tight closure and the batched containment test
+among them (the header of ``_closure.c`` lists them); ``_closure_py`` is its
+numpy twin.
 
 ``octagon`` calls ``load_compiled()`` when it is imported.  The first call
 compiles the C source with the compiler and flags Python was built with

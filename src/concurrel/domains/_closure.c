@@ -1,15 +1,17 @@
 /* Compiled octagon kernel: the matrix work of each octagon operation.
  *
- * The kernel is a contract of several entry points, and ``_closure_py.py``
+ * The kernel is a contract of eight entry points, and ``_closure_py.py``
  * is its numpy twin: each function here has a function there of the same
- * name that returns the same matrix, bit for bit.  A matrix is a square
- * C-contiguous float64 matrix of even size 2k over k variables, whose entry
- * m[i][j] bounds v_j - v_i (+inf for "no bound"; -inf never appears).
- * ``tight_close_inplace`` needs a writable matrix; every other entry point
- * only reads its matrices and returns a fresh, writable one or one of its
- * arguments.  The caller owns a fresh matrix: it may close it in place, and
- * it makes it read-only when a value keeps it.  A matrix that breaks the
- * contract, and a malformed map or entry list, raise ValueError.
+ * name that returns the same matrix, bit for bit (for ``contains``, the
+ * same bool vector).  A matrix is a square C-contiguous float64 matrix of
+ * even size 2k over k variables, whose entry m[i][j] bounds v_j - v_i (+inf
+ * for "no bound"; -inf never appears).  ``tight_close_inplace`` needs a
+ * writable matrix; every other entry point only reads its matrices and
+ * returns a fresh, writable one or one of its arguments (``contains``, a
+ * fresh bool vector).  The caller owns a fresh matrix: it may close it in
+ * place, and it makes it read-only when a value keeps it.  A matrix that
+ * breaks the contract, and a malformed map, entry list or row array, raise
+ * ValueError.
  * ``_build.py`` compiles this file on first import.
  *
  * The binary entry points take two matrices of one size, over the same
@@ -35,6 +37,11 @@
  *   shift(m, k, c, neg)    -> a fresh m with variable k negated (when neg is
  *                             true), then increased by c; entries above
  *                             EXACT_LIMIT in magnitude become +inf
+ *   contains(m, vals, pos) -> a fresh bool vector: whether each row of the
+ *                             2-D int64 array vals satisfies every bound of
+ *                             m, where column pos[k] of vals holds variable k
+ *                             of m; the values read lie within EXACT_LIMIT
+ *                             in magnitude, so each difference is exact
  *
  * No entry is ever -0.0: bounds enter as integers, and sums and copies of
  * entries other than -0.0 are never -0.0.  Entries that tie are then equal
@@ -460,6 +467,76 @@ shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+static PyObject *
+contains(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (!check_nargs("contains", nargs, 3))
+        return NULL;
+    Matrix a = {.held = 0};
+    Py_ssize_t *pos = NULL;
+    double *w = NULL;
+    PyObject *result = NULL;
+    if (get_matrix(args[0], &a, 0) < 0)
+        goto done;
+    PyArrayObject *vals = (PyArrayObject *)args[1];
+    if (!PyArray_Check(args[1]) || PyArray_TYPE(vals) != NPY_INT64 || PyArray_NDIM(vals) != 2
+        || !PyArray_ISBEHAVED_RO(vals)) {
+        PyErr_SetString(PyExc_ValueError, "vals must be a 2-D int64 array in native byte order");
+        goto done;
+    }
+    Py_ssize_t rows = PyArray_DIM(vals, 0), cols = PyArray_DIM(vals, 1);
+    int bad = args[2] == Py_None || get_pos(args[2], cols, &pos) != a.k;
+    for (Py_ssize_t u = 0; !bad && u < a.k; u++)
+        bad = pos[u] < 0;
+    if (bad) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "pos must list a column of vals per variable of m");
+        goto done;
+    }
+    Py_ssize_t n2 = 2 * a.k;
+    w = PyMem_Malloc((n2 > 0 ? n2 : 1) * sizeof *w);
+    if (w == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    npy_intp dims[1] = {rows};
+    result = PyArray_SimpleNew(1, dims, NPY_BOOL);
+    if (result == NULL)
+        goto done;
+    npy_bool *out = PyArray_DATA((PyArrayObject *)result);
+    const double *m = a.view.buf;
+    const char *base = PyArray_BYTES(vals);
+    npy_intp rs = PyArray_STRIDE(vals, 0), cs = PyArray_STRIDE(vals, 1);
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        for (Py_ssize_t u = 0; u < a.k; u++) {
+            npy_int64 x = *(const npy_int64 *)(base + r * rs + pos[u] * cs);
+            if (x > (npy_int64)EXACT_LIMIT || x < -(npy_int64)EXACT_LIMIT) {
+                PyErr_SetString(PyExc_ValueError, "a value of vals lies beyond EXACT_LIMIT");
+                Py_CLEAR(result);
+                goto done;
+            }
+            w[2 * u] = (double)x;
+            w[2 * u + 1] = -(double)x;
+        }
+        /* w[j] - w[i] <= m[i][j]; both sides are exact */
+        int in = 1;
+        for (Py_ssize_t i = 0; i < n2 && in; i++) {
+            const double *mi = m + i * n2;
+            for (Py_ssize_t j = 0; j < n2; j++)
+                if (w[j] - w[i] > mi[j]) {
+                    in = 0;
+                    break;
+                }
+        }
+        out[r] = (npy_bool)in;
+    }
+done:
+    PyMem_Free(w);
+    PyMem_Free(pos);
+    put_matrix(&a);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"tight_close_inplace", tight_close_inplace, METH_O,
      "tight_close_inplace(m) -> 0, or 1 when m is unsatisfiable"},
@@ -469,6 +546,8 @@ static PyMethodDef methods[] = {
     {"widen", (PyCFunction)(void (*)(void))widen, METH_FASTCALL, "widen(a, b) -> a or a fresh matrix"},
     {"bound", (PyCFunction)(void (*)(void))bound, METH_FASTCALL, "bound(m, pos, entries) -> fresh matrix"},
     {"shift", (PyCFunction)(void (*)(void))shift, METH_FASTCALL, "shift(m, k, c, neg) -> fresh matrix"},
+    {"contains", (PyCFunction)(void (*)(void))contains, METH_FASTCALL,
+     "contains(m, vals, pos) -> fresh bool vector"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,7 +14,9 @@ and -0.0 never appear).  The binary entry points (``leq``, ``join``,
 ``meet``, ``widen``) take two matrices of one size, over the same variables.
 Only ``bound`` reads a gather map ``pos``, which puts a matrix over other
 variables: target variable u reads variable ``pos[u]`` of the matrix, or is
-unconstrained when it is −1; None keeps the matrix as it is.
+unconstrained when it is −1; None keeps the matrix as it is.  ``contains``
+also takes rows of Python ints (an object array), which it compares with
+the entries exactly: the values beyond ±``EXACT_LIMIT`` take this path.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ BOUND_LIMIT = 2.0 ** 40
 # Finite entries stay within ±EXACT_LIMIT, where the sum of two is exact;
 # ``shift`` drops larger ones.  ``_closure.c`` repeats the value.
 EXACT_LIMIT = 2.0 ** 52
+
+# Bound on the bytes of one temporary of ``contains``.
+CONTAINS_CHUNK_BYTES = 4 << 20
 
 _LAYOUT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -165,3 +170,27 @@ def shift(m: np.ndarray, k: int, c, neg) -> np.ndarray:
     m[p, p] = m[q, q] = 0.0
     np.putmask(m, np.abs(m) > EXACT_LIMIT, np.inf)
     return m
+
+
+@lru_cache(maxsize=1024)
+def _signed_columns(pos: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The column of each matrix index (+x at 2k, −x at 2k+1), and the sign
+    it takes there."""
+    return np.repeat(pos, 2), np.tile([1, -1], len(pos))
+
+
+def contains(m: np.ndarray, vals: np.ndarray, pos) -> np.ndarray:
+    """A fresh bool vector: whether each row of ``vals`` satisfies every
+    bound of ``m``, where column ``pos[k]`` holds variable k of ``m``.  One
+    broadcast of w[j] − w[i] ≤ m[i][j] over the rows' ±x vectors, in chunks
+    whose temporaries stay under ``CONTAINS_CHUNK_BYTES``."""
+    if not len(pos):
+        return np.ones(len(vals), dtype=bool)
+    idx, sign = _signed_columns(tuple(pos))
+    w = vals[:, idx] * sign
+    step = max(1, CONTAINS_CHUNK_BYTES // (8 * m.size))
+    out = np.empty(len(vals), dtype=bool)
+    for s in range(0, len(vals), step):
+        c = w[s:s + step]
+        out[s:s + step] = (c[:, None, :] - c[:, :, None] <= m).reshape(len(c), -1).all(1)
+    return out

@@ -30,13 +30,14 @@ chains terminate (Miné, HOSC 2006), and no other operation does.  ``join``,
 right one, when the other operand adds nothing, so callers can skip values
 that are the same object.
 
-The matrix work of each operation is done by the kernel, whose entry
+The matrix work of each operation is done by the kernel, whose eight entry
 points are listed in the header of ``_closure.c``: ``leq``, ``join``,
 ``meet`` and ``widen`` on two matrices of one size, ``bound`` (a gathered
 copy plus the entries of new bounds; with no entries it embeds a pack into
-other variables or projects it onto some) and ``shift`` (``x := ±x + c``),
-and the full tight closure ``tight_close_inplace(m)``, which every closure
-runs.  The kernel hands back fresh writable matrices, or one of its
+other variables or projects it onto some), ``shift`` (``x := ±x + c``),
+``contains`` (which rows of an array of values lie in a pack: one call per
+batch of the differential check) and the full tight closure
+``tight_close_inplace(m)``, which every closure runs.  The kernel hands back fresh writable matrices, or one of its
 arguments; ``OctRel.__init__`` makes the matrices a value holds read-only,
 and no other code does.  This module keeps the variable bookkeeping: it
 turns the variables of two packs into the gather maps that ``bound`` reads,
@@ -57,8 +58,8 @@ precision) where a constant enters (``_entries``, and the shift of
 ``assign_linear``, which takes no larger constant) and by each kernel before
 it closes, so that path sums stay within 2^52 for packs of up to 2^11
 variables; the shift drops the entries it takes beyond 2^52.  ``contains``
-compares int64 values within ±2^52, or Python ints, against the entries,
-both exactly.
+compares int64 values within ±2^52 (in either kernel), or Python ints (in
+the numpy kernel alone), against the entries, both exactly.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ from .values import INF, IntAbs
 _kernel = (None if os.environ.get("CONCURREL_PURE") else load_compiled()) or _closure_py
 KERNEL = "python" if _kernel is _closure_py else "compiled"
 tight_close_inplace = _kernel.tight_close_inplace
-
-
-# Bound on the bytes of one temporary of ``OctBackend.contains``.
-CONTAINS_CHUNK_BYTES = 4 << 20
 
 
 class OctRel:
@@ -144,13 +141,6 @@ def _entries(vars: tuple[int, ...], constraints) -> list:
 def _octagonal(coeffs: dict[int, int]) -> bool:
     """Is ``sum(coeffs) ≤ c`` an octagonal constraint (±x or ±x ± y)?"""
     return 0 < len(coeffs) <= 2 and all(cf in (1, -1) for cf in coeffs.values())
-
-
-@lru_cache(maxsize=1024)
-def _signed_columns(vars: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The universe column of each index of a pack over ``vars`` (+x at 2k,
-    −x at 2k+1), and the sign it takes there."""
-    return np.repeat(vars, 2), np.tile([1, -1], len(vars))
 
 
 @lru_cache(maxsize=None)
@@ -347,19 +337,11 @@ class OctBackend:
         return r.vars
 
     def contains(self, r: OctRel, vals: np.ndarray) -> np.ndarray:
-        """Which rows of ``vals`` lie in γ(r): one broadcast of
-        w[j] − w[i] ≤ m[i][j] over the rows' ±x vectors, in chunks whose
-        temporaries stay under ``CONTAINS_CHUNK_BYTES``."""
-        if not r.vars:
-            return np.ones(len(vals), dtype=bool)
-        idx, sign = _signed_columns(r.vars)
-        w = vals[:, idx] * sign
-        step = max(1, CONTAINS_CHUNK_BYTES // (8 * r.m.size))
-        out = np.empty(len(vals), dtype=bool)
-        for s in range(0, len(vals), step):
-            c = w[s:s + step]
-            out[s:s + step] = (c[:, None, :] - c[:, :, None] <= r.m).reshape(len(c), -1).all(1)
-        return out
+        """Which rows of ``vals`` lie in γ(r): one kernel call.  Rows of
+        Python ints (an object array, for values beyond ±``EXACT_LIMIT``)
+        go to the numpy kernel, which compares them exactly."""
+        kernel = _closure_py if vals.dtype == object else _kernel
+        return kernel.contains(r.m, vals, r.vars)
 
     # -- rendering --
 

@@ -168,6 +168,9 @@ class Program:
     protections: dict[str, frozenset[str]] | None = None
     entry: str = "main"
     filename: str = "<input>"
+    # what ``build_cfg`` and ``validate`` derive from the program, kept by
+    # them for later calls; a program built anew starts without it
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def protecting_mutex(self, g: str) -> str:
         """Name of the implicit atomicity mutex of global ``g``."""

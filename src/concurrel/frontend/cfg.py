@@ -238,9 +238,18 @@ def _leading_to(edges: list[Edge], target: Point) -> set[Point]:
 
 
 def build_cfg(program: Program) -> dict[str, Cfg]:
-    """Lower every template; deterministic point numbering per template."""
-    lo = _Lowerer(program)
-    return {name: lo.lower(name, body) for name, body in program.threads.items()}
+    """Lower every template; deterministic point numbering per template.
+
+    A ``Program`` is lowered once, at the first call, and every later call
+    returns the same CFGs: the oracle and every analysis of one program
+    share them, so they are read-only to every caller.  A program built
+    anew, by the parser or by ``dataclasses.replace``, is lowered anew."""
+    cfgs = program.derived.get("cfgs")
+    if cfgs is None:
+        lo = _Lowerer(program)
+        cfgs = program.derived["cfgs"] = {
+            name: lo.lower(name, body) for name, body in program.threads.items()}
+    return cfgs
 
 
 # -- derived metadata ---------------------------------------------------------

@@ -67,11 +67,18 @@ def held_locksets(cfg: Cfg) -> tuple[dict[Edge, list[frozenset[str]]], list[tupl
     return write_held, problems
 
 
-def validate(program: Program, cfgs: dict[str, Cfg] | None = None) -> list[Diagnostic]:
+def validate(program: Program) -> list[Diagnostic]:
+    """The diagnostics of ``program`` lowered by ``build_cfg``.  A program is
+    checked once, and later calls return a copy of the first list."""
+    diags = program.derived.get("diagnostics")
+    if diags is None:
+        diags = program.derived["diagnostics"] = _diagnostics(program, build_cfg(program))
+    return list(diags)
+
+
+def _diagnostics(program: Program, cfgs: dict[str, Cfg]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     fn = program.filename
-    if cfgs is None:
-        cfgs = build_cfg(program)
 
     if program.protections is not None:
         for g in program.globals:

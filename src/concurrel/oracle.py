@@ -7,7 +7,12 @@ cap, counted at the points on a cycle that lowering records in
 config-independent: each thread carries its replayed digests (thread-id
 history with and without the encountered-creates refinement, and the
 lock-once set) so one exploration can be checked against any analysis
-configuration.
+configuration.  What every such check reads is built once per exploration,
+at the first check: ``Exploration.groups`` holds, per (point, lockset), the
+reachable tuples there, the column of values of each variable and the set
+of digests each spec replays.  ``explore`` lowers the program
+with ``build_cfg``, which keeps the CFGs on the ``Program``, so the
+analyses of the same program share them.
 
 The digests are replayed through the analyzer's own specs, listed in
 ``SPECS`` (``TidDigestSpec`` and ``LockOnceDigest``, each with the name its
@@ -84,6 +89,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -121,14 +127,21 @@ class Reachable(NamedTuple):
     lockonce: frozenset[str]  # LockOnceDigest digest
 
 
+class Group(NamedTuple):
+    """The reachable tuples of one (point, lockset), as the differential
+    check reads them."""
+
+    states: list[Reachable]  # in the order of a walk of Exploration.reachable
+    columns: tuple[tuple, ...]  # per entry of lvars, then of gvars: its values, row by row
+    tdigs: frozenset  # the TidDigestSpec digests the states replay
+    lockonces: frozenset  # the LockOnceDigest digests
+
+
 @dataclass
 class Exploration:
     lvars: tuple[str, ...] = ()
     gvars: tuple[str, ...] = ()
     reachable: set[Reachable] = field(default_factory=set)
-    # the reachable tuples by (point, lockset); explore fills it with ``reachable``
-    groups: dict[tuple[Point, frozenset[str]], list[Reachable]] = field(
-        default_factory=dict, init=False)
     violations: dict[int, list[str]] = field(default_factory=dict)
     digest_infeasibilities: list[str] = field(default_factory=list)
     # distinct interleaved states without a move, finished threads reduced
@@ -143,6 +156,21 @@ class Exploration:
     @property
     def truncated(self) -> bool:
         return bool(self.truncated_by)
+
+    @cached_property
+    def groups(self) -> dict[tuple[Point, frozenset[str]], Group]:
+        """The reachable tuples by (point, lockset), ordered by the text of
+        the point, then the sorted lockset; built at the first call, so every
+        check of the exploration shares them."""
+        rows: dict[tuple[Point, frozenset[str]], list[Reachable]] = {}
+        for rs in self.reachable:
+            rows.setdefault((rs.point, rs.lockset), []).append(rs)
+        out = {}
+        for key in sorted(rows, key=lambda k: (str(k[0]), sorted(k[1]))):
+            _, _, _, ls, gs, tdigs, lockonces = zip(*rows[key])
+            out[key] = Group(rows[key], (*zip(*ls), *zip(*gs)), frozenset(tdigs),
+                             frozenset(lockonces))
+        return out
 
 
 def _compile_expr(e, lidx: dict[str, int]) -> Callable:
@@ -418,13 +446,11 @@ class _Explorer:
         self.ex.schedules = len(self.terminals)
         self.ex.segments = len(self.segments)
         points, digs = self.points, self.digs
-        reachable, groups = self.ex.reachable, self.ex.groups
+        reachable = self.ex.reachable
         for view, gs, lockset in self.rows:
             tid, p, ls, d = self.view_rows[view]
             (tdig, lockonce) = digs[d]  # in the order of SPECS
             reachable.add(Reachable(tid, points[p], lockset, ls, gs, tdig, lockonce))
-        for rs in reachable:  # in the set's order, as a walk of ``reachable`` sees them
-            groups.setdefault((rs.point, rs.lockset), []).append(rs)
         return self.ex
 
     # -- steps --

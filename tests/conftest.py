@@ -44,9 +44,11 @@ class FixedClusters(ClusterConfig):
 
 def with_spec(system, spec):
     """A copy of a constraint system that keys its unknowns with ``spec``;
-    it shares the program, domain and clusters of ``system``."""
+    it shares the program, domain and clusters of ``system``, but no
+    admission that ``system`` kept under its own spec."""
     system = copy.copy(system)
     system.spec = spec
+    system._admissions = {}
     return system
 
 

@@ -18,7 +18,7 @@ from concurrel.frontend.ast import (
 from concurrel.frontend.cfg import Edge, Point
 from concurrel.solver import Solver, View
 
-from conftest import with_spec
+from conftest import load, with_spec
 from domain_utils import eq
 
 
@@ -702,3 +702,76 @@ def test_state_join_returns_its_left_operand_exactly_when_the_right_adds_nothing
             assert (system.state_join(p, q) is p) == system.state_leq(q, p)
 
     check()
+
+
+# -- one lowering per program --
+
+def test_a_program_is_lowered_once():
+    """``build_cfg`` keeps the CFGs of a program (``load`` parses anew), and
+    every analysis of the program reads those."""
+    p = load("intro_cluster")
+    assert build_cfg(p) is build_cfg(p)
+    for name in ("octagon", "clusters"):
+        assert run_analysis(p, preset(name)).cfgs is build_cfg(p)
+    assert validate(p) == validate(p) and validate(p) is not validate(p)
+
+
+def test_exploration_and_analyses_share_one_lowering(monkeypatch):
+    """An exploration followed by the four analyses that the oracle-validate
+    benchmark runs lowers each template once and validates it once."""
+    import importlib
+
+    from concurrel.frontend.cfg import _Lowerer
+    from concurrel.oracle import explore
+
+    # the package's ``validate`` attribute is the function, not its module
+    validate_module = importlib.import_module("concurrel.frontend.validate")
+    lowered, walked = [], []
+    lower, walk = _Lowerer.lower, validate_module.held_locksets
+
+    def counting_lower(self, name, body):
+        lowered.append(name)
+        return lower(self, name, body)
+
+    def counting_walk(cfg):
+        walked.append(cfg.template)
+        return walk(cfg)
+
+    monkeypatch.setattr(_Lowerer, "lower", counting_lower)
+    monkeypatch.setattr(validate_module, "held_locksets", counting_walk)
+    p = load("intro_cluster")
+    explore(p)
+    for name in ("interval", "octagon", "tids", "clusters"):
+        run_analysis(p, preset(name))
+    assert sorted(lowered) == sorted(walked) == sorted(p.threads)
+
+
+def test_a_replaced_program_is_lowered_anew():
+    import dataclasses
+
+    from concurrel.frontend import cfg_dump
+
+    p = load("joins")
+    q = dataclasses.replace(p, filename="other.conc")
+    assert build_cfg(q) is not build_cfg(p)
+    assert cfg_dump(build_cfg(q)) == cfg_dump(build_cfg(p))
+    r = dataclasses.replace(p, threads={**p.threads, "main": ()})
+    assert len(build_cfg(r)["main"].points) == 1 < len(build_cfg(p)["main"].points)
+
+
+def test_admission_asks_once_per_digest_pair(programs, monkeypatch):
+    """The thread-id system asks the base admission once per (ego,
+    candidate) digest pair of an analysis."""
+    asked = []
+    base = BaseAnalysis.admission
+
+    def counting(self, edge, ego, cand):
+        asked.append((ego, cand))
+        return base(self, edge, ego, cand)
+
+    monkeypatch.setattr(BaseAnalysis, "admission", counting)
+    for name in ("joins", "tid_loop", "intro_cluster"):
+        for mode in ("tids", "clusters"):
+            asked.clear()
+            run_analysis(programs[name], preset(mode))
+            assert asked and len(asked) == len(set(asked)), (name, mode)

@@ -448,9 +448,9 @@ def test_backend_contains_is_the_row_by_row_test(numeric, monkeypatch):
     """⊤, values of transfer sequences and (octagons) satisfiable closures
     of random DBMs, against batches cut into many broadcast chunks.  No
     backend sees ⊥: ``contains_many`` answers for it."""
-    from concurrel.domains import octagon
+    from concurrel.domains import _closure_py
 
-    monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
+    monkeypatch.setattr(_closure_py, "CONTAINS_CHUNK_BYTES", 300)
     rng = Random(47)
     dom = make_domain(numeric, ("x", "y", "z"))
     nb = dom.nb
@@ -469,10 +469,10 @@ def test_contains_many_is_the_store_by_store_test(numeric, monkeypatch):
     thread id in others, thread ids outside every set, absent variables and
     values beyond 64 bits."""
     from concurrel.digests import AbstractTid, CreateEdge
-    from concurrel.domains import RelDomain, Universe, octagon
+    from concurrel.domains import RelDomain, Universe, _closure_py
     from concurrel.frontend.cfg import Point
 
-    monkeypatch.setattr(octagon, "CONTAINS_CHUNK_BYTES", 300)
+    monkeypatch.setattr(_closure_py, "CONTAINS_CHUNK_BYTES", 300)
     rng = Random(48)
     dom = RelDomain(Universe(("v", "x", "y", "z"), ("self", "x")), numeric)
     t1, t2 = AbstractTid(), AbstractTid((CreateEdge(Point("main", 1), "t"),))
@@ -664,12 +664,13 @@ def test_compiled_kernel_matches_numpy_kernel(compiled):
 
 def test_both_kernels_export_the_same_entry_points(compiled):
     """The C kernel's functions are exactly the public functions of its
-    numpy twin, the seven entry points of the contract."""
+    numpy twin, the eight entry points of the contract."""
     import inspect
 
     from concurrel.domains import _closure_py
 
-    entry_points = {"tight_close_inplace", "leq", "join", "meet", "widen", "bound", "shift"}
+    entry_points = {"tight_close_inplace", "leq", "join", "meet", "widen", "bound", "shift",
+                    "contains"}
     twin = {name for name, f in vars(_closure_py).items()
             if inspect.isfunction(f) and f.__module__ == _closure_py.__name__
             and not name.startswith("_")}
@@ -740,6 +741,52 @@ def test_compiled_kernel_entry_points_match_numpy_ones(compiled):
     assert min(seen.values()) > 50, seen
 
 
+def test_compiled_contains_matches_numpy_one(compiled):
+    """``contains`` on random packs of 0–5 variables, read through random
+    columns of rows whose values reach ±2^52 against entries that reach
+    ±2^53 and +inf, on a 0-variable pack, a 1-row batch and a batch that the
+    numpy kernel cuts into chunks of ``CONTAINS_CHUNK_BYTES``: both kernels
+    return a fresh bool vector of the same values."""
+    from concurrel.domains import _closure_py as pure
+    from concurrel.domains._closure_py import CONTAINS_CHUNK_BYTES, EXACT_LIMIT
+
+    rng = Random(55)
+    big = int(EXACT_LIMIT)
+    values = (-2, -1, 0, 1, 2, big, -big, big - 1, 1 - big)
+    entries = (np.inf, 0.0, 1.0, -1.0, 3.0, -4.0, 2.0 * big, -2.0 * big, big + 1.0, -1.0 - big)
+    seen = {True: 0, False: 0}
+
+    def check(m, vals, pos):
+        want, got = pure.contains(m, vals, pos), compiled.contains(m, vals, pos)
+        assert got.dtype == bool and got.shape == (len(vals),) and got.flags.writeable
+        assert got.tolist() == want.tolist(), (m, vals, pos)
+        for x in got.tolist():
+            seen[x] += 1
+
+    for _ in range(300):
+        k, n = rng.randint(0, 5), rng.randint(5, 7)
+        m = np.array([[rng.choice(entries) if rng.random() < 0.3 else
+                       rng.choice((np.inf, float(rng.randint(-2, 4))))
+                       for _ in range(2 * k)] for _ in range(2 * k)]).reshape(2 * k, 2 * k)
+        np.fill_diagonal(m, 0.0)
+        m.setflags(write=False)
+        pos = tuple(rng.sample(range(n), k))
+        rows = rng.choice((1, rng.randint(0, 12)))
+        vals = np.array([[rng.choice(values) for _ in range(n)] for _ in range(rows)],
+                        dtype=np.int64).reshape(rows, n)
+        check(m, vals, pos)
+    assert min(seen.values()) > 100, seen
+    empty = np.zeros((0, 0))
+    assert compiled.contains(empty, np.zeros((3, 2), np.int64), ()).tolist() == [True] * 3
+    check(empty, np.zeros((3, 0), np.int64), ())
+    m = np.array([[0.0, 2.0, 1.0, np.inf], [8.0, 0.0, np.inf, 5.0],
+                  [3.0, np.inf, 0.0, 4.0], [np.inf, 1.0, 6.0, 0.0]])
+    rows = CONTAINS_CHUNK_BYTES // (8 * m.size) + 7
+    vals = np.array([[rng.randint(-5, 5) for _ in range(3)] for _ in range(rows)])
+    check(m, vals, (2, 0))
+    check(m, vals[::-2], (1, 2))  # strided rows
+
+
 def test_kernel_results_are_writable_and_operands_unchanged(compiled):
     """Under both kernels, every fresh matrix an entry point returns is
     writable (``OctRel`` alone makes matrices read-only), and no entry point
@@ -780,6 +827,7 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
         "meet": lambda m: (m, good), "widen": lambda m: (m, good),
         "bound": lambda m: (m, None, [0, 1, 2.0]),
         "shift": lambda m: (m, 0, 3, False),
+        "contains": lambda m: (m, np.zeros((2, 1), np.int64), (0,)),
     }
     for name, args in calls.items():
         fn = getattr(compiled, name)
@@ -801,6 +849,18 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
         ("bound", (good, None, [0, 1])), ("bound", (good, None, [0, 2, 1.0])),
         ("bound", (good, None, [0, 1, "c"])), ("bound", (good, None, 3)),
         ("shift", (good, 1, 3, False)), ("shift", (good, 0, "c", False)),
+        ("contains", (good, np.zeros((2, 1)), (0,))),  # rows not int64
+        ("contains", (good, np.zeros((2, 1), np.int32), (0,))),
+        ("contains", (good, np.zeros((2, 1), object), (0,))),
+        ("contains", (good, np.zeros(2, np.int64), (0,))),
+        ("contains", (good, np.zeros((2, 1), ">i8"), (0,))),
+        ("contains", (good, [[0]], (0,))),
+        ("contains", (good, np.zeros((2, 1), np.int64), None)),
+        ("contains", (good, np.zeros((2, 1), np.int64), ())),
+        ("contains", (good, np.zeros((2, 1), np.int64), (1,))),
+        ("contains", (good, np.zeros((2, 1), np.int64), (-1,))),
+        ("contains", (good, np.full((2, 1), 2**52 + 1), (0,))),
+        ("contains", (good, np.full((2, 1), -2**52 - 1), (0,))),
     ]
     for name, args in malformed:
         with pytest.raises(ValueError):
@@ -817,6 +877,10 @@ def test_compiled_kernel_entry_points_reject_bad_input_and_release_buffers(compi
         ("bound", lambda a, b: (b, None, [])),
         ("shift", lambda a, b: (a, 0, 1, True)), ("shift", lambda a, b: (a, 5, 1, True)),
         ("shift", lambda a, b: (b, 0, 1, True)),
+        ("contains", lambda a, b: (a, np.zeros((3, 1), np.int64), (0,))),
+        ("contains", lambda a, b: (a, np.zeros((3, 1), np.int64), (1,))),
+        ("contains", lambda a, b: (a, np.full((3, 1), 2**60), (0,))),
+        ("contains", lambda a, b: (b, np.zeros((3, 1), np.int64), (0,))),
     ]
     for name in ("leq", "join", "meet", "widen"):
         paths += [(name, lambda a, b: (a, a)), (name, lambda a, b: (a, b)),
