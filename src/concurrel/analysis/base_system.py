@@ -10,10 +10,10 @@ read ``MutexKey``/``RetKey`` values of each digest that ``admission``
 admits, listed by one helper (``_admitted``).  Besides ``initial`` and one
 right-hand side factory per action kind, the class holds the relation steps
 (``init``, the initial cluster values and main's start relation, and
-``step``, the local steps), the solver plumbing (key namespaces, which
-outgoing edges spawn a constraint, the reading of the source value: a
-right-hand side runs only when it is present and not ⊥) and the relation
-lattice.
+``step``, the local steps), the solver plumbing (key namespaces, and which
+outgoing edges spawn a constraint: each names its source point unknown, and
+the solver runs its body only when that value is present and not ⊥) and the
+relation lattice.
 
 The thread-id system (``improved_system.ImprovedSystem``) is this system
 with local states that also carry J, L and W.  It shares ``initial`` and
@@ -126,18 +126,8 @@ class BaseAnalysis:
             if isinstance(act, Unlock) and act.mutex not in key.lockset:
                 continue
             factory = getattr(self, _RHS_FACTORY.get(type(act), "_plain_rhs"))
-            out.append(Constraint(partial(_edge_name, key, act),
-                                  self._from_source(key, factory(edge, key))))
+            out.append(Constraint(partial(_edge_name, key, act), factory(edge, key), key))
         return out
-
-    def _from_source(self, src: PointKey, body):
-        def rhs(view: View):
-            value = view.get(src)
-            if value is None or value.bot:  # a state is ⊥ when its relation is
-                return {}
-            return body(view, value)
-
-        return rhs
 
     def admission(self, edge: Edge, ego, cand):
         """Whether the observing ``edge`` from the ego digest ``ego`` admits

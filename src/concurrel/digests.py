@@ -12,18 +12,15 @@ abstract thread ids with creation histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
+from typing import NamedTuple
 
 from .frontend.ast import Action, Create, Join, Lock, Unlock
-from .frontend.cfg import Point, hash_once
+from .frontend.cfg import Point
 
 
 # -- abstract thread ids (creation histories with spill sets) -----------------
 
-@dataclass(frozen=True, order=True)
-@hash_once
-class CreateEdge:
+class CreateEdge(NamedTuple):
     point: Point  # source point of the create edge
     template: str  # template the created thread starts in
 
@@ -31,14 +28,12 @@ class CreateEdge:
         return f"⟨{self.point},{self.template}⟩"
 
 
-@total_ordering
-@dataclass(frozen=True)
-@hash_once
-class AbstractTid:
+class AbstractTid(NamedTuple):
     """(prefix of create edges after the main marker, spill set).
 
     Unique iff the spill set is empty; distinct ids denote disjoint sets of
-    concrete threads.
+    concrete threads.  Ids order by their text; each comparison is defined
+    here, because a tuple's own ones would order by the fields.
     """
 
     prefix: tuple[CreateEdge, ...] = ()
@@ -60,6 +55,15 @@ class AbstractTid:
 
     def __lt__(self, other):
         return str(self) < str(other)
+
+    def __le__(self, other):
+        return str(self) <= str(other)
+
+    def __gt__(self, other):
+        return str(self) > str(other)
+
+    def __ge__(self, other):
+        return str(self) >= str(other)
 
 
 MAIN_TID = AbstractTid()

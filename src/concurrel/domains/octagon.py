@@ -281,7 +281,7 @@ class OctBackend:
         return self._pack(r, tuple(x for x in r.vars if x not in xs))
 
     def restrict(self, r: OctRel, keep: set[int]) -> OctRel:
-        return self._pack(r, tuple(x for x in r.vars if x in keep))
+        return self._pack(r, tuple(filter(keep.__contains__, r.vars)))
 
     def set_interval(self, r: OctRel, x: int, lo: float, hi: float) -> OctRel:
         """Assign the abstract value [lo, hi] (lo ≤ hi) to x (forget, then

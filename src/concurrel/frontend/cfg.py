@@ -5,13 +5,16 @@ g moves a single value between g and a local and is wrapped in
 lock(m_g)/unlock(m_g) edges for the dedicated atomicity mutex m_g.
 Compound forms (``g = y + 9``, ``assert(g == h)``, ``return 0``) are
 desugared through fresh temporaries ``$tN``.
+
+A ``Point`` is a named tuple, hashed in C at every lookup: points key the
+CFG's and the oracle's tables and sit inside the solver's keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from typing import NamedTuple
 
 from .ast import (
     Action, Assert, AssignLocal, Cmp, Create, Expr, Guard, Havoc, IntLit,
@@ -21,30 +24,7 @@ from .ast import (
 )
 
 
-def hash_once(cls):
-    """Make a frozen dataclass hash its fields once, when it is built.
-
-    Points key the CFG's and the oracle's tables, and point and mutex keys,
-    with the thread ids inside their digests, key every table of the solver;
-    without this, each lookup rehashes the whole field tuple.  The hash is
-    that of the same tuple, so hash values and set orders are those of a
-    plain dataclass hash.  Apply it below ``@dataclass``: the dataclass then
-    keeps this explicit ``__hash__`` instead of writing its own, and its
-    generated ``__init__`` calls this ``__post_init__``.
-    """
-    fields_of = attrgetter(*cls.__annotations__)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(fields_of(self)))
-
-    cls.__post_init__ = __post_init__
-    cls.__hash__ = lambda self: self._hash
-    return cls
-
-
-@dataclass(frozen=True, order=True)
-@hash_once
-class Point:
+class Point(NamedTuple):
     template: str
     idx: int
 

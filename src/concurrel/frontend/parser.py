@@ -48,14 +48,15 @@ KEYWORDS = {
 # A thread's own id and its returned value: no program variable may be named so.
 RESERVED = ("self", "ret")
 
+# groups: whitespace or comment, number, name, operator, a bad character
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<num>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>==|!=|<=|>=|[-+*<>=();{},?])
+    r"""(\s+|//[^\n]*)
+      | (\d+)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (==|!=|<=|>=|[-+*<>=();{},?])
+      | (.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -75,26 +76,25 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, filename)
-        lexeme = m.group()
-        if m.lastgroup == "num":
-            toks.append(_Token("num", lexeme, line, col))
-        elif m.lastgroup == "name":
-            kind = lexeme if lexeme in KEYWORDS else "name"
-            toks.append(_Token(kind, lexeme, line, col))
-        elif m.lastgroup == "op":
-            toks.append(_Token(lexeme, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
+    line, col = 1, 1
+    for skip, num, name, op, bad in _TOKEN_RE.findall(text):
+        if skip:
+            if "\n" in skip:
+                line += skip.count("\n")
+                col = len(skip) - skip.rfind("\n")
+            else:
+                col += len(skip)
+            continue
+        if num:
+            tok = _Token("num", num, line, col)
+        elif name:
+            tok = _Token(name if name in KEYWORDS else "name", name, line, col)
+        elif op:
+            tok = _Token(op, op, line, col)
         else:
-            col += len(lexeme)
-        pos = m.end()
+            raise ParseError(f"unexpected character {bad!r}", line, col, filename)
+        toks.append(tok)
+        col += len(tok.text)
     toks.append(_Token("eof", "", line, col))
     return toks
 
@@ -116,8 +116,8 @@ class _Parser:
         return ParseError(msg, tok.line, tok.col, self.filename)
 
     def accept(self, kind: str) -> _Token | None:
-        if self.cur.kind == kind:
-            tok = self.cur
+        tok = self.toks[self.i]
+        if tok.kind == kind:
             self.i += 1
             return tok
         return None

@@ -8,7 +8,10 @@ of a program point), and constraints subscribed to the key's namespace
 
 Right-hand sides read the current assignment through a view that records
 dependencies, and return a dict of effects {key: value}; contributions and
-side-effects are treated alike and accumulate by join.  The worklist is
+side-effects are treated alike and accumulate by join.  A constraint may
+name a source key (a point constraint names the point unknown of its edge's
+source): the solver reads it first, as the first read of the evaluation,
+and skips the body when its value is absent or ⊥.  The worklist is
 first-in first-out; an updated key queues its readers (``Unknown.readers``,
 kept in increasing constraint order) and a new key of a namespace the
 readers of the namespace (``ns_deps``).  An evaluation re-points its constraint's
@@ -59,12 +62,24 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Constraint:
+    """``body(view)``, or with a ``source`` key ``body(view, value)`` of its
+    value, run only when that value is present and its ``bot`` false (``rhs``;
+    ``Solver.solve`` inlines it)."""
+
     name: str | Callable[[], str]  # a callable is formatted only by describe()
-    rhs: Callable[["View"], dict[Any, Any]]
+    body: Callable[..., dict[Any, Any]]
+    source: Any = None
     cid: int = -1
 
     def describe(self) -> str:
         return self.name() if callable(self.name) else self.name
+
+    def rhs(self, view: "View") -> dict[Any, Any]:
+        """The effects on the assignment that ``view`` reads."""
+        if self.source is None:
+            return self.body(view)
+        value = view.get(self.source)
+        return {} if value is None or value.bot else self.body(view, value)
 
 
 class System(Protocol):
@@ -201,9 +216,16 @@ class Solver:
             stats.evaluations += 1
             if stats.evaluations > budget:
                 raise BudgetExceeded(stats.evaluations)
-            view.reads = reads = []
+            c = constraints[cid]
+            src = c.source
             view.ns_reads = ns_reads = []
-            effects = constraints[cid].rhs(view)
+            if src is None:
+                view.reads = reads = []
+                effects = c.body(view)
+            else:  # Constraint.rhs, without the two calls
+                view.reads = reads = [src]
+                value = values.get(src)
+                effects = {} if value is None or value.bot else c.body(view, value)
             if reads != last_reads[cid]:
                 self._repoint(cid, last_reads[cid], reads)
                 last_reads[cid] = reads

@@ -16,7 +16,7 @@ from concurrel.frontend.ast import (
     Cmp, Create, Havoc, IntLit, Join, Lock, ReadGlobal, Return, Unlock, Var, WriteGlobal,
 )
 from concurrel.frontend.cfg import Edge, Point
-from concurrel.solver import Solver, View
+from concurrel.solver import Constraint, Solver, View
 
 from conftest import load, with_spec
 from domain_utils import eq
@@ -101,7 +101,7 @@ def _effects(system, edge, lockset, r, published=(), digest=D):
             solver.by_namespace.setdefault(ns, []).append(key)
     factory = {Lock: system._lock_rhs, Unlock: system._unlock_rhs, Create: system._create_rhs,
                Return: system._return_rhs}.get(type(edge.action), system._plain_rhs)
-    return system._from_source(src, factory(edge, src))(View(solver))
+    return Constraint("effects", factory(edge, src), src).rhs(View(solver))
 
 
 def test_cluster_config_rejects_an_unknown_mode():

@@ -109,6 +109,9 @@ _TOO_DEEP_STMT = "statement nested deeper than 100 levels"
      "2:7", "mutex name 'm_g' is reserved for implicit atomicity mutexes"),
     (f"thread main {{ x = {'9' * 4301}; }}", "1:19", "integer literal of 4301 digits is too long"),
     ("thread main { x = 1 $ 2; }", "1:21", "unexpected character '$'"),
+    ("// a comment\nthread main { x = 1 $ 2; }", "2:21", "unexpected character '$'"),
+    ("thread main {\n\tx = 1 $ 2; }", "2:8", "unexpected character '$'"),
+    ("thread main {\r\n  x = 1 $ 2; }", "2:9", "unexpected character '$'"),
     ("thread main { x = 1 }", "1:21", "expected ';', found '}'"),
     ("global g; lock a;", "1:11", "expected declaration or 'thread', found 'lock'"),
     ("thread main { if (x) { } }", "1:20", "expected comparison operator"),
@@ -120,7 +123,8 @@ _TOO_DEEP_STMT = "statement nested deeper than 100 levels"
         "ret-assert", "ret-return", "global-self", "global-ret", "global-twice-in-one",
         "global-twice", "mutex-twice", "protect-twice", "protect-unknown-global",
         "protect-unknown-mutex", "mutex-reserved", "literal-4301-digits",
-        "bad-character", "missing-semicolon", "statement-at-top-level",
+        "bad-character", "bad-character-after-comment", "bad-character-after-tab",
+        "bad-character-after-crlf", "missing-semicolon", "statement-at-top-level",
         "guard-without-comparison", "assign-to-self"])
 def test_bad_program_exit_2_with_position(tmp_path, capsys, src, position, message):
     f = tmp_path / "bad.conc"

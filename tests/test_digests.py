@@ -1,10 +1,10 @@
 """Digest effect functions: locksets, lock-once, thread ids."""
 
-import dataclasses
+import os
 
 from hypothesis import given, settings, strategies as st
 
-from concurrel.analysis.keys import MutexKey, PointKey, render_key
+from concurrel.analysis.keys import MutexKey, PointKey, RetKey, render_key
 from concurrel.digests import (
     AbstractTid, CreateEdge, DigestSpec, LockOnceDigest, LocksetDigest, MAIN_TID,
     TidDigestSpec, lcu_anc, may_create, may_run, tid_compose, tid_new,
@@ -192,16 +192,18 @@ def test_discovered_thread_ids_match_worked_example():
     assert got == expected
 
 
-def test_key_dataclasses_hash_once_and_print_as_before():
-    """Point, CreateEdge, AbstractTid, PointKey and MutexKey cache their hash
-    in a field that is not compared, printed or matched; ``render_key``
-    prints a value of no key kind as ``str`` does."""
+def test_keys_are_tuples_and_print_as_before():
+    """Point, CreateEdge, AbstractTid, PointKey, MutexKey and RetKey are
+    named tuples that hash as the tuple of their fields and print as
+    ``Name(field=...)``; thread ids order by their text in each of
+    the four comparisons; ``render_key`` prints a value of no key kind as
+    ``str`` does."""
     def make():
         p = Point("t1", 3)
         e = CreateEdge(p, "t2")
         i = AbstractTid((e,), frozenset({CreateEdge(Point("main", 0), "t1")}))
         return [p, e, i, PointKey(p, frozenset({"a"}), (i, frozenset({e}))),
-                MutexKey("a", frozenset({"g", "h"}), (i, frozenset()))]
+                MutexKey("a", frozenset({"g", "h"}), (i, frozenset())), RetKey(("⊤", ()))]
 
     reprs = [
         "Point(template='t1', idx=3)",
@@ -209,13 +211,48 @@ def test_key_dataclasses_hash_once_and_print_as_before():
         "AbstractTid(prefix=(CreateEdge(point=Point(template='t1', idx=3), template='t2'),), "
         "spill=frozenset({CreateEdge(point=Point(template='main', idx=0), template='t1')}))",
     ]
-    for x, y, r in zip(make(), make(), reprs + [None, None]):
+    for x, y, r in zip(make(), make(), reprs + [None, None, "RetKey(digest=('⊤', ()))"]):
         assert x == y and x is not y and hash(x) == hash(y)
+        assert hash(x) == hash(tuple(x))
         assert r is None or repr(x) == r
-        shown = [f.name for f in dataclasses.fields(x) if f.repr]
-        assert shown == list(type(x).__match_args__)
         assert "_hash" not in repr(x)
-    assert [f.name for f in dataclasses.fields(PointKey) if f.repr] == ["point", "lockset", "digest"]
-    assert [f.name for f in dataclasses.fields(MutexKey) if f.repr] == ["mutex", "cluster", "digest"]
+        assert type(x)._fields == type(x).__match_args__
+    assert PointKey._fields == ("point", "lockset", "digest")
+    assert MutexKey._fields == ("mutex", "cluster", "digest")
     assert Point("a", 2) < Point("b", 1) and CreateEdge(Point("a", 2), "z") < CreateEdge(Point("b", 0), "a")
+    # "(main | {...})" < "(main)", while by the fields (a subset test on the spill) j < i
+    i, j = AbstractTid((), frozenset({E1})), MAIN_TID
+    assert str(i) < str(j) and tuple(j) < tuple(i)
+    assert i < j and i <= j and j > i and j >= i and not (j < i) and not (i >= j)
+    assert i <= i and i >= i and not (i < i) and not (i > i)
     assert render_key(Point("t1", 3)) == str(Point("t1", 3))
+    assert render_key(RetKey(("⊤", ()))) == "[ret ('⊤', ())]"
+
+
+def test_keys_of_different_kinds_never_compare_equal(monkeypatch):
+    """Keys compare by tuple equality, which ignores the class; what keeps
+    two kinds apart is the type of their fields.  A point key never equals
+    a mutex or return key, a thread-id digest never equals an
+    ``AbstractTid``, nor a point a create edge, even built from matching
+    fields; and every key of a solution over the corpus is of a key kind."""
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import workloads
+
+    p = Point("a", 3)
+    i = AbstractTid((E1,))
+    c = frozenset({E2})
+    pk = PointKey(p, frozenset({"a"}), (i, c))
+    assert pk != MutexKey("a", frozenset({"a"}), (i, c)) and pk != RetKey((i, c))
+    assert MutexKey("a", frozenset(), (i, c)) != RetKey((i, c))
+    assert (i, c) != AbstractTid((E1,), c) and (i, c) != AbstractTid((E1, E2), c)
+    assert (MAIN_TID, frozenset()) != AbstractTid((E1, E2), frozenset())
+    assert p != CreateEdge(p, "a") and CreateEdge(p, "a") != Point("a", 3)
+
+    kinds = {PointKey: 0, MutexKey: 0, RetKey: 0}
+    for name, text in workloads.load_corpus(os.path.dirname(perfbench)).items():
+        for config in workloads.CORPUS_CONFIGS.values():
+            _, result, _ = workloads.analyze(text, name, config)
+            for key in result.solver.values:
+                kinds[type(key)] += 1
+    assert set(kinds) == {PointKey, MutexKey, RetKey} and min(kinds.values()) > 0, kinds
